@@ -47,6 +47,10 @@ def mvn_logpdf(x: np.ndarray, mean: np.ndarray, cov: np.ndarray) -> float:
         logdet = 2.0 * float(np.sum(np.log(np.diag(factor[0]))))
     except (sla.LinAlgError, np.linalg.LinAlgError):
         # Semi-definite fallback: pseudo-inverse Mahalanobis, clipped logdet.
+        # Counted (imported here: repro.obs imports this module's package).
+        from repro.obs.instruments import LINALG_FALLBACK_PINV
+
+        LINALG_FALLBACK_PINV.inc()
         maha = float(diff @ np.linalg.pinv(cov) @ diff)
         logdet = log_det_psd(cov)
     return -0.5 * (d * LOG_2PI + logdet + maha)

@@ -55,6 +55,20 @@ STEP_PHASE = METRICS.histogram(
     "Mining-step search time per phase",
     labels=("phase",),
 )
+#: Location candidates scored per IC kernel path (repro.search.beam);
+#: path ∈ uniform|lowrank|exact.
+IC_KERNEL_CANDIDATES = METRICS.counter(
+    "sisd_ic_kernel_candidates_total",
+    "Location candidates scored, by IC kernel path",
+    labels=("path",),
+)
+#: Numerical fallbacks on singular input (repro.utils.linalg,
+#: repro.model.gaussian); kind ∈ lstsq|eig_clip|pinv.
+LINALG_FALLBACKS = METRICS.counter(
+    "sisd_linalg_fallbacks_total",
+    "Linear-algebra fallbacks taken on singular input, by kind",
+    labels=("kind",),
+)
 
 # --------------------------------------------------------------------- #
 # Service tier (repro.engine.service)
@@ -207,6 +221,16 @@ BEAM_PHASE_CANDIDATE_GEN = BEAM_PHASE.labels("candidate_gen")
 BEAM_PHASE_SCORE = BEAM_PHASE.labels("score")
 BEAM_PHASE_PRUNE = BEAM_PHASE.labels("prune")
 BEAM_PHASE_MERGE = BEAM_PHASE.labels("merge")
+
+#: Pre-bound IC kernel paths.
+IC_KERNEL_UNIFORM = IC_KERNEL_CANDIDATES.labels("uniform")
+IC_KERNEL_LOWRANK = IC_KERNEL_CANDIDATES.labels("lowrank")
+IC_KERNEL_EXACT = IC_KERNEL_CANDIDATES.labels("exact")
+
+#: Pre-bound linear-algebra fallback kinds.
+LINALG_FALLBACK_LSTSQ = LINALG_FALLBACKS.labels("lstsq")
+LINALG_FALLBACK_EIG_CLIP = LINALG_FALLBACKS.labels("eig_clip")
+LINALG_FALLBACK_PINV = LINALG_FALLBACKS.labels("pinv")
 
 #: Pre-bound step phases.
 STEP_PHASE_LOCATION = STEP_PHASE.labels("location")

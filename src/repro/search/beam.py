@@ -5,9 +5,21 @@ SI descriptions of each arity, expand each by every admissible condition,
 and log the overall ``top_k``. Candidate extensions are computed
 incrementally (parent mask AND the memoized condition mask) and scored in
 batch: subgroup means for a batch of candidates come from one matrix
-product, and the information content uses a fast path when every model
-block shares one covariance (always true before any spread pattern has
-been assimilated, since location updates leave covariances alone).
+product, and the information content (Eq. 13) takes one of three paths:
+
+- **uniform** — every model block shares one covariance (always true
+  before any spread pattern has been assimilated, since location updates
+  leave covariances alone): two BLAS calls score the whole batch.
+- **low-rank** — after spread updates the block covariances differ, but
+  each Theorem 2 update is a rank-one correction along ``Sigma_b w``, so
+  every block is ``Sigma_0 + Q M_b Q'`` with ``Q`` an orthonormal basis of
+  the span of ``Sigma_0 W`` (``W`` the assimilated spread directions).
+  The determinant lemma and Woodbury identity then score the batch with
+  ``r x r`` algebra per candidate, in one vectorised pass.
+- **exact** — the per-candidate loop with two ``d x d`` factorisations.
+  It is the reference the others are tested against, and the fallback
+  for candidates the low-rank guard rejects (see
+  :class:`LocationICScorer`).
 
 Each level's scoring is sharded by the attribute of the added condition
 and dispatched through an :class:`~repro.engine.executor.Executor`. The
@@ -19,8 +31,10 @@ count — and shard results are scattered back into generation order, so a
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
 
 import numpy as np
+from scipy import linalg as sla
 
 from repro.engine.executor import Executor, SerialExecutor
 from repro.errors import SearchError
@@ -31,6 +45,7 @@ from repro.lang.description import Description
 from repro.lang.refinement import RefinementOperator
 from repro.model.background import BackgroundModel
 from repro.model.gaussian import LOG_2PI
+from repro.model.patterns import SpreadConstraint
 from repro.obs import clock
 from repro.obs.instruments import (
     BEAM_CANDIDATES,
@@ -38,6 +53,9 @@ from repro.obs.instruments import (
     BEAM_PHASE_MERGE,
     BEAM_PHASE_PRUNE,
     BEAM_PHASE_SCORE,
+    IC_KERNEL_EXACT,
+    IC_KERNEL_LOWRANK,
+    IC_KERNEL_UNIFORM,
 )
 from repro.obs.trace import TRACER, current
 from repro.search.config import SearchConfig
@@ -46,11 +64,61 @@ from repro.utils.linalg import log_det_psd, solve_psd
 from repro.utils.timer import TimeBudget
 
 
+#: Low-rank guard: a candidate whose ``det(I + K G)`` — the ratio of its
+#: pooled covariance determinant to the prior's — falls below this is
+#: scored by the exact loop instead. Such a candidate's IC hinges on a
+#: direction a spread update shrank to rounding noise, where the Woodbury
+#: correction cancels catastrophically.
+LOWRANK_MIN_DET = 1e-4
+_LOG_LOWRANK_MIN_DET = math.log(LOWRANK_MIN_DET)
+#: Largest relative Frobenius error tolerated when rebuilding a block
+#: covariance as ``Sigma_0 + Q M_b Q'``; past it the scorer stays exact.
+_LOWRANK_RECONSTRUCTION_RTOL = 1e-10
+
+
+class _LowRankSplit(NamedTuple):
+    """Every block covariance as ``Sigma_0 + Q M_b Q'``, ``Sigma_0`` factored."""
+
+    chol: np.ndarray  # lower Cholesky factor of Sigma_0
+    logdet0: float  # logdet Sigma_0
+    basis: np.ndarray  # Q, (d, r), orthonormal
+    gram: np.ndarray  # G = Q' Sigma_0^-1 Q, (r, r)
+    blocks: np.ndarray  # M_b flattened, (B, r * r)
+
+
 class LocationICScorer:
     """Batched Eq. 13 evaluation against a frozen background model.
 
     The scorer snapshots the model's block structure once; it must be
     rebuilt after the model assimilates a pattern (the miner does this).
+
+    With ``c_kb`` the (weighted) rows of candidate ``k`` in block ``b``
+    and ``|I|`` its size, the subgroup mean has covariance
+    ``Sigma_I = sum_b c_kb Sigma_b / |I|^2``. Which kernel evaluates it is
+    fixed at construction:
+
+    - **uniform**: one shared covariance, so ``Sigma_I = Sigma / |I|``
+      and one precision matrix scores every candidate.
+    - **low-rank**: blocks differ only by spread updates, so
+      ``Sigma_b = Sigma_0 + Q M_b Q'`` with ``Sigma_0`` the prior
+      covariance, ``Q`` (``d x r``) orthonormal and ``M_b`` ``r x r``.
+      With ``K_k = sum_b (c_kb / |I|) M_b``, ``G = Q' Sigma_0^-1 Q`` and
+      ``z = Q' Sigma_0^-1 delta``, the determinant lemma gives
+      ``logdet(|I| Sigma_I) = logdet Sigma_0 + logdet(I + K_k G)`` and
+      Woodbury gives
+      ``delta' Sigma_I^-1 delta = |I| (delta' Sigma_0^-1 delta -
+      z' (I + K_k G)^-1 K_k z)``, batched over ``(k, r, r)`` stacks.
+      When ``r`` reaches ``d`` the same algebra is simply the exact
+      computation, vectorised.
+    - **exact**: the per-candidate loop (two ``d x d`` factorisations
+      each), used when the low-rank split does not reproduce the block
+      covariances to ``1e-10`` relative or ``Sigma_0`` will not factor.
+
+    **Guard.** On the low-rank path, candidates whose ``I + K_k G`` has a
+    non-positive determinant or one below :data:`LOWRANK_MIN_DET` are
+    rescored by the exact loop, bit for bit as if it had scored them.
+    Counter ``sisd_ic_kernel_candidates_total{path}`` records how many
+    candidates each path scored.
     """
 
     #: Arrays the shared-memory transport may move out of the pickled
@@ -104,17 +172,43 @@ class LocationICScorer:
         self._uniform_cov = all(
             np.array_equal(first, self._block_covs[b]) for b in range(self._n_blocks)
         )
+        #: ``None`` when the general path must use the exact loop.
+        self._lowrank: _LowRankSplit | None = None
         if self._uniform_cov:
             d = model.dim
             self._precision = solve_psd(first, np.eye(d))
             self._logdet = log_det_psd(first)
+        else:
+            self._lowrank = self._lowrank_split()
 
-    def score_masks(self, masks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """ICs and observed means for a ``(k, n)`` boolean mask stack.
+    def _lowrank_split(self) -> _LowRankSplit | None:
+        """Factor the block covariances as ``Sigma_0 + Q M_b Q'``, if they are."""
+        directions = [
+            c.direction for c in self.model.constraints if isinstance(c, SpreadConstraint)
+        ]
+        if not directions:
+            return None
+        sigma0 = self.model.prior.cov
+        q, _ = np.linalg.qr(sigma0 @ np.stack(directions, axis=1))
+        m = q.T @ (self._block_covs - sigma0) @ q  # (B, r, r)
+        error = np.linalg.norm(sigma0 + q @ m @ q.T - self._block_covs, axis=(1, 2))
+        scale = np.linalg.norm(self._block_covs, axis=(1, 2))
+        if not np.all(error <= _LOWRANK_RECONSTRUCTION_RTOL * scale):
+            return None
+        try:
+            chol, _ = sla.cho_factor(sigma0, lower=True, check_finite=False)
+        except np.linalg.LinAlgError:
+            return None
+        logdet0 = 2.0 * float(np.sum(np.log(np.diag(chol))))
+        gram = q.T @ sla.cho_solve((chol, True), q, check_finite=False)
+        return _LowRankSplit(chol, logdet0, q, gram, m.reshape(len(m), -1))
+
+    def _prefix(self, masks: np.ndarray) -> tuple[np.ndarray, ...]:
+        """``(sizes, observed, block_counts, diffs)`` of a mask stack.
 
         On weighted models, ``sizes`` is the total subgroup weight and
-        the per-block counts are weighted counts; the IC formulas below
-        are unchanged because the weighted model covariance stays
+        the per-block counts are weighted counts; the IC formulas are
+        unchanged because the weighted model covariance stays
         ``Sigma_I = sum_b c_b Sigma_b / W^2`` with weighted ``c_b``
         (frequency semantics — see the background model).
         """
@@ -135,25 +229,71 @@ class LocationICScorer:
             observed = (fmasks @ self._wtargets) / sizes[:, None]
             block_counts = fmasks @ self._wonehot  # (k, B), weighted
         model_means = (block_counts @ self._block_means) / sizes[:, None]
-        diffs = observed - model_means
-        d = self.model.dim
+        return sizes, observed, block_counts, observed - model_means
 
+    def score_masks(self, masks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """ICs and observed means for a ``(k, n)`` boolean mask stack."""
+        sizes, observed, block_counts, diffs = self._prefix(masks)
+        k = len(sizes)
         if self._uniform_cov:
             # Sigma_I = Sigma / |I|: Mahalanobis scales by |I|, logdet by
-            # -d log |I|. One matmul scores every candidate.
-            maha = np.einsum("kd,de,ke->k", diffs, self._precision, diffs) * sizes
+            # -d log |I|. Two BLAS calls score every candidate.
+            d = self.model.dim
+            maha = np.einsum("kd,kd->k", diffs @ self._precision, diffs) * sizes
             logdet = self._logdet - d * np.log(sizes)
-            ics = 0.5 * (d * LOG_2PI + logdet + maha)
-            return ics, observed
+            IC_KERNEL_UNIFORM.inc(k)
+            return 0.5 * (d * LOG_2PI + logdet + maha), observed
+        if self._lowrank is None:
+            IC_KERNEL_EXACT.inc(k)
+            return self._exact_ics(block_counts, sizes, diffs), observed
+        ics, routed = self._lowrank_ics(block_counts, sizes, diffs)
+        ics[routed] = self._exact_ics(block_counts[routed], sizes[routed], diffs[routed])
+        n_routed = int(np.count_nonzero(routed))
+        IC_KERNEL_LOWRANK.inc(k - n_routed)
+        IC_KERNEL_EXACT.inc(n_routed)
+        return ics, observed
 
-        ics = np.empty(masks.shape[0])
-        for k in range(masks.shape[0]):
+    def _lowrank_ics(
+        self, block_counts: np.ndarray, sizes: np.ndarray, diffs: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Low-rank ICs, and the rows the guard routes to the exact loop.
+
+        Routed rows are left as NaN for the caller to fill in.
+        """
+        chol, logdet0, q, gram, m = self._lowrank
+        d, r = q.shape
+        solved = sla.cho_solve((chol, True), diffs.T, check_finite=False).T
+        quad0 = np.einsum("kd,kd->k", solved, diffs)  # delta' Sigma_0^-1 delta
+        z = solved @ q  # (k, r)
+        kmat = ((block_counts / sizes[:, None]) @ m).reshape(-1, r, r)
+        lemma = np.eye(r) + kmat @ gram  # I + K_k G
+        sign, logabsdet = np.linalg.slogdet(lemma)
+        # Negated >= so that a NaN determinant is routed as well.
+        routed = (sign <= 0) | ~(logabsdet >= _LOG_LOWRANK_MIN_DET)
+        ok = ~routed
+        kz = np.einsum("krs,ks->kr", kmat[ok], z[ok])
+        correction = np.einsum(
+            "kr,kr->k", z[ok], np.linalg.solve(lemma[ok], kz[..., None])[..., 0]
+        )
+        maha = sizes[ok] * (quad0[ok] - correction)
+        logdet = logdet0 + logabsdet[ok] - d * np.log(sizes[ok])
+        ics = np.full(len(sizes), np.nan)
+        ics[ok] = 0.5 * (d * LOG_2PI + logdet + maha)
+        return ics, routed
+
+    def _exact_ics(
+        self, block_counts: np.ndarray, sizes: np.ndarray, diffs: np.ndarray
+    ) -> np.ndarray:
+        """The per-candidate reference: pool ``Sigma_I``, factor it twice."""
+        d = self.model.dim
+        ics = np.empty(len(sizes))
+        for k in range(len(sizes)):
             cov = np.einsum(
                 "b,bde->de", block_counts[k], self._block_covs
             ) / sizes[k] ** 2
             maha = float(diffs[k] @ solve_psd(cov, diffs[k]))
             ics[k] = 0.5 * (d * LOG_2PI + log_det_psd(cov) + maha)
-        return ics, observed
+        return ics
 
     def score_mask(self, mask: np.ndarray) -> tuple[float, np.ndarray]:
         """IC and observed mean of a single subgroup mask."""

@@ -4,6 +4,9 @@ The model maintains per-block covariance matrices that are repeatedly
 updated by rank-one Sherman–Morrison corrections (Theorem 2 of the paper);
 floating-point drift can leave them slightly asymmetric or with tiny
 negative eigenvalues, so we centralize symmetrization and PD repair here.
+Every fallback taken on singular input is counted in
+``sisd_linalg_fallbacks_total{kind}``. The counters are imported where
+they are used: ``repro.obs`` sits above this module in the import graph.
 """
 
 from __future__ import annotations
@@ -56,6 +59,9 @@ def solve_psd(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         factor = sla.cho_factor(a, lower=True, check_finite=False)
         return sla.cho_solve(factor, b, check_finite=False)
     except (np.linalg.LinAlgError, sla.LinAlgError, ValueError):
+        from repro.obs.instruments import LINALG_FALLBACK_LSTSQ
+
+        LINALG_FALLBACK_LSTSQ.inc()
         return np.linalg.lstsq(a, b, rcond=None)[0]
 
 
@@ -71,6 +77,9 @@ def log_det_psd(a: np.ndarray) -> float:
         chol = np.linalg.cholesky(a)
         return 2.0 * float(np.sum(np.log(np.diag(chol))))
     except np.linalg.LinAlgError:
+        from repro.obs.instruments import LINALG_FALLBACK_EIG_CLIP
+
+        LINALG_FALLBACK_EIG_CLIP.inc()
         eigvals = np.linalg.eigvalsh(symmetrize(a))
         eigvals = np.clip(eigvals, 1e-300, None)
         return float(np.sum(np.log(eigvals)))

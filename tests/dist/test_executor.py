@@ -112,6 +112,18 @@ class TestBitIdenticalMining:
             assert executor.stats["shards_remote"] > 0
         assert_search_results_identical(serial, remote)
 
+    def test_after_a_spread_step(self, worker_pair):
+        # The block covariances now differ, so the remote shards score on
+        # the low-rank kernel the shipped scorer carries.
+        miner = SubgroupDiscovery(make_synthetic(0), config=CONFIG, seed=0)
+        miner.step(kind="spread")
+        serial = miner.search_locations()
+        with DistExecutor(worker_pair, local_fallback=False) as executor:
+            miner.executor = executor
+            remote = miner.search_locations()
+            assert executor.stats["shards_remote"] > 0
+        assert_search_results_identical(serial, remote)
+
     def test_worker_count_does_not_matter(self, worker_pair):
         dataset = make_synthetic(0)
         serial = _search(dataset, SerialExecutor())
