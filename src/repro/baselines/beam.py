@@ -15,6 +15,7 @@ import numpy as np
 from repro.baselines.quality import QualityMeasure
 from repro.lang.description import Description
 from repro.lang.refinement import RefinementOperator
+from repro.search.beam import _ResultLog
 from repro.search.config import SearchConfig
 from repro.utils.timer import TimeBudget
 
@@ -37,9 +38,12 @@ class QualitySubgroup:
 
 @dataclass(frozen=True)
 class QualitySearchResult:
+    """Outcome of one quality beam search: the winner plus the top-k log."""
+
     best: QualitySubgroup | None
     log: tuple[QualitySubgroup, ...]
     n_evaluated: int
+    expired: bool  # True if the time budget cut the search short
 
 
 class QualityBeamSearch:
@@ -65,49 +69,46 @@ class QualityBeamSearch:
             int(config.max_coverage_fraction * n_rows), n_rows - 1
         )
 
-        entries: list[tuple[float, int, QualitySubgroup]] = []
-        counter = 0
-        beam: list[tuple[Description, np.ndarray]] = [
-            (Description(), np.ones(n_rows, dtype=bool))
+        log = _ResultLog(config.top_k)
+        beam: list[tuple[tuple[int, ...], np.ndarray]] = [
+            ((), np.ones(n_rows, dtype=bool))
         ]
-        seen: set[Description] = set()
+        seen: set[tuple[int, ...]] = set()
         n_evaluated = 0
+        expired = False
 
         for _depth in range(1, config.max_depth + 1):
-            level: list[QualitySubgroup] = []
-            for parent_description, parent_mask in beam:
-                if budget.expired:
-                    break
-                for refined, condition in self.operator.refinements(parent_description):
-                    if refined in seen:
-                        continue
-                    seen.add(refined)
-                    mask = parent_mask & self.operator.mask_of(condition)
-                    size = int(mask.sum())
-                    if size < config.min_coverage or size > max_size:
-                        continue
-                    subgroup = QualitySubgroup(
-                        description=refined,
-                        indices=np.flatnonzero(mask),
-                        quality=float(self.quality(mask)),
-                    )
-                    level.append(subgroup)
-                    entries.append((subgroup.quality, counter, subgroup))
-                    counter += 1
-                    n_evaluated += 1
-            if not level or budget.expired:
+            level = self.operator.expand(
+                beam,
+                seen,
+                min_size=config.min_coverage,
+                max_size=max_size,
+                budget=budget,
+            )
+            qualities = np.array([float(self.quality(mask)) for mask in level.masks])
+            n_evaluated += len(qualities)
+            # Best first, generation order among ties; only a level's best
+            # top_k can reach the log.
+            ranking = np.argsort(-qualities, kind="stable")
+            for i in np.sort(ranking[: config.top_k]).tolist():
+                subgroup = QualitySubgroup(
+                    description=self.operator.describe(level.codes[i]),
+                    indices=np.flatnonzero(level.masks[i]),
+                    quality=float(qualities[i]),
+                )
+                log.add(subgroup.quality, subgroup)
+            if level.expired:
+                expired = True
                 break
-            level.sort(key=lambda s: -s.quality)
-            beam = []
-            for subgroup in level[: config.beam_width]:
-                mask = np.zeros(n_rows, dtype=bool)
-                mask[subgroup.indices] = True
-                beam.append((subgroup.description, mask))
+            if not level.codes:
+                break
+            top = ranking[: config.beam_width]
+            beam = list(zip([level.codes[i] for i in top.tolist()], level.masks[top]))
 
-        entries.sort(key=lambda t: (-t[0], t[1]))
-        log = tuple(entry for _, _, entry in entries[: config.top_k])
+        ranked = log.ranked()
         return QualitySearchResult(
-            best=log[0] if log else None,
-            log=log,
+            best=ranked[0] if ranked else None,
+            log=tuple(ranked),
             n_evaluated=n_evaluated,
+            expired=expired,
         )

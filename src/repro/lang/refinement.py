@@ -1,27 +1,80 @@
-"""Refinement operator: the candidate-generation step of beam search.
+"""Refinement operator: the candidate-generation step of every search.
 
 Builds the pool of atomic conditions for a dataset (inequalities at the
 discretized split points for numeric/ordinal attributes, equalities for
-categorical/binary ones) and expands a description by one condition at a
-time. Condition row-masks are memoized here in a bounded LRU cache, so
-the beam search can evaluate a refinement as ``parent_mask &
-mask_of(condition)`` — one vectorized AND per candidate instead of
-re-testing every conjunct — without unbounded growth when one operator
-serves many mining iterations.
+categorical/binary ones) and refines descriptions one condition at a
+time, in two forms:
+
+- :meth:`RefinementOperator.refinements` refines one
+  :class:`~repro.lang.description.Description` through the description
+  algebra (``canonical()``, ``is_contradictory()``). It is the readable
+  reference.
+- :meth:`RefinementOperator.expand` refines a whole search level at
+  once, on integer codes, and is what the searches run. A description is
+  coded as the sorted tuple of its conditions' *ranks* — their positions
+  in ``Condition.sort_key()`` order — so a sorted code is the canonical
+  form. Admissibility, canonicalisation and dedup become comparisons of
+  numbers, and child extensions come from one gather-AND over a dense,
+  read-only ``(pool, n_rows)`` table of condition masks.
+  :meth:`RefinementOperator.describe` decodes a code.
+
+The condition tables are built on the first :meth:`expand` or
+:meth:`mask_of` call, not at construction, so building an operator stays
+as cheap as building its pool.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
 from repro.datasets.schema import AttributeKind, Dataset
-from repro.utils.cache import LRUCache
 from repro.errors import LanguageError
 from repro.lang.conditions import GE, LE, Condition, EqualsCondition, NumericCondition
 from repro.lang.description import Description
 from repro.lang.discretize import split_points
+from repro.utils.timer import TimeBudget
+
+#: Condition kinds in the integer tables.
+_LE, _GE, _EQ = 0, 1, 2
+
+
+class Expansion(NamedTuple):
+    """One search level's candidates, from :meth:`RefinementOperator.expand`.
+
+    Candidates are in generation order: parents in beam order, and each
+    parent's refinements in pool order.
+    """
+
+    #: Canonical codes of the candidates (decode with ``describe``).
+    codes: list[tuple[int, ...]]
+    #: Attribute id of each candidate's added condition, ``(k,)``: the
+    #: attribute's position in the order the pool first mentions it.
+    attributes: np.ndarray
+    #: Extension masks, ``(k, n_rows)`` boolean.
+    masks: np.ndarray
+    #: Refinements dropped because their code was already in ``seen``.
+    duplicates: int
+    #: Refinements dropped by the coverage bounds.
+    out_of_range: int
+    #: True if the budget ran out before every parent was expanded.
+    expired: bool
+
+
+class _Tables(NamedTuple):
+    """The pool as integer arrays, plus every condition's mask."""
+
+    rank: dict[Condition, int]  # condition -> rank
+    by_rank: tuple[Condition, ...]  # rank -> condition
+    pool_rank: np.ndarray  # (P,) rank of each pool condition, pool order
+    pool_attr: np.ndarray  # (P,) attribute id
+    pool_kind: np.ndarray  # (P,) _LE | _GE | _EQ
+    pool_threshold: np.ndarray  # (P,) threshold; NaN for equalities
+    rank_info: list[tuple[int, int, float]]  # rank -> (attr, kind, threshold)
+    n_attributes: int
+    masks: np.ndarray  # (R, n_rows) read-only, by rank
+    rows: list[np.ndarray]  # the rows of ``masks``, as mask_of hands them out
 
 
 class RefinementOperator:
@@ -37,11 +90,6 @@ class RefinementOperator:
         Split-point strategy, see :func:`repro.lang.discretize.split_points`.
     attributes:
         Optional subset of description attributes to condition on.
-    mask_cache_size:
-        Capacity of the memoized condition-mask LRU. The default
-        (``None``) sizes it to the condition pool so every mask stays
-        memoized — a smaller bound on a pool scanned sequentially every
-        level would evict each entry right before its reuse.
     """
 
     def __init__(
@@ -51,16 +99,13 @@ class RefinementOperator:
         n_split_points: int = 4,
         strategy: str = "percentile",
         attributes: Sequence[str] | None = None,
-        mask_cache_size: int | None = None,
     ) -> None:
         self.dataset = dataset
         names = list(attributes) if attributes is not None else dataset.description_names
         for name in names:
             dataset.column(name)  # raises DataError on unknown names
         self._pool: list[Condition] = self._build_pool(names, n_split_points, strategy)
-        if mask_cache_size is None:
-            mask_cache_size = max(len(self._pool), 1)
-        self._mask_cache: LRUCache = LRUCache(mask_cache_size)
+        self._table: _Tables | None = None
 
     def _build_pool(
         self, names: Sequence[str], n_split_points: int, strategy: str
@@ -88,6 +133,43 @@ class RefinementOperator:
                 raise LanguageError(f"unsupported attribute kind {column.kind}")
         return pool
 
+    def _tables(self) -> _Tables:
+        """The integer tables and the mask table, built on first use."""
+        if self._table is not None:
+            return self._table
+        by_rank = tuple(sorted(set(self._pool), key=lambda c: c.sort_key()))
+        rank = {condition: r for r, condition in enumerate(by_rank)}
+        attribute_ids: dict[str, int] = {}
+        for condition in self._pool:
+            attribute_ids.setdefault(condition.attribute, len(attribute_ids))
+        rank_info = []
+        for condition in by_rank:
+            if isinstance(condition, NumericCondition):
+                kind = _LE if condition.op == LE else _GE
+                threshold = condition.threshold
+            else:
+                kind, threshold = _EQ, float("nan")
+            rank_info.append((attribute_ids[condition.attribute], kind, threshold))
+        masks = np.empty((len(by_rank), self.dataset.n_rows), dtype=bool)
+        for r, condition in enumerate(by_rank):
+            masks[r] = condition.mask(self.dataset)
+        masks.setflags(write=False)
+        pool_rank = np.array([rank[c] for c in self._pool], dtype=np.intp)
+        info = [rank_info[r] for r in pool_rank.tolist()]
+        self._table = _Tables(
+            rank=rank,
+            by_rank=by_rank,
+            pool_rank=pool_rank,
+            pool_attr=np.array([a for a, _, _ in info], dtype=np.intp),
+            pool_kind=np.array([k for _, k, _ in info], dtype=np.intp),
+            pool_threshold=np.array([t for _, _, t in info], dtype=float),
+            rank_info=rank_info,
+            n_attributes=len(attribute_ids),
+            masks=masks,
+            rows=list(masks),
+        )
+        return self._table
+
     # ------------------------------------------------------------------ #
     # Pool access
     # ------------------------------------------------------------------ #
@@ -100,22 +182,36 @@ class RefinementOperator:
         return len(self._pool)
 
     def mask_of(self, condition: Condition) -> np.ndarray:
-        """Memoized boolean row mask of one condition."""
-        cached = self._mask_cache.get(condition)
-        if cached is None:
-            cached = condition.mask(self.dataset)
-            cached.setflags(write=False)
-            self._mask_cache.put(condition, cached)
-        return cached
+        """Read-only boolean row mask of one condition.
+
+        A pool condition's mask is a row of the operator's mask table, so
+        every call returns the same array; any other condition's mask is
+        computed afresh.
+        """
+        table = self._tables()
+        r = table.rank.get(condition)
+        if r is not None:
+            return table.rows[r]
+        mask = condition.mask(self.dataset)
+        mask.setflags(write=False)
+        return mask
 
     def extension_mask(self, description: Description) -> np.ndarray:
-        """Extension mask of a description using the memoized conditions."""
+        """Extension mask of a description using the tabled conditions."""
         mask = np.ones(self.dataset.n_rows, dtype=bool)
         for condition in description.conditions:
             mask = mask & self.mask_of(condition)
             if not mask.any():
                 break
         return mask
+
+    def describe(self, code: Sequence[int]) -> Description:
+        """Decode a canonical code from :meth:`expand` into its description.
+
+        The result equals its own ``canonical()`` form.
+        """
+        by_rank = self._tables().by_rank
+        return Description(tuple(by_rank[r] for r in code))
 
     # ------------------------------------------------------------------ #
     # Refinement
@@ -147,3 +243,111 @@ class RefinementOperator:
             if refined.is_contradictory():
                 continue
             yield refined, condition
+
+    def expand(
+        self,
+        beam: Sequence[tuple[tuple[int, ...], np.ndarray]],
+        seen: set[tuple[int, ...]],
+        *,
+        min_size: int = 1,
+        max_size: int | None = None,
+        budget: TimeBudget | None = None,
+    ) -> Expansion:
+        """Refine every ``(code, mask)`` parent of a search level by one condition.
+
+        Produces the same refinements, in the same order, as
+        :meth:`refinements` on each decoded parent. A parent's code must
+        be the tuple code of a canonical, non-contradictory description
+        (every code :meth:`expand` returns is; the root is ``()``), and
+        its mask that description's extension. A refinement whose code
+        is in ``seen`` is dropped as a duplicate; every other one is
+        added to ``seen`` *before* its extension is checked against the
+        coverage bounds ``min_size <= size <= max_size``
+        (``max_size=None`` is unbounded), so ``seen`` spans every level
+        it is passed to. ``budget`` is polled before each parent; once
+        it has expired the expansion stops and reports ``expired``.
+        """
+        table = self._tables()
+        n_rows = self.dataset.n_rows
+        if max_size is None:
+            max_size = n_rows
+        is_le = table.pool_kind == _LE
+        is_ge = table.pool_kind == _GE
+        is_eq = table.pool_kind == _EQ
+        threshold = table.pool_threshold
+        # Room for every refinement of every parent: pages never written
+        # are never committed, so only the level's real rows cost memory.
+        out = np.empty((len(beam) * len(self._pool), n_rows), dtype=bool)
+        codes: list[tuple[int, ...]] = []
+        attributes: list[np.ndarray] = []
+        duplicates = out_of_range = 0
+        expired = False
+        for code, parent_mask in beam:
+            if budget is not None and budget.expired:
+                expired = True
+                break
+            # The parent's interval and equality per attribute, and the
+            # code slot of each bound: a tighter bound of the same kind
+            # takes that slot, anything else is inserted in rank order.
+            upper = np.full(table.n_attributes, np.inf)
+            lower = np.full(table.n_attributes, -np.inf)
+            has_equality = np.zeros(table.n_attributes, dtype=bool)
+            slot = np.full((table.n_attributes, 3), -1, dtype=np.intp)
+            for position, r in enumerate(code):
+                attribute, kind, bound = table.rank_info[r]
+                if kind == _EQ:
+                    has_equality[attribute] = True
+                    continue
+                if kind == _LE:
+                    upper[attribute] = bound
+                else:
+                    lower[attribute] = bound
+                slot[attribute, kind] = position
+            ub = upper[table.pool_attr]
+            lb = lower[table.pool_attr]
+            admissible = np.flatnonzero(
+                (is_le & (threshold < ub) & (threshold >= lb))
+                | (is_ge & (threshold > lb) & (threshold <= ub))
+                | (is_eq & ~has_equality[table.pool_attr])
+            )
+            ranks = table.pool_rank[admissible]
+            replaced = slot[table.pool_attr[admissible], table.pool_kind[admissible]]
+            inserted = np.searchsorted(np.asarray(code, dtype=np.intp), ranks)
+            cut_lo = np.where(replaced >= 0, replaced, inserted)
+            cut_hi = cut_lo + (replaced >= 0)
+            fresh: list[int] = []
+            fresh_codes: list[tuple[int, ...]] = []
+            for i, (r, lo, hi) in enumerate(
+                zip(ranks.tolist(), cut_lo.tolist(), cut_hi.tolist())
+            ):
+                child = code[:lo] + (r,) + code[hi:]
+                if child in seen:
+                    continue
+                seen.add(child)
+                fresh.append(i)
+                fresh_codes.append(child)
+            duplicates += len(ranks) - len(fresh)
+            if not fresh:
+                continue
+            start = len(codes)
+            block = out[start : start + len(fresh)]
+            # mode='clip' skips the buffered copy 'raise' makes with out=.
+            np.take(table.masks, ranks[fresh], axis=0, out=block, mode="clip")
+            block &= parent_mask
+            sizes = np.count_nonzero(block, axis=1)
+            kept = np.flatnonzero((sizes >= min_size) & (sizes <= max_size))
+            out_of_range += len(fresh) - len(kept)
+            if len(kept) < len(fresh):
+                block[: len(kept)] = block[kept]
+            codes.extend(fresh_codes[i] for i in kept.tolist())
+            attributes.append(table.pool_attr[admissible[fresh][kept]])
+        return Expansion(
+            codes=codes,
+            attributes=(
+                np.concatenate(attributes) if attributes else np.zeros(0, dtype=np.intp)
+            ),
+            masks=out[: len(codes)],
+            duplicates=duplicates,
+            out_of_range=out_of_range,
+            expired=expired,
+        )

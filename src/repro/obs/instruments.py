@@ -43,6 +43,13 @@ BEAM_PHASE = METRICS.histogram(
 BEAM_CANDIDATES = METRICS.counter(
     "sisd_beam_candidates_total", "Beam candidates scored"
 )
+#: Refinements the beam search dropped before scoring;
+#: reason ∈ duplicate (seen at this or an earlier level) | coverage.
+BEAM_CANDIDATES_DROPPED = METRICS.counter(
+    "sisd_beam_candidates_dropped_total",
+    "Beam refinements dropped before scoring, by reason",
+    labels=("reason",),
+)
 #: Mining-loop steps; outcome ∈ mined|replayed (belief-cache hit).
 MINER_STEPS = METRICS.counter(
     "sisd_miner_steps_total",
@@ -221,6 +228,10 @@ BEAM_PHASE_CANDIDATE_GEN = BEAM_PHASE.labels("candidate_gen")
 BEAM_PHASE_SCORE = BEAM_PHASE.labels("score")
 BEAM_PHASE_PRUNE = BEAM_PHASE.labels("prune")
 BEAM_PHASE_MERGE = BEAM_PHASE.labels("merge")
+
+#: Pre-bound beam drop reasons.
+BEAM_DROPPED_DUPLICATE = BEAM_CANDIDATES_DROPPED.labels("duplicate")
+BEAM_DROPPED_COVERAGE = BEAM_CANDIDATES_DROPPED.labels("coverage")
 
 #: Pre-bound IC kernel paths.
 IC_KERNEL_UNIFORM = IC_KERNEL_CANDIDATES.labels("uniform")

@@ -2,10 +2,12 @@
 
 Level-wise exploration of conjunctions: keep the ``beam_width`` highest-
 SI descriptions of each arity, expand each by every admissible condition,
-and log the overall ``top_k``. Candidate extensions are computed
-incrementally (parent mask AND the memoized condition mask) and scored in
-batch: subgroup means for a batch of candidates come from one matrix
-product, and the information content (Eq. 13) takes one of three paths:
+and log the overall ``top_k``. A level's candidates come from
+:meth:`~repro.lang.refinement.RefinementOperator.expand` as integer codes
+plus one ``(k, n)`` mask stack (parent mask AND the tabled condition
+mask), and are scored in batch: subgroup means for a batch of candidates
+come from one matrix product, and the information content (Eq. 13) takes
+one of three paths:
 
 - **uniform** — every model block shares one covariance (always true
   before any spread pattern has been assimilated, since location updates
@@ -26,6 +28,14 @@ and dispatched through an :class:`~repro.engine.executor.Executor`. The
 shard boundaries depend only on the candidate set — never on the worker
 count — and shard results are scattered back into generation order, so a
 ``ProcessExecutor`` run returns bit-identical results to a serial one.
+
+SI is then one vector division. The next beam is taken straight from
+the level's codes and mask stack, and only a level's best ``top_k``
+candidates are materialised as
+:class:`~repro.search.results.ScoredSubgroup` records: no other candidate
+can reach the log. With an observer attached, every candidate is
+materialised, in generation order, so that the observer sees them all;
+the log and the beam are the same either way.
 """
 
 from __future__ import annotations
@@ -41,7 +51,6 @@ from repro.errors import SearchError
 from repro.events import MiningObserver
 from repro.interest.dl import LOCATION, DLParams, description_length
 from repro.interest.si import PatternScore
-from repro.lang.description import Description
 from repro.lang.refinement import RefinementOperator
 from repro.model.background import BackgroundModel
 from repro.model.gaussian import LOG_2PI
@@ -49,6 +58,8 @@ from repro.model.patterns import SpreadConstraint
 from repro.obs import clock
 from repro.obs.instruments import (
     BEAM_CANDIDATES,
+    BEAM_DROPPED_COVERAGE,
+    BEAM_DROPPED_DUPLICATE,
     BEAM_PHASE_CANDIDATE_GEN,
     BEAM_PHASE_MERGE,
     BEAM_PHASE_PRUNE,
@@ -302,15 +313,15 @@ class LocationICScorer:
 
 
 class _ResultLog:
-    """Keeps the ``top_k`` scored subgroups, stable under ties."""
+    """Keeps the ``top_k`` entries by score, ties broken by insertion order."""
 
     def __init__(self, top_k: int) -> None:
         self.top_k = top_k
-        self._entries: list[tuple[float, int, ScoredSubgroup]] = []
+        self._entries: list[tuple[float, int, object]] = []
         self._counter = 0
 
-    def add(self, entry: ScoredSubgroup) -> None:
-        self._entries.append((entry.si, self._counter, entry))
+    def add(self, score: float, entry) -> None:
+        self._entries.append((score, self._counter, entry))
         self._counter += 1
         if len(self._entries) > 4 * self.top_k:
             self._shrink()
@@ -319,7 +330,7 @@ class _ResultLog:
         self._entries.sort(key=lambda t: (-t[0], t[1]))
         del self._entries[self.top_k:]
 
-    def ranked(self) -> list[ScoredSubgroup]:
+    def ranked(self) -> list:
         self._shrink()
         return [entry for _, _, entry in self._entries]
 
@@ -369,6 +380,15 @@ class LocationBeamSearch:
         ``on_candidate`` hook fires for every admissible candidate the
         search scores, in generation order, in the coordinating process
         (shard scoring may be parallel, event delivery never is).
+
+    Generation order is parents in beam order, and each parent's
+    refinements in pool order. Descriptions travel through the search as
+    canonical integer codes; a :class:`~repro.search.results.ScoredSubgroup`
+    is built only for a level's ``top_k`` best candidates (best SI
+    first, generation order among ties), and for every candidate when an
+    observer is attached. Either way the result is the same. Counters: ``sisd_beam_candidates_total`` for the scored
+    candidates, ``sisd_beam_candidates_dropped_total{reason}`` for the
+    refinements dropped as duplicates or by the coverage bounds.
     """
 
     def __init__(
@@ -391,16 +411,25 @@ class LocationBeamSearch:
     def run(self) -> SearchResult:
         """Execute the level-wise search; returns the winner and the log."""
         config = self.config
+        operator = self.operator
         n_rows = self.scorer.model.n_rows
         budget = TimeBudget(config.time_budget_seconds)
         max_size = int(math.floor(config.max_coverage_fraction * n_rows))
         # The full data is never an interesting subgroup of itself.
         max_size = min(max_size, n_rows - 1)
+        # DL by condition count; a refinement may tighten a bound in place,
+        # so a level's codes can be shorter than its depth.
+        dl = [
+            description_length(c, kind=LOCATION, params=self.dl_params)
+            for c in range(1, config.max_depth + 1)
+        ]
+        dl_array = np.array(dl)
 
         log = _ResultLog(config.top_k)
-        root_mask = np.ones(n_rows, dtype=bool)
-        beam: list[tuple[Description, np.ndarray]] = [(Description(), root_mask)]
-        seen: set[Description] = set()
+        beam: list[tuple[tuple[int, ...], np.ndarray]] = [
+            ((), np.ones(n_rows, dtype=bool))
+        ]
+        seen: set[tuple[int, ...]] = set()
         n_evaluated = 0
         depth_reached = 0
         expired = False
@@ -414,36 +443,29 @@ class LocationBeamSearch:
         with self.executor.session(self.scorer) as session:
             for depth in range(1, config.max_depth + 1):
                 t_gen = clock.perf_counter()
-                candidates: list[tuple[Description, np.ndarray]] = []
-                shards: dict[str, list[int]] = {}
-                for parent_description, parent_mask in beam:
-                    if budget.expired:
-                        expired = True
-                        break
-                    for refined, condition in self.operator.refinements(
-                        parent_description
-                    ):
-                        if refined in seen:
-                            continue
-                        seen.add(refined)
-                        mask = parent_mask & self.operator.mask_of(condition)
-                        size = int(mask.sum())
-                        if size < config.min_coverage or size > max_size:
-                            continue
-                        shards.setdefault(condition.attribute, []).append(
-                            len(candidates)
-                        )
-                        candidates.append((refined, mask))
+                level = operator.expand(
+                    beam,
+                    seen,
+                    min_size=config.min_coverage,
+                    max_size=max_size,
+                    budget=budget,
+                )
+                codes, masks = level.codes, level.masks
                 t_score = clock.perf_counter()
                 BEAM_PHASE_CANDIDATE_GEN.observe(t_score - t_gen)
                 TRACER.record("candidate_gen", t_gen, t_score, trace_ctx)
-                if expired or not candidates:
+                BEAM_DROPPED_DUPLICATE.inc(level.duplicates)
+                BEAM_DROPPED_COVERAGE.inc(level.out_of_range)
+                if level.expired:
+                    expired = True
                     break
-                BEAM_CANDIDATES.inc(len(candidates))
+                if not codes:
+                    break
+                BEAM_CANDIDATES.inc(len(codes))
 
                 depth_reached = depth
-                ics, observed = self._score_sharded(session, candidates, shards)
-                n_evaluated += len(candidates)
+                ics, observed = self._score_sharded(session, masks, level.attributes)
+                n_evaluated += len(codes)
                 t_merge = clock.perf_counter()
                 BEAM_PHASE_SCORE.observe(t_merge - t_score)
                 TRACER.record(
@@ -451,33 +473,36 @@ class LocationBeamSearch:
                     t_score,
                     t_merge,
                     trace_ctx,
-                    tags={"depth": depth, "candidates": len(candidates)},
+                    tags={"depth": depth, "candidates": len(codes)},
                 )
 
-                scored: list[ScoredSubgroup] = []
-                for (description, mask), ic, mean in zip(candidates, ics, observed):
-                    dl = description_length(
-                        len(description), kind=LOCATION, params=self.dl_params
-                    )
+                n_conditions = np.fromiter(map(len, codes), dtype=np.intp, count=len(codes))
+                si = ics / dl_array[n_conditions - 1]
+                # Best first, generation order among ties.
+                ranking = np.argsort(-si, kind="stable")
+                # Only a level's best top_k can reach the log; an observer
+                # sees every candidate.
+                chosen = ranking if self.observer is not None else ranking[: config.top_k]
+                for i in np.sort(chosen).tolist():
+                    code = codes[i]
                     entry = ScoredSubgroup(
-                        description=description,
-                        indices=np.flatnonzero(mask),
-                        observed_mean=mean,
-                        score=PatternScore(ic=float(ic), dl=dl),
+                        description=operator.describe(code),
+                        indices=np.flatnonzero(masks[i]),
+                        observed_mean=observed[i],
+                        score=PatternScore(ic=float(ics[i]), dl=dl[len(code) - 1]),
                     )
-                    scored.append(entry)
-                    log.add(entry)
+                    log.add(entry.si, entry)
                     if self.observer is not None:
                         self.observer.on_candidate(entry)
                 t_prune = clock.perf_counter()
                 BEAM_PHASE_MERGE.observe(t_prune - t_merge)
                 TRACER.record("merge", t_merge, t_prune, trace_ctx)
 
-                scored.sort(key=lambda e: -e.si)
-                beam = [
-                    (entry.description, self._mask_of_entry(entry, n_rows))
-                    for entry in scored[: config.beam_width]
-                ]
+                survivors = ranking[: config.beam_width]
+                beam = list(zip([codes[i] for i in survivors.tolist()], masks[survivors]))
+                # The beam holds copies: free the level's stacks before the
+                # next expansion allocates its own.
+                del level, codes, masks, observed
                 t_done = clock.perf_counter()
                 BEAM_PHASE_PRUNE.observe(t_done - t_prune)
                 TRACER.record("prune", t_prune, t_done, trace_ctx)
@@ -492,17 +517,16 @@ class LocationBeamSearch:
         )
 
     def _score_sharded(
-        self,
-        session,
-        candidates: list[tuple[Description, np.ndarray]],
-        shards: dict[str, list[int]],
+        self, session, masks: np.ndarray, attributes: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Score one level's candidates shard-by-attribute, in order.
+        """Score one level's ``(k, n)`` mask stack shard-by-attribute, in order.
 
-        Shard composition is a pure function of the candidate set, and
-        results are scattered back into generation order — both
-        independent of the executor, which is what makes serial and
-        parallel runs identical.
+        A shard holds the candidates whose added condition is on one
+        attribute, in generation order; shards follow the attributes'
+        first appearance. Shard composition is thus a pure function of
+        the candidate set, and results are scattered back into generation
+        order — both independent of the executor, which is what makes
+        serial and parallel runs identical.
 
         Transport: a copying session receives one mask stack per shard
         (pickled per item); a shared-memory session receives the whole
@@ -510,35 +534,28 @@ class LocationBeamSearch:
         as soon as the level is scored — and per-item payloads shrink to
         the shard's row indices.
         """
-        shard_indices = list(shards.values())
+        _, first, inverse = np.unique(
+            attributes, return_index=True, return_inverse=True
+        )
+        shard_of = np.argsort(np.argsort(first))[inverse]
+        by_shard = np.argsort(shard_of, kind="stable")
+        shard_indices = np.split(by_shard, np.cumsum(np.bincount(shard_of))[:-1])
         if getattr(session, "uses_shared_arrays", False):
-            stack = np.stack([mask for _, mask in candidates])
-            ref = session.share(stack)
+            ref = session.share(masks)
             try:
                 results = session.map(
-                    _score_shard_rows,
-                    [
-                        (ref, np.asarray(indices, dtype=np.intp))
-                        for indices in shard_indices
-                    ],
+                    _score_shard_rows, [(ref, indices) for indices in shard_indices]
                 )
             finally:
                 session.release(ref)
         else:
-            payloads = [
-                np.stack([candidates[i][1] for i in indices])
-                for indices in shard_indices
-            ]
-            results = session.map(_score_shard, payloads)
-        ics = np.empty(len(candidates))
-        observed = np.empty((len(candidates), self.scorer.model.dim))
+            # A generator: an inline session copies one shard at a time.
+            results = session.map(
+                _score_shard, (masks[indices] for indices in shard_indices)
+            )
+        ics = np.empty(len(masks))
+        observed = np.empty((len(masks), self.scorer.model.dim))
         for indices, (shard_ics, shard_observed) in zip(shard_indices, results):
             ics[indices] = shard_ics
             observed[indices] = shard_observed
         return ics, observed
-
-    @staticmethod
-    def _mask_of_entry(entry: ScoredSubgroup, n_rows: int) -> np.ndarray:
-        mask = np.zeros(n_rows, dtype=bool)
-        mask[entry.indices] = True
-        return mask

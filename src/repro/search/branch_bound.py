@@ -41,10 +41,10 @@ import numpy as np
 from repro.errors import SearchError
 from repro.interest.dl import LOCATION, DLParams, description_length
 from repro.interest.si import PatternScore
-from repro.lang.description import Description
 from repro.lang.refinement import RefinementOperator
 from repro.model.background import BackgroundModel
 from repro.model.gaussian import LOG_2PI
+from repro.search.beam import _ResultLog
 from repro.search.config import SearchConfig
 from repro.search.results import ScoredSubgroup, SearchResult
 from repro.utils.timer import TimeBudget
@@ -161,8 +161,8 @@ class BranchAndBoundLocationSearch:
         budget = TimeBudget(config.time_budget_seconds)
 
         best: ScoredSubgroup | None = None
-        log: list[ScoredSubgroup] = []
-        seen: set[Description] = set()
+        log = _ResultLog(config.top_k)
+        seen: set[tuple[int, ...]] = set()
         expanded = pruned = evaluated = 0
         expired = False
         depth_reached = 0
@@ -170,59 +170,55 @@ class BranchAndBoundLocationSearch:
         # Depth-first with best-IC-first child ordering, so strong
         # incumbents appear early and sharpen the pruning threshold.
         root_mask = np.ones(n, dtype=bool)
-        stack: list[tuple[Description, np.ndarray, int]] = [(Description(), root_mask, 0)]
+        stack: list[tuple[tuple[int, ...], np.ndarray, int]] = [((), root_mask, 0)]
 
         while stack:
             if budget.expired:
                 expired = True
                 break
-            description, mask, depth = stack.pop()
+            code, mask, depth = stack.pop()
             if depth >= config.max_depth:
                 continue
             # Prune on the optimistic bound before expanding.
             if best is not None:
                 bound_dl = description_length(
-                    max(len(description), 1), kind=LOCATION, params=self.dl_params
+                    max(len(code), 1), kind=LOCATION, params=self.dl_params
                 )
                 if self.optimistic_ic(mask) / bound_dl <= best.si:
                     pruned += 1
                     continue
             expanded += 1
 
-            children: list[tuple[float, Description, np.ndarray]] = []
-            for refined, condition in self.operator.refinements(description):
-                if refined in seen:
-                    continue
-                seen.add(refined)
-                child_mask = mask & self.operator.mask_of(condition)
+            children: list[tuple[float, tuple[int, ...], np.ndarray]] = []
+            level = self.operator.expand(
+                [(code, mask)],
+                seen,
+                min_size=config.min_coverage,
+                max_size=self._max_size,
+            )
+            for child, child_mask in zip(level.codes, level.masks):
                 size = int(child_mask.sum())
-                if size < config.min_coverage or size > self._max_size:
-                    continue
                 mean = float(self.targets[child_mask].mean())
                 ic = self._ic_of(size, mean)
                 evaluated += 1
-                depth_reached = max(depth_reached, len(refined))
-                dl = description_length(
-                    len(refined), kind=LOCATION, params=self.dl_params
-                )
+                depth_reached = max(depth_reached, len(child))
+                dl = description_length(len(child), kind=LOCATION, params=self.dl_params)
                 entry = ScoredSubgroup(
-                    description=refined,
+                    description=self.operator.describe(child),
                     indices=np.flatnonzero(child_mask),
                     observed_mean=np.array([mean]),
                     score=PatternScore(ic=ic, dl=dl),
                 )
-                log.append(entry)
+                log.add(entry.si, entry)
                 if best is None or entry.si > best.si:
                     best = entry
-                children.append((ic, refined, child_mask))
+                children.append((ic, child, child_mask))
 
             # Push the weakest child first so the strongest is explored next.
             children.sort(key=lambda c: c[0])
-            for ic, refined, child_mask in children:
-                stack.append((refined, child_mask, depth + 1))
+            for ic, child, child_mask in children:
+                stack.append((child, child_mask, depth + 1))
 
-        log.sort(key=lambda e: -e.si)
-        del log[self.config.top_k:]
         self.stats = BranchBoundStats(
             nodes_expanded=expanded,
             nodes_pruned=pruned,
@@ -230,7 +226,7 @@ class BranchAndBoundLocationSearch:
         )
         return SearchResult(
             best=best,
-            log=tuple(log),
+            log=tuple(log.ranked()),
             n_evaluated=evaluated,
             depth_reached=depth_reached,
             expired=expired,

@@ -1,9 +1,8 @@
 """Bounded, thread-safe LRU cache.
 
-Dependency-neutral so both the language layer (condition-mask
-memoization in :class:`~repro.lang.refinement.RefinementOperator`) and
-the engine layer (dataset and job-result caches) can use it without the
-language layer depending on the engine.
+Dependency-neutral, so any layer can use it without depending on the
+engine; the engine layer's dataset and job-result caches are built on
+it.
 """
 
 from __future__ import annotations

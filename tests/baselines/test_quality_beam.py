@@ -60,3 +60,20 @@ class TestQualityBeamSearch:
         second = QualityBeamSearch(operator, quality).run()
         assert first.best.description == second.best.description
         assert first.best.quality == pytest.approx(second.best.quality)
+
+    def test_expired_budget_is_reported(self, planted):
+        search = QualityBeamSearch(
+            RefinementOperator(planted),
+            MeanShiftQuality(planted.targets),
+            config=SearchConfig(time_budget_seconds=0.0),
+        )
+        result = search.run()
+        assert result.expired
+        assert result.best is None
+        assert result.n_evaluated == 0
+
+    def test_complete_run_is_not_expired(self, planted):
+        search = QualityBeamSearch(
+            RefinementOperator(planted), MeanShiftQuality(planted.targets)
+        )
+        assert not search.run().expired

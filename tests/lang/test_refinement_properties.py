@@ -1,6 +1,6 @@
 """Property-based tests of the refinement operator's invariants.
 
-Seeded randomized datasets drive three families of properties:
+Seeded randomized datasets drive four families of properties:
 
 - **Monotonicity** — every refinement's extension mask is a subset of
   its parent's (a conjunction can only shrink the extension), which is
@@ -9,6 +9,10 @@ Seeded randomized datasets drive three families of properties:
 - **Memoization transparency** — :meth:`RefinementOperator.mask_of`
   returns arrays identical to a fresh evaluation, caches by value, and
   hands out read-only views.
+- **Integer-coded expansion** — :meth:`RefinementOperator.expand` over a
+  multi-parent beam yields exactly what the :meth:`refinements`
+  reference loop (``seen`` dedup, ``parent & mask_of(c)``, coverage
+  filter) yields, in the same order, and leaves ``seen`` the same.
 - **Textual round-trip** — descriptions survive ``str`` →
   :meth:`Description.parse` (exactly for thresholds representable at
   the renderer's 6 significant digits; textually for arbitrary pool
@@ -25,6 +29,7 @@ from repro.datasets.schema import AttributeKind, Column, Dataset
 from repro.lang.conditions import EqualsCondition, NumericCondition
 from repro.lang.description import Description
 from repro.lang.refinement import RefinementOperator
+from repro.utils.timer import TimeBudget
 
 N_ROWS = 80
 LABELS = ("north", "south", "east")
@@ -116,6 +121,116 @@ class TestMaskMemoization:
         else:
             twin = EqualsCondition(condition.attribute, condition.value)
         assert operator.mask_of(twin) is first
+
+
+def encode(operator: RefinementOperator, description: Description) -> tuple[int, ...]:
+    """A canonical description's code: its conditions' ranks, sorted.
+
+    Ranks are positions in ``sort_key()`` order over the pool, which is
+    the documented coding :meth:`RefinementOperator.describe` inverts.
+    """
+    ranked = sorted(operator.conditions, key=lambda c: c.sort_key())
+    rank = {condition: r for r, condition in enumerate(ranked)}
+    return tuple(sorted(rank[c] for c in description.canonical().conditions))
+
+
+def draw_parent(draw, operator: RefinementOperator) -> Description:
+    """A random canonical, non-contradictory conjunction of pool conditions.
+
+    Conditions are drawn from at most two attributes, so two bounds on
+    one attribute (and their tightening) come up often.
+    """
+    pool = operator.conditions
+    names = sorted({c.attribute for c in pool})
+    chosen = draw(st.lists(st.sampled_from(names), min_size=1, max_size=2, unique=True))
+    candidates = [c for c in pool if c.attribute in chosen]
+    parent = Description()
+    for i in draw(st.lists(st.integers(0, len(candidates) - 1), max_size=4)):
+        refined = parent.with_condition(candidates[i]).canonical()
+        if not refined.is_contradictory():
+            parent = refined
+    return parent
+
+
+def reference_level(operator, beam, seen, min_size, max_size):
+    """The reference: refine -> dedup -> AND -> coverage, on descriptions."""
+    names = list(dict.fromkeys(c.attribute for c in operator.conditions))
+    out, duplicates, out_of_range = [], 0, 0
+    for parent, parent_mask in beam:
+        for refined, condition in operator.refinements(parent):
+            if refined in seen:
+                duplicates += 1
+                continue
+            seen.add(refined)
+            mask = parent_mask & operator.mask_of(condition)
+            size = int(mask.sum())
+            if size < min_size or size > max_size:
+                out_of_range += 1
+                continue
+            out.append((refined, names.index(condition.attribute), mask))
+    return out, duplicates, out_of_range
+
+
+class TestExpandMatchesReference:
+    @given(seed=st.integers(0, 19), data=st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_expand_equals_the_refinements_loop(self, seed, data):
+        operator = make_operator(seed)
+        n_parents = data.draw(st.integers(1, 4))
+        parents = [draw_parent(data.draw, operator) for _ in range(n_parents)]
+        beam = [(p, operator.extension_mask(p)) for p in parents]
+        coded = [(encode(operator, p), mask) for p, mask in beam]
+        for (code, _), (parent, _) in zip(coded, beam):
+            assert operator.describe(code) == parent
+
+        # Pre-fill seen with some of the refinements the beam will meet.
+        reachable = [r for p in parents for r, _ in operator.refinements(p)]
+        prefilled = (
+            data.draw(st.lists(st.sampled_from(reachable), max_size=6)) if reachable else []
+        )
+        min_size = data.draw(st.integers(1, N_ROWS // 2))
+        max_size = data.draw(st.integers(min_size, N_ROWS))
+
+        ref_seen = set(prefilled)
+        expected, duplicates, out_of_range = reference_level(
+            operator, beam, ref_seen, min_size, max_size
+        )
+        seen = {encode(operator, d) for d in prefilled}
+        level = operator.expand(coded, seen, min_size=min_size, max_size=max_size)
+
+        assert [operator.describe(c) for c in level.codes] == [e[0] for e in expected]
+        assert level.attributes.tolist() == [e[1] for e in expected]
+        assert level.masks.shape == (len(expected), N_ROWS)
+        for row, (_, _, mask) in zip(level.masks, expected):
+            np.testing.assert_array_equal(row, mask)
+        assert (level.duplicates, level.out_of_range) == (duplicates, out_of_range)
+        assert not level.expired
+        assert {operator.describe(c) for c in seen} == ref_seen
+        assert len(seen) == len(ref_seen)
+
+    def test_tightening_a_bound_replaces_it(self):
+        operator = make_operator(0)
+        bounds = sorted(
+            c.threshold for c in operator.conditions if c.attribute == "x" and c.op == "<="
+        )
+        parent = Description((NumericCondition("x", "<=", bounds[-1]),))
+        beam = [(encode(operator, parent), operator.extension_mask(parent))]
+        level = operator.expand(beam, set())
+        children = [operator.describe(c) for c in level.codes]
+        tighter = [d for d in children if d.attributes == {"x"} and len(d) == 1]
+        assert [d.conditions[0].threshold for d in tighter] == bounds[:-1]
+
+    def test_expired_budget_yields_nothing(self):
+        operator = make_operator(0)
+        seen: set = set()
+        level = operator.expand(
+            [((), np.ones(N_ROWS, dtype=bool))], seen, budget=TimeBudget(0.0)
+        )
+        assert level.expired
+        assert level.codes == [] and level.masks.shape == (0, N_ROWS)
+        assert len(level.attributes) == 0
+        assert (level.duplicates, level.out_of_range) == (0, 0)
+        assert seen == set()
 
 
 #: Thresholds exactly representable at __str__'s 6 significant digits:

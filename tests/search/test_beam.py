@@ -5,10 +5,17 @@ import pytest
 
 from repro.datasets.schema import AttributeKind, Column, Dataset
 from repro.errors import SearchError
+from repro.events import EventLog
 from repro.interest.ic import location_ic
+from repro.lang.description import Description
 from repro.lang.refinement import RefinementOperator
 from repro.model.background import BackgroundModel
 from repro.model.patterns import SpreadConstraint
+from repro.obs.instruments import (
+    BEAM_CANDIDATES,
+    BEAM_DROPPED_COVERAGE,
+    BEAM_DROPPED_DUPLICATE,
+)
 from repro.search.beam import LocationBeamSearch, LocationICScorer
 from repro.search.config import SearchConfig
 from repro.stats.statistics import subgroup_mean
@@ -140,3 +147,108 @@ class TestLocationBeamSearch:
         result = self.search(planted, max_depth=1)
         # flag: 2 conditions, noise_bin: 2, noise_num: 8 -> 12 candidates.
         assert result.n_evaluated == 12
+
+
+def _reference_generation(operator, recorded, config, n_rows):
+    """Descriptions in generation order, rebuilt with ``refinements()``.
+
+    Replays the level-wise loop — parents in beam order, refinements in
+    pool order, ``seen`` marked before the coverage filter — choosing
+    each next beam from the recorded SIs (best first, generation order
+    among ties).
+    """
+    max_size = min(int(config.max_coverage_fraction * n_rows), n_rows - 1)
+    beam = [(Description(), np.ones(n_rows, dtype=bool))]
+    seen = set()
+    order = []
+    for _ in range(config.max_depth):
+        level = []
+        for parent, parent_mask in beam:
+            for refined, condition in operator.refinements(parent):
+                if refined in seen:
+                    continue
+                seen.add(refined)
+                mask = parent_mask & operator.mask_of(condition)
+                if config.min_coverage <= mask.sum() <= max_size:
+                    level.append((refined, mask))
+        if not level:
+            break
+        sis = [entry.si for entry in recorded[len(order) : len(order) + len(level)]]
+        order.extend(description for description, _ in level)
+        ranking = sorted(range(len(level)), key=lambda i: -sis[i])
+        beam = [level[i] for i in ranking[: config.beam_width]]
+    return order
+
+
+class TestObservedSearch:
+    @pytest.mark.parametrize("top_k, beam_width", [(3, 8), (25, 4)])
+    def test_observer_sees_every_candidate_and_changes_nothing(
+        self, planted, top_k, beam_width
+    ):
+        dataset, model = planted
+        config = SearchConfig(top_k=top_k, beam_width=beam_width, max_depth=3)
+
+        def run(observer=None):
+            return LocationBeamSearch(
+                RefinementOperator(dataset),
+                LocationICScorer(model, dataset.targets),
+                config=config,
+                observer=observer,
+            ).run()
+
+        plain = run()
+        recorder = EventLog()
+        observed = run(recorder)
+
+        assert (observed.n_evaluated, observed.depth_reached, observed.expired) == (
+            plain.n_evaluated,
+            plain.depth_reached,
+            plain.expired,
+        )
+        assert len(observed.log) == len(plain.log) == top_k
+        for ours, theirs in zip(observed.log, plain.log):
+            assert ours.description == theirs.description
+            assert ours.si == theirs.si
+            assert ours.score == theirs.score
+            np.testing.assert_array_equal(ours.indices, theirs.indices)
+            np.testing.assert_array_equal(ours.observed_mean, theirs.observed_mean)
+
+        assert len(recorder.candidates) == observed.n_evaluated
+        expected = _reference_generation(
+            RefinementOperator(dataset), recorder.candidates, config, dataset.n_rows
+        )
+        assert [c.description for c in recorder.candidates] == expected
+
+
+class TestDroppedCounter:
+    @staticmethod
+    def _counts():
+        return (
+            BEAM_CANDIDATES.value,
+            BEAM_DROPPED_DUPLICATE.value,
+            BEAM_DROPPED_COVERAGE.value,
+        )
+
+    def _run(self, planted, **config_kwargs):
+        dataset, model = planted
+        before = self._counts()
+        LocationBeamSearch(
+            RefinementOperator(dataset),
+            LocationICScorer(model, dataset.targets),
+            config=SearchConfig(**config_kwargs),
+        ).run()
+        return [after - b for after, b in zip(self._counts(), before)]
+
+    def test_depth_one_accounts_for_every_admissible_refinement(self, planted):
+        dataset, _ = planted
+        admissible = len(list(RefinementOperator(dataset).refinements(Description())))
+        candidates, duplicates, coverage = self._run(
+            planted, max_depth=1, min_coverage=60
+        )
+        assert coverage > 0
+        assert duplicates == 0
+        assert candidates + duplicates + coverage == admissible
+
+    def test_depth_two_drops_duplicates(self, planted):
+        _, duplicates, _ = self._run(planted, max_depth=2)
+        assert duplicates > 0
