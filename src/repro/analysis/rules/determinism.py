@@ -269,6 +269,7 @@ INSTRUMENTED_PATHS = (
     "repro/dist/router.py",
     "repro/server/app.py",
     "repro/server/hub.py",
+    "repro/utils/timer.py",
 )
 
 #: Clock reads the seam wraps. ``time.sleep`` is deliberately absent:

@@ -85,7 +85,8 @@ class QualityBeamSearch:
                 max_size=max_size,
                 budget=budget,
             )
-            qualities = np.array([float(self.quality(mask)) for mask in level.masks])
+            masks = self.operator.child_masks(beam, level.parents, level.ranks)
+            qualities = np.array([float(self.quality(mask)) for mask in masks])
             n_evaluated += len(qualities)
             # Best first, generation order among ties; only a level's best
             # top_k can reach the log.
@@ -93,7 +94,7 @@ class QualityBeamSearch:
             for i in np.sort(ranking[: config.top_k]).tolist():
                 subgroup = QualitySubgroup(
                     description=self.operator.describe(level.codes[i]),
-                    indices=np.flatnonzero(level.masks[i]),
+                    indices=np.flatnonzero(masks[i]),
                     quality=float(qualities[i]),
                 )
                 log.add(subgroup.quality, subgroup)
@@ -103,7 +104,7 @@ class QualityBeamSearch:
             if not level.codes:
                 break
             top = ranking[: config.beam_width]
-            beam = list(zip([level.codes[i] for i in top.tolist()], level.masks[top]))
+            beam = list(zip([level.codes[i] for i in top.tolist()], masks[top]))
 
         ranked = log.ranked()
         return QualitySearchResult(

@@ -180,9 +180,6 @@ def _call_context_free(context, item):
 class _DistSession:
     """One fan-out scope: the context pickled once, shipped by digest."""
 
-    #: Payloads take the copying path in the beam (no shm across machines).
-    uses_shared_arrays = False
-
     def __init__(self, owner: "DistExecutor", context: Any) -> None:
         self._owner = owner
         self._context = context

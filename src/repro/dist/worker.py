@@ -55,8 +55,8 @@ from repro.version import __version__
 
 __all__ = ["WorkerDaemon"]
 
-#: Pickled shard bodies may carry whole mask stacks; allow far more
-#: than the JSON tier's 16 MiB.
+#: Pickled shard bodies may carry a level's per-candidate sums; allow
+#: far more than the JSON tier's 16 MiB.
 MAX_SHARD_BODY = 256 * 2**20
 
 #: Context-cache miss sentinel (``None`` is a legitimate context).

@@ -131,10 +131,6 @@ class Executor(Protocol):
 
 
 class _SerialSession:
-    #: Callers may batch payloads differently when arrays are shared;
-    #: the serial session always takes the copying (reference) path.
-    uses_shared_arrays = False
-
     def __init__(self, context: Any) -> None:
         self._context = context
 
@@ -182,8 +178,6 @@ class _ProcessSession:
     pool.
     """
 
-    uses_shared_arrays = False
-
     def __init__(self, pool: ProcessPoolExecutor) -> None:
         self._pool = pool
         self._finalizer = weakref.finalize(self, _shutdown_pool, pool)
@@ -221,14 +215,11 @@ class _SharedMemorySession:
     context handle, fn, item)``; warm workers that already cached this
     session's context pay nothing at all.
 
-    Closing the session unlinks every segment it created (including the
-    ones callers registered through :meth:`share`) but leaves the pool
-    running for the executor's next session — that reuse is the point.
-    A GC finalizer guarantees the segments are unlinked even when the
-    session is abandoned mid-failure.
+    Closing the session unlinks every segment it created but leaves the
+    pool running for the executor's next session — that reuse is the
+    point. A GC finalizer guarantees the segments are unlinked even when
+    the session is abandoned mid-failure.
     """
-
-    uses_shared_arrays = True
 
     def __init__(self, owner: "ProcessExecutor", context: Any) -> None:
         self._owner = owner
@@ -257,21 +248,6 @@ class _SharedMemorySession:
             self._owner._discard_pool(self._pool)
             self.close()
             raise
-
-    # ------------------------------------------------------------------ #
-    # Caller-side array sharing (per-level payloads)
-    # ------------------------------------------------------------------ #
-    def share(self, array) -> shm.SharedArrayRef:
-        """Put one array (e.g. a level's mask stack) in shared memory.
-
-        The ref pickles into a read-only zero-copy view inside workers;
-        it is unlinked at session close, or earlier via :meth:`release`.
-        """
-        return self._store.share_array(array)
-
-    def release(self, ref: shm.SharedArrayRef) -> None:
-        """Unlink one shared array before the session ends."""
-        self._store.release(ref)
 
     # ------------------------------------------------------------------ #
     # Lifecycle

@@ -1,7 +1,7 @@
 """Zero-copy shared-memory data transport (engine layer).
 
 The SI scorer evaluates thousands of candidate subgroups per beam level
-against the same immutable arrays — targets, condition-mask stacks,
+against the same immutable arrays — targets, its feature matrix,
 background-model vectors. Shipping those arrays to pool workers through
 ``pickle`` copies them once per session (and once per worker); on the
 scalability-sized datasets that copying *is* the dominant parallel
@@ -311,7 +311,7 @@ class ArrayStore:
         return refs
 
     def share_array(self, array: np.ndarray) -> SharedArrayRef:
-        """Put one array in its own segment (e.g. a per-level mask stack)."""
+        """Put one array in its own segment."""
         return self.pack([array])[0]
 
     def share_bytes(self, payload: bytes) -> SharedBytesRef:

@@ -14,13 +14,16 @@ time, in two forms:
   coded as the sorted tuple of its conditions' *ranks* — their positions
   in ``Condition.sort_key()`` order — so a sorted code is the canonical
   form. Admissibility, canonicalisation and dedup become comparisons of
-  numbers, and child extensions come from one gather-AND over a dense,
-  read-only ``(pool, n_rows)`` table of condition masks.
-  :meth:`RefinementOperator.describe` decodes a code.
+  numbers. A level's extensions are never built: each candidate's row
+  count, and the column sums of a caller-supplied feature matrix over its
+  extension, come from one matrix product per chunk of parents against a
+  float copy of the dense condition-mask table.
+  :meth:`RefinementOperator.child_masks` builds the masks of the few
+  candidates a caller keeps, by one gather-AND over the boolean table,
+  and :meth:`RefinementOperator.describe` decodes a code.
 
-The condition tables are built on the first :meth:`expand` or
-:meth:`mask_of` call, not at construction, so building an operator stays
-as cheap as building its pool.
+The condition tables are built on first use, not at construction, so
+building an operator stays as cheap as building its pool.
 """
 
 from __future__ import annotations
@@ -38,13 +41,19 @@ from repro.utils.timer import TimeBudget
 
 #: Condition kinds in the integer tables.
 _LE, _GE, _EQ = 0, 1, 2
+#: Size of one sums product in :meth:`RefinementOperator.expand`: each
+#: parent adds ``1 + m`` rows to ``W``, so about ``256 // (1 + m)``
+#: parents share one matrix product against the condition table.
+_GEMM_COLUMNS = 256
 
 
 class Expansion(NamedTuple):
     """One search level's candidates, from :meth:`RefinementOperator.expand`.
 
     Candidates are in generation order: parents in beam order, and each
-    parent's refinements in pool order.
+    parent's refinements in pool order. Their extensions are not built;
+    pass ``parents`` and ``ranks`` to
+    :meth:`RefinementOperator.child_masks` for the ones a caller keeps.
     """
 
     #: Canonical codes of the candidates (decode with ``describe``).
@@ -52,8 +61,13 @@ class Expansion(NamedTuple):
     #: Attribute id of each candidate's added condition, ``(k,)``: the
     #: attribute's position in the order the pool first mentions it.
     attributes: np.ndarray
-    #: Extension masks, ``(k, n_rows)`` boolean.
-    masks: np.ndarray
+    #: Beam index of each candidate's parent, ``(k,)``.
+    parents: np.ndarray
+    #: Rank of each candidate's added condition, ``(k,)``.
+    ranks: np.ndarray
+    #: ``(k, 1 + m)``: each candidate's row count, then the column sums
+    #: of the ``(n_rows, m)`` feature matrix over its extension.
+    sums: np.ndarray
     #: Refinements dropped because their code was already in ``seen``.
     duplicates: int
     #: Refinements dropped by the coverage bounds.
@@ -106,6 +120,7 @@ class RefinementOperator:
             dataset.column(name)  # raises DataError on unknown names
         self._pool: list[Condition] = self._build_pool(names, n_split_points, strategy)
         self._table: _Tables | None = None
+        self._float_masks: np.ndarray | None = None
 
     def _build_pool(
         self, names: Sequence[str], n_split_points: int, strategy: str
@@ -169,6 +184,13 @@ class RefinementOperator:
             rows=list(masks),
         )
         return self._table
+
+    def _float_table(self) -> np.ndarray:
+        """The mask table as float64, transposed to ``(n_rows, R)``."""
+        if self._float_masks is None:
+            self._float_masks = np.ascontiguousarray(self._tables().masks.T, dtype=float)
+            self._float_masks.setflags(write=False)
+        return self._float_masks
 
     # ------------------------------------------------------------------ #
     # Pool access
@@ -249,6 +271,7 @@ class RefinementOperator:
         beam: Sequence[tuple[tuple[int, ...], np.ndarray]],
         seen: set[tuple[int, ...]],
         *,
+        features: np.ndarray | None = None,
         min_size: int = 1,
         max_size: int | None = None,
         budget: TimeBudget | None = None,
@@ -261,31 +284,53 @@ class RefinementOperator:
         (every code :meth:`expand` returns is; the root is ``()``), and
         its mask that description's extension. A refinement whose code
         is in ``seen`` is dropped as a duplicate; every other one is
-        added to ``seen`` *before* its extension is checked against the
+        added to ``seen`` *before* its row count is checked against the
         coverage bounds ``min_size <= size <= max_size``
         (``max_size=None`` is unbounded), so ``seen`` spans every level
         it is passed to. ``budget`` is polled before each parent; once
         it has expired the expansion stops and reports ``expired``.
+
+        ``features`` is an ``(n_rows, m)`` float matrix whose column sums
+        over each candidate's extension are returned in ``sums``;
+        ``None`` returns the row counts only. Every parent in a chunk
+        contributes the rows ``[mask, mask * features]'`` to one matrix
+        ``W``, and ``W`` times the ``(n_rows, R)`` float condition table
+        gives the sums of every condition's refinement of every parent in
+        the chunk.
         """
         table = self._tables()
+        float_table = self._float_table()
         n_rows = self.dataset.n_rows
         if max_size is None:
             max_size = n_rows
+        # ``[1, features]`` transposed: each parent's rows of W are contiguous.
+        width = 1 if features is None else 1 + features.shape[1]
+        columns = np.ones((width, n_rows))
+        if features is not None:
+            columns[1:] = features.T
+        per_product = max(1, _GEMM_COLUMNS // width)
         is_le = table.pool_kind == _LE
         is_ge = table.pool_kind == _GE
         is_eq = table.pool_kind == _EQ
         threshold = table.pool_threshold
         # Room for every refinement of every parent: pages never written
         # are never committed, so only the level's real rows cost memory.
-        out = np.empty((len(beam) * len(self._pool), n_rows), dtype=bool)
+        sums = np.empty((len(beam) * len(self._pool), width))
         codes: list[tuple[int, ...]] = []
-        attributes: list[np.ndarray] = []
+        pool: list[np.ndarray] = []  # pool index of each added condition
+        n_children = np.zeros(len(beam), dtype=np.intp)
         duplicates = out_of_range = 0
         expired = False
-        for code, parent_mask in beam:
+        for j, (code, _) in enumerate(beam):
             if budget is not None and budget.expired:
                 expired = True
                 break
+            if j % per_product == 0:
+                chunk = np.array([mask for _, mask in beam[j : j + per_product]], dtype=float)
+                w = chunk[:, None, :] * columns  # W transposed: (chunk, width, n_rows)
+                product = (w.reshape(-1, n_rows) @ float_table).reshape(
+                    len(chunk), width, -1
+                )
             # The parent's interval and equality per attribute, and the
             # code slot of each bound: a tighter bound of the same kind
             # takes that slot, anything else is inserted in rank order.
@@ -330,24 +375,39 @@ class RefinementOperator:
             if not fresh:
                 continue
             start = len(codes)
-            block = out[start : start + len(fresh)]
-            # mode='clip' skips the buffered copy 'raise' makes with out=.
-            np.take(table.masks, ranks[fresh], axis=0, out=block, mode="clip")
-            block &= parent_mask
-            sizes = np.count_nonzero(block, axis=1)
+            block = sums[start : start + len(fresh)]
+            block[:] = product[j % per_product][:, ranks[fresh]].T
+            sizes = block[:, 0]
             kept = np.flatnonzero((sizes >= min_size) & (sizes <= max_size))
             out_of_range += len(fresh) - len(kept)
             if len(kept) < len(fresh):
                 block[: len(kept)] = block[kept]
             codes.extend(fresh_codes[i] for i in kept.tolist())
-            attributes.append(table.pool_attr[admissible[fresh][kept]])
+            pool.append(admissible[fresh][kept])
+            n_children[j] = len(kept)
+        added = np.concatenate(pool) if pool else np.zeros(0, dtype=np.intp)
         return Expansion(
             codes=codes,
-            attributes=(
-                np.concatenate(attributes) if attributes else np.zeros(0, dtype=np.intp)
-            ),
-            masks=out[: len(codes)],
+            attributes=table.pool_attr[added],
+            parents=np.repeat(np.arange(len(beam)), n_children),
+            ranks=table.pool_rank[added],
+            sums=sums[: len(codes)],
             duplicates=duplicates,
             out_of_range=out_of_range,
             expired=expired,
         )
+
+    def child_masks(
+        self,
+        beam: Sequence[tuple[tuple[int, ...], np.ndarray]],
+        parents: np.ndarray,
+        ranks: np.ndarray,
+    ) -> np.ndarray:
+        """Extensions of the candidates ``(parents, ranks)`` of an :class:`Expansion`.
+
+        ``beam`` is the level's parent list as passed to :meth:`expand`.
+        Returns a ``(len(parents), n_rows)`` boolean stack: each row is
+        its condition's mask AND its parent's mask.
+        """
+        parent_masks = np.stack([mask for _, mask in beam])
+        return np.take(self._tables().masks, ranks, axis=0) & parent_masks[parents]

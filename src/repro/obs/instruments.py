@@ -50,7 +50,8 @@ BEAM_CANDIDATES_DROPPED = METRICS.counter(
     "Beam refinements dropped before scoring, by reason",
     labels=("reason",),
 )
-#: Mining-loop steps; outcome ∈ mined|replayed (belief-cache hit).
+#: Mining-loop steps; outcome ∈ mined|replayed (belief-cache hit)|expired
+#: (the location search's time budget ran out; never cached).
 MINER_STEPS = METRICS.counter(
     "sisd_miner_steps_total",
     "SubgroupDiscovery.step calls by outcome",
@@ -250,6 +251,7 @@ STEP_PHASE_SPREAD = STEP_PHASE.labels("spread")
 #: Pre-bound miner outcomes.
 MINER_STEPS_MINED = MINER_STEPS.labels("mined")
 MINER_STEPS_REPLAYED = MINER_STEPS.labels("replayed")
+MINER_STEPS_EXPIRED = MINER_STEPS.labels("expired")
 
 #: Pre-bound dist shard paths.
 DIST_SHARDS_REMOTE = DIST_SHARDS.labels("remote")

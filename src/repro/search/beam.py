@@ -2,12 +2,14 @@
 
 Level-wise exploration of conjunctions: keep the ``beam_width`` highest-
 SI descriptions of each arity, expand each by every admissible condition,
-and log the overall ``top_k``. A level's candidates come from
+and log the overall ``top_k``. The information content (Eq. 13) of a
+candidate depends on its extension only through its size, its target
+sum and its row count in each background-model block, so a level's
+candidates come from
 :meth:`~repro.lang.refinement.RefinementOperator.expand` as integer codes
-plus one ``(k, n)`` mask stack (parent mask AND the tabled condition
-mask), and are scored in batch: subgroup means for a batch of candidates
-come from one matrix product, and the information content (Eq. 13) takes
-one of three paths:
+plus those sums — one matrix product per chunk of parents against the
+scorer's :attr:`LocationICScorer.features` — and no candidate's mask is
+built to score it. The IC then takes one of three paths:
 
 - **uniform** — every model block shares one covariance (always true
   before any spread pattern has been assimilated, since location updates
@@ -24,18 +26,20 @@ one of three paths:
   :class:`LocationICScorer`).
 
 Each level's scoring is sharded by the attribute of the added condition
-and dispatched through an :class:`~repro.engine.executor.Executor`. The
-shard boundaries depend only on the candidate set — never on the worker
-count — and shard results are scattered back into generation order, so a
+and dispatched through an :class:`~repro.engine.executor.Executor`; a
+shard carries its candidates' rows of the sums. The shard boundaries
+depend only on the candidate set — never on the worker count — and
+shard results are scattered back into generation order, so a
 ``ProcessExecutor`` run returns bit-identical results to a serial one.
 
 SI is then one vector division. The next beam is taken straight from
-the level's codes and mask stack, and only a level's best ``top_k``
-candidates are materialised as
-:class:`~repro.search.results.ScoredSubgroup` records: no other candidate
-can reach the log. With an observer attached, every candidate is
-materialised, in generation order, so that the observer sees them all;
-the log and the beam are the same either way.
+the level's codes, and only a level's best ``top_k`` candidates are
+materialised as :class:`~repro.search.results.ScoredSubgroup` records:
+no other candidate can reach the log. Masks are built, by
+:meth:`~repro.lang.refinement.RefinementOperator.child_masks`, for
+those candidates and the next beam only. With an observer attached,
+every candidate is materialised, in generation order, so that the
+observer sees them all; the log and the beam are the same either way.
 """
 
 from __future__ import annotations
@@ -103,6 +107,16 @@ class LocationICScorer:
     The scorer snapshots the model's block structure once; it must be
     rebuilt after the model assimilates a pattern (the miner does this).
 
+    A candidate is scored from its sums over :attr:`features`, the
+    ``(n, 1 + d + B)`` matrix ``[w, w * targets, w * onehot(block)]``
+    (``w`` the case weights, ``1`` on unweighted models): its weighted
+    size, its weighted target sums and its weighted row count per block.
+    :meth:`score_sums` takes them in
+    :meth:`~repro.lang.refinement.RefinementOperator.expand`'s layout
+    (the row count, then the feature sums); :meth:`score_masks` forms
+    the same sums from a mask stack and runs the same kernels, and is
+    the reference.
+
     With ``c_kb`` the (weighted) rows of candidate ``k`` in block ``b``
     and ``|I|`` its size, the subgroup mean has covariance
     ``Sigma_I = sum_b c_kb Sigma_b / |I|^2``. Which kernel evaluates it is
@@ -135,17 +149,7 @@ class LocationICScorer:
     #: Arrays the shared-memory transport may move out of the pickled
     #: payload (:func:`repro.engine.shm.publish`): everything that scales
     #: with the dataset, plus the nested model (which declares its own).
-    __shm_arrays__ = (
-        "model",
-        "targets",
-        "_labels",
-        "_onehot",
-        "_block_means",
-        "_block_covs",
-        "_weights",
-        "_wtargets",
-        "_wonehot",
-    )
+    __shm_arrays__ = ("model", "targets", "features", "_block_means", "_block_covs")
 
     def __init__(self, model: BackgroundModel, targets: np.ndarray) -> None:
         targets = np.asarray(targets, dtype=float)
@@ -158,8 +162,6 @@ class LocationICScorer:
             )
         self.model = model
         self.targets = targets
-        self._weights = model.weights
-        self._labels = np.asarray(model.labels)
         self._n_blocks = model.n_blocks
         self._block_means = np.stack(
             [model.block_mean(b) for b in range(model.n_blocks)]
@@ -167,17 +169,14 @@ class LocationICScorer:
         self._block_covs = np.stack(
             [model.block_cov(b) for b in range(model.n_blocks)]
         )
-        # One-hot block membership for batched per-block counts.
-        self._onehot = np.zeros((model.n_rows, model.n_blocks))
-        self._onehot[np.arange(model.n_rows), self._labels] = 1.0
-        # Weighted views: premultiplying by the case weights turns the
-        # same matmuls into weighted sums, so one code shape serves both.
-        if self._weights is None:
-            self._wtargets = None
-            self._wonehot = None
-        else:
-            self._wtargets = self.targets * self._weights[:, None]
-            self._wonehot = self._onehot * self._weights[:, None]
+        # One layout for weighted and unweighted models alike, so unit
+        # weights run the very same products as no weights.
+        n = model.n_rows
+        weights = np.ones(n) if model.weights is None else model.weights
+        onehot = np.zeros((n, model.n_blocks))
+        onehot[np.arange(n), np.asarray(model.labels)] = 1.0
+        #: ``[w, w * targets, w * onehot(block)]``, ``(n, 1 + d + B)``.
+        self.features = np.hstack([np.ones((n, 1)), targets, onehot]) * weights[:, None]
 
         first = self._block_covs[0]
         self._uniform_cov = all(
@@ -214,8 +213,16 @@ class LocationICScorer:
         gram = q.T @ sla.cho_solve((chol, True), q, check_finite=False)
         return _LowRankSplit(chol, logdet0, q, gram, m.reshape(len(m), -1))
 
-    def _prefix(self, masks: np.ndarray) -> tuple[np.ndarray, ...]:
-        """``(sizes, observed, block_counts, diffs)`` of a mask stack.
+    def _mask_sums(self, masks: np.ndarray) -> np.ndarray:
+        """The :meth:`score_sums` input of a ``(k, n)`` boolean mask stack."""
+        masks = np.asarray(masks)
+        if masks.ndim != 2 or masks.shape[1] != self.model.n_rows:
+            raise SearchError(f"masks must be (k, {self.model.n_rows}), got {masks.shape}")
+        fmasks = masks.astype(float)
+        return np.hstack([fmasks.sum(axis=1)[:, None], fmasks @ self.features])
+
+    def _moments(self, sums: np.ndarray) -> tuple[np.ndarray, ...]:
+        """``(sizes, observed, block_counts, diffs)`` of ``(k, 1 + m)`` sums.
 
         On weighted models, ``sizes`` is the total subgroup weight and
         the per-block counts are weighted counts; the IC formulas are
@@ -223,28 +230,35 @@ class LocationICScorer:
         ``Sigma_I = sum_b c_b Sigma_b / W^2`` with weighted ``c_b``
         (frequency semantics — see the background model).
         """
-        masks = np.asarray(masks)
-        if masks.ndim != 2 or masks.shape[1] != self.model.n_rows:
-            raise SearchError(f"masks must be (k, {self.model.n_rows}), got {masks.shape}")
-        fmasks = masks.astype(float)
-        if self._weights is None:
-            sizes = fmasks.sum(axis=1)
-            if np.any(sizes == 0):
-                raise SearchError("cannot score an empty subgroup")
-            observed = (fmasks @ self.targets) / sizes[:, None]
-            block_counts = fmasks @ self._onehot  # (k, B)
-        else:
-            sizes = fmasks @ self._weights
-            if np.any(sizes == 0):
-                raise SearchError("cannot score an empty subgroup")
-            observed = (fmasks @ self._wtargets) / sizes[:, None]
-            block_counts = fmasks @ self._wonehot  # (k, B), weighted
+        sums = np.asarray(sums)
+        if sums.ndim != 2 or sums.shape[1] != 1 + self.features.shape[1]:
+            raise SearchError(
+                f"sums must be (k, {1 + self.features.shape[1]}), got {sums.shape}"
+            )
+        d = self.model.dim
+        sizes = sums[:, 1]
+        if np.any(sizes == 0):
+            raise SearchError("cannot score an empty subgroup")
+        observed = sums[:, 2 : 2 + d] / sizes[:, None]
+        block_counts = sums[:, 2 + d :]  # (k, B)
         model_means = (block_counts @ self._block_means) / sizes[:, None]
         return sizes, observed, block_counts, observed - model_means
 
+    def _prefix(self, masks: np.ndarray) -> tuple[np.ndarray, ...]:
+        """``(sizes, observed, block_counts, diffs)`` of a mask stack."""
+        return self._moments(self._mask_sums(masks))
+
     def score_masks(self, masks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """ICs and observed means for a ``(k, n)`` boolean mask stack."""
-        sizes, observed, block_counts, diffs = self._prefix(masks)
+        return self.score_sums(self._mask_sums(masks))
+
+    def score_sums(self, sums: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """ICs and observed means from per-candidate sums over :attr:`features`.
+
+        ``sums`` is ``(k, 1 + m)``: each candidate's row count (unused
+        here), then its column sums of the ``(n, m)`` :attr:`features`.
+        """
+        sizes, observed, block_counts, diffs = self._moments(sums)
         k = len(sizes)
         if self._uniform_cov:
             # Sigma_I = Sigma / |I|: Mahalanobis scales by |I|, logdet by
@@ -336,25 +350,10 @@ class _ResultLog:
 
 
 def _score_shard(
-    scorer: LocationICScorer, masks: np.ndarray
+    scorer: LocationICScorer, sums: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Worker entry point: score one attribute shard's mask stack."""
-    return scorer.score_masks(masks)
-
-
-def _score_shard_rows(
-    scorer: LocationICScorer, payload: tuple
-) -> tuple[np.ndarray, np.ndarray]:
-    """Worker entry point, shared-memory transport: slice then score.
-
-    ``payload`` is ``(stack, rows)`` where ``stack`` is the level's full
-    candidate mask stack — a zero-copy view over shared memory by the
-    time it arrives here — and ``rows`` the shard's candidate indices.
-    ``stack[rows]`` materializes exactly the rows ``_score_shard`` would
-    have received as a copied stack, so the scores are bit-identical.
-    """
-    stack, rows = payload
-    return scorer.score_masks(stack[rows])
+    """Worker entry point: score one attribute shard's rows of the sums."""
+    return scorer.score_sums(sums)
 
 
 class LocationBeamSearch:
@@ -383,10 +382,13 @@ class LocationBeamSearch:
 
     Generation order is parents in beam order, and each parent's
     refinements in pool order. Descriptions travel through the search as
-    canonical integer codes; a :class:`~repro.search.results.ScoredSubgroup`
-    is built only for a level's ``top_k`` best candidates (best SI
-    first, generation order among ties), and for every candidate when an
-    observer is attached. Either way the result is the same. Counters: ``sisd_beam_candidates_total`` for the scored
+    canonical integer codes, and candidates are scored from their sums
+    over :attr:`LocationICScorer.features`. A mask and a
+    :class:`~repro.search.results.ScoredSubgroup` are built only for a
+    level's ``top_k`` best candidates (best SI first, generation order
+    among ties), and for every candidate when an observer is attached;
+    the next beam's masks are built alongside. Either way the result is
+    the same. Counters: ``sisd_beam_candidates_total`` for the scored
     candidates, ``sisd_beam_candidates_dropped_total{reason}`` for the
     refinements dropped as duplicates or by the coverage bounds.
     """
@@ -446,11 +448,12 @@ class LocationBeamSearch:
                 level = operator.expand(
                     beam,
                     seen,
+                    features=self.scorer.features,
                     min_size=config.min_coverage,
                     max_size=max_size,
                     budget=budget,
                 )
-                codes, masks = level.codes, level.masks
+                codes = level.codes
                 t_score = clock.perf_counter()
                 BEAM_PHASE_CANDIDATE_GEN.observe(t_score - t_gen)
                 TRACER.record("candidate_gen", t_gen, t_score, trace_ctx)
@@ -464,7 +467,7 @@ class LocationBeamSearch:
                 BEAM_CANDIDATES.inc(len(codes))
 
                 depth_reached = depth
-                ics, observed = self._score_sharded(session, masks, level.attributes)
+                ics, observed = self._score_sharded(session, level.sums, level.attributes)
                 n_evaluated += len(codes)
                 t_merge = clock.perf_counter()
                 BEAM_PHASE_SCORE.observe(t_merge - t_score)
@@ -483,11 +486,16 @@ class LocationBeamSearch:
                 # Only a level's best top_k can reach the log; an observer
                 # sees every candidate.
                 chosen = ranking if self.observer is not None else ranking[: config.top_k]
+                survivors = ranking[: config.beam_width]
+                # Masks for the logged candidates and the next beam only.
+                rows = np.union1d(chosen, survivors)
+                masks = operator.child_masks(beam, level.parents[rows], level.ranks[rows])
+                mask_of = dict(zip(rows.tolist(), masks))
                 for i in np.sort(chosen).tolist():
                     code = codes[i]
                     entry = ScoredSubgroup(
                         description=operator.describe(code),
-                        indices=np.flatnonzero(masks[i]),
+                        indices=np.flatnonzero(mask_of[i]),
                         observed_mean=observed[i],
                         score=PatternScore(ic=float(ics[i]), dl=dl[len(code) - 1]),
                     )
@@ -498,11 +506,10 @@ class LocationBeamSearch:
                 BEAM_PHASE_MERGE.observe(t_prune - t_merge)
                 TRACER.record("merge", t_merge, t_prune, trace_ctx)
 
-                survivors = ranking[: config.beam_width]
-                beam = list(zip([codes[i] for i in survivors.tolist()], masks[survivors]))
-                # The beam holds copies: free the level's stacks before the
-                # next expansion allocates its own.
-                del level, codes, masks, observed
+                beam = [(codes[i], mask_of[i].copy()) for i in survivors.tolist()]
+                # The beam holds copies: free the level's masks and sums
+                # before the next expansion builds its own.
+                del level, codes, masks, mask_of, observed
                 t_done = clock.perf_counter()
                 BEAM_PHASE_PRUNE.observe(t_done - t_prune)
                 TRACER.record("prune", t_prune, t_done, trace_ctx)
@@ -517,9 +524,9 @@ class LocationBeamSearch:
         )
 
     def _score_sharded(
-        self, session, masks: np.ndarray, attributes: np.ndarray
+        self, session, sums: np.ndarray, attributes: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Score one level's ``(k, n)`` mask stack shard-by-attribute, in order.
+        """Score one level's ``(k, 1 + m)`` sums shard-by-attribute, in order.
 
         A shard holds the candidates whose added condition is on one
         attribute, in generation order; shards follow the attributes'
@@ -527,12 +534,6 @@ class LocationBeamSearch:
         the candidate set, and results are scattered back into generation
         order — both independent of the executor, which is what makes
         serial and parallel runs identical.
-
-        Transport: a copying session receives one mask stack per shard
-        (pickled per item); a shared-memory session receives the whole
-        level's stack once — published into shared memory and unlinked
-        as soon as the level is scored — and per-item payloads shrink to
-        the shard's row indices.
         """
         _, first, inverse = np.unique(
             attributes, return_index=True, return_inverse=True
@@ -540,21 +541,10 @@ class LocationBeamSearch:
         shard_of = np.argsort(np.argsort(first))[inverse]
         by_shard = np.argsort(shard_of, kind="stable")
         shard_indices = np.split(by_shard, np.cumsum(np.bincount(shard_of))[:-1])
-        if getattr(session, "uses_shared_arrays", False):
-            ref = session.share(masks)
-            try:
-                results = session.map(
-                    _score_shard_rows, [(ref, indices) for indices in shard_indices]
-                )
-            finally:
-                session.release(ref)
-        else:
-            # A generator: an inline session copies one shard at a time.
-            results = session.map(
-                _score_shard, (masks[indices] for indices in shard_indices)
-            )
-        ics = np.empty(len(masks))
-        observed = np.empty((len(masks), self.scorer.model.dim))
+        # A generator: an inline session copies one shard at a time.
+        results = session.map(_score_shard, (sums[indices] for indices in shard_indices))
+        ics = np.empty(len(sums))
+        observed = np.empty((len(sums), self.scorer.model.dim))
         for indices, (shard_ics, shard_observed) in zip(shard_indices, results):
             ics[indices] = shard_ics
             observed[indices] = shard_observed

@@ -190,13 +190,15 @@ class BranchAndBoundLocationSearch:
             expanded += 1
 
             children: list[tuple[float, tuple[int, ...], np.ndarray]] = []
+            parent = [(code, mask)]
             level = self.operator.expand(
-                [(code, mask)],
+                parent,
                 seen,
                 min_size=config.min_coverage,
                 max_size=self._max_size,
             )
-            for child, child_mask in zip(level.codes, level.masks):
+            masks = self.operator.child_masks(parent, level.parents, level.ranks)
+            for child, child_mask in zip(level.codes, masks):
                 size = int(child_mask.sum())
                 mean = float(self.targets[child_mask].mean())
                 ic = self._ic_of(size, mean)

@@ -33,6 +33,7 @@ from repro.model.background import BackgroundModel
 from repro.model.priors import Prior
 from repro.obs import clock
 from repro.obs.instruments import (
+    MINER_STEPS_EXPIRED,
     MINER_STEPS_MINED,
     MINER_STEPS_REPLAYED,
     STEP_PHASE_LOCATION,
@@ -159,7 +160,10 @@ class SubgroupDiscovery:
 
     def find_location(self) -> LocationPatternResult:
         """The single most subjectively interesting location pattern."""
-        result = self.search_locations()
+        return self._best_location(self.search_locations())
+
+    def _best_location(self, result: SearchResult) -> LocationPatternResult:
+        """A location search's winner, as an assimilable result."""
         if result.best is None:
             raise SearchError(
                 "beam search found no admissible subgroup; relax min_coverage "
@@ -281,7 +285,10 @@ class SubgroupDiscovery:
         first, then the spread direction of the same subgroup — and
         assimilates both. With a :attr:`belief_cache`, a step whose
         belief state was mined before replays from the cache instead
-        (bit-identical results, no beam search).
+        (bit-identical results, no beam search). A step whose location
+        search ran out of ``time_budget_seconds`` still assimilates and
+        returns the best pattern found so far, but is never cached: it
+        depends on the clock, not only on the belief state.
         """
         if kind not in ("location", "spread"):
             raise SearchError(f"kind must be 'location' or 'spread', got {kind!r}")
@@ -297,7 +304,8 @@ class SubgroupDiscovery:
         trace_ctx = current()
         n_before = len(self.model.constraints)
         t_location = clock.perf_counter()
-        location = self.find_location()
+        search = self.search_locations()
+        location = self._best_location(search)
         self.assimilate(location)
         t_spread = clock.perf_counter()
         STEP_PHASE_LOCATION.observe(t_spread - t_location)
@@ -309,12 +317,12 @@ class SubgroupDiscovery:
             t_done = clock.perf_counter()
             STEP_PHASE_SPREAD.observe(t_done - t_spread)
             TRACER.record("step.spread", t_spread, t_done, trace_ctx)
-        MINER_STEPS_MINED.inc()
+        (MINER_STEPS_EXPIRED if search.expired else MINER_STEPS_MINED).inc()
         iteration = MiningIteration(
             index=len(self.history) + 1, location=location, spread=spread
         )
         self.history.append(iteration)
-        if key is not None:
+        if key is not None and not search.expired:
             self.belief_cache.put(
                 key,
                 CachedStep(

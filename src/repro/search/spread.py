@@ -230,25 +230,6 @@ def _ascend_task(
     return _ascend(objective, start, max_iterations=max_iterations, tol=tol)
 
 
-def _ascend_row(
-    context: tuple[SpreadObjective, int, float], payload: tuple
-) -> tuple[np.ndarray, float, int]:
-    """Worker entry point, shared-memory transport: one ascent by index.
-
-    ``payload`` is ``(starts, row)`` where ``starts`` is the stacked
-    starting-point matrix — a zero-copy view over shared memory by the
-    time it arrives here. The row's bytes equal the start
-    ``_ascend_task`` would have received, so the ascent is bit-identical
-    (copied out because the ascent normalizes its start in fresh
-    arrays but the shared view is read-only).
-    """
-    starts, row = payload
-    objective, max_iterations, tol = context
-    return _ascend(
-        objective, np.array(starts[row]), max_iterations=max_iterations, tol=tol
-    )
-
-
 def find_spread_direction(
     model: BackgroundModel,
     indices,
@@ -296,18 +277,7 @@ def find_spread_direction(
     if executor is None:
         executor = SerialExecutor()
     with executor.session((objective, max_iterations, tol)) as session:
-        if getattr(session, "uses_shared_arrays", False):
-            # Ship one stacked starts matrix through shared memory and
-            # index into it per task, mirroring the beam's shard slices.
-            ref = session.share(np.stack(starts))
-            try:
-                ascents = session.map(
-                    _ascend_row, [(ref, row) for row in range(len(starts))]
-                )
-            finally:
-                session.release(ref)
-        else:
-            ascents = session.map(_ascend_task, starts)
+        ascents = session.map(_ascend_task, starts)
 
     best_w: np.ndarray | None = None
     best_value = -math.inf

@@ -17,7 +17,13 @@ from repro.engine.executor import ProcessExecutor, SerialExecutor
 from repro.engine.jobs import MiningJob
 from repro.engine.service import MiningService
 from repro.errors import EngineError
-from repro.events import EventLog
+from repro.events import EventLog, MiningObserver
+from repro.obs import clock
+from repro.obs.instruments import (
+    MINER_STEPS_EXPIRED,
+    MINER_STEPS_MINED,
+    MINER_STEPS_REPLAYED,
+)
 from repro.search.config import SearchConfig
 from repro.search.miner import SubgroupDiscovery
 from repro.session import MiningSession
@@ -176,6 +182,54 @@ class TestChainSafety:
             b.history[-1].location.description
             == a.history[-1].location.description
         )
+
+
+class _ExpireOnFirstCandidate(MiningObserver):
+    """Moves the frozen clock past the budget when the first candidate is scored."""
+
+    def __init__(self, advance, seconds: float) -> None:
+        self._advance = advance
+        self._seconds = seconds
+        self.fired = False
+
+    def on_candidate(self, candidate) -> None:
+        if not self.fired:
+            self.fired = True
+            self._advance(self._seconds)
+
+
+class TestExpiredSteps:
+    def test_expired_step_is_never_cached_or_replayed(self):
+        config = dataclasses.replace(CONFIG, time_budget_seconds=5.0)
+        cache = BeliefCache()
+        counts = (MINER_STEPS_EXPIRED.value, MINER_STEPS_MINED.value)
+        with clock.fixed() as advance:
+            observer = _ExpireOnFirstCandidate(advance, 10.0)
+            first = SubgroupDiscovery(
+                make_synthetic(0), config=config, seed=0,
+                belief_cache=cache, observer=observer,
+            )
+            iteration = first.step(kind="spread")
+        # The budget ran out after depth 1: the best-so-far pattern is
+        # still returned and assimilated, but never written to the cache.
+        assert observer.fired
+        assert len(iteration.location.description) == 1
+        assert len(first.model.constraints) == 2
+        assert len(cache) == 0
+        assert MINER_STEPS_EXPIRED.value == counts[0] + 1
+        assert MINER_STEPS_MINED.value == counts[1]
+
+        # A second miner over the same cache mines the step in full.
+        replayed = MINER_STEPS_REPLAYED.value
+        log = EventLog()
+        second = SubgroupDiscovery(
+            make_synthetic(0), config=config, seed=0, belief_cache=cache, observer=log
+        )
+        second.step(kind="spread")
+        assert log.candidates
+        assert MINER_STEPS_REPLAYED.value == replayed
+        assert MINER_STEPS_MINED.value == counts[1] + 1
+        assert len(cache) == 1
 
 
 class TestSessionAndServiceIntegration:

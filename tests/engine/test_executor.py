@@ -221,18 +221,6 @@ class TestSharedMemoryExecutor:
         assert executor._persistent is not first_pool
         executor.close()
 
-    def test_share_and_release(self):
-        import numpy as np
-
-        from repro.engine import shm
-
-        with ProcessExecutor(2, shared_memory=True) as executor:
-            with executor.session(None) as session:
-                ref = session.share(np.arange(8))
-                assert ref.name in shm.live_segments()
-                session.release(ref)
-                assert ref.name not in shm.live_segments()
-
     def test_worker_error_releases_segments_on_close(self):
         with ProcessExecutor(2, shared_memory=True) as executor:
             session = executor.session(3)

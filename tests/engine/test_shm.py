@@ -102,7 +102,7 @@ class TestPublish:
             assert isinstance(stripped.targets, SharedArrayRef)
             restored = pickle.loads(pickle.dumps(stripped))
         assert np.array_equal(restored.targets, scorer.targets)
-        assert np.array_equal(restored._onehot, scorer._onehot)
+        assert np.array_equal(restored.features, scorer.features)
         assert np.array_equal(
             restored.model.labels, scorer.model.labels
         )

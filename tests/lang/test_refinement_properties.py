@@ -12,7 +12,10 @@ Seeded randomized datasets drive four families of properties:
 - **Integer-coded expansion** — :meth:`RefinementOperator.expand` over a
   multi-parent beam yields exactly what the :meth:`refinements`
   reference loop (``seen`` dedup, ``parent & mask_of(c)``, coverage
-  filter) yields, in the same order, and leaves ``seen`` the same.
+  filter) yields, in the same order, and leaves ``seen`` the same; its
+  per-candidate sums equal the reference masks' row counts and feature
+  sums, and :meth:`RefinementOperator.child_masks` rebuilds the
+  reference masks bit for bit.
 - **Textual round-trip** — descriptions survive ``str`` →
   :meth:`Description.parse` (exactly for thresholds representable at
   the renderer's 6 significant digits; textually for arbitrary pool
@@ -22,6 +25,7 @@ Seeded randomized datasets drive four families of properties:
 import functools
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -29,6 +33,9 @@ from repro.datasets.schema import AttributeKind, Column, Dataset
 from repro.lang.conditions import EqualsCondition, NumericCondition
 from repro.lang.description import Description
 from repro.lang.refinement import RefinementOperator
+from repro.model.background import BackgroundModel
+from repro.model.patterns import LocationConstraint, SpreadConstraint
+from repro.search.beam import LocationICScorer
 from repro.utils.timer import TimeBudget
 
 N_ROWS = 80
@@ -190,19 +197,33 @@ class TestExpandMatchesReference:
         )
         min_size = data.draw(st.integers(1, N_ROWS // 2))
         max_size = data.draw(st.integers(min_size, N_ROWS))
+        # 0 features means counts only; 85 and 300 columns put two parents
+        # and one parent in each matrix product.
+        m = data.draw(st.sampled_from([0, 2, 85, 300]))
+        features = (
+            np.random.default_rng(seed).standard_normal((N_ROWS, m)) if m else None
+        )
 
         ref_seen = set(prefilled)
         expected, duplicates, out_of_range = reference_level(
             operator, beam, ref_seen, min_size, max_size
         )
         seen = {encode(operator, d) for d in prefilled}
-        level = operator.expand(coded, seen, min_size=min_size, max_size=max_size)
+        level = operator.expand(
+            coded, seen, features=features, min_size=min_size, max_size=max_size
+        )
 
         assert [operator.describe(c) for c in level.codes] == [e[0] for e in expected]
         assert level.attributes.tolist() == [e[1] for e in expected]
-        assert level.masks.shape == (len(expected), N_ROWS)
-        for row, (_, _, mask) in zip(level.masks, expected):
-            np.testing.assert_array_equal(row, mask)
+        ref_masks = np.array([e[2] for e in expected], dtype=bool).reshape(-1, N_ROWS)
+        masks = operator.child_masks(coded, level.parents, level.ranks)
+        np.testing.assert_array_equal(masks, ref_masks)
+        assert level.sums.shape == (len(expected), 1 + m)
+        np.testing.assert_array_equal(level.sums[:, 0], ref_masks.sum(axis=1))
+        if features is not None:
+            reference = ref_masks.astype(float) @ features
+            bound = 1e-12 * (ref_masks.astype(float) @ np.abs(features))
+            assert np.all(np.abs(level.sums[:, 1:] - reference) <= bound)
         assert (level.duplicates, level.out_of_range) == (duplicates, out_of_range)
         assert not level.expired
         assert {operator.describe(c) for c in seen} == ref_seen
@@ -227,10 +248,45 @@ class TestExpandMatchesReference:
             [((), np.ones(N_ROWS, dtype=bool))], seen, budget=TimeBudget(0.0)
         )
         assert level.expired
-        assert level.codes == [] and level.masks.shape == (0, N_ROWS)
-        assert len(level.attributes) == 0
+        assert level.codes == [] and level.sums.shape == (0, 1)
+        assert len(level.attributes) == len(level.parents) == len(level.ranks) == 0
         assert (level.duplicates, level.out_of_range) == (0, 0)
         assert seen == set()
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("evolved", [False, True])
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_scoring_the_sums_matches_scoring_the_masks(self, seed, evolved, weighted):
+        dataset = make_dataset(seed)
+        operator = make_operator(seed)
+        rng = np.random.default_rng(seed)
+        weights = rng.uniform(0.5, 2.0, N_ROWS) if weighted else None
+        model = BackgroundModel.from_targets(dataset.targets, weights=weights)
+        if evolved:
+            # Two blocks with differing covariances: the low-rank path.
+            rows = np.flatnonzero(rng.random(N_ROWS) < 0.4)
+            model.assimilate(LocationConstraint.from_data(dataset.targets, rows))
+            model.assimilate(
+                SpreadConstraint.from_data(dataset.targets, rows, np.array([0.6, 0.8]))
+            )
+        scorer = LocationICScorer(model, dataset.targets)
+        assert scorer._uniform_cov is not evolved
+        root = [((), np.ones(N_ROWS, dtype=bool))]
+        first = operator.expand(root, set())
+        masks = operator.child_masks(root, first.parents[:4], first.ranks[:4])
+        beam = list(zip(first.codes[:4], masks))
+        level = operator.expand(beam, set(), features=scorer.features)
+        ics, observed = scorer.score_sums(level.sums)
+        ref_ics, ref_observed = scorer.score_masks(
+            operator.child_masks(beam, level.parents, level.ranks)
+        )
+        # Relative to the scale of the terms: an IC near 0 is a difference
+        # of O(1) terms (as in tests/property/test_ic_kernel_properties.py).
+        assert np.all(np.abs(ics - ref_ics) <= 1e-12 * np.maximum(1.0, np.abs(ref_ics)))
+        assert np.all(
+            np.abs(observed - ref_observed)
+            <= 1e-12 * np.maximum(1.0, np.abs(ref_observed))
+        )
 
 
 #: Thresholds exactly representable at __str__'s 6 significant digits:

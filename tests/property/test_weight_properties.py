@@ -176,3 +176,23 @@ class TestDuplicationEquivalence:
         mean_d, cov_d = dup_model.subgroup_mean_distribution(dup_mask)
         np.testing.assert_allclose(mean_d, mean_w, rtol=1e-10, atol=1e-12)
         np.testing.assert_allclose(cov_d, cov_w, rtol=1e-9, atol=1e-12)
+
+    @given(data=targets_and_multiplicities())
+    @settings(max_examples=30, deadline=None)
+    def test_scorer_ics(self, data):
+        """The location IC and observed mean match duplication."""
+        targets, multiplicities, indices, _ = data
+        duplicated, dup_indices = _duplicate(targets, multiplicities, indices)
+        weighted = LocationICScorer(
+            BackgroundModel.from_targets(targets, weights=multiplicities.astype(float)),
+            targets,
+        )
+        dup = LocationICScorer(BackgroundModel.from_targets(duplicated), duplicated)
+        mask = np.zeros((1, targets.shape[0]), dtype=bool)
+        mask[0, indices] = True
+        dup_mask = np.zeros((1, duplicated.shape[0]), dtype=bool)
+        dup_mask[0, dup_indices] = True
+        ic_w, mean_w = weighted.score_masks(mask)
+        ic_d, mean_d = dup.score_masks(dup_mask)
+        np.testing.assert_allclose(ic_d, ic_w, rtol=1e-9, atol=1e-9)
+        np.testing.assert_allclose(mean_d, mean_w, rtol=1e-10, atol=1e-12)

@@ -5,6 +5,7 @@ import time
 
 import pytest
 
+from repro.obs import clock
 from repro.utils.timer import Stopwatch, TimeBudget
 
 
@@ -43,6 +44,14 @@ class TestStopwatch:
         assert sw.running
         sw.stop()
 
+    def test_reads_the_clock_seam(self):
+        with clock.fixed() as advance:
+            sw = Stopwatch().start()
+            advance(2.5)
+            assert sw.elapsed == 2.5
+            advance(0.5)
+            assert sw.stop() == 3.0
+
 
 class TestTimeBudget:
     def test_unlimited_never_expires(self):
@@ -59,6 +68,16 @@ class TestTimeBudget:
         time.sleep(0.015)
         assert budget.expired
         assert budget.remaining == 0.0
+
+    def test_fixed_clock_drives_expiry(self):
+        with clock.fixed() as advance:
+            budget = TimeBudget(10.0)
+            advance(9.0)
+            assert not budget.expired
+            assert budget.remaining == 1.0
+            advance(1.0)
+            assert budget.expired
+            assert budget.remaining == 0.0
 
     def test_negative_raises(self):
         with pytest.raises(ValueError):
