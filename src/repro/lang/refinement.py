@@ -16,8 +16,12 @@ time, in two forms:
   form. Admissibility, canonicalisation and dedup become comparisons of
   numbers. A level's extensions are never built: each candidate's row
   count, and the column sums of a caller-supplied feature matrix over its
-  extension, come from one matrix product per chunk of parents against a
-  float copy of the dense condition-mask table.
+  extension, come from one matrix product per chunk of parent extensions
+  against a float copy of the dense condition-mask table. A candidate's
+  sums depend only on its parent's extension and its added condition, so
+  parents with one extension (keyed by their mask bytes) share one row
+  of sums per condition, and a product whose parents cover at most half
+  the rows runs over those rows only.
   :meth:`RefinementOperator.child_masks` builds the masks of the few
   candidates a caller keeps, by one gather-AND over the boolean table,
   and :meth:`RefinementOperator.describe` decodes a code.
@@ -28,6 +32,7 @@ building an operator stays as cheap as building its pool.
 
 from __future__ import annotations
 
+from itertools import compress
 from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -42,9 +47,20 @@ from repro.utils.timer import TimeBudget
 #: Condition kinds in the integer tables.
 _LE, _GE, _EQ = 0, 1, 2
 #: Size of one sums product in :meth:`RefinementOperator.expand`: each
-#: parent adds ``1 + m`` rows to ``W``, so about ``256 // (1 + m)``
-#: parents share one matrix product against the condition table.
+#: distinct parent extension adds ``1 + m`` rows to ``W``, so about
+#: ``256 // (1 + m)`` extensions share one matrix product against the
+#: condition table.
 _GEMM_COLUMNS = 256
+#: A sums product runs over only the rows its extensions cover when they
+#: are at most this share of the dataset, and over every row otherwise.
+#: Replayed in both forms on one x86-64 core with one BLAS thread, a
+#: gathered product of the benchmark took about 1.4 times the covered
+#: share of a full-row product's time on crime's and mammals' tables, and
+#: more on small tables; at 0.5 every product took its faster form.
+_GATHER_FRACTION = 0.5
+#: Rows gathered per block of such a product, which bounds the gathered
+#: copy of the condition table.
+_GATHER_ROWS = 256
 
 
 class Expansion(NamedTuple):
@@ -54,6 +70,9 @@ class Expansion(NamedTuple):
     parent's refinements in pool order. Their extensions are not built;
     pass ``parents`` and ``ranks`` to
     :meth:`RefinementOperator.child_masks` for the ones a caller keeps.
+    Candidates that add the same condition to parents with the same
+    extension have the same extension, so they share one row of
+    ``sums``; ``sums_row`` maps each candidate to it.
     """
 
     #: Canonical codes of the candidates (decode with ``describe``).
@@ -65,14 +84,20 @@ class Expansion(NamedTuple):
     parents: np.ndarray
     #: Rank of each candidate's added condition, ``(k,)``.
     ranks: np.ndarray
-    #: ``(k, 1 + m)``: each candidate's row count, then the column sums
-    #: of the ``(n_rows, m)`` feature matrix over its extension.
+    #: ``(u, 1 + m)``, one row per distinct (parent extension, added
+    #: condition) pair: its row count, then the column sums of the
+    #: ``(n_rows, m)`` feature matrix over its extension.
     sums: np.ndarray
+    #: Row of ``sums`` of each candidate, ``(k,)``.
+    sums_row: np.ndarray
+    #: Number of distinct parent extensions expanded.
+    extensions: int
     #: Refinements dropped because their code was already in ``seen``.
     duplicates: int
     #: Refinements dropped by the coverage bounds.
     out_of_range: int
-    #: True if the budget ran out before every parent was expanded.
+    #: True if the budget ran out before every parent was expanded and
+    #: every row of sums computed.
     expired: bool
 
 
@@ -287,50 +312,51 @@ class RefinementOperator:
         added to ``seen`` *before* its row count is checked against the
         coverage bounds ``min_size <= size <= max_size``
         (``max_size=None`` is unbounded), so ``seen`` spans every level
-        it is passed to. ``budget`` is polled before each parent; once
-        it has expired the expansion stops and reports ``expired``.
+        it is passed to. ``budget`` is polled before each parent and
+        before each sums product; once it has expired the expansion
+        stops and reports ``expired``, and returns only the candidates
+        whose sums were computed in time.
 
         ``features`` is an ``(n_rows, m)`` float matrix whose column sums
         over each candidate's extension are returned in ``sums``;
-        ``None`` returns the row counts only. Every parent in a chunk
-        contributes the rows ``[mask, mask * features]'`` to one matrix
-        ``W``, and ``W`` times the ``(n_rows, R)`` float condition table
-        gives the sums of every condition's refinement of every parent in
-        the chunk.
+        ``None`` returns the row counts only. The work runs in two
+        passes:
+
+        1. Per parent: admissibility, dedup against ``seen`` and the
+           children's codes, as above. Parents are keyed by their mask
+           bytes, so parents with one extension share one number.
+        2. One row of sums per distinct (extension, added condition)
+           pair, extension-major. Each chunk of distinct extensions
+           contributes the rows ``[mask, mask * features]'`` to one
+           matrix ``W``, and ``W`` times the ``(n_rows, R)`` float
+           condition table gives the sums of every condition's refinement
+           of every extension in the chunk. When the chunk's extensions
+           cover at most half the rows (:data:`_GATHER_FRACTION`), the
+           product runs over those rows only. The coverage filter then
+           reads the exact row counts of the distinct rows.
         """
         table = self._tables()
-        float_table = self._float_table()
         n_rows = self.dataset.n_rows
         if max_size is None:
             max_size = n_rows
-        # ``[1, features]`` transposed: each parent's rows of W are contiguous.
-        width = 1 if features is None else 1 + features.shape[1]
-        columns = np.ones((width, n_rows))
-        if features is not None:
-            columns[1:] = features.T
-        per_product = max(1, _GEMM_COLUMNS // width)
         is_le = table.pool_kind == _LE
         is_ge = table.pool_kind == _GE
         is_eq = table.pool_kind == _EQ
         threshold = table.pool_threshold
-        # Room for every refinement of every parent: pages never written
-        # are never committed, so only the level's real rows cost memory.
-        sums = np.empty((len(beam) * len(self._pool), width))
+        # Pass 1: each parent's fresh children, and the number of its
+        # extension among the distinct ones, in order of first appearance.
+        extension_of: dict[bytes, int] = {}
+        parent_extension = np.zeros(len(beam), dtype=np.intp)
         codes: list[tuple[int, ...]] = []
         pool: list[np.ndarray] = []  # pool index of each added condition
         n_children = np.zeros(len(beam), dtype=np.intp)
-        duplicates = out_of_range = 0
+        duplicates = 0
         expired = False
-        for j, (code, _) in enumerate(beam):
+        for j, (code, mask) in enumerate(beam):
             if budget is not None and budget.expired:
                 expired = True
                 break
-            if j % per_product == 0:
-                chunk = np.array([mask for _, mask in beam[j : j + per_product]], dtype=float)
-                w = chunk[:, None, :] * columns  # W transposed: (chunk, width, n_rows)
-                product = (w.reshape(-1, n_rows) @ float_table).reshape(
-                    len(chunk), width, -1
-                )
+            parent_extension[j] = extension_of.setdefault(mask.tobytes(), len(extension_of))
             # The parent's interval and equality per attribute, and the
             # code slot of each bound: a tighter bound of the same kind
             # takes that slot, anything else is inserted in rank order.
@@ -361,7 +387,6 @@ class RefinementOperator:
             cut_lo = np.where(replaced >= 0, replaced, inserted)
             cut_hi = cut_lo + (replaced >= 0)
             fresh: list[int] = []
-            fresh_codes: list[tuple[int, ...]] = []
             for i, (r, lo, hi) in enumerate(
                 zip(ranks.tolist(), cut_lo.tolist(), cut_hi.tolist())
             ):
@@ -370,32 +395,92 @@ class RefinementOperator:
                     continue
                 seen.add(child)
                 fresh.append(i)
-                fresh_codes.append(child)
+                codes.append(child)
             duplicates += len(ranks) - len(fresh)
-            if not fresh:
-                continue
-            start = len(codes)
-            block = sums[start : start + len(fresh)]
-            block[:] = product[j % per_product][:, ranks[fresh]].T
-            sizes = block[:, 0]
-            kept = np.flatnonzero((sizes >= min_size) & (sizes <= max_size))
-            out_of_range += len(fresh) - len(kept)
-            if len(kept) < len(fresh):
-                block[: len(kept)] = block[kept]
-            codes.extend(fresh_codes[i] for i in kept.tolist())
-            pool.append(admissible[fresh][kept])
-            n_children[j] = len(kept)
+            pool.append(admissible[fresh])
+            n_children[j] = len(fresh)
         added = np.concatenate(pool) if pool else np.zeros(0, dtype=np.intp)
-        return Expansion(
-            codes=codes,
-            attributes=table.pool_attr[added],
-            parents=np.repeat(np.arange(len(beam)), n_children),
-            ranks=table.pool_rank[added],
-            sums=sums[: len(codes)],
-            duplicates=duplicates,
-            out_of_range=out_of_range,
-            expired=expired,
+        parents = np.repeat(np.arange(len(beam)), n_children)
+        # Pass 2: one row of sums per distinct (extension, added rank)
+        # pair, extension-major, then the coverage filter on those rows.
+        n_ranks = len(table.by_rank)
+        row_keys, sums_row = np.unique(
+            parent_extension[parents] * n_ranks + table.pool_rank[added],
+            return_inverse=True,
         )
+        row_extension, row_rank = np.divmod(row_keys, n_ranks)
+        extension_masks = [np.frombuffer(key, dtype=bool) for key in extension_of]
+        sums = self._extension_sums(
+            extension_masks, row_extension, row_rank, features, budget
+        )
+        # Rows the budget cut off are not summed; their candidates are
+        # dropped like the children of a parent that was not expanded.
+        in_range = np.zeros(len(row_keys), dtype=bool)
+        in_range[: len(sums)] = (sums[:, 0] >= min_size) & (sums[:, 0] <= max_size)
+        keep = in_range[sums_row]
+        kept = np.flatnonzero(keep)
+        return Expansion(
+            codes=list(compress(codes, keep.tolist())),
+            attributes=table.pool_attr[added[kept]],
+            parents=parents[kept],
+            ranks=table.pool_rank[added[kept]],
+            sums=sums[in_range[: len(sums)]],
+            sums_row=(np.cumsum(in_range) - 1)[sums_row[kept]],
+            extensions=len(extension_of),
+            duplicates=duplicates,
+            out_of_range=int(np.count_nonzero(sums_row < len(sums))) - len(kept),
+            expired=expired or len(sums) < len(row_keys),
+        )
+
+    def _extension_sums(
+        self,
+        extension_masks: Sequence[np.ndarray],
+        row_extension: np.ndarray,
+        row_rank: np.ndarray,
+        features: np.ndarray | None,
+        budget: TimeBudget | None,
+    ) -> np.ndarray:
+        """Pass 2 of :meth:`expand`: the ``(u, 1 + m)`` sums, one row per pair.
+
+        Row ``i`` sums ``[1, features]`` over extension
+        ``row_extension[i]`` AND the condition of rank ``row_rank[i]``;
+        ``row_extension`` is sorted, so each extension's rows are one
+        slice. A chunk of extensions that covers at most
+        :data:`_GATHER_FRACTION` of the rows gathers them in blocks of
+        :data:`_GATHER_ROWS`. ``budget`` is polled before each product;
+        once it has expired, the rows summed so far are returned.
+        """
+        float_table = self._float_table()
+        n_rows = self.dataset.n_rows
+        # ``[1, features]`` transposed: each extension's rows of W are contiguous.
+        width = 1 if features is None else 1 + features.shape[1]
+        columns = np.ones((width, n_rows))
+        if features is not None:
+            columns[1:] = features.T
+        per_product = max(1, _GEMM_COLUMNS // width)
+        bounds = np.searchsorted(row_extension, np.arange(len(extension_masks) + 1))
+        extensions = np.flatnonzero(np.diff(bounds)).tolist()  # those with rows
+        bounds = bounds.tolist()
+        sums = np.empty((len(row_rank), width))
+        for c in range(0, len(extensions), per_product):
+            if budget is not None and budget.expired:
+                return sums[: bounds[extensions[c]]]
+            chunk = np.array([extension_masks[e] for e in extensions[c : c + per_product]])
+            rows = np.flatnonzero(np.logical_or.reduce(chunk))
+            if len(rows) > _GATHER_FRACTION * n_rows:
+                w = chunk[:, None, :] * columns  # W transposed, (chunk, width, n_rows)
+                product = w.reshape(len(chunk) * width, -1) @ float_table
+            else:
+                product = np.zeros((len(chunk) * width, float_table.shape[1]))
+                for i in range(0, len(rows), _GATHER_ROWS):
+                    block = rows[i : i + _GATHER_ROWS]
+                    w = chunk[:, None, block] * columns[:, block]
+                    product += w.reshape(len(product), -1) @ float_table[block]
+            product = product.reshape(len(chunk), width, -1)
+            for i, e in enumerate(extensions[c : c + per_product]):
+                lo, hi = bounds[e], bounds[e + 1]
+                sums[lo:hi] = product[i][:, row_rank[lo:hi]].T
+        return sums
 
     def child_masks(
         self,

@@ -50,6 +50,13 @@ BEAM_CANDIDATES_DROPPED = METRICS.counter(
     "Beam refinements dropped before scoring, by reason",
     labels=("reason",),
 )
+#: Distinct parent extensions the beam search expanded (one count per
+#: distinct extension per level): below the parents expanded when
+#: parents share an extension, whose candidates then share one IC.
+BEAM_PARENT_EXTENSIONS = METRICS.counter(
+    "sisd_beam_parent_extensions_total",
+    "Distinct parent extensions expanded by the beam search",
+)
 #: Mining-loop steps; outcome ∈ mined|replayed (belief-cache hit)|expired
 #: (the location search's time budget ran out; never cached).
 MINER_STEPS = METRICS.counter(
@@ -63,11 +70,12 @@ STEP_PHASE = METRICS.histogram(
     "Mining-step search time per phase",
     labels=("phase",),
 )
-#: Location candidates scored per IC kernel path (repro.search.beam);
-#: path ∈ uniform|lowrank|exact.
+#: Rows of sums scored per IC kernel path (repro.search.beam): one row
+#: per distinct (parent extension, added condition) pair, so at most the
+#: candidates; path ∈ uniform|lowrank|exact.
 IC_KERNEL_CANDIDATES = METRICS.counter(
     "sisd_ic_kernel_candidates_total",
-    "Location candidates scored, by IC kernel path",
+    "Distinct location candidate extensions scored, by IC kernel path",
     labels=("path",),
 )
 #: Numerical fallbacks on singular input (repro.utils.linalg,

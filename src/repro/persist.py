@@ -407,16 +407,6 @@ def job_result_from_dict(data: dict) -> JobResult:
 # --------------------------------------------------------------------- #
 # Mining specs (the unified front-door configuration)
 # --------------------------------------------------------------------- #
-def spec_to_dict(spec: MiningSpec) -> dict:
-    """Serialize a unified mining spec (sectioned, JSON-safe)."""
-    return spec.to_dict()
-
-
-def spec_from_dict(data: dict) -> MiningSpec:
-    """Rebuild a mining spec; unknown sections/keys are ReproErrors."""
-    return MiningSpec.from_dict(data)
-
-
 def save_spec(spec: MiningSpec, path: str | Path) -> Path:
     """Write one spec to disk (the input of ``sisd mine --spec``)."""
     return save_json(spec.to_dict(), path)

@@ -7,9 +7,12 @@ candidate depends on its extension only through its size, its target
 sum and its row count in each background-model block, so a level's
 candidates come from
 :meth:`~repro.lang.refinement.RefinementOperator.expand` as integer codes
-plus those sums — one matrix product per chunk of parents against the
-scorer's :attr:`LocationICScorer.features` — and no candidate's mask is
-built to score it. The IC then takes one of three paths:
+plus those sums — one matrix product per chunk of distinct parent
+extensions against the scorer's :attr:`LocationICScorer.features` — and
+no candidate's mask is built to score it. Candidates that add one
+condition to parents with one extension share a row of sums, so each
+distinct row is scored once and every candidate reads its IC through
+``sums_row``. The IC then takes one of three paths:
 
 - **uniform** — every model block shares one covariance (always true
   before any spread pattern has been assimilated, since location updates
@@ -27,9 +30,9 @@ built to score it. The IC then takes one of three paths:
 
 Each level's scoring is sharded by the attribute of the added condition
 and dispatched through an :class:`~repro.engine.executor.Executor`; a
-shard carries its candidates' rows of the sums. The shard boundaries
+shard carries its distinct rows of the sums. The shard boundaries
 depend only on the candidate set — never on the worker count — and
-shard results are scattered back into generation order, so a
+shard results are scattered back into row order, so a
 ``ProcessExecutor`` run returns bit-identical results to a serial one.
 
 SI is then one vector division. The next beam is taken straight from
@@ -64,6 +67,7 @@ from repro.obs.instruments import (
     BEAM_CANDIDATES,
     BEAM_DROPPED_COVERAGE,
     BEAM_DROPPED_DUPLICATE,
+    BEAM_PARENT_EXTENSIONS,
     BEAM_PHASE_CANDIDATE_GEN,
     BEAM_PHASE_MERGE,
     BEAM_PHASE_PRUNE,
@@ -143,7 +147,8 @@ class LocationICScorer:
     non-positive determinant or one below :data:`LOWRANK_MIN_DET` are
     rescored by the exact loop, bit for bit as if it had scored them.
     Counter ``sisd_ic_kernel_candidates_total{path}`` records how many
-    candidates each path scored.
+    rows each path scored; the beam search passes one row per distinct
+    candidate extension.
     """
 
     #: Arrays the shared-memory transport may move out of the pickled
@@ -383,14 +388,18 @@ class LocationBeamSearch:
     Generation order is parents in beam order, and each parent's
     refinements in pool order. Descriptions travel through the search as
     canonical integer codes, and candidates are scored from their sums
-    over :attr:`LocationICScorer.features`. A mask and a
+    over :attr:`LocationICScorer.features`: one row of sums, scored once,
+    per distinct (parent extension, added condition) pair, which each
+    candidate reads through the level's ``sums_row``. A mask and a
     :class:`~repro.search.results.ScoredSubgroup` are built only for a
     level's ``top_k`` best candidates (best SI first, generation order
     among ties), and for every candidate when an observer is attached;
     the next beam's masks are built alongside. Either way the result is
     the same. Counters: ``sisd_beam_candidates_total`` for the scored
     candidates, ``sisd_beam_candidates_dropped_total{reason}`` for the
-    refinements dropped as duplicates or by the coverage bounds.
+    refinements dropped as duplicates or by the coverage bounds, and
+    ``sisd_beam_parent_extensions_total`` for the distinct parent
+    extensions expanded.
     """
 
     def __init__(
@@ -459,6 +468,7 @@ class LocationBeamSearch:
                 TRACER.record("candidate_gen", t_gen, t_score, trace_ctx)
                 BEAM_DROPPED_DUPLICATE.inc(level.duplicates)
                 BEAM_DROPPED_COVERAGE.inc(level.out_of_range)
+                BEAM_PARENT_EXTENSIONS.inc(level.extensions)
                 if level.expired:
                     expired = True
                     break
@@ -467,7 +477,12 @@ class LocationBeamSearch:
                 BEAM_CANDIDATES.inc(len(codes))
 
                 depth_reached = depth
-                ics, observed = self._score_sharded(session, level.sums, level.attributes)
+                # Score each distinct row of sums once; a row's candidates
+                # all add a condition on one attribute.
+                row_attributes = np.empty(len(level.sums), dtype=np.intp)
+                row_attributes[level.sums_row] = level.attributes
+                row_ics, observed = self._score_sharded(session, level.sums, row_attributes)
+                ics = row_ics[level.sums_row]
                 n_evaluated += len(codes)
                 t_merge = clock.perf_counter()
                 BEAM_PHASE_SCORE.observe(t_merge - t_score)
@@ -496,7 +511,7 @@ class LocationBeamSearch:
                     entry = ScoredSubgroup(
                         description=operator.describe(code),
                         indices=np.flatnonzero(mask_of[i]),
-                        observed_mean=observed[i],
+                        observed_mean=observed[level.sums_row[i]],
                         score=PatternScore(ic=float(ics[i]), dl=dl[len(code) - 1]),
                     )
                     log.add(entry.si, entry)
@@ -509,7 +524,7 @@ class LocationBeamSearch:
                 beam = [(codes[i], mask_of[i].copy()) for i in survivors.tolist()]
                 # The beam holds copies: free the level's masks and sums
                 # before the next expansion builds its own.
-                del level, codes, masks, mask_of, observed
+                del level, codes, masks, mask_of, observed, row_attributes, row_ics
                 t_done = clock.perf_counter()
                 BEAM_PHASE_PRUNE.observe(t_done - t_prune)
                 TRACER.record("prune", t_prune, t_done, trace_ctx)
@@ -526,14 +541,15 @@ class LocationBeamSearch:
     def _score_sharded(
         self, session, sums: np.ndarray, attributes: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Score one level's ``(k, 1 + m)`` sums shard-by-attribute, in order.
+        """Score one level's ``(u, 1 + m)`` sums shard-by-attribute, in order.
 
-        A shard holds the candidates whose added condition is on one
-        attribute, in generation order; shards follow the attributes'
-        first appearance. Shard composition is thus a pure function of
-        the candidate set, and results are scattered back into generation
-        order — both independent of the executor, which is what makes
-        serial and parallel runs identical.
+        ``attributes`` holds the attribute of each row's added condition.
+        A shard holds the rows whose added condition is on one attribute,
+        in row order; shards follow the attributes' first appearance.
+        Shard composition is thus a pure function of the candidate set,
+        and results are scattered back into row order — both independent
+        of the executor, which is what makes serial and parallel runs
+        identical.
         """
         _, first, inverse = np.unique(
             attributes, return_index=True, return_inverse=True

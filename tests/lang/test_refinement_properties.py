@@ -15,7 +15,8 @@ Seeded randomized datasets drive four families of properties:
   filter) yields, in the same order, and leaves ``seen`` the same; its
   per-candidate sums equal the reference masks' row counts and feature
   sums, and :meth:`RefinementOperator.child_masks` rebuilds the
-  reference masks bit for bit.
+  reference masks bit for bit. Candidates that add one condition to
+  parents with one extension share exactly one row of sums.
 - **Textual round-trip** — descriptions survive ``str`` →
   :meth:`Description.parse` (exactly for thresholds representable at
   the renderer's 6 significant digits; textually for arbitrary pool
@@ -23,6 +24,7 @@ Seeded randomized datasets drive four families of properties:
 """
 
 import functools
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -30,6 +32,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.datasets.schema import AttributeKind, Column, Dataset
+from repro.lang import refinement
 from repro.lang.conditions import EqualsCondition, NumericCondition
 from repro.lang.description import Description
 from repro.lang.refinement import RefinementOperator
@@ -159,6 +162,18 @@ def draw_parent(draw, operator: RefinementOperator) -> Description:
     return parent
 
 
+class ExpiresAfter:
+    """A budget that has expired once it has been polled ``polls`` times."""
+
+    def __init__(self, polls: int) -> None:
+        self.polls = polls
+
+    @property
+    def expired(self) -> bool:
+        self.polls -= 1
+        return self.polls < 0
+
+
 def reference_level(operator, beam, seen, min_size, max_size):
     """The reference: refine -> dedup -> AND -> coverage, on descriptions."""
     names = list(dict.fromkeys(c.attribute for c in operator.conditions))
@@ -218,12 +233,13 @@ class TestExpandMatchesReference:
         ref_masks = np.array([e[2] for e in expected], dtype=bool).reshape(-1, N_ROWS)
         masks = operator.child_masks(coded, level.parents, level.ranks)
         np.testing.assert_array_equal(masks, ref_masks)
-        assert level.sums.shape == (len(expected), 1 + m)
-        np.testing.assert_array_equal(level.sums[:, 0], ref_masks.sum(axis=1))
+        sums = level.sums[level.sums_row]
+        assert sums.shape == (len(expected), 1 + m)
+        np.testing.assert_array_equal(sums[:, 0], ref_masks.sum(axis=1))
         if features is not None:
             reference = ref_masks.astype(float) @ features
             bound = 1e-12 * (ref_masks.astype(float) @ np.abs(features))
-            assert np.all(np.abs(level.sums[:, 1:] - reference) <= bound)
+            assert np.all(np.abs(sums[:, 1:] - reference) <= bound)
         assert (level.duplicates, level.out_of_range) == (duplicates, out_of_range)
         assert not level.expired
         assert {operator.describe(c) for c in seen} == ref_seen
@@ -253,6 +269,25 @@ class TestExpandMatchesReference:
         assert (level.duplicates, level.out_of_range) == (0, 0)
         assert seen == set()
 
+    def test_budget_expiring_between_products_keeps_the_summed_extensions(self):
+        operator = make_operator(0)
+        parents = [Description((c,)) for c in operator.conditions if c.attribute == "x"][:3]
+        beam = [(p, operator.extension_mask(p)) for p in parents]
+        assert len({mask.tobytes() for _, mask in beam}) == len(beam)
+        coded = [(encode(operator, p), mask) for p, mask in beam]
+        # 300 feature columns put one extension in each product; the budget
+        # lets every parent through pass 1 and then one product run.
+        features = np.random.default_rng(0).standard_normal((N_ROWS, 300))
+        level = operator.expand(
+            coded, set(), features=features, budget=ExpiresAfter(len(beam) + 1)
+        )
+        expected, _, out_of_range = reference_level(operator, beam[:1], set(), 1, N_ROWS)
+        assert level.expired
+        assert [operator.describe(c) for c in level.codes] == [e[0] for e in expected]
+        assert level.out_of_range == out_of_range
+        assert set(level.parents.tolist()) == {0}
+        assert len(level.sums) == len(expected)
+
     @pytest.mark.parametrize("seed", range(4))
     @pytest.mark.parametrize("evolved", [False, True])
     @pytest.mark.parametrize("weighted", [False, True])
@@ -276,7 +311,7 @@ class TestExpandMatchesReference:
         masks = operator.child_masks(root, first.parents[:4], first.ranks[:4])
         beam = list(zip(first.codes[:4], masks))
         level = operator.expand(beam, set(), features=scorer.features)
-        ics, observed = scorer.score_sums(level.sums)
+        ics, observed = scorer.score_sums(level.sums[level.sums_row])
         ref_ics, ref_observed = scorer.score_masks(
             operator.child_masks(beam, level.parents, level.ranks)
         )
@@ -287,6 +322,89 @@ class TestExpandMatchesReference:
             np.abs(observed - ref_observed)
             <= 1e-12 * np.maximum(1.0, np.abs(ref_observed))
         )
+
+
+@functools.lru_cache(maxsize=32)
+def make_twin_operator(seed: int) -> RefinementOperator:
+    """The seed's dataset plus ``x_copy``, an exact copy of ``x``.
+
+    ``x <= t`` and ``x_copy <= t`` cover the same rows, so parents that
+    differ only in which of the two they condition on share an extension.
+    """
+    base = make_dataset(seed)
+    columns = [base.column(name) for name in base.description_names]
+    columns.append(Column("x_copy", AttributeKind.NUMERIC, base.column("x").values.copy()))
+    dataset = Dataset(f"twin-{seed}", columns, base.targets, base.target_names)
+    return RefinementOperator(dataset, n_split_points=3)
+
+
+def twin(description: Description) -> Description:
+    """``description`` with its ``x`` and ``x_copy`` conditions swapped."""
+    swap = {"x": "x_copy", "x_copy": "x"}
+    return Description(
+        tuple(
+            NumericCondition(swap[c.attribute], c.op, c.threshold)
+            if c.attribute in swap
+            else c
+            for c in description.conditions
+        )
+    ).canonical()
+
+
+class TestExpandSharesExtensions:
+    """Candidates of parents with one extension share their rows of sums."""
+
+    @given(seed=st.integers(0, 19), data=st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_one_row_per_distinct_extension_and_condition(self, seed, data):
+        operator = make_twin_operator(seed)
+        on_x = [c for c in operator.conditions if c.attribute == "x"]
+        # With the root, a product covers every row and runs over all of
+        # them; conjunctions with a condition on x mostly cover fewer than
+        # half, so their products gather the rows they cover.
+        parents = [Description()] if data.draw(st.booleans()) else []
+        for _ in range(data.draw(st.integers(1, 3))):
+            parent = draw_parent(data.draw, operator)
+            narrowed = parent.with_condition(data.draw(st.sampled_from(on_x))).canonical()
+            if not narrowed.is_contradictory():
+                parent = narrowed
+            for candidate in (parent, twin(parent)):
+                if candidate not in parents:
+                    parents.append(candidate)
+        beam = [(p, operator.extension_mask(p)) for p in parents]
+        coded = [(encode(operator, p), mask) for p, mask in beam]
+        min_size = data.draw(st.integers(1, 8))
+        m = data.draw(st.sampled_from([0, 2, 85, 300]))
+        features = (
+            np.random.default_rng(seed).standard_normal((N_ROWS, m)) if m else None
+        )
+
+        # Gather blocks of 1 and 7 rows split every gathered product.
+        gather_rows = data.draw(st.sampled_from([1, 7, 256]))
+
+        expected, _, _ = reference_level(operator, beam, set(), min_size, N_ROWS)
+        with mock.patch.object(refinement, "_GATHER_ROWS", gather_rows):
+            level = operator.expand(coded, set(), features=features, min_size=min_size)
+
+        assert [operator.describe(c) for c in level.codes] == [e[0] for e in expected]
+        ref_masks = np.array([e[2] for e in expected], dtype=bool).reshape(-1, N_ROWS)
+        sums = level.sums[level.sums_row]
+        assert sums.shape == (len(expected), 1 + m)
+        np.testing.assert_array_equal(sums[:, 0], ref_masks.sum(axis=1))
+        if features is not None:
+            reference = ref_masks.astype(float) @ features
+            bound = 1e-12 * (ref_masks.astype(float) @ np.abs(features))
+            assert np.all(np.abs(sums[:, 1:] - reference) <= bound)
+        # Two candidates share a row iff their parents' masks and their
+        # added conditions are equal, and every row belongs to a candidate.
+        keys = [
+            (coded[p][1].tobytes(), r)
+            for p, r in zip(level.parents.tolist(), level.ranks.tolist())
+        ]
+        rows = level.sums_row.tolist()
+        assert len(set(zip(keys, rows))) == len(set(keys)) == len(set(rows))
+        assert sorted(set(rows)) == list(range(len(level.sums)))
+        assert level.extensions == len({mask.tobytes() for _, mask in coded})
 
 
 #: Thresholds exactly representable at __str__'s 6 significant digits:

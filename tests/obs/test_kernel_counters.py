@@ -1,9 +1,12 @@
 """Which code path ran: IC kernel paths and linear-algebra fallbacks.
 
-``sisd_ic_kernel_candidates_total{path}`` counts the location candidates
-each IC kernel scored, and ``sisd_linalg_fallbacks_total{kind}`` counts
-every numerical fallback taken on singular input, so both questions are
-answerable from ``/metrics`` alone.
+``sisd_ic_kernel_candidates_total{path}`` counts the rows each IC kernel
+scored: one per distinct (parent extension, added condition) pair, so
+as many as the location candidates when no two parents share an
+extension, as in the runs below, and fewer when some do. And
+``sisd_linalg_fallbacks_total{kind}`` counts every numerical fallback
+taken on singular input, so both questions are answerable from
+``/metrics`` alone.
 """
 
 import numpy as np

@@ -15,6 +15,10 @@ from repro.obs.instruments import (
     BEAM_CANDIDATES,
     BEAM_DROPPED_COVERAGE,
     BEAM_DROPPED_DUPLICATE,
+    BEAM_PARENT_EXTENSIONS,
+    IC_KERNEL_EXACT,
+    IC_KERNEL_LOWRANK,
+    IC_KERNEL_UNIFORM,
 )
 from repro.search.beam import LocationBeamSearch, LocationICScorer
 from repro.search.config import SearchConfig
@@ -252,3 +256,69 @@ class TestDroppedCounter:
     def test_depth_two_drops_duplicates(self, planted):
         _, duplicates, _ = self._run(planted, max_depth=2)
         assert duplicates > 0
+
+
+@pytest.fixture()
+def twins(rng):
+    """Rows with large ``x`` displaced; ``x_copy`` is an exact copy of ``x``.
+
+    ``x >= t`` and ``x_copy >= t`` tie, so both enter the beam, and their
+    refinements by one condition share an extension.
+    """
+    n = 200
+    x = rng.uniform(0, 1, n)
+    targets = rng.standard_normal((n, 2))
+    targets[x > 0.7] += 2.0
+    columns = [
+        Column("x", AttributeKind.NUMERIC, x),
+        Column("x_copy", AttributeKind.NUMERIC, x.copy()),
+        Column("noise_num", AttributeKind.NUMERIC, rng.standard_normal(n)),
+        Column("noise_bin", AttributeKind.BINARY, rng.integers(0, 2, n).astype(float)),
+    ]
+    dataset = Dataset("twins", columns, targets, ["y1", "y2"])
+    return dataset, BackgroundModel.from_targets(targets)
+
+
+class TestSharedExtensions:
+    @staticmethod
+    def _counts():
+        kernel = IC_KERNEL_UNIFORM.value + IC_KERNEL_LOWRANK.value + IC_KERNEL_EXACT.value
+        return BEAM_CANDIDATES.value, kernel, BEAM_PARENT_EXTENSIONS.value
+
+    def test_candidates_of_one_extension_share_one_ic(self, twins):
+        dataset, model = twins
+        operator = RefinementOperator(dataset)
+        parents = []
+        expand = operator.expand
+
+        def counting(beam, seen, **kwargs):
+            parents.append(len(beam))
+            return expand(beam, seen, **kwargs)
+
+        operator.expand = counting
+        scorer = LocationICScorer(model, dataset.targets)
+        recorder = EventLog()
+        before = self._counts()
+        result = LocationBeamSearch(
+            operator,
+            scorer,
+            config=SearchConfig(beam_width=8, max_depth=3, top_k=10),
+            observer=recorder,
+        ).run()
+        candidates, kernel_rows, extensions = (
+            after - b for after, b in zip(self._counts(), before)
+        )
+
+        assert len(recorder.candidates) == result.n_evaluated == candidates
+        masks = np.zeros((len(recorder.candidates), dataset.n_rows), dtype=bool)
+        for mask, entry in zip(masks, recorder.candidates):
+            mask[entry.indices] = True
+        ref_ics, ref_observed = scorer.score_masks(masks)
+        ics = np.array([entry.score.ic for entry in recorder.candidates])
+        observed = np.array([entry.observed_mean for entry in recorder.candidates])
+        assert np.all(np.abs(ics - ref_ics) <= 1e-12 * np.maximum(1.0, np.abs(ref_ics)))
+        assert np.all(
+            np.abs(observed - ref_observed) <= 1e-12 * np.maximum(1.0, np.abs(ref_observed))
+        )
+        assert kernel_rows < candidates
+        assert extensions < sum(parents)
