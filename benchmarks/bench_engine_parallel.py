@@ -1,22 +1,20 @@
 """Engine: parallel beam search — wall clock and context-shipping cost.
 
 Runs the same location beam search on scalability-sized synthetic data
-(the §III-E generator scaled 16x) with the serial backend, with copying
-process pools of 2 and 4 workers, and with the zero-copy shared-memory
-transport (``shared_memory=True``: persistent warm pool + arrays in
+(the §III-E generator scaled 16x) with the serial backend and with
+``ProcessExecutor`` pools of 2 and 4 workers (a persistent warm pool
+whose sessions ship the scorer's arrays through
 ``multiprocessing.shared_memory``). Speedup > 1 needs real cores: on a
-single-core machine the table simply quantifies the pool overhead — and
-the point of the shared-memory column is precisely that this overhead
-collapses. The engine's determinism contract is asserted along the way:
-every backend must return the exact same top subgroup with the exact
-same scores.
+single-core machine the table simply quantifies the pool overhead. The
+engine's determinism contract is asserted along the way: every backend
+must return the exact same top subgroup with the exact same scores.
 
 Besides the human-readable table, the bench measures the per-session
-context payload (what ``session()`` pickles to ship the scorer) for the
-copying vs shared-memory transports and writes the whole result as
-``BENCH_engine_parallel.json`` at the repo root, so the perf trajectory
-is tracked commit over commit. Target: the shared payload is >= 5x
-smaller. Runs standalone too::
+context payload — the scorer pickled whole against the skeleton
+``session()`` actually pickles once its arrays are published to shared
+memory — and writes the whole result as ``BENCH_engine_parallel.json``
+at the repo root, so the perf trajectory is tracked commit over commit.
+Target: the shared payload is >= 5x smaller. Runs standalone too::
 
     PYTHONPATH=src python benchmarks/bench_engine_parallel.py
 """
@@ -37,14 +35,14 @@ from repro.search.config import SearchConfig
 from repro.search.miner import SubgroupDiscovery
 from repro.utils.timer import Stopwatch
 
-#: (workers, shared_memory) runs; workers=1 is the serial reference.
-RUNS = ((1, False), (2, False), (4, False), (2, True), (4, True))
+#: Worker counts; workers=1 is the serial reference.
+RUNS = (1, 2, 4)
 
 JSON_PATH = Path(__file__).resolve().parent.parent / "BENCH_engine_parallel.json"
 
 
 def _payload_sizes(dataset) -> dict:
-    """Pickled context bytes per session: copying vs shared transport."""
+    """Pickled context bytes per session: whole scorer vs published skeleton."""
     model = BackgroundModel.from_targets(dataset.targets)
     scorer = LocationICScorer(model, dataset.targets)
     copied = len(pickle.dumps(scorer, protocol=pickle.HIGHEST_PROTOCOL))
@@ -65,7 +63,7 @@ def measure(seed: int = 0):
 
     payload = _payload_sizes(dataset)
     assert payload["shared_bytes"] * 5 <= payload["copied_bytes"], (
-        "shared-memory transport must shrink the per-session context "
+        "publishing to shared memory must shrink the per-session context "
         f"payload at least 5x, got {payload}"
     )
 
@@ -73,8 +71,8 @@ def measure(seed: int = 0):
     runs_document = []
     reference = None
     serial_elapsed = None
-    for workers, shared_memory in RUNS:
-        executor = resolve_executor(workers, shared_memory=shared_memory)
+    for workers in RUNS:
+        executor = resolve_executor(workers)
         miner = SubgroupDiscovery(dataset, config=config, seed=seed, executor=executor)
         watch = Stopwatch()
         with watch:
@@ -88,16 +86,14 @@ def measure(seed: int = 0):
             serial_elapsed = elapsed
         else:
             # Parallelism must not change what gets mined — bit for bit,
-            # regardless of worker count or transport.
+            # regardless of worker count.
             assert len(result.log) == len(reference.log)
             assert result.best.description == reference.best.description
             assert result.best.score.ic == reference.best.score.ic
-        label = f"{workers}{' +shm' if shared_memory else ''}"
-        rows.append((label, watch.elapsed, serial_elapsed / elapsed))
+        rows.append((str(workers), watch.elapsed, serial_elapsed / elapsed))
         runs_document.append(
             {
                 "workers": workers,
-                "shared_memory": shared_memory,
                 "seconds": round(watch.elapsed, 4),
                 "speedup_vs_serial": round(serial_elapsed / elapsed, 4),
                 # Throughput, the scheduler-facing number: how many beam

@@ -20,8 +20,8 @@ Quickstart — one declarative spec, one front door::
 The same spec (or its JSON file) drives inline runs (``ws.mine``),
 interactive sessions (``ws.session``), and the submit/poll service
 (``ws.submit``) with byte-identical results. The pre-spec entry points
-(``SubgroupDiscovery``, ``MiningSession``, ``MiningJob`` + ``run_job``)
-remain available as the execution substrate underneath.
+(``SubgroupDiscovery``, ``MiningSession``, ``run_job``) remain available
+as the execution substrate underneath.
 """
 
 from repro.version import __version__
@@ -104,7 +104,6 @@ from repro.engine import (
     JobResult,
     JobStatus,
     LRUCache,
-    MiningJob,
     MiningService,
     ProcessExecutor,
     SerialExecutor,
@@ -217,7 +216,6 @@ __all__ = [
     "LRUCache",
     "BeliefCache",
     "load_dataset_cached",
-    "MiningJob",
     "JobResult",
     "JobFailure",
     "run_job",

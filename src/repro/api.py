@@ -57,41 +57,40 @@ def _as_spec(spec: MiningSpec | dict) -> MiningSpec:
 def _spec_executor(spec: MiningSpec):
     """The executor the spec's executor section describes."""
     return resolve_executor(
-        spec.executor.workers,
-        start_method=spec.executor.start_method,
-        shared_memory=spec.executor.shared_memory,
+        spec.executor.workers, start_method=spec.executor.start_method
     )
 
 
-def _load_job_dataset(job):
-    """The (cached) dataset a job references."""
+def _load_spec_dataset(spec: MiningSpec):
+    """The (cached) dataset a spec references."""
     from repro.engine.cache import load_dataset_cached
 
-    return load_dataset_cached(job.dataset, seed=job.dataset_seed, **job.dataset_kwargs)
+    source = spec.dataset
+    return load_dataset_cached(source.name, seed=source.seed, **source.kwargs)
 
 
-def _require_beam(job) -> None:
+def _require_beam(spec: MiningSpec) -> None:
     """Iterative entry points only make sense for the beam strategy."""
-    if job.strategy != "beam":
+    if spec.search.strategy != "beam":
         raise SearchError(
             f"only the 'beam' strategy mines iteratively; "
-            f"{job.strategy!r} runs via Workspace.mine/submit"
+            f"{spec.search.strategy!r} runs via Workspace.mine/submit"
         )
 
 
-def _substrate_kwargs(spec: MiningSpec, job, observer, belief_cache) -> dict:
+def _substrate_kwargs(spec: MiningSpec, observer, belief_cache) -> dict:
     """The spec-derived kwargs shared by the miner and session substrates.
 
     One wiring path for :func:`build_miner` and
-    :meth:`Workspace.session`, so a new job field cannot reach one and
+    :meth:`Workspace.session`, so a new spec field cannot reach one and
     silently miss the other (which would break the byte-identical
     session-equals-mine contract).
     """
     return {
-        "config": job.config,
-        "dl_params": job.dl_params(),
-        "seed": job.seed,
-        "prior": job.build_prior(),
+        "config": spec.search_config(),
+        "dl_params": spec.dl_params(),
+        "seed": spec.search.seed,
+        "prior": spec.build_prior(),
         "executor": _spec_executor(spec),
         "observer": observer,
         "belief_cache": belief_cache,
@@ -114,12 +113,12 @@ def build_miner(
     process-wide cache).
     """
     spec = _as_spec(spec)
-    job = spec.to_job()
-    _require_beam(job)
+    _require_beam(spec)
+    targets = spec.dataset.targets
     return SubgroupDiscovery(
-        _load_job_dataset(job),
-        targets=list(job.targets) if job.targets is not None else None,
-        **_substrate_kwargs(spec, job, observer, resolve_belief_cache(belief_cache)),
+        _load_spec_dataset(spec),
+        targets=list(targets) if targets is not None else None,
+        **_substrate_kwargs(spec, observer, resolve_belief_cache(belief_cache)),
     )
 
 
@@ -213,7 +212,7 @@ class Workspace:
             if block is not None:
                 block.__enter__()
             result = run_job(
-                spec.to_job(),
+                spec,
                 executor=executor,
                 observer=composed,
                 belief_cache=self.belief_cache,
@@ -222,8 +221,8 @@ class Workspace:
             if block is not None:
                 block.__exit__()
                 self.last_profile = block.report
-            # A shared-memory executor holds a persistent worker pool;
-            # release it deterministically, not at garbage collection.
+            # A parallel executor holds a warm worker pool; release it
+            # deterministically, not at garbage collection.
             executor.close()
         if callable(profile):
             profile(self.last_profile.format())
@@ -253,9 +252,7 @@ class Workspace:
         if spec.search.strategy != "beam":
             executor = _spec_executor(spec)
             try:
-                result = run_job(
-                    spec.to_job(), executor=executor, observer=composed
-                )
+                result = run_job(spec, executor=executor, observer=composed)
             finally:
                 executor.close()
             yield from result.iterations
@@ -288,17 +285,16 @@ class Workspace:
         done: a parallel spec gives it a worker pool to release.
         """
         spec = _as_spec(spec)
-        job = spec.to_job()
-        _require_beam(job)
-        dataset = _load_job_dataset(job)
-        if job.targets is not None:
-            dataset = dataset.with_targets(list(job.targets))
+        _require_beam(spec)
+        dataset = _load_spec_dataset(spec)
+        if spec.dataset.targets is not None:
+            dataset = dataset.with_targets(list(spec.dataset.targets))
         return MiningSession(
             dataset,
             kind=spec.search.kind,
             sparsity=spec.search.sparsity,
             **_substrate_kwargs(
-                spec, job, broadcast(self.observer, observer), self.belief_cache
+                spec, broadcast(self.observer, observer), self.belief_cache
             ),
         )
 
@@ -345,10 +341,9 @@ class Workspace:
         """
         spec = _as_spec(spec)
         return self._ensure_service(spec.executor.backend).submit(
-            spec.to_job(),
+            spec,
             workers=spec.executor.workers,
             start_method=spec.executor.start_method,
-            shared_memory=spec.executor.shared_memory,
             observer=observer,
         )
 

@@ -143,14 +143,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="worker processes for the search itself (default 1 = serial)",
     )
     mine.add_argument(
-        "--shared-memory", action="store_const", const=True, default=None,
-        dest="shared_memory",
-        help="ship the parallel search context through "
-        "multiprocessing.shared_memory with a persistent warm worker pool "
-        "(needs --workers > 1; results are bit-identical either way — use "
-        "on large datasets where re-pickling the scorer dominates)",
-    )
-    mine.add_argument(
         "--start-method", choices=("fork", "spawn", "forkserver"),
         default=None, dest="start_method",
         help="multiprocessing start method of the search's worker pool "
@@ -357,7 +349,6 @@ def _flat_spec_kwargs(args: argparse.Namespace) -> dict:
         "gamma": args.gamma,
         "time_budget_seconds": args.time_budget,
         "workers": args.workers,
-        "shared_memory": args.shared_memory,
         "start_method": args.start_method,
         "priority": args.priority,
         "deadline": args.deadline,

@@ -36,7 +36,7 @@ from http.client import HTTPConnection
 from typing import Iterator
 from urllib.parse import urlsplit
 
-from repro.engine.jobs import JobResult, MiningJob
+from repro.engine.jobs import JobResult
 from repro.engine.service import JobStatus
 from repro.errors import (
     DataError,
@@ -48,7 +48,6 @@ from repro.errors import (
     SearchError,
 )
 from repro.events import MiningObserver
-from repro.persist import job_to_dict
 from repro.search.results import MiningIteration
 from repro.server import wire
 from repro.spec import MiningSpec
@@ -220,10 +219,9 @@ class RemoteWorkspace:
         server was started with a tenant registry (``auth=``); a
         missing or unknown token surfaces as a 401 :class:`RemoteError`.
 
-    Specs may be :class:`~repro.spec.MiningSpec` instances, their JSON
-    dict form, or raw :class:`~repro.engine.jobs.MiningJob` objects —
-    the same flexibility :class:`repro.api.Workspace` offers, validated
-    locally before anything is sent.
+    Specs may be :class:`~repro.spec.MiningSpec` instances or their JSON
+    dict form — the same flexibility :class:`repro.api.Workspace`
+    offers, validated locally before anything is sent.
 
     Responses negotiate the wire: result documents are fetched with
     ``Accept-Encoding: gzip`` (decompressed transparently) and
@@ -335,18 +333,15 @@ class RemoteWorkspace:
     @staticmethod
     def _submission_body(spec) -> dict:
         """Validate locally, then wrap in the canonical submit envelope."""
-        if isinstance(spec, MiningJob):
-            return {"job": job_to_dict(spec)}
         if isinstance(spec, dict):
             spec = MiningSpec.from_dict(spec)
         if not isinstance(spec, MiningSpec):
             raise EngineError(
-                f"expected MiningSpec, spec dict, or MiningJob, "
-                f"got {type(spec).__name__}"
+                f"expected MiningSpec or spec dict, got {type(spec).__name__}"
             )
         return {"spec": spec.to_dict()}
 
-    def submit(self, spec: MiningSpec | dict | MiningJob) -> str:
+    def submit(self, spec: MiningSpec | dict) -> str:
         """Queue a spec on the server; returns the remote job id."""
         _, document = self._request("POST", "/jobs", self._submission_body(spec))
         return document["job_id"]
@@ -441,7 +436,7 @@ class RemoteWorkspace:
     # ------------------------------------------------------------------ #
     # Workspace-shaped execution
     # ------------------------------------------------------------------ #
-    def mine(self, spec: MiningSpec | dict | MiningJob) -> JobResult:
+    def mine(self, spec: MiningSpec | dict) -> JobResult:
         """Submit and block: the remote twin of ``Workspace.mine``."""
         return self.result(self.submit(spec))
 
@@ -536,7 +531,7 @@ class RemoteWorkspace:
 
     def stream(
         self,
-        spec: MiningSpec | dict | MiningJob,
+        spec: MiningSpec | dict,
         *,
         observer: MiningObserver | None = None,
     ) -> Iterator[MiningIteration]:

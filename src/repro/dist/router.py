@@ -547,9 +547,9 @@ class MiningRouter:
             if "job" in data:
                 return job_from_dict(data["job"]).fingerprint()
             if "spec" in data:
-                return MiningSpec.from_dict(data["spec"]).to_job().fingerprint()
+                return MiningSpec.from_dict(data["spec"]).fingerprint()
             if "dataset" in data:
-                return MiningSpec.from_dict(data).to_job().fingerprint()
+                return MiningSpec.from_dict(data).fingerprint()
         except ReproError as exc:
             raise http.HttpError(400, str(exc)) from exc
         raise http.HttpError(

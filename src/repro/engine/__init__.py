@@ -1,15 +1,17 @@
 """Parallel mining engine: executors, caching, jobs, and the service.
 
-The engine separates *what to mine* (:class:`~repro.engine.jobs.MiningJob`
-specs) from *how it executes* (:class:`~repro.engine.executor.Executor`
+The engine separates *what to mine* (:class:`~repro.spec.MiningSpec`
+jobs) from *how it executes* (:class:`~repro.engine.executor.Executor`
 backends), and layers a submit/status/result/cancel service on top:
 
 - :mod:`repro.engine.executor` — ``SerialExecutor`` / ``ProcessExecutor``
-  backends injected into the beam and spread searches.
-- :mod:`repro.engine.shm` — zero-copy shared-memory transport for the
-  large arrays those backends ship (``ArrayStore`` + ``publish``).
+  (a warm process pool) backends injected into the beam and spread
+  searches.
+- :mod:`repro.engine.shm` — the zero-copy shared-memory transport that
+  ``ProcessExecutor`` ships session contexts through (``ArrayStore`` +
+  ``publish``).
 - :mod:`repro.engine.cache` — bounded LRU caches and spec fingerprints.
-- :mod:`repro.engine.jobs` — declarative job specs + the deterministic
+- :mod:`repro.engine.jobs` — running one spec, and the deterministic
   multi-job runner.
 - :mod:`repro.engine.service` — ``MiningService``, a bounded worker pool
   with result caching.
@@ -42,7 +44,6 @@ _EXPORTS = {
     "BeliefCache": "repro.engine.cache",
     "CachedStep": "repro.engine.cache",
     "BELIEF_CACHE": "repro.engine.cache",
-    "MiningJob": "repro.engine.jobs",
     "JobResult": "repro.engine.jobs",
     "JobFailure": "repro.engine.jobs",
     "run_job": "repro.engine.jobs",

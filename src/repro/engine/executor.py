@@ -7,11 +7,9 @@ Two backends implement that contract:
 
 - :class:`SerialExecutor` runs everything inline, in order — the
   reference semantics every other backend must reproduce bit-for-bit.
-- :class:`ProcessExecutor` runs a ``concurrent.futures`` process pool.
-  In the default (copying) transport the context — an IC scorer, a
-  spread objective — is shipped to each worker once per session via the
-  pool initializer. With ``shared_memory=True`` the executor keeps one
-  *persistent* warm pool across sessions and ships contexts through
+- :class:`ProcessExecutor` keeps one *persistent* warm
+  ``concurrent.futures`` process pool across sessions and ships each
+  session's context — an IC scorer, a spread objective — through
   :mod:`repro.engine.shm`: large arrays live in
   ``multiprocessing.shared_memory`` and workers reattach them zero-copy,
   so a repeated ``session()`` (one per beam level / mining iteration)
@@ -20,8 +18,8 @@ Two backends implement that contract:
 Determinism contract: ``session.map`` preserves item order, items are
 sharded by the *caller* independently of the worker count, and ``fn``
 must be a pure function of ``(context, item)``. Under those rules a
-parallel run returns exactly the serial result regardless of scheduling
-or transport.
+parallel run returns exactly the serial result regardless of
+scheduling.
 """
 
 from __future__ import annotations
@@ -34,7 +32,6 @@ import weakref
 from collections import OrderedDict
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from functools import partial
 from typing import Any, Callable, Iterable, Protocol, runtime_checkable
 
 from repro.engine import shm
@@ -44,13 +41,9 @@ from repro.errors import EngineError
 #: ``MiningService(backend=...)``).
 BACKENDS = ("process", "thread", "serial")
 
-#: Context installed in each pool worker by :func:`_init_worker`
-#: (copying transport only).
-_WORKER_CONTEXT: Any = None
-
-#: Per-worker cache of shared-memory session contexts, keyed by session
-#: id. A worker outliving many sessions (the whole point of the
-#: persistent pool) keeps only the sessions it is actively serving:
+#: Per-worker cache of session contexts, keyed by session id. A worker
+#: outliving many sessions (the whole point of the persistent pool)
+#: keeps only the sessions it is actively serving:
 #: stale entries are dropped the moment a new session's first task
 #: arrives, so dead sessions' zero-copy views never pin their (already
 #: unlinked) segments in memory.
@@ -60,17 +53,8 @@ _SESSION_CONTEXTS: "OrderedDict[str, Any]" = OrderedDict()
 _MISS = object()
 
 
-def _init_worker(payload: bytes) -> None:
-    global _WORKER_CONTEXT
-    _WORKER_CONTEXT = pickle.loads(payload)
-
-
-def _call_in_context(fn: Callable[[Any, Any], Any], item: Any) -> Any:
-    return fn(_WORKER_CONTEXT, item)
-
-
-def _shared_call(payload: tuple) -> Any:
-    """Worker entry point of the shared-memory transport.
+def _session_call(payload: tuple) -> Any:
+    """Worker entry point of a :class:`ProcessExecutor` session.
 
     The per-task payload is tiny: a session id, a
     :class:`~repro.engine.shm.SharedBytesRef` to the pickled (stripped)
@@ -168,45 +152,7 @@ class SerialExecutor:
 
 
 class _ProcessSession:
-    """Copying-transport session: owns a fresh pool initialized with the
-    pickled context, and shuts it down deterministically.
-
-    The pool is released on ``__exit__``, on an explicit :meth:`close`,
-    when any ``map`` raises (a failed fan-out must not leave worker
-    processes running), and — as a last resort — by a GC finalizer, so a
-    session that was never used as a context manager cannot leak its
-    pool.
-    """
-
-    def __init__(self, pool: ProcessPoolExecutor) -> None:
-        self._pool = pool
-        self._finalizer = weakref.finalize(self, _shutdown_pool, pool)
-
-    def map(self, fn, items) -> list:
-        if not self._finalizer.alive:
-            raise EngineError("executor session is closed")
-        try:
-            return list(self._pool.map(partial(_call_in_context, fn), list(items)))
-        except BaseException:
-            # A raising worker must not leave the pool running behind a
-            # caller that (reasonably) stops using the session.
-            self.close()
-            raise
-
-    def close(self) -> None:
-        """Shut the session's pool down; idempotent."""
-        if self._finalizer.detach() is not None:
-            self._pool.shutdown(wait=True, cancel_futures=True)
-
-    def __enter__(self) -> "_ProcessSession":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-
-class _SharedMemorySession:
-    """Shared-memory-transport session over a persistent warm pool.
+    """One fan-out scope over the executor's persistent warm pool.
 
     The context is published once into shared memory
     (:func:`repro.engine.shm.publish`): its large arrays become segments
@@ -230,7 +176,7 @@ class _SharedMemorySession:
         stripped = shm.publish(context, self._store)
         payload = pickle.dumps(stripped, protocol=pickle.HIGHEST_PROTOCOL)
         #: Bytes actually pickled per session after array extraction —
-        #: the number the shared-memory transport exists to shrink.
+        #: the number publishing through shared memory exists to shrink.
         self.context_payload_bytes = len(payload)
         self._context_ref = self._store.share_bytes(payload)
 
@@ -241,7 +187,7 @@ class _SharedMemorySession:
             (self._session_id, self._context_ref, fn, item) for item in items
         ]
         try:
-            return list(self._pool.map(_shared_call, payloads))
+            return list(self._pool.map(_session_call, payloads))
         except BrokenProcessPool:
             # A dead worker poisons the whole pool; drop it so the next
             # session gets a fresh one, and release our segments now.
@@ -257,7 +203,7 @@ class _SharedMemorySession:
         if self._finalizer.detach() is not None:
             self._store.close()
 
-    def __enter__(self) -> "_SharedMemorySession":
+    def __enter__(self) -> "_ProcessSession":
         return self
 
     def __exit__(self, *exc_info) -> None:
@@ -265,7 +211,14 @@ class _SharedMemorySession:
 
 
 class ProcessExecutor:
-    """Fan-out over a ``concurrent.futures`` process pool.
+    """Fan-out over a persistent warm ``concurrent.futures`` process pool.
+
+    Each :meth:`session` publishes its context through
+    :mod:`repro.engine.shm` — large arrays into
+    ``multiprocessing.shared_memory`` segments, the rest as a small
+    pickle — and repeated sessions reuse the same worker processes,
+    shipping only lightweight handles. Closing a session unlinks its
+    segments; the pool stays warm until :meth:`close`.
 
     Parameters
     ----------
@@ -274,14 +227,6 @@ class ProcessExecutor:
     start_method:
         ``multiprocessing`` start method (``fork``/``spawn``/
         ``forkserver``); ``None`` uses the platform default.
-    shared_memory:
-        ``True`` switches the context transport to
-        :mod:`repro.engine.shm` and keeps one persistent warm pool
-        across sessions: repeated ``session()`` calls reuse the same
-        worker processes and ship only lightweight handles, instead of
-        respawning a pool and re-pickling the whole context each time.
-        Results are bit-identical either way (the determinism contract);
-        the toggle only changes how fast the bytes move.
 
     Functions passed to :meth:`map`/``session().map`` must be importable
     module-level callables and all payloads must pickle — the standard
@@ -290,18 +235,13 @@ class ProcessExecutor:
     """
 
     def __init__(
-        self,
-        max_workers: int | None = None,
-        *,
-        start_method: str | None = None,
-        shared_memory: bool = False,
+        self, max_workers: int | None = None, *, start_method: str | None = None
     ) -> None:
         if max_workers is None:
             max_workers = os.cpu_count() or 1
         if max_workers < 1:
             raise EngineError(f"max_workers must be >= 1, got {max_workers}")
         self.parallelism = max_workers
-        self.shared_memory = bool(shared_memory)
         self._mp_context = (
             multiprocessing.get_context(start_method) if start_method else None
         )
@@ -311,15 +251,6 @@ class ProcessExecutor:
     # ------------------------------------------------------------------ #
     # Pool plumbing
     # ------------------------------------------------------------------ #
-    def _fresh_pool(self, context: Any) -> ProcessPoolExecutor:
-        """A per-session pool with the context shipped via initializer."""
-        return ProcessPoolExecutor(
-            max_workers=self.parallelism,
-            mp_context=self._mp_context,
-            initializer=_init_worker,
-            initargs=(pickle.dumps(context),),
-        )
-
     def _ensure_pool(self) -> ProcessPoolExecutor:
         """The persistent pool, (re)created on first use or after a break."""
         if self._persistent is None:
@@ -342,31 +273,23 @@ class ProcessExecutor:
     # ------------------------------------------------------------------ #
     # Executor interface
     # ------------------------------------------------------------------ #
-    def session(self, context: Any = None):
+    def session(self, context: Any = None) -> _ProcessSession:
         """Open a fan-out scope whose workers all hold ``context``.
 
-        Copying transport: a fresh pool per session, closed with the
-        session. Shared-memory transport: the persistent warm pool, with
-        the context published through :mod:`repro.engine.shm`; closing
-        the session unlinks its segments and keeps the pool.
+        The context is published through :mod:`repro.engine.shm` onto
+        the warm pool; closing the session unlinks its segments and
+        keeps the pool.
         """
-        if self.shared_memory:
-            return _SharedMemorySession(self, context)
-        return _ProcessSession(self._fresh_pool(context))
+        return _ProcessSession(self, context)
 
     def map(self, fn, items) -> list:
-        """Ordered context-free map (reuses the warm pool when shared)."""
-        if self.shared_memory:
-            pool = self._ensure_pool()
-            try:
-                return list(pool.map(fn, list(items)))
-            except BrokenProcessPool:
-                self._discard_pool(pool)
-                raise
-        with ProcessPoolExecutor(
-            max_workers=self.parallelism, mp_context=self._mp_context
-        ) as pool:
+        """Ordered context-free map over the warm pool."""
+        pool = self._ensure_pool()
+        try:
             return list(pool.map(fn, list(items)))
+        except BrokenProcessPool:
+            self._discard_pool(pool)
+            raise
 
     # ------------------------------------------------------------------ #
     # Lifecycle
@@ -387,10 +310,7 @@ class ProcessExecutor:
         self.close()
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"ProcessExecutor(max_workers={self.parallelism}, "
-            f"shared_memory={self.shared_memory})"
-        )
+        return f"ProcessExecutor(max_workers={self.parallelism})"
 
 
 def normalize_workers(workers: int | None) -> int:
@@ -414,22 +334,17 @@ def resolve_executor(
     workers: int | None,
     *,
     start_method: str | None = None,
-    shared_memory: bool = False,
     dist_workers: Iterable[str] | None = None,
 ) -> Executor:
     """Map a ``--workers`` count to a backend.
 
     ``None``, ``0`` and ``1`` mean serial; anything larger gets a
-    process pool of that size (with the shared-memory transport when
-    asked); negative counts raise. ``shared_memory`` is meaningless for
-    serial execution and is silently ignored there — there is no second
-    process to share with.
+    :class:`ProcessExecutor` of that size; negative counts raise.
 
     ``dist_workers`` — worker-daemon URLs (``sisd worker``) — overrides
     the local backends entirely with a
     :class:`repro.dist.DistExecutor` sharding across those nodes
-    (``workers``/``shared_memory`` are then ignored: parallelism is the
-    node count). The determinism contract still holds: the distributed
+    (``workers`` is then ignored: parallelism is the node count). The determinism contract still holds: the distributed
     executor merges shard replies in canonical order, so its results
     are bit-identical to serial.
     """
@@ -442,9 +357,7 @@ def resolve_executor(
     count = normalize_workers(workers)
     if count <= 1:
         return SerialExecutor()
-    return ProcessExecutor(
-        count, start_method=start_method, shared_memory=shared_memory
-    )
+    return ProcessExecutor(count, start_method=start_method)
 
 
 def resolve_pool(

@@ -1,10 +1,11 @@
-"""Declarative mining jobs and the deterministic multi-job runner.
+"""Running mining specs: one job, or a deterministic batch of them.
 
-A :class:`MiningJob` is the *what* of a mining run — dataset reference,
-target selection, prior, search configuration, iteration count — with no
-execution state, so it round-trips through JSON (``repro.persist``) and
-fingerprints stably for caching. :func:`run_jobs` is the *how*: it fans
-a batch of jobs out over an :class:`~repro.engine.executor.Executor` and
+A :class:`~repro.spec.MiningSpec` is the *what* of a mining run —
+dataset reference, target selection, prior, search configuration,
+iteration count — with no execution state, so it round-trips through
+JSON (``repro.persist``) and fingerprints stably for caching.
+:func:`run_job` is the *how* of one spec; :func:`run_jobs` fans a batch
+of specs out over an :class:`~repro.engine.executor.Executor` and
 returns results in submission order, which makes parameter sweeps and
 per-target fan-outs (many datasets × many configs) one call.
 """
@@ -15,318 +16,35 @@ import contextlib
 import os
 import tempfile
 import uuid
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from repro.engine.cache import (
-    BeliefCache,
-    LRUCache,
-    fingerprint,
-    load_dataset_cached,
-)
+from repro.engine.cache import BeliefCache, LRUCache, load_dataset_cached
 from repro.engine.executor import Executor, SerialExecutor, resolve_executor
 from repro.errors import EngineError, JobPreempted
 from repro.events import MiningObserver
-from repro.interest.dl import DLParams
-from repro.model.priors import Prior
 from repro.obs import clock
 from repro.obs.trace import TraceContext, activate
-from repro.search.config import SearchConfig
 from repro.search.miner import SubgroupDiscovery
 from repro.search.results import LocationPatternResult, MiningIteration
-
-#: Pattern kinds a job may request, mirroring ``SubgroupDiscovery.step``.
-JOB_KINDS = ("location", "spread")
-
-#: Search strategies the job runner can execute. ``"beam"`` is the
-#: paper's iterative subjective mining loop; ``"branch_bound"`` and
-#: ``"quality_beam"`` are single-shot searches (one location pattern,
-#: no belief-state iteration).
-JOB_STRATEGIES = ("beam", "branch_bound", "quality_beam")
-
-#: Sentinel distinguishing "deadline not passed" from an explicit None.
-_UNSET_DEADLINE = object()
-
-
-@dataclass(frozen=True, eq=True)
-class MiningJob:
-    """One self-contained mining run, specified declaratively.
-
-    .. note::
-        As a *public entry point* prefer :class:`repro.spec.MiningSpec`
-        with :class:`repro.api.Workspace` — a spec converts losslessly
-        to a job (:meth:`repro.spec.MiningSpec.to_job`) and back
-        (:meth:`repro.spec.MiningSpec.from_job`). ``MiningJob`` remains
-        the engine's execution unit.
-
-    Attributes
-    ----------
-    dataset:
-        Registry name understood by :func:`repro.datasets.load_dataset`.
-    name:
-        Human label for reports; defaults to ``dataset/kind`` plus a
-        fingerprint prefix. Two jobs differing only in ``name`` are the
-        same work (same :meth:`fingerprint`).
-    dataset_seed / dataset_kwargs:
-        Forwarded to the dataset generator.
-    targets:
-        Optional subset of target attributes to model.
-    weights:
-        Optional per-row case weights (one positive finite number per
-        dataset row; frequency semantics — weight 2 ≡ the row twice).
-        Applied to the loaded dataset before mining; fingerprint-relevant
-        but omitted from :meth:`spec` when ``None`` so pre-weights
-        fingerprints stay stable. The beam strategy only; the single-shot
-        strategies reject weights.
-    prior:
-        Optional explicit background prior as ``{"mean": [...],
-        "cov": [[...]]}``; ``None`` uses the empirical prior.
-    kind / sparsity / n_iterations / seed:
-        Mining-loop parameters, as in :class:`SubgroupDiscovery`.
-    config:
-        Beam-search settings.
-    gamma / eta:
-        Description-length weights.
-    strategy:
-        ``"beam"`` (default, the paper's iterative loop),
-        ``"branch_bound"`` (provably optimal single location pattern of
-        one target, empirical prior), or ``"quality_beam"`` (classical
-        objective measure driving the same beam). The single-shot
-        strategies require ``kind="location"`` and ``n_iterations=1``.
-    measure:
-        Interestingness measure; ``"si"`` for the subjective strategies,
-        a :data:`repro.registry.MEASURES` key (e.g. ``"mean_shift"``)
-        for ``"quality_beam"``.
-    priority:
-        Scheduling weight on a :class:`~repro.engine.service.MiningService`
-        queue — higher runs first (default 0; ties broken by earliest
-        deadline, then arrival order). Like ``name``, priority changes
-        *when* the work runs, never *what* it computes, so it is
-        excluded from :meth:`spec` and :meth:`fingerprint`.
-    deadline:
-        Optional queue-time budget in seconds. A job that has not been
-        dispatched within ``deadline`` seconds of submission expires
-        (terminal ``EXPIRED`` state; ``result()`` raises
-        :class:`~repro.errors.DeadlineExpired`) instead of running work
-        whose answer can no longer be useful. ``None`` (default) never
-        expires. Excluded from the fingerprint, like ``priority``.
-    """
-
-    dataset: str
-    name: str = ""
-    dataset_seed: int = 0
-    dataset_kwargs: dict = field(default_factory=dict)
-    targets: tuple[str, ...] | None = None
-    weights: tuple[float, ...] | None = None
-    prior: dict | None = None
-    kind: str = "location"
-    sparsity: int | None = None
-    n_iterations: int = 1
-    seed: int = 0
-    config: SearchConfig = SearchConfig()
-    gamma: float = 0.1
-    eta: float = 1.0
-    strategy: str = "beam"
-    measure: str = "si"
-    priority: int = 0
-    deadline: float | None = None
-
-    def __post_init__(self) -> None:
-        if not self.dataset:
-            raise EngineError("job needs a dataset name")
-        if not isinstance(self.priority, int) or isinstance(self.priority, bool):
-            raise EngineError(f"priority must be an int, got {self.priority!r}")
-        if self.deadline is not None:
-            try:
-                deadline = float(self.deadline)
-            except (TypeError, ValueError):
-                raise EngineError(
-                    f"deadline must be a number of seconds or None, "
-                    f"got {self.deadline!r}"
-                ) from None
-            if not (deadline >= 0):  # also rejects NaN
-                raise EngineError(
-                    f"deadline must be >= 0 seconds or None, got {self.deadline!r}"
-                )
-            object.__setattr__(self, "deadline", deadline)
-        if self.kind not in JOB_KINDS:
-            raise EngineError(
-                f"kind must be one of {JOB_KINDS}, got {self.kind!r}"
-            )
-        if self.n_iterations < 1:
-            raise EngineError(
-                f"n_iterations must be >= 1, got {self.n_iterations}"
-            )
-        if self.targets is not None:
-            object.__setattr__(self, "targets", tuple(self.targets))
-        if self.weights is not None:
-            try:
-                weights = tuple(float(w) for w in self.weights)
-            except (TypeError, ValueError):
-                raise EngineError(
-                    f"weights must be a sequence of numbers, got {self.weights!r}"
-                ) from None
-            if not weights:
-                raise EngineError("weights must be non-empty or None")
-            if any(not np.isfinite(w) or w <= 0.0 for w in weights):
-                raise EngineError("weights must be positive finite numbers")
-            object.__setattr__(self, "weights", weights)
-        if self.prior is not None and not (
-            isinstance(self.prior, dict) and {"mean", "cov"} <= set(self.prior)
-        ):
-            raise EngineError("prior must be a dict with 'mean' and 'cov'")
-        self._validate_strategy()
-        if not self.name:
-            object.__setattr__(
-                self,
-                "name",
-                f"{self.dataset}/{self.kind}#{self.fingerprint()[:8]}",
-            )
-
-    def _validate_strategy(self) -> None:
-        """Cross-field rules tying strategy, measure, and loop shape."""
-        if self.strategy not in JOB_STRATEGIES:
-            raise EngineError(
-                f"strategy must be one of {JOB_STRATEGIES}, got {self.strategy!r}"
-            )
-        if self.strategy in ("beam", "branch_bound") and self.measure != "si":
-            raise EngineError(
-                f"strategy {self.strategy!r} scores with the subjective 'si' "
-                f"measure; use strategy='quality_beam' for {self.measure!r}"
-            )
-        if self.strategy == "beam":
-            return
-        if self.strategy == "quality_beam":
-            if self.measure == "si":
-                raise EngineError(
-                    "quality_beam needs a classical measure (e.g. 'mean_shift'); "
-                    "use strategy='beam' for 'si'"
-                )
-            # Validate the measure eagerly (matching the spec layer) so a
-            # typo'd batch entry fails at load time, not mid-fan-out.
-            from repro.registry import MEASURES
-
-            MEASURES.get(self.measure)
-        if self.kind != "location":
-            raise EngineError(
-                f"strategy {self.strategy!r} mines location patterns only"
-            )
-        if self.n_iterations != 1:
-            raise EngineError(
-                f"strategy {self.strategy!r} is single-shot (no belief-state "
-                f"iteration); n_iterations must be 1, got {self.n_iterations}"
-            )
-        if self.weights is not None:
-            # The single-shot searches score with unweighted statistics;
-            # silently dropping the weights would mislabel the results.
-            raise EngineError(
-                f"strategy {self.strategy!r} does not support case weights"
-            )
-        if self.prior is not None:
-            # branch_bound builds its own fresh model and quality_beam
-            # scores its result SI against the empirical model — neither
-            # can honor a stated prior, so reject instead of ignoring it.
-            raise EngineError(
-                f"strategy {self.strategy!r} always uses the empirical prior"
-            )
-
-    # ------------------------------------------------------------------ #
-    # Identity
-    # ------------------------------------------------------------------ #
-    def __hash__(self) -> int:
-        # The generated dataclass hash would choke on the dict fields;
-        # hashing the spec digest keeps frozen jobs usable in sets and
-        # stays consistent with __eq__ (equal jobs share a fingerprint).
-        return hash(self.fingerprint())
-
-    def spec(self) -> dict:
-        """The name-free canonical spec (what the job computes).
-
-        ``weights`` appears only when set: pre-weights specs — and every
-        fingerprint, cache key, and golden derived from them — stay
-        byte-identical.
-        """
-        document = {
-            "dataset": self.dataset,
-            "dataset_seed": self.dataset_seed,
-            "dataset_kwargs": self.dataset_kwargs,
-            "targets": list(self.targets) if self.targets is not None else None,
-            "prior": self.prior,
-            "kind": self.kind,
-            "sparsity": self.sparsity,
-            "n_iterations": self.n_iterations,
-            "seed": self.seed,
-            "config": self.config.to_dict(),
-            "gamma": self.gamma,
-            "eta": self.eta,
-            "strategy": self.strategy,
-            "measure": self.measure,
-        }
-        if self.weights is not None:
-            document["weights"] = list(self.weights)
-        return document
-
-    def fingerprint(self) -> str:
-        """Stable digest of the spec; equal work ⇒ equal fingerprint.
-
-        Memoized on the (frozen) instance: hot paths — service
-        submission, cache keys, the server's job-listing endpoint —
-        call this repeatedly, and the canonical-JSON walk is not free.
-        """
-        cached = self.__dict__.get("_fingerprint")
-        if cached is None:
-            cached = fingerprint(self.spec())
-            object.__setattr__(self, "_fingerprint", cached)
-        return cached
-
-    def with_name(self, name: str) -> "MiningJob":
-        """The same work under a different label."""
-        return replace(self, name=name)
-
-    def with_schedule(
-        self, *, priority: int | None = None, deadline: float | None = _UNSET_DEADLINE
-    ) -> "MiningJob":
-        """The same work under different scheduling terms.
-
-        Omitted arguments keep the current values; pass ``deadline=None``
-        explicitly to remove an existing deadline.
-        """
-        changes: dict = {}
-        if priority is not None:
-            changes["priority"] = priority
-        if deadline is not _UNSET_DEADLINE:
-            changes["deadline"] = deadline
-        return replace(self, **changes) if changes else self
-
-    def dl_params(self) -> DLParams:
-        """The job's description-length weights as a DLParams."""
-        return DLParams(gamma=self.gamma, eta=self.eta)
-
-    def build_prior(self) -> Prior | None:
-        """Materialize the explicit prior, or None for empirical."""
-        if self.prior is None:
-            return None
-        return Prior(
-            np.asarray(self.prior["mean"], dtype=float),
-            np.asarray(self.prior["cov"], dtype=float),
-        )
+from repro.spec import MiningSpec
 
 
 @dataclass(frozen=True)
 class JobResult:
     """What one job mined, plus how long it took."""
 
-    job: MiningJob
+    job: MiningSpec
     iterations: tuple[MiningIteration, ...]
     elapsed_seconds: float
 
     def format(self) -> str:
         """Human-readable per-job report, one pattern per line."""
         lines = [
-            f"[{self.job.name}] {self.job.dataset} ×{self.job.n_iterations} "
-            f"({self.elapsed_seconds:.2f}s)"
+            f"[{self.job.label}] {self.job.dataset.name} "
+            f"×{self.job.search.n_iterations} ({self.elapsed_seconds:.2f}s)"
         ]
         for iteration in self.iterations:
             lines.append(f"  {iteration.index}. {iteration.location}")
@@ -339,15 +57,15 @@ class JobResult:
 class JobFailure:
     """A job that raised instead of mining (``run_jobs`` isolation)."""
 
-    job: MiningJob
+    job: MiningSpec
     error: str
 
     def format(self) -> str:
         """Human-readable one-line failure report."""
-        return f"[{self.job.name}] FAILED: {self.error}"
+        return f"[{self.job.label}] FAILED: {self.error}"
 
 
-def _single_shot_iteration(job: MiningJob, dataset) -> MiningIteration:
+def _single_shot_iteration(job: MiningSpec, dataset) -> MiningIteration:
     """Run a non-iterative strategy; one location pattern, index 1.
 
     ``branch_bound`` returns the provably optimal location pattern of a
@@ -359,22 +77,22 @@ def _single_shot_iteration(job: MiningJob, dataset) -> MiningIteration:
     """
     from repro.registry import MEASURES
 
-    narrowed = (
-        dataset.with_targets(list(job.targets)) if job.targets is not None else dataset
-    )
-    if job.strategy == "branch_bound":
+    targets = job.dataset.targets
+    config = job.search_config()
+    narrowed = dataset.with_targets(list(targets)) if targets is not None else dataset
+    if job.search.strategy == "branch_bound":
         from repro.search.branch_bound import find_optimal_location
 
         if narrowed.n_targets != 1:
             raise EngineError(
                 f"branch_bound needs exactly one target attribute; "
-                f"{job.dataset!r} has {narrowed.n_targets} "
+                f"{job.dataset.name!r} has {narrowed.n_targets} "
                 f"({', '.join(narrowed.target_names)}) — select one via "
                 f"targets=('name',) (the spec's dataset section, or "
                 f"--targets on the CLI)"
             )
         result = find_optimal_location(
-            narrowed, config=job.config, dl_params=job.dl_params()
+            narrowed, config=config, dl_params=job.dl_params()
         )
         best = result.best
         if best is None:
@@ -392,17 +110,18 @@ def _single_shot_iteration(job: MiningJob, dataset) -> MiningIteration:
 
         operator = RefinementOperator(
             narrowed,
-            n_split_points=job.config.n_split_points,
-            strategy=job.config.split_strategy,
-            attributes=job.config.attributes,
+            n_split_points=config.n_split_points,
+            strategy=config.split_strategy,
+            attributes=config.attributes,
         )
-        quality = MEASURES.get(job.measure)(narrowed.targets)
-        search = QualityBeamSearch(operator, quality, config=job.config)
+        measure = job.interest.measure
+        quality = MEASURES.get(measure)(narrowed.targets)
+        search = QualityBeamSearch(operator, quality, config=config)
         outcome = search.run()
         best = outcome.best
         if best is None:
             raise EngineError(
-                f"quality beam ({job.measure}) found no admissible subgroup"
+                f"quality beam ({measure}) found no admissible subgroup"
             )
         mask = np.zeros(narrowed.n_rows, dtype=bool)
         mask[best.indices] = True
@@ -425,7 +144,7 @@ def _single_shot_iteration(job: MiningJob, dataset) -> MiningIteration:
 
 
 def run_job(
-    job: MiningJob,
+    job: MiningSpec,
     *,
     executor: Executor | None = None,
     dataset_cache: LRUCache | None = None,
@@ -451,37 +170,35 @@ def run_job(
     so a re-run replays them for free — preempting a job only ever
     costs the iteration in flight.
     """
+    source, search = job.dataset, job.search
     dataset = load_dataset_cached(
-        job.dataset,
-        seed=job.dataset_seed,
-        cache=dataset_cache,
-        **job.dataset_kwargs,
+        source.name, seed=source.seed, cache=dataset_cache, **source.kwargs
     )
-    if job.weights is not None:
-        if len(job.weights) != dataset.n_rows:
+    if source.weights is not None:
+        if len(source.weights) != dataset.n_rows:
             raise EngineError(
-                f"job carries {len(job.weights)} weights but dataset "
-                f"{job.dataset!r} has {dataset.n_rows} rows"
+                f"job carries {len(source.weights)} weights but dataset "
+                f"{source.name!r} has {dataset.n_rows} rows"
             )
         # A fresh derived dataset: the cached (shared) instance is never
         # mutated, so unweighted jobs keep hitting the same object.
-        dataset = dataset.with_weights(np.asarray(job.weights, dtype=float))
+        dataset = dataset.with_weights(np.asarray(source.weights, dtype=float))
     started = clock.perf_counter()
-    if job.strategy == "beam":
+    if search.strategy == "beam":
         miner = SubgroupDiscovery(
             dataset,
-            targets=list(job.targets) if job.targets is not None else None,
+            targets=list(source.targets) if source.targets is not None else None,
             prior=job.build_prior(),
-            config=job.config,
+            config=job.search_config(),
             dl_params=job.dl_params(),
-            seed=job.seed,
+            seed=search.seed,
             executor=executor or SerialExecutor(),
             observer=observer,
             belief_cache=belief_cache,
         )
         if should_yield is None:
             iterations = miner.run(
-                job.n_iterations, kind=job.kind, sparsity=job.sparsity
+                search.n_iterations, kind=search.kind, sparsity=search.sparsity
             )
         else:
             # Drive the loop step-by-step so the scheduler can reclaim
@@ -489,13 +206,15 @@ def run_job(
             # always runs: a job that yields before doing any work could
             # starve forever under a persistently contended pool.
             iterations = []
-            for n in range(job.n_iterations):
+            for n in range(search.n_iterations):
                 if n > 0 and should_yield():
                     raise JobPreempted(
-                        f"job {job.name!r} preempted after "
-                        f"{n}/{job.n_iterations} iterations"
+                        f"job {job.label!r} preempted after "
+                        f"{n}/{search.n_iterations} iterations"
                     )
-                iterations.append(miner.step(kind=job.kind, sparsity=job.sparsity))
+                iterations.append(
+                    miner.step(kind=search.kind, sparsity=search.sparsity)
+                )
     else:
         iterations = [_single_shot_iteration(job, dataset)]
         if observer is not None:
@@ -507,7 +226,7 @@ def run_job(
     )
 
 
-def _run_job_task(job: MiningJob) -> JobResult:
+def _run_job_task(job: MiningSpec) -> JobResult:
     """Module-level job entry point so process pools can import it."""
     return run_job(job)
 
@@ -550,10 +269,9 @@ class FileYieldFlag:
 
 
 def run_job_with_workers(
-    job: MiningJob,
+    job: MiningSpec,
     workers: int | None,
     start_method: str | None = None,
-    shared_memory: bool = False,
     belief_cache: BeliefCache | None = None,
     observer: MiningObserver | None = None,
     yield_event=None,
@@ -564,11 +282,10 @@ def run_job_with_workers(
     """:func:`run_job` with the executor resolved from a worker count.
 
     Module-level and picklable, so a service pool can honor a spec's
-    ``executor.workers`` (plus ``start_method`` and ``shared_memory``)
-    inside its worker processes (nested pools are legal; the determinism
-    contract keeps the results identical at any count over any
-    transport). The executor is closed afterwards so a shared-memory
-    run's persistent pool never outlives its job. ``belief_cache`` and
+    ``executor.workers`` (plus ``start_method``) inside its worker
+    processes (nested pools are legal; the determinism contract keeps
+    the results identical at any count). The executor is closed
+    afterwards so a parallel run's warm pool never outlives its job. ``belief_cache`` and
     ``observer`` are in-process state: the service's thread/serial
     backends thread theirs through here (observer callbacks then fire
     from the worker thread), while its process backend leaves them
@@ -592,10 +309,7 @@ def run_job_with_workers(
         belief_cache = belief_handle.resolve()
     ctx = trace if isinstance(trace, TraceContext) else TraceContext.from_wire(trace)
     executor = resolve_executor(
-        workers,
-        start_method=start_method,
-        shared_memory=shared_memory,
-        dist_workers=dist_workers,
+        workers, start_method=start_method, dist_workers=dist_workers
     )
     scope = activate(ctx) if ctx is not None else contextlib.nullcontext()
     try:
@@ -611,7 +325,7 @@ def run_job_with_workers(
         executor.close()
 
 
-def _run_job_isolated(job: MiningJob) -> JobResult | JobFailure:
+def _run_job_isolated(job: MiningSpec) -> JobResult | JobFailure:
     """Like :func:`_run_job_task`, but a raising job becomes a record."""
     try:
         return run_job(job)
@@ -620,7 +334,7 @@ def _run_job_isolated(job: MiningJob) -> JobResult | JobFailure:
 
 
 def run_jobs(
-    jobs: Iterable[MiningJob],
+    jobs: Iterable[MiningSpec],
     *,
     workers: int | None = None,
     executor: Executor | None = None,
@@ -637,16 +351,22 @@ def run_jobs(
     yields a :class:`JobFailure` in its slot instead, so one bad spec
     cannot discard forty good results.
     """
-    batch: Sequence[MiningJob] = list(jobs)
+    batch: Sequence[MiningSpec] = list(jobs)
     for job in batch:
-        if not isinstance(job, MiningJob):
-            raise EngineError(f"expected MiningJob, got {type(job).__name__}")
+        if not isinstance(job, MiningSpec):
+            raise EngineError(f"expected MiningSpec, got {type(job).__name__}")
     if not batch:
         return []
     task = _run_job_isolated if return_failures else _run_job_task
-    if executor is None:
+    owned = executor is None
+    if owned:
         executor = resolve_executor(workers)
-    if executor.parallelism <= 1:
-        # Serial path shares one dataset cache across the whole batch.
-        return [task(job) for job in batch]
-    return executor.map(task, batch)
+    try:
+        if executor.parallelism <= 1:
+            # Serial path shares one dataset cache across the whole batch.
+            return [task(job) for job in batch]
+        return executor.map(task, batch)
+    finally:
+        if owned:
+            # A warm pool would otherwise live until garbage collection.
+            executor.close()

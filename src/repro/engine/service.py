@@ -1,16 +1,16 @@
 """Mining-as-a-service: a scheduled worker pool with result caching.
 
 :class:`MiningService` turns the batch runner into a long-lived server
-object: clients submit :class:`~repro.engine.jobs.MiningJob` specs and
+object: clients submit :class:`~repro.spec.MiningSpec` jobs and
 poll (or block on) results while a bounded pool of workers drains the
 queue. Unlike a plain ``concurrent.futures`` pool, the service owns its
 queue and schedules it deterministically:
 
 - **Priority, deadline, arrival.** Queued jobs dispatch by descending
-  :attr:`~repro.engine.jobs.MiningJob.priority`, then earliest
-  deadline, then submission order — never by pool-internal FIFO luck.
+  :attr:`~repro.spec.ExecutorSpec.priority`, then earliest deadline,
+  then submission order — never by pool-internal FIFO luck.
 - **Deadlines are terminal.** A job whose
-  :attr:`~repro.engine.jobs.MiningJob.deadline` elapses before a worker
+  :attr:`~repro.spec.ExecutorSpec.deadline` elapses before a worker
   picks it up moves to the ``EXPIRED`` state and its ``result()``
   raises :class:`~repro.errors.DeadlineExpired` — the service never
   starts work whose answer can no longer be useful.
@@ -52,7 +52,6 @@ __all__ = ["BACKENDS", "JobStatus", "MiningService"]
 from repro.engine.jobs import (
     FileYieldFlag,
     JobResult,
-    MiningJob,
     run_job,
     run_job_with_workers,
 )
@@ -77,6 +76,7 @@ from repro.obs.instruments import (
     STORE_RECORDS,
 )
 from repro.obs.trace import TRACER, activate
+from repro.spec import MiningSpec
 
 #: Tenant label for untenanted submissions (Prometheus labels cannot be
 #: empty without ambiguity; "-" is unambiguous and greppable).
@@ -220,7 +220,7 @@ class _Record:
     def __init__(
         self,
         job_id: str,
-        job: MiningJob,
+        job: MiningSpec,
         fp: str,
         seq: int,
         opts: tuple,
@@ -232,12 +232,11 @@ class _Record:
         self.job = job
         self.fp = fp
         self.seq = seq
-        self.priority = job.priority
+        self.priority = job.executor.priority
         self.boost = 0
         self.enqueued_at = clock.monotonic()
-        self.deadline_at = (
-            None if job.deadline is None else clock.monotonic() + job.deadline
-        )
+        deadline = job.executor.deadline
+        self.deadline_at = None if deadline is None else clock.monotonic() + deadline
         # Scheduling urgency: the record's own deadline, tightened by the
         # earliest deadline of any coalesced duplicate. Ordering only —
         # expiry always uses the record's own deadline_at (a duplicate's
@@ -303,8 +302,8 @@ class MiningService:
     max_workers:
         Upper bound on concurrently running jobs (default 2). Jobs
         beyond it queue and dispatch in deterministic scheduling order
-        (priority, then deadline, then arrival — see
-        :class:`~repro.engine.jobs.MiningJob`).
+        (priority, then deadline, then arrival — the scheduling terms of
+        the spec's :class:`~repro.spec.ExecutorSpec`).
     backend:
         ``"process"`` (default) isolates each job in a worker process —
         right for CPU-bound mining; ``"thread"`` keeps everything
@@ -487,11 +486,10 @@ class MiningService:
     # ------------------------------------------------------------------ #
     def submit(
         self,
-        job: MiningJob,
+        job: MiningSpec,
         *,
         workers: int | None = None,
         start_method: str | None = None,
-        shared_memory: bool = False,
         dist_workers: Sequence[str] | None = None,
         observer: MiningObserver | None = None,
         tenant: str | None = None,
@@ -499,8 +497,8 @@ class MiningService:
     ) -> str:
         """Queue a job; returns its id. Cached specs resolve instantly.
 
-        ``workers``/``start_method``/``shared_memory`` parallelize the
-        search *inside* the job (the spec's executor section);
+        ``workers``/``start_method`` parallelize the search *inside* the
+        job (the spec's executor section);
         ``dist_workers`` (worker-daemon URLs) instead fans the job's
         shards out to remote workers through a
         :class:`~repro.dist.DistExecutor` — the submission's trace then
@@ -510,7 +508,7 @@ class MiningService:
         alone. A submission whose fingerprint is already
         queued or running coalesces onto that in-flight job (one mining
         run, every waiter gets the result); scheduling terms come from
-        the job's ``priority``/``deadline`` fields.
+        the spec's ``executor.priority``/``executor.deadline``.
 
         ``observer`` is a *per-job* observer: unlike the service-wide
         observers (which hear every job), it receives only this
@@ -531,8 +529,8 @@ class MiningService:
         their shares (stride scheduling) instead of strict arrival
         order. Untenanted submissions are scheduled exactly as before.
         """
-        if not isinstance(job, MiningJob):
-            raise EngineError(f"expected MiningJob, got {type(job).__name__}")
+        if not isinstance(job, MiningSpec):
+            raise EngineError(f"expected MiningSpec, got {type(job).__name__}")
         if tenant is not None and not (tenant_share > 0):
             raise EngineError(
                 f"tenant_share must be > 0, got {tenant_share!r}"
@@ -547,7 +545,7 @@ class MiningService:
         # parents under it. Purely observational; ids never reach the
         # job's inputs or fingerprint.
         root = TRACER.start("submit")
-        root.tag("job", job.name).tag("tenant", tenant or _NO_TENANT)
+        root.tag("job", job.label).tag("tenant", tenant or _NO_TENANT)
         JOBS_SUBMITTED.labels(tenant or _NO_TENANT).inc()
         with self._lock:
             record = _Record(
@@ -555,7 +553,7 @@ class MiningService:
                 job,
                 fp,
                 next(self._seq),
-                (workers, start_method, shared_memory, dist_workers),
+                (workers, start_method, dist_workers),
                 observer=wrapped,
                 tenant=tenant,
                 tenant_share=tenant_share,
@@ -630,12 +628,9 @@ class MiningService:
 
     def _run_serial(self, record: _Record) -> None:
         """Execute one job inline (the ``"serial"`` backend's dispatch)."""
-        workers, start_method, shared_memory, dist_workers = record.opts
+        workers, start_method, dist_workers = record.opts
         executor = resolve_executor(
-            workers,
-            start_method=start_method,
-            shared_memory=shared_memory,
-            dist_workers=dist_workers,
+            workers, start_method=start_method, dist_workers=dist_workers
         )
         record.live = record.observer is not None
         try:
@@ -668,8 +663,8 @@ class MiningService:
             if record.observer is not None:
                 _deliver_result(record.observer, result, replay_iterations=False)
         finally:
-            # A shared-memory executor holds a persistent pool; do
-            # not leave it to garbage collection.
+            # A parallel executor holds a warm pool; do not leave it to
+            # garbage collection.
             executor.close()
 
     def status(self, job_id: str) -> JobStatus:
@@ -800,7 +795,7 @@ class MiningService:
                 if record.tenant == tenant and record.state in _LIVE_STATES
             )
 
-    def job(self, job_id: str) -> MiningJob:
+    def job(self, job_id: str) -> MiningSpec:
         """The spec submitted under ``job_id``."""
         with self._lock:
             return self._record_of(job_id).job
@@ -1045,7 +1040,7 @@ class MiningService:
                 self._tenant_pass[record.tenant] = (
                     record.pass_value + 1.0 / record.tenant_share
                 )
-            workers, start_method, shared_memory, dist_workers = record.opts
+            workers, start_method, dist_workers = record.opts
             live_observer = None
             if self.backend == "thread":
                 # In-process workers can call back into this process, so
@@ -1074,7 +1069,6 @@ class MiningService:
                         record.job,
                         workers,
                         start_method,
-                        shared_memory,
                         self._belief_cache,
                         live_observer,
                         record.yield_flag,
@@ -1099,7 +1093,6 @@ class MiningService:
                         record.job,
                         workers,
                         start_method,
-                        shared_memory,
                         belief_handle=handle,
                         yield_event=record.yield_flag,
                         trace=record.trace,
@@ -1253,9 +1246,9 @@ class MiningService:
         _finish(record, "expired")
         record.future.set_exception(
             DeadlineExpired(
-                f"job {record.job_id} ({record.job.name}) missed its "
-                f"{record.job.deadline:g}s deadline by {max(overdue, 0.0):.3f}s "
-                f"before a worker was free"
+                f"job {record.job_id} ({record.job.label}) missed its "
+                f"{record.job.executor.deadline:g}s deadline by "
+                f"{max(overdue, 0.0):.3f}s before a worker was free"
             )
         )
         if record.proxy_of is not None:
@@ -1458,7 +1451,7 @@ class MiningService:
                     job,
                     str(doc.get("fingerprint") or job.fingerprint()),
                     next(self._seq),
-                    (None, None, False, None),
+                    (None, None, None),
                     tenant=doc.get("tenant"),
                     tenant_share=float(doc.get("tenant_share") or 1.0),
                 )

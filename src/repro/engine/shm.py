@@ -35,7 +35,6 @@ from __future__ import annotations
 import atexit
 import copy
 import os
-import pickle
 import threading
 import uuid
 import weakref
@@ -204,18 +203,13 @@ class SharedArrayRef:
 
     Pickling a ref ships four small fields; *unpickling it returns the
     array itself* (a read-only zero-copy view), so code downstream of a
-    pickle boundary never has to know refs exist. On the producing side
-    (no pickle round-trip) call :meth:`resolve`.
+    pickle boundary never has to know refs exist.
     """
 
     name: str
     offset: int
     shape: tuple
     dtype: str
-
-    def resolve(self) -> np.ndarray:
-        """The read-only view this ref describes (producer-side access)."""
-        return attach_array(self.name, self.offset, self.shape, self.dtype)
 
     def __reduce__(self):
         return (attach_array, (self.name, self.offset, self.shape, self.dtype))
@@ -310,10 +304,6 @@ class ArrayStore:
             del view  # release the buffer export before any later close
         return refs
 
-    def share_array(self, array: np.ndarray) -> SharedArrayRef:
-        """Put one array in its own segment."""
-        return self.pack([array])[0]
-
     def share_bytes(self, payload: bytes) -> SharedBytesRef:
         """Put a raw byte payload (a pickled context) in its own segment."""
         segment = self._new_segment(len(payload))
@@ -333,19 +323,6 @@ class ArrayStore:
                 pass
             with _LIVE_LOCK:
                 _LIVE_SEGMENTS.discard(segment.name)
-
-    def release(self, ref: SharedArrayRef | SharedBytesRef) -> None:
-        """Unlink one ref's segment early (before the store closes).
-
-        Consumers already attached keep their mapping — on POSIX an
-        unlinked segment lives until the last mapping closes — but new
-        attaches will fail, so release only after every ``map`` that
-        ships the ref has returned.
-        """
-        with self._lock:
-            segment = self._segments.pop(ref.name, None)
-        if segment is not None:
-            self._destroy(segment)
 
     def close(self) -> None:
         """Unlink every remaining segment; idempotent."""
@@ -445,8 +422,3 @@ def publish(context, store: ArrayStore):
     refs = store.pack(list(found.values()))
     mapping = dict(zip(found.keys(), refs))
     return _swap(context, mapping)
-
-
-def payload_nbytes(context) -> int:
-    """Pickled size of a context shipped the copying way (diagnostics)."""
-    return len(pickle.dumps(context, protocol=pickle.HIGHEST_PROTOCOL))

@@ -62,8 +62,9 @@ class DeadlineExpired(EngineError):
     """Raised when a queued job's deadline passed before it could start.
 
     The scheduler never starts work that can no longer be useful: a
-    :class:`~repro.engine.jobs.MiningJob` submitted with a ``deadline``
-    that elapses while the job is still waiting for a worker slot is
+    :class:`~repro.spec.MiningSpec` submitted with an
+    ``executor.deadline`` that elapses while the job is still waiting
+    for a worker slot is
     moved to the terminal ``EXPIRED`` state, and
     :meth:`~repro.engine.service.MiningService.result` re-raises this.
     """

@@ -33,8 +33,9 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
 if TYPE_CHECKING:  # pragma: no cover - import-cycle-free type hints only
-    from repro.engine.jobs import JobResult, MiningJob
+    from repro.engine.jobs import JobResult
     from repro.search.results import MiningIteration, ScoredSubgroup
+    from repro.spec import MiningSpec
 
 
 #: Scheduling decisions a :class:`SchedulerEvent` may carry. ``queued``
@@ -67,7 +68,7 @@ class SchedulerEvent:
     job_id:
         The service-assigned id of the affected submission.
     job:
-        The submitted :class:`~repro.engine.jobs.MiningJob` spec.
+        The submitted :class:`~repro.spec.MiningSpec`.
     pending:
         Queue depth (jobs waiting, dispatched jobs excluded) right
         after the decision was taken.
@@ -78,7 +79,7 @@ class SchedulerEvent:
 
     kind: str
     job_id: str
-    job: "MiningJob"
+    job: "MiningSpec"
     pending: int = 0
     detail: str = ""
 

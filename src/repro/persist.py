@@ -7,19 +7,22 @@ JSON (numpy arrays become lists; no pickle, no code execution on load).
 
 Round-trips covered: conditions/descriptions, pattern constraints, the
 Gaussian background model (prior + blocks + constraints), the result
-records of the searches, the engine's declarative mining jobs
-(search configs, job specs, batch files, job results), and the unified
-:class:`~repro.spec.MiningSpec` documents the Workspace front door runs.
+records of the searches, search configs, and
+:class:`~repro.spec.MiningSpec` jobs in both document forms: the flat
+form of batch files, wire events, result documents and store records,
+and the sectioned form of spec files.
 """
 
 from __future__ import annotations
 
 import json
+from dataclasses import fields
 from pathlib import Path
+from typing import Any
 
 import numpy as np
 
-from repro.engine.jobs import JobResult, MiningJob
+from repro.engine.jobs import JobResult
 from repro.errors import ReproError
 from repro.search.config import SearchConfig
 from repro.spec import MiningSpec
@@ -267,23 +270,26 @@ def search_config_from_dict(data: dict) -> SearchConfig:
     return SearchConfig.from_dict(data)
 
 
-def job_to_dict(job: MiningJob) -> dict:
-    """Serialize a declarative mining job.
+def job_to_dict(job: MiningSpec) -> dict:
+    """Serialize a job in the flat document form.
 
-    The document carries the canonical work spec plus the run metadata
+    The document carries the spec's name-free
+    :meth:`~repro.spec.MiningSpec.work_document` plus the run metadata
     excluded from it (``name`` and the ``priority``/``deadline``
-    scheduling terms), so a batch file round-trips schedules too.
+    scheduling terms), so a batch file round-trips schedules too. The
+    spec's own ``name`` is written, not its display label, so an
+    unnamed spec stays unnamed across a round trip.
     """
     return {
         "schema": SCHEMA_VERSION,
         "name": job.name,
-        "priority": job.priority,
-        "deadline": job.deadline,
-        **job.spec(),
+        "priority": job.executor.priority,
+        "deadline": job.executor.deadline,
+        **job.work_document(),
     }
 
 
-#: Keys accepted in a serialized job spec (fields plus envelope).
+#: Keys accepted in a flat job document (work fields plus envelope).
 _JOB_KEYS = frozenset(
     {
         "schema", "name", "dataset", "dataset_seed", "dataset_kwargs",
@@ -293,9 +299,12 @@ _JOB_KEYS = frozenset(
     }
 )
 
+#: Keys accepted in a flat job document's ``config`` object.
+_CONFIG_KEYS = frozenset(f.name for f in fields(SearchConfig))
 
-def job_from_dict(data: dict) -> MiningJob:
-    """Rebuild a mining job; only ``dataset`` is mandatory.
+
+def job_from_dict(data: dict) -> MiningSpec:
+    """Rebuild a job from its flat document; only ``dataset`` is mandatory.
 
     Unknown keys and type-invalid values are :class:`ReproError`s — a
     typo'd spec must fail loudly, not silently run a default job.
@@ -310,32 +319,35 @@ def job_from_dict(data: dict) -> MiningJob:
     unknown = set(data) - _JOB_KEYS
     if unknown:
         raise ReproError(f"unknown job spec keys: {sorted(unknown)}")
+    config: dict[str, Any] = data.get("config") or {}
+    unknown = set(config) - _CONFIG_KEYS
+    if unknown:
+        raise ReproError(f"unknown SearchConfig keys: {sorted(unknown)}")
     targets = data.get("targets")
-    weights = data.get("weights")
     sparsity = data.get("sparsity")
     try:
-        return MiningJob(
-            dataset=data["dataset"],
-            name=data.get("name", ""),
+        return MiningSpec.build(
+            data["dataset"],
+            name=data.get("name") or "",
             dataset_seed=int(data.get("dataset_seed", 0)),
             dataset_kwargs=dict(data.get("dataset_kwargs") or {}),
             targets=tuple(targets) if targets is not None else None,
-            weights=tuple(weights) if weights is not None else None,
+            weights=data.get("weights"),
             prior=data.get("prior"),
             kind=data.get("kind", "location"),
             sparsity=int(sparsity) if sparsity is not None else None,
             n_iterations=int(data.get("n_iterations", 1)),
             seed=int(data.get("seed", 0)),
-            config=search_config_from_dict(data.get("config") or {}),
             gamma=float(data.get("gamma", 0.1)),
             eta=float(data.get("eta", 1.0)),
             strategy=data.get("strategy", "beam"),
             measure=data.get("measure", "si"),
-            # Passed through raw: MiningJob's own validation rejects
-            # bools, truncated floats, and non-numeric deadlines loudly
-            # (a silent int()/float() coercion here would bypass it).
+            # Passed through raw: the executor section rejects bools,
+            # truncated floats, and non-numeric deadlines loudly (a
+            # silent int()/float() coercion here would bypass it).
             priority=data.get("priority", 0),
             deadline=data.get("deadline"),
+            **config,
         )
     except (TypeError, ValueError) as exc:
         raise ReproError(f"invalid job spec: {exc}") from exc
@@ -350,7 +362,7 @@ def save_jobs(jobs, path: str | Path) -> Path:
     return save_json(document, path)
 
 
-def load_jobs(path: str | Path) -> list[MiningJob]:
+def load_jobs(path: str | Path) -> list[MiningSpec]:
     """Read a batch file; accepts a document or a bare list of specs."""
     document = load_json(path)
     if isinstance(document, list):

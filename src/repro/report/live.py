@@ -52,14 +52,14 @@ class LiveReporter(MiningObserver):
     def on_job(self, result) -> None:
         """One closing line with the job name and wall-clock time."""
         print(
-            f"[{result.job.name}] done in {result.elapsed_seconds:.2f}s",
+            f"[{result.job.label}] done in {result.elapsed_seconds:.2f}s",
             file=self._out(),
         )
 
     def on_job_failed(self, job, error) -> None:
         """One closing line naming the job and what went wrong."""
         print(
-            f"[{job.name}] FAILED: {type(error).__name__}: {error}",
+            f"[{job.label}] FAILED: {type(error).__name__}: {error}",
             file=self._out(),
         )
 

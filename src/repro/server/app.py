@@ -725,26 +725,19 @@ class MiningServer:
             "store": dict(store.stats()),
         }
 
-    def _parse_submission(self, data: dict) -> tuple:
-        """A submit body → (job, executor kwargs for the search inside)."""
+    def _parse_submission(self, data: dict) -> MiningSpec:
+        """A submit body → the spec it carries, in either document form."""
         if "spec" in data:
-            spec = MiningSpec.from_dict(data["spec"])
-        elif "job" in data:
-            job = job_from_dict(data["job"])
-            return job, {}
-        elif "dataset" in data:  # a bare spec document is accepted too
-            spec = MiningSpec.from_dict(data)
-        else:
-            raise http.HttpError(
-                400,
-                'submit body must be {"spec": {...}}, {"job": {...}}, or a '
-                "bare MiningSpec document",
-            )
-        return spec.to_job(), {
-            "workers": spec.executor.workers,
-            "start_method": spec.executor.start_method,
-            "shared_memory": spec.executor.shared_memory,
-        }
+            return MiningSpec.from_dict(data["spec"])
+        if "job" in data:
+            return job_from_dict(data["job"])
+        if "dataset" in data:  # a bare spec document is accepted too
+            return MiningSpec.from_dict(data)
+        raise http.HttpError(
+            400,
+            'submit body must be {"spec": {...}}, {"job": {...}}, or a '
+            "bare MiningSpec document",
+        )
 
     def _admit(self, tenant: Tenant | None) -> dict:
         """Per-tenant admission: rate limit + pending-quota checks.
@@ -778,8 +771,12 @@ class MiningServer:
     async def _submit(
         self, request: http.Request, tenant: Tenant | None = None
     ) -> tuple[int, dict]:
-        job, opts = self._parse_submission(request.json())
-        opts.update(self._admit(tenant))
+        job = self._parse_submission(request.json())
+        opts = {
+            "workers": job.executor.workers,
+            "start_method": job.executor.start_method,
+            **self._admit(tenant),
+        }
         observer = _JobStreamObserver(self.hub, candidates=self.candidate_events)
         loop = asyncio.get_running_loop()
         # Sampled before submission: every event of this job has a
@@ -797,7 +794,7 @@ class MiningServer:
             "schema": wire.WIRE_SCHEMA,
             "job_id": job_id,
             "status": self.service.status(job_id).value,
-            "name": job.name,
+            "name": job.label,
             "fingerprint": job.fingerprint(),
             "since": since,
             "gen": self.generation,

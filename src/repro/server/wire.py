@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any
 
-from repro.engine.jobs import JobResult, MiningJob
+from repro.engine.jobs import JobResult
 from repro.errors import ReproError
 from repro.events import SchedulerEvent
 from repro.persist import (
@@ -37,6 +37,7 @@ from repro.persist import (
     result_to_dict,
 )
 from repro.search.results import MiningIteration, ScoredSubgroup
+from repro.spec import MiningSpec
 
 #: Schema version embedded in every wire document; bump on breaking changes.
 WIRE_SCHEMA = 1
@@ -117,19 +118,19 @@ def scheduler_event_from_wire(data: dict[str, Any]) -> SchedulerEvent:
     )
 
 
-def job_state_to_wire(job_id: str, status: Any, job: MiningJob) -> dict[str, Any]:
+def job_state_to_wire(job_id: str, status: Any, job: MiningSpec) -> dict[str, Any]:
     """One job's lifecycle snapshot (the ``GET /jobs/{id}`` body)."""
     return {
         "schema": WIRE_SCHEMA,
         "job_id": job_id,
         "status": getattr(status, "value", str(status)),
-        "name": job.name,
+        "name": job.label,
         "fingerprint": job.fingerprint(),
-        "dataset": job.dataset,
-        "strategy": job.strategy,
-        "n_iterations": job.n_iterations,
-        "priority": job.priority,
-        "deadline": job.deadline,
+        "dataset": job.dataset.name,
+        "strategy": job.search.strategy,
+        "n_iterations": job.search.n_iterations,
+        "priority": job.executor.priority,
+        "deadline": job.executor.deadline,
     }
 
 
@@ -181,7 +182,9 @@ def job_event(job_id: str, result: JobResult) -> dict[str, Any]:
     }
 
 
-def job_failed_event(job_id: str, job: MiningJob, error: BaseException) -> dict[str, Any]:
+def job_failed_event(
+    job_id: str, job: MiningSpec, error: BaseException
+) -> dict[str, Any]:
     """Envelope for one failed job."""
     return {
         "schema": WIRE_SCHEMA,

@@ -99,9 +99,8 @@ class MiningSession:
     def close(self) -> None:
         """Release the session's executor (its worker pool, if any).
 
-        A session built over a ``ProcessExecutor`` — in particular a
-        shared-memory one, whose warm pool persists across steps — holds
-        worker processes; close the session (or use it as a context
+        A session built over a ``ProcessExecutor`` — whose warm pool
+        persists across steps — holds worker processes; close the session (or use it as a context
         manager) to release them deterministically instead of at
         garbage collection. The session's history remains readable.
         """

@@ -1,10 +1,12 @@
-"""The unified mining configuration: one frozen, validated ``MiningSpec``.
+"""The engine's one job description: a frozen, validated ``MiningSpec``.
 
-Before this module the library had three competing config surfaces —
-:class:`~repro.search.config.SearchConfig` knobs,
-:class:`~repro.interest.dl.DLParams` weights, and
-:class:`~repro.engine.jobs.MiningJob` kwargs. A :class:`MiningSpec`
-subsumes them all behind six declarative sections:
+A :class:`MiningSpec` is the unit of work every layer carries — the
+:class:`repro.api.Workspace`, the job runner and
+:class:`~repro.engine.service.MiningService`, the server and its wire,
+the durable store, and the router. It replaces three competing config
+surfaces (:class:`~repro.search.config.SearchConfig` knobs,
+:class:`~repro.interest.dl.DLParams` weights, loose keyword arguments)
+with six declarative sections:
 
 - :class:`DatasetSpec` — *what data*: a :data:`repro.registry.DATASETS`
   name, its seed/kwargs, an optional target selection.
@@ -16,15 +18,21 @@ subsumes them all behind six declarative sections:
   :data:`repro.registry.MEASURES` name plus the DL weights.
 - :class:`SearchSpec` — *how to look*: a :data:`repro.registry.SEARCHES`
   strategy and the loop/beam parameters.
-- :class:`ExecutorSpec` — *on what hardware*: worker count and service
-  backend. Excluded from :meth:`MiningSpec.fingerprint`, because the
-  engine's determinism contract makes results executor-independent.
+- :class:`ExecutorSpec` — *on what hardware, and when*: worker count,
+  service backend and scheduling terms. Excluded from
+  :meth:`MiningSpec.fingerprint`, because the engine's determinism
+  contract makes results executor-independent.
 
-Everything is strings and numbers, so a spec round-trips through JSON
-(:func:`repro.persist.save_spec` / :func:`~repro.persist.load_spec`) and
-one saved file drives all three execution modes of
-:class:`repro.api.Workspace` — inline ``mine``, interactive ``session``,
-service ``submit`` — with byte-identical results.
+A spec has two JSON document forms, both on disk and on the wire:
+
+- **sectioned** (:meth:`MiningSpec.to_dict` / :meth:`~MiningSpec.from_dict`):
+  spec files, ``{"spec": ...}`` submit bodies and ``Workspace`` dicts;
+- **flat** (:func:`repro.persist.job_to_dict` /
+  :func:`~repro.persist.job_from_dict`): batch files, wire events and
+  result documents, store records and ``{"job": ...}`` bodies. Its
+  name-free part is :meth:`MiningSpec.work_document`, whose digest is
+  the fingerprint every cache key, store record and router placement
+  uses.
 
 >>> spec = MiningSpec.build("synthetic", kind="spread", n_iterations=3)
 >>> spec.fingerprint() == MiningSpec.from_dict(spec.to_dict()).fingerprint()
@@ -34,17 +42,30 @@ True
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field, fields, replace
-from typing import Any, TypeVar
+from typing import Any, Callable, TypeVar
+
+import numpy as np
 
 from repro.engine.cache import fingerprint as _fingerprint
-from repro.engine.jobs import MiningJob
-from repro.errors import ReproError
+from repro.errors import EngineError, ReproError
+from repro.interest.dl import DLParams
+from repro.model.priors import Prior
 from repro.registry import DATASETS, MEASURES, MODELS, SEARCHES
 from repro.search.config import SearchConfig
 
 #: Schema version embedded in serialized specs; bump on breaking changes.
 SPEC_SCHEMA = 1
+
+#: Pattern kinds a spec may request, mirroring ``SubgroupDiscovery.step``.
+JOB_KINDS = ("location", "spread")
+
+#: Search strategies the job runner can execute. ``"beam"`` is the
+#: paper's iterative subjective mining loop; ``"branch_bound"`` and
+#: ``"quality_beam"`` are single-shot searches (one location pattern,
+#: no belief-state iteration).
+JOB_STRATEGIES = ("beam", "branch_bound", "quality_beam")
 
 _S = TypeVar("_S")
 
@@ -98,6 +119,17 @@ def _weight_tuple(value: Any, field_name: str) -> tuple[float, ...] | None:
     if any(not math.isfinite(w) or w <= 0.0 for w in weights):
         raise ReproError(f"{field_name} must be positive finite numbers")
     return weights
+
+
+def _as_float(value: Any, field_name: str) -> float:
+    """A number spelled as an int or a float, as a float.
+
+    ``gamma=1`` and ``gamma=1.0`` are the same work and must fingerprint
+    equally however the spec was spelled; bools and non-numbers raise.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ReproError(f"{field_name} must be a number, got {value!r}")
+    return float(value)
 
 
 @dataclass(frozen=True)
@@ -174,6 +206,10 @@ class InterestSpec:
     gamma: float = 0.1
     eta: float = 1.0
 
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "gamma", _as_float(self.gamma, "interest gamma"))
+        object.__setattr__(self, "eta", _as_float(self.eta, "interest eta"))
+
 
 @dataclass(frozen=True)
 class SearchSpec:
@@ -191,20 +227,31 @@ class SearchSpec:
     max_coverage_fraction: float = 1.0
     time_budget_seconds: float | None = None
 
+    def __post_init__(self) -> None:
+        object.__setattr__(
+            self,
+            "max_coverage_fraction",
+            _as_float(self.max_coverage_fraction, "search max_coverage_fraction"),
+        )
+        if self.time_budget_seconds is not None:
+            object.__setattr__(
+                self,
+                "time_budget_seconds",
+                _as_float(self.time_budget_seconds, "search time_budget_seconds"),
+            )
+
 
 @dataclass(frozen=True)
 class ExecutorSpec:
-    """On what hardware: in-search workers and the service backend.
+    """On what hardware, and when: workers, service backend, schedule.
 
     ``workers`` parallelizes the ``"beam"`` strategy's search (its
-    scoring shards and spread restarts; 0/1 = serial) — the single-shot
-    strategies (``branch_bound``, ``quality_beam``) are sequential
-    algorithms and always run serial regardless of this setting.
-    ``shared_memory`` switches the parallel context transport to
-    ``multiprocessing.shared_memory`` with a persistent warm worker pool
-    (see :mod:`repro.engine.shm`) — worth it on large datasets, where
-    re-pickling the scorer per session dominates; ignored when the
-    search runs serial. ``backend`` is the service pool a
+    scoring shards and spread restarts; 0/1 = serial) over
+    :class:`~repro.engine.executor.ProcessExecutor`'s warm worker pool —
+    the single-shot strategies (``branch_bound``, ``quality_beam``) are
+    sequential algorithms and always run serial regardless of this
+    setting. ``start_method`` picks that pool's ``multiprocessing``
+    start method. ``backend`` is the service pool a
     :class:`repro.api.Workspace` creates when this spec's
     :meth:`~repro.api.Workspace.submit` has to build one (an explicit
     ``Workspace(service_backend=...)`` wins). ``priority`` and
@@ -222,7 +269,6 @@ class ExecutorSpec:
     workers: int = 1
     backend: str = "process"
     start_method: str | None = None
-    shared_memory: bool = False
     priority: int = 0
     deadline: float | None = None
 
@@ -233,11 +279,6 @@ class ExecutorSpec:
         if self.backend not in BACKENDS:
             raise ReproError(
                 f"executor backend must be one of {BACKENDS}, got {self.backend!r}"
-            )
-        if not isinstance(self.shared_memory, bool):
-            raise ReproError(
-                f"executor shared_memory must be a boolean, "
-                f"got {self.shared_memory!r}"
             )
         # Validated against the universal name set, not this platform's
         # multiprocessing.get_all_start_methods(): a spec file written on
@@ -297,7 +338,6 @@ _FLAT_FIELDS: dict[str, tuple[str, str]] = {
     "workers": ("executor", "workers"),
     "backend": ("executor", "backend"),
     "start_method": ("executor", "start_method"),
-    "shared_memory": ("executor", "shared_memory"),
     "priority": ("executor", "priority"),
     "deadline": ("executor", "deadline"),
 }
@@ -315,17 +355,18 @@ _SECTION_CLASSES = {
 
 @dataclass(frozen=True)
 class MiningSpec:
-    """One frozen, validated, JSON-round-trippable mining configuration.
+    """One frozen, validated, JSON-round-trippable unit of mining work.
 
     Construction validates everything eagerly: registry keys resolve
     (with errors listing what *is* registered), the search numbers
     satisfy :class:`~repro.search.config.SearchConfig`'s invariants, and
-    the strategy/measure/loop cross-rules of
-    :class:`~repro.engine.jobs.MiningJob` hold — so a spec that exists
-    is a spec that runs.
+    the kind/strategy/measure/loop cross-rules hold — so a spec that
+    exists is a spec that runs.
 
     ``dataset`` may be given as a bare name string; it is promoted to a
-    :class:`DatasetSpec`.
+    :class:`DatasetSpec`. ``name`` is a display label only: two specs
+    differing in ``name`` or ``executor`` are the same work (same
+    :meth:`fingerprint`).
     """
 
     dataset: DatasetSpec
@@ -349,10 +390,51 @@ class MiningSpec:
                 f"model only; {self.model.kind!r} is registered but not yet "
                 f"drivable from a spec"
             )
-        # Building the equivalent job validates both the numeric search
-        # invariants (via SearchConfig) and the strategy/measure/loop
-        # cross-rules, so an invalid spec cannot be constructed.
-        self.to_job()
+        self.search_config()  # SearchConfig checks the numeric invariants
+        self._validate_strategy()
+
+    def _validate_strategy(self) -> None:
+        """Cross-field rules tying kind, strategy, measure and loop shape."""
+        search = self.search
+        if search.kind not in JOB_KINDS:
+            raise EngineError(f"kind must be one of {JOB_KINDS}, got {search.kind!r}")
+        if search.n_iterations < 1:
+            raise EngineError(
+                f"n_iterations must be >= 1, got {search.n_iterations}"
+            )
+        strategy, measure = search.strategy, self.interest.measure
+        if strategy not in JOB_STRATEGIES:
+            raise EngineError(
+                f"strategy must be one of {JOB_STRATEGIES}, got {strategy!r}"
+            )
+        if strategy in ("beam", "branch_bound") and measure != "si":
+            raise EngineError(
+                f"strategy {strategy!r} scores with the subjective 'si' "
+                f"measure; use strategy='quality_beam' for {measure!r}"
+            )
+        if strategy == "beam":
+            return
+        if strategy == "quality_beam" and measure == "si":
+            raise EngineError(
+                "quality_beam needs a classical measure (e.g. 'mean_shift'); "
+                "use strategy='beam' for 'si'"
+            )
+        if search.kind != "location":
+            raise EngineError(f"strategy {strategy!r} mines location patterns only")
+        if search.n_iterations != 1:
+            raise EngineError(
+                f"strategy {strategy!r} is single-shot (no belief-state "
+                f"iteration); n_iterations must be 1, got {search.n_iterations}"
+            )
+        if self.dataset.weights is not None:
+            # The single-shot searches score with unweighted statistics;
+            # silently dropping the weights would mislabel the results.
+            raise EngineError(f"strategy {strategy!r} does not support case weights")
+        if self.model.prior is not None:
+            # branch_bound builds its own fresh model and quality_beam
+            # scores its result SI against the empirical model — neither
+            # can honor a stated prior, so reject instead of ignoring it.
+            raise EngineError(f"strategy {strategy!r} always uses the empirical prior")
 
     def __hash__(self) -> int:
         # The generated frozen-dataclass hash would choke on the dict
@@ -360,6 +442,15 @@ class MiningSpec:
         # keeps specs usable in sets and consistent with __eq__ on
         # everything but the excluded name/executor labels.
         return hash(self.fingerprint())
+
+    def _memo(self, key: str, build: Callable[[], _S]) -> _S:
+        """``build()``, computed once per (frozen) instance."""
+        try:
+            return self.__dict__[key]
+        except KeyError:
+            value = build()
+            object.__setattr__(self, key, value)
+            return value
 
     # ------------------------------------------------------------------ #
     # Construction helpers
@@ -410,82 +501,42 @@ class MiningSpec:
     # ------------------------------------------------------------------ #
     # Derived configuration
     # ------------------------------------------------------------------ #
+    @property
+    def label(self) -> str:
+        """The name, or ``dataset/kind#<fingerprint prefix>`` when unnamed."""
+        return self.name or (
+            f"{self.dataset.name}/{self.search.kind}#{self.fingerprint()[:8]}"
+        )
+
     def search_config(self) -> SearchConfig:
         """The language + search sections merged into a SearchConfig."""
-        return SearchConfig(
-            beam_width=self.search.beam_width,
-            max_depth=self.search.max_depth,
-            top_k=self.search.top_k,
-            n_split_points=self.language.n_split_points,
-            split_strategy=self.language.split_strategy,
-            min_coverage=self.search.min_coverage,
-            max_coverage_fraction=self.search.max_coverage_fraction,
-            time_budget_seconds=self.search.time_budget_seconds,
-            attributes=self.language.attributes,
+        return self._memo(
+            "_search_config",
+            lambda: SearchConfig(
+                beam_width=self.search.beam_width,
+                max_depth=self.search.max_depth,
+                top_k=self.search.top_k,
+                n_split_points=self.language.n_split_points,
+                split_strategy=self.language.split_strategy,
+                min_coverage=self.search.min_coverage,
+                max_coverage_fraction=self.search.max_coverage_fraction,
+                time_budget_seconds=self.search.time_budget_seconds,
+                attributes=self.language.attributes,
+            ),
         )
 
-    # ------------------------------------------------------------------ #
-    # Job interop
-    # ------------------------------------------------------------------ #
-    def to_job(self) -> MiningJob:
-        """The equivalent declarative job (the engine's execution unit)."""
-        return MiningJob(
-            dataset=self.dataset.name,
-            name=self.name,
-            dataset_seed=self.dataset.seed,
-            dataset_kwargs=dict(self.dataset.kwargs),
-            targets=self.dataset.targets,
-            weights=self.dataset.weights,
-            prior=self.model.prior,
-            kind=self.search.kind,
-            sparsity=self.search.sparsity,
-            n_iterations=self.search.n_iterations,
-            seed=self.search.seed,
-            config=self.search_config(),
-            gamma=self.interest.gamma,
-            eta=self.interest.eta,
-            strategy=self.search.strategy,
-            measure=self.interest.measure,
-            priority=self.executor.priority,
-            deadline=self.executor.deadline,
-        )
+    def dl_params(self) -> DLParams:
+        """The description-length weights as a DLParams."""
+        return DLParams(gamma=self.interest.gamma, eta=self.interest.eta)
 
-    @classmethod
-    def from_job(cls, job: MiningJob) -> "MiningSpec":
-        """Lift a legacy job into the sectioned spec form."""
-        config = job.config
-        return cls(
-            dataset=DatasetSpec(
-                name=job.dataset,
-                seed=job.dataset_seed,
-                kwargs=dict(job.dataset_kwargs),
-                targets=job.targets,
-                weights=job.weights,
-            ),
-            language=LanguageSpec(
-                n_split_points=config.n_split_points,
-                split_strategy=config.split_strategy,
-                attributes=config.attributes,
-            ),
-            model=ModelSpec(prior=job.prior),
-            interest=InterestSpec(
-                measure=job.measure, gamma=job.gamma, eta=job.eta
-            ),
-            search=SearchSpec(
-                strategy=job.strategy,
-                kind=job.kind,
-                n_iterations=job.n_iterations,
-                sparsity=job.sparsity,
-                seed=job.seed,
-                beam_width=config.beam_width,
-                max_depth=config.max_depth,
-                top_k=config.top_k,
-                min_coverage=config.min_coverage,
-                max_coverage_fraction=config.max_coverage_fraction,
-                time_budget_seconds=config.time_budget_seconds,
-            ),
-            executor=ExecutorSpec(priority=job.priority, deadline=job.deadline),
-            name=job.name,
+    def build_prior(self) -> Prior | None:
+        """Materialize the explicit prior, or None for empirical."""
+        prior = self.model.prior
+        if prior is None:
+            return None
+        return Prior(
+            np.asarray(prior["mean"], dtype=float),
+            np.asarray(prior["cov"], dtype=float),
         )
 
     # ------------------------------------------------------------------ #
@@ -505,8 +556,8 @@ class MiningSpec:
             else None,
         }
         if self.dataset.weights is not None:
-            # Emitted only when set: pre-weights documents and their
-            # fingerprints stay byte-identical.
+            # Emitted only when set: pre-weights documents stay
+            # byte-identical.
             document["dataset"]["weights"] = list(self.dataset.weights)
         document["language"] = {
             "n_split_points": self.language.n_split_points,
@@ -551,26 +602,59 @@ class MiningSpec:
         dataset = data["dataset"]
         if isinstance(dataset, str):
             dataset = {"name": dataset}
+        executor = data.get("executor")
+        if isinstance(executor, dict) and "shared_memory" in executor:
+            # Documents written while the executor had a transport toggle
+            # carry it; it never changed what was mined, so it is dropped.
+            executor = {k: v for k, v in executor.items() if k != "shared_memory"}
         return cls(
             dataset=_section_from_dict(DatasetSpec, dataset, "dataset"),
             language=_section_from_dict(LanguageSpec, data.get("language"), "language"),
             model=_section_from_dict(ModelSpec, data.get("model"), "model"),
             interest=_section_from_dict(InterestSpec, data.get("interest"), "interest"),
             search=_section_from_dict(SearchSpec, data.get("search"), "search"),
-            executor=_section_from_dict(ExecutorSpec, data.get("executor"), "executor"),
+            executor=_section_from_dict(ExecutorSpec, executor, "executor"),
             name=data.get("name", ""),
         )
 
-    def fingerprint(self) -> str:
-        """Stable digest of *what* is mined (name and executor excluded).
+    def work_document(self) -> dict[str, Any]:
+        """The flat, name-free document of *what* this spec mines.
 
-        Equal work fingerprints equally regardless of its label or how
-        many workers run it — the executor cannot change the patterns
-        (the engine's determinism contract).
+        The body of the flat job form (:func:`repro.persist.job_to_dict`
+        adds the name and scheduling envelope) and the input of
+        :meth:`fingerprint`. Its keys and spelling are frozen: every
+        cache key, store record and router placement derives from them.
+        ``weights`` appears only when set, so pre-weights fingerprints
+        stay byte-identical.
         """
-        payload = {
-            key: value
-            for key, value in self.to_dict().items()
-            if key not in ("schema", "name", "executor")
+        document: dict[str, Any] = {
+            "dataset": self.dataset.name,
+            "dataset_seed": self.dataset.seed,
+            "dataset_kwargs": dict(self.dataset.kwargs),
+            "targets": list(self.dataset.targets)
+            if self.dataset.targets is not None
+            else None,
+            "prior": self.model.prior,
+            "kind": self.search.kind,
+            "sparsity": self.search.sparsity,
+            "n_iterations": self.search.n_iterations,
+            "seed": self.search.seed,
+            "config": self.search_config().to_dict(),
+            "gamma": self.interest.gamma,
+            "eta": self.interest.eta,
+            "strategy": self.search.strategy,
+            "measure": self.interest.measure,
         }
-        return _fingerprint(payload)
+        if self.dataset.weights is not None:
+            document["weights"] = list(self.dataset.weights)
+        return document
+
+    def fingerprint(self) -> str:
+        """Stable digest of :meth:`work_document` (name and executor excluded).
+
+        Equal work fingerprints equally regardless of its label, how it
+        was spelled, or how many workers run it — the executor cannot
+        change the patterns (the engine's determinism contract).
+        Memoized: the service, wire and router call it per request.
+        """
+        return self._memo("_fingerprint", lambda: _fingerprint(self.work_document()))

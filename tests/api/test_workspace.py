@@ -2,9 +2,9 @@
 
 Acceptance for the API redesign: a single ``MiningSpec`` JSON drives
 ``Workspace.mine``, ``Workspace.session``, and ``Workspace.submit``
-(via ``MiningService``) to equivalent patterns, and the deprecated
-``SubgroupDiscovery``/``MiningJob`` entry points produce byte-identical
-results to the spec-driven path.
+(via ``MiningService``) to equivalent patterns, and the substrate
+``SubgroupDiscovery`` and flat-job-document entry points produce
+byte-identical results to the spec-driven path.
 """
 
 import json
@@ -14,11 +14,11 @@ import pytest
 
 from repro.api import Workspace, build_miner
 from repro.datasets import load_dataset
-from repro.engine.jobs import MiningJob, run_job
+from repro.engine.jobs import run_job
 from repro.errors import ReproError, SearchError
 from repro.events import CallbackObserver, EventLog, broadcast
 from repro.interest.dl import DLParams
-from repro.persist import load_spec, save_spec
+from repro.persist import job_from_dict, job_to_dict, load_spec, save_spec
 from repro.search.branch_bound import find_optimal_location
 from repro.search.config import SearchConfig
 from repro.search.miner import SubgroupDiscovery
@@ -103,16 +103,18 @@ class TestDeprecatedPathsByteIdentical:
         assert_iterations_identical(iterations, mined.iterations)
 
     def test_mining_job_path(self, mined):
-        job = MiningJob(
-            dataset="synthetic",
-            kind="spread",
-            n_iterations=2,
-            config=SearchConfig(beam_width=8, max_depth=2, top_k=10),
+        job = job_from_dict(
+            {
+                "dataset": "synthetic",
+                "kind": "spread",
+                "n_iterations": 2,
+                "config": {"beam_width": 8, "max_depth": 2, "top_k": 10},
+            }
         )
         assert_iterations_identical(run_job(job).iterations, mined.iterations)
 
     def test_spec_to_job_round_trip_same_work(self):
-        assert MiningSpec.from_job(SPEC.to_job()).fingerprint() == SPEC.fingerprint()
+        assert job_from_dict(job_to_dict(SPEC)).fingerprint() == SPEC.fingerprint()
 
 
 class TestSingleShotStrategies:
@@ -254,7 +256,7 @@ class TestEvents:
                 ws.result(job_id)
         assert len(log.failures) == 1
         job, error = log.failures[0]
-        assert job.dataset == "synthetic"
+        assert job.dataset.name == "synthetic"
         assert isinstance(error, Exception)
         assert log.jobs == []
 

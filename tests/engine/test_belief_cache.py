@@ -14,7 +14,6 @@ import pytest
 from repro.datasets import make_synthetic
 from repro.engine.cache import BELIEF_CACHE, BeliefCache, CachedStep
 from repro.engine.executor import ProcessExecutor, SerialExecutor
-from repro.engine.jobs import MiningJob
 from repro.engine.service import MiningService
 from repro.errors import EngineError
 from repro.events import EventLog, MiningObserver
@@ -27,9 +26,14 @@ from repro.obs.instruments import (
 from repro.search.config import SearchConfig
 from repro.search.miner import SubgroupDiscovery
 from repro.session import MiningSession
+from repro.spec import MiningSpec
 from repro.utils.rng import rng_state
 
 CONFIG = SearchConfig(beam_width=8, max_depth=2, top_k=10)
+
+
+def _spec(**kwargs) -> MiningSpec:
+    return MiningSpec.build("synthetic", beam_width=8, max_depth=2, top_k=10, **kwargs)
 
 
 def assert_iterations_identical(ours, theirs):
@@ -263,13 +267,9 @@ class TestSessionAndServiceIntegration:
         cache = BeliefCache()
         with MiningService(backend="serial", belief_cache=cache) as service:
             short = service.result(
-                service.submit(MiningJob(dataset="synthetic", config=CONFIG))
+                service.submit(_spec())
             )
-            long = service.result(
-                service.submit(
-                    MiningJob(dataset="synthetic", config=CONFIG, n_iterations=2)
-                )
-            )
+            long = service.result(service.submit(_spec(n_iterations=2)))
         assert cache.stats.hits == 1
         assert_iterations_identical(short.iterations, long.iterations[:1])
 
@@ -278,11 +278,9 @@ class TestSessionAndServiceIntegration:
         with MiningService(
             backend="thread", max_workers=1, belief_cache=cache
         ) as service:
-            first = service.submit(MiningJob(dataset="synthetic", config=CONFIG))
+            first = service.submit(_spec())
             service.result(first)
-            second = service.submit(
-                MiningJob(dataset="synthetic", config=CONFIG, n_iterations=3)
-            )
+            second = service.submit(_spec(n_iterations=3))
             result = service.result(second)
         assert cache.stats.hits == 1
         assert len(result.iterations) == 3

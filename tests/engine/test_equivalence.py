@@ -106,7 +106,7 @@ class TestFullLoopEquivalence:
 
 
 class TestSharedMemoryEquivalence:
-    """The zero-copy transport must also be invisible in the results."""
+    """The warm pool's zero-copy transport must be invisible in the results."""
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_beam_bit_identical(self, seed):
@@ -114,7 +114,7 @@ class TestSharedMemoryEquivalence:
         serial = SubgroupDiscovery(
             dataset, config=CONFIG, seed=seed, executor=SerialExecutor()
         ).search_locations()
-        with ProcessExecutor(2, shared_memory=True) as executor:
+        with ProcessExecutor(2) as executor:
             shared = SubgroupDiscovery(
                 dataset, config=CONFIG, seed=seed, executor=executor
             ).search_locations()
@@ -129,7 +129,7 @@ class TestSharedMemoryEquivalence:
             seed=7,
             executor=SerialExecutor(),
         )
-        with ProcessExecutor(2, shared_memory=True) as executor:
+        with ProcessExecutor(2) as executor:
             shared = find_spread_direction(
                 synthetic_model,
                 indices,
@@ -148,7 +148,7 @@ class TestSharedMemoryEquivalence:
         serial = SubgroupDiscovery(
             dataset, config=CONFIG, seed=0, executor=SerialExecutor()
         )
-        with ProcessExecutor(2, shared_memory=True) as executor:
+        with ProcessExecutor(2) as executor:
             shared = SubgroupDiscovery(
                 dataset, config=CONFIG, seed=0, executor=executor
             )
@@ -161,12 +161,10 @@ class TestSharedMemoryEquivalence:
                 assert a.spread.score.ic == b.spread.score.ic
 
 
-#: Every parallel transport/start-method combination the engine offers.
+#: Every start method the warm shared-memory pool is checked under.
 PARALLEL_BACKENDS = {
-    "fork": dict(start_method="fork", shared_memory=False),
-    "spawn": dict(start_method="spawn", shared_memory=False),
-    "shm-fork": dict(start_method="fork", shared_memory=True),
-    "shm-spawn": dict(start_method="spawn", shared_memory=True),
+    "fork": dict(start_method="fork"),
+    "spawn": dict(start_method="spawn"),
 }
 
 #: Small-but-real searches on both acceptance datasets.
@@ -214,7 +212,7 @@ def _serial_reference(name):
 
 
 class TestCrossStartMethodDeterminism:
-    """Satellite acceptance: serial / fork / spawn / shared-memory all
+    """Serial and the warm shared-memory pool under fork and spawn all
     mine bit-identical beam and spread results on the synthetic and
     mammals datasets."""
 

@@ -1,9 +1,12 @@
 """Tests for the executor backends."""
 
+import os
+
 import pytest
 
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 
+from repro.engine import shm
 from repro.engine.executor import (
     BACKENDS,
     Executor,
@@ -38,22 +41,23 @@ class TestSerialExecutor:
 
 class TestProcessExecutor:
     def test_map_preserves_order(self):
-        assert ProcessExecutor(2).map(_double, [3, 1, 2]) == [6, 2, 4]
+        with ProcessExecutor(2) as executor:
+            assert executor.map(_double, [3, 1, 2]) == [6, 2, 4]
 
     def test_session_ships_context_to_workers(self):
-        with ProcessExecutor(2).session(100) as session:
+        with ProcessExecutor(2) as executor, executor.session(100) as session:
             assert session.map(_add_context, [1, 2, 3]) == [101, 102, 103]
 
     def test_session_reusable_for_multiple_maps(self):
-        with ProcessExecutor(2).session(1) as session:
+        with ProcessExecutor(2) as executor, executor.session(1) as session:
             first = session.map(_add_context, [1, 2])
             second = session.map(_add_context, [3, 4])
         assert first == [2, 3]
         assert second == [4, 5]
 
     def test_worker_exception_propagates(self):
-        with pytest.raises(ZeroDivisionError):
-            ProcessExecutor(2).map(_reciprocal, [1, 0])
+        with ProcessExecutor(2) as executor, pytest.raises(ZeroDivisionError):
+            executor.map(_reciprocal, [1, 0])
 
     def test_rejects_bad_worker_count(self):
         with pytest.raises(EngineError):
@@ -70,9 +74,9 @@ class TestResolveExecutor:
         assert isinstance(resolve_executor(workers), SerialExecutor)
 
     def test_process_pool_above_one(self):
-        executor = resolve_executor(3)
-        assert isinstance(executor, ProcessExecutor)
-        assert executor.parallelism == 3
+        with resolve_executor(3) as executor:
+            assert isinstance(executor, ProcessExecutor)
+            assert executor.parallelism == 3
 
     @pytest.mark.parametrize("workers", [-1, -10])
     def test_negative_is_an_explicit_error(self, workers):
@@ -81,7 +85,12 @@ class TestResolveExecutor:
 
     def test_backends_satisfy_protocol(self):
         assert isinstance(SerialExecutor(), Executor)
-        assert isinstance(ProcessExecutor(2), Executor)
+        with ProcessExecutor(2) as executor:
+            assert isinstance(executor, Executor)
+
+    def test_resolve_executor_threads_start_method(self):
+        with resolve_executor(3, start_method="spawn") as executor:
+            assert executor._mp_context.get_start_method() == "spawn"
 
 
 class TestNormalizeWorkers:
@@ -138,45 +147,63 @@ def _context_plus(context, item):
     return context + item
 
 
+def _die(context, item):
+    os._exit(1)
+
+
 class TestProcessSessionLifecycle:
-    """Regressions: the session must never leave a pool running behind."""
+    """Regressions: neither segments nor pools may outlive their owners."""
 
     def test_close_without_context_manager(self):
-        session = ProcessExecutor(2).session(10)
-        assert session.map(_context_plus, [1]) == [11]
-        pool = session._pool
-        session.close()
-        assert pool._shutdown_thread
-        with pytest.raises(EngineError, match="closed"):
-            session.map(_context_plus, [2])
+        with ProcessExecutor(2) as executor:
+            session = executor.session(10)
+            assert session.map(_context_plus, [1]) == [11]
+            assert shm.live_segments()
+            session.close()
+            assert shm.live_segments() == frozenset()
+            with pytest.raises(EngineError, match="closed"):
+                session.map(_context_plus, [2])
 
     def test_close_is_idempotent(self):
-        session = ProcessExecutor(2).session(0)
-        session.close()
-        session.close()
+        with ProcessExecutor(2) as executor:
+            session = executor.session(0)
+            session.close()
+            session.close()
 
     def test_abandoned_session_pool_reclaimed_by_gc(self):
         import gc
 
-        session = ProcessExecutor(2).session(1)
-        pool = session._pool
-        del session
+        executor = ProcessExecutor(2)
+        session = executor.session(1)
+        assert session.map(_context_plus, [1]) == [2]
+        pool = executor._persistent
+        del session, executor
         gc.collect()
         assert pool._shutdown_thread
+        assert shm.live_segments() == frozenset()
 
     def test_worker_error_shuts_the_pool_down(self):
-        session = ProcessExecutor(2).session(None)
-        pool = session._pool
-        with pytest.raises(ValueError, match="worker exploded"):
-            session.map(_boom, [1, 2])
-        assert pool._shutdown_thread
-        with pytest.raises(EngineError, match="closed"):
-            session.map(_context_plus, [1])
+        """A worker that dies breaks the pool: it is dropped, not reused."""
+        from concurrent.futures.process import BrokenProcessPool
+
+        with ProcessExecutor(2) as executor:
+            session = executor.session(None)
+            pool = executor._persistent
+            with pytest.raises(BrokenProcessPool):
+                session.map(_die, [1])
+            assert pool._shutdown_thread
+            assert executor._persistent is None
+            assert shm.live_segments() == frozenset()
+            with pytest.raises(EngineError, match="closed"):
+                session.map(_context_plus, [1])
+            with executor.session(1) as fresh:
+                assert fresh.map(_context_plus, [1]) == [2]
+            assert executor._persistent is not pool
 
 
 class TestSharedMemoryExecutor:
     def test_sessions_reuse_one_warm_pool(self):
-        with ProcessExecutor(2, shared_memory=True) as executor:
+        with ProcessExecutor(2) as executor:
             with executor.session(100) as first:
                 out1 = first.map(_context_plus, [1, 2])
                 pids1 = set(first.map(_worker_pid, [0, 0, 0, 0]))
@@ -199,7 +226,7 @@ class TestSharedMemoryExecutor:
 
         from repro.engine import shm
 
-        with ProcessExecutor(2, shared_memory=True) as executor:
+        with ProcessExecutor(2) as executor:
             session = executor.session(np.arange(4, dtype=float))
             assert session.map(_context_plus, [1.0])[0][0] == 1.0
             assert shm.live_segments()
@@ -210,7 +237,7 @@ class TestSharedMemoryExecutor:
                 session.map(_context_plus, [1.0])
 
     def test_executor_close_then_new_session_respawns(self):
-        executor = ProcessExecutor(2, shared_memory=True)
+        executor = ProcessExecutor(2)
         with executor.session(5) as session:
             assert session.map(_context_plus, [1]) == [6]
         first_pool = executor._persistent
@@ -222,7 +249,7 @@ class TestSharedMemoryExecutor:
         executor.close()
 
     def test_worker_error_releases_segments_on_close(self):
-        with ProcessExecutor(2, shared_memory=True) as executor:
+        with ProcessExecutor(2) as executor:
             session = executor.session(3)
             with pytest.raises(ValueError, match="worker exploded"):
                 session.map(_boom, [1])
@@ -232,18 +259,13 @@ class TestSharedMemoryExecutor:
             session.close()
 
     def test_map_context_free_uses_warm_pool(self):
-        with ProcessExecutor(2, shared_memory=True) as executor:
+        with ProcessExecutor(2) as executor:
             assert executor.map(_double, [3, 1]) == [6, 2]
-            assert executor._persistent is not None
-
-    def test_resolve_executor_threads_the_toggle(self):
-        executor = resolve_executor(3, shared_memory=True)
-        assert isinstance(executor, ProcessExecutor)
-        assert executor.shared_memory is True
-        executor.close()
-        assert isinstance(
-            resolve_executor(1, shared_memory=True), SerialExecutor
-        )
+            pool = executor._persistent
+            assert pool is not None
+            with executor.session(1) as session:
+                assert session.map(_context_plus, [1]) == [2]
+            assert executor._persistent is pool
 
 
 class TestResolvePoolStartMethod:

@@ -11,21 +11,19 @@ import concurrent.futures
 
 import pytest
 
-from repro.engine.jobs import MiningJob
 from repro.engine.service import JobStatus, MiningService
-from repro.errors import DeadlineExpired, EngineError
+from repro.errors import DeadlineExpired, EngineError, ReproError
 from repro.events import EventLog
-from repro.search.config import SearchConfig
 from repro.spec import MiningSpec
 
-FAST = SearchConfig(beam_width=6, max_depth=2, top_k=10)
+FAST = dict(beam_width=6, max_depth=2, top_k=10)
 #: A noticeably slower job, used to keep a one-worker pool busy while
 #: the queue fills up.
-SLOW = SearchConfig(beam_width=40, max_depth=4, top_k=150)
+SLOW = dict(beam_width=40, max_depth=4, top_k=150)
 
 
-def _job(seed=0, config=FAST, **kwargs):
-    return MiningJob(dataset="synthetic", seed=seed, config=config, **kwargs)
+def _job(seed=0, config=FAST, dataset="synthetic", **kwargs):
+    return MiningSpec.build(dataset, seed=seed, **config, **kwargs)
 
 
 def _dispatch_order(log: EventLog) -> list[str]:
@@ -36,33 +34,35 @@ class TestJobScheduleFields:
     def test_priority_and_deadline_do_not_change_the_fingerprint(self):
         base = _job()
         assert base.fingerprint() == _job(priority=7, deadline=10.0).fingerprint()
-        assert "priority" not in base.spec()
+        assert "priority" not in base.work_document()
 
     def test_with_schedule(self):
-        job = _job().with_schedule(priority=4, deadline=9.0)
-        assert (job.priority, job.deadline) == (4, 9.0)
-        assert job.with_schedule().priority == 4
-        assert job.with_schedule(deadline=None).deadline is None
+        job = _job().with_changes(priority=4, deadline=9.0)
+        assert (job.executor.priority, job.executor.deadline) == (4, 9.0)
+        assert job.with_changes().executor.priority == 4
+        assert job.with_changes(deadline=None).executor.deadline is None
 
     def test_invalid_schedule_terms_rejected(self):
-        with pytest.raises(EngineError):
+        with pytest.raises(ReproError):
             _job(priority="high")
-        with pytest.raises(EngineError):
+        with pytest.raises(ReproError):
             _job(deadline=-1.0)
-        with pytest.raises(EngineError):
+        with pytest.raises(ReproError):
             _job(deadline=float("nan"))
-        with pytest.raises(EngineError):  # typed, not a raw ValueError
+        with pytest.raises(ReproError):  # typed, not a raw ValueError
             _job(deadline="soon")
-        with pytest.raises(EngineError):  # typed, not a raw TypeError
+        with pytest.raises(ReproError):  # typed, not a raw TypeError
             _job(deadline=[1])
 
     def test_spec_round_trips_schedule_terms(self):
         spec = MiningSpec.build(
             "synthetic", priority=3, deadline=5.0, beam_width=6, max_depth=2, top_k=10
         )
-        job = spec.to_job()
-        assert (job.priority, job.deadline) == (3, 5.0)
-        lifted = MiningSpec.from_job(job)
+        from repro.persist import job_from_dict, job_to_dict
+
+        document = job_to_dict(spec)
+        assert (document["priority"], document["deadline"]) == (3, 5.0)
+        lifted = job_from_dict(document)
         assert (lifted.executor.priority, lifted.executor.deadline) == (3, 5.0)
         rebuilt = MiningSpec.from_dict(spec.to_dict())
         assert rebuilt.executor.priority == 3
@@ -78,7 +78,6 @@ class TestJobScheduleFields:
         assert job_from_dict(job_to_dict(job)) == job
 
     def test_batch_file_schedule_validation_is_loud(self):
-        from repro.errors import ReproError
         from repro.persist import job_from_dict
 
         # The serialization path must not silently coerce what direct
@@ -305,6 +304,8 @@ class TestLiveReporting:
         text = out.getvalue()
         assert f"~ {job_id} queued" in text
         assert f"~ {job_id} dispatched" in text
+        # An unnamed spec is reported under its derived label.
+        assert f"[{_job().label}] done in" in text
 
 
 class TestShutdownSemantics:
@@ -315,10 +316,7 @@ class TestShutdownSemantics:
             # A genuinely slow blocker (crime takes seconds; synthetic
             # can finish in milliseconds and release the slot too soon).
             blocker = service.submit(
-                MiningJob(
-                    dataset="crime",
-                    config=SearchConfig(beam_width=40, max_depth=3, top_k=150),
-                )
+                MiningSpec.build("crime", beam_width=40, max_depth=3, top_k=150)
             )
             doomed = service.submit(_job(seed=9, deadline=0.05))
             started = _time.monotonic()

@@ -4,18 +4,17 @@ import concurrent.futures
 
 import pytest
 
-from repro.engine.jobs import MiningJob
 from repro.engine.service import JobStatus, MiningService
 from repro.errors import EngineError
-from repro.search.config import SearchConfig
+from repro.spec import MiningSpec
 
-FAST = SearchConfig(beam_width=6, max_depth=2, top_k=10)
+FAST = dict(beam_width=6, max_depth=2, top_k=10)
 #: A noticeably slower job, used to keep a one-worker pool busy.
-SLOW = SearchConfig(beam_width=40, max_depth=4, top_k=150)
+SLOW = dict(beam_width=40, max_depth=4, top_k=150)
 
 
 def _job(seed=0, config=FAST, **kwargs):
-    return MiningJob(dataset="synthetic", seed=seed, config=config, **kwargs)
+    return MiningSpec.build("synthetic", seed=seed, **config, **kwargs)
 
 
 class TestSerialBackend:
@@ -41,7 +40,7 @@ class TestThreadBackend:
             ids = [service.submit(job) for job in jobs]
             statuses = service.wait_all()
             assert [statuses[i] for i in ids] == [JobStatus.DONE] * 4
-            seen = {service.job(i).seed for i in ids}
+            seen = {service.job(i).search.seed for i in ids}
             assert seen == {0, 1, 2, 3}
 
     def test_identical_spec_hits_the_cache(self):
@@ -89,7 +88,7 @@ class TestProcessBackend:
         with MiningService(max_workers=2, backend="process") as service:
             ids = [service.submit(job) for job in jobs]
             results = [service.result(i, timeout=120) for i in ids]
-        assert [r.job.seed for r in results] == [0, 1]
+        assert [r.job.search.seed for r in results] == [0, 1]
         assert all(r.iterations[0].location.si > 0 for r in results)
 
 
@@ -198,14 +197,15 @@ class TestEdgePaths:
 
 class TestServiceSharedMemory:
     def test_serial_backend_threads_shared_memory_through(self):
-        """submit(shared_memory=True) must mine the same patterns."""
+        """submit(workers=2) runs the warm shared-memory pool, same patterns."""
+        from repro.engine import shm
+
         with MiningService(backend="serial") as service:
             baseline = service.result(service.submit(_job(seed=5)))
         with MiningService(backend="serial") as service:
-            job_id = service.submit(
-                _job(seed=5), workers=2, shared_memory=True
-            )
+            job_id = service.submit(_job(seed=5), workers=2)
             shared = service.result(job_id)
+        assert shm.live_segments() == frozenset()
         assert len(baseline.iterations) == len(shared.iterations)
         a = baseline.iterations[0].location
         b = shared.iterations[0].location
@@ -229,8 +229,8 @@ class TestPerJobObserver:
             result_a = service.result(a)
             result_b = service.result(b)
         # Exactly one terminal on_job carrying this submission's result.
-        assert [r.job.seed for r in mine.jobs] == [0]
-        assert [r.job.seed for r in other.jobs] == [1]
+        assert [r.job.search.seed for r in mine.jobs] == [0]
+        assert [r.job.search.seed for r in other.jobs] == [1]
         # Iterations arrive once (live on the thread backend, no replay).
         assert len(mine.iterations) == len(result_a.iterations)
         assert mine.iterations[0] is result_a.iterations[0]
@@ -272,7 +272,7 @@ class TestPerJobObserver:
             with pytest.raises(Exception):
                 service.result(job_id)
         assert len(log.failures) == 1
-        assert log.failures[0][0].targets == ("not-a-target",)
+        assert log.failures[0][0].dataset.targets == ("not-a-target",)
         assert not log.jobs
 
     def test_process_backend_replays_at_completion(self):
@@ -281,7 +281,7 @@ class TestPerJobObserver:
             job_id = service.submit(_job(seed=7, n_iterations=2), observer=log)
             result = service.result(job_id)
         assert len(log.iterations) == 2
-        assert [r.job.seed for r in log.jobs] == [7]
+        assert [r.job.search.seed for r in log.jobs] == [7]
         # Pool workers cannot call back live: no candidates crossed over.
         assert not log.candidates
         assert str(log.iterations[0].location) == str(result.iterations[0].location)

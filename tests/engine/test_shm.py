@@ -14,6 +14,15 @@ from repro.search.beam import LocationICScorer
 from repro.search.spread import SpreadObjective
 
 
+def _attach(ref: SharedArrayRef) -> np.ndarray:
+    """Reattach a ref the way a consumer does: by unpickling it."""
+    return pickle.loads(pickle.dumps(ref))
+
+
+def _pickled_nbytes(context) -> int:
+    return len(pickle.dumps(context, protocol=pickle.HIGHEST_PROTOCOL))
+
+
 class TestArrayStore:
     def test_pack_roundtrips_values_and_dtypes(self):
         with ArrayStore() as store:
@@ -31,8 +40,8 @@ class TestArrayStore:
 
     def test_views_are_read_only(self):
         with ArrayStore() as store:
-            ref = store.share_array(np.zeros(4))
-            view = ref.resolve()
+            ref = store.pack([np.zeros(4)])[0]
+            view = _attach(ref)
             with pytest.raises(ValueError):
                 view[0] = 1.0
 
@@ -40,8 +49,8 @@ class TestArrayStore:
         matrix = np.arange(20, dtype=float).reshape(4, 5)
         column = matrix[:, 2]  # stride > itemsize
         with ArrayStore() as store:
-            ref = store.share_array(column)
-            assert np.array_equal(ref.resolve(), column)
+            ref = store.pack([column])[0]
+            assert np.array_equal(_attach(ref), column)
 
     def test_object_dtype_rejected(self):
         with ArrayStore() as store:
@@ -67,27 +76,19 @@ class TestArrayStore:
         assert shm.live_segments() == frozenset()
         store.close()  # second close is a no-op
 
-    def test_release_unlinks_one_segment_early(self):
-        store = ArrayStore()
-        early = store.share_array(np.ones(3))
-        keep = store.share_array(np.zeros(3))
-        store.release(early)
-        assert early.name not in shm.live_segments()
-        assert keep.name in shm.live_segments()
-        store.close()
-
     def test_closed_store_rejects_new_segments(self):
         store = ArrayStore()
         store.close()
         with pytest.raises(EngineError, match="closed"):
-            store.share_array(np.ones(1))
+            store.pack([np.ones(1)])
 
     def test_attach_after_unlink_is_a_typed_error(self):
         store = ArrayStore()
-        ref = store.share_array(np.arange(64, dtype=float))
+        ref = store.pack([np.arange(64, dtype=float)])[0]
         store.close()
+        assert ref.name not in shm.live_segments()
         with pytest.raises(EngineError, match="unlinked"):
-            SharedArrayRef(ref.name, ref.offset, ref.shape, ref.dtype).resolve()
+            _attach(SharedArrayRef(ref.name, ref.offset, ref.shape, ref.dtype))
 
 
 class TestPublish:
@@ -157,9 +158,9 @@ class TestPublish:
         dataset = make_synthetic(0)
         model = BackgroundModel.from_targets(dataset.targets)
         scorer = LocationICScorer(model, dataset.targets)
-        copied = shm.payload_nbytes(scorer)
+        copied = _pickled_nbytes(scorer)
         with ArrayStore() as store:
-            shared = shm.payload_nbytes(publish(scorer, store))
+            shared = _pickled_nbytes(publish(scorer, store))
         assert shared * 5 <= copied, (
             f"expected >=5x reduction, got {copied} -> {shared} bytes"
         )
@@ -171,8 +172,8 @@ class TestPruneAttachments:
     def test_busy_segments_survive_prune(self):
         store = ArrayStore()
         data = np.arange(8, dtype=float)
-        ref = store.share_array(data)
-        view = ref.resolve()
+        ref = store.pack([data])[0]
+        view = _attach(ref)
         shm.prune_attachments()
         assert ref.name in shm._ATTACHED  # shielded by the live view
         assert np.array_equal(view, data)  # pages still mapped
@@ -183,7 +184,7 @@ class TestPruneAttachments:
 
     def test_keep_shields_viewless_segments(self):
         store = ArrayStore()
-        ref = store.share_array(np.ones(4))
+        ref = store.pack([np.ones(4)])[0]
         shm._attach_segment(ref.name)  # mapped, no views yet
         shm.prune_attachments(keep=(ref.name,))
         assert ref.name in shm._ATTACHED

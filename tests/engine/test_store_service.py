@@ -14,20 +14,19 @@ import time
 
 import pytest
 
-from repro.engine.jobs import MiningJob
 from repro.engine.service import JobStatus, MiningService
 from repro.errors import EngineError
 from repro.events import MiningObserver
 from repro.persist import job_result_to_dict
-from repro.search.config import SearchConfig
+from repro.spec import MiningSpec
 from repro.store import JobStore
 
-FAST = SearchConfig(beam_width=6, max_depth=2, top_k=10)
-SLOW = SearchConfig(beam_width=40, max_depth=4, top_k=150)
+FAST = dict(beam_width=6, max_depth=2, top_k=10)
+SLOW = dict(beam_width=40, max_depth=4, top_k=150)
 
 
 def _job(seed=0, config=FAST, **kwargs):
-    return MiningJob(dataset="synthetic", seed=seed, config=config, **kwargs)
+    return MiningSpec.build("synthetic", seed=seed, **config, **kwargs)
 
 
 class _ScheduleLog(MiningObserver):
@@ -37,7 +36,7 @@ class _ScheduleLog(MiningObserver):
         self.events = []
 
     def on_schedule(self, event):
-        self.events.append((event.kind, event.job_id, event.job.name))
+        self.events.append((event.kind, event.job_id, event.job.label))
 
     def kinds(self, kind):
         return [e for e in self.events if e[0] == kind]

@@ -15,10 +15,11 @@ import pytest
 
 from repro.datasets import load_dataset, make_synthetic
 from repro.engine.executor import ProcessExecutor, SerialExecutor
-from repro.engine.jobs import MiningJob, run_job
-from repro.errors import EngineError
+from repro.engine.jobs import run_job
+from repro.errors import EngineError, ReproError
 from repro.search.config import SearchConfig
 from repro.search.miner import SubgroupDiscovery
+from repro.spec import MiningSpec
 
 from tests.engine.test_equivalence import assert_search_results_identical
 
@@ -90,16 +91,13 @@ class TestWeightedBackendEquivalence:
         reference = SubgroupDiscovery(
             dataset, config=CONFIG, seed=0, executor=SerialExecutor()
         ).search_locations()
+        # The process backend ships the weighted scorer through shared
+        # memory onto its warm pool.
         with ProcessExecutor(2) as executor:
             process = SubgroupDiscovery(
                 dataset, config=CONFIG, seed=0, executor=executor
             ).search_locations()
-        with ProcessExecutor(2, shared_memory=True) as executor:
-            shared = SubgroupDiscovery(
-                dataset, config=CONFIG, seed=0, executor=executor
-            ).search_locations()
         assert_search_results_identical(reference, process)
-        assert_search_results_identical(reference, shared)
 
     def test_weighted_iterative_loop_shm_bit_identical(self):
         dataset = make_synthetic(0)
@@ -107,7 +105,7 @@ class TestWeightedBackendEquivalence:
         serial = SubgroupDiscovery(
             dataset, config=CONFIG, seed=0, executor=SerialExecutor()
         )
-        with ProcessExecutor(2, shared_memory=True) as executor:
+        with ProcessExecutor(2) as executor:
             shared = SubgroupDiscovery(
                 dataset, config=CONFIG, seed=0, executor=executor
             )
@@ -136,7 +134,9 @@ class TestWeightedBackendEquivalence:
 
 class TestJobWeights:
     def _job(self, weights=None):
-        return MiningJob(dataset="synthetic", weights=weights, config=CONFIG)
+        return MiningSpec.build(
+            "synthetic", weights=weights, beam_width=6, max_depth=2, top_k=15
+        )
 
     def test_run_job_applies_weights(self):
         n_rows = make_synthetic(0).n_rows
@@ -162,20 +162,20 @@ class TestJobWeights:
             run_job(self._job(weights=(1.0, 2.0)))
 
     def test_job_rejects_non_positive_weights(self):
-        with pytest.raises(EngineError, match="weights"):
+        with pytest.raises(ReproError, match="weights"):
             self._job(weights=(1.0, -2.0))
 
     def test_job_spec_round_trips_weights(self):
         from repro.persist import job_from_dict
 
         job = self._job(weights=(1.0, 2.0, 0.5))
-        document = job.spec()
+        document = job.work_document()
         assert document["weights"] == [1.0, 2.0, 0.5]
-        assert job_from_dict(document).weights == (1.0, 2.0, 0.5)
+        assert job_from_dict(document).dataset.weights == (1.0, 2.0, 0.5)
 
     def test_job_spec_omits_weights_when_unset(self):
         """Pre-weights specs (and their fingerprints) must be unchanged."""
-        assert "weights" not in self._job().spec()
+        assert "weights" not in self._job().work_document()
 
     def test_weights_change_the_fingerprint(self):
         plain = self._job()

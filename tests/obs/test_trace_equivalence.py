@@ -4,7 +4,8 @@ Two acceptance bars from the observability PR:
 
 - **Bit-identical with tracing on.** Activating a trace context around a
   run changes zero bytes of the mined result, on every backend —
-  serial, process pool, shared memory, and distributed.
+  serial, the shared-memory process pool (fork and spawn), and
+  distributed.
 - **One job, one tree.** A service submission routed through a live
   remote worker produces a single trace whose span tree covers
   submit → schedule → engine phases → shard → worker.shard.
@@ -13,21 +14,19 @@ Two acceptance bars from the observability PR:
 import numpy as np
 import pytest
 
-from repro.engine.jobs import MiningJob, run_job, run_job_with_workers
+from repro.engine.jobs import run_job, run_job_with_workers
 from repro.engine.service import MiningService
 from repro.obs.trace import TRACER, activate
-from repro.search.config import SearchConfig
-
-#: Small but non-trivial spec: beam phases and both step kinds fire.
-FAST = SearchConfig(beam_width=6, max_depth=2, top_k=10)
+from repro.spec import MiningSpec
 
 
-def _job(**overrides) -> MiningJob:
+def _job(**overrides) -> MiningSpec:
+    # Small but non-trivial: beam phases and both step kinds fire.
     settings = dict(
-        dataset="synthetic", config=FAST, kind="spread", n_iterations=1
+        beam_width=6, max_depth=2, top_k=10, kind="spread", n_iterations=1
     )
     settings.update(overrides)
-    return MiningJob(**settings)
+    return MiningSpec.build("synthetic", **settings)
 
 
 def assert_results_identical(ours, theirs):
@@ -68,10 +67,10 @@ class TestTracingOnBitIdentical:
         assert_results_identical(untraced_reference, traced)
 
     def test_shared_memory(self, untraced_reference):
+        # The warm pool under spawn: fresh interpreters reattach the
+        # published context from shared memory.
         root = TRACER.start("test-root")
-        traced = run_job_with_workers(
-            _job(), 2, shared_memory=True, trace=root.context
-        )
+        traced = run_job_with_workers(_job(), 2, "spawn", trace=root.context)
         TRACER.finish(root)
         assert_results_identical(untraced_reference, traced)
 
@@ -111,7 +110,7 @@ class TestOneJobOneTrace:
             span
             for span in TRACER.finished()
             if span.name == "submit"
-            and span.tags.get("job") == job.name
+            and span.tags.get("job") == job.label
             and span.tags.get("job_id") == job_id
         ]
         assert len(roots) == 1, "exactly one root span per submission"

@@ -18,18 +18,17 @@ from http.client import HTTPConnection
 import pytest
 
 from repro.client import RemoteError, RemoteWorkspace, ServerRestarted
-from repro.engine.jobs import MiningJob
 from repro.persist import job_result_to_dict
-from repro.search.config import SearchConfig
 from repro.server import MiningServer
+from repro.spec import MiningSpec
 
-FAST = SearchConfig(beam_width=6, max_depth=2, top_k=10)
+FAST = dict(beam_width=6, max_depth=2, top_k=10)
 
 
 def _job(seed=0, **kwargs):
     kwargs.setdefault("n_iterations", 2)
     kwargs.setdefault("kind", "spread")
-    return MiningJob(dataset="synthetic", seed=seed, config=FAST, **kwargs)
+    return MiningSpec.build("synthetic", seed=seed, **FAST, **kwargs)
 
 
 def _token_file(tmp_path, tenants):

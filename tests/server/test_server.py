@@ -17,6 +17,7 @@ from repro.api import Workspace
 from repro.client import RemoteError, RemoteJobFailed, RemoteWorkspace, _SSEStream
 from repro.engine.service import JobStatus
 from repro.events import EventLog
+from repro.persist import job_to_dict
 from repro.server import MiningServer
 from repro.spec import MiningSpec
 
@@ -87,7 +88,10 @@ class TestSubmitResultLifecycle:
         spec = fast_spec(seed=22)
         from_spec = remote.mine(spec)
         from_dict = remote.mine(spec.to_dict())
-        from_job = remote.mine(spec.to_job())
+        # A flat {"job": ...} body is the same work as the spec.
+        _, document = remote._request("POST", "/jobs", {"job": job_to_dict(spec)})
+        assert document["fingerprint"] == spec.fingerprint()
+        from_job = remote.result(document["job_id"], timeout=60)
         _assert_results_identical(from_spec, from_dict)
         _assert_results_identical(from_spec, from_job)
 
@@ -389,7 +393,7 @@ class TestReviewHardening:
             with server.run_in_thread() as handle:
                 remote = RemoteWorkspace(handle.url, timeout=30.0)
                 service.submit(
-                    fast_spec(seed=81).to_job(),
+                    fast_spec(seed=81),
                     observer=CallbackObserver(on_iteration=lambda _: gate.wait(30)),
                 )
                 victim = remote.submit(fast_spec(seed=82))

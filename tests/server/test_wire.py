@@ -11,13 +11,12 @@ import json
 import numpy as np
 import pytest
 
-from repro.engine.jobs import JobResult, MiningJob
+from repro.engine.jobs import JobResult
 from repro.errors import ReproError
 from repro.events import SchedulerEvent
 from repro.interest.si import PatternScore
 from repro.lang.conditions import NumericCondition
 from repro.lang.description import Description
-from repro.search.config import SearchConfig
 from repro.search.results import (
     LocationPatternResult,
     MiningIteration,
@@ -25,6 +24,7 @@ from repro.search.results import (
     SpreadPatternResult,
 )
 from repro.server import wire
+from repro.spec import MiningSpec
 
 
 def _roundtrip(document: dict) -> dict:
@@ -58,10 +58,12 @@ def _iteration(index: int = 1, with_spread: bool = True) -> MiningIteration:
     return MiningIteration(index=index, location=location, spread=spread)
 
 
-def _job() -> MiningJob:
-    return MiningJob(
-        dataset="synthetic",
-        config=SearchConfig(beam_width=6, max_depth=2, top_k=10),
+def _job() -> MiningSpec:
+    return MiningSpec.build(
+        "synthetic",
+        beam_width=6,
+        max_depth=2,
+        top_k=10,
         n_iterations=2,
         priority=3,
         deadline=60.0,
@@ -206,5 +208,8 @@ class TestEventEnvelopes:
         assert document["job_id"] == "job-0009"
         assert document["status"] == "running"
         assert document["fingerprint"] == job.fingerprint()
+        assert document["name"] == job.label
+        assert document["dataset"] == "synthetic"
+        assert document["n_iterations"] == 2
         assert document["priority"] == 3
         assert document["deadline"] == 60.0

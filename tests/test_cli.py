@@ -5,9 +5,11 @@ import json
 import pytest
 
 from repro.cli import EXPERIMENTS, main
-from repro.engine.jobs import MiningJob
 from repro.persist import save_jobs
-from repro.search.config import SearchConfig
+from repro.spec import MiningSpec
+
+#: Small search settings so a batch job finishes in milliseconds.
+FAST = dict(beam_width=6, max_depth=2, top_k=10)
 
 
 class TestDatasets:
@@ -169,9 +171,8 @@ class TestMineSpec:
 class TestBatch:
     @pytest.fixture()
     def jobs_file(self, tmp_path):
-        config = SearchConfig(beam_width=6, max_depth=2, top_k=10)
         jobs = [
-            MiningJob(dataset="synthetic", seed=s, config=config, name=f"job{s}")
+            MiningSpec.build("synthetic", seed=s, name=f"job{s}", **FAST)
             for s in range(4)
         ]
         return str(save_jobs(jobs, tmp_path / "jobs.json"))
@@ -207,10 +208,10 @@ class TestBatch:
     def test_batch_isolates_failing_jobs(self, tmp_path, capsys):
         import json as json_module
 
-        config = SearchConfig(beam_width=6, max_depth=2, top_k=10)
         jobs = [
-            MiningJob(dataset="synthetic", config=config, name="good"),
-            MiningJob(dataset="doesnotexist", config=config, name="bad"),
+            MiningSpec.build("synthetic", name="good", **FAST),
+            # Valid on load, fails at run time: too few weights.
+            MiningSpec.build("synthetic", name="bad", weights=[1.0, 1.0], **FAST),
         ]
         jobs_file = str(save_jobs(jobs, tmp_path / "mixed.json"))
         out_path = tmp_path / "results.json"
@@ -222,6 +223,15 @@ class TestBatch:
         document = json_module.loads(out_path.read_text())
         assert len(document["results"]) == 1  # ...but good work is kept
         assert len(document["failures"]) == 1
+
+    def test_batch_rejects_unregistered_dataset_on_load(self, tmp_path, capsys):
+        # Like a spec file, a batch entry naming an unknown dataset fails
+        # when the file loads, before any job runs.
+        path = tmp_path / "unknown.json"
+        path.write_text(json.dumps({"jobs": [{"dataset": "doesnotexist"}]}))
+        assert main(["batch", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert "error: cannot read" in err and "doesnotexist" in err
 
     def test_batch_unwritable_output_fails_cleanly(self, jobs_file, tmp_path, capsys):
         code = main(
@@ -260,23 +270,27 @@ class TestVersion:
 
 
 class TestMineSharedMemory:
+    """``--workers N`` runs the warm shared-memory pool; there is no toggle."""
+
     def test_mine_with_shared_memory(self, capsys):
         code = main(
             ["mine", "synthetic", "--iterations", "1", "--workers", "2",
-             "--shared-memory", "--beam-width", "8", "--depth", "2"]
+             "--beam-width", "8", "--depth", "2"]
         )
         assert code == 0
         assert "location:" in capsys.readouterr().out
+        with pytest.raises(SystemExit):
+            main(["mine", "synthetic", "--workers", "2", "--shared-memory"])
 
     def test_shared_memory_and_start_method_saved_to_spec(self, tmp_path, capsys):
         spec_path = tmp_path / "spec.json"
         code = main(
-            ["mine", "synthetic", "--workers", "2", "--shared-memory",
+            ["mine", "synthetic", "--workers", "2",
              "--start-method", "spawn", "--save-spec", str(spec_path)]
         )
         assert code == 0
         document = json.loads(spec_path.read_text())
-        assert document["executor"]["shared_memory"] is True
+        assert "shared_memory" not in document["executor"]
         assert document["executor"]["start_method"] == "spawn"
         assert document["executor"]["workers"] == 2
 
@@ -284,7 +298,7 @@ class TestMineSharedMemory:
         spec_path = tmp_path / "spec.json"
         assert main(["mine", "synthetic", "--save-spec", str(spec_path)]) == 0
         document = json.loads(spec_path.read_text())
-        assert document["executor"]["shared_memory"] is False
+        assert document["executor"]["workers"] == 1
         assert document["executor"]["start_method"] is None
 
 

@@ -212,7 +212,7 @@ class TestSessionClose:
         from repro.search.config import SearchConfig
 
         config = SearchConfig(beam_width=4, max_depth=1, top_k=5)
-        executor = ProcessExecutor(2, shared_memory=True)
+        executor = ProcessExecutor(2)
         with MiningSession(
             synthetic_dataset, config=config, executor=executor
         ) as session:

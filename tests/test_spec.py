@@ -4,9 +4,8 @@ import json
 
 import pytest
 
-from repro.engine.jobs import MiningJob
 from repro.errors import DataError, EngineError, ReproError, SearchError
-from repro.persist import load_spec, save_spec
+from repro.persist import job_from_dict, job_to_dict, load_spec, save_spec
 from repro.search.config import SearchConfig
 from repro.spec import (
     DatasetSpec,
@@ -88,7 +87,9 @@ class TestConstruction:
         with pytest.raises(ReproError, match="unknown interestingness measure"):
             MiningSpec.build("crime", strategy="quality_beam", measure="mean_shfit")
         with pytest.raises(ReproError, match="unknown interestingness measure"):
-            MiningJob(dataset="crime", strategy="quality_beam", measure="mean_shfit")
+            job_from_dict(
+                {"dataset": "crime", "strategy": "quality_beam", "measure": "mean_shfit"}
+            )
 
 
 class TestSerialization:
@@ -155,6 +156,49 @@ class TestFingerprint:
         assert a == b
         assert len({a, b}) == 1
 
+    def test_int_spelled_floats_fingerprint_like_their_float_twins(self):
+        # Sectioned, built and flat spellings of one job must share one
+        # cache entry, coalesce, and land on one replica.
+        built_int = MiningSpec.build("synthetic", gamma=1)
+        built_float = MiningSpec.build("synthetic", gamma=1.0)
+        flat = job_from_dict({"dataset": "synthetic", "gamma": 1})
+        sectioned = MiningSpec.from_dict(
+            {"dataset": "synthetic", "interest": {"gamma": 1}}
+        )
+        assert (
+            built_int.fingerprint()
+            == built_float.fingerprint()
+            == flat.fingerprint()
+            == sectioned.fingerprint()
+        )
+        assert isinstance(built_int.interest.gamma, float)
+        assert built_int.dl_params() == built_float.dl_params()
+
+    def test_search_floats_normalized(self):
+        spec = MiningSpec.build(
+            "synthetic", eta=2, max_coverage_fraction=1, time_budget_seconds=5
+        )
+        assert spec.interest.eta == 2.0 and isinstance(spec.interest.eta, float)
+        assert isinstance(spec.search.max_coverage_fraction, float)
+        assert isinstance(spec.search.time_budget_seconds, float)
+        assert spec.fingerprint() == MiningSpec.build(
+            "synthetic", eta=2.0, max_coverage_fraction=1.0, time_budget_seconds=5.0
+        ).fingerprint()
+        assert MiningSpec.build("synthetic").search.time_budget_seconds is None
+
+    @pytest.mark.parametrize(
+        "field,bad",
+        [
+            ("gamma", True),
+            ("eta", "1"),
+            ("max_coverage_fraction", False),
+            ("time_budget_seconds", "soon"),
+        ],
+    )
+    def test_bools_and_non_numbers_rejected(self, field, bad):
+        with pytest.raises(ReproError, match=field):
+            MiningSpec.build("synthetic", **{field: bad})
+
     def test_caller_dict_mutation_does_not_reach_the_spec(self):
         kwargs = {"flip_probability": 0.1}
         spec = MiningSpec.build("synthetic", dataset_kwargs=kwargs)
@@ -165,6 +209,8 @@ class TestFingerprint:
 
 
 class TestJobInterop:
+    """The flat job document form (batch files, wire, store records)."""
+
     def test_to_job_carries_every_section(self):
         spec = MiningSpec.build(
             "water",
@@ -176,40 +222,48 @@ class TestJobInterop:
             max_depth=3,
             gamma=0.2,
             n_split_points=5,
+            priority=4,
+            deadline=30,
             name="interop",
         )
-        job = spec.to_job()
-        assert job.dataset == "water"
-        assert job.dataset_seed == 2
-        assert job.seed == 5
-        assert job.kind == "spread"
-        assert job.n_iterations == 3
-        assert job.config == SearchConfig(
+        document = job_to_dict(spec)
+        assert document["dataset"] == "water"
+        assert document["dataset_seed"] == 2
+        assert document["seed"] == 5
+        assert document["kind"] == "spread"
+        assert document["n_iterations"] == 3
+        assert document["config"] == SearchConfig(
             beam_width=12, max_depth=3, n_split_points=5
-        )
-        assert job.gamma == 0.2
-        assert job.name == "interop"
-        assert job.strategy == "beam"
-        assert job.measure == "si"
+        ).to_dict()
+        assert document["gamma"] == 0.2
+        assert document["name"] == "interop"
+        assert document["strategy"] == "beam"
+        assert document["measure"] == "si"
+        assert (document["priority"], document["deadline"]) == (4, 30.0)
+        assert {k: document[k] for k in spec.work_document()} == spec.work_document()
 
     def test_from_job_round_trip(self):
-        job = MiningJob(
-            dataset="synthetic",
+        spec = MiningSpec.build(
+            "synthetic",
             dataset_seed=1,
             kind="spread",
             n_iterations=2,
             seed=3,
-            config=SearchConfig(beam_width=6, max_depth=2),
+            beam_width=6,
+            max_depth=2,
             gamma=0.3,
             name="rt",
         )
-        assert MiningSpec.from_job(job).to_job() == job
+        assert job_from_dict(job_to_dict(spec)) == spec
+        unnamed = spec.with_changes(name="")
+        assert job_to_dict(unnamed)["name"] == ""
+        assert job_from_dict(job_to_dict(unnamed)).name == ""
 
     def test_section_defaults_match_job_defaults(self):
-        # A default spec and a default job must describe the same work.
+        # A default spec and a minimal flat job describe the same work.
         spec = MiningSpec.build("synthetic")
-        job = MiningJob(dataset="synthetic")
-        assert spec.to_job().fingerprint() == job.fingerprint()
+        assert job_from_dict({"dataset": "synthetic"}) == spec
+        assert job_from_dict({"dataset": "synthetic"}).fingerprint() == spec.fingerprint()
 
 
 class TestSectionTypes:
@@ -276,38 +330,40 @@ class TestSectionTypes:
 
 
 class TestExecutorSharedMemory:
-    """The shared-memory transport toggle rides the executor section."""
+    """The retired ``shared_memory`` transport toggle.
+
+    Shared memory is the only process transport now, so the executor
+    section has no toggle: documents that still carry the key load (it
+    is dropped), and new spellings of it are unknown keywords.
+    """
 
     def test_defaults_off(self):
-        assert ExecutorSpec().shared_memory is False
+        assert "shared_memory" not in MiningSpec.build("synthetic").to_dict()["executor"]
+        assert not hasattr(ExecutorSpec(), "shared_memory")
 
     def test_flat_keyword_routes(self):
-        spec = MiningSpec.build("synthetic", shared_memory=True, workers=2)
-        assert spec.executor.shared_memory is True
-        assert spec.executor.workers == 2
+        with pytest.raises(ReproError, match="unknown spec keyword 'shared_memory'"):
+            MiningSpec.build("synthetic", shared_memory=True, workers=2)
 
     def test_round_trips_through_json(self):
-        spec = MiningSpec.build("synthetic", shared_memory=True)
-        document = spec.to_dict()
-        assert document["executor"]["shared_memory"] is True
-        assert MiningSpec.from_dict(document).executor.shared_memory is True
-
-    def test_non_bool_rejected(self):
-        with pytest.raises(ReproError, match="shared_memory"):
-            ExecutorSpec(shared_memory="yes")
+        document = MiningSpec.build("synthetic", workers=2).to_dict()
+        document["executor"]["shared_memory"] = True
+        spec = MiningSpec.from_dict(json.loads(json.dumps(document)))
+        assert spec.executor.workers == 2
+        assert "shared_memory" not in spec.to_dict()["executor"]
+        assert MiningSpec.from_dict(spec.to_dict()) == spec
 
     def test_fingerprint_excludes_the_toggle(self):
-        # The determinism contract makes the transport irrelevant to the
-        # mined patterns, so it must not split the result cache.
+        # Documents written with either value describe the same work.
         plain = MiningSpec.build("synthetic")
-        shared = MiningSpec.build("synthetic", shared_memory=True, workers=4)
-        assert plain.fingerprint() == shared.fingerprint()
+        for value in (True, False):
+            document = plain.to_dict()
+            document["executor"]["shared_memory"] = value
+            assert MiningSpec.from_dict(document).fingerprint() == plain.fingerprint()
 
     def test_with_changes_toggles(self):
-        spec = MiningSpec.build("synthetic")
-        toggled = spec.with_changes(shared_memory=True)
-        assert toggled.executor.shared_memory is True
-        assert spec.executor.shared_memory is False
+        with pytest.raises(ReproError, match="unknown spec keyword"):
+            MiningSpec.build("synthetic").with_changes(shared_memory=True)
 
 
 class TestDatasetWeights:
@@ -337,9 +393,9 @@ class TestDatasetWeights:
 
     def test_job_round_trip(self):
         spec = MiningSpec.build("synthetic", weights=(1.0, 2.5))
-        job = spec.to_job()
-        assert job.weights == (1.0, 2.5)
-        assert MiningSpec.from_job(job).dataset.weights == (1.0, 2.5)
+        document = job_to_dict(spec)
+        assert document["weights"] == [1.0, 2.5]
+        assert job_from_dict(document).dataset.weights == (1.0, 2.5)
 
     def test_weights_change_the_fingerprint(self):
         plain = MiningSpec.build("synthetic")
