@@ -13,10 +13,10 @@ decides *where it runs*:
 - :meth:`Workspace.submit` / :meth:`Workspace.result` — asynchronous,
   through a lazily created :class:`~repro.engine.service.MiningService`.
 
-All modes route the same spec through the same substrate
-(:class:`~repro.search.miner.SubgroupDiscovery` via the job runner), so
-they return byte-identical patterns — the equivalence the test suite
-enforces. Specs may be passed as :class:`~repro.spec.MiningSpec`
+All modes run the same spec through one run path,
+:mod:`repro.engine.jobs`, so they return byte-identical patterns,
+weighted specs included — the equivalence the test suite enforces.
+Specs may be passed as :class:`~repro.spec.MiningSpec`
 instances or as plain dicts (the JSON form), so a saved spec file drives
 everything::
 
@@ -34,11 +34,11 @@ from __future__ import annotations
 
 from typing import Iterator
 
+from repro.engine import jobs
 from repro.engine.cache import BeliefCache, resolve_belief_cache
-from repro.engine.executor import resolve_executor
-from repro.engine.jobs import JobResult, run_job
+from repro.engine.jobs import JobResult
 from repro.engine.service import JobStatus, MiningService
-from repro.errors import EngineError, SearchError
+from repro.errors import EngineError
 from repro.events import MiningObserver, broadcast
 from repro.obs.profile import ProfileReport, profile_block
 from repro.search.miner import SubgroupDiscovery
@@ -54,49 +54,6 @@ def _as_spec(spec: MiningSpec | dict) -> MiningSpec:
     return MiningSpec.from_dict(spec)
 
 
-def _spec_executor(spec: MiningSpec):
-    """The executor the spec's executor section describes."""
-    return resolve_executor(
-        spec.executor.workers, start_method=spec.executor.start_method
-    )
-
-
-def _load_spec_dataset(spec: MiningSpec):
-    """The (cached) dataset a spec references."""
-    from repro.engine.cache import load_dataset_cached
-
-    source = spec.dataset
-    return load_dataset_cached(source.name, seed=source.seed, **source.kwargs)
-
-
-def _require_beam(spec: MiningSpec) -> None:
-    """Iterative entry points only make sense for the beam strategy."""
-    if spec.search.strategy != "beam":
-        raise SearchError(
-            f"only the 'beam' strategy mines iteratively; "
-            f"{spec.search.strategy!r} runs via Workspace.mine/submit"
-        )
-
-
-def _substrate_kwargs(spec: MiningSpec, observer, belief_cache) -> dict:
-    """The spec-derived kwargs shared by the miner and session substrates.
-
-    One wiring path for :func:`build_miner` and
-    :meth:`Workspace.session`, so a new spec field cannot reach one and
-    silently miss the other (which would break the byte-identical
-    session-equals-mine contract).
-    """
-    return {
-        "config": spec.search_config(),
-        "dl_params": spec.dl_params(),
-        "seed": spec.search.seed,
-        "prior": spec.build_prior(),
-        "executor": _spec_executor(spec),
-        "observer": observer,
-        "belief_cache": belief_cache,
-    }
-
-
 def build_miner(
     spec: MiningSpec | dict,
     *,
@@ -105,20 +62,17 @@ def build_miner(
 ) -> SubgroupDiscovery:
     """Construct the iterative miner a beam-strategy spec describes.
 
-    Exposed for callers that want to drive the substrate directly (the
-    Workspace uses it for :meth:`Workspace.stream`); requires
-    ``search.strategy == "beam"``. ``belief_cache`` opts the miner into
+    :func:`repro.engine.jobs.build_miner` for a spec or its dict form.
+    The miner runs on the spec's executor section; close
+    ``miner.executor`` when done. ``belief_cache`` opts into
     belief-state prefix reuse (see
     :class:`~repro.engine.cache.BeliefCache`; ``True`` = the
     process-wide cache).
     """
-    spec = _as_spec(spec)
-    _require_beam(spec)
-    targets = spec.dataset.targets
-    return SubgroupDiscovery(
-        _load_spec_dataset(spec),
-        targets=list(targets) if targets is not None else None,
-        **_substrate_kwargs(spec, observer, resolve_belief_cache(belief_cache)),
+    return jobs.build_miner(
+        _as_spec(spec),
+        observer=observer,
+        belief_cache=resolve_belief_cache(belief_cache),
     )
 
 
@@ -207,23 +161,16 @@ class Workspace:
         spec = _as_spec(spec)
         composed = broadcast(self.observer, observer)
         block = profile_block() if profile else None
-        executor = _spec_executor(spec)
         try:
             if block is not None:
                 block.__enter__()
-            result = run_job(
-                spec,
-                executor=executor,
-                observer=composed,
-                belief_cache=self.belief_cache,
+            result = jobs.run_job(
+                spec, observer=composed, belief_cache=self.belief_cache
             )
         finally:
             if block is not None:
                 block.__exit__()
                 self.last_profile = block.report
-            # A parallel executor holds a warm worker pool; release it
-            # deterministically, not at garbage collection.
-            executor.close()
         if callable(profile):
             profile(self.last_profile.format())
         if composed is not None:
@@ -242,32 +189,15 @@ class Workspace:
         :meth:`mine`'s whole-result event, identical for every
         strategy). This generator is the synchronous substrate of the
         ROADMAP's async/streaming front-end. The spec is validated
-        eagerly, at this call — only the mining itself is lazy.
+        eagerly, at this call — only the mining itself is lazy. A
+        parallel spec's worker pool is released when the loop ends or
+        the caller abandons the generator.
         """
-        spec = _as_spec(spec)
-        composed = broadcast(self.observer, observer)
-        return self._stream(spec, composed)
-
-    def _stream(self, spec: MiningSpec, composed) -> Iterator[MiningIteration]:
-        if spec.search.strategy != "beam":
-            executor = _spec_executor(spec)
-            try:
-                result = run_job(spec, executor=executor, observer=composed)
-            finally:
-                executor.close()
-            yield from result.iterations
-            return
-        miner = build_miner(spec, observer=composed, belief_cache=self.belief_cache)
-        try:
-            for _ in range(spec.search.n_iterations):
-                yield miner.step(
-                    kind=spec.search.kind, sparsity=spec.search.sparsity
-                )
-        finally:
-            # Runs when the loop ends *and* when the caller abandons the
-            # generator mid-iteration — either way the miner's executor
-            # (possibly a persistent warm pool) is released now.
-            miner.executor.close()
+        return jobs.iterate_job(
+            _as_spec(spec),
+            observer=broadcast(self.observer, observer),
+            belief_cache=self.belief_cache,
+        )
 
     # ------------------------------------------------------------------ #
     # Interactive execution
@@ -285,17 +215,15 @@ class Workspace:
         done: a parallel spec gives it a worker pool to release.
         """
         spec = _as_spec(spec)
-        _require_beam(spec)
-        dataset = _load_spec_dataset(spec)
-        if spec.dataset.targets is not None:
-            dataset = dataset.with_targets(list(spec.dataset.targets))
+        settings = jobs.miner_settings(spec)
         return MiningSession(
-            dataset,
+            jobs.load_spec_dataset(spec),
             kind=spec.search.kind,
             sparsity=spec.search.sparsity,
-            **_substrate_kwargs(
-                spec, broadcast(self.observer, observer), self.belief_cache
-            ),
+            executor=jobs.job_executor(spec),
+            observer=broadcast(self.observer, observer),
+            belief_cache=self.belief_cache,
+            **settings,
         )
 
     # ------------------------------------------------------------------ #
@@ -341,10 +269,7 @@ class Workspace:
         """
         spec = _as_spec(spec)
         return self._ensure_service(spec.executor.backend).submit(
-            spec,
-            workers=spec.executor.workers,
-            start_method=spec.executor.start_method,
-            observer=observer,
+            spec, observer=observer
         )
 
     def _running_service(self) -> MiningService:

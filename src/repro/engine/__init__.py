@@ -11,8 +11,8 @@ backends), and layers a submit/status/result/cancel service on top:
   ``ProcessExecutor`` ships session contexts through (``ArrayStore`` +
   ``publish``).
 - :mod:`repro.engine.cache` — bounded LRU caches and spec fingerprints.
-- :mod:`repro.engine.jobs` — running one spec, and the deterministic
-  multi-job runner.
+- :mod:`repro.engine.jobs` — the one run path from a spec to its
+  iterations, and the deterministic multi-job runner.
 - :mod:`repro.engine.service` — ``MiningService``, a bounded worker pool
   with result caching.
 

@@ -1,13 +1,19 @@
-"""Running mining specs: one job, or a deterministic batch of them.
+"""Running mining specs: one run path from spec to iterations.
 
 A :class:`~repro.spec.MiningSpec` is the *what* of a mining run —
 dataset reference, target selection, prior, search configuration,
 iteration count — with no execution state, so it round-trips through
-JSON (``repro.persist``) and fingerprints stably for caching.
-:func:`run_job` is the *how* of one spec; :func:`run_jobs` fans a batch
-of specs out over an :class:`~repro.engine.executor.Executor` and
-returns results in submission order, which makes parameter sweeps and
-per-target fan-outs (many datasets × many configs) one call.
+JSON (``repro.persist``) and fingerprints stably for caching. This
+module is the one place a spec becomes a dataset
+(:func:`load_spec_dataset`), an executor (:func:`job_executor`), a miner
+(:func:`build_miner`) and a sequence of iterations (:func:`iterate_job`),
+and every entry point — Workspace, service, server, router, CLI — runs
+specs through it, so one spec mines the same patterns everywhere.
+:func:`run_job` is :func:`iterate_job` collected and timed;
+:func:`run_jobs` fans a batch of specs out over an
+:class:`~repro.engine.executor.Executor` and returns results in
+submission order, which makes parameter sweeps and per-target fan-outs
+(many datasets × many configs) one call.
 """
 
 from __future__ import annotations
@@ -17,13 +23,14 @@ import os
 import tempfile
 import uuid
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from repro.engine.cache import BeliefCache, LRUCache, load_dataset_cached
+from repro.datasets.schema import Dataset
+from repro.engine.cache import BeliefCache, load_dataset_cached
 from repro.engine.executor import Executor, SerialExecutor, resolve_executor
-from repro.errors import EngineError, JobPreempted
+from repro.errors import EngineError, JobPreempted, SearchError
 from repro.events import MiningObserver
 from repro.obs import clock
 from repro.obs.trace import TraceContext, activate
@@ -65,7 +72,74 @@ class JobFailure:
         return f"[{self.job.label}] FAILED: {self.error}"
 
 
-def _single_shot_iteration(job: MiningSpec, dataset) -> MiningIteration:
+def load_spec_dataset(spec: MiningSpec) -> Dataset:
+    """The spec's dataset: the shared cached load, weighted and narrowed as copies."""
+    source = spec.dataset
+    dataset = load_dataset_cached(source.name, seed=source.seed, **source.kwargs)
+    if source.weights is not None:
+        if len(source.weights) != dataset.n_rows:
+            raise EngineError(
+                f"job carries {len(source.weights)} weights but dataset "
+                f"{source.name!r} has {dataset.n_rows} rows"
+            )
+        dataset = dataset.with_weights(np.asarray(source.weights, dtype=float))
+    if source.targets is not None:
+        dataset = dataset.with_targets(list(source.targets))
+    return dataset
+
+
+def job_executor(spec: MiningSpec, *, dist_workers=None) -> Executor:
+    """The executor a spec's executor section describes; the caller closes it.
+
+    ``dist_workers`` (worker-daemon URLs) replace it with a DistExecutor.
+    """
+    section = spec.executor
+    return resolve_executor(
+        section.workers, start_method=section.start_method, dist_workers=dist_workers
+    )
+
+
+def miner_settings(spec: MiningSpec) -> dict:
+    """The iterative miner's spec-derived settings: prior, config, DL, seed.
+
+    Shared by :func:`build_miner` and :meth:`repro.api.Workspace.session`;
+    only the ``"beam"`` strategy mines iteratively, the others raise.
+    """
+    if spec.search.strategy != "beam":
+        raise SearchError(
+            f"only the 'beam' strategy mines iteratively; "
+            f"{spec.search.strategy!r} runs via Workspace.mine/submit"
+        )
+    return {
+        "prior": spec.build_prior(),
+        "config": spec.search_config(),
+        "dl_params": spec.dl_params(),
+        "seed": spec.search.seed,
+    }
+
+
+def build_miner(
+    spec: MiningSpec,
+    *,
+    executor: Executor | None = None,
+    observer: MiningObserver | None = None,
+    belief_cache: BeliefCache | None = None,
+) -> SubgroupDiscovery:
+    """The iterative miner a beam-strategy spec describes.
+
+    ``executor=None`` means the spec's own; the caller closes ``miner.executor``.
+    """
+    settings = miner_settings(spec)
+    return SubgroupDiscovery(
+        load_spec_dataset(spec),
+        executor=executor if executor is not None else job_executor(spec),
+        observer=observer,
+        belief_cache=belief_cache,
+        **settings,
+    )
+
+
+def _single_shot_iteration(job: MiningSpec, dataset: Dataset) -> MiningIteration:
     """Run a non-iterative strategy; one location pattern, index 1.
 
     ``branch_bound`` returns the provably optimal location pattern of a
@@ -77,22 +151,20 @@ def _single_shot_iteration(job: MiningSpec, dataset) -> MiningIteration:
     """
     from repro.registry import MEASURES
 
-    targets = job.dataset.targets
     config = job.search_config()
-    narrowed = dataset.with_targets(list(targets)) if targets is not None else dataset
     if job.search.strategy == "branch_bound":
         from repro.search.branch_bound import find_optimal_location
 
-        if narrowed.n_targets != 1:
+        if dataset.n_targets != 1:
             raise EngineError(
                 f"branch_bound needs exactly one target attribute; "
-                f"{job.dataset.name!r} has {narrowed.n_targets} "
-                f"({', '.join(narrowed.target_names)}) — select one via "
+                f"{job.dataset.name!r} has {dataset.n_targets} "
+                f"({', '.join(dataset.target_names)}) — select one via "
                 f"targets=('name',) (the spec's dataset section, or "
                 f"--targets on the CLI)"
             )
         result = find_optimal_location(
-            narrowed, config=config, dl_params=job.dl_params()
+            dataset, config=config, dl_params=job.dl_params()
         )
         best = result.best
         if best is None:
@@ -109,13 +181,13 @@ def _single_shot_iteration(job: MiningSpec, dataset) -> MiningIteration:
         from repro.model.background import BackgroundModel
 
         operator = RefinementOperator(
-            narrowed,
+            dataset,
             n_split_points=config.n_split_points,
             strategy=config.split_strategy,
             attributes=config.attributes,
         )
         measure = job.interest.measure
-        quality = MEASURES.get(measure)(narrowed.targets)
+        quality = MEASURES.get(measure)(dataset.targets)
         search = QualityBeamSearch(operator, quality, config=config)
         outcome = search.run()
         best = outcome.best
@@ -123,11 +195,11 @@ def _single_shot_iteration(job: MiningSpec, dataset) -> MiningIteration:
             raise EngineError(
                 f"quality beam ({measure}) found no admissible subgroup"
             )
-        mask = np.zeros(narrowed.n_rows, dtype=bool)
+        mask = np.zeros(dataset.n_rows, dtype=bool)
         mask[best.indices] = True
-        observed = narrowed.targets[mask].mean(axis=0)
+        observed = dataset.targets[mask].mean(axis=0)
         score = score_location(
-            BackgroundModel.from_targets(narrowed.targets),
+            BackgroundModel.from_targets(dataset.targets),
             mask,
             observed,
             len(best.description),
@@ -138,97 +210,87 @@ def _single_shot_iteration(job: MiningSpec, dataset) -> MiningIteration:
         indices=best.indices,
         mean=observed,
         score=score,
-        coverage=best.indices.shape[0] / narrowed.n_rows,
+        coverage=best.indices.shape[0] / dataset.n_rows,
     )
     return MiningIteration(index=1, location=location)
+
+
+def iterate_job(
+    job: MiningSpec,
+    *,
+    executor: Executor | None = None,
+    observer: MiningObserver | None = None,
+    belief_cache: BeliefCache | None = None,
+    should_yield=None,
+) -> Iterator[MiningIteration]:
+    """Mine one job, yielding each iteration the moment it is mined.
+
+    ``executor`` parallelizes *inside* the job (beam levels, spread
+    restarts). ``None`` means the spec's own executor section, closed
+    when the loop ends or the caller abandons the generator; one passed
+    in is left to its owner. ``observer`` receives candidate/iteration
+    events live; ``belief_cache`` lets the loop replay belief-state
+    prefixes it shares with earlier runs (see
+    :class:`~repro.engine.cache.BeliefCache`). The single-shot
+    strategies are sequential, have no belief state, ignore both, and
+    yield one iteration. ``should_yield`` (a zero-argument callable) is
+    polled before every iteration but the first; a truthy answer raises
+    :class:`~repro.errors.JobPreempted` (completed iterations are in the
+    belief cache already, so preemption only costs the one in flight).
+    """
+    search = job.search
+    if search.strategy != "beam":
+        iteration = _single_shot_iteration(job, load_spec_dataset(job))
+        if observer is not None:
+            observer.on_iteration(iteration)
+        yield iteration
+        return
+    miner = build_miner(
+        job, executor=executor, observer=observer, belief_cache=belief_cache
+    )
+    try:
+        for n in range(search.n_iterations):
+            # The first iteration always runs: a job that yields before
+            # doing any work could starve forever under a persistently
+            # contended pool.
+            if n > 0 and should_yield is not None and should_yield():
+                raise JobPreempted(
+                    f"job {job.label!r} preempted after "
+                    f"{n}/{search.n_iterations} iterations"
+                )
+            yield miner.step(kind=search.kind, sparsity=search.sparsity)
+    finally:
+        if executor is None:
+            # A parallel executor holds a warm worker pool; release it
+            # now, not at garbage collection.
+            miner.executor.close()
 
 
 def run_job(
     job: MiningSpec,
     *,
     executor: Executor | None = None,
-    dataset_cache: LRUCache | None = None,
     observer: MiningObserver | None = None,
     belief_cache: BeliefCache | None = None,
     should_yield=None,
 ) -> JobResult:
-    """Execute one job start-to-finish and return its result.
-
-    ``executor`` parallelizes *inside* the job (beam levels, spread
-    restarts); leave it serial when the jobs themselves are fanned out.
-    The single-shot strategies are sequential algorithms and ignore it.
-    ``observer`` receives candidate/iteration events live (beam
-    strategy) or the single iteration of a single-shot strategy.
-    ``belief_cache`` lets the beam strategy's iterative loop replay
-    belief-state prefixes it shares with earlier runs (see
-    :class:`~repro.engine.cache.BeliefCache`); the single-shot
-    strategies have no belief state and ignore it.
-    ``should_yield`` (a zero-argument callable) enables cooperative
-    preemption of the beam strategy: it is polled *between* iterations,
-    and a truthy answer raises :class:`~repro.errors.JobPreempted`.
-    Completed iterations are already in the belief cache at that point,
-    so a re-run replays them for free — preempting a job only ever
-    costs the iteration in flight.
-    """
-    source, search = job.dataset, job.search
-    dataset = load_dataset_cached(
-        source.name, seed=source.seed, cache=dataset_cache, **source.kwargs
-    )
-    if source.weights is not None:
-        if len(source.weights) != dataset.n_rows:
-            raise EngineError(
-                f"job carries {len(source.weights)} weights but dataset "
-                f"{source.name!r} has {dataset.n_rows} rows"
-            )
-        # A fresh derived dataset: the cached (shared) instance is never
-        # mutated, so unweighted jobs keep hitting the same object.
-        dataset = dataset.with_weights(np.asarray(source.weights, dtype=float))
+    """:func:`iterate_job` (same parameters), collected and timed."""
     started = clock.perf_counter()
-    if search.strategy == "beam":
-        miner = SubgroupDiscovery(
-            dataset,
-            targets=list(source.targets) if source.targets is not None else None,
-            prior=job.build_prior(),
-            config=job.search_config(),
-            dl_params=job.dl_params(),
-            seed=search.seed,
-            executor=executor or SerialExecutor(),
+    iterations = tuple(
+        iterate_job(
+            job,
+            executor=executor,
             observer=observer,
             belief_cache=belief_cache,
+            should_yield=should_yield,
         )
-        if should_yield is None:
-            iterations = miner.run(
-                search.n_iterations, kind=search.kind, sparsity=search.sparsity
-            )
-        else:
-            # Drive the loop step-by-step so the scheduler can reclaim
-            # the worker at iteration boundaries. The first iteration
-            # always runs: a job that yields before doing any work could
-            # starve forever under a persistently contended pool.
-            iterations = []
-            for n in range(search.n_iterations):
-                if n > 0 and should_yield():
-                    raise JobPreempted(
-                        f"job {job.label!r} preempted after "
-                        f"{n}/{search.n_iterations} iterations"
-                    )
-                iterations.append(
-                    miner.step(kind=search.kind, sparsity=search.sparsity)
-                )
-    else:
-        iterations = [_single_shot_iteration(job, dataset)]
-        if observer is not None:
-            observer.on_iteration(iterations[0])
-    return JobResult(
-        job=job,
-        iterations=tuple(iterations),
-        elapsed_seconds=clock.perf_counter() - started,
     )
+    return JobResult(job, iterations, clock.perf_counter() - started)
 
 
 def _run_job_task(job: MiningSpec) -> JobResult:
-    """Module-level job entry point so process pools can import it."""
-    return run_job(job)
+    """Module-level batch-job entry point, so process pools can import it."""
+    return run_job(job, executor=SerialExecutor())
 
 
 class FileYieldFlag:
@@ -270,8 +332,7 @@ class FileYieldFlag:
 
 def run_job_with_workers(
     job: MiningSpec,
-    workers: int | None,
-    start_method: str | None = None,
+    *,
     belief_cache: BeliefCache | None = None,
     observer: MiningObserver | None = None,
     yield_event=None,
@@ -279,38 +340,31 @@ def run_job_with_workers(
     trace=None,
     dist_workers=None,
 ) -> JobResult:
-    """:func:`run_job` with the executor resolved from a worker count.
+    """:func:`run_job` the way every service backend runs a job.
 
-    Module-level and picklable, so a service pool can honor a spec's
-    ``executor.workers`` (plus ``start_method``) inside its worker
-    processes (nested pools are legal; the determinism contract keeps
-    the results identical at any count). The executor is closed
-    afterwards so a parallel run's warm pool never outlives its job. ``belief_cache`` and
-    ``observer`` are in-process state: the service's thread/serial
-    backends thread theirs through here (observer callbacks then fire
-    from the worker thread), while its process backend leaves them
-    ``None`` — it can instead ship a picklable ``belief_handle``
+    Module-level and picklable, so a service pool honors the spec's
+    executor section inside its worker processes too (nested pools are
+    legal; the determinism contract keeps the results identical at any
+    count); the executor is closed when the job ends. ``belief_cache``
+    and ``observer`` are in-process state, passed by the thread/serial
+    backends (observer callbacks then fire from the worker thread); the
+    process backend can instead ship a picklable ``belief_handle``
     (:meth:`repro.engine.cache.BeliefCache.handle`) that each worker
     process resolves into its own cache over the shared on-disk spill.
-    ``yield_event`` is the preemption flag, polled between iterations
-    (see :func:`run_job`): a ``threading.Event`` from the thread
-    backend, or a :class:`FileYieldFlag` from the process backend —
-    anything with a cheap ``is_set()`` works.
-    ``trace`` is an optional :class:`~repro.obs.trace.TraceContext` (or
-    its wire-dict form, which is how the service's process backend ships
-    it): it is activated for the duration of the run so engine-internal
-    phase spans attach to the submitting job's trace. It never reaches
-    the miner's inputs — results are bit-identical with or without it.
-    ``dist_workers`` (a sequence of worker-daemon URLs) routes the run
-    through a :class:`~repro.dist.DistExecutor` instead of a local pool,
-    so a submitted job's trace extends across the remote shards.
+    ``yield_event`` is the preemption flag, anything with a cheap
+    ``is_set()``: a ``threading.Event`` (thread backend) or a
+    :class:`FileYieldFlag` (process backend). ``trace`` is an optional
+    :class:`~repro.obs.trace.TraceContext` (or its wire-dict form),
+    activated for the run so engine phase spans attach to the
+    submitting job's trace; it never reaches the miner's inputs.
+    ``dist_workers`` (worker-daemon URLs) routes the run through a
+    :class:`~repro.dist.DistExecutor` instead of the spec's local
+    executor, so the job's trace extends across the remote shards.
     """
     if belief_cache is None and belief_handle is not None:
         belief_cache = belief_handle.resolve()
     ctx = trace if isinstance(trace, TraceContext) else TraceContext.from_wire(trace)
-    executor = resolve_executor(
-        workers, start_method=start_method, dist_workers=dist_workers
-    )
+    executor = job_executor(job, dist_workers=dist_workers)
     scope = activate(ctx) if ctx is not None else contextlib.nullcontext()
     try:
         with scope:
@@ -328,7 +382,7 @@ def run_job_with_workers(
 def _run_job_isolated(job: MiningSpec) -> JobResult | JobFailure:
     """Like :func:`_run_job_task`, but a raising job becomes a record."""
     try:
-        return run_job(job)
+        return _run_job_task(job)
     except Exception as exc:
         return JobFailure(job=job, error=f"{type(exc).__name__}: {exc}")
 
@@ -344,7 +398,8 @@ def run_jobs(
 
     Jobs are independent, so execution order is irrelevant to the output:
     the same batch produces the same patterns at any worker count. Pass
-    either a ``workers`` count or an explicit ``executor``.
+    either a ``workers`` count or an explicit ``executor``; the jobs
+    themselves run serial, whatever their specs' executor sections say.
 
     By default the first failing job raises and the batch's other
     results are lost; with ``return_failures=True`` each failing job

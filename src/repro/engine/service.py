@@ -46,15 +46,10 @@ from repro.engine.cache import BeliefCache, LRUCache, resolve_belief_cache
 # BACKENDS moved to the executor module with the pool-resolution dedup;
 # re-imported here so `from repro.engine.service import BACKENDS` (its
 # pre-move home) keeps working.
-from repro.engine.executor import BACKENDS, resolve_executor, resolve_pool
+from repro.engine.executor import BACKENDS, resolve_pool
 
 __all__ = ["BACKENDS", "JobStatus", "MiningService"]
-from repro.engine.jobs import (
-    FileYieldFlag,
-    JobResult,
-    run_job,
-    run_job_with_workers,
-)
+from repro.engine.jobs import FileYieldFlag, JobResult, run_job_with_workers
 from repro.errors import DeadlineExpired, EngineError, JobPreempted
 from repro.events import MiningObserver, SchedulerEvent, broadcast
 from repro.obs import clock
@@ -75,7 +70,7 @@ from repro.obs.instruments import (
     STORE_JOURNAL_LAG,
     STORE_RECORDS,
 )
-from repro.obs.trace import TRACER, activate
+from repro.obs.trace import TRACER
 from repro.spec import MiningSpec
 
 #: Tenant label for untenanted submissions (Prometheus labels cannot be
@@ -201,7 +196,7 @@ class _Record:
         "urgency_at",
         "future",
         "state",
-        "opts",
+        "dist_workers",
         "proxies",
         "proxy_of",
         "heap_key",
@@ -223,7 +218,7 @@ class _Record:
         job: MiningSpec,
         fp: str,
         seq: int,
-        opts: tuple,
+        dist_workers: "Sequence[str] | None" = None,
         observer: "MiningObserver | None" = None,
         tenant: "str | None" = None,
         tenant_share: float = 1.0,
@@ -244,7 +239,7 @@ class _Record:
         self.urgency_at = self.deadline_at
         self.future: Future = Future()
         self.state = "queued"
-        self.opts = opts
+        self.dist_workers = dist_workers
         self.proxies: list["_Record"] = []
         self.proxy_of: "_Record" | None = None
         self.heap_key: tuple | None = None
@@ -317,9 +312,9 @@ class MiningService:
         ``multiprocessing`` start method of the ``"process"`` pool's
         workers (``fork``/``spawn``/``forkserver``; ``None`` = platform
         default). Ignored by the thread and serial backends. This
-        configures the *service's own* job pool; the ``start_method``
-        argument of :meth:`submit` independently configures the pools a
-        job spawns internally.
+        configures the *service's own* job pool; each job's spec
+        (``executor.start_method``) independently configures the pool
+        the job spawns internally.
     observer:
         Optional :class:`~repro.events.MiningObserver`. With the
         ``"serial"`` backend candidate/iteration events fire live during
@@ -488,8 +483,6 @@ class MiningService:
         self,
         job: MiningSpec,
         *,
-        workers: int | None = None,
-        start_method: str | None = None,
         dist_workers: Sequence[str] | None = None,
         observer: MiningObserver | None = None,
         tenant: str | None = None,
@@ -497,18 +490,18 @@ class MiningService:
     ) -> str:
         """Queue a job; returns its id. Cached specs resolve instantly.
 
-        ``workers``/``start_method`` parallelize the search *inside* the
-        job (the spec's executor section);
-        ``dist_workers`` (worker-daemon URLs) instead fans the job's
-        shards out to remote workers through a
+        The job runs on its spec's executor section: ``executor.workers``
+        and ``executor.start_method`` parallelize the search *inside* the
+        job, on every backend. ``dist_workers`` (worker-daemon URLs)
+        instead fans the job's shards out to remote workers through a
         :class:`~repro.dist.DistExecutor` — the submission's trace then
         spans the remote shards end to end. The determinism contract
-        makes all of them — and hence these parameters — irrelevant to
-        the result, so the cache stays keyed by the job fingerprint
-        alone. A submission whose fingerprint is already
-        queued or running coalesces onto that in-flight job (one mining
-        run, every waiter gets the result); scheduling terms come from
-        the spec's ``executor.priority``/``executor.deadline``.
+        makes all of them irrelevant to the result, so the cache stays
+        keyed by the job fingerprint alone. A submission whose
+        fingerprint is already queued or running coalesces onto that
+        in-flight job (one mining run, every waiter gets the result);
+        scheduling terms come from the spec's
+        ``executor.priority``/``executor.deadline``.
 
         ``observer`` is a *per-job* observer: unlike the service-wide
         observers (which hear every job), it receives only this
@@ -553,7 +546,7 @@ class MiningService:
                 job,
                 fp,
                 next(self._seq),
-                (workers, start_method, dist_workers),
+                dist_workers,
                 observer=wrapped,
                 tenant=tenant,
                 tenant_share=tenant_share,
@@ -628,22 +621,18 @@ class MiningService:
 
     def _run_serial(self, record: _Record) -> None:
         """Execute one job inline (the ``"serial"`` backend's dispatch)."""
-        workers, start_method, dist_workers = record.opts
-        executor = resolve_executor(
-            workers, start_method=start_method, dist_workers=dist_workers
-        )
         record.live = record.observer is not None
         try:
             # Serial backend: candidate/iteration events fire live, on
             # the service-wide observers and the submission's own
             # (swallowed on failure — see _SwallowingObserver).
-            with activate(record.trace):
-                result = run_job(
-                    record.job,
-                    executor=executor,
-                    observer=broadcast(self._live_observer, record.observer),
-                    belief_cache=self._belief_cache,
-                )
+            result = run_job_with_workers(
+                record.job,
+                belief_cache=self._belief_cache,
+                observer=broadcast(self._live_observer, record.observer),
+                trace=record.trace,
+                dist_workers=record.dist_workers,
+            )
         except Exception as exc:  # surface via result(), like a pool would
             with self._lock:
                 _finish(record, "failed")
@@ -662,10 +651,6 @@ class MiningService:
             self._announce(result, replay_iterations=False)
             if record.observer is not None:
                 _deliver_result(record.observer, result, replay_iterations=False)
-        finally:
-            # A parallel executor holds a warm pool; do not leave it to
-            # garbage collection.
-            executor.close()
 
     def status(self, job_id: str) -> JobStatus:
         """Current lifecycle state of one job.
@@ -762,7 +747,7 @@ class MiningService:
         """Ask a running job to yield its worker slot; True if requested.
 
         Preemption is *cooperative*: the worker checks a flag between
-        mining iterations (see :func:`repro.engine.jobs.run_job`), so
+        mining iterations (see :func:`repro.engine.jobs.iterate_job`), so
         the request lands at the next iteration boundary — completed
         iterations are already in the belief cache and replay for free
         when the job is re-dispatched. The preempted job goes back to
@@ -1040,64 +1025,54 @@ class MiningService:
                 self._tenant_pass[record.tenant] = (
                     record.pass_value + 1.0 / record.tenant_share
                 )
-            workers, start_method, dist_workers = record.opts
-            live_observer = None
-            if self.backend == "thread":
-                # In-process workers can call back into this process, so
-                # the per-job observers of every waiter known at dispatch
-                # hear candidates/iterations live from the worker thread;
-                # completion then skips their replay (waiter.live).
-                live_waiters = [
-                    waiter
-                    for waiter in [record] + record.proxies
-                    if waiter.state in _LIVE_STATES and waiter.observer is not None
-                ]
-                for waiter in live_waiters:
-                    waiter.live = True
-                live_observer = broadcast(
-                    *(waiter.observer for waiter in live_waiters)
-                )
             try:
                 if self.backend == "thread":
-                    # In-process workers share the belief cache; worker
-                    # *processes* cannot (no pickling across the boundary).
+                    # In-process workers can call back into this process,
+                    # so the per-job observers of every waiter known at
+                    # dispatch hear candidates/iterations live from the
+                    # worker thread; completion then skips their replay
+                    # (waiter.live). They share the belief cache too.
+                    live_waiters = [
+                        waiter
+                        for waiter in [record] + record.proxies
+                        if waiter.state in _LIVE_STATES
+                        and waiter.observer is not None
+                    ]
+                    for waiter in live_waiters:
+                        waiter.live = True
                     # The yield flag enables cooperative preemption at
                     # iteration boundaries.
                     record.yield_flag = threading.Event()
-                    pool_future = self._pool.submit(
-                        run_job_with_workers,
-                        record.job,
-                        workers,
-                        start_method,
-                        self._belief_cache,
-                        live_observer,
-                        record.yield_flag,
-                        trace=record.trace,
-                        dist_workers=dist_workers,
-                    )
+                    job_kwargs = {
+                        "belief_cache": self._belief_cache,
+                        "observer": broadcast(
+                            *(waiter.observer for waiter in live_waiters)
+                        ),
+                    }
                 else:
-                    # A spill-backed belief cache *can* reach worker
-                    # processes: ship its picklable handle, which each
+                    # Worker *processes* share neither (no pickling across
+                    # the boundary), but a spill-backed belief cache can
+                    # reach them: ship its picklable handle, which each
                     # worker resolves into a process-local cache over
                     # the shared on-disk spill. Preemption crosses the
                     # boundary the same way — a FileYieldFlag pickles by
                     # value and signals through the filesystem.
-                    handle = (
-                        self._belief_cache.handle()
-                        if self._belief_cache is not None
-                        else None
-                    )
                     record.yield_flag = FileYieldFlag()
-                    pool_future = self._pool.submit(
-                        run_job_with_workers,
-                        record.job,
-                        workers,
-                        start_method,
-                        belief_handle=handle,
-                        yield_event=record.yield_flag,
-                        trace=record.trace,
-                        dist_workers=dist_workers,
-                    )
+                    job_kwargs = {
+                        "belief_handle": (
+                            self._belief_cache.handle()
+                            if self._belief_cache is not None
+                            else None
+                        )
+                    }
+                pool_future = self._pool.submit(
+                    run_job_with_workers,
+                    record.job,
+                    yield_event=record.yield_flag,
+                    trace=record.trace,
+                    dist_workers=record.dist_workers,
+                    **job_kwargs,
+                )
             except Exception as exc:
                 # e.g. submit raced a shutdown: the pool refused the
                 # task. Undo the slot bookkeeping and fail the record
@@ -1451,7 +1426,6 @@ class MiningService:
                     job,
                     str(doc.get("fingerprint") or job.fingerprint()),
                     next(self._seq),
-                    (None, None, None),
                     tenant=doc.get("tenant"),
                     tenant_share=float(doc.get("tenant_share") or 1.0),
                 )

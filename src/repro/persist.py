@@ -140,8 +140,11 @@ def constraint_from_dict(data: dict) -> PatternConstraint:
 # Background model
 # --------------------------------------------------------------------- #
 def model_to_dict(model: BackgroundModel) -> dict:
-    """Serialize a background model (prior, blocks, constraints)."""
-    return {
+    """Serialize a background model (prior, blocks, constraints, weights).
+
+    ``"weights"`` is written only when set: unweighted documents are unchanged.
+    """
+    document = {
         "schema": SCHEMA_VERSION,
         "n_rows": model.n_rows,
         "prior": {
@@ -158,10 +161,13 @@ def model_to_dict(model: BackgroundModel) -> dict:
         ],
         "constraints": [constraint_to_dict(c) for c in model.constraints],
     }
+    if model.weights is not None:
+        document["weights"] = model.weights.tolist()
+    return document
 
 
 def model_from_dict(data: dict) -> BackgroundModel:
-    """Rebuild a background model; validates schema and block labels."""
+    """Rebuild a background model; validates schema, block labels and weights."""
     if data.get("schema") != SCHEMA_VERSION:
         raise ReproError(
             f"unsupported model schema {data.get('schema')!r} "
@@ -171,7 +177,7 @@ def model_from_dict(data: dict) -> BackgroundModel:
         np.asarray(data["prior"]["mean"], dtype=float),
         np.asarray(data["prior"]["cov"], dtype=float),
     )
-    model = BackgroundModel(int(data["n_rows"]), prior)
+    model = BackgroundModel(int(data["n_rows"]), prior, weights=data.get("weights"))
     labels = np.asarray(data["labels"], dtype=np.int64)
     if labels.shape != (model.n_rows,):
         raise ReproError("labels shape does not match n_rows")

@@ -772,11 +772,7 @@ class MiningServer:
         self, request: http.Request, tenant: Tenant | None = None
     ) -> tuple[int, dict]:
         job = self._parse_submission(request.json())
-        opts = {
-            "workers": job.executor.workers,
-            "start_method": job.executor.start_method,
-            **self._admit(tenant),
-        }
+        opts = self._admit(tenant)
         observer = _JobStreamObserver(self.hub, candidates=self.candidate_events)
         loop = asyncio.get_running_loop()
         # Sampled before submission: every event of this job has a

@@ -247,7 +247,9 @@ class ExecutorSpec:
 
     ``workers`` parallelizes the ``"beam"`` strategy's search (its
     scoring shards and spread restarts; 0/1 = serial) over
-    :class:`~repro.engine.executor.ProcessExecutor`'s warm worker pool —
+    :class:`~repro.engine.executor.ProcessExecutor`'s warm worker pool,
+    on every run path (:func:`repro.engine.jobs.run_job` included) but
+    a :func:`~repro.engine.jobs.run_jobs` batch, whose jobs run serial —
     the single-shot strategies (``branch_bound``, ``quality_beam``) are
     sequential algorithms and always run serial regardless of this
     setting. ``start_method`` picks that pool's ``multiprocessing``

@@ -87,6 +87,67 @@ class TestOneSpecThreeModes:
         assert_iterations_identical(result.iterations, mined.iterations)
 
 
+#: The acceptance spec with case weights: every row weighted differently.
+WEIGHTED = SPEC.with_changes(
+    weights=np.linspace(0.5, 2.0, load_dataset("synthetic", seed=0).n_rows).tolist()
+)
+
+
+class TestWeightedSpecEveryEntryPoint:
+    """One weighted spec, one fingerprint, one result through every entry point."""
+
+    @pytest.fixture(scope="class")
+    def mined(self):
+        return Workspace().mine(WEIGHTED).iterations
+
+    def test_weights_change_the_patterns(self, mined):
+        unweighted = Workspace().mine(SPEC).iterations
+        assert [it.location.score.ic for it in mined] != [
+            it.location.score.ic for it in unweighted
+        ]
+
+    def test_stream(self, mined):
+        assert_iterations_identical(list(Workspace().stream(WEIGHTED)), mined)
+
+    def test_session(self, mined):
+        with Workspace().session(WEIGHTED) as session:
+            stepped = [session.step() for _ in range(WEIGHTED.search.n_iterations)]
+        assert_iterations_identical(stepped, mined)
+
+    @pytest.mark.parametrize("backend", ["serial", "thread"])
+    def test_submit(self, mined, backend):
+        # No belief cache: each backend mines, none replays another's steps.
+        with Workspace(service_backend=backend, belief_cache=False) as ws:
+            result = ws.result(ws.submit(WEIGHTED), timeout=120)
+        assert_iterations_identical(result.iterations, mined)
+
+    def test_wrong_length_weights_raise_on_every_path(self):
+        from repro.errors import EngineError
+
+        bad = SPEC.with_changes(weights=[1.0, 2.0, 3.0])
+        with pytest.raises(EngineError, match="3 weights"):
+            Workspace().mine(bad)
+        with pytest.raises(EngineError, match="3 weights"):
+            list(Workspace().stream(bad))
+        with pytest.raises(EngineError, match="3 weights"):
+            Workspace().session(bad)
+
+
+class TestExecutorLifecycle:
+    def test_abandoned_stream_releases_its_worker_pool(self):
+        import multiprocessing
+
+        from repro.engine import shm
+
+        before = set(multiprocessing.active_children())
+        stream = Workspace().stream(SPEC.with_changes(workers=2))
+        assert next(stream).index == 1
+        assert set(multiprocessing.active_children()) - before  # pool is warm
+        stream.close()
+        assert shm.live_segments() == frozenset()
+        assert set(multiprocessing.active_children()) <= before
+
+
 class TestDeprecatedPathsByteIdentical:
     @pytest.fixture(scope="class")
     def mined(self):

@@ -197,3 +197,37 @@ class TestRunJobs:
             for ia, ib in zip(a.iterations, b.iterations):
                 assert ia.location.description == ib.location.description
                 assert ia.location.score.ic == ib.location.score.ic
+
+
+class TestExecutorDefaults:
+    """Where a job's in-job executor comes from when none is passed."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        """Records every ProcessExecutor constructed while the test runs."""
+        from repro.engine.executor import ProcessExecutor
+
+        sizes = []
+        original = ProcessExecutor.__init__
+
+        def recording_init(self, max_workers=None, **kwargs):
+            sizes.append(max_workers)
+            original(self, max_workers, **kwargs)
+
+        monkeypatch.setattr(ProcessExecutor, "__init__", recording_init)
+        return sizes
+
+    def test_run_job_honours_the_spec_workers(self, built):
+        parallel = run_job(_job(workers=2))
+        assert built == [2]
+        serial = run_job(_job())
+        first, second = serial.iterations[0], parallel.iterations[0]
+        assert second.location.description == first.location.description
+        assert second.location.score.ic == first.location.score.ic
+
+    def test_batch_jobs_run_serial_inside_the_batch(self, built):
+        # The batch is the parallelism: a spec's own workers never start
+        # a second, nested pool inside a batch job.
+        (result,) = run_jobs([_job().with_changes(workers=2)])
+        assert built == []
+        assert isinstance(result, JobResult)

@@ -197,13 +197,13 @@ class TestEdgePaths:
 
 class TestServiceSharedMemory:
     def test_serial_backend_threads_shared_memory_through(self):
-        """submit(workers=2) runs the warm shared-memory pool, same patterns."""
+        """A workers=2 spec runs the warm shared-memory pool, same patterns."""
         from repro.engine import shm
 
         with MiningService(backend="serial") as service:
             baseline = service.result(service.submit(_job(seed=5)))
         with MiningService(backend="serial") as service:
-            job_id = service.submit(_job(seed=5), workers=2)
+            job_id = service.submit(_job(seed=5, workers=2))
             shared = service.result(job_id)
         assert shm.live_segments() == frozenset()
         assert len(baseline.iterations) == len(shared.iterations)

@@ -62,7 +62,7 @@ class TestTracingOnBitIdentical:
 
     def test_process_pool(self, untraced_reference):
         root = TRACER.start("test-root")
-        traced = run_job_with_workers(_job(), 2, trace=root.context)
+        traced = run_job_with_workers(_job(workers=2), trace=root.context)
         TRACER.finish(root)
         assert_results_identical(untraced_reference, traced)
 
@@ -70,14 +70,16 @@ class TestTracingOnBitIdentical:
         # The warm pool under spawn: fresh interpreters reattach the
         # published context from shared memory.
         root = TRACER.start("test-root")
-        traced = run_job_with_workers(_job(), 2, "spawn", trace=root.context)
+        traced = run_job_with_workers(
+            _job(workers=2, start_method="spawn"), trace=root.context
+        )
         TRACER.finish(root)
         assert_results_identical(untraced_reference, traced)
 
     def test_dist(self, untraced_reference, worker_url):
         root = TRACER.start("test-root")
         traced = run_job_with_workers(
-            _job(), None, trace=root.context, dist_workers=[worker_url]
+            _job(), trace=root.context, dist_workers=[worker_url]
         )
         TRACER.finish(root)
         assert_results_identical(untraced_reference, traced)

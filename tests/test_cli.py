@@ -91,6 +91,23 @@ class TestMineSpec:
         assert "iteration 1" in out
         assert "location:" in out
 
+    def test_weighted_spec_mines_what_the_workspace_mines(self, tmp_path, capsys):
+        import numpy as np
+
+        from repro.api import Workspace
+        from repro.datasets import load_dataset
+        from repro.persist import save_spec
+
+        n_rows = load_dataset("synthetic", seed=0).n_rows
+        spec = MiningSpec.build(
+            "synthetic", beam_width=8, max_depth=2, top_k=10,
+            weights=np.linspace(0.5, 2.0, n_rows).tolist(),
+        )
+        path = save_spec(spec, tmp_path / "weighted.json")
+        assert main(["mine", "--spec", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert str(Workspace().mine(spec).iterations[0].location) in out
+
     def test_spec_flag_and_dataset_are_mutually_exclusive(self, tmp_path, capsys):
         assert main(["mine", "synthetic", "--spec", "whatever.json"]) == 1
         assert "not both" in capsys.readouterr().err

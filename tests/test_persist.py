@@ -1,5 +1,7 @@
 """Round-trip tests for JSON persistence."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -133,6 +135,40 @@ class TestModelRoundTrip:
         path = save_model(original, tmp_path / "model.json")
         restored = load_model(path)
         np.testing.assert_allclose(restored.prior.mean, original.prior.mean)
+
+    def test_weighted_model_round_trips_its_weights(self, rng):
+        targets = rng.standard_normal((12, 2))
+        weights = np.linspace(0.5, 2.0, 12)
+        original = BackgroundModel.from_targets(targets, weights=weights)
+        original.assimilate(LocationConstraint.from_data(targets, np.arange(4)))
+        document = json.loads(json.dumps(model_to_dict(original)))
+        restored = model_from_dict(document)
+        np.testing.assert_array_equal(restored.weights, weights)
+        probe = np.arange(6)
+        assert restored.subgroup_mean_distribution(probe)[0].tolist() == (
+            original.subgroup_mean_distribution(probe)[0].tolist()
+        )
+
+    def test_restored_weights_are_checked_by_the_model(self, rng):
+        targets = rng.standard_normal((6, 1))
+        document = model_to_dict(
+            BackgroundModel.from_targets(targets, weights=np.ones(6))
+        )
+        document["weights"] = [1.0, -1.0, 1.0, 1.0, 1.0, 1.0]
+        with pytest.raises(ReproError, match="weights"):
+            model_from_dict(document)
+
+    def test_unweighted_document_is_unchanged(self):
+        """Unweighted model documents gained no key: pinned byte for byte."""
+        written = (
+            '{"schema": 1, "n_rows": 4, "prior": {"mean": [0.0], "cov": [[1.0]]}, '
+            '"labels": [0, 0, 1, 1], "blocks": [{"mean": [0.9999999999999998], '
+            '"cov": [[1.0]]}, {"mean": [0.0], "cov": [[1.0]]}], "constraints": '
+            '[{"type": "location", "indices": [0, 1], "mean": [1.0]}]}'
+        )
+        restored = model_from_dict(json.loads(written))
+        assert restored.weights is None
+        assert json.dumps(model_to_dict(restored)) == written
 
     def test_schema_version_checked(self, rng):
         targets = rng.standard_normal((10, 1))

@@ -121,6 +121,31 @@ class TestPersistence:
             session.step(kind="spread").spread.direction,
         )
 
+    def test_weighted_save_resume_step_equals_uninterrupted_run(
+        self, synthetic_dataset, tmp_path
+    ):
+        """Case weights survive save -> resume: the model document keeps them."""
+        from repro.search.config import SearchConfig
+
+        weights = np.linspace(0.5, 2.0, synthetic_dataset.n_rows)
+        weighted = synthetic_dataset.with_weights(weights)
+        config = SearchConfig(beam_width=4, max_depth=2, top_k=5)
+        session = MiningSession(weighted, config=config)
+        session.step()
+        path = session.save(tmp_path / "session.json")
+        expected = session.step()
+
+        resumed = MiningSession.resume(weighted, path, config=config)
+        np.testing.assert_array_equal(resumed.miner.model.weights, weights)
+        actual = resumed.step()
+        assert actual.location.description == expected.location.description
+        np.testing.assert_array_equal(
+            actual.location.indices, expected.location.indices
+        )
+        np.testing.assert_array_equal(actual.location.mean, expected.location.mean)
+        assert actual.location.score.ic == expected.location.score.ic
+        assert actual.location.score.dl == expected.location.score.dl
+
     def test_rng_state_round_trips_through_json(
         self, synthetic_dataset, tmp_path
     ):
