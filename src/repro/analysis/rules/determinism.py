@@ -268,6 +268,7 @@ INSTRUMENTED_PATHS = (
     "repro/dist/worker.py",
     "repro/dist/router.py",
     "repro/server/app.py",
+    "repro/server/http.py",
     "repro/server/hub.py",
     "repro/utils/timer.py",
 )

@@ -25,6 +25,10 @@ health-checked through their boot-generation markers and the ring
 rebalances on membership change. Job ids are tagged with the owning
 replica (``job-0001@r0``), which keeps the router stateless:
 ``repro.client.RemoteWorkspace`` works against a router unchanged.
+
+Both daemons are :class:`repro.server.http.Daemon` subclasses, like
+:class:`~repro.server.MiningServer`: one lifecycle, keep-alive loop and
+error envelope serve all three tiers.
 """
 
 from repro.dist.executor import DistExecutor, ShardError, WorkerClient, WorkerUnavailable

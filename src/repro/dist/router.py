@@ -35,7 +35,6 @@ from urllib.parse import urlsplit
 from repro.dist import wire as dwire
 from repro.dist.ring import HashRing
 from repro.errors import EngineError, ReproError
-from repro.obs import clock
 from repro.obs.instruments import (
     METRICS,
     ROUTER_FORWARDED,
@@ -46,8 +45,7 @@ from repro.obs.metrics import PROMETHEUS_CONTENT_TYPE
 from repro.obs.trace import TRACER
 from repro.persist import job_from_dict
 from repro.server import http
-from repro.server.app import ServerHandle
-from repro.server.wire import WIRE_SCHEMA, error_to_wire
+from repro.server.wire import WIRE_SCHEMA
 from repro.spec import MiningSpec
 from repro.version import __version__
 
@@ -89,7 +87,7 @@ class _Replica:
         self.last_error: str | None = None
 
 
-class MiningRouter:
+class MiningRouter(http.Daemon):
     """Route jobs across MiningServer replicas by spec fingerprint.
 
     Parameters
@@ -107,6 +105,8 @@ class MiningRouter:
         Virtual nodes per replica on the ring.
     """
 
+    role = "router"
+
     def __init__(
         self,
         replicas,
@@ -120,8 +120,7 @@ class MiningRouter:
         urls = list(replicas)
         if not urls:
             raise EngineError("MiningRouter needs at least one replica URL")
-        self.host = host
-        self.port = port
+        super().__init__(host, port)
         self.check_interval = check_interval
         self.probe_timeout = probe_timeout
         self.generation = secrets.token_hex(8)
@@ -132,43 +131,21 @@ class MiningRouter:
         self._ring = HashRing(vnodes=vnodes)
         self._workers: list[str] = []
         self._workers_lock = threading.Lock()
-        self._server: asyncio.AbstractServer | None = None
         self._checker: asyncio.Task | None = None
-        self._conn_tasks: set[asyncio.Task] = set()
-        self._started_at: float | None = None
         self._stats = {"submitted": 0, "forwarded": 0, "rebalances": 0}
-
-    # ------------------------------------------------------------------ #
-    # Lifecycle (mirrors MiningServer; ServerHandle works unchanged)
-    # ------------------------------------------------------------------ #
-    @property
-    def url(self) -> str:
-        return f"http://{self.host}:{self.port}"
 
     async def start(self) -> None:
         """Probe every replica, then bind and begin accepting traffic."""
-        if self._server is not None:
-            raise EngineError("router is already running")
         # Probe every replica once *before* accepting traffic, so the
         # first submission sees the real membership, not an empty ring.
         await asyncio.gather(
             *(self._probe(replica) for replica in self._replicas)
         )
-        self._server = await asyncio.start_server(
-            self._handle_connection, self.host, self.port
-        )
-        self.port = self._server.sockets[0].getsockname()[1]
-        self._started_at = clock.monotonic()
+        await super().start()
         self._checker = asyncio.ensure_future(self._check_loop())
 
-    async def serve_forever(self) -> None:
-        """Serve until cancelled; requires a prior :meth:`start`."""
-        if self._server is None:
-            raise EngineError("call start() before serve_forever()")
-        await self._server.serve_forever()
-
     async def stop(self) -> None:
-        """Stop health checks, close the listener, drain connections."""
+        """Stop health checks, close the listener, end connections."""
         if self._checker is not None:
             self._checker.cancel()
             try:
@@ -176,64 +153,7 @@ class MiningRouter:
             except asyncio.CancelledError:
                 pass
             self._checker = None
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
-        # Cancel parked keep-alive handlers while the loop is still
-        # live, so their cleanup awaits resolve; left to the loop's
-        # teardown they would be GC-closed mid-await instead.
-        for task in list(self._conn_tasks):
-            task.cancel()
-        if self._conn_tasks:
-            await asyncio.gather(*self._conn_tasks, return_exceptions=True)
-            self._conn_tasks.clear()
-
-    def run(self, *, announce=None) -> None:
-        """Blocking entry point (``sisd route``): serve until Ctrl-C."""
-        try:
-            asyncio.run(self._run_forever(announce))
-        except KeyboardInterrupt:
-            pass
-
-    async def _run_forever(self, announce) -> None:
-        await self.start()
-        if announce is not None:
-            announce(self)
-        await self.serve_forever()
-
-    def run_in_thread(self, *, ready_timeout: float = 30.0) -> ServerHandle:
-        """Start on a daemon thread; returns a :class:`ServerHandle`."""
-        started = threading.Event()
-        handle = ServerHandle(self)
-
-        def target() -> None:
-            try:
-                asyncio.run(self._serve_until_stopped(started, handle))
-            except BaseException as exc:  # pragma: no cover - surfaced below
-                handle.error = exc
-            finally:
-                started.set()
-
-        thread = threading.Thread(
-            target=target, name="repro-dist-router", daemon=True
-        )
-        handle._thread = thread
-        thread.start()
-        started.wait(ready_timeout)
-        if handle.error is not None:
-            raise EngineError(f"router failed to start: {handle.error}")
-        if self._server is None:
-            raise EngineError("router failed to start within ready_timeout")
-        return handle
-
-    async def _serve_until_stopped(self, started, handle: ServerHandle) -> None:
-        await self.start()
-        handle._loop = asyncio.get_running_loop()
-        handle._stop = asyncio.Event()
-        started.set()
-        await handle._stop.wait()
-        await self.stop()
+        await super().stop()
 
     # ------------------------------------------------------------------ #
     # Health checking and membership
@@ -373,98 +293,34 @@ class MiningRouter:
         return result
 
     # ------------------------------------------------------------------ #
-    # Connection handling
-    # ------------------------------------------------------------------ #
-    async def _handle_connection(self, reader, writer) -> None:
-        task = asyncio.current_task()
-        if task is not None:
-            self._conn_tasks.add(task)
-        try:
-            await self._serve_connection(reader, writer)
-        except asyncio.CancelledError:
-            pass
-        finally:
-            if task is not None:
-                self._conn_tasks.discard(task)
-
-    async def _serve_connection(self, reader, writer) -> None:
-        try:
-            while True:
-                try:
-                    request = await http.read_request(reader)
-                except http.HttpError as exc:
-                    writer.write(self._error(exc.status, str(exc), keep=False))
-                    await writer.drain()
-                    break
-                if request is None:
-                    break
-                if request.method == "GET" and request.path == "/events":
-                    await self._handle_events(request, writer)
-                    break  # SSE ends by closing the connection
-                keep = request.keep_alive
-                try:
-                    response = await self._dispatch(request, keep)
-                except http.HttpError as exc:
-                    response = self._error(
-                        exc.status, str(exc), keep=keep, headers=exc.headers
-                    )
-                except ReproError as exc:
-                    response = self._error(400, str(exc), keep=keep)
-                except Exception as exc:  # noqa: BLE001 - last-resort guard
-                    response = self._error(500, str(exc), keep=keep)
-                writer.write(response)
-                await writer.drain()
-                if not keep:
-                    break
-        except (ConnectionError, OSError, asyncio.IncompleteReadError):
-            pass
-        finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError):  # pragma: no cover
-                pass
-
-    def _error(
-        self, status: int, message: str, *, keep: bool, headers: tuple = ()
-    ) -> bytes:
-        document = {
-            "schema": WIRE_SCHEMA,
-            "error": error_to_wire(http.HttpError(status, message)),
-        }
-        return http.render_response(
-            status,
-            http.json_body(document),
-            keep_alive=keep,
-            extra_headers=headers,
-        )
-
-    # ------------------------------------------------------------------ #
     # Routing
     # ------------------------------------------------------------------ #
-    async def _dispatch(self, request: http.Request, keep: bool) -> bytes:
+    async def respond(
+        self, request: http.Request, writer
+    ) -> http.Response | None:
+        """Answer locally, forward to the owning replica, or relay SSE."""
+        if request.method == "GET" and request.path == "/events":
+            await self._handle_events(request, writer)
+            return None
         parts = [part for part in request.path.split("/") if part]
         if parts == ["health"] and request.method == "GET":
-            return http.render_response(
-                200, http.json_body(self._health()), keep_alive=keep
-            )
+            return http.Response(200, http.json_body(self._health()))
         if parts == ["metrics"] and request.method == "GET":
-            return http.render_response(
+            return http.Response(
                 200,
                 METRICS.render().encode("utf-8"),
                 content_type=PROMETHEUS_CONTENT_TYPE,
-                keep_alive=keep,
             )
         if parts == ["workers"]:
-            return self._handle_workers(request, keep)
+            return self._handle_workers(request)
         if parts == ["workers", "register"] and request.method == "POST":
-            return self._register_worker(request, keep)
+            return self._register_worker(request)
         if parts == ["jobs"] and request.method == "POST":
-            return await self._submit(request, keep)
+            return await self._submit(request)
         if parts == ["jobs"] and request.method == "GET":
-            return await self._list_jobs(request, keep)
+            return await self._list_jobs(request)
         if len(parts) >= 2 and parts[0] == "jobs":
-            return await self._forward_job(request, parts, keep)
+            return await self._forward_job(request, parts)
         raise http.HttpError(
             404,
             f"no route for {request.method} {request.path}; this is a sisd "
@@ -483,11 +339,7 @@ class MiningRouter:
             "role": "router",
             "version": __version__,
             "generation": self.generation,
-            "uptime_seconds": (
-                0.0
-                if self._started_at is None
-                else clock.monotonic() - self._started_at
-            ),
+            "uptime_seconds": self.uptime_seconds,
             "replicas": [
                 {
                     "name": replica.name,
@@ -508,18 +360,16 @@ class MiningRouter:
             },
         }
 
-    def _handle_workers(self, request: http.Request, keep: bool) -> bytes:
+    def _handle_workers(self, request: http.Request) -> http.Response:
         if request.method != "GET":
             raise http.HttpError(405, f"{request.method} not allowed on /workers")
         with self._workers_lock:
             workers = list(self._workers)
-        return http.render_response(
-            200,
-            http.json_body({"schema": WIRE_SCHEMA, "workers": workers}),
-            keep_alive=keep,
+        return http.Response(
+            200, http.json_body({"schema": WIRE_SCHEMA, "workers": workers})
         )
 
-    def _register_worker(self, request: http.Request, keep: bool) -> bytes:
+    def _register_worker(self, request: http.Request) -> http.Response:
         document = request.json()
         url = document.get("url")
         if not isinstance(url, str) or "://" not in url:
@@ -528,11 +378,10 @@ class MiningRouter:
             if url not in self._workers:
                 self._workers.append(url)
             count = len(self._workers)
-        return http.render_response(
+        return http.Response(
             200,
             http.json_body({"schema": WIRE_SCHEMA, "registered": url,
                             "workers": count}),
-            keep_alive=keep,
         )
 
     def _fingerprint_of(self, body: bytes) -> str:
@@ -558,7 +407,7 @@ class MiningRouter:
             "MiningSpec document",
         )
 
-    async def _submit(self, request: http.Request, keep: bool) -> bytes:
+    async def _submit(self, request: http.Request) -> http.Response:
         fingerprint = self._fingerprint_of(request.body)
         last_error: http.HttpError | None = None
         for name in list(self._ring.preference(fingerprint)):
@@ -572,9 +421,7 @@ class MiningRouter:
                 continue  # owner down: the ring's next node takes the spec
             self._stats["submitted"] += 1
             ROUTER_SUBMITTED.inc()
-            return self._retag_response(
-                status, headers, body, replica.name, keep
-            )
+            return self._retag_response(status, headers, body, replica.name)
         if last_error is not None:
             raise last_error
         raise http.HttpError(
@@ -583,7 +430,7 @@ class MiningRouter:
             headers=(("Retry-After", "1"),),
         )
 
-    async def _list_jobs(self, request: http.Request, keep: bool) -> bytes:
+    async def _list_jobs(self, request: http.Request) -> http.Response:
         """Merged listing across every healthy replica, tagged ids."""
         healthy = [replica for replica in self._replicas if replica.healthy]
         listings = await asyncio.gather(
@@ -608,10 +455,8 @@ class MiningRouter:
                 )
                 entries.append(entry)
         entries.sort(key=lambda entry: entry.get("job_id", ""))
-        return http.render_response(
-            200,
-            http.json_body({"schema": WIRE_SCHEMA, "jobs": entries}),
-            keep_alive=keep,
+        return http.Response(
+            200, http.json_body({"schema": WIRE_SCHEMA, "jobs": entries})
         )
 
     def _owning_replica(self, tagged: str) -> tuple[_Replica, str]:
@@ -632,8 +477,8 @@ class MiningRouter:
         return replica, local_id
 
     async def _forward_job(
-        self, request: http.Request, parts: list, keep: bool
-    ) -> bytes:
+        self, request: http.Request, parts: list
+    ) -> http.Response:
         replica, local_id = self._owning_replica(parts[1])
         suffix = "/" + "/".join(parts[2:]) if len(parts) > 2 else ""
         query = ""
@@ -654,14 +499,12 @@ class MiningRouter:
                 for name, value in headers.items()
                 if name in _FORWARD_RESPONSE_HEADERS
             )
-            return http.render_response(
-                status, body, keep_alive=keep, extra_headers=extra
-            )
-        return self._retag_response(status, headers, body, replica.name, keep)
+            return http.Response(status, body, headers=extra)
+        return self._retag_response(status, headers, body, replica.name)
 
     def _retag_response(
-        self, status: int, headers: dict, body: bytes, name: str, keep: bool
-    ) -> bytes:
+        self, status: int, headers: dict, body: bytes, name: str
+    ) -> http.Response:
         """Tag the ``job_id`` of a small JSON response with its replica."""
         try:
             document = json.loads(body) if body else {}
@@ -677,9 +520,7 @@ class MiningRouter:
             for header, value in headers.items()
             if header in _FORWARD_RESPONSE_HEADERS
         )
-        return http.render_response(
-            status, body, keep_alive=keep, extra_headers=extra
-        )
+        return http.Response(status, body, headers=extra)
 
     # ------------------------------------------------------------------ #
     # SSE relay
@@ -687,25 +528,13 @@ class MiningRouter:
     async def _handle_events(self, request: http.Request, writer) -> None:
         tagged = request.query.get("job_id")
         if tagged is None:
-            writer.write(
-                self._error(
-                    501,
-                    "the router streams per-job events only: subscribe with "
-                    "/events?job_id=<id>@<replica> (a firehose across "
-                    "replicas would interleave unrelated sequence spaces)",
-                    keep=False,
-                )
+            raise http.HttpError(
+                501,
+                "the router streams per-job events only: subscribe with "
+                "/events?job_id=<id>@<replica> (a firehose across "
+                "replicas would interleave unrelated sequence spaces)",
             )
-            await writer.drain()
-            return
-        try:
-            replica, local_id = self._owning_replica(tagged)
-        except http.HttpError as exc:
-            writer.write(
-                self._error(exc.status, str(exc), keep=False, headers=exc.headers)
-            )
-            await writer.drain()
-            return
+        replica, local_id = self._owning_replica(tagged)
         query = f"?job_id={local_id}"
         if "since" in request.query:
             query += f"&since={request.query['since']}"
@@ -731,17 +560,12 @@ class MiningRouter:
             await upstream_writer.drain()
             status, _ = await self._read_response_head(upstream_reader)
             if status != 200:
-                writer.write(
-                    self._error(
-                        503,
-                        f"replica {replica.name} refused the event stream "
-                        f"(HTTP {status})",
-                        keep=False,
-                        headers=(("Retry-After", "1"),),
-                    )
+                raise http.HttpError(
+                    503,
+                    f"replica {replica.name} refused the event stream "
+                    f"(HTTP {status})",
+                    headers=(("Retry-After", "1"),),
                 )
-                await writer.drain()
-                return
             writer.write(
                 (
                     "HTTP/1.1 200 OK\r\n"

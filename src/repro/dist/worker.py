@@ -50,20 +50,15 @@ from repro.obs.instruments import (
 from repro.obs.metrics import PROMETHEUS_CONTENT_TYPE
 from repro.obs.trace import TRACER, TraceContext
 from repro.server import http
-from repro.server.app import ServerHandle
 from repro.version import __version__
 
 __all__ = ["WorkerDaemon"]
-
-#: Pickled shard bodies may carry a level's per-candidate sums; allow
-#: far more than the JSON tier's 16 MiB.
-MAX_SHARD_BODY = 256 * 2**20
 
 #: Context-cache miss sentinel (``None`` is a legitimate context).
 _MISS = object()
 
 
-class WorkerDaemon:
+class WorkerDaemon(http.Daemon):
     """Serve shard execution over HTTP (stdlib asyncio only).
 
     Parameters
@@ -82,6 +77,11 @@ class WorkerDaemon:
         after binding, retrying in the background until it succeeds.
     """
 
+    role = "worker"
+    #: Pickled shard bodies may carry a level's per-candidate sums; allow
+    #: far more than the JSON tier's 16 MiB.
+    max_body = 256 * 2**20
+
     def __init__(
         self,
         *,
@@ -95,8 +95,7 @@ class WorkerDaemon:
             raise EngineError(f"parallelism must be >= 1, got {parallelism}")
         if max_contexts < 1:
             raise EngineError(f"max_contexts must be >= 1, got {max_contexts}")
-        self.host = host
-        self.port = port
+        super().__init__(host, port)
         self.parallelism = parallelism
         self.max_contexts = max_contexts
         self.register_with = register_with
@@ -108,26 +107,11 @@ class WorkerDaemon:
         self._pool = ThreadPoolExecutor(
             max_workers=parallelism, thread_name_prefix="repro-dist-shard"
         )
-        self._server: asyncio.AbstractServer | None = None
-        self._started_at: float | None = None
         self._stats = {"shards": 0, "items": 0, "context_misses": 0, "errors": 0}
-
-    # ------------------------------------------------------------------ #
-    # Lifecycle (mirrors MiningServer so ServerHandle works unchanged)
-    # ------------------------------------------------------------------ #
-    @property
-    def url(self) -> str:
-        return f"http://{self.host}:{self.port}"
 
     async def start(self) -> None:
         """Bind the listener and kick off self-registration, if any."""
-        if self._server is not None:
-            raise EngineError("worker is already running")
-        self._server = await asyncio.start_server(
-            self._handle_connection, self.host, self.port
-        )
-        self.port = self._server.sockets[0].getsockname()[1]
-        self._started_at = clock.monotonic()
+        await super().start()
         if self.register_with is not None:
             threading.Thread(
                 target=self._register_loop,
@@ -135,67 +119,13 @@ class WorkerDaemon:
                 daemon=True,
             ).start()
 
-    async def serve_forever(self) -> None:
-        """Serve until cancelled; requires a prior :meth:`start`."""
-        if self._server is None:
-            raise EngineError("call start() before serve_forever()")
-        await self._server.serve_forever()
-
     async def stop(self) -> None:
-        """Close the listener and tear down the shard thread pool."""
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
+        """Close the listener, end connections, drop the shard pool."""
+        await super().stop()
         self._pool.shutdown(wait=False, cancel_futures=True)
 
-    def run(self, *, announce=None) -> None:
-        """Blocking entry point (``sisd worker``): serve until Ctrl-C."""
-        try:
-            asyncio.run(self._run_forever(announce))
-        except KeyboardInterrupt:
-            pass
-        finally:
-            self._pool.shutdown(wait=False, cancel_futures=True)
-
-    async def _run_forever(self, announce) -> None:
-        await self.start()
-        if announce is not None:
-            announce(self)
-        await self.serve_forever()
-
-    def run_in_thread(self, *, ready_timeout: float = 30.0) -> ServerHandle:
-        """Start on a daemon thread; returns a :class:`ServerHandle`."""
-        started = threading.Event()
-        handle = ServerHandle(self)
-
-        def target() -> None:
-            try:
-                asyncio.run(self._serve_until_stopped(started, handle))
-            except BaseException as exc:  # pragma: no cover - surfaced below
-                handle.error = exc
-            finally:
-                started.set()
-
-        thread = threading.Thread(
-            target=target, name="repro-dist-worker", daemon=True
-        )
-        handle._thread = thread
-        thread.start()
-        started.wait(ready_timeout)
-        if handle.error is not None:
-            raise EngineError(f"worker failed to start: {handle.error}")
-        if self._server is None:
-            raise EngineError("worker failed to start within ready_timeout")
-        return handle
-
-    async def _serve_until_stopped(self, started, handle: ServerHandle) -> None:
-        await self.start()
-        handle._loop = asyncio.get_running_loop()
-        handle._stop = asyncio.Event()
-        started.set()
-        await handle._stop.wait()
-        await self.stop()
+    def _after_run(self) -> None:
+        self._pool.shutdown(wait=False, cancel_futures=True)
 
     # ------------------------------------------------------------------ #
     # Registration
@@ -226,62 +156,15 @@ class WorkerDaemon:
             time.sleep(pause)
 
     # ------------------------------------------------------------------ #
-    # Connection handling
-    # ------------------------------------------------------------------ #
-    async def _handle_connection(self, reader, writer) -> None:
-        try:
-            await self._serve_connection(reader, writer)
-        except asyncio.CancelledError:
-            pass  # loop shutdown; transport closed by the finally below
-
-    async def _serve_connection(self, reader, writer) -> None:
-        try:
-            while True:
-                try:
-                    request = await http.read_request(
-                        reader, max_body=MAX_SHARD_BODY
-                    )
-                except http.HttpError as exc:
-                    writer.write(self._error(exc.status, str(exc), keep=False))
-                    await writer.drain()
-                    break
-                if request is None:
-                    break
-                keep = request.keep_alive
-                try:
-                    response = await self._dispatch(request)
-                except http.HttpError as exc:
-                    response = self._error(exc.status, str(exc), keep=keep)
-                except Exception as exc:  # noqa: BLE001 - last-resort guard
-                    response = self._error(500, str(exc), keep=keep)
-                writer.write(response)
-                await writer.drain()
-                if not keep:
-                    break
-        except (ConnectionError, OSError, asyncio.IncompleteReadError):
-            pass  # coordinator went away mid-request
-        finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError):  # pragma: no cover
-                pass
-
-    def _error(self, status: int, message: str, *, keep: bool) -> bytes:
-        body = http.json_body(
-            {"schema": dwire.DIST_SCHEMA, "error": {"message": message}}
-        )
-        return http.render_response(status, body, keep_alive=keep)
-
-    # ------------------------------------------------------------------ #
     # Routing
     # ------------------------------------------------------------------ #
-    async def _dispatch(self, request: http.Request) -> bytes:
+    async def respond(self, request: http.Request, writer) -> http.Response:
+        """Answer health, metrics, a context upload, or a shard run."""
         parts = [part for part in request.path.split("/") if part]
         if parts == ["health"] and request.method == "GET":
-            return http.render_response(200, http.json_body(self._health()))
+            return http.Response(200, http.json_body(self._health()))
         if parts == ["metrics"] and request.method == "GET":
-            return http.render_response(
+            return http.Response(
                 200,
                 METRICS.render().encode("utf-8"),
                 content_type=PROMETHEUS_CONTENT_TYPE,
@@ -310,11 +193,7 @@ class WorkerDaemon:
             "version": __version__,
             "generation": self.generation,
             "parallelism": self.parallelism,
-            "uptime_seconds": (
-                0.0
-                if self._started_at is None
-                else clock.monotonic() - self._started_at
-            ),
+            "uptime_seconds": self.uptime_seconds,
             "contexts": digests,
             "shards": dict(self._stats),
             "observability": {
@@ -323,7 +202,7 @@ class WorkerDaemon:
             },
         }
 
-    def _put_context(self, digest: str, body: bytes) -> bytes:
+    def _put_context(self, digest: str, body: bytes) -> http.Response:
         if dwire.digest_of(body) != digest:
             raise http.HttpError(
                 400, f"context body does not hash to {digest}"
@@ -334,11 +213,11 @@ class WorkerDaemon:
             self._contexts.move_to_end(digest)
             while len(self._contexts) > self.max_contexts:
                 self._contexts.popitem(last=False)
-        return http.render_response(
+        return http.Response(
             200, http.json_body({"schema": dwire.DIST_SCHEMA, "stored": digest})
         )
 
-    async def _run_shard(self, body: bytes) -> bytes:
+    async def _run_shard(self, body: bytes) -> http.Response:
         envelope = dwire.load(body)
         if not isinstance(envelope, dict) or envelope.get("schema") != dwire.DIST_SCHEMA:
             raise http.HttpError(400, "malformed shard envelope")
@@ -361,7 +240,7 @@ class WorkerDaemon:
             self._stats["context_misses"] += 1
             WORKER_CONTEXT_MISSES.inc()
             reply = {"schema": dwire.DIST_SCHEMA, "status": "unknown-context"}
-            return http.render_response(
+            return http.Response(
                 200, dwire.dump(reply), content_type=dwire.PICKLE_CONTENT_TYPE
             )
         trace_ctx = TraceContext.from_wire(envelope.get("trace"))
@@ -369,7 +248,7 @@ class WorkerDaemon:
         reply = await loop.run_in_executor(
             self._pool, self._execute, context, fn, items, trace_ctx
         )
-        return http.render_response(
+        return http.Response(
             200, dwire.dump(reply), content_type=dwire.PICKLE_CONTENT_TYPE
         )
 

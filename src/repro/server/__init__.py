@@ -9,6 +9,10 @@
   drop policy.
 - :mod:`repro.server.wire` — the canonical JSON wire schemas, shared
   with :class:`repro.client.RemoteWorkspace`.
+- :class:`~repro.server.http.Daemon` — the one asyncio HTTP daemon
+  under the server, the router and the worker: lifecycle, keep-alive
+  loop (idle connections close after ``http.IDLE_TIMEOUT``), and the
+  one error envelope.
 
 Start one from the shell with ``sisd serve`` (see the CLI), or in
 code::
@@ -21,7 +25,8 @@ code::
     handle.stop()
 """
 
-from repro.server.app import MiningServer, ServerHandle
+from repro.server.app import MiningServer
+from repro.server.http import ServerHandle
 from repro.server.hub import EventHub, Subscription
 from repro.server.wire import WIRE_SCHEMA, RemoteEvent, event_from_wire
 

@@ -36,7 +36,7 @@ from concurrent.futures import ThreadPoolExecutor
 from concurrent.futures import TimeoutError as FuturesTimeoutError
 
 from repro.engine.service import JobStatus, MiningService
-from repro.errors import EngineError, ReproError
+from repro.errors import EngineError
 from repro.events import MiningObserver
 from repro.obs import clock
 from repro.obs.instruments import HTTP_REQUESTS, JOBS_REJECTED, METRICS
@@ -44,6 +44,7 @@ from repro.obs.metrics import PROMETHEUS_CONTENT_TYPE
 from repro.obs.trace import TRACER
 from repro.persist import job_from_dict
 from repro.server import http, wire
+from repro.server.http import ServerHandle
 from repro.server.hub import EventHub
 from repro.spec import MiningSpec
 from repro.store.tenancy import Tenant, TenantRegistry
@@ -53,11 +54,6 @@ __all__ = ["MiningServer", "ServerHandle"]
 
 #: Hard ceiling on one ``?wait=`` long-poll (clients loop to wait longer).
 MAX_RESULT_WAIT = 30.0
-
-
-def _error_document(error: BaseException) -> dict:
-    """The one error envelope every non-2xx response carries."""
-    return {"schema": wire.WIRE_SCHEMA, "error": wire.error_to_wire(error)}
 
 
 def _wait_quietly(
@@ -162,38 +158,7 @@ class _JobStreamObserver(MiningObserver):
         self._emit(lambda job_id: wire.schedule_event(event))
 
 
-class ServerHandle:
-    """Control of a server running on a background thread (tests, demos)."""
-
-    def __init__(self, server: "MiningServer") -> None:
-        self._server = server
-        self._thread: threading.Thread | None = None
-        self._loop: asyncio.AbstractEventLoop | None = None
-        self._stop: asyncio.Event | None = None
-        self.error: BaseException | None = None
-
-    @property
-    def url(self) -> str:
-        return self._server.url
-
-    def stop(self, timeout: float = 30.0) -> None:
-        """Signal the server loop to shut down and join its thread."""
-        if self._loop is not None and self._stop is not None:
-            try:
-                self._loop.call_soon_threadsafe(self._stop.set)
-            except RuntimeError:  # pragma: no cover - loop already closed
-                pass
-        if self._thread is not None:
-            self._thread.join(timeout)
-
-    def __enter__(self) -> "ServerHandle":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.stop()
-
-
-class MiningServer:
+class MiningServer(http.Daemon):
     """Serve a :class:`~repro.engine.service.MiningService` over HTTP.
 
     Parameters
@@ -224,11 +189,6 @@ class MiningServer:
     heartbeat_seconds:
         Idle interval after which SSE connections get a comment frame
         (keeps proxies from reaping quiet streams).
-    request_timeout:
-        Seconds a connection may sit idle between requests (or mid-
-        request) before the server closes it — the bound that keeps
-        silent or half-open clients from pinning sockets forever. Does
-        not apply to an established SSE stream.
     store:
         Durable job store for the owned service: a directory path or a
         :class:`repro.store.JobStore`. Terminal jobs survive restarts
@@ -247,7 +207,13 @@ class MiningServer:
     record_ttl_seconds / max_terminal_records:
         Terminal-record expiry of the owned durable service (see
         :class:`~repro.engine.service.MiningService`).
+
+    The lifecycle, the keep-alive loop (idle connections close after
+    :data:`repro.server.http.IDLE_TIMEOUT`) and the error envelope come
+    from :class:`repro.server.http.Daemon`.
     """
+
+    role = "server"
 
     def __init__(
         self,
@@ -262,14 +228,12 @@ class MiningServer:
         history: int = 4096,
         queue_maxsize: int = 512,
         heartbeat_seconds: float = 15.0,
-        request_timeout: float = 120.0,
         store=None,
         auth=None,
         record_ttl_seconds: float | None = None,
         max_terminal_records: int | None = None,
     ) -> None:
-        self.host = host
-        self.port = port
+        super().__init__(host, port)
         self._owns_service = service is None
         if service is None:
             service = MiningService(
@@ -305,9 +269,6 @@ class MiningServer:
         self.hub = EventHub(history=history, queue_maxsize=queue_maxsize)
         self.candidate_events = candidate_events
         self.heartbeat_seconds = heartbeat_seconds
-        self.request_timeout = request_timeout
-        self._server: asyncio.AbstractServer | None = None
-        self._started_at: float | None = None
         self._submitted = 0
         # Long-polling ``?wait=`` legs park a thread each for up to 30 s;
         # give them their own pool so they can never starve the loop's
@@ -320,17 +281,10 @@ class MiningServer:
         self._stopping = threading.Event()
 
     # ------------------------------------------------------------------ #
-    # Lifecycle
+    # Lifecycle extras
     # ------------------------------------------------------------------ #
-    @property
-    def url(self) -> str:
-        """Base URL of the bound server."""
-        return f"http://{self.host}:{self.port}"
-
     async def start(self) -> None:
-        """Bind the listening socket and begin accepting connections."""
-        if self._server is not None:
-            raise EngineError("server is already running")
+        """Bind the event hub to this loop, then the listening socket."""
         if self._stopping.is_set():
             # stop() tears down one-shot state (hub, wait executor);
             # refuse a half-broken relaunch instead of limping.
@@ -338,241 +292,87 @@ class MiningServer:
                 "this server was stopped; construct a new MiningServer"
             )
         self.hub.bind(asyncio.get_running_loop())
-        self._server = await asyncio.start_server(
-            self._handle_connection, self.host, self.port
-        )
-        self.port = self._server.sockets[0].getsockname()[1]
-        self._started_at = clock.monotonic()
-
-    async def serve_forever(self) -> None:
-        """Serve until cancelled (call :meth:`start` first)."""
-        if self._server is None:
-            raise EngineError("call start() before serve_forever()")
-        await self._server.serve_forever()
+        await super().start()
 
     async def stop(self) -> None:
-        """Close the socket, end SSE streams, and wind the service down."""
+        """End SSE streams, close the socket, and wind the service down."""
+        self.hub.close()
+        await super().stop()
+        await asyncio.get_running_loop().run_in_executor(
+            None, lambda: self._wind_down(wait=True)
+        )
+
+    def _after_run(self) -> None:
+        # Ctrl-C: the loop is gone, and queued or running jobs are not
+        # waited for.
+        self._wind_down(wait=False)
+
+    def _wind_down(self, *, wait: bool) -> None:
+        """Release parked long-polls, close the hub, let the service go.
+
+        Setting ``_stopping`` releases long-poll threads parked in the
+        wait executor (they re-check it every ~1 s leg), and shutting
+        that executor keeps its non-daemon threads from holding the
+        process open. ``wait`` drains the owned service's jobs.
+        """
         self._stopping.set()
-        if self._server is None:
-            self.hub.close()
-        else:
-            self._server.close()
-            # Close the hub *before* awaiting wait_closed(): since
-            # Python 3.12.1 wait_closed() also waits for the open
-            # connection handlers, and the SSE handlers only finish once
-            # the hub's shutdown sentinel wakes them.
-            self.hub.close()
-            await self._server.wait_closed()
-            self._server = None
-        loop = asyncio.get_running_loop()
+        self.hub.close()
         if self._owns_service:
-            await loop.run_in_executor(None, self.service.shutdown)
+            self.service.shutdown(wait=wait)
         else:
             self.service.remove_observer(self._observer)
         self._wait_executor.shutdown(wait=False)
 
-    def run(self, *, announce=None) -> None:
-        """Blocking entry point (the CLI's): serve until interrupted."""
-        try:
-            asyncio.run(self._run_forever(announce))
-        except KeyboardInterrupt:
-            pass
-        finally:
-            # The loop is gone (asyncio.run unwound on the interrupt),
-            # so this is synchronous best-effort cleanup: flag the hub
-            # closed, release parked long-poll threads (they re-check
-            # _stopping every wait leg, ~1 s), cancel queued work, and
-            # shut the wait executor — otherwise its non-daemon threads
-            # keep the process alive after "stopped" is printed.
-            self._stopping.set()
-            self.hub.close()
-            if self._owns_service:
-                self.service.shutdown(wait=False)
-            else:
-                self.service.remove_observer(self._observer)
-            self._wait_executor.shutdown(wait=False)
-
-    async def _run_forever(self, announce) -> None:
-        await self.start()
-        if announce is not None:
-            announce(self)
-        await self.serve_forever()
-
-    def run_in_thread(self, *, ready_timeout: float = 30.0) -> ServerHandle:
-        """Start on a daemon thread; returns a :class:`ServerHandle`.
-
-        The convenience behind the test-suite, example, and benchmark
-        servers: bind (resolving ``port=0``), then return once requests
-        can be served.
-        """
-        started = threading.Event()
-        handle = ServerHandle(self)
-
-        def target() -> None:
-            try:
-                asyncio.run(self._serve_until_stopped(started, handle))
-            except BaseException as exc:  # pragma: no cover - surfaced below
-                handle.error = exc
-            finally:
-                started.set()
-
-        thread = threading.Thread(
-            target=target, name="repro-server", daemon=True
-        )
-        handle._thread = thread
-        thread.start()
-        started.wait(ready_timeout)
-        if handle.error is not None:
-            raise EngineError(f"server failed to start: {handle.error}")
-        if self._server is None:
-            raise EngineError("server failed to start within ready_timeout")
-        return handle
-
-    async def _serve_until_stopped(self, started, handle: ServerHandle) -> None:
-        await self.start()
-        handle._loop = asyncio.get_running_loop()
-        handle._stop = asyncio.Event()
-        started.set()
-        await handle._stop.wait()
-        await self.stop()
-
     # ------------------------------------------------------------------ #
-    # Connection handling
+    # Request handling
     # ------------------------------------------------------------------ #
-    async def _handle_connection(self, reader, writer) -> None:
-        try:
-            await self._serve_connection(reader, writer)
-        except asyncio.CancelledError:
-            # Loop shutdown cancels parked connection handlers. Ending
-            # normally instead of re-raising keeps 3.11's streams
-            # callback from logging every open connection as an
-            # unhandled cancelled task (gh-110894); the transport is
-            # already closed by the finally below either way.
-            pass
-
-    async def _serve_connection(self, reader, writer) -> None:
-        try:
-            while True:
-                try:
-                    # Idle bound: a client that connects and sends
-                    # nothing (or half a request, or parks on
-                    # keep-alive) releases its socket and task after
-                    # request_timeout instead of pinning them forever.
-                    request = await asyncio.wait_for(
-                        http.read_request(reader), self.request_timeout
-                    )
-                except asyncio.TimeoutError:
-                    break
-                except http.HttpError as exc:
-                    writer.write(self._error_response(exc.status, str(exc), False))
-                    await writer.drain()
-                    break
-                if request is None:
-                    break
-                try:
-                    tenant = self._authenticate(request)
-                except http.HttpError as exc:
-                    keep = request.keep_alive
-                    writer.write(
-                        self._error_response(
-                            exc.status, str(exc), keep, headers=exc.headers
-                        )
-                    )
-                    await writer.drain()
-                    if keep:
-                        continue
-                    break
-                if request.method == "GET" and request.path == "/metrics":
-                    # Prometheus text, not JSON: answered here rather than
-                    # through _dispatch's document pipeline.
-                    HTTP_REQUESTS.labels("/metrics").inc()
-                    keep = request.keep_alive
-                    writer.write(
-                        http.render_response(
-                            200,
-                            METRICS.render().encode("utf-8"),
-                            content_type=PROMETHEUS_CONTENT_TYPE,
-                            keep_alive=keep,
-                        )
-                    )
-                    await writer.drain()
-                    if keep:
-                        continue
-                    break
-                if request.method == "GET" and request.path == "/events":
-                    HTTP_REQUESTS.labels("/events").inc()
-                    await self._handle_events(request, writer)
-                    break  # SSE ends by closing the connection
-                extra: tuple = ()
-                try:
-                    status, document = await self._dispatch(request, tenant)
-                except http.HttpError as exc:
-                    status, document = exc.status, _error_document(exc)
-                    extra = exc.headers
-                except ReproError as exc:
-                    status, document = 400, _error_document(exc)
-                except Exception as exc:  # noqa: BLE001 - last-resort guard
-                    status, document = 500, _error_document(exc)
-                keep = request.keep_alive and status < 500
-                if "result" in document or "jobs" in document:
-                    # Result/listing documents can run to megabytes of
-                    # pattern arrays; encode off the loop so one big
-                    # response cannot stall every other connection's
-                    # events and heartbeats.
-                    body = await asyncio.get_running_loop().run_in_executor(
-                        None, http.json_body, document
-                    )
-                else:
-                    body = http.json_body(document)
-                if (
-                    status == 200
-                    and request.method == "GET"
-                    and "result" in document
-                ):
-                    # GET /jobs/{id}/result: the one heavyweight, byte-
-                    # stable response — worth a validator and a wire
-                    # coding. The ETag hashes the *identity* body, so it
-                    # survives restarts and is independent of whether
-                    # this response ends up gzipped.
-                    etag = http.etag_for(body)
-                    extra += (("ETag", etag), ("Vary", "Accept-Encoding"))
-                    if http.etag_matches(
-                        request.headers.get("if-none-match"), etag
-                    ):
-                        status, body = 304, b""
-                    elif (
-                        http.wants_gzip(request.headers)
-                        and len(body) >= http.GZIP_MIN_BYTES
-                    ):
-                        body = await asyncio.get_running_loop().run_in_executor(
-                            None, http.gzip_body, body
-                        )
-                        extra += (("Content-Encoding", "gzip"),)
-                writer.write(
-                    http.render_response(
-                        status, body, keep_alive=keep, extra_headers=extra
-                    )
+    async def respond(
+        self, request: http.Request, writer
+    ) -> http.Response | None:
+        """Authenticate, then answer: metrics, the event stream, or JSON."""
+        tenant = self._authenticate(request)
+        if request.method == "GET" and request.path == "/metrics":
+            # Prometheus text, not JSON: answered here rather than
+            # through _dispatch's document pipeline.
+            HTTP_REQUESTS.labels("/metrics").inc()
+            return http.Response(
+                200,
+                METRICS.render().encode("utf-8"),
+                content_type=PROMETHEUS_CONTENT_TYPE,
+            )
+        if request.method == "GET" and request.path == "/events":
+            HTTP_REQUESTS.labels("/events").inc()
+            await self._handle_events(request, writer)
+            return None
+        status, document = await self._dispatch(request, tenant)
+        if "result" in document or "jobs" in document:
+            # Result/listing documents can run to megabytes of pattern
+            # arrays; encode off the loop so one big response cannot
+            # stall every other connection's events and heartbeats.
+            body = await asyncio.get_running_loop().run_in_executor(
+                None, http.json_body, document
+            )
+        else:
+            body = http.json_body(document)
+        extra: tuple = ()
+        if status == 200 and request.method == "GET" and "result" in document:
+            # GET /jobs/{id}/result: the one heavyweight, byte-stable
+            # response — worth a validator and a wire coding. The ETag
+            # hashes the *identity* body, so it survives restarts and is
+            # independent of whether this response ends up gzipped.
+            etag = http.etag_for(body)
+            extra += (("ETag", etag), ("Vary", "Accept-Encoding"))
+            if http.etag_matches(request.headers.get("if-none-match"), etag):
+                status, body = 304, b""
+            elif (
+                http.wants_gzip(request.headers)
+                and len(body) >= http.GZIP_MIN_BYTES
+            ):
+                body = await asyncio.get_running_loop().run_in_executor(
+                    None, http.gzip_body, body
                 )
-                await writer.drain()
-                if not keep:
-                    break
-        except (ConnectionError, OSError, asyncio.IncompleteReadError):
-            pass  # client went away mid-request; nothing to answer
-        finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError):  # pragma: no cover
-                pass
-
-    def _error_response(
-        self, status: int, message: str, keep: bool, *, headers: tuple = ()
-    ) -> bytes:
-        document = _error_document(http.HttpError(status, message))
-        return http.render_response(
-            status, http.json_body(document), keep_alive=keep,
-            extra_headers=headers,
-        )
+                extra += (("Content-Encoding", "gzip"),)
+        return http.Response(status, body, headers=extra)
 
     def _authenticate(self, request: http.Request) -> Tenant | None:
         """Resolve the request's tenant; raises 401 when auth is on.
@@ -684,11 +484,7 @@ class MiningServer:
             "generation": self.generation,
             "auth": self.tenants is not None,
             "durable": self.service.store is not None,
-            "uptime_seconds": (
-                0.0
-                if self._started_at is None
-                else clock.monotonic() - self._started_at
-            ),
+            "uptime_seconds": self.uptime_seconds,
             "service": {
                 "backend": self.service.backend,
                 "max_workers": self.service.max_workers,
@@ -890,11 +686,7 @@ class MiningServer:
             try:
                 since = int(raw)
             except ValueError:
-                writer.write(
-                    self._error_response(400, f"bad Last-Event-ID {raw!r}", False)
-                )
-                await writer.drain()
-                return
+                raise http.HttpError(400, f"bad Last-Event-ID {raw!r}") from None
         # Optional server-side filter: ?job_id= streams one job's events
         # only. The filter lives inside the hub subscription, so foreign
         # events neither cross the wire nor occupy (or evict from) this

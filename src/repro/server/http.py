@@ -1,27 +1,48 @@
-"""Minimal HTTP/1.1 plumbing over asyncio streams (stdlib only).
+"""Minimal HTTP/1.1 over asyncio streams, and the one daemon built on it.
 
-The server speaks just enough HTTP for its JSON + SSE surface: request
-line, headers, ``Content-Length`` bodies, keep-alive, and chunk-free
-streaming responses that end by closing the connection. No external web
-framework — the ROADMAP's constraint is a stdlib-only network layer —
-and no chunked transfer, multipart, or TLS: put a real proxy in front
-for those.
+Every sisd daemon is a :class:`Daemon`:
+:class:`~repro.server.app.MiningServer` (``sisd serve``),
+:class:`~repro.dist.router.MiningRouter` (``sisd route``) and
+:class:`~repro.dist.worker.WorkerDaemon` (``sisd worker``). The base
+class owns what they share: the lifecycle (``start``/``stop``/``run``/
+``run_in_thread`` and :class:`ServerHandle`), the keep-alive request
+loop with its :data:`IDLE_TIMEOUT`, the mapping from exceptions to
+status codes and the one error envelope (:func:`error_response`). A
+subclass keeps only its routes (:meth:`Daemon.respond`) and its own
+start/stop work.
+
+The daemons speak just enough HTTP for their JSON, pickle and SSE
+surfaces: request line, headers, ``Content-Length`` bodies, keep-alive,
+and chunk-free streaming responses that end by closing the connection.
+No external web framework — the network layer is stdlib-only — and no
+chunked transfer, multipart, or TLS: put a real proxy in front for
+those.
 """
 
 from __future__ import annotations
 
+import asyncio
 import gzip
 import hashlib
 import json
+import threading
 from dataclasses import dataclass, field
 from urllib.parse import parse_qsl, unquote, urlsplit
 
-from repro.errors import ReproError
+from repro.errors import EngineError, ReproError
+from repro.obs import clock
+from repro.server import wire
 
 #: Upper bounds keeping one bad client from ballooning server memory.
 MAX_REQUEST_LINE = 8192
 MAX_HEADER_BYTES = 65536
 MAX_BODY_BYTES = 16 * 2**20
+
+#: Seconds a connection may sit idle between requests (or mid-request)
+#: before its daemon closes it: the bound that keeps silent or half-open
+#: clients from pinning sockets and tasks forever. An established SSE
+#: stream is not bounded by it.
+IDLE_TIMEOUT = 120.0
 
 #: Bodies below this stay identity-encoded: gzip's header plus the CPU
 #: round-trip outweigh any wire saving on tiny JSON documents.
@@ -153,30 +174,51 @@ async def read_request(reader, *, max_body: int = MAX_BODY_BYTES) -> Request | N
     )
 
 
-def render_response(
-    status: int,
-    body: bytes = b"",
-    *,
-    content_type: str = "application/json",
-    keep_alive: bool = True,
-    extra_headers: tuple = (),
-) -> bytes:
-    """Serialize one complete (non-streaming) response."""
-    phrase = _PHRASES.get(status, "Unknown")
-    lines = [
-        f"HTTP/1.1 {status} {phrase}",
-        f"Content-Type: {content_type}",
-        f"Content-Length: {len(body)}",
-        f"Connection: {'keep-alive' if keep_alive else 'close'}",
-    ]
-    lines.extend(f"{name}: {value}" for name, value in extra_headers)
-    head = "\r\n".join(lines).encode("latin-1")
-    return head + b"\r\n\r\n" + body
+@dataclass(frozen=True)
+class Response:
+    """One complete (non-streaming) response a daemon's route returns."""
+
+    status: int
+    body: bytes = b""
+    content_type: str = "application/json"
+    headers: tuple = ()
+
+    def render(self, *, keep_alive: bool) -> bytes:
+        """Serialize, stamping the ``Connection`` header the loop acts on."""
+        phrase = _PHRASES.get(self.status, "Unknown")
+        lines = [
+            f"HTTP/1.1 {self.status} {phrase}",
+            f"Content-Type: {self.content_type}",
+            f"Content-Length: {len(self.body)}",
+            f"Connection: {'keep-alive' if keep_alive else 'close'}",
+        ]
+        lines.extend(f"{name}: {value}" for name, value in self.headers)
+        head = "\r\n".join(lines).encode("latin-1")
+        return head + b"\r\n\r\n" + self.body
 
 
 def json_body(document: dict) -> bytes:
     """Encode a JSON response body (exact float round-trips)."""
     return json.dumps(document, allow_nan=False).encode("utf-8")
+
+
+def error_response(error: BaseException) -> Response:
+    """The response a failed request gets, in the one error envelope.
+
+    The body is ``{"schema": 1, "error": {"type", "message"}}`` on every
+    tier (``WIRE_SCHEMA`` and the compute tier's ``DIST_SCHEMA`` are both
+    1). An :class:`HttpError` brings its own status and headers, any
+    other :class:`~repro.errors.ReproError` is the client's fault (400),
+    and anything else is the daemon's (500).
+    """
+    if isinstance(error, HttpError):
+        status, headers = error.status, error.headers
+    elif isinstance(error, ReproError):
+        status, headers = 400, ()
+    else:
+        status, headers = 500, ()
+    document = {"schema": wire.WIRE_SCHEMA, "error": wire.error_to_wire(error)}
+    return Response(status, json_body(document), headers=headers)
 
 
 # --------------------------------------------------------------------- #
@@ -273,3 +315,234 @@ def sse_event(seq: int, event_type: str, data: dict) -> bytes:
 def sse_comment(text: str = "keep-alive") -> bytes:
     """A comment frame (heartbeat; ignored by SSE parsers)."""
     return f": {text}\r\n\r\n".encode("utf-8")
+
+
+# --------------------------------------------------------------------- #
+# The daemon
+# --------------------------------------------------------------------- #
+class ServerHandle:
+    """Control of a daemon running on a background thread (tests, demos)."""
+
+    def __init__(self, daemon: "Daemon") -> None:
+        self._daemon = daemon
+        self._thread: threading.Thread | None = None
+        self._loop: asyncio.AbstractEventLoop | None = None
+        self._stop: asyncio.Event | None = None
+        self.error: BaseException | None = None
+
+    @property
+    def url(self) -> str:
+        """Base URL of the bound daemon."""
+        return self._daemon.url
+
+    def stop(self, timeout: float = 30.0) -> None:
+        """Signal the daemon's loop to shut down and join its thread."""
+        if self._loop is not None and self._stop is not None:
+            try:
+                self._loop.call_soon_threadsafe(self._stop.set)
+            except RuntimeError:  # pragma: no cover - loop already closed
+                pass
+        if self._thread is not None:
+            self._thread.join(timeout)
+
+    def __enter__(self) -> "ServerHandle":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.stop()
+
+
+class Daemon:
+    """An asyncio HTTP daemon: lifecycle, keep-alive loop, error envelope.
+
+    A subclass names itself with :attr:`role`, raises :attr:`max_body`
+    if its request bodies are large, answers requests in
+    :meth:`respond`, and adds its own start/stop work by overriding
+    :meth:`start`/:meth:`stop` around ``super()``. Whatever
+    :meth:`respond` raises becomes an :func:`error_response`; after a
+    5xx, or when the client asked for ``Connection: close``, the
+    connection closes, and the response's ``Connection`` header says so.
+    """
+
+    #: Names the daemon in its thread and its lifecycle errors.
+    role = "daemon"
+    #: Largest request body accepted (413 beyond it).
+    max_body = MAX_BODY_BYTES
+
+    def __init__(self, host: str, port: int) -> None:
+        self.host = host
+        self.port = port
+        self._server: asyncio.AbstractServer | None = None
+        self._started_at: float | None = None
+        self._handlers: set[asyncio.Task] = set()
+
+    @property
+    def url(self) -> str:
+        """Base URL of the bound daemon."""
+        return f"http://{self.host}:{self.port}"
+
+    @property
+    def uptime_seconds(self) -> float:
+        """Seconds since :meth:`start` bound the listener (0 before)."""
+        if self._started_at is None:
+            return 0.0
+        return clock.monotonic() - self._started_at
+
+    async def respond(self, request: Request, writer) -> Response | None:
+        """Answer one request; the subclass's routes.
+
+        Raise to answer with an error. Return ``None`` after writing a
+        stream to ``writer`` that ends by closing the connection (SSE).
+        """
+        raise NotImplementedError
+
+    # ------------------------------------------------------------------ #
+    # Lifecycle
+    # ------------------------------------------------------------------ #
+    async def start(self) -> None:
+        """Bind the listener (resolving ``port=0``) and accept connections."""
+        if self._server is not None:
+            raise EngineError(f"{self.role} is already running")
+        self._server = await asyncio.start_server(
+            self._serve_connection, self.host, self.port
+        )
+        self.port = self._server.sockets[0].getsockname()[1]
+        self._started_at = clock.monotonic()
+
+    async def stop(self) -> None:
+        """Close the listener and end every open connection.
+
+        The connection handlers are cancelled *before* awaiting
+        ``wait_closed()``: since Python 3.12.1 that waits for every open
+        connection, so one idle keep-alive client would otherwise hold
+        the shutdown for the whole :data:`IDLE_TIMEOUT`. A cancelled
+        handler drops what its client has not read.
+        """
+        server, self._server = self._server, None
+        if server is None:
+            return
+        server.close()
+        handlers = list(self._handlers)
+        for task in handlers:
+            task.cancel()
+        await asyncio.gather(*handlers, return_exceptions=True)
+        await server.wait_closed()
+
+    def run(self, *, announce=None) -> None:
+        """Blocking entry point (the CLI's): serve until Ctrl-C.
+
+        ``announce(daemon)`` runs once the listener is bound. The first
+        Ctrl-C stops the daemon even while idle keep-alive clients are
+        connected; :meth:`_after_run` then cleans up without the loop.
+        """
+        try:
+            asyncio.run(self._serve_until_cancelled(announce))
+        except KeyboardInterrupt:
+            pass
+        finally:
+            self._after_run()
+
+    async def _serve_until_cancelled(self, announce) -> None:
+        await self.start()
+        if announce is not None:
+            announce(self)
+        try:
+            # Park until Ctrl-C cancels this task. Not serve_forever():
+            # cancelled, it awaits wait_closed() with the handlers still
+            # live (see stop()).
+            await asyncio.get_running_loop().create_future()
+        finally:
+            # The connections only: a subclass's stop() may wait on work
+            # (the server drains its jobs), which Ctrl-C must not.
+            await Daemon.stop(self)
+
+    def _after_run(self) -> None:
+        """Synchronous cleanup once :meth:`run`'s loop is gone (a hook)."""
+
+    def run_in_thread(self, *, ready_timeout: float = 30.0) -> ServerHandle:
+        """Start on a daemon thread; returns a :class:`ServerHandle`.
+
+        The convenience behind the test-suite, example, and benchmark
+        daemons: bind (resolving ``port=0``), then return once requests
+        can be served.
+        """
+        started = threading.Event()
+        handle = ServerHandle(self)
+
+        async def serve_until_stopped() -> None:
+            await self.start()
+            handle._loop = asyncio.get_running_loop()
+            handle._stop = asyncio.Event()
+            started.set()
+            await handle._stop.wait()
+            await self.stop()
+
+        def target() -> None:
+            try:
+                asyncio.run(serve_until_stopped())
+            except BaseException as exc:  # pragma: no cover - surfaced below
+                handle.error = exc
+            finally:
+                started.set()
+
+        thread = threading.Thread(
+            target=target, name=f"repro-{self.role}", daemon=True
+        )
+        handle._thread = thread
+        thread.start()
+        started.wait(ready_timeout)
+        if handle.error is not None:
+            raise EngineError(f"{self.role} failed to start: {handle.error}")
+        if self._server is None:
+            raise EngineError(f"{self.role} failed to start within ready_timeout")
+        return handle
+
+    # ------------------------------------------------------------------ #
+    # The keep-alive loop
+    # ------------------------------------------------------------------ #
+    async def _serve_connection(self, reader, writer) -> None:
+        task = asyncio.current_task()
+        self._handlers.add(task)
+        try:
+            while True:
+                try:
+                    request = await asyncio.wait_for(
+                        read_request(reader, max_body=self.max_body),
+                        IDLE_TIMEOUT,
+                    )
+                except asyncio.TimeoutError:
+                    break
+                except HttpError as exc:
+                    # An unparseable request leaves the stream unframed.
+                    writer.write(error_response(exc).render(keep_alive=False))
+                    await writer.drain()
+                    break
+                if request is None:
+                    break
+                try:
+                    response = await self.respond(request, writer)
+                except Exception as exc:  # noqa: BLE001 - mapped to a status
+                    response = error_response(exc)
+                if response is None:
+                    break  # a stream, which ends by closing the connection
+                keep = request.keep_alive and response.status < 500
+                writer.write(response.render(keep_alive=keep))
+                await writer.drain()
+                if not keep:
+                    break
+        except (ConnectionError, OSError, asyncio.IncompleteReadError):
+            pass  # the client went away mid-request; nothing to answer
+        except asyncio.CancelledError:
+            # stop() cancels parked handlers. Ending normally instead of
+            # re-raising keeps 3.11's streams callback from logging each
+            # open connection as an unhandled cancelled task (gh-110894).
+            # Abort, not close: close() first flushes, and a client that
+            # stopped reading would hold the shutdown forever.
+            writer.transport.abort()
+        finally:
+            self._handlers.discard(task)
+            writer.close()
+            try:
+                await writer.wait_closed()
+            except (ConnectionError, OSError):  # pragma: no cover
+                pass

@@ -226,6 +226,19 @@ class TestClockSeam:
         assert rule_ids(report) == ["DET004"]
         assert "clock.monotonic()" in report.findings[0].message
 
+    def test_fires_in_the_daemon_base_module(self, lint_snippet):
+        # repro/server/http.py times every daemon's uptime.
+        report = lint_snippet(
+            "repro/server/http.py",
+            """
+            import time
+
+            def uptime(start):
+                return time.monotonic() - start
+            """,
+        )
+        assert rule_ids(report) == ["DET004"]
+
     def test_wall_clock_fires_both_packs_in_a_critical_module(self, lint_snippet):
         # jobs.py is on both lists: DET001 (fingerprint safety) and
         # DET004 (seam routing) each flag a raw ``time.time()``.
