@@ -65,9 +65,7 @@ class QualityBeamSearch:
         config = self.config
         n_rows = self.quality.n_rows
         budget = TimeBudget(config.time_budget_seconds)
-        max_size = min(
-            int(config.max_coverage_fraction * n_rows), n_rows - 1
-        )
+        max_size = config.max_size(n_rows)
 
         log = _ResultLog(config.top_k)
         beam: list[tuple[tuple[int, ...], np.ndarray]] = [

@@ -32,7 +32,7 @@ import time
 from collections import OrderedDict
 from concurrent.futures import CancelledError
 from concurrent.futures import TimeoutError as FuturesTimeoutError
-from http.client import HTTPConnection
+from http.client import HTTPConnection, HTTPException
 from typing import Iterator
 from urllib.parse import urlsplit
 
@@ -290,7 +290,7 @@ class RemoteWorkspace:
             response_headers = {
                 name.lower(): value for name, value in response.getheaders()
             }
-        except (ConnectionError, socket.timeout, OSError) as exc:
+        except (ConnectionError, socket.timeout, OSError, HTTPException) as exc:
             raise RemoteError(
                 f"cannot reach mining server at {self.host}:{self.port}: {exc}"
             ) from exc

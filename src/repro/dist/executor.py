@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from http.client import HTTPConnection
+from http.client import HTTPConnection, HTTPException
 from typing import Any, Callable, Iterable
 from urllib.parse import urlsplit
 
@@ -86,7 +86,7 @@ class WorkerClient:
             conn.request(method, path, body=body, headers=headers)
             response = conn.getresponse()
             return response.status, response.read()
-        except (ConnectionError, TimeoutError, OSError) as exc:
+        except (ConnectionError, TimeoutError, OSError, HTTPException) as exc:
             raise WorkerUnavailable(
                 f"worker {self.url} unreachable: {exc}"
             ) from exc

@@ -239,7 +239,13 @@ class MiningRouter(http.Daemon):
             status, response_headers = await self._read_response_head(reader)
             length = response_headers.get("content-length")
             if length is not None:
-                payload = await reader.readexactly(int(length))
+                try:
+                    payload = await reader.readexactly(int(length))
+                except asyncio.IncompleteReadError as exc:
+                    # A peer that closes mid-body failed like a refused one.
+                    raise OSError(
+                        f"truncated reply from {replica.url}: {exc}"
+                    ) from exc
             else:
                 payload = await reader.read()
             return status, response_headers, payload
@@ -280,7 +286,7 @@ class MiningRouter(http.Daemon):
                 ),
                 self.probe_timeout + 35.0,  # covers one ?wait= long-poll leg
             )
-        except (OSError, asyncio.TimeoutError, asyncio.IncompleteReadError) as exc:
+        except (OSError, asyncio.TimeoutError) as exc:
             replica.last_error = str(exc)
             self._set_health(replica, False)
             raise http.HttpError(

@@ -33,7 +33,7 @@ import threading
 import time
 from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
-from http.client import HTTPConnection
+from http.client import HTTPConnection, HTTPException
 from urllib.parse import urlsplit
 
 from repro.dist import wire as dwire
@@ -72,9 +72,10 @@ class WorkerDaemon(http.Daemon):
         Cached contexts kept (LRU by digest). A context evicted here is
         simply re-shipped by the coordinator on its next miss.
     register_with:
-        Optional coordinator/router base URL. The daemon announces
-        ``{"url": ...}`` to ``POST {register_with}/workers/register``
-        after binding, retrying in the background until it succeeds.
+        Optional coordinator/router base URL, ``http://`` optional. The
+        daemon announces ``{"url": ...}`` to
+        ``POST {register_with}/workers/register`` after binding,
+        retrying in the background until it succeeds.
     """
 
     role = "worker"
@@ -99,6 +100,17 @@ class WorkerDaemon(http.Daemon):
         self.parallelism = parallelism
         self.max_contexts = max_contexts
         self.register_with = register_with
+        self._registry: tuple[str, int] | None = None
+        if register_with is not None:
+            split = urlsplit(
+                register_with if "//" in register_with else "http://" + register_with
+            )
+            try:
+                self._registry = (split.hostname or "127.0.0.1", split.port or 80)
+            except ValueError as exc:  # a non-numeric or out-of-range port
+                raise EngineError(
+                    f"bad register_with URL {register_with!r}: {exc}"
+                ) from exc
         #: Per-boot marker, so a coordinator can tell a restarted worker
         #: (fresh, empty context cache) from a live one.
         self.generation = secrets.token_hex(8)
@@ -112,7 +124,7 @@ class WorkerDaemon(http.Daemon):
     async def start(self) -> None:
         """Bind the listener and kick off self-registration, if any."""
         await super().start()
-        if self.register_with is not None:
+        if self._registry is not None:
             threading.Thread(
                 target=self._register_loop,
                 name="repro-dist-register",
@@ -132,14 +144,12 @@ class WorkerDaemon(http.Daemon):
     # ------------------------------------------------------------------ #
     def _register_loop(self, attempts: int = 60, pause: float = 0.5) -> None:
         """Announce this worker to the coordinator, best-effort."""
-        split = urlsplit(self.register_with)
+        host, port = self._registry
         body = json.dumps(
             {"url": self.url, "generation": self.generation}
         ).encode("utf-8")
         for _ in range(attempts):
-            conn = HTTPConnection(
-                split.hostname or "127.0.0.1", split.port or 80, timeout=5.0
-            )
+            conn = HTTPConnection(host, port, timeout=5.0)
             try:
                 conn.request(
                     "POST",
@@ -149,8 +159,8 @@ class WorkerDaemon(http.Daemon):
                 )
                 if conn.getresponse().status < 400:
                     return
-            except OSError:
-                pass  # coordinator not up yet; retry
+            except (OSError, HTTPException):
+                pass  # coordinator not up yet, or it cut the reply; retry
             finally:
                 conn.close()
             time.sleep(pause)

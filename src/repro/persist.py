@@ -7,10 +7,15 @@ JSON (numpy arrays become lists; no pickle, no code execution on load).
 
 Round-trips covered: conditions/descriptions, pattern constraints, the
 Gaussian background model (prior + blocks + constraints), the result
-records of the searches, search configs, and
+records of the searches, mining iterations, search configs, and
 :class:`~repro.spec.MiningSpec` jobs in both document forms: the flat
 form of batch files, wire events, result documents and store records,
 and the sectioned form of spec files.
+
+Constraints, result records and mining iterations are written down here
+only. Their codecs take the array encoding as a parameter: JSON lists
+everywhere but the belief store's spill (:mod:`repro.store.beliefs`),
+which references a memory-mapped array directory instead.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ from __future__ import annotations
 import json
 from dataclasses import fields
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable
 
 import numpy as np
 
@@ -99,41 +104,54 @@ def description_from_dict(data: dict) -> Description:
 # --------------------------------------------------------------------- #
 # Pattern constraints
 # --------------------------------------------------------------------- #
-def constraint_to_dict(constraint: PatternConstraint) -> dict:
-    """Serialize a location/spread pattern constraint."""
+ArrayEncoder = Callable[[np.ndarray], Any]  # JSON: np.ndarray.tolist
+ArrayDecoder = Callable[[Any, Any], np.ndarray]  # (node, dtype); JSON: np.asarray
+
+
+def encode_constraint(constraint: PatternConstraint, array: ArrayEncoder) -> dict:
+    """A location/spread pattern constraint's document, arrays via ``array``."""
     if isinstance(constraint, LocationConstraint):
         return {
             "type": "location",
-            "indices": constraint.indices.tolist(),
-            "mean": constraint.mean.tolist(),
+            "indices": array(constraint.indices),
+            "mean": array(constraint.mean),
         }
     if isinstance(constraint, SpreadConstraint):
         return {
             "type": "spread",
-            "indices": constraint.indices.tolist(),
-            "direction": constraint.direction.tolist(),
+            "indices": array(constraint.indices),
+            "direction": array(constraint.direction),
             "variance": constraint.variance,
-            "center": constraint.center.tolist(),
+            "center": array(constraint.center),
         }
     raise ReproError(f"cannot serialize constraint type {type(constraint).__name__}")
 
 
-def constraint_from_dict(data: dict) -> PatternConstraint:
-    """Rebuild a pattern constraint from its serialized form."""
+def decode_constraint(data: dict, array: ArrayDecoder) -> PatternConstraint:
+    """Rebuild a pattern constraint from its document, arrays via ``array``."""
     kind = data.get("type")
     if kind == "location":
         return LocationConstraint(
-            np.asarray(data["indices"], dtype=np.int64),
-            np.asarray(data["mean"], dtype=float),
+            array(data["indices"], np.int64), array(data["mean"], float)
         )
     if kind == "spread":
         return SpreadConstraint(
-            np.asarray(data["indices"], dtype=np.int64),
-            np.asarray(data["direction"], dtype=float),
+            array(data["indices"], np.int64),
+            array(data["direction"], float),
             float(data["variance"]),
-            np.asarray(data["center"], dtype=float),
+            array(data["center"], float),
         )
     raise ReproError(f"unknown constraint type {kind!r}")
+
+
+def constraint_to_dict(constraint: PatternConstraint) -> dict:
+    """Serialize a location/spread pattern constraint."""
+    return encode_constraint(constraint, np.ndarray.tolist)
+
+
+def constraint_from_dict(data: dict) -> PatternConstraint:
+    """Rebuild a pattern constraint from its serialized form."""
+    return decode_constraint(data, np.asarray)
 
 
 # --------------------------------------------------------------------- #
@@ -195,16 +213,15 @@ def model_from_dict(data: dict) -> BackgroundModel:
 
 
 # --------------------------------------------------------------------- #
-# Result records
+# Result records and mining iterations
 # --------------------------------------------------------------------- #
-def result_to_dict(result) -> dict:
-    """Serialize a search/mining result record."""
+def _result_doc(result, array: ArrayEncoder) -> dict:
     if isinstance(result, ScoredSubgroup):
         return {
             "type": "scored_subgroup",
             "description": description_to_dict(result.description),
-            "indices": result.indices.tolist(),
-            "observed_mean": result.observed_mean.tolist(),
+            "indices": array(result.indices),
+            "observed_mean": array(result.observed_mean),
             "ic": result.score.ic,
             "dl": result.score.dl,
         }
@@ -212,8 +229,8 @@ def result_to_dict(result) -> dict:
         return {
             "type": "location_pattern",
             "description": description_to_dict(result.description),
-            "indices": result.indices.tolist(),
-            "mean": result.mean.tolist(),
+            "indices": array(result.indices),
+            "mean": array(result.mean),
             "ic": result.score.ic,
             "dl": result.score.dl,
             "coverage": result.coverage,
@@ -222,45 +239,94 @@ def result_to_dict(result) -> dict:
         return {
             "type": "spread_pattern",
             "description": description_to_dict(result.description),
-            "indices": result.indices.tolist(),
-            "direction": result.direction.tolist(),
+            "indices": array(result.indices),
+            "direction": array(result.direction),
             "variance": result.variance,
-            "center": result.center.tolist(),
+            "center": array(result.center),
             "ic": result.score.ic,
             "dl": result.score.dl,
         }
     raise ReproError(f"cannot serialize result type {type(result).__name__}")
 
 
-def result_from_dict(data: dict):
-    """Rebuild a search/mining result record from its serialized form."""
-    kind = data.get("type")
+def _decode_result(data: dict, array: ArrayDecoder, kind: str | None):
     score = PatternScore(ic=float(data["ic"]), dl=float(data["dl"]))
     if kind == "scored_subgroup":
         return ScoredSubgroup(
             description=description_from_dict(data["description"]),
-            indices=np.asarray(data["indices"], dtype=np.int64),
-            observed_mean=np.asarray(data["observed_mean"], dtype=float),
+            indices=array(data["indices"], np.int64),
+            observed_mean=array(data["observed_mean"], float),
             score=score,
         )
     if kind == "location_pattern":
         return LocationPatternResult(
             description=description_from_dict(data["description"]),
-            indices=np.asarray(data["indices"], dtype=np.int64),
-            mean=np.asarray(data["mean"], dtype=float),
+            indices=array(data["indices"], np.int64),
+            mean=array(data["mean"], float),
             score=score,
             coverage=float(data["coverage"]),
         )
     if kind == "spread_pattern":
         return SpreadPatternResult(
             description=description_from_dict(data["description"]),
-            indices=np.asarray(data["indices"], dtype=np.int64),
-            direction=np.asarray(data["direction"], dtype=float),
+            indices=array(data["indices"], np.int64),
+            direction=array(data["direction"], float),
             variance=float(data["variance"]),
-            center=np.asarray(data["center"], dtype=float),
+            center=array(data["center"], float),
             score=score,
         )
     raise ReproError(f"unknown result type {kind!r}")
+
+
+def result_to_dict(result) -> dict:
+    """Serialize a search/mining result record."""
+    return _result_doc(result, np.ndarray.tolist)
+
+
+def result_from_dict(data: dict):
+    """Rebuild a search/mining result record from its serialized form."""
+    return _decode_result(data, np.asarray, data.get("type"))
+
+
+def encode_iteration(iteration: MiningIteration, array: ArrayEncoder) -> dict:
+    """One mining iteration's document, arrays via ``array``.
+
+    The document is ``{"index", "location", "spread"}``, where
+    ``"spread"`` is null for a location-only step.
+    """
+    spread = iteration.spread
+    return {
+        "index": iteration.index,
+        "location": _result_doc(iteration.location, array),
+        "spread": _result_doc(spread, array) if spread is not None else None,
+    }
+
+
+def decode_iteration(data: dict, array: ArrayDecoder) -> MiningIteration:
+    """Rebuild one mining iteration from its document, arrays via ``array``.
+
+    The location and spread records are read by their slot, not by
+    their ``"type"`` key: belief-store entries written before the store
+    shared this codec carry none.
+    """
+    spread = data.get("spread")
+    if spread is not None:
+        spread = _decode_result(spread, array, "spread_pattern")
+    return MiningIteration(
+        index=int(data["index"]),
+        location=_decode_result(data["location"], array, "location_pattern"),
+        spread=spread,
+    )
+
+
+def iteration_to_dict(iteration: MiningIteration) -> dict:
+    """Serialize one mining iteration (location + optional spread)."""
+    return encode_iteration(iteration, np.ndarray.tolist)
+
+
+def iteration_from_dict(data: dict) -> MiningIteration:
+    """Rebuild one mining iteration from its serialized form."""
+    return decode_iteration(data, np.asarray)
 
 
 # --------------------------------------------------------------------- #
@@ -386,15 +452,11 @@ def load_jobs(path: str | Path) -> list[MiningSpec]:
 
 def job_result_to_dict(result: JobResult) -> dict:
     """Serialize one job's outcome (spec + mined patterns + timing)."""
-    iterations = []
-    for iteration in result.iterations:
-        entry = {
-            "index": iteration.index,
-            "location": result_to_dict(iteration.location),
-        }
-        if iteration.spread is not None:
-            entry["spread"] = result_to_dict(iteration.spread)
-        iterations.append(entry)
+    # Unlike an iteration document, a result document omits a null spread.
+    iterations = [iteration_to_dict(iteration) for iteration in result.iterations]
+    for entry in iterations:
+        if entry["spread"] is None:
+            del entry["spread"]
     return {
         "schema": SCHEMA_VERSION,
         "job": job_to_dict(result.job),
@@ -405,19 +467,9 @@ def job_result_to_dict(result: JobResult) -> dict:
 
 def job_result_from_dict(data: dict) -> JobResult:
     """Rebuild a job result (e.g. from a ``sisd batch --output`` file)."""
-    iterations = []
-    for entry in data["iterations"]:
-        spread = entry.get("spread")
-        iterations.append(
-            MiningIteration(
-                index=int(entry["index"]),
-                location=result_from_dict(entry["location"]),
-                spread=result_from_dict(spread) if spread is not None else None,
-            )
-        )
     return JobResult(
         job=job_from_dict(data["job"]),
-        iterations=tuple(iterations),
+        iterations=tuple(iteration_from_dict(entry) for entry in data["iterations"]),
         elapsed_seconds=float(data["elapsed_seconds"]),
     )
 

@@ -425,9 +425,7 @@ class LocationBeamSearch:
         operator = self.operator
         n_rows = self.scorer.model.n_rows
         budget = TimeBudget(config.time_budget_seconds)
-        max_size = int(math.floor(config.max_coverage_fraction * n_rows))
-        # The full data is never an interesting subgroup of itself.
-        max_size = min(max_size, n_rows - 1)
+        max_size = config.max_size(n_rows)
         # DL by condition count; a refinement may tighten a bound in place,
         # so a level's codes can be shorter than its depth.
         dl = [

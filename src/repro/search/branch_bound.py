@@ -110,6 +110,7 @@ class BranchAndBoundLocationSearch:
         self.dl_params = dl_params
         self._mu = float(model.block_mean(0)[0])
         self._s2 = float(model.block_cov(0)[0, 0])
+        self._max_size = config.max_size(targets.shape[0])
 
     # ------------------------------------------------------------------ #
     # Information content and its optimistic bound
@@ -155,9 +156,6 @@ class BranchAndBoundLocationSearch:
         """Exhaust the (pruned) description tree; returns the optimum."""
         config = self.config
         n = self.targets.shape[0]
-        self._max_size = min(
-            int(config.max_coverage_fraction * n), n - 1
-        )
         budget = TimeBudget(config.time_budget_seconds)
 
         best: ScoredSubgroup | None = None

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, fields
 from typing import Sequence
 
@@ -49,6 +50,14 @@ class SearchConfig:
     max_coverage_fraction: float = 1.0
     time_budget_seconds: float | None = None
     attributes: Sequence[str] | None = None
+
+    def max_size(self, n_rows: int) -> int:
+        """Largest admissible subgroup size over ``n_rows`` rows.
+
+        ``floor(max_coverage_fraction * n_rows)``, capped at ``n_rows - 1``:
+        the full data is never an interesting subgroup of itself.
+        """
+        return min(math.floor(self.max_coverage_fraction * n_rows), n_rows - 1)
 
     def to_dict(self) -> dict:
         """JSON-safe form; the single source of the field mapping.

@@ -50,6 +50,7 @@ from repro.search.results import (
     SpreadPatternResult,
 )
 from repro.search.spread import find_spread_direction
+from repro.stats import subgroup_mean
 from repro.utils.rng import as_rng, generator_from_state, rng_state
 
 
@@ -356,16 +357,7 @@ class SubgroupDiscovery:
         size = int(mask.sum())
         if size == 0:
             raise SearchError(f"description {description} has an empty extension")
-        if self.model.weights is None:
-            observed = self.targets[mask].mean(axis=0)
-        else:
-            # Premultiplied weighted mean: bit-identical to the branch
-            # above under unit weights (see stats._weighted_mean).
-            sub = self.targets[mask]
-            w = self.model.weights[mask]
-            observed = (sub * w[:, None]).mean(axis=0) * (
-                sub.shape[0] / float(w.sum())
-            )
+        observed = subgroup_mean(self.targets, mask, self.model.weights)
         score = score_location(
             self.model, mask, observed, len(description.canonical()),
             params=self.dl_params,

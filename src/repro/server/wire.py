@@ -3,9 +3,11 @@
 Everything that crosses the network — streamed events, job states,
 results — is serialized here and only here, so
 :class:`~repro.server.app.MiningServer` and
-:class:`~repro.client.RemoteWorkspace` cannot drift apart. The payload
-encodings reuse :mod:`repro.persist` (numpy arrays become lists, floats
-keep their exact shortest-repr round-trip), which is what makes a
+:class:`~repro.client.RemoteWorkspace` cannot drift apart. Mined
+iterations and job results travel as :mod:`repro.persist` documents
+(numpy arrays become lists, floats keep their exact shortest-repr
+round-trip); this module adds the event envelopes, job states and
+render-ready candidate summaries around them. That is what makes a
 remote result *bit-identical* to the local one after a JSON hop.
 
 An event document is a flat envelope::
@@ -29,12 +31,12 @@ from repro.engine.jobs import JobResult
 from repro.errors import ReproError
 from repro.events import SchedulerEvent
 from repro.persist import (
+    iteration_from_dict,
+    iteration_to_dict,
     job_from_dict,
     job_result_from_dict,
     job_result_to_dict,
     job_to_dict,
-    result_from_dict,
-    result_to_dict,
 )
 from repro.search.results import MiningIteration, ScoredSubgroup
 from repro.spec import MiningSpec
@@ -57,26 +59,12 @@ def _check_schema(data: dict[str, Any], what: str) -> None:
 # --------------------------------------------------------------------- #
 # Payload encodings
 # --------------------------------------------------------------------- #
-def iteration_to_wire(iteration: MiningIteration) -> dict[str, Any]:
-    """Serialize one mining iteration (location + optional spread)."""
-    entry: dict[str, Any] = {
-        "index": iteration.index,
-        "location": result_to_dict(iteration.location),
-    }
-    entry["spread"] = (
-        result_to_dict(iteration.spread) if iteration.spread is not None else None
-    )
-    return entry
-
-
-def iteration_from_wire(data: dict[str, Any]) -> MiningIteration:
-    """Rebuild one mining iteration from its wire form."""
-    spread = data.get("spread")
-    return MiningIteration(
-        index=int(data["index"]),
-        location=result_from_dict(data["location"]),
-        spread=result_from_dict(spread) if spread is not None else None,
-    )
+#: A mined iteration and a whole job result (the ``GET .../result``
+#: payload) travel as their persist documents.
+iteration_to_wire = iteration_to_dict
+iteration_from_wire = iteration_from_dict
+job_result_to_wire = job_result_to_dict
+job_result_from_wire = job_result_from_dict
 
 
 def candidate_to_wire(candidate: ScoredSubgroup) -> dict[str, Any]:
@@ -240,13 +228,3 @@ def event_from_wire(data: dict[str, Any], seq: int = 0) -> RemoteEvent:
             f"unknown event type {kind!r}; expected one of {EVENT_TYPES}"
         )
     return RemoteEvent(type=kind, job_id=job_id, data=payload, seq=seq, raw=data)
-
-
-def job_result_to_wire(result: JobResult) -> dict[str, Any]:
-    """Serialize one whole job result (the ``GET .../result`` payload)."""
-    return job_result_to_dict(result)
-
-
-def job_result_from_wire(data: dict[str, Any]) -> JobResult:
-    """Rebuild one whole job result from its wire form."""
-    return job_result_from_dict(data)

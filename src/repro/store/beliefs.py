@@ -14,9 +14,10 @@ entries as single files::
 
     magic "SISDBLF1" | u64 header length | JSON header | pad | arrays
 
-The JSON header holds the step document with every numpy array replaced
-by an ``{"__array__": i}`` reference into an array directory
-(dtype/shape/offset), and the raw array bytes follow 64-byte aligned —
+The JSON header holds the step document — the iteration and constraint
+records of :mod:`repro.persist`, written with every numpy array as an
+``{"__array__": i}`` reference into an array directory
+(dtype/shape/offset) — and the raw array bytes follow 64-byte aligned,
 so :meth:`get` reads the header and **memory-maps** each array payload
 (``numpy.memmap``, read-only) instead of copying it onto the heap.
 Warm prefixes over large datasets load at page-cache speed, and N
@@ -45,14 +46,12 @@ from pathlib import Path
 import numpy as np
 
 from repro.engine.cache import CachedStep
-from repro.errors import EngineError
-from repro.interest.si import PatternScore
-from repro.model.patterns import LocationConstraint, SpreadConstraint
-from repro.persist import description_from_dict, description_to_dict
-from repro.search.results import (
-    LocationPatternResult,
-    MiningIteration,
-    SpreadPatternResult,
+from repro.errors import EngineError, ReproError
+from repro.persist import (
+    decode_constraint,
+    decode_iteration,
+    encode_constraint,
+    encode_iteration,
 )
 
 __all__ = ["BeliefStore", "BeliefStoreHandle"]
@@ -63,131 +62,31 @@ _SCHEMA = 1
 
 
 # --------------------------------------------------------------------- #
-# Array-preserving (de)serialization of CachedStep
-#
-# repro.persist's result/constraint codecs turn arrays into JSON lists —
-# exactly what the mmap path must avoid. These mirrors keep the same
-# document shapes but swap every ndarray for a directory reference.
+# A CachedStep as persist's records, arrays by directory reference
 # --------------------------------------------------------------------- #
-class _ArrayDirectory:
-    """Collects arrays during encoding, hands out ``__array__`` refs."""
-
-    def __init__(self) -> None:
-        self.arrays: list[np.ndarray] = []
-
-    def ref(self, value) -> dict:
-        self.arrays.append(np.ascontiguousarray(value))
-        return {"__array__": len(self.arrays) - 1}
-
-
-def _location_doc(result: LocationPatternResult, arrays: _ArrayDirectory) -> dict:
-    return {
-        "description": description_to_dict(result.description),
-        "indices": arrays.ref(result.indices),
-        "mean": arrays.ref(result.mean),
-        "ic": result.score.ic,
-        "dl": result.score.dl,
-        "coverage": result.coverage,
-    }
-
-
-def _spread_doc(result: SpreadPatternResult, arrays: _ArrayDirectory) -> dict:
-    return {
-        "description": description_to_dict(result.description),
-        "indices": arrays.ref(result.indices),
-        "direction": arrays.ref(result.direction),
-        "variance": result.variance,
-        "center": arrays.ref(result.center),
-        "ic": result.score.ic,
-        "dl": result.score.dl,
-    }
-
-
-def _constraint_doc(constraint, arrays: _ArrayDirectory) -> dict:
-    if isinstance(constraint, LocationConstraint):
-        return {
-            "type": "location",
-            "indices": arrays.ref(constraint.indices),
-            "mean": arrays.ref(constraint.mean),
-        }
-    if isinstance(constraint, SpreadConstraint):
-        return {
-            "type": "spread",
-            "indices": arrays.ref(constraint.indices),
-            "direction": arrays.ref(constraint.direction),
-            "variance": constraint.variance,
-            "center": arrays.ref(constraint.center),
-        }
-    raise EngineError(
-        f"cannot spill constraint type {type(constraint).__name__}"
-    )
-
-
 def _encode_entry(entry: CachedStep) -> tuple[dict, list[np.ndarray]]:
-    arrays = _ArrayDirectory()
-    iteration = entry.iteration
+    arrays: list[np.ndarray] = []
+
+    def ref(array: np.ndarray) -> dict:
+        arrays.append(np.ascontiguousarray(array))
+        return {"__array__": len(arrays) - 1}
+
     doc = {
-        "iteration": {
-            "index": iteration.index,
-            "location": _location_doc(iteration.location, arrays),
-            "spread": (
-                _spread_doc(iteration.spread, arrays)
-                if iteration.spread is not None
-                else None
-            ),
-        },
-        "constraints": [
-            _constraint_doc(constraint, arrays) for constraint in entry.constraints
-        ],
+        "iteration": encode_iteration(entry.iteration, ref),
+        "constraints": [encode_constraint(c, ref) for c in entry.constraints],
         "rng_state": entry.rng_state,
     }
-    return doc, arrays.arrays
+    return doc, arrays
 
 
 def _decode_entry(doc: dict, arrays: list[np.ndarray]) -> CachedStep:
-    def arr(node: dict) -> np.ndarray:
+    def deref(node: dict, dtype) -> np.ndarray:
+        # The memmap view as stored: its dtype is the file's, never copied.
         return np.asarray(arrays[node["__array__"]])
 
-    def location(data: dict) -> LocationPatternResult:
-        return LocationPatternResult(
-            description=description_from_dict(data["description"]),
-            indices=arr(data["indices"]),
-            mean=arr(data["mean"]),
-            score=PatternScore(ic=float(data["ic"]), dl=float(data["dl"])),
-            coverage=float(data["coverage"]),
-        )
-
-    def spread(data: dict) -> SpreadPatternResult:
-        return SpreadPatternResult(
-            description=description_from_dict(data["description"]),
-            indices=arr(data["indices"]),
-            direction=arr(data["direction"]),
-            variance=float(data["variance"]),
-            center=arr(data["center"]),
-            score=PatternScore(ic=float(data["ic"]), dl=float(data["dl"])),
-        )
-
-    def constraint(data: dict):
-        if data["type"] == "location":
-            return LocationConstraint(arr(data["indices"]), arr(data["mean"]))
-        if data["type"] == "spread":
-            return SpreadConstraint(
-                arr(data["indices"]),
-                arr(data["direction"]),
-                float(data["variance"]),
-                arr(data["center"]),
-            )
-        raise EngineError(f"unknown spilled constraint type {data['type']!r}")
-
-    it = doc["iteration"]
-    iteration = MiningIteration(
-        index=int(it["index"]),
-        location=location(it["location"]),
-        spread=spread(it["spread"]) if it["spread"] is not None else None,
-    )
     return CachedStep(
-        iteration=iteration,
-        constraints=tuple(constraint(c) for c in doc["constraints"]),
+        iteration=decode_iteration(doc["iteration"], deref),
+        constraints=tuple(decode_constraint(c, deref) for c in doc["constraints"]),
         rng_state=doc["rng_state"],
     )
 
@@ -231,7 +130,7 @@ class BeliefStore:
         """Write one entry; already-present keys are left untouched.
 
         Content addressing makes the skip safe: an existing file under
-        this key holds the same bytes any writer would produce.
+        this key decodes to the same entry.
         """
         path = self._path(key)
         if path.exists():
@@ -328,7 +227,7 @@ class BeliefStore:
                 for meta in header["arrays"]
             ]
             entry = _decode_entry(header["doc"], arrays)
-        except (OSError, ValueError, KeyError, TypeError, EngineError):
+        except (OSError, ValueError, KeyError, TypeError, ReproError):
             with self._lock:
                 self.stats.errors += 1
                 self.stats.misses += 1

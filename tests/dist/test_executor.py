@@ -171,6 +171,17 @@ class TestFailoverAndBackoff:
         assert executor.stats["shards_local"] == 2
         assert executor.stats["shards_remote"] == 0
 
+    def test_truncated_reply_falls_back_locally(self, truncating_peer):
+        """A worker that closes mid-body is unavailable, not a crash."""
+        peer = truncating_peer(b"{}")
+        with DistExecutor([peer.url], timeout=2.0) as executor:
+            with executor.session(5) as session:
+                assert session.map(add, [1, 2]) == [6, 7]
+        assert peer.requests >= 1
+        assert executor.stats["failovers"] >= 1
+        assert executor.stats["shards_local"] == 2
+        assert executor.stats["shards_remote"] == 0
+
     def test_no_fallback_raises_when_everyone_is_dead(self):
         with DistExecutor(
             ["http://127.0.0.1:9"], timeout=1.0, local_fallback=False

@@ -13,6 +13,8 @@ import pytest
 from repro.client import RemoteError, RemoteWorkspace
 from repro.dist.executor import DistExecutor
 from repro.dist.router import MiningRouter
+from repro.dist.worker import WorkerDaemon
+from repro.errors import EngineError
 from repro.server import MiningServer
 from repro.spec import MiningSpec
 
@@ -159,6 +161,26 @@ class TestWorkerRegistry:
             routed._request("POST", "/workers/register", {"url": "no-scheme"})
         assert excinfo.value.status == 400
 
+    def test_worker_registers_with_a_scheme_less_address(self, federation, routed):
+        """``sisd worker --register HOST:PORT`` announces to HOST:PORT."""
+        _, router_handle, _ = federation
+        worker = WorkerDaemon(register_with=router_handle.url.split("//", 1)[1])
+        handle = worker.run_in_thread()
+        try:
+            deadline = time.monotonic() + 5.0
+            while True:
+                _, doc = routed._request("GET", "/workers")
+                if worker.url in doc["workers"] or time.monotonic() > deadline:
+                    break
+                time.sleep(0.05)
+        finally:
+            handle.stop()
+        assert worker.url in doc["workers"]
+
+    def test_bad_register_address_fails_at_construction(self):
+        with pytest.raises(EngineError, match="register_with"):
+            WorkerDaemon(register_with="127.0.0.1:port")
+
 
 def _plus(context, item):
     return context + item
@@ -205,3 +227,36 @@ class TestReplicaFailover:
             router_handle.stop()
             for handle in live:
                 handle.stop()
+
+
+class TestTruncatedReplies:
+    @pytest.mark.parametrize("whole", [0, 2])
+    def test_probe_marks_replica_unhealthy_and_keeps_probing(
+        self, truncating_peer, whole
+    ):
+        """A replica that cuts its /health reply short is down, not fatal.
+
+        With ``whole=0`` the router's first probe, in ``start()``, reads
+        the truncated reply; with ``whole=2`` the replica is healthy
+        first and the background health checks read it.
+        """
+        peer = truncating_peer(b'{"status": "ok", "generation": "g1"}', whole)
+        router = MiningRouter([peer.url], check_interval=0.05, probe_timeout=2.0)
+        handle = router.run_in_thread()
+        try:
+            deadline = time.monotonic() + 10.0
+            while peer.requests < whole + 4 and time.monotonic() < deadline:
+                time.sleep(0.05)
+            (replica,) = RemoteWorkspace(handle.url).health()["replicas"]
+        finally:
+            handle.stop()
+        assert peer.requests >= whole + 4
+        assert not replica["healthy"]
+        assert "truncated" in replica["error"]
+
+    def test_client_reports_a_truncated_reply_as_remote_error(
+        self, truncating_peer
+    ):
+        peer = truncating_peer(b"{}")
+        with pytest.raises(RemoteError, match="cannot reach"):
+            RemoteWorkspace(peer.url, timeout=5.0).health()

@@ -14,6 +14,7 @@ Two acceptance bars from the observability PR:
 import numpy as np
 import pytest
 
+from repro.engine.cache import BeliefCache
 from repro.engine.jobs import run_job, run_job_with_workers
 from repro.engine.service import MiningService
 from repro.obs.trace import TRACER, activate
@@ -103,7 +104,11 @@ class TestOneJobOneTrace:
         # from every other service submission in the pytest process
         # (the tracer is process-wide; job ids restart per service).
         job = _job(name="obs-trace-coherence")
-        with MiningService(backend="thread", max_workers=1) as service:
+        # Its own belief cache: a step replayed from the process-wide one,
+        # warmed by earlier tests, would record no engine spans.
+        with MiningService(
+            backend="thread", max_workers=1, belief_cache=BeliefCache()
+        ) as service:
             job_id = service.submit(job, dist_workers=[worker_url])
             result = service.result(job_id, timeout=120)
         assert_results_identical(untraced_reference, result)

@@ -46,7 +46,6 @@ def make_search(dataset, **config_kwargs):
 class TestOptimisticBound:
     def test_bound_dominates_sampled_subsets(self, small_dataset, rng):
         search = make_search(small_dataset)
-        search._max_size = small_dataset.n_rows - 1
         mask = np.ones(small_dataset.n_rows, dtype=bool)
         bound = search.optimistic_ic(mask)
         values = small_dataset.targets[:, 0]
@@ -59,7 +58,6 @@ class TestOptimisticBound:
     def test_bound_attained_by_extreme_prefix(self, small_dataset):
         """The bound equals the best prefix/suffix IC by construction."""
         search = make_search(small_dataset)
-        search._max_size = small_dataset.n_rows - 1
         mask = np.ones(small_dataset.n_rows, dtype=bool)
         bound = search.optimistic_ic(mask)
         values = np.sort(small_dataset.targets[:, 0])
@@ -72,10 +70,23 @@ class TestOptimisticBound:
             )
         assert bound == pytest.approx(best, rel=1e-12)
 
+    def test_fresh_search_bounds_under_its_config(self, small_dataset):
+        """``optimistic_ic`` needs no ``run()`` and honours the size cap."""
+        search = make_search(small_dataset, max_coverage_fraction=0.5)
+        bound = search.optimistic_ic(np.ones(small_dataset.n_rows, dtype=bool))
+        values = np.sort(small_dataset.targets[:, 0])
+        best = max(
+            max(
+                search._ic_of(k, float(values[:k].mean())),
+                search._ic_of(k, float(values[-k:].mean())),
+            )
+            for k in range(2, small_dataset.n_rows // 2 + 1)
+        )
+        assert bound == pytest.approx(best, rel=1e-12)
+
     def test_bound_monotone_under_restriction(self, small_dataset, rng):
         """Shrinking the candidate set cannot raise the bound."""
         search = make_search(small_dataset)
-        search._max_size = small_dataset.n_rows - 1
         full = np.ones(small_dataset.n_rows, dtype=bool)
         sub = rng.random(small_dataset.n_rows) < 0.5
         sub[:5] = True  # keep it non-trivial

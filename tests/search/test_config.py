@@ -36,3 +36,13 @@ class TestValidation:
         config = SearchConfig()
         with pytest.raises(AttributeError):
             config.beam_width = 10
+
+
+class TestMaxSize:
+    @pytest.mark.parametrize(
+        "fraction, n_rows, expected",
+        [(1.0, 10, 9), (0.5, 11, 5), (0.25, 8, 2), (0.75, 4, 3)],
+    )
+    def test_floor_of_the_fraction_below_the_full_data(self, fraction, n_rows, expected):
+        config = SearchConfig(max_coverage_fraction=fraction)
+        assert config.max_size(n_rows) == expected

@@ -111,6 +111,19 @@ class TestRoundTrip:
         assert store.get(key) is None
         assert store.stats.errors == 1
 
+    def test_undecodable_record_is_a_miss(self, warm_cache, tmp_path):
+        """A record the codec rejects (here an unknown constraint type,
+        same byte length so the layout holds) is a miss, not a crash."""
+        store = BeliefStore(tmp_path)
+        key, step = next(iter(_entries(warm_cache).items()))
+        store.put(key, step)
+        path = store._path(key)
+        raw = path.read_bytes()
+        assert b'"type":"location"' in raw
+        path.write_bytes(raw.replace(b'"type":"location"', b'"type":"xocation"'))
+        assert store.get(key) is None
+        assert store.stats.errors == 1
+
     def test_rejects_traversal_keys(self, tmp_path):
         store = BeliefStore(tmp_path)
         with pytest.raises(EngineError):
