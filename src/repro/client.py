@@ -34,7 +34,6 @@ from concurrent.futures import CancelledError
 from concurrent.futures import TimeoutError as FuturesTimeoutError
 from http.client import HTTPConnection, HTTPException
 from typing import Iterator
-from urllib.parse import urlsplit
 
 from repro.engine.jobs import JobResult
 from repro.engine.service import JobStatus
@@ -47,9 +46,10 @@ from repro.errors import (
     ReproError,
     SearchError,
 )
-from repro.events import MiningObserver
+from repro.events import MiningObserver, guarded
 from repro.search.results import MiningIteration
 from repro.server import wire
+from repro.server.http import split_url
 from repro.spec import MiningSpec
 
 __all__ = [
@@ -236,15 +236,7 @@ class RemoteWorkspace:
         timeout: float = 60.0,
         token: str | None = None,
     ):
-        if "//" not in url:
-            url = "http://" + url
-        split = urlsplit(url)
-        if split.scheme not in ("", "http"):
-            raise EngineError(
-                f"RemoteWorkspace speaks plain http, got {split.scheme!r}"
-            )
-        self.host = split.hostname or "127.0.0.1"
-        self.port = split.port or 8765
+        self.host, self.port = split_url(url, default_port=8765)
         self.timeout = timeout
         self.token = token
         #: job_id -> (etag, result document); bounded LRU.
@@ -549,7 +541,9 @@ class RemoteWorkspace:
         healed from the terminal result document, so the caller always
         sees every iteration exactly once, in order. An optional
         ``observer`` additionally receives every decoded event of this
-        job (candidates and scheduling decisions included).
+        job (candidates and scheduling decisions included); it runs
+        :func:`~repro.events.guarded`, so its exceptions never end the
+        stream.
 
         Survives a server restart mid-stream: when the feed raises
         :class:`ServerRestarted`, the job's state is re-read from the
@@ -558,6 +552,7 @@ class RemoteWorkspace:
         job is re-subscribed in the fresh sequence space, with the
         per-iteration index dedupe skipping what was already yielded.
         """
+        observer = guarded(observer) or MiningObserver()
         body = self._submission_body(spec)
         _, document = self._request("POST", "/jobs", body)
         job_id = document["job_id"]
@@ -595,15 +590,14 @@ class RemoteWorkspace:
                         terminal = self._terminal_result(job_id)
                         if terminal is not None:
                             for iteration in terminal.iterations[yielded:]:
-                                _observe_healed(observer, iteration)
+                                observer.on_iteration(iteration)
                                 yield iteration
-                            _observe_terminal(observer, terminal)
+                            observer.on_job(terminal)
                             return
                         continue
                     if event.job_id != job_id:
                         continue  # defensive: an unfiltered/older server
-                    if observer is not None:
-                        _deliver(observer, event)
+                    _deliver(observer, event)
                     if event.type == "iteration":
                         if event.data.index == yielded + 1:
                             yielded += 1
@@ -613,7 +607,7 @@ class RemoteWorkspace:
                         # via _deliver (on_job); healed iterations that never
                         # arrived as events still get their on_iteration.
                         for iteration in event.data.iterations[yielded:]:
-                            _observe_healed(observer, iteration)
+                            observer.on_iteration(iteration)
                             yield iteration
                         return
                     elif event.type == "job_failed":
@@ -644,9 +638,9 @@ class RemoteWorkspace:
             terminal = self._terminal_result(job_id)
             if terminal is not None:
                 for iteration in terminal.iterations[yielded:]:
-                    _observe_healed(observer, iteration)
+                    observer.on_iteration(iteration)
                     yield iteration
-                _observe_terminal(observer, terminal)
+                observer.on_job(terminal)
                 return
             anchor = 0
 
@@ -684,46 +678,23 @@ class RemoteWorkspace:
         self.close()
 
 
-def _observe_healed(observer: MiningObserver | None, iteration) -> None:
-    """on_iteration for an iteration recovered from the result document."""
-    if observer is None:
-        return
-    try:
-        observer.on_iteration(iteration)
-    except Exception:
-        pass  # observers must not break the stream (engine contract)
-
-
-def _observe_terminal(observer: MiningObserver | None, result) -> None:
-    """on_job for a completion learned by polling, not from an event."""
-    if observer is None:
-        return
-    try:
-        observer.on_job(result)
-    except Exception:
-        pass  # observers must not break the stream (engine contract)
-
-
 def _deliver(observer: MiningObserver, event: wire.RemoteEvent) -> None:
-    """Forward one decoded event onto a local observer (best-effort)."""
-    try:
-        if event.type == "iteration":
-            observer.on_iteration(event.data)
-        elif event.type == "candidate":
-            # The wire form is the render-ready summary dict (see
-            # repro.server.wire.candidate_to_wire), not a ScoredSubgroup.
-            observer.on_candidate(event.data)
-        elif event.type == "job":
-            observer.on_job(event.data)
-        elif event.type == "schedule":
-            observer.on_schedule(event.data)
-        elif event.type == "job_failed":
-            observer.on_job_failed(
-                event.data["job"],
-                RemoteJobFailed(
-                    f"{event.data['error'].get('type')}: "
-                    f"{event.data['error'].get('message')}"
-                ),
-            )
-    except Exception:
-        pass  # observers must not break the stream (engine contract)
+    """Forward one decoded event onto a local (guarded) observer."""
+    if event.type == "iteration":
+        observer.on_iteration(event.data)
+    elif event.type == "candidate":
+        # The wire form is the render-ready summary dict (see
+        # repro.server.wire.candidate_to_wire), not a ScoredSubgroup.
+        observer.on_candidate(event.data)
+    elif event.type == "job":
+        observer.on_job(event.data)
+    elif event.type == "schedule":
+        observer.on_schedule(event.data)
+    elif event.type == "job_failed":
+        observer.on_job_failed(
+            event.data["job"],
+            RemoteJobFailed(
+                f"{event.data['error'].get('type')}: "
+                f"{event.data['error'].get('message')}"
+            ),
+        )

@@ -26,7 +26,6 @@ import threading
 from concurrent.futures import ThreadPoolExecutor
 from http.client import HTTPConnection, HTTPException
 from typing import Any, Callable, Iterable
-from urllib.parse import urlsplit
 
 from repro.dist import wire as dwire
 from repro.errors import EngineError
@@ -39,6 +38,7 @@ from repro.obs.instruments import (
     DIST_SHARDS_REMOTE,
 )
 from repro.obs.trace import TRACER, TraceContext, current
+from repro.server.http import split_url
 
 __all__ = ["DistExecutor", "ShardError", "WorkerClient", "WorkerUnavailable"]
 
@@ -62,14 +62,8 @@ class WorkerClient:
     """
 
     def __init__(self, url: str, *, timeout: float = 60.0) -> None:
-        if "//" not in url:
-            url = "http://" + url
-        split = urlsplit(url)
-        if split.scheme not in ("", "http"):
-            raise EngineError(f"worker URLs are plain http, got {split.scheme!r}")
-        self.url = url.rstrip("/")
-        self.host = split.hostname or "127.0.0.1"
-        self.port = split.port or 80
+        self.host, self.port = split_url(url)
+        self.url = (url if "//" in url else "http://" + url).rstrip("/")
         self.timeout = timeout
 
     def _exchange(
@@ -214,8 +208,8 @@ class DistExecutor:
     registry:
         Optional coordinator/router base URL whose ``GET /workers``
         listing (see :class:`~repro.dist.router.MiningRouter`) is merged
-        into the static list at construction and whenever every static
-        worker is sidelined.
+        into the static list once, at construction. A registry that
+        cannot be reached or answers garbage adds no workers.
     timeout:
         Socket timeout per shard round trip, seconds.
     local_fallback:
@@ -283,10 +277,7 @@ class DistExecutor:
         """Worker URLs a router/coordinator currently knows about."""
         import json
 
-        split = urlsplit(registry if "//" in registry else "http://" + registry)
-        conn = HTTPConnection(
-            split.hostname or "127.0.0.1", split.port or 80, timeout=timeout
-        )
+        conn = HTTPConnection(*split_url(registry), timeout=timeout)
         try:
             conn.request("GET", "/workers")
             response = conn.getresponse()
@@ -294,7 +285,7 @@ class DistExecutor:
                 return []
             document = json.loads(response.read())
             return [str(url) for url in document.get("workers", [])]
-        except (OSError, ValueError):
+        except (OSError, ValueError, HTTPException):
             return []
         finally:
             conn.close()

@@ -30,7 +30,6 @@ import asyncio
 import json
 import secrets
 import threading
-from urllib.parse import urlsplit
 
 from repro.dist import wire as dwire
 from repro.dist.ring import HashRing
@@ -72,15 +71,9 @@ class _Replica:
     """Health state of one MiningServer replica."""
 
     def __init__(self, name: str, url: str) -> None:
-        if "//" not in url:
-            url = "http://" + url
-        split = urlsplit(url)
-        if split.scheme not in ("", "http"):
-            raise EngineError(f"replica URLs are plain http, got {split.scheme!r}")
+        self.host, self.port = http.split_url(url)
         self.name = name
-        self.url = url.rstrip("/")
-        self.host = split.hostname or "127.0.0.1"
-        self.port = split.port or 80
+        self.url = (url if "//" in url else "http://" + url).rstrip("/")
         self.healthy = False
         self.generation: str | None = None
         self.restarts = 0

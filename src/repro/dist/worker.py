@@ -34,7 +34,6 @@ import time
 from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 from http.client import HTTPConnection, HTTPException
-from urllib.parse import urlsplit
 
 from repro.dist import wire as dwire
 from repro.errors import EngineError
@@ -100,17 +99,9 @@ class WorkerDaemon(http.Daemon):
         self.parallelism = parallelism
         self.max_contexts = max_contexts
         self.register_with = register_with
-        self._registry: tuple[str, int] | None = None
-        if register_with is not None:
-            split = urlsplit(
-                register_with if "//" in register_with else "http://" + register_with
-            )
-            try:
-                self._registry = (split.hostname or "127.0.0.1", split.port or 80)
-            except ValueError as exc:  # a non-numeric or out-of-range port
-                raise EngineError(
-                    f"bad register_with URL {register_with!r}: {exc}"
-                ) from exc
+        self._registry = (
+            None if register_with is None else http.split_url(register_with)
+        )
         #: Per-boot marker, so a coordinator can tell a restarted worker
         #: (fresh, empty context cache) from a live one.
         self.generation = secrets.token_hex(8)

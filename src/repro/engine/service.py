@@ -20,6 +20,12 @@ queue and schedules it deterministically:
   through an LRU result cache keyed by the job fingerprint, and a
   submission whose fingerprint is already queued or running *coalesces*
   onto the in-flight job instead of mining twice.
+- **One way a job ends.** Every run and every result-cache lookup ends
+  in one settle step: the job and its coalesced duplicates resolve
+  together, a result enters the result cache and each record the
+  durable store, and every observer hears exactly one terminal event
+  (``on_job`` after the iterations it did not hear live, or
+  ``on_job_failed``) once the scheduler lock drops.
 - **Starvation is bounded.** An aging guard boosts the effective
   priority of long-queued jobs (one level per ``aging_seconds``
   waited), so a low-priority job eventually dispatches even under
@@ -39,6 +45,7 @@ import threading
 from concurrent.futures import CancelledError, Future
 from concurrent.futures import TimeoutError as FuturesTimeoutError
 from enum import Enum
+from functools import partial
 from typing import Sequence
 
 from repro.engine.cache import BeliefCache, LRUCache, resolve_belief_cache
@@ -51,7 +58,7 @@ from repro.engine.executor import BACKENDS, resolve_pool
 __all__ = ["BACKENDS", "JobStatus", "MiningService"]
 from repro.engine.jobs import FileYieldFlag, JobResult, run_job_with_workers
 from repro.errors import DeadlineExpired, EngineError, JobPreempted
-from repro.events import MiningObserver, SchedulerEvent, broadcast
+from repro.events import MiningObserver, SchedulerEvent, broadcast, guarded
 from repro.obs import clock
 from repro.obs.instruments import (
     BELIEF_SPILL_HIT_RATIO,
@@ -78,53 +85,16 @@ from repro.spec import MiningSpec
 _NO_TENANT = "-"
 
 
-class _SwallowingObserver(MiningObserver):
-    """Delivers events to an inner observer, discarding its exceptions.
+def _deliver(observer, job, result, error, *, replay: bool) -> None:
+    """One job's terminal event to one (guarded) observer.
 
-    The serial backend fires events live inside ``run_job``; without
-    this wrapper a raising observer would abort (and fail) a mining run
-    that actually succeeded, while the pooled backends — whose replayed
-    events are guarded in ``_announce`` — would report the same job
-    DONE. One swallow policy, every backend.
+    A failure is ``on_job_failed``; a success is ``on_job``, preceded by
+    the mined iterations when ``replay`` is set.
     """
-
-    def __init__(self, inner: MiningObserver) -> None:
-        self._inner = inner
-
-    def on_candidate(self, candidate) -> None:
-        try:
-            self._inner.on_candidate(candidate)
-        except Exception:
-            pass
-
-    def on_iteration(self, iteration) -> None:
-        try:
-            self._inner.on_iteration(iteration)
-        except Exception:
-            pass
-
-    def on_job(self, result) -> None:
-        try:
-            self._inner.on_job(result)
-        except Exception:
-            pass
-
-    def on_job_failed(self, job, error) -> None:
-        try:
-            self._inner.on_job_failed(job, error)
-        except Exception:
-            pass
-
-    def on_schedule(self, event) -> None:
-        try:
-            self._inner.on_schedule(event)
-        except Exception:
-            pass
-
-
-def _deliver_result(observer, result, *, replay_iterations: bool) -> None:
-    """One job's terminal delivery to one (already-swallowing) observer."""
-    if replay_iterations:
+    if error is not None:
+        observer.on_job_failed(job, error)
+        return
+    if replay:
         for iteration in result.iterations:
             observer.on_iteration(iteration)
     observer.on_job(result)
@@ -179,9 +149,10 @@ class _Record:
     links a coalesced duplicate to the record doing the actual work;
     ``proxies`` is the reverse edge. ``heap_key`` detects stale heap
     entries after a boost (lazy deletion). ``observer`` is the
-    submission's own (already exception-swallowing) per-job observer, or
-    ``None``; ``live`` records whether that observer was wired into the
-    mining run itself (so completion must not replay iterations to it).
+    submission's own (already :func:`~repro.events.guarded`) per-job
+    observer, or ``None``; ``live`` records whether that observer was
+    wired into the mining run itself (so completion must not replay
+    iterations to it).
     """
 
     __slots__ = (
@@ -532,7 +503,6 @@ class MiningService:
         fp = job.fingerprint()
         post: list = []
         serial_record: _Record | None = None
-        wrapped = _SwallowingObserver(observer) if observer is not None else None
         # Root span of this submission's trace: everything downstream —
         # the schedule wait, the engine's phase spans, dist shards —
         # parents under it. Purely observational; ids never reach the
@@ -547,7 +517,7 @@ class MiningService:
                 fp,
                 next(self._seq),
                 dist_workers,
-                observer=wrapped,
+                observer=guarded(observer),
                 tenant=tenant,
                 tenant_share=tenant_share,
             )
@@ -556,18 +526,8 @@ class MiningService:
             self._emit_later(post, "queued", record)
             cached = self._cache.get(fp)
             if cached is not None:
-                _finish(record, "done")
-                record.future.set_result(cached)
                 self._emit_later(post, "cache_hit", record)
-                post.append(
-                    lambda r=cached: self._announce(r, replay_iterations=True)
-                )
-                if wrapped is not None:
-                    post.append(
-                        lambda r=cached, o=wrapped: _deliver_result(
-                            o, r, replay_iterations=True
-                        )
-                    )
+                self._settle_locked(record, post, result=cached)
             elif self._pool is None:
                 if (
                     record.deadline_at is not None
@@ -605,12 +565,10 @@ class MiningService:
                         if boosted:
                             self._push_locked(primary)
                 else:
-                    self._inflight[fp] = record
-                    self._refresh_pass_locked(record)
-                    self._push_locked(record)
-                    self._n_queued += 1
+                    self._enqueue_locked(record)
                     self._dispatch_locked(post)
-            self._persist_later(post, record)
+            if cached is None:  # the settle step persisted a cache hit
+                self._persist_later(post, record)
             self._prune_terminal_locked(post)
         self._run_post(post)
         if serial_record is not None:
@@ -622,10 +580,11 @@ class MiningService:
     def _run_serial(self, record: _Record) -> None:
         """Execute one job inline (the ``"serial"`` backend's dispatch)."""
         record.live = record.observer is not None
+        result = error = None
         try:
             # Serial backend: candidate/iteration events fire live, on
-            # the service-wide observers and the submission's own
-            # (swallowed on failure — see _SwallowingObserver).
+            # the service-wide observers and the submission's own (both
+            # guarded, so an observer's bug cannot fail the run).
             result = run_job_with_workers(
                 record.job,
                 belief_cache=self._belief_cache,
@@ -634,23 +593,11 @@ class MiningService:
                 dist_workers=record.dist_workers,
             )
         except Exception as exc:  # surface via result(), like a pool would
-            with self._lock:
-                _finish(record, "failed")
-                record.future.set_exception(exc)
-            self._persist_now(record)
-            if self._live_observer is not None:
-                self._live_observer.on_job_failed(record.job, exc)
-            if record.observer is not None:
-                record.observer.on_job_failed(record.job, exc)
-        else:
-            with self._lock:
-                _finish(record, "done")
-                self._cache.put(record.fp, result)
-                record.future.set_result(result)
-            self._persist_now(record)
-            self._announce(result, replay_iterations=False)
-            if record.observer is not None:
-                _deliver_result(record.observer, result, replay_iterations=False)
+            error = exc
+        post: list = []
+        with self._lock:
+            self._settle_locked(record, post, result=result, error=error)
+        self._run_post(post)
 
     def status(self, job_id: str) -> JobStatus:
         """Current lifecycle state of one job.
@@ -817,11 +764,7 @@ class MiningService:
         return self.jobs()
 
     def _recompose_observers(self) -> None:
-        composed = broadcast(*self._observers)
-        self._observer = composed
-        self._live_observer = (
-            _SwallowingObserver(composed) if composed is not None else None
-        )
+        self._live_observer = guarded(broadcast(*self._observers))
 
     def add_observer(self, observer: MiningObserver | None) -> None:
         """Compose another observer onto the service's event stream.
@@ -938,6 +881,13 @@ class MiningService:
     def _push_locked(self, record: _Record) -> None:
         record.heap_key = record.sort_key()
         heapq.heappush(self._queue, (record.heap_key, record))
+
+    def _enqueue_locked(self, record: _Record) -> None:
+        """Queue a record as its fingerprint's primary, at its tenant's pass."""
+        self._inflight[record.fp] = record
+        self._refresh_pass_locked(record)
+        self._push_locked(record)
+        self._n_queued += 1
 
     def _age_queue_locked(self, post: list) -> None:
         """Starvation guard: boost the priority of long-queued primaries.
@@ -1075,32 +1025,11 @@ class MiningService:
                 )
             except Exception as exc:
                 # e.g. submit raced a shutdown: the pool refused the
-                # task. Undo the slot bookkeeping and fail the record
-                # (and its waiters) instead of stranding an unresolvable
-                # future and leaking a worker slot.
+                # task. Free the slot and fail the record (and its
+                # waiters) instead of stranding an unresolvable future
+                # and leaking a worker slot.
                 self._running -= 1
-                if self._inflight.get(record.fp) is record:
-                    del self._inflight[record.fp]
-                waiters = [record] + [
-                    p for p in record.proxies if p.state == "queued"
-                ]
-                record.proxies = []
-                for waiter in waiters:
-                    _finish(waiter, "failed")
-                    waiter.future.set_exception(exc)
-                    self._persist_later(post, waiter)
-                    if self._live_observer is not None:
-                        post.append(
-                            lambda w=waiter, e=exc: self._live_observer.on_job_failed(
-                                w.job, e
-                            )
-                        )
-                    if waiter.observer is not None:
-                        post.append(
-                            lambda w=waiter, e=exc: w.observer.on_job_failed(
-                                w.job, e
-                            )
-                        )
+                self._settle_locked(record, post, error=exc)
                 continue
             self._emit_later(post, "dispatched", record)
             self._persist_later(post, record)
@@ -1120,11 +1049,9 @@ class MiningService:
         post: list = []
         with self._lock:
             self._running -= 1
-            if (
-                not pool_future.cancelled()
-                and isinstance(pool_future.exception(), JobPreempted)
-                and record.state == "running"
-            ):
+            cancelled = pool_future.cancelled()
+            error = None if cancelled else pool_future.exception()
+            if isinstance(error, JobPreempted) and record.state == "running":
                 # Cooperative preemption: the worker yielded its slot at
                 # an iteration boundary. Not terminal — the record (and
                 # its coalesced waiters, and its unresolved future) goes
@@ -1136,66 +1063,71 @@ class MiningService:
                 record.trace_enqueued = clock.perf_counter()
                 JOBS_PREEMPTED.labels(record.tenant or _NO_TENANT).inc()
                 self._dispose_yield_flag(record)
-                self._refresh_pass_locked(record)
-                self._push_locked(record)
-                self._n_queued += 1
+                self._enqueue_locked(record)
                 self._emit_later(post, "preempted", record)
                 self._persist_later(post, record)
                 self._dispatch_locked(post)
                 self._run_post(post)
                 return
             self._dispose_yield_flag(record)
-            if self._inflight.get(record.fp) is record:
-                del self._inflight[record.fp]
-            waiters = [record] + [p for p in record.proxies if p.state == "queued"]
-            record.proxies = []
-            if pool_future.cancelled():  # pragma: no cover - defensive
-                for waiter in waiters:
-                    _finish(waiter, "cancelled")
-                    waiter.future.cancel()
-                    self._persist_later(post, waiter)
-            else:
-                exc = pool_future.exception()
-                if exc is None:
-                    result = pool_future.result()
-                    self._cache.put(record.fp, result)
-                    for waiter in waiters:
-                        _finish(waiter, "done")
-                        waiter.future.set_result(result)
-                        self._persist_later(post, waiter)
-                        if waiter.observer is not None:
-                            # Waiters wired live at dispatch already heard
-                            # their iterations; late coalescers and the
-                            # process backend get the replay.
-                            post.append(
-                                lambda w=waiter, r=result: _deliver_result(
-                                    w.observer, r, replay_iterations=not w.live
-                                )
-                            )
-                    post.extend(
-                        (lambda r=result: self._announce(r, replay_iterations=True),)
-                        * len(waiters)
-                    )
-                else:
-                    for waiter in waiters:
-                        _finish(waiter, "failed")
-                        waiter.future.set_exception(exc)
-                        self._persist_later(post, waiter)
-                        if self._live_observer is not None:
-                            post.append(
-                                lambda w=waiter, e=exc: self._live_observer.on_job_failed(
-                                    w.job, e
-                                )
-                            )
-                        if waiter.observer is not None:
-                            post.append(
-                                lambda w=waiter, e=exc: w.observer.on_job_failed(
-                                    w.job, e
-                                )
-                            )
+            result = None
+            if not cancelled and error is None:
+                result = pool_future.result()
+            self._settle_locked(record, post, result=result, error=error)
             self._prune_terminal_locked(post)
             self._dispatch_locked(post)
         self._run_post(post)
+
+    def _settle_locked(
+        self,
+        record: _Record,
+        post: list,
+        *,
+        result: JobResult | None = None,
+        error: BaseException | None = None,
+    ) -> None:
+        """End a run or a result-cache lookup: the one way a job finishes.
+
+        ``result`` means done, ``error`` failed, and neither cancelled (a
+        pool future cancelled under the service). The record and its
+        still-queued coalesced waiters resolve together: a result enters
+        the result cache, every waiter is persisted, and each done or
+        failed waiter's terminal event is queued on ``post`` for the
+        service-wide observers and its own. A success replays its
+        iterations before ``on_job`` to every observer that was not wired
+        into the run. Only two kinds were: a waiter's own observer live
+        at dispatch (serial and thread backends), and the service-wide
+        observers of a serial run.
+        """
+        if self._inflight.get(record.fp) is record:
+            del self._inflight[record.fp]
+        serial_run = self._pool is None and record.state == "running"
+        waiters = [record] + [p for p in record.proxies if p.state == "queued"]
+        record.proxies = []
+        if result is not None:
+            self._cache.put(record.fp, result)
+        for waiter in waiters:
+            if result is not None:
+                _finish(waiter, "done")
+                waiter.future.set_result(result)
+            elif error is not None:
+                _finish(waiter, "failed")
+                waiter.future.set_exception(error)
+            else:  # pragma: no cover - a pool future cancelled under us
+                _finish(waiter, "cancelled")
+                waiter.future.cancel()
+            self._persist_later(post, waiter)
+            for observer, live in (
+                (self._live_observer, serial_run),
+                (waiter.observer, waiter.live),
+            ):
+                if observer is not None and waiter.state != "cancelled":
+                    post.append(
+                        partial(
+                            _deliver, observer, waiter.job, result, error,
+                            replay=not live,
+                        )
+                    )
 
     def _expire_if_due_locked(self, record: _Record, post: list) -> None:
         if record.state != "queued":
@@ -1254,10 +1186,7 @@ class MiningService:
         new_primary.proxies = survivors[1:]
         for proxy in new_primary.proxies:
             proxy.proxy_of = new_primary
-        self._inflight[record.fp] = new_primary
-        self._refresh_pass_locked(new_primary)
-        self._push_locked(new_primary)
-        self._n_queued += 1
+        self._enqueue_locked(new_primary)
         self._emit_later(post, "promoted", new_primary, detail=f"after {record.job_id}")
 
     # ------------------------------------------------------------------ #
@@ -1472,10 +1401,7 @@ class MiningService:
                         record.proxy_of = primary
                         primary.proxies.append(record)
                     else:
-                        self._inflight[record.fp] = record
-                        self._refresh_pass_locked(record)
-                        self._push_locked(record)
-                        self._n_queued += 1
+                        self._enqueue_locked(record)
                     self._emit_later(post, "recovered", record)
                     self._persist_later(post, record)
                 self._records[job_id] = record
@@ -1517,25 +1443,3 @@ class MiningService:
         for action in post:
             action()
         post.clear()
-
-    def _announce(self, result: JobResult, *, replay_iterations: bool) -> None:
-        """Deliver a finished job to the observer (replaying if asked).
-
-        Pool workers cannot call back into this process mid-job, so the
-        pooled backends (and cache hits) replay ``on_iteration`` events
-        here, post hoc; the serial backend already fired them live and
-        only needs ``on_job``. A raising observer must not corrupt job
-        bookkeeping — the result is already stored and the future
-        resolved — so delivery failures are swallowed here, uniformly
-        across backends (the same contract ``concurrent.futures`` gives
-        done-callbacks).
-        """
-        if self._live_observer is None:
-            return
-        # Route through the swallowing wrapper so one raising event does
-        # not starve the later ones — the same per-event policy the
-        # serial backend's live delivery gets.
-        if replay_iterations:
-            for iteration in result.iterations:
-                self._live_observer.on_iteration(iteration)
-        self._live_observer.on_job(result)

@@ -24,7 +24,10 @@ so they *replay* ``on_iteration`` events when a job's result arrives
 
 Observers must not mutate what they are handed — results are shared with
 the mining loop — and should be cheap: ``on_candidate`` fires for every
-scored subgroup (hundreds per beam level).
+scored subgroup (hundreds per beam level). An observer that raises never
+fails a job or ends a stream: the service and
+:meth:`repro.client.RemoteWorkspace.stream` wrap the observers they are
+given with :func:`guarded`.
 """
 
 from __future__ import annotations
@@ -229,6 +232,44 @@ class _Broadcast(MiningObserver):
     def on_schedule(self, event: SchedulerEvent) -> None:
         for observer in self._observers:
             observer.on_schedule(event)
+
+
+class _Guarded(MiningObserver):
+    """Forward every hook to an inner observer, discarding its exceptions."""
+
+    def __init__(self, inner: MiningObserver) -> None:
+        self._inner = inner
+
+    def _call(self, hook: str, *args) -> None:
+        try:
+            getattr(self._inner, hook)(*args)
+        except Exception:
+            pass
+
+    def on_candidate(self, candidate: "ScoredSubgroup") -> None:
+        self._call("on_candidate", candidate)
+
+    def on_iteration(self, iteration: "MiningIteration") -> None:
+        self._call("on_iteration", iteration)
+
+    def on_job(self, result: "JobResult") -> None:
+        self._call("on_job", result)
+
+    def on_job_failed(self, job, error: BaseException) -> None:
+        self._call("on_job_failed", job, error)
+
+    def on_schedule(self, event: SchedulerEvent) -> None:
+        self._call("on_schedule", event)
+
+
+def guarded(observer: MiningObserver | None) -> MiningObserver | None:
+    """Wrap an observer so that none of its exceptions escape a hook.
+
+    One policy for every consumer of an observer: an observer's bug never
+    fails a job or breaks a stream, and one raising event does not starve
+    the later ones. ``None`` stays ``None``.
+    """
+    return None if observer is None else _Guarded(observer)
 
 
 def broadcast(*observers: MiningObserver | None) -> MiningObserver | None:

@@ -12,13 +12,13 @@ Prometheus text. Transport is stdlib ``http.client`` (matching
 from __future__ import annotations
 
 import json
-from http.client import HTTPConnection
+from http.client import HTTPConnection, HTTPException
 from typing import Any, Mapping
-from urllib.parse import urlsplit
 
 from repro.errors import ObsError
 from repro.obs.metrics import parse_prometheus
 from repro.report.tables import format_table
+from repro.server.http import split_url
 
 __all__ = [
     "fetch_text",
@@ -63,13 +63,6 @@ _DASHBOARD_COUNTERS = (
 )
 
 
-def _split_url(url: str) -> tuple[str, int]:
-    parts = urlsplit(url if "//" in url else f"http://{url}")
-    if parts.hostname is None:
-        raise ObsError(f"cannot parse server url {url!r}")
-    return parts.hostname, parts.port or 80
-
-
 def fetch_text(
     url: str,
     path: str,
@@ -82,8 +75,7 @@ def fetch_text(
     The client module's exchange helper insists on JSON documents; the
     metrics endpoint serves Prometheus text, hence this raw twin.
     """
-    host, port = _split_url(url)
-    conn = HTTPConnection(host, port, timeout=timeout)
+    conn = HTTPConnection(*split_url(url), timeout=timeout)
     try:
         headers = {"Accept": "*/*"}
         if token is not None:
@@ -96,7 +88,7 @@ def fetch_text(
                 f"GET {url}{path} answered {response.status}: {body[:200]}"
             )
         return body
-    except OSError as exc:
+    except (OSError, HTTPException) as exc:
         raise ObsError(f"cannot reach {url}{path}: {exc}") from exc
     finally:
         conn.close()
@@ -110,8 +102,7 @@ def post_json(
     token: str | None = None,
 ) -> dict:
     """POST (no body) one admin path and return the decoded document."""
-    host, port = _split_url(url)
-    conn = HTTPConnection(host, port, timeout=timeout)
+    conn = HTTPConnection(*split_url(url), timeout=timeout)
     try:
         headers = {"Accept": "application/json"}
         if token is not None:
@@ -130,7 +121,7 @@ def post_json(
             message = error.get("message", body[:200])
             raise ObsError(f"POST {url}{path} answered {response.status}: {message}")
         return document
-    except OSError as exc:
+    except (OSError, HTTPException) as exc:
         raise ObsError(f"cannot reach {url}{path}: {exc}") from exc
     finally:
         conn.close()

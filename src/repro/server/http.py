@@ -197,6 +197,27 @@ class Response:
         return head + b"\r\n\r\n" + self.body
 
 
+def split_url(url: str, *, default_port: int = 80) -> tuple[str, int]:
+    """The ``(host, port)`` a client dials for a daemon URL.
+
+    The ``http://`` scheme is optional (``host:port`` is how users type
+    it); any other scheme, a missing host or a bad port raises
+    :class:`EngineError` naming the URL. The daemons speak plain HTTP
+    only, so an ``https://`` URL is refused rather than spoken to in
+    the clear.
+    """
+    split = urlsplit(url if "//" in url else "http://" + url)
+    try:
+        port = split.port
+    except ValueError as exc:  # non-numeric or out of range
+        raise EngineError(f"bad port in {url!r}: {exc}") from None
+    if split.scheme not in ("", "http"):
+        raise EngineError(f"{url!r} is not a plain http:// URL")
+    if not split.hostname:
+        raise EngineError(f"no host in {url!r}")
+    return split.hostname, port or default_port
+
+
 def json_body(document: dict) -> bytes:
     """Encode a JSON response body (exact float round-trips)."""
     return json.dumps(document, allow_nan=False).encode("utf-8")

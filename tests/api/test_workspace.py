@@ -296,9 +296,11 @@ class TestEvents:
     def test_service_replays_on_cache_hit(self):
         log = EventLog()
         with Workspace(observer=log, service_backend="serial") as ws:
-            ws.result(ws.submit(SPEC))
+            result = ws.result(ws.submit(SPEC))
             ws.result(ws.submit(SPEC))  # cache hit
         assert len(log.jobs) == 2
+        # Live during the run, replayed for the hit: once per job each.
+        assert len(log.iterations) == 2 * len(result.iterations)
 
     def test_broadcast_drops_nones(self):
         log = EventLog()

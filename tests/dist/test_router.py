@@ -178,8 +178,15 @@ class TestWorkerRegistry:
         assert worker.url in doc["workers"]
 
     def test_bad_register_address_fails_at_construction(self):
-        with pytest.raises(EngineError, match="register_with"):
+        with pytest.raises(EngineError, match="127.0.0.1:port"):
             WorkerDaemon(register_with="127.0.0.1:port")
+
+    def test_truncated_registry_listing_adds_no_workers(self, truncating_peer):
+        """A registry that cuts its listing short is ignored, not raised."""
+        peer = truncating_peer(b'{"workers": []}')
+        with DistExecutor(["http://127.0.0.1:9"], registry=peer.url) as executor:
+            assert executor.parallelism == 1
+        assert peer.requests == 1
 
 
 def _plus(context, item):

@@ -328,12 +328,18 @@ class TestShutdownSemantics:
             service.result(blocker)
 
     def test_submit_after_shutdown_fails_the_record_not_the_scheduler(self):
-        service = MiningService(max_workers=1, backend="thread")
+        wide, log = EventLog(), EventLog()
+        service = MiningService(max_workers=1, backend="thread", observer=wide)
         service.shutdown(wait=True)
-        job_id = service.submit(_job())
+        job_id = service.submit(_job(), observer=log)
         assert service.status(job_id) == JobStatus.FAILED
         with pytest.raises(RuntimeError):  # the pool's shutdown error
             service.result(job_id)
+        # The refusal is the job's one terminal event, on every observer.
+        for observer in (wide, log):
+            assert len(observer.failures) == 1
+            assert isinstance(observer.failures[0][1], RuntimeError)
+            assert not observer.jobs
         # The scheduler is not wedged: shutdown again returns promptly
         # (a leaked live record would block the graceful drain forever).
         service.shutdown(wait=True)

@@ -263,17 +263,55 @@ class TestPerJobObserver:
 
     @pytest.mark.parametrize("backend", ["serial", "thread", "process"])
     def test_failure_reaches_the_per_job_observer(self, backend):
-        log = self._log()
+        wide, log = self._log(), self._log()
         kwargs = {} if backend == "serial" else {"max_workers": 1}
-        with MiningService(backend=backend, **kwargs) as service:
+        with MiningService(backend=backend, observer=wide, **kwargs) as service:
             job_id = service.submit(
                 _job(targets=("not-a-target",)), observer=log
             )
             with pytest.raises(Exception):
                 service.result(job_id)
-        assert len(log.failures) == 1
-        assert log.failures[0][0].dataset.targets == ("not-a-target",)
-        assert not log.jobs
+        # Exactly one terminal event per observer, and it is the failure.
+        for observer in (wide, log):
+            assert len(observer.failures) == 1
+            assert observer.failures[0][0].dataset.targets == ("not-a-target",)
+            assert not observer.jobs
+            assert not observer.iterations
+
+    @pytest.mark.parametrize("backend", ["serial", "thread", "process"])
+    def test_mined_then_cached_job_events_per_observer(self, backend):
+        """Each observer hears every iteration of a job exactly once.
+
+        Live where the observer was wired into the run (the per-job
+        observer on serial and thread, the service-wide one on serial),
+        replayed before ``on_job`` everywhere else, cache hits included.
+        """
+        wide, first, second = self._log(), self._log(), self._log()
+        kwargs = {} if backend == "serial" else {"max_workers": 1}
+        with MiningService(backend=backend, observer=wide, **kwargs) as service:
+            mined = service.result(
+                service.submit(_job(seed=8, n_iterations=2), observer=first)
+            )
+            cached = service.result(
+                service.submit(_job(seed=8, n_iterations=2), observer=second)
+            )
+        assert cached is mined
+        assert len(mined.iterations) == 2
+        expected = [str(it.location) for it in mined.iterations]
+        assert [str(it.location) for it in wide.iterations] == expected * 2
+        assert len(wide.jobs) == 2 and all(r is mined for r in wide.jobs)
+        for log in (first, second):
+            assert [str(it.location) for it in log.iterations] == expected
+            assert len(log.jobs) == 1 and log.jobs[0] is mined
+            assert not log.failures
+        assert bool(first.candidates) == (backend != "process")
+        assert bool(wide.candidates) == (backend == "serial")
+        assert not second.candidates
+        assert [e.kind for e in wide.schedule] == [
+            "queued", "dispatched", "queued", "cache_hit",
+        ]
+        assert [e.kind for e in first.schedule] == ["queued", "dispatched"]
+        assert [e.kind for e in second.schedule] == ["queued", "cache_hit"]
 
     def test_process_backend_replays_at_completion(self):
         log = self._log()
@@ -298,6 +336,28 @@ class TestPerJobObserver:
         assert dup_log.jobs and dup_log.jobs[0].iterations == result.iterations
         assert primary_log.jobs  # the primary's observer also closed out
         assert len(dup_log.iterations) == len(result.iterations)
+
+    def test_late_coalescer_hears_its_iterations_once(self):
+        """A duplicate of a running job was not wired in: it gets the replay."""
+        wide, primary_log, dup_log = self._log(), self._log(), self._log()
+        with MiningService(max_workers=1, backend="thread", observer=wide) as service:
+            # A free slot: the primary dispatches inside its submit, so
+            # the duplicate coalesces onto a running job.
+            primary = service.submit(
+                _job(config=SLOW, n_iterations=2), observer=primary_log
+            )
+            dup = service.submit(
+                _job(config=SLOW, n_iterations=2, name="twin"), observer=dup_log
+            )
+            result = service.result(dup)
+            assert service.result(primary) is result
+        assert [e.kind for e in dup_log.schedule] == ["queued", "coalesced"]
+        for log in (primary_log, dup_log):
+            assert len(log.iterations) == len(result.iterations) == 2
+            assert len(log.jobs) == 1
+        assert primary_log.candidates and not dup_log.candidates
+        assert len(wide.iterations) == 2 * len(result.iterations)
+        assert len(wide.jobs) == 2
 
     def test_observer_exceptions_never_fail_the_job(self):
         from repro.events import CallbackObserver

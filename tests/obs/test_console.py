@@ -4,14 +4,16 @@ All pure samples-in/text-out: the same functions the live CLI loop
 calls, fed parsed expositions instead of sockets.
 """
 
-from repro.errors import ObsError
+from repro.errors import EngineError, ObsError
 from repro.obs.console import (
-    _split_url,
+    fetch_text,
+    post_json,
     render_dashboard,
     tenant_usage,
     usage_table,
 )
 from repro.obs.metrics import MetricsRegistry, parse_prometheus
+from repro.server.http import split_url
 
 import pytest
 
@@ -95,10 +97,26 @@ class TestUsageTable:
 
 class TestUrls:
     def test_scheme_is_optional(self):
-        assert _split_url("http://example.org:8080") == ("example.org", 8080)
-        assert _split_url("example.org:8080") == ("example.org", 8080)
-        assert _split_url("example.org") == ("example.org", 80)
+        assert split_url("http://example.org:8080") == ("example.org", 8080)
+        assert split_url("example.org:8080") == ("example.org", 8080)
+        assert split_url("example.org") == ("example.org", 80)
 
     def test_unparseable_url_is_a_typed_error(self):
-        with pytest.raises(ObsError):
-            _split_url("//")
+        with pytest.raises(EngineError):
+            split_url("//")
+        with pytest.raises(EngineError, match="no host"):
+            split_url("http://:8765")
+
+
+class TestTruncatedReplies:
+    """A peer that cuts its body short is unreachable, not a traceback."""
+
+    def test_fetch_text(self, truncating_peer):
+        peer = truncating_peer(b"sisd_queue_depth 1\n")
+        with pytest.raises(ObsError, match="cannot reach"):
+            fetch_text(peer.url, "/metrics")
+
+    def test_post_json(self, truncating_peer):
+        peer = truncating_peer(b"{}")
+        with pytest.raises(ObsError, match="cannot reach"):
+            post_json(peer.url, "/admin/compact")

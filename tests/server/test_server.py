@@ -16,7 +16,7 @@ import pytest
 from repro.api import Workspace
 from repro.client import RemoteError, RemoteJobFailed, RemoteWorkspace, _SSEStream
 from repro.engine.service import JobStatus
-from repro.events import EventLog
+from repro.events import CallbackObserver, EventLog
 from repro.persist import job_to_dict
 from repro.server import MiningServer
 from repro.spec import MiningSpec
@@ -178,6 +178,27 @@ class TestStreaming:
         assert "iteration" in types
         seqs = [event.seq for event in seen]
         assert seqs == sorted(seqs)
+
+    def test_raising_observer_neither_ends_the_stream_nor_starves_hooks(
+        self, remote
+    ):
+        spec = fast_spec(seed=34)
+        heard = []
+
+        def record_then_raise(hook):
+            def call(*args):
+                heard.append(hook)
+                raise RuntimeError(f"observer bug in {hook}")
+
+            return call
+
+        hooks = ("on_candidate", "on_iteration", "on_job", "on_schedule")
+        angry = CallbackObserver(**{hook: record_then_raise(hook) for hook in hooks})
+        iterations = list(remote.stream(spec, observer=angry))
+        assert [it.index for it in iterations] == [1, 2]
+        assert {"on_candidate", "on_schedule"} <= set(heard)
+        assert heard.count("on_iteration") == 2
+        assert heard[-1] == "on_job" and heard.count("on_job") == 1
 
     def test_candidate_events_flow_on_the_thread_backend(self, remote):
         spec = fast_spec(seed=33)
