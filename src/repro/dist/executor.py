@@ -197,6 +197,17 @@ class _DistSession:
         self.close()
 
 
+def _dialable(url: Any) -> bool:
+    """Whether ``url`` is a worker URL :func:`split_url` can read."""
+    if not isinstance(url, str):
+        return False
+    try:
+        split_url(url)
+    except EngineError:
+        return False
+    return True
+
+
 class DistExecutor:
     """Fan mining shards out to :class:`~repro.dist.worker.WorkerDaemon` nodes.
 
@@ -209,7 +220,8 @@ class DistExecutor:
         Optional coordinator/router base URL whose ``GET /workers``
         listing (see :class:`~repro.dist.router.MiningRouter`) is merged
         into the static list once, at construction. A registry that
-        cannot be reached or answers garbage adds no workers.
+        cannot be reached or answers garbage adds no workers, and a
+        listed URL that cannot be read is skipped.
     timeout:
         Socket timeout per shard round trip, seconds.
     local_fallback:
@@ -284,11 +296,14 @@ class DistExecutor:
             if response.status != 200:
                 return []
             document = json.loads(response.read())
-            return [str(url) for url in document.get("workers", [])]
         except (OSError, ValueError, HTTPException):
             return []
         finally:
             conn.close()
+        workers = document.get("workers") if isinstance(document, dict) else None
+        if not isinstance(workers, list):
+            return []
+        return [url for url in workers if _dialable(url)]
 
     # ------------------------------------------------------------------ #
     # Executor protocol

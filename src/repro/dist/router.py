@@ -373,6 +373,7 @@ class MiningRouter(http.Daemon):
         url = document.get("url")
         if not isinstance(url, str) or "://" not in url:
             raise http.HttpError(400, "register body needs a worker base url")
+        http.split_url(url)  # an EngineError, so a 400: no client could dial it
         with self._workers_lock:
             if url not in self._workers:
                 self._workers.append(url)

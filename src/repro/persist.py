@@ -30,7 +30,7 @@ import numpy as np
 from repro.engine.jobs import JobResult
 from repro.errors import ReproError
 from repro.search.config import SearchConfig
-from repro.spec import MiningSpec
+from repro.spec import _FLAT_FIELDS, MiningSpec
 from repro.interest.si import PatternScore
 from repro.lang.conditions import Condition, EqualsCondition, NumericCondition
 from repro.lang.description import Description
@@ -361,25 +361,24 @@ def job_to_dict(job: MiningSpec) -> dict:
     }
 
 
-#: Keys accepted in a flat job document (work fields plus envelope).
-_JOB_KEYS = frozenset(
-    {
-        "schema", "name", "dataset", "dataset_seed", "dataset_kwargs",
-        "targets", "weights", "prior", "kind", "sparsity", "n_iterations",
-        "seed", "config", "gamma", "eta", "strategy", "measure", "priority",
-        "deadline",
-    }
-)
-
 #: Keys accepted in a flat job document's ``config`` object.
 _CONFIG_KEYS = frozenset(f.name for f in fields(SearchConfig))
+
+#: Spec keywords at a flat job document's top level: the work fields
+#: outside ``config`` and the schedule (no in-search executor, no model kind).
+_JOB_FIELDS = frozenset(_FLAT_FIELDS) - _CONFIG_KEYS - {
+    "model", "workers", "backend", "start_method",
+}
 
 
 def job_from_dict(data: dict) -> MiningSpec:
     """Rebuild a job from its flat document; only ``dataset`` is mandatory.
 
-    Unknown keys and type-invalid values are :class:`ReproError`s — a
-    typo'd spec must fail loudly, not silently run a default job.
+    The document's keys are checked here; its values are read by
+    :meth:`MiningSpec.build`, so a flat document accepts exactly the
+    values the sectioned form does. Unknown keys and invalid values are
+    :class:`ReproError`s — a typo'd spec must fail loudly, not silently
+    run a default job.
     """
     if "dataset" not in data:
         raise ReproError("job spec needs a 'dataset' key")
@@ -388,40 +387,19 @@ def job_from_dict(data: dict) -> MiningSpec:
         raise ReproError(
             f"unsupported job schema {schema!r} (expected {SCHEMA_VERSION})"
         )
-    unknown = set(data) - _JOB_KEYS
+    unknown = set(data) - _JOB_FIELDS - {"schema", "name", "dataset", "config"}
     if unknown:
         raise ReproError(f"unknown job spec keys: {sorted(unknown)}")
     config: dict[str, Any] = data.get("config") or {}
     unknown = set(config) - _CONFIG_KEYS
     if unknown:
         raise ReproError(f"unknown SearchConfig keys: {sorted(unknown)}")
-    targets = data.get("targets")
-    sparsity = data.get("sparsity")
+    flat = {key: value for key, value in data.items() if key in _JOB_FIELDS}
     try:
         return MiningSpec.build(
-            data["dataset"],
-            name=data.get("name") or "",
-            dataset_seed=int(data.get("dataset_seed", 0)),
-            dataset_kwargs=dict(data.get("dataset_kwargs") or {}),
-            targets=tuple(targets) if targets is not None else None,
-            weights=data.get("weights"),
-            prior=data.get("prior"),
-            kind=data.get("kind", "location"),
-            sparsity=int(sparsity) if sparsity is not None else None,
-            n_iterations=int(data.get("n_iterations", 1)),
-            seed=int(data.get("seed", 0)),
-            gamma=float(data.get("gamma", 0.1)),
-            eta=float(data.get("eta", 1.0)),
-            strategy=data.get("strategy", "beam"),
-            measure=data.get("measure", "si"),
-            # Passed through raw: the executor section rejects bools,
-            # truncated floats, and non-numeric deadlines loudly (a
-            # silent int()/float() coercion here would bypass it).
-            priority=data.get("priority", 0),
-            deadline=data.get("deadline"),
-            **config,
+            data["dataset"], name=data.get("name") or "", **flat, **config
         )
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, ReproError) as exc:
         raise ReproError(f"invalid job spec: {exc}") from exc
 
 

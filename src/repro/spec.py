@@ -23,13 +23,22 @@ with six declarative sections:
   :meth:`MiningSpec.fingerprint`, because the engine's determinism
   contract makes results executor-independent.
 
+The sections are the one place a job's values are checked and
+normalized: an integer field takes ``2`` or ``2.0`` and stores ``2``, a
+float field stores a float, and the prior is stored as float lists once
+it is validated as a :class:`~repro.model.priors.Prior`. Anything else
+raises :class:`ReproError` naming the field, so every spelling of one
+job has one fingerprint.
+
 A spec has two JSON document forms, both on disk and on the wire:
 
 - **sectioned** (:meth:`MiningSpec.to_dict` / :meth:`~MiningSpec.from_dict`):
   spec files, ``{"spec": ...}`` submit bodies and ``Workspace`` dicts;
 - **flat** (:func:`repro.persist.job_to_dict` /
   :func:`~repro.persist.job_from_dict`): batch files, wire events and
-  result documents, store records and ``{"job": ...}`` bodies. Its
+  result documents, store records and ``{"job": ...}`` bodies. Decoding
+  checks its keys and hands its values to :meth:`MiningSpec.build`, so
+  the flat form reads values exactly as the sections do. Its
   name-free part is :meth:`MiningSpec.work_document`, whose digest is
   the fingerprint every cache key, store record and router placement
   uses.
@@ -49,7 +58,7 @@ from typing import Any, Callable, TypeVar
 import numpy as np
 
 from repro.engine.cache import fingerprint as _fingerprint
-from repro.errors import EngineError, ReproError
+from repro.errors import EngineError, ModelError, ReproError
 from repro.interest.dl import DLParams
 from repro.model.priors import Prior
 from repro.registry import DATASETS, MEASURES, MODELS, SEARCHES
@@ -88,37 +97,17 @@ def _section_from_dict(cls: type[_S], data: dict[str, Any] | None, section: str)
         raise ReproError(f"invalid spec section {section!r}: {exc}") from exc
 
 
-def _name_tuple(value: Any, field_name: str) -> tuple[str, ...] | None:
-    """Coerce a list of names to a tuple; reject bare strings.
+def _as_int(value: Any, field_name: str) -> int:
+    """A whole number spelled as an int or an integral float, as an int.
 
-    ``targets="ab"`` would silently become ``('a', 'b')`` under a plain
-    ``tuple()`` — a single name must be spelled as a one-element list.
+    ``max_depth=2`` and ``max_depth=2.0`` are the same work and must
+    fingerprint equally. Bools, fractions, strings and non-finite values
+    raise: a bare ``int()`` would truncate ``2.7`` and overflow on ``inf``.
     """
-    if value is None:
-        return None
-    if isinstance(value, str):
-        raise ReproError(
-            f"{field_name} must be a list of names, not a bare string; "
-            f"use [{value!r}]"
-        )
-    return tuple(value)
-
-
-def _weight_tuple(value: Any, field_name: str) -> tuple[float, ...] | None:
-    """Coerce case weights to a validated tuple of positive finite floats."""
-    if value is None:
-        return None
-    if isinstance(value, (str, bytes)) or not hasattr(value, "__iter__"):
-        raise ReproError(f"{field_name} must be a list of numbers or null")
-    try:
-        weights = tuple(float(w) for w in value)
-    except (TypeError, ValueError):
-        raise ReproError(f"{field_name} must be a list of numbers") from None
-    if not weights:
-        raise ReproError(f"{field_name} must be non-empty or null")
-    if any(not math.isfinite(w) or w <= 0.0 for w in weights):
-        raise ReproError(f"{field_name} must be positive finite numbers")
-    return weights
+    if not isinstance(value, bool) and isinstance(value, numbers.Real):
+        if isinstance(value, numbers.Integral) or float(value).is_integer():
+            return int(value)
+    raise ReproError(f"{field_name} must be an integer, got {value!r}")
 
 
 def _as_float(value: Any, field_name: str) -> float:
@@ -132,8 +121,75 @@ def _as_float(value: Any, field_name: str) -> float:
     return float(value)
 
 
+def _name_tuple(value: Any, field_name: str) -> tuple[str, ...]:
+    """Coerce a list of names to a tuple; reject bare strings.
+
+    ``targets="ab"`` would silently become ``('a', 'b')`` under a plain
+    ``tuple()`` — a single name must be spelled as a one-element list.
+    """
+    if isinstance(value, str):
+        raise ReproError(
+            f"{field_name} must be a list of names, not a bare string; "
+            f"use [{value!r}]"
+        )
+    return tuple(value)
+
+
+def _weight_tuple(value: Any, field_name: str) -> tuple[float, ...]:
+    """Coerce case weights to a validated tuple of positive finite floats."""
+    if isinstance(value, (str, bytes)) or not hasattr(value, "__iter__"):
+        raise ReproError(f"{field_name} must be a list of numbers or null")
+    weights = tuple(_as_float(w, f"{field_name} entry") for w in value)
+    if not weights:
+        raise ReproError(f"{field_name} must be non-empty or null")
+    if any(not math.isfinite(w) or w <= 0.0 for w in weights):
+        raise ReproError(f"{field_name} must be positive finite numbers")
+    return weights
+
+
+def _float_array(value: Any, field_name: str) -> np.ndarray:
+    """A nested list of ints and floats as a float array; anything else raises."""
+    try:
+        array = np.asarray(value)
+        if array.dtype.kind in "iuf":
+            return array.astype(float)
+    except ValueError:  # ragged nesting
+        pass
+    raise ReproError(f"{field_name} must be numbers, got {value!r}")
+
+
+#: The helper that reads each section field, keyed by its annotation.
+_READERS: dict[str, Callable[[Any, str], Any]] = {
+    "int": _as_int,
+    "float": _as_float,
+    "tuple[str, ...]": _name_tuple,
+    "tuple[float, ...]": _weight_tuple,
+}
+
+
 @dataclass(frozen=True)
-class DatasetSpec:
+class _Section:
+    """Base of the six sections: each field is read by its type's helper.
+
+    :data:`_READERS` maps a field's annotation (a string, under ``from
+    __future__ import annotations``) to its helper; a ``... | None``
+    field also keeps None. Errors name the section and field, e.g.
+    ``search max_depth must be an integer, got 2.5``.
+    """
+
+    def __post_init__(self) -> None:
+        section = type(self).__name__.removesuffix("Spec").lower()
+        for f in fields(self):
+            annotation = str(f.type)
+            reader = _READERS.get(annotation.removesuffix(" | None"))
+            value = getattr(self, f.name)
+            if reader is None or (value is None and annotation.endswith(" | None")):
+                continue
+            object.__setattr__(self, f.name, reader(value, f"{section} {f.name}"))
+
+
+@dataclass(frozen=True)
+class DatasetSpec(_Section):
     """What data to mine: a registered dataset name plus its parameters.
 
     ``weights`` carries optional per-row case weights (frequency
@@ -152,6 +208,7 @@ class DatasetSpec:
     def __post_init__(self) -> None:
         if not self.name:
             raise ReproError("dataset section needs a non-empty name")
+        super().__post_init__()
         if self.kwargs is None:
             object.__setattr__(self, "kwargs", {})
         elif not isinstance(self.kwargs, dict):
@@ -162,57 +219,55 @@ class DatasetSpec:
             # Defensive copy: mutating the caller's dict afterwards must
             # not reach inside a validated frozen spec.
             object.__setattr__(self, "kwargs", dict(self.kwargs))
-        object.__setattr__(self, "targets", _name_tuple(self.targets, "targets"))
-        object.__setattr__(
-            self, "weights", _weight_tuple(self.weights, "dataset weights")
-        )
 
 
 @dataclass(frozen=True)
-class LanguageSpec:
+class LanguageSpec(_Section):
     """Which description language: discretization and attribute subset."""
 
     n_split_points: int = 4
     split_strategy: str = "percentile"
     attributes: tuple[str, ...] | None = None
 
-    def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "attributes", _name_tuple(self.attributes, "attributes")
-        )
-
 
 @dataclass(frozen=True)
-class ModelSpec:
-    """Whose beliefs: the background-model kind and an optional prior."""
+class ModelSpec(_Section):
+    """Whose beliefs: the background-model kind and an optional prior.
+
+    The prior is validated as the :class:`~repro.model.priors.Prior` it
+    builds; whether its dimension matches the targets is checked at run
+    time, once the dataset is loaded.
+    """
 
     kind: str = "gaussian"
     prior: dict[str, Any] | None = None
 
     def __post_init__(self) -> None:
-        if self.prior is not None:
-            if not (
-                isinstance(self.prior, dict) and {"mean", "cov"} <= set(self.prior)
-            ):
-                raise ReproError("model prior must be a dict with 'mean' and 'cov'")
-            object.__setattr__(self, "prior", dict(self.prior))
+        super().__post_init__()
+        if self.prior is None:
+            return
+        if not (isinstance(self.prior, dict) and set(self.prior) == {"mean", "cov"}):
+            raise ReproError("model prior must be a dict of exactly 'mean' and 'cov'")
+        mean = _float_array(self.prior["mean"], "model prior mean")
+        cov = _float_array(self.prior["cov"], "model prior cov")
+        try:
+            Prior(mean, cov)
+        except (ValueError, ModelError) as exc:
+            raise ReproError(f"invalid model prior: {exc}") from None
+        object.__setattr__(self, "prior", {"mean": mean.tolist(), "cov": cov.tolist()})
 
 
 @dataclass(frozen=True)
-class InterestSpec:
+class InterestSpec(_Section):
     """What counts as interesting: the measure and the DL weights."""
 
     measure: str = "si"
     gamma: float = 0.1
     eta: float = 1.0
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "gamma", _as_float(self.gamma, "interest gamma"))
-        object.__setattr__(self, "eta", _as_float(self.eta, "interest eta"))
-
 
 @dataclass(frozen=True)
-class SearchSpec:
+class SearchSpec(_Section):
     """How to look: the strategy plus loop and beam parameters."""
 
     strategy: str = "beam"
@@ -227,22 +282,9 @@ class SearchSpec:
     max_coverage_fraction: float = 1.0
     time_budget_seconds: float | None = None
 
-    def __post_init__(self) -> None:
-        object.__setattr__(
-            self,
-            "max_coverage_fraction",
-            _as_float(self.max_coverage_fraction, "search max_coverage_fraction"),
-        )
-        if self.time_budget_seconds is not None:
-            object.__setattr__(
-                self,
-                "time_budget_seconds",
-                _as_float(self.time_budget_seconds, "search time_budget_seconds"),
-            )
-
 
 @dataclass(frozen=True)
-class ExecutorSpec:
+class ExecutorSpec(_Section):
     """On what hardware, and when: workers, service backend, schedule.
 
     ``workers`` parallelizes the ``"beam"`` strategy's search (its
@@ -268,7 +310,7 @@ class ExecutorSpec:
     transport).
     """
 
-    workers: int = 1
+    workers: int | None = 1
     backend: str = "process"
     start_method: str | None = None
     priority: int = 0
@@ -277,6 +319,7 @@ class ExecutorSpec:
     def __post_init__(self) -> None:
         from repro.engine.executor import BACKENDS, normalize_workers
 
+        super().__post_init__()
         normalize_workers(self.workers)  # rejects negative counts eagerly
         if self.backend not in BACKENDS:
             raise ReproError(
@@ -293,65 +336,45 @@ class ExecutorSpec:
                 f"executor start_method must be one of "
                 f"('fork', 'spawn', 'forkserver'), got {self.start_method!r}"
             )
-        if not isinstance(self.priority, int) or isinstance(self.priority, bool):
+        if self.deadline is not None and not self.deadline >= 0:  # also rejects NaN
             raise ReproError(
-                f"executor priority must be an int, got {self.priority!r}"
+                f"executor deadline must be >= 0 seconds, got {self.deadline!r}"
             )
-        if self.deadline is not None:
-            try:
-                deadline = float(self.deadline)
-            except (TypeError, ValueError):
-                raise ReproError(
-                    f"executor deadline must be a number of seconds or null, "
-                    f"got {self.deadline!r}"
-                ) from None
-            if not (deadline >= 0):  # also rejects NaN
-                raise ReproError(
-                    f"executor deadline must be >= 0 seconds, got {self.deadline!r}"
-                )
-            object.__setattr__(self, "deadline", deadline)
 
 
-#: Flat keyword -> (section, field) routing used by :meth:`MiningSpec.build`.
-_FLAT_FIELDS: dict[str, tuple[str, str]] = {
-    "dataset_seed": ("dataset", "seed"),
-    "dataset_kwargs": ("dataset", "kwargs"),
-    "targets": ("dataset", "targets"),
-    "weights": ("dataset", "weights"),
-    "n_split_points": ("language", "n_split_points"),
-    "split_strategy": ("language", "split_strategy"),
-    "attributes": ("language", "attributes"),
-    "model": ("model", "kind"),
-    "prior": ("model", "prior"),
-    "measure": ("interest", "measure"),
-    "gamma": ("interest", "gamma"),
-    "eta": ("interest", "eta"),
-    "strategy": ("search", "strategy"),
-    "kind": ("search", "kind"),
-    "n_iterations": ("search", "n_iterations"),
-    "sparsity": ("search", "sparsity"),
-    "seed": ("search", "seed"),
-    "beam_width": ("search", "beam_width"),
-    "max_depth": ("search", "max_depth"),
-    "top_k": ("search", "top_k"),
-    "min_coverage": ("search", "min_coverage"),
-    "max_coverage_fraction": ("search", "max_coverage_fraction"),
-    "time_budget_seconds": ("search", "time_budget_seconds"),
-    "workers": ("executor", "workers"),
-    "backend": ("executor", "backend"),
-    "start_method": ("executor", "start_method"),
-    "priority": ("executor", "priority"),
-    "deadline": ("executor", "deadline"),
-}
+def _jsonable(value: Any) -> Any:
+    """A section value as JSON: tuples become lists, dicts are copied."""
+    if isinstance(value, tuple):
+        return list(value)
+    if isinstance(value, dict):
+        return dict(value)
+    return value
 
-_SECTIONS = ("dataset", "language", "model", "interest", "search", "executor")
-_SECTION_CLASSES = {
+
+_SECTION_CLASSES: dict[str, type[Any]] = {
     "dataset": DatasetSpec,
     "language": LanguageSpec,
     "model": ModelSpec,
     "interest": InterestSpec,
     "search": SearchSpec,
     "executor": ExecutorSpec,
+}
+_SECTIONS = tuple(_SECTION_CLASSES)
+
+#: Flat keywords that are not their field's name.
+_RENAMED = {
+    ("dataset", "seed"): "dataset_seed",
+    ("dataset", "kwargs"): "dataset_kwargs",
+    ("model", "kind"): "model",
+}
+
+#: Flat keyword -> (section, field) routing used by :meth:`MiningSpec.build`:
+#: every section field but the dataset name, which ``build`` takes first.
+_FLAT_FIELDS: dict[str, tuple[str, str]] = {
+    _RENAMED.get((section, f.name), f.name): (section, f.name)
+    for section, cls in _SECTION_CLASSES.items()
+    for f in fields(cls)
+    if (section, f.name) != ("dataset", "name")
 }
 
 
@@ -512,18 +535,15 @@ class MiningSpec:
 
     def search_config(self) -> SearchConfig:
         """The language + search sections merged into a SearchConfig."""
+
+        def flat(key: str) -> Any:
+            section, name = _FLAT_FIELDS[key]
+            return getattr(getattr(self, section), name)
+
         return self._memo(
             "_search_config",
             lambda: SearchConfig(
-                beam_width=self.search.beam_width,
-                max_depth=self.search.max_depth,
-                top_k=self.search.top_k,
-                n_split_points=self.language.n_split_points,
-                split_strategy=self.language.split_strategy,
-                min_coverage=self.search.min_coverage,
-                max_coverage_fraction=self.search.max_coverage_fraction,
-                time_budget_seconds=self.search.time_budget_seconds,
-                attributes=self.language.attributes,
+                **{f.name: flat(f.name) for f in fields(SearchConfig)}
             ),
         )
 
@@ -545,41 +565,21 @@ class MiningSpec:
     # Serialization and identity
     # ------------------------------------------------------------------ #
     def to_dict(self) -> dict[str, Any]:
-        """JSON-safe sectioned form (tuples become lists)."""
+        """JSON-safe sectioned form: every section field, in declaration order.
+
+        ``dataset.weights`` is written only when set, so pre-weights
+        documents stay byte-identical.
+        """
         document: dict[str, Any] = {"schema": SPEC_SCHEMA}
         if self.name:
             document["name"] = self.name
-        document["dataset"] = {
-            "name": self.dataset.name,
-            "seed": self.dataset.seed,
-            "kwargs": dict(self.dataset.kwargs),
-            "targets": list(self.dataset.targets)
-            if self.dataset.targets is not None
-            else None,
-        }
-        if self.dataset.weights is not None:
-            # Emitted only when set: pre-weights documents stay
-            # byte-identical.
-            document["dataset"]["weights"] = list(self.dataset.weights)
-        document["language"] = {
-            "n_split_points": self.language.n_split_points,
-            "split_strategy": self.language.split_strategy,
-            "attributes": list(self.language.attributes)
-            if self.language.attributes is not None
-            else None,
-        }
-        document["model"] = {"kind": self.model.kind, "prior": self.model.prior}
-        document["interest"] = {
-            "measure": self.interest.measure,
-            "gamma": self.interest.gamma,
-            "eta": self.interest.eta,
-        }
-        document["search"] = {
-            f.name: getattr(self.search, f.name) for f in fields(SearchSpec)
-        }
-        document["executor"] = {
-            f.name: getattr(self.executor, f.name) for f in fields(ExecutorSpec)
-        }
+        for section in _SECTIONS:
+            values = getattr(self, section)
+            document[section] = {
+                f.name: _jsonable(getattr(values, f.name)) for f in fields(values)
+            }
+        if self.dataset.weights is None:
+            del document["dataset"]["weights"]
         return document
 
     @classmethod
@@ -601,22 +601,24 @@ class MiningSpec:
         unknown = set(data) - set(_SECTIONS) - {"schema", "name"}
         if unknown:
             raise ReproError(f"unknown spec sections: {sorted(unknown)}")
-        dataset = data["dataset"]
-        if isinstance(dataset, str):
-            dataset = {"name": dataset}
-        executor = data.get("executor")
+        sections = dict(data)
+        if isinstance(sections["dataset"], str):
+            sections["dataset"] = {"name": sections["dataset"]}
+        executor = sections.get("executor")
         if isinstance(executor, dict) and "shared_memory" in executor:
             # Documents written while the executor had a transport toggle
             # carry it; it never changed what was mined, so it is dropped.
-            executor = {k: v for k, v in executor.items() if k != "shared_memory"}
+            sections["executor"] = {
+                k: v for k, v in executor.items() if k != "shared_memory"
+            }
         return cls(
-            dataset=_section_from_dict(DatasetSpec, dataset, "dataset"),
-            language=_section_from_dict(LanguageSpec, data.get("language"), "language"),
-            model=_section_from_dict(ModelSpec, data.get("model"), "model"),
-            interest=_section_from_dict(InterestSpec, data.get("interest"), "interest"),
-            search=_section_from_dict(SearchSpec, data.get("search"), "search"),
-            executor=_section_from_dict(ExecutorSpec, executor, "executor"),
             name=data.get("name", ""),
+            **{
+                section: _section_from_dict(
+                    _SECTION_CLASSES[section], sections.get(section), section
+                )
+                for section in _SECTIONS
+            },
         )
 
     def work_document(self) -> dict[str, Any]:
@@ -632,10 +634,8 @@ class MiningSpec:
         document: dict[str, Any] = {
             "dataset": self.dataset.name,
             "dataset_seed": self.dataset.seed,
-            "dataset_kwargs": dict(self.dataset.kwargs),
-            "targets": list(self.dataset.targets)
-            if self.dataset.targets is not None
-            else None,
+            "dataset_kwargs": _jsonable(self.dataset.kwargs),
+            "targets": _jsonable(self.dataset.targets),
             "prior": self.model.prior,
             "kind": self.search.kind,
             "sparsity": self.search.sparsity,
@@ -648,7 +648,7 @@ class MiningSpec:
             "measure": self.interest.measure,
         }
         if self.dataset.weights is not None:
-            document["weights"] = list(self.dataset.weights)
+            document["weights"] = _jsonable(self.dataset.weights)
         return document
 
     def fingerprint(self) -> str:

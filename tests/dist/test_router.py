@@ -188,6 +188,32 @@ class TestWorkerRegistry:
             assert executor.parallelism == 1
         assert peer.requests == 1
 
+    @pytest.mark.parametrize(
+        "body", [b'["http://127.0.0.1:9"]', b'{"workers": "http://127.0.0.1:9"}']
+    )
+    def test_malformed_registry_listing_adds_no_workers(self, truncating_peer, body):
+        peer = truncating_peer(body, whole=1)
+        with DistExecutor(["http://127.0.0.1:8"], registry=peer.url) as executor:
+            assert executor.parallelism == 1
+        assert peer.requests == 1
+
+    def test_registry_entry_that_cannot_be_read_is_skipped(self, truncating_peer):
+        listing = b'{"workers": ["http://127.0.0.1:abc", 7, "http://127.0.0.1:9"]}'
+        peer = truncating_peer(listing, whole=1)
+        with DistExecutor(registry=peer.url) as executor:
+            assert [state.client.url for state in executor._states] == [
+                "http://127.0.0.1:9"
+            ]
+
+    @pytest.mark.parametrize("url", ["http://127.0.0.1:abc", "https://127.0.0.1:1"])
+    def test_register_rejects_a_url_no_client_can_dial(self, routed, url):
+        _, before = routed._request("GET", "/workers")
+        with pytest.raises(RemoteError) as excinfo:
+            routed._request("POST", "/workers/register", {"url": url})
+        assert excinfo.value.status == 400
+        _, after = routed._request("GET", "/workers")
+        assert after["workers"] == before["workers"]
+
 
 def _plus(context, item):
     return context + item

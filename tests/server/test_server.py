@@ -103,6 +103,19 @@ class TestSubmitResultLifecycle:
         assert "no-such-target" in str(excinfo.value)
         assert remote.status(job_id) == JobStatus.FAILED
 
+    def test_integral_float_field_runs_and_shares_the_int_result(self, remote):
+        document = fast_spec(seed=25).to_dict()
+        document["search"]["max_depth"] = 2.0
+        _, submitted = remote._request("POST", "/jobs", {"spec": document})
+        remote.result(submitted["job_id"], timeout=60)
+        assert remote.status(submitted["job_id"]) == JobStatus.DONE
+        hits = remote.health()["result_cache"]["hits"]
+        document["search"]["max_depth"] = 2
+        _, again = remote._request("POST", "/jobs", {"spec": document})
+        assert again["fingerprint"] == submitted["fingerprint"]
+        assert again["status"] == "done"
+        assert remote.health()["result_cache"]["hits"] == hits + 1
+
     def test_result_long_poll_wait(self, remote):
         spec = fast_spec(seed=24)
         job_id = remote.submit(spec)
@@ -124,6 +137,14 @@ class TestErrors:
             remote._request("POST", "/jobs", {"spec": {"dataset": "nope"}})
         assert excinfo.value.status == 400
         assert "nope" in str(excinfo.value)
+
+    def test_fractional_integer_field_is_400_naming_it(self, remote):
+        document = fast_spec().to_dict()
+        document["search"]["max_depth"] = 2.5
+        with pytest.raises(RemoteError) as excinfo:
+            remote._request("POST", "/jobs", {"spec": document})
+        assert excinfo.value.status == 400
+        assert "search max_depth must be an integer, got 2.5" in str(excinfo.value)
 
     def test_unknown_route_is_404(self, remote):
         with pytest.raises(RemoteError) as excinfo:

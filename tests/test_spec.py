@@ -1,6 +1,7 @@
 """Tests for the unified, frozen, JSON-round-trippable MiningSpec."""
 
 import json
+from dataclasses import fields
 
 import pytest
 
@@ -8,6 +9,8 @@ from repro.errors import DataError, EngineError, ReproError, SearchError
 from repro.persist import job_from_dict, job_to_dict, load_spec, save_spec
 from repro.search.config import SearchConfig
 from repro.spec import (
+    _FLAT_FIELDS,
+    _SECTION_CLASSES,
     DatasetSpec,
     ExecutorSpec,
     InterestSpec,
@@ -42,6 +45,14 @@ class TestConstruction:
         assert spec.interest.gamma == 0.5
         assert spec.language.n_split_points == 3
         assert spec.executor.workers == 4
+
+    def test_every_section_field_but_the_dataset_name_has_one_flat_keyword(self):
+        every = {
+            (section, f.name)
+            for section, cls in _SECTION_CLASSES.items()
+            for f in fields(cls)
+        }
+        assert sorted(_FLAT_FIELDS.values()) == sorted(every - {("dataset", "name")})
 
     def test_build_rejects_unknown_keyword(self):
         with pytest.raises(ReproError, match="unknown spec keyword 'depth'"):
@@ -206,6 +217,106 @@ class TestFingerprint:
         kwargs["flip_probability"] = 0.9
         assert spec.dataset.kwargs == {"flip_probability": 0.1}
         assert spec.fingerprint() == before
+
+
+#: Every integer work field: (section, field, flat keyword, a valid value).
+INT_FIELDS = [
+    ("dataset", "seed", "dataset_seed", 2),
+    ("language", "n_split_points", "n_split_points", 3),
+    ("search", "n_iterations", "n_iterations", 2),
+    ("search", "sparsity", "sparsity", 2),
+    ("search", "seed", "seed", 3),
+    ("search", "beam_width", "beam_width", 8),
+    ("search", "max_depth", "max_depth", 2),
+    ("search", "top_k", "top_k", 10),
+    ("search", "min_coverage", "min_coverage", 3),
+]
+
+
+def _spelled(spelling, section, field, key, value):
+    """The spec with ``section.field`` set to ``value``, spelled one way."""
+    if spelling == "build":
+        return MiningSpec.build("synthetic", **{key: value})
+    if spelling == "sectioned":
+        document = {"dataset": {"name": "synthetic"}}
+        document.setdefault(section, {})[field] = value
+        return MiningSpec.from_dict(document)
+    document = {"dataset": "synthetic"}
+    if key in {f.name for f in fields(SearchConfig)}:
+        document["config"] = {key: value}
+    else:
+        document[key] = value
+    return job_from_dict(document)
+
+
+@pytest.mark.parametrize("spelling", ["build", "sectioned", "flat"])
+@pytest.mark.parametrize("section,field,key,value", INT_FIELDS)
+class TestIntegerFields:
+    """Each integer field reads the same in every spelling of a job."""
+
+    def test_integral_float_is_the_int(self, spelling, section, field, key, value):
+        as_int = _spelled(spelling, section, field, key, value)
+        as_float = _spelled(spelling, section, field, key, float(value))
+        stored = getattr(getattr(as_float, section), field)
+        assert stored == value and type(stored) is int
+        assert as_float == as_int
+        assert as_float.fingerprint() == as_int.fingerprint()
+        assert hash(as_float) == hash(as_int)
+        assert len({as_float, as_int}) == 1
+
+    @pytest.mark.parametrize("bad", [2.5, True, "2", float("inf")])
+    def test_non_integer_raises_naming_the_field(
+        self, spelling, section, field, key, value, bad
+    ):
+        with pytest.raises(ReproError, match=f"{section} {field} must be an integer"):
+            _spelled(spelling, section, field, key, bad)
+
+
+class TestValueReading:
+    def test_executor_numbers(self):
+        assert ExecutorSpec(priority=2.0).priority == 2
+        assert type(ExecutorSpec(priority=2.0).priority) is int
+        assert ExecutorSpec(workers=2.0).workers == 2
+        assert ExecutorSpec(workers=None).workers is None
+        for bad in ({"workers": "2"}, {"deadline": "30"}, {"priority": 2.5},
+                    {"workers": True}, {"priority": float("inf")}):
+            (name,) = bad
+            with pytest.raises(ReproError, match=f"executor {name}"):
+                ExecutorSpec(**bad)
+
+    def test_prior_spellings_are_one_prior(self):
+        ints = MiningSpec.build("crime", prior={"mean": [0], "cov": [[1]]})
+        floats = MiningSpec.build("crime", prior={"mean": [0.0], "cov": [[1.0]]})
+        assert ints.model.prior == {"mean": [0.0], "cov": [[1.0]]}
+        assert ints == floats and hash(ints) == hash(floats)
+        assert ints.fingerprint() == floats.fingerprint()
+        assert job_from_dict(job_to_dict(ints)).fingerprint() == floats.fingerprint()
+
+    @pytest.mark.parametrize(
+        "prior",
+        [
+            {"mean": ["x"], "cov": [[1.0]]},
+            {"mean": ["0"], "cov": [[1.0]]},
+            {"mean": [True], "cov": [[1.0]]},
+            {"mean": [0.0], "cov": [[1.0], [1.0, 2.0]]},
+            {"mean": [0.0, 0.0], "cov": [[1.0]]},
+            {"mean": [0.0], "cov": [[-1.0]]},
+            {"mean": [0.0], "cov": [[1.0]], "scale": 2.0},
+        ],
+    )
+    def test_malformed_prior_raises_at_construction(self, prior):
+        with pytest.raises(ReproError, match="prior"):
+            ModelSpec(prior=prior)
+
+    @pytest.mark.parametrize(
+        "entry",
+        [{"gamma": "0.5"}, {"seed": "3"}, {"targets": "ab"}, {"weights": ["1", "2"]}],
+    )
+    def test_flat_document_reads_values_like_the_sections(self, entry):
+        with pytest.raises(ReproError, match="invalid job spec"):
+            job_from_dict({"dataset": "synthetic", **entry})
+        with pytest.raises(ReproError):
+            MiningSpec.build("synthetic", **entry)
 
 
 class TestJobInterop:
