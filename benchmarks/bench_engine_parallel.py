@@ -3,18 +3,19 @@
 Runs the same location beam search on scalability-sized synthetic data
 (the §III-E generator scaled 16x) with the serial backend and with
 ``ProcessExecutor`` pools of 2 and 4 workers (a persistent warm pool
-whose sessions ship the scorer's arrays through
-``multiprocessing.shared_memory``). Speedup > 1 needs real cores: on a
-single-core machine the table simply quantifies the pool overhead. The
-engine's determinism contract is asserted along the way: every backend
-must return the exact same top subgroup with the exact same scores.
+whose sessions pickle the scorer once into
+``multiprocessing.shared_memory``, its arrays out of band). Speedup > 1
+needs real cores: on a single-core machine the table simply quantifies
+the pool overhead. The engine's determinism contract is asserted along
+the way: every backend must return the exact same top subgroup with the
+exact same scores.
 
 Besides the human-readable table, the bench measures the per-session
-context payload — the scorer pickled whole against the skeleton
-``session()`` actually pickles once its arrays are published to shared
-memory — and writes the whole result as ``BENCH_engine_parallel.json``
-at the repo root, so the perf trajectory is tracked commit over commit.
-Target: the shared payload is >= 5x smaller. Runs standalone too::
+context payload — the scorer pickled whole against the protocol-5
+stream ``session()`` writes once its arrays travel out of band — and
+writes the whole result as ``BENCH_engine_parallel.json`` at the repo
+root, so the perf trajectory is tracked commit over commit. Target: the
+shared payload is >= 5x smaller. Runs standalone too::
 
     PYTHONPATH=src python benchmarks/bench_engine_parallel.py
 """
@@ -27,7 +28,7 @@ from pathlib import Path
 from bench_schema import envelope
 from repro.datasets.synthetic import make_synthetic
 from repro.engine.executor import resolve_executor
-from repro.engine.shm import ArrayStore, publish
+from repro.engine.shm import ArrayStore
 from repro.model.background import BackgroundModel
 from repro.report.tables import format_table
 from repro.search.beam import LocationICScorer
@@ -42,14 +43,12 @@ JSON_PATH = Path(__file__).resolve().parent.parent / "BENCH_engine_parallel.json
 
 
 def _payload_sizes(dataset) -> dict:
-    """Pickled context bytes per session: whole scorer vs published skeleton."""
+    """Pickled context bytes per session: whole scorer vs shared stream."""
     model = BackgroundModel.from_targets(dataset.targets)
     scorer = LocationICScorer(model, dataset.targets)
     copied = len(pickle.dumps(scorer, protocol=pickle.HIGHEST_PROTOCOL))
     with ArrayStore() as store:
-        shared = len(
-            pickle.dumps(publish(scorer, store), protocol=pickle.HIGHEST_PROTOCOL)
-        )
+        shared = store.share(scorer).size
     return {
         "copied_bytes": copied,
         "shared_bytes": shared,
@@ -63,7 +62,7 @@ def measure(seed: int = 0):
 
     payload = _payload_sizes(dataset)
     assert payload["shared_bytes"] * 5 <= payload["copied_bytes"], (
-        "publishing to shared memory must shrink the per-session context "
+        "sharing the arrays out of band must shrink the per-session context "
         f"payload at least 5x, got {payload}"
     )
 

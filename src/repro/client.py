@@ -152,8 +152,12 @@ class _SSEStream:
         if since is not None:
             headers["Last-Event-ID"] = str(since)
         path = "/events" if job_id is None else f"/events?job_id={job_id}"
-        self._conn.request("GET", path, headers=headers)
-        self._response = self._conn.getresponse()
+        try:
+            self._conn.request("GET", path, headers=headers)
+            self._response = self._conn.getresponse()
+        except BaseException:
+            self.close()
+            raise
         if self._response.status != 200:
             body = self._response.read()
             self.close()
@@ -475,7 +479,7 @@ class RemoteWorkspace:
                     job_id=job_id,
                     token=self.token,
                 )
-            except (ConnectionError, socket.timeout, OSError) as exc:
+            except (ConnectionError, socket.timeout, OSError, HTTPException) as exc:
                 if first_connection:
                     raise RemoteError(
                         f"cannot reach mining server at "
@@ -513,7 +517,7 @@ class RemoteWorkspace:
                         continue  # redelivery after resume
                     last_seen = seq
                     yield wire.event_from_wire(document, seq=seq)
-            except (ConnectionError, socket.timeout, OSError):
+            except (ConnectionError, socket.timeout, OSError, HTTPException):
                 dropped = True
             finally:
                 stream.close()

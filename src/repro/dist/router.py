@@ -33,7 +33,7 @@ import threading
 
 from repro.dist import wire as dwire
 from repro.dist.ring import HashRing
-from repro.errors import EngineError, ReproError
+from repro.errors import EngineError
 from repro.obs.instruments import (
     METRICS,
     ROUTER_FORWARDED,
@@ -42,10 +42,8 @@ from repro.obs.instruments import (
 )
 from repro.obs.metrics import PROMETHEUS_CONTENT_TYPE
 from repro.obs.trace import TRACER
-from repro.persist import job_from_dict
 from repro.server import http
-from repro.server.wire import WIRE_SCHEMA
-from repro.spec import MiningSpec
+from repro.server.wire import WIRE_SCHEMA, submission_spec
 from repro.version import __version__
 
 __all__ = ["MiningRouter"]
@@ -384,31 +382,9 @@ class MiningRouter(http.Daemon):
                             "workers": count}),
         )
 
-    def _fingerprint_of(self, body: bytes) -> str:
-        """The submitted work's content digest (the ring key)."""
-        try:
-            data = json.loads(body) if body else {}
-        except ValueError as exc:
-            raise http.HttpError(400, f"invalid JSON body: {exc}") from exc
-        if not isinstance(data, dict):
-            raise http.HttpError(400, "submit body must be a JSON object")
-        try:
-            if "job" in data:
-                return job_from_dict(data["job"]).fingerprint()
-            if "spec" in data:
-                return MiningSpec.from_dict(data["spec"]).fingerprint()
-            if "dataset" in data:
-                return MiningSpec.from_dict(data).fingerprint()
-        except ReproError as exc:
-            raise http.HttpError(400, str(exc)) from exc
-        raise http.HttpError(
-            400,
-            'submit body must be {"spec": {...}}, {"job": {...}}, or a bare '
-            "MiningSpec document",
-        )
-
     async def _submit(self, request: http.Request) -> http.Response:
-        fingerprint = self._fingerprint_of(request.body)
+        # The ring key is the fingerprint of the spec the replica runs.
+        fingerprint = submission_spec(request.json()).fingerprint()
         last_error: http.HttpError | None = None
         for name in list(self._ring.preference(fingerprint)):
             replica = self._by_name[name]

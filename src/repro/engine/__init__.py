@@ -8,8 +8,8 @@ backends), and layers a submit/status/result/cancel service on top:
   (a warm process pool) backends injected into the beam and spread
   searches.
 - :mod:`repro.engine.shm` — the zero-copy shared-memory transport that
-  ``ProcessExecutor`` ships session contexts through (``ArrayStore`` +
-  ``publish``).
+  ``ProcessExecutor`` ships session contexts through (``ArrayStore.share``
+  pickles one into a segment, ``SharedContext.load`` maps it back).
 - :mod:`repro.engine.cache` — bounded LRU caches and spec fingerprints.
 - :mod:`repro.engine.jobs` — the one run path from a spec to its
   iterations, and the deterministic multi-job runner.
@@ -33,7 +33,7 @@ _EXPORTS = {
     "ProcessExecutor": "repro.engine.executor",
     "resolve_executor": "repro.engine.executor",
     "ArrayStore": "repro.engine.shm",
-    "SharedArrayRef": "repro.engine.shm",
+    "SharedContext": "repro.engine.shm",
     "CacheStats": "repro.engine.cache",
     "LRUCache": "repro.engine.cache",
     "fingerprint": "repro.engine.cache",

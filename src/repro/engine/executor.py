@@ -10,10 +10,11 @@ Two backends implement that contract:
 - :class:`ProcessExecutor` keeps one *persistent* warm
   ``concurrent.futures`` process pool across sessions and ships each
   session's context — an IC scorer, a spread objective — through
-  :mod:`repro.engine.shm`: large arrays live in
-  ``multiprocessing.shared_memory`` and workers reattach them zero-copy,
-  so a repeated ``session()`` (one per beam level / mining iteration)
-  costs a handle, not a re-pickle and a pool respawn.
+  :mod:`repro.engine.shm`: the context is pickled once with protocol 5
+  into one ``multiprocessing.shared_memory`` segment, its arrays out of
+  band, and workers load it over read-only zero-copy views, so a
+  repeated ``session()`` (one per beam level / mining iteration) costs
+  a handle, not a re-pickle and a pool respawn.
 
 Determinism contract: ``session.map`` preserves item order, items are
 sharded by the *caller* independently of the worker count, and ``fn``
@@ -26,7 +27,6 @@ from __future__ import annotations
 
 import multiprocessing
 import os
-import pickle
 import uuid
 import weakref
 from collections import OrderedDict
@@ -56,12 +56,11 @@ _MISS = object()
 def _session_call(payload: tuple) -> Any:
     """Worker entry point of a :class:`ProcessExecutor` session.
 
-    The per-task payload is tiny: a session id, a
-    :class:`~repro.engine.shm.SharedBytesRef` to the pickled (stripped)
-    context, the function, and the item. A warm worker that already
-    holds the session's context skips the read entirely; a cold one
-    reads the pickle out of shared memory once — its arrays reattach as
-    zero-copy views while unpickling.
+    The per-task payload is tiny: a session id, the session's
+    :class:`~repro.engine.shm.SharedContext` handle, the function, and
+    the item. A warm worker that already holds the session's context
+    skips the read entirely; a cold one loads it from shared memory
+    once, and its arrays come back as read-only zero-copy views.
     """
     session_id, context_ref, fn, item = payload
     context = _SESSION_CONTEXTS.get(session_id, _MISS)
@@ -72,7 +71,7 @@ def _session_call(payload: tuple) -> Any:
         # session, not its whole history.
         _SESSION_CONTEXTS.clear()
         shm.prune_attachments()
-        context = pickle.loads(context_ref.load())
+        context = context_ref.load()
         _SESSION_CONTEXTS[session_id] = context
     return fn(context, item)
 
@@ -154,11 +153,11 @@ class SerialExecutor:
 class _ProcessSession:
     """One fan-out scope over the executor's persistent warm pool.
 
-    The context is published once into shared memory
-    (:func:`repro.engine.shm.publish`): its large arrays become segments
-    workers map zero-copy, and the remaining skeleton is pickled into a
-    segment of its own. Each task then carries only ``(session id,
-    context handle, fn, item)``; warm workers that already cached this
+    The context is pickled once into shared memory
+    (:meth:`repro.engine.shm.ArrayStore.share`): one segment holds the
+    protocol-5 stream and, out of band, the arrays workers map
+    zero-copy. Each task then carries only ``(session id, context
+    handle, fn, item)``; warm workers that already cached this
     session's context pay nothing at all.
 
     Closing the session unlinks every segment it created but leaves the
@@ -173,12 +172,7 @@ class _ProcessSession:
         self._store = shm.ArrayStore()
         self._finalizer = weakref.finalize(self, shm.ArrayStore.close, self._store)
         self._session_id = uuid.uuid4().hex
-        stripped = shm.publish(context, self._store)
-        payload = pickle.dumps(stripped, protocol=pickle.HIGHEST_PROTOCOL)
-        #: Bytes actually pickled per session after array extraction —
-        #: the number publishing through shared memory exists to shrink.
-        self.context_payload_bytes = len(payload)
-        self._context_ref = self._store.share_bytes(payload)
+        self._context_ref = self._store.share(context)
 
     def map(self, fn, items) -> list:
         if not self._finalizer.alive:
@@ -213,12 +207,11 @@ class _ProcessSession:
 class ProcessExecutor:
     """Fan-out over a persistent warm ``concurrent.futures`` process pool.
 
-    Each :meth:`session` publishes its context through
-    :mod:`repro.engine.shm` — large arrays into
-    ``multiprocessing.shared_memory`` segments, the rest as a small
-    pickle — and repeated sessions reuse the same worker processes,
-    shipping only lightweight handles. Closing a session unlinks its
-    segments; the pool stays warm until :meth:`close`.
+    Each :meth:`session` pickles its context once into a
+    ``multiprocessing.shared_memory`` segment (:mod:`repro.engine.shm`),
+    arrays out of band, and repeated sessions reuse the same worker
+    processes, shipping only lightweight handles. Closing a session
+    unlinks its segment; the pool stays warm until :meth:`close`.
 
     Parameters
     ----------
@@ -276,8 +269,8 @@ class ProcessExecutor:
     def session(self, context: Any = None) -> _ProcessSession:
         """Open a fan-out scope whose workers all hold ``context``.
 
-        The context is published through :mod:`repro.engine.shm` onto
-        the warm pool; closing the session unlinks its segments and
+        The context is shared through :mod:`repro.engine.shm` with
+        the warm pool; closing the session unlinks its segment and
         keeps the pool.
         """
         return _ProcessSession(self, context)

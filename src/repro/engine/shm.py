@@ -1,4 +1,4 @@
-"""Zero-copy shared-memory data transport (engine layer).
+"""Zero-copy shared-memory context transport (engine layer).
 
 The SI scorer evaluates thousands of candidate subgroups per beam level
 against the same immutable arrays — targets, its feature matrix,
@@ -6,19 +6,22 @@ background-model vectors. Shipping those arrays to pool workers through
 ``pickle`` copies them once per session (and once per worker); on the
 scalability-sized datasets that copying *is* the dominant parallel
 overhead. This module moves the arrays into
-``multiprocessing.shared_memory`` instead:
+``multiprocessing.shared_memory`` instead, in one format for every
+context:
 
-- :class:`ArrayStore` owns the segments one producer creates, packs many
-  arrays into one segment, and guarantees they are unlinked exactly once
-  (``close``/context manager/GC finalizer — whichever comes first).
-- :class:`SharedArrayRef` is the lightweight handle that replaces an
-  array during pickling. Unpickling it *is* the reattach: the receiving
-  process maps the segment and the ref materializes as a read-only
-  ``numpy`` view over shared pages, so consumers never see handles.
-- :func:`publish` walks a session context (a scorer, an objective, a
-  tuple of either) and swaps every array declared via the
-  ``__shm_arrays__`` class hook for a ref, returning a lightweight
-  shippable clone. The originals are untouched.
+- :meth:`ArrayStore.share` pickles a session context (a scorer, an
+  objective, a tuple of either) once with pickle protocol 5, which
+  hands every contiguous ``numpy`` array to a buffer callback instead
+  of copying it into the stream. The stream and those out-of-band
+  buffers go into one segment, and the caller gets a small
+  :class:`SharedContext` handle. The original context is untouched.
+- :meth:`SharedContext.load` maps the segment and unpickles the context
+  over read-only views of the buffers, so every contiguous array comes
+  back as a zero-copy view of shared pages. Non-contiguous and object
+  arrays travel inside the stream as private copies.
+
+No model or search class declares what ships: pickle decides, so an
+array a scorer gains later is shared without anyone opting in.
 
 The views are read-only on the worker side: a worker that mutated a
 shared page would poison its siblings and break the engine's
@@ -33,14 +36,15 @@ in ``/dev/shm``.
 from __future__ import annotations
 
 import atexit
-import copy
 import os
+import pickle
 import threading
 import uuid
 import weakref
 from collections import OrderedDict
 from dataclasses import dataclass
 from multiprocessing import shared_memory
+from typing import Any
 
 import numpy as np
 
@@ -48,12 +52,8 @@ from repro.errors import EngineError
 
 __all__ = [
     "ArrayStore",
-    "SharedArrayRef",
-    "SharedBytesRef",
-    "attach_array",
-    "collect_arrays",
+    "SharedContext",
     "live_segments",
-    "publish",
     "segment_prefix",
 ]
 
@@ -61,7 +61,7 @@ __all__ = [
 #: worried operator listing ``/dev/shm``) can filter on it.
 SEGMENT_PREFIX = "sisd"
 
-#: 64-byte alignment for packed arrays (cache line / SIMD friendly).
+#: 64-byte alignment for out-of-band buffers (cache line / SIMD friendly).
 _ALIGN = 64
 
 #: Names created by *this process* and not yet unlinked.
@@ -81,7 +81,8 @@ _ATTACHED_SOFT_CAP = 64
 #: so a close() can succeed and unmap pages a live view dereferences — a
 #: segfault, not an exception). Track liveness explicitly instead: a
 #: segment is closable only when every view handed out over it has been
-#: garbage collected.
+#: garbage collected. An unpickled array keeps its buffer's view as its
+#: ``.base``, so the view lives exactly as long as some array over it.
 _ATTACHED_VIEWS: dict[str, list] = {}
 
 
@@ -173,63 +174,34 @@ def _close_attachments() -> None:  # pragma: no cover - exercised at exit
 atexit.register(_close_attachments)
 
 
-def attach_array(
-    name: str, offset: int, shape: tuple, dtype: str
-) -> np.ndarray:
-    """Materialize a read-only view over a shared segment.
-
-    This is the unpickle target of :class:`SharedArrayRef`: the consumer
-    process maps the segment (cached) and wraps the bytes in place — no
-    copy is made, and the view rejects writes.
-    """
-    segment = _attach_segment(name)
-    array = np.ndarray(
-        tuple(shape), dtype=np.dtype(dtype), buffer=segment.buf, offset=offset
-    )
-    array.flags.writeable = False
-    _ATTACHED_VIEWS.setdefault(name, []).append(weakref.ref(array))
-    return array
-
-
-def _load_bytes(name: str, size: int) -> bytes:
-    """Unpickle target of :class:`SharedBytesRef`: read a raw payload."""
-    segment = _attach_segment(name)
-    return bytes(segment.buf[:size])
-
-
 @dataclass(frozen=True)
-class SharedArrayRef:
-    """Handle to one array inside a shared segment.
+class SharedContext:
+    """Handle to one context pickled into a shared segment.
 
-    Pickling a ref ships four small fields; *unpickling it returns the
-    array itself* (a read-only zero-copy view), so code downstream of a
-    pickle boundary never has to know refs exist.
-    """
-
-    name: str
-    offset: int
-    shape: tuple
-    dtype: str
-
-    def __reduce__(self):
-        return (attach_array, (self.name, self.offset, self.shape, self.dtype))
-
-
-@dataclass(frozen=True)
-class SharedBytesRef:
-    """Handle to a raw byte payload (e.g. a pickled context) in a segment.
-
-    Unlike :class:`SharedArrayRef` this unpickles as *itself* — callers
-    decide when to :meth:`load`, so a cached consumer can skip the read
-    entirely (the warm-worker fast path).
+    It holds the segment name, the size of the pickle stream at the
+    segment's start, and each out-of-band buffer's ``(offset, nbytes)``.
+    The handle pickles as itself, so a warm consumer that already holds
+    the context never reads the segment; :meth:`load` rebuilds it.
     """
 
     name: str
     size: int
+    buffers: tuple[tuple[int, int], ...]
 
-    def load(self) -> bytes:
-        """Read the payload out of shared memory."""
-        return _load_bytes(self.name, self.size)
+    def load(self) -> Any:
+        """Unpickle the context over read-only views of its buffers."""
+        segment = _attach_segment(self.name)
+        refs = _ATTACHED_VIEWS.setdefault(self.name, [])
+        views = []
+        for offset, nbytes in self.buffers:
+            view = np.ndarray(
+                (nbytes,), dtype=np.uint8, buffer=segment.buf, offset=offset
+            )
+            view.flags.writeable = False
+            views.append(view)
+            refs.append(weakref.ref(view))
+        with segment.buf[: self.size] as stream:
+            return pickle.loads(stream, buffers=views)
 
 
 def _aligned(offset: int) -> int:
@@ -239,12 +211,12 @@ def _aligned(offset: int) -> int:
 class ArrayStore:
     """Owner of the shared segments one producer (session) creates.
 
-    Every ``pack``/``share_bytes`` call creates one segment; the store
-    remembers them all and :meth:`close` unlinks them exactly once —
-    explicitly, via the context manager, or at garbage collection
-    through a ``weakref.finalize``-style guard (``__del__`` here, since
-    the store holds no cycles). Consumers attach read-only and never
-    unlink; see :func:`_untrack` for why.
+    Every :meth:`share` call creates one segment; the store remembers
+    them all and :meth:`close` unlinks them exactly once — explicitly,
+    via the context manager, or at garbage collection through a
+    ``weakref.finalize``-style guard (``__del__`` here, since the store
+    holds no cycles). Consumers attach read-only and never unlink; see
+    :func:`_attach_segment` for why.
     """
 
     def __init__(self) -> None:
@@ -268,47 +240,28 @@ class ArrayStore:
             self._segments[segment.name] = segment
         return segment
 
-    def pack(self, arrays: list[np.ndarray]) -> list[SharedArrayRef]:
-        """Copy arrays into one new segment; returns their refs in order.
+    def share(self, context: Any) -> SharedContext:
+        """Pickle ``context`` once into a new segment; returns its handle.
 
-        Arrays are laid out back to back at 64-byte alignment in C
-        order, so a ref's view has the exact bytes (and contiguity) of
-        ``np.ascontiguousarray`` of the original.
+        The protocol-5 stream goes first, then each out-of-band buffer's
+        raw bytes at 64-byte alignment, in the order pickle produced
+        them. An array referenced twice is pickled, and shipped, once.
         """
-        specs = []
-        offset = 0
-        for array in arrays:
-            array = np.asarray(array)
-            if array.dtype.hasobject:
-                raise EngineError(
-                    f"cannot share object-dtype array (dtype {array.dtype})"
-                )
-            offset = _aligned(offset)
-            specs.append((array, offset))
-            offset += array.nbytes
-        segment = self._new_segment(offset)
-        refs = []
-        for array, off in specs:
-            view = np.ndarray(
-                array.shape, dtype=array.dtype, buffer=segment.buf, offset=off
-            )
-            np.copyto(view, array)
-            refs.append(
-                SharedArrayRef(
-                    name=segment.name,
-                    offset=off,
-                    shape=tuple(array.shape),
-                    dtype=array.dtype.str,
-                )
-            )
-            del view  # release the buffer export before any later close
-        return refs
-
-    def share_bytes(self, payload: bytes) -> SharedBytesRef:
-        """Put a raw byte payload (a pickled context) in its own segment."""
-        segment = self._new_segment(len(payload))
-        segment.buf[: len(payload)] = payload
-        return SharedBytesRef(name=segment.name, size=len(payload))
+        buffers: list[pickle.PickleBuffer] = []
+        stream = pickle.dumps(context, protocol=5, buffer_callback=buffers.append)
+        raws = [buffer.raw() for buffer in buffers]
+        table = []
+        end = len(stream)
+        for raw in raws:
+            offset = _aligned(end)
+            table.append((offset, raw.nbytes))
+            end = offset + raw.nbytes
+        segment = self._new_segment(end)
+        segment.buf[: len(stream)] = stream
+        for raw, (offset, nbytes) in zip(raws, table):
+            segment.buf[offset : offset + nbytes] = raw
+            raw.release()
+        return SharedContext(segment.name, len(stream), tuple(table))
 
     # ------------------------------------------------------------------ #
     # Releasing
@@ -353,72 +306,3 @@ class ArrayStore:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"ArrayStore(segments={len(self.segment_names)})"
-
-
-# --------------------------------------------------------------------- #
-# Context publishing: the __shm_arrays__ walk
-# --------------------------------------------------------------------- #
-def collect_arrays(obj, found: dict[int, np.ndarray] | None = None) -> dict:
-    """Gather every shareable array reachable from ``obj``, deduplicated.
-
-    The walk descends into tuples/lists/dicts unconditionally and into
-    objects exactly through their ``__shm_arrays__`` class hook (a tuple
-    of attribute names); an attribute may hold an array, a container of
-    arrays, or a nested object with its own hook. Arrays are keyed by
-    identity so one array referenced twice ships once.
-    """
-    if found is None:
-        found = {}
-    if isinstance(obj, np.ndarray):
-        if not obj.dtype.hasobject:
-            found.setdefault(id(obj), obj)
-        return found
-    if isinstance(obj, (tuple, list)):
-        for value in obj:
-            collect_arrays(value, found)
-        return found
-    if isinstance(obj, dict):
-        for value in obj.values():
-            collect_arrays(value, found)
-        return found
-    names = getattr(type(obj), "__shm_arrays__", None)
-    if names:
-        for name in names:
-            collect_arrays(getattr(obj, name), found)
-    return found
-
-
-def _swap(obj, mapping: dict[int, SharedArrayRef]):
-    """Rebuild ``obj`` with every collected array replaced by its ref."""
-    if isinstance(obj, np.ndarray):
-        return mapping.get(id(obj), obj)
-    if isinstance(obj, tuple):
-        return tuple(_swap(value, mapping) for value in obj)
-    if isinstance(obj, list):
-        return [_swap(value, mapping) for value in obj]
-    if isinstance(obj, dict):
-        return {key: _swap(value, mapping) for key, value in obj.items()}
-    names = getattr(type(obj), "__shm_arrays__", None)
-    if names:
-        clone = copy.copy(obj)
-        for name in names:
-            # object.__setattr__ so frozen dataclasses publish too.
-            object.__setattr__(clone, name, _swap(getattr(obj, name), mapping))
-        return clone
-    return obj
-
-
-def publish(context, store: ArrayStore):
-    """A lightweight clone of ``context`` with its arrays in ``store``.
-
-    The original context is untouched; the clone carries
-    :class:`SharedArrayRef` handles in the array slots, which unpickle
-    straight back into (read-only, zero-copy) arrays in the consumer.
-    If nothing declares shareable arrays the context is returned as is.
-    """
-    found = collect_arrays(context)
-    if not found:
-        return context
-    refs = store.pack(list(found.values()))
-    mapping = dict(zip(found.keys(), refs))
-    return _swap(context, mapping)

@@ -47,13 +47,6 @@ class BackgroundModel:
         path, so unit weights stay bit-identical to no weights.
     """
 
-    #: What the engine's shared-memory transport may extract when a
-    #: frozen model ships to pool workers (:func:`repro.engine.shm.publish`):
-    #: the row partition (scales with the data), the per-block parameter
-    #: lists, and the case weights; the nested prior declares its own
-    #: arrays. ``_weights`` may be ``None`` — the transport skips it.
-    __shm_arrays__ = ("_partition", "_means", "_covs", "prior", "_weights")
-
     def __init__(
         self, n_rows: int, prior: Prior, weights: np.ndarray | None = None
     ) -> None:

@@ -24,11 +24,6 @@ class BlockPartition:
     block lies entirely inside or entirely outside the mask.
     """
 
-    #: The per-row label array scales with the dataset; the engine's
-    #: shared-memory transport (:func:`repro.engine.shm.publish`) may
-    #: ship it as a zero-copy segment instead of pickled bytes.
-    __shm_arrays__ = ("_labels",)
-
     def __init__(self, n_rows: int) -> None:
         if n_rows <= 0:
             raise ModelError(f"n_rows must be positive, got {n_rows}")

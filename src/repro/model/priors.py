@@ -24,10 +24,6 @@ from repro.utils.validation import check_vector
 class Prior:
     """An (expected mean, expected covariance) pair for the targets."""
 
-    #: Shareable via the engine's shared-memory transport when a model
-    #: ships to pool workers (:func:`repro.engine.shm.publish`).
-    __shm_arrays__ = ("mean", "cov")
-
     mean: np.ndarray
     cov: np.ndarray
 

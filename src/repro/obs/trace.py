@@ -11,8 +11,7 @@ pieces:
   ``to_wire``/``from_wire`` dict form small enough to ride any
   envelope: the service attaches it to scheduled jobs, the dist
   executor puts it in shard request envelopes next to the context
-  digest, and the shm transport ships it alongside the
-  ``__shm_arrays__`` handles.
+  digest, and a process session pickles it with the rest of its context.
 - :class:`Span` — one timed operation (name, ids, start/end read
   through the :mod:`repro.obs.clock` seam, string tags).
 - :class:`Tracer` — creates spans and keeps the most recent finished

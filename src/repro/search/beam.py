@@ -151,11 +151,6 @@ class LocationICScorer:
     candidate extension.
     """
 
-    #: Arrays the shared-memory transport may move out of the pickled
-    #: payload (:func:`repro.engine.shm.publish`): everything that scales
-    #: with the dataset, plus the nested model (which declares its own).
-    __shm_arrays__ = ("model", "targets", "features", "_block_means", "_block_covs")
-
     def __init__(self, model: BackgroundModel, targets: np.ndarray) -> None:
         targets = np.asarray(targets, dtype=float)
         if targets.ndim == 1:

@@ -41,17 +41,6 @@ class SpreadObjective:
     subgroup.
     """
 
-    #: Arrays the shared-memory transport may move out of the pickled
-    #: payload (:func:`repro.engine.shm.publish`). The per-block stacks
-    #: dominate the objective's footprint on fine partitions.
-    __shm_arrays__ = (
-        "counts",
-        "block_covs",
-        "empirical_cov",
-        "center",
-        "pooled_model_cov",
-    )
-
     def __init__(self, model: BackgroundModel, indices, targets: np.ndarray) -> None:
         targets = np.asarray(targets, dtype=float)
         if targets.ndim == 1:

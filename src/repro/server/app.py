@@ -42,11 +42,9 @@ from repro.obs import clock
 from repro.obs.instruments import HTTP_REQUESTS, JOBS_REJECTED, METRICS
 from repro.obs.metrics import PROMETHEUS_CONTENT_TYPE
 from repro.obs.trace import TRACER
-from repro.persist import job_from_dict
 from repro.server import http, wire
 from repro.server.http import ServerHandle
 from repro.server.hub import EventHub
-from repro.spec import MiningSpec
 from repro.store.tenancy import Tenant, TenantRegistry
 from repro.version import __version__
 
@@ -521,20 +519,6 @@ class MiningServer(http.Daemon):
             "store": dict(store.stats()),
         }
 
-    def _parse_submission(self, data: dict) -> MiningSpec:
-        """A submit body → the spec it carries, in either document form."""
-        if "spec" in data:
-            return MiningSpec.from_dict(data["spec"])
-        if "job" in data:
-            return job_from_dict(data["job"])
-        if "dataset" in data:  # a bare spec document is accepted too
-            return MiningSpec.from_dict(data)
-        raise http.HttpError(
-            400,
-            'submit body must be {"spec": {...}}, {"job": {...}}, or a '
-            "bare MiningSpec document",
-        )
-
     def _admit(self, tenant: Tenant | None) -> dict:
         """Per-tenant admission: rate limit + pending-quota checks.
 
@@ -567,7 +551,7 @@ class MiningServer(http.Daemon):
     async def _submit(
         self, request: http.Request, tenant: Tenant | None = None
     ) -> tuple[int, dict]:
-        job = self._parse_submission(request.json())
+        job = wire.submission_spec(request.json())
         opts = self._admit(tenant)
         observer = _JobStreamObserver(self.hub, candidates=self.candidate_events)
         loop = asyncio.get_running_loop()

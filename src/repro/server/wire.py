@@ -106,6 +106,25 @@ def scheduler_event_from_wire(data: dict[str, Any]) -> SchedulerEvent:
     )
 
 
+def submission_spec(document: dict[str, Any]) -> MiningSpec:
+    """The spec a ``POST /jobs`` body carries.
+
+    A replica runs this spec and a router places the body by its
+    fingerprint, so both read it here: ``spec`` first, then a flat
+    ``job`` document, then a bare spec document (one with ``dataset``).
+    """
+    if "spec" in document:
+        return MiningSpec.from_dict(document["spec"])
+    if "job" in document:
+        return job_from_dict(document["job"])
+    if "dataset" in document:
+        return MiningSpec.from_dict(document)
+    raise ReproError(
+        'submit body must be {"spec": {...}}, {"job": {...}}, or a bare '
+        "MiningSpec document"
+    )
+
+
 def job_state_to_wire(job_id: str, status: Any, job: MiningSpec) -> dict[str, Any]:
     """One job's lifecycle snapshot (the ``GET /jobs/{id}`` body)."""
     return {

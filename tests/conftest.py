@@ -1,8 +1,9 @@
 """Shared fixtures: session-scoped datasets and models (they are expensive),
-and a localhost HTTP peer that cuts its replies short."""
+and localhost peers that send broken replies."""
 
 from __future__ import annotations
 
+import socketserver
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
@@ -93,13 +94,35 @@ class TruncatingPeer(ThreadingHTTPServer):
         self.url = f"http://127.0.0.1:{self.server_address[1]}"
 
 
-@pytest.fixture
-def truncating_peer():
-    """Starts :class:`TruncatingPeer` instances; stops them afterwards."""
+class _FixedReplyHandler(socketserver.StreamRequestHandler):
+    def handle(self):
+        while self.rfile.readline() not in (b"\r\n", b"\n", b""):
+            pass  # skip the request head
+        self.wfile.write(self.server.reply)
+
+
+class FixedReplyPeer(socketserver.ThreadingTCPServer):
+    """A localhost peer that answers every request with fixed raw bytes.
+
+    It reads the request head, writes ``reply`` verbatim and closes the
+    connection, so a test can send what no HTTP server would: a garbage
+    status line, a header line past ``http.client``'s limit.
+    """
+
+    daemon_threads = True
+
+    def __init__(self, reply: bytes) -> None:
+        super().__init__(("127.0.0.1", 0), _FixedReplyHandler)
+        self.reply = reply
+        self.url = f"http://127.0.0.1:{self.server_address[1]}"
+
+
+def _started_peers(peer_class):
+    """Yield a starter of ``peer_class`` servers; stop them afterwards."""
     peers = []
 
-    def start(body: bytes, whole: int = 0) -> TruncatingPeer:
-        peer = TruncatingPeer(body, whole)
+    def start(*args, **kwargs):
+        peer = peer_class(*args, **kwargs)
         threading.Thread(target=peer.serve_forever, daemon=True).start()
         peers.append(peer)
         return peer
@@ -108,3 +131,15 @@ def truncating_peer():
     for peer in peers:
         peer.shutdown()
         peer.server_close()
+
+
+@pytest.fixture
+def truncating_peer():
+    """Starts :class:`TruncatingPeer` instances; stops them afterwards."""
+    yield from _started_peers(TruncatingPeer)
+
+
+@pytest.fixture
+def fixed_reply_peer():
+    """Starts :class:`FixedReplyPeer` instances; stops them afterwards."""
+    yield from _started_peers(FixedReplyPeer)

@@ -15,6 +15,7 @@ from repro.dist.executor import DistExecutor
 from repro.dist.router import MiningRouter
 from repro.dist.worker import WorkerDaemon
 from repro.errors import EngineError
+from repro.persist import job_to_dict
 from repro.server import MiningServer
 from repro.spec import MiningSpec
 
@@ -101,6 +102,22 @@ class TestRouting:
         listing = routed.jobs()
         assert submitted <= set(listing)
         assert all("@" in job_id for job_id in listing)
+
+    def test_body_is_placed_by_the_spec_the_replica_runs(self, federation, routed):
+        """``{"spec": A, "job": B}`` runs A, so the ring key is A's too."""
+        router, _, _ = federation
+        spec = _spec(7)
+        owner = router._ring.node_for(spec.fingerprint())
+        other = next(
+            candidate
+            for candidate in map(_spec, range(100, 200))
+            if router._ring.node_for(candidate.fingerprint()) != owner
+        )
+        body = {"spec": spec.to_dict(), "job": job_to_dict(other)}
+        _, document = routed._request("POST", "/jobs", body)
+        assert document["fingerprint"] == spec.fingerprint()
+        assert document["job_id"].rpartition("@")[2] == owner
+        routed.result(document["job_id"], timeout=60.0)
 
     def test_cancel_route_forwards(self, routed):
         job_id = routed.submit(_spec(5))
@@ -293,3 +310,15 @@ class TestTruncatedReplies:
         peer = truncating_peer(b"{}")
         with pytest.raises(RemoteError, match="cannot reach"):
             RemoteWorkspace(peer.url, timeout=5.0).health()
+
+    @pytest.mark.parametrize(
+        "reply",
+        [b"garbage\r\n\r\n", b"HTTP/1.1 200 OK\r\nX-Long: " + b"a" * 70_000],
+        ids=["bad-status-line", "line-too-long"],
+    )
+    def test_event_feed_reports_a_malformed_reply_as_remote_error(
+        self, fixed_reply_peer, reply
+    ):
+        peer = fixed_reply_peer(reply)
+        with pytest.raises(RemoteError, match="cannot reach"):
+            next(RemoteWorkspace(peer.url, timeout=5.0).events())

@@ -1,75 +1,90 @@
 """Tests for the zero-copy shared-memory transport (repro.engine.shm)."""
 
 import pickle
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from repro.datasets import make_synthetic
 from repro.engine import shm
-from repro.engine.shm import ArrayStore, SharedArrayRef, SharedBytesRef, publish
+from repro.engine.shm import ArrayStore, SharedContext
 from repro.errors import EngineError
 from repro.model.background import BackgroundModel
 from repro.search.beam import LocationICScorer
 from repro.search.spread import SpreadObjective
 
 
-def _attach(ref: SharedArrayRef) -> np.ndarray:
-    """Reattach a ref the way a consumer does: by unpickling it."""
-    return pickle.loads(pickle.dumps(ref))
+def _ship(store: ArrayStore, context):
+    """Share ``context`` and load it back the way a worker does."""
+    return pickle.loads(pickle.dumps(store.share(context))).load()
 
 
-def _pickled_nbytes(context) -> int:
-    return len(pickle.dumps(context, protocol=pickle.HIGHEST_PROTOCOL))
+def _scorer() -> LocationICScorer:
+    dataset = make_synthetic(0)
+    model = BackgroundModel.from_targets(dataset.targets)
+    return LocationICScorer(model, dataset.targets)
 
 
 class TestArrayStore:
-    def test_pack_roundtrips_values_and_dtypes(self):
+    def test_share_round_trips_values_dtypes_and_shapes(self):
+        arrays = [
+            np.arange(12, dtype=float).reshape(3, 4),
+            np.array([True, False, True]),
+            np.arange(5, dtype=np.int64),
+        ]
         with ArrayStore() as store:
-            arrays = [
-                np.arange(12, dtype=float).reshape(3, 4),
-                np.array([True, False, True]),
-                np.arange(5, dtype=np.int64),
-            ]
-            refs = store.pack(arrays)
-            for ref, original in zip(refs, arrays):
-                restored = pickle.loads(pickle.dumps(ref))
-                assert np.array_equal(restored, original)
-                assert restored.dtype == original.dtype
-                assert restored.shape == original.shape
+            restored = _ship(store, arrays)
+            for array, original in zip(restored, arrays):
+                assert np.array_equal(array, original)
+                assert array.dtype == original.dtype
+                assert array.shape == original.shape
 
-    def test_views_are_read_only(self):
+    def test_contiguous_arrays_load_as_read_only_views(self):
         with ArrayStore() as store:
-            ref = store.pack([np.zeros(4)])[0]
-            view = _attach(ref)
+            view = _ship(store, np.zeros(4))
             with pytest.raises(ValueError):
                 view[0] = 1.0
 
-    def test_non_contiguous_arrays_pack_exactly(self):
+    def test_undeclared_arrays_are_shared_too(self):
+        context = SimpleNamespace(factors=np.eye(3), nested={"x": np.ones(2)})
+        with ArrayStore() as store:
+            restored = _ship(store, context)
+        assert not restored.factors.flags.writeable
+        assert not restored.nested["x"].flags.writeable
+        assert np.array_equal(restored.factors, context.factors)
+
+    def test_non_contiguous_arrays_round_trip_exactly(self):
         matrix = np.arange(20, dtype=float).reshape(4, 5)
         column = matrix[:, 2]  # stride > itemsize
         with ArrayStore() as store:
-            ref = store.pack([column])[0]
-            assert np.array_equal(_attach(ref), column)
+            restored = _ship(store, column)
+        assert np.array_equal(restored, column)
 
-    def test_object_dtype_rejected(self):
+    def test_share_leaves_the_context_alone(self):
+        scorer = _scorer()
+        targets, features = scorer.targets, scorer.features
         with ArrayStore() as store:
-            with pytest.raises(EngineError, match="object-dtype"):
-                store.pack([np.array([object()])])
+            store.share(scorer)
+        assert scorer.targets is targets and scorer.features is features
+        assert targets.flags.writeable and features.flags.writeable
 
-    def test_share_bytes_roundtrip(self):
+    def test_handle_is_small_and_pickles_as_itself(self):
         with ArrayStore() as store:
-            ref = store.share_bytes(b"hello shared world")
-            assert isinstance(ref, SharedBytesRef)
-            assert ref.load() == b"hello shared world"
-            # Unlike array refs, byte refs unpickle as themselves.
-            assert pickle.loads(pickle.dumps(ref)) == ref
+            handle = store.share({"tol": 1e-9, "rows": np.arange(1000.0)})
+            assert isinstance(handle, SharedContext)
+            assert pickle.loads(pickle.dumps(handle)) == handle
+            assert len(handle.buffers) == 1
+            assert handle.size < 1000
 
     def test_close_unlinks_everything_and_is_idempotent(self):
         store = ArrayStore()
-        store.pack([np.ones(3), np.zeros(2)])
-        store.share_bytes(b"x")
-        assert store.segment_names
+        store.share(np.ones(3))
+        store.share(None)
+        assert len(store.segment_names) == 2
         assert shm.live_segments()
         store.close()
         assert store.segment_names == ()
@@ -80,51 +95,34 @@ class TestArrayStore:
         store = ArrayStore()
         store.close()
         with pytest.raises(EngineError, match="closed"):
-            store.pack([np.ones(1)])
+            store.share(np.ones(1))
 
-    def test_attach_after_unlink_is_a_typed_error(self):
+    def test_load_after_unlink_is_a_typed_error(self):
         store = ArrayStore()
-        ref = store.pack([np.arange(64, dtype=float)])[0]
+        handle = store.share(np.arange(64, dtype=float))
         store.close()
-        assert ref.name not in shm.live_segments()
+        assert handle.name not in shm.live_segments()
         with pytest.raises(EngineError, match="unlinked"):
-            _attach(SharedArrayRef(ref.name, ref.offset, ref.shape, ref.dtype))
+            handle.load()
 
 
-class TestPublish:
-    def test_strips_declared_arrays_without_touching_original(self):
-        dataset = make_synthetic(0)
-        model = BackgroundModel.from_targets(dataset.targets)
-        scorer = LocationICScorer(model, dataset.targets)
-        targets_before = scorer.targets
-        with ArrayStore() as store:
-            stripped = publish(scorer, store)
-            assert scorer.targets is targets_before  # original untouched
-            assert isinstance(stripped.targets, SharedArrayRef)
-            restored = pickle.loads(pickle.dumps(stripped))
-        assert np.array_equal(restored.targets, scorer.targets)
-        assert np.array_equal(restored.features, scorer.features)
-        assert np.array_equal(
-            restored.model.labels, scorer.model.labels
-        )
-        assert np.array_equal(restored.model.prior.mean, model.prior.mean)
-
+class TestSharedContexts:
     def test_restored_scorer_scores_bit_identically(self):
-        dataset = make_synthetic(0)
-        model = BackgroundModel.from_targets(dataset.targets)
-        scorer = LocationICScorer(model, dataset.targets)
-        masks = np.zeros((3, dataset.n_rows), dtype=bool)
+        scorer = _scorer()
+        masks = np.zeros((3, scorer.model.n_rows), dtype=bool)
         masks[0, :10] = True
         masks[1, 5:40] = True
         masks[2, ::7] = True
         reference_ics, reference_means = scorer.score_masks(masks)
         with ArrayStore() as store:
-            restored = pickle.loads(pickle.dumps(publish(scorer, store)))
+            restored = _ship(store, scorer)
+            assert not restored.features.flags.writeable
             ics, means = restored.score_masks(masks)
         assert np.array_equal(ics, reference_ics)
         assert np.array_equal(means, reference_means)
+        assert np.array_equal(restored.model.labels, scorer.model.labels)
 
-    def test_spread_objective_publishes(self):
+    def test_restored_spread_objective_scores_bit_identically(self):
         dataset = make_synthetic(0)
         model = BackgroundModel.from_targets(dataset.targets)
         objective = SpreadObjective(model, np.arange(40), dataset.targets)
@@ -132,38 +130,92 @@ class TestPublish:
         w[0] = 1.0
         reference = objective.value(w)
         with ArrayStore() as store:
-            context = publish((objective, 300, 1e-9), store)
-            restored, max_iterations, tol = pickle.loads(pickle.dumps(context))
+            restored, max_iterations, tol = _ship(store, (objective, 300, 1e-9))
             assert (max_iterations, tol) == (300, 1e-9)
             assert restored.value(w) == reference
 
-    def test_shared_array_referenced_twice_ships_once(self):
+    def test_repeated_array_ships_once(self):
         array = np.arange(6, dtype=float)
         with ArrayStore() as store:
-            stripped = publish((array, array), store)
-            assert stripped[0] is stripped[1]
-            assert len(store.segment_names) == 1
-            a, b = pickle.loads(pickle.dumps(stripped))
+            handle = store.share((array, array))
+            assert len(handle.buffers) == 1
+            a, b = handle.load()
+        assert a is b
         assert np.array_equal(a, array)
-        assert np.array_equal(b, array)
-
-    def test_context_without_shareable_arrays_passes_through(self):
-        context = {"max_iterations": 300, "tol": 1e-9}
-        with ArrayStore() as store:
-            assert publish(context, store) is context
-            assert store.segment_names == ()
 
     def test_payload_shrinks_at_least_5x_on_scorer(self):
         """Acceptance: per-session context-shipping payload >= 5x smaller."""
-        dataset = make_synthetic(0)
-        model = BackgroundModel.from_targets(dataset.targets)
-        scorer = LocationICScorer(model, dataset.targets)
-        copied = _pickled_nbytes(scorer)
+        scorer = _scorer()
+        copied = len(pickle.dumps(scorer, protocol=pickle.HIGHEST_PROTOCOL))
         with ArrayStore() as store:
-            shared = _pickled_nbytes(publish(scorer, store))
+            shared = store.share(scorer).size
         assert shared * 5 <= copied, (
             f"expected >=5x reduction, got {copied} -> {shared} bytes"
         )
+
+
+_DTYPES = (np.float64, np.float32, np.int64, np.bool_, np.uint8)
+
+
+@st.composite
+def _laid_out_arrays(draw):
+    """An array in C, F, transposed or strided layout (0-3 dims, sides 0-5)."""
+    dtype = draw(st.sampled_from(_DTYPES))
+    shape = draw(hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=5))
+    values = draw(hnp.arrays(dtype, shape))
+    layout = draw(st.sampled_from(("C", "F", "transposed", "strided")))
+    if layout == "F":
+        return np.asfortranarray(values)
+    if layout == "transposed":
+        return values.T
+    if layout == "strided":
+        spaced = np.zeros(tuple(2 * side for side in shape), dtype=dtype)
+        strided = spaced[(..., *(slice(None, None, 2) for _ in shape))]
+        strided[...] = values
+        return strided
+    return values
+
+
+_CONTEXTS = st.recursive(
+    _laid_out_arrays(),
+    lambda children: (
+        st.lists(children, max_size=3)
+        | st.lists(children, max_size=3).map(tuple)
+        | st.dictionaries(st.text(max_size=3), children, max_size=3)
+    ),
+    max_leaves=8,
+)
+
+
+def _array_pairs(original, loaded):
+    """Yield each original array with its loaded counterpart."""
+    assert type(loaded) is type(original)
+    if isinstance(original, np.ndarray):
+        yield original, loaded
+    elif isinstance(original, dict):
+        assert loaded.keys() == original.keys()
+        for key in original:
+            yield from _array_pairs(original[key], loaded[key])
+    else:
+        assert len(loaded) == len(original)
+        for old, new in zip(original, loaded):
+            yield from _array_pairs(old, new)
+
+
+class TestSharedContextProperty:
+    @settings(max_examples=60, deadline=None)
+    @given(tree=_CONTEXTS, repeated=_laid_out_arrays())
+    def test_any_context_round_trips_byte_for_byte(self, tree, repeated):
+        context = (tree, repeated, [repeated])
+        with ArrayStore() as store:
+            loaded = _ship(store, context)
+        assert loaded[1] is loaded[2][0]
+        for original, array in _array_pairs(context, loaded):
+            assert array.dtype == original.dtype
+            assert array.shape == original.shape
+            assert array.tobytes() == original.tobytes()
+            if original.flags.c_contiguous or original.flags.f_contiguous:
+                assert not array.flags.writeable
 
 
 class TestPruneAttachments:
@@ -172,22 +224,22 @@ class TestPruneAttachments:
     def test_busy_segments_survive_prune(self):
         store = ArrayStore()
         data = np.arange(8, dtype=float)
-        ref = store.pack([data])[0]
-        view = _attach(ref)
+        handle = store.share(data)
+        view = handle.load()
         shm.prune_attachments()
-        assert ref.name in shm._ATTACHED  # shielded by the live view
+        assert handle.name in shm._ATTACHED  # shielded by the live view
         assert np.array_equal(view, data)  # pages still mapped
         del view
         shm.prune_attachments()
-        assert ref.name not in shm._ATTACHED  # closable once views die
+        assert handle.name not in shm._ATTACHED  # closable once views die
         store.close()
 
     def test_keep_shields_viewless_segments(self):
         store = ArrayStore()
-        ref = store.pack([np.ones(4)])[0]
-        shm._attach_segment(ref.name)  # mapped, no views yet
-        shm.prune_attachments(keep=(ref.name,))
-        assert ref.name in shm._ATTACHED
+        handle = store.share(np.ones(4))
+        shm._attach_segment(handle.name)  # mapped, no views yet
+        shm.prune_attachments(keep=(handle.name,))
+        assert handle.name in shm._ATTACHED
         shm.prune_attachments()
-        assert ref.name not in shm._ATTACHED
+        assert handle.name not in shm._ATTACHED
         store.close()
