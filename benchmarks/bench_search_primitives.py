@@ -1,16 +1,21 @@
 """Micro-benchmarks of the search primitives.
 
-The batched candidate scorer is the beam search's inner loop; the spread
-objective's value-and-gradient is the sphere optimizer's.
+The batched candidate scorer is the beam search's inner loop; one
+``RefinementOperator.expand`` is its candidate generation for a whole
+level; the spread objective's value-and-gradient is the sphere
+optimizer's.
 """
 
 import numpy as np
 import pytest
 
+from repro.datasets.crime import make_crime
 from repro.datasets.mammals import make_mammals
 from repro.datasets.water import make_water
+from repro.lang.refinement import RefinementOperator
 from repro.model.background import BackgroundModel
-from repro.search.beam import LocationICScorer
+from repro.search.beam import LocationBeamSearch, LocationICScorer
+from repro.search.config import SearchConfig
 from repro.search.spread import SpreadObjective
 
 
@@ -28,6 +33,39 @@ def bench_batched_scoring_256_candidates(benchmark, mammal_scorer):
     """256 subgroup ICs on the mammals data (n=2220, d_y=124)."""
     scorer, masks = mammal_scorer
     benchmark(lambda: scorer.score_masks(masks))
+
+
+@pytest.fixture(scope="module")
+def crime_level():
+    """The operator, parents, ``seen`` set and arguments of the third
+    ``expand`` of a paper-settings (beam 40) location search on crime."""
+    dataset = make_crime(0)
+    operator = RefinementOperator(dataset)
+    scorer = LocationICScorer(BackgroundModel.from_targets(dataset.targets), dataset.targets)
+    levels = []
+    expand = operator.expand
+
+    def recording(beam, seen, **kwargs):
+        levels.append((list(beam), set(seen), kwargs))
+        return expand(beam, seen, **kwargs)
+
+    operator.expand = recording
+    LocationBeamSearch(operator, scorer, config=SearchConfig(max_depth=3)).run()
+    del operator.expand
+    return operator, levels[2]
+
+
+def bench_expand_level(benchmark, crime_level):
+    """One expand of a 40-parent crime level at depth 3 (n=1994, R=976).
+
+    ``seen`` holds the codes of levels 1-2 and is copied for each round.
+    """
+    operator, (beam, seen, kwargs) = crime_level
+    assert len(beam) == 40
+    level = benchmark.pedantic(
+        operator.expand, setup=lambda: ((beam, set(seen)), kwargs), rounds=20
+    )
+    assert len(level.codes) > 0 and not level.expired
 
 
 @pytest.fixture(scope="module")

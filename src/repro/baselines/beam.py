@@ -68,10 +68,8 @@ class QualityBeamSearch:
         max_size = config.max_size(n_rows)
 
         log = _ResultLog(config.top_k)
-        beam: list[tuple[tuple[int, ...], np.ndarray]] = [
-            ((), np.ones(n_rows, dtype=bool))
-        ]
-        seen: set[tuple[int, ...]] = set()
+        beam: list[tuple[int, np.ndarray]] = [(0, np.ones(n_rows, dtype=bool))]
+        seen: set[int] = set()
         n_evaluated = 0
         expired = False
 
@@ -99,10 +97,10 @@ class QualityBeamSearch:
             if level.expired:
                 expired = True
                 break
-            if not level.codes:
+            if not len(level.codes):
                 break
             top = ranking[: config.beam_width]
-            beam = list(zip([level.codes[i] for i in top.tolist()], masks[top]))
+            beam = list(zip(level.codes[top].tolist(), masks[top]))
 
         ranked = log.ranked()
         return QualitySearchResult(

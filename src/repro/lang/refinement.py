@@ -10,18 +10,28 @@ time, in two forms:
   algebra (``canonical()``, ``is_contradictory()``). It is the readable
   reference.
 - :meth:`RefinementOperator.expand` refines a whole search level at
-  once, on integer codes, and is what the searches run. A description is
-  coded as the sorted tuple of its conditions' *ranks* — their positions
-  in ``Condition.sort_key()`` order — so a sorted code is the canonical
-  form. Admissibility, canonicalisation and dedup become comparisons of
-  numbers. A level's extensions are never built: each candidate's row
-  count, and the column sums of a caller-supplied feature matrix over its
-  extension, come from one matrix product per chunk of parent extensions
-  against a float copy of the dense condition-mask table. A candidate's
-  sums depend only on its parent's extension and its added condition, so
-  parents with one extension (keyed by their mask bytes) share one row
-  of sums per condition, and a product whose parents cover at most half
-  the rows runs over those rows only.
+  once, on integer codes, and is what the searches run. A condition's
+  *rank* is its position in ``Condition.sort_key()`` order over the
+  pool's ``R`` distinct conditions, and a canonical description with
+  ranks ``r_0 < ... < r_{l-1}`` is coded as the one integer
+  ``sum((r_i + 1) * (R + 1)**i)``: its base-``(R + 1)`` digits are its
+  ranks plus one, lowest first, the root is ``0``, and a code's length
+  is its number of digits. Codes are ``int64`` while the longest child
+  of a level fits in 63 bits and Python ints past that, so they stay
+  exact at any depth. Admissibility, canonicalisation and dedup become
+  arithmetic on numbers, run once per level: one (parents x pool)
+  admissibility mask, each child's code from its parent's prefix and
+  suffix sums of digits, and one ``np.unique`` of the level's codes,
+  checked against the ``seen`` set of codes. A level's extensions are
+  never built: each candidate's row count, and the column sums of a
+  caller-supplied feature matrix over its extension, come from one
+  matrix product per chunk of parent extensions against a float copy
+  of the dense condition-mask table. A candidate's sums depend only on
+  its parent's extension and its added condition, so parents with one
+  extension (keyed by their mask bytes) share one row of sums per
+  condition, and a product whose parents cover at most half the rows
+  runs over those rows only. A budget is polled once before the
+  level's codes are built and before each product.
   :meth:`RefinementOperator.child_masks` builds the masks of the few
   candidates a caller keeps, by one gather-AND over the boolean table,
   and :meth:`RefinementOperator.describe` decodes a code.
@@ -32,7 +42,6 @@ building an operator stays as cheap as building its pool.
 
 from __future__ import annotations
 
-from itertools import compress
 from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -75,8 +84,12 @@ class Expansion(NamedTuple):
     ``sums``; ``sums_row`` maps each candidate to it.
     """
 
-    #: Canonical codes of the candidates (decode with ``describe``).
-    codes: list[tuple[int, ...]]
+    #: Canonical code of each candidate, ``(k,)``: ``int64``, or Python
+    #: ints in an object array once a code can pass 63 bits (decode with
+    #: ``describe``).
+    codes: np.ndarray
+    #: Condition count of each candidate, ``(k,)``: its code's length.
+    lengths: np.ndarray
     #: Attribute id of each candidate's added condition, ``(k,)``: the
     #: attribute's position in the order the pool first mentions it.
     attributes: np.ndarray
@@ -92,12 +105,13 @@ class Expansion(NamedTuple):
     sums_row: np.ndarray
     #: Number of distinct parent extensions expanded.
     extensions: int
-    #: Refinements dropped because their code was already in ``seen``.
+    #: Refinements dropped because ``seen`` or an earlier refinement of
+    #: the level had their code.
     duplicates: int
     #: Refinements dropped by the coverage bounds.
     out_of_range: int
-    #: True if the budget ran out before every parent was expanded and
-    #: every row of sums computed.
+    #: True if the budget ran out before the level's codes were built or
+    #: before every row of sums was computed.
     expired: bool
 
 
@@ -106,11 +120,13 @@ class _Tables(NamedTuple):
 
     rank: dict[Condition, int]  # condition -> rank
     by_rank: tuple[Condition, ...]  # rank -> condition
+    rank_attr: np.ndarray  # (R,) attribute id of each rank
+    rank_kind: np.ndarray  # (R,) _LE | _GE | _EQ
+    rank_threshold: np.ndarray  # (R,) threshold; NaN for equalities
     pool_rank: np.ndarray  # (P,) rank of each pool condition, pool order
-    pool_attr: np.ndarray  # (P,) attribute id
-    pool_kind: np.ndarray  # (P,) _LE | _GE | _EQ
-    pool_threshold: np.ndarray  # (P,) threshold; NaN for equalities
-    rank_info: list[tuple[int, int, float]]  # rank -> (attr, kind, threshold)
+    pool_attr: np.ndarray  # (P,) rank_attr[pool_rank]
+    pool_kind: np.ndarray  # (P,) rank_kind[pool_rank]
+    pool_threshold: np.ndarray  # (P,) rank_threshold[pool_rank]
     n_attributes: int
     masks: np.ndarray  # (R, n_rows) read-only, by rank
     rows: list[np.ndarray]  # the rows of ``masks``, as mask_of hands them out
@@ -182,28 +198,27 @@ class RefinementOperator:
         attribute_ids: dict[str, int] = {}
         for condition in self._pool:
             attribute_ids.setdefault(condition.attribute, len(attribute_ids))
-        rank_info = []
-        for condition in by_rank:
-            if isinstance(condition, NumericCondition):
-                kind = _LE if condition.op == LE else _GE
-                threshold = condition.threshold
-            else:
-                kind, threshold = _EQ, float("nan")
-            rank_info.append((attribute_ids[condition.attribute], kind, threshold))
+        rank_attr = np.array([attribute_ids[c.attribute] for c in by_rank], dtype=np.intp)
+        rank_kind = np.full(len(by_rank), _EQ, dtype=np.intp)
+        rank_threshold = np.full(len(by_rank), np.nan)
         masks = np.empty((len(by_rank), self.dataset.n_rows), dtype=bool)
         for r, condition in enumerate(by_rank):
             masks[r] = condition.mask(self.dataset)
+            if isinstance(condition, NumericCondition):
+                rank_kind[r] = _LE if condition.op == LE else _GE
+                rank_threshold[r] = condition.threshold
         masks.setflags(write=False)
         pool_rank = np.array([rank[c] for c in self._pool], dtype=np.intp)
-        info = [rank_info[r] for r in pool_rank.tolist()]
         self._table = _Tables(
             rank=rank,
             by_rank=by_rank,
+            rank_attr=rank_attr,
+            rank_kind=rank_kind,
+            rank_threshold=rank_threshold,
             pool_rank=pool_rank,
-            pool_attr=np.array([a for a, _, _ in info], dtype=np.intp),
-            pool_kind=np.array([k for _, k, _ in info], dtype=np.intp),
-            pool_threshold=np.array([t for _, _, t in info], dtype=float),
-            rank_info=rank_info,
+            pool_attr=rank_attr[pool_rank],
+            pool_kind=rank_kind[pool_rank],
+            pool_threshold=rank_threshold[pool_rank],
             n_attributes=len(attribute_ids),
             masks=masks,
             rows=list(masks),
@@ -252,13 +267,26 @@ class RefinementOperator:
                 break
         return mask
 
-    def describe(self, code: Sequence[int]) -> Description:
+    def describe(self, code: int) -> Description:
         """Decode a canonical code from :meth:`expand` into its description.
 
-        The result equals its own ``canonical()`` form.
+        A code is ``sum((r_i + 1) * (R + 1)**i)`` over its conditions'
+        ranks ``r_0 < ... < r_{l-1}`` (see the module docstring), so its
+        base-``(R + 1)`` digits, lowest first, are those ranks plus one.
+        ``int64`` and Python int codes decode alike. The result equals its
+        own ``canonical()`` form.
         """
         by_rank = self._tables().by_rank
-        return Description(tuple(by_rank[r] for r in code))
+        return Description(tuple(by_rank[r] for r in self._ranks(code)))
+
+    def _ranks(self, code: int) -> list[int]:
+        """The ranks of a code's conditions, ascending."""
+        base = len(self._tables().by_rank) + 1
+        code, ranks = int(code), []
+        while code:
+            code, digit = divmod(code, base)
+            ranks.append(digit - 1)
+        return ranks
 
     # ------------------------------------------------------------------ #
     # Refinement
@@ -293,8 +321,8 @@ class RefinementOperator:
 
     def expand(
         self,
-        beam: Sequence[tuple[tuple[int, ...], np.ndarray]],
-        seen: set[tuple[int, ...]],
+        beam: Sequence[tuple[int, np.ndarray]],
+        seen: set[int],
         *,
         features: np.ndarray | None = None,
         min_size: int = 1,
@@ -305,26 +333,34 @@ class RefinementOperator:
 
         Produces the same refinements, in the same order, as
         :meth:`refinements` on each decoded parent. A parent's code must
-        be the tuple code of a canonical, non-contradictory description
-        (every code :meth:`expand` returns is; the root is ``()``), and
-        its mask that description's extension. A refinement whose code
-        is in ``seen`` is dropped as a duplicate; every other one is
-        added to ``seen`` *before* its row count is checked against the
-        coverage bounds ``min_size <= size <= max_size``
-        (``max_size=None`` is unbounded), so ``seen`` spans every level
-        it is passed to. ``budget`` is polled before each parent and
-        before each sums product; once it has expired the expansion
-        stops and reports ``expired``, and returns only the candidates
-        whose sums were computed in time.
+        be the integer code of a canonical, non-contradictory description
+        (every code :meth:`expand` returns is; the root is ``0``), and
+        its mask that description's extension. A refinement is dropped as
+        a duplicate when ``seen`` or an earlier refinement of the level
+        has its code; every other code is added to ``seen`` *before* its
+        row count is checked against the coverage bounds
+        ``min_size <= size <= max_size`` (``max_size=None`` is
+        unbounded), so ``seen`` spans every level it is passed to.
+        ``budget`` is polled once before pass 1 and before each sums
+        product; once it has expired the expansion stops and reports
+        ``expired``, and returns only the candidates whose sums were
+        computed in time (none, and ``seen`` untouched, if it expired
+        before pass 1).
 
         ``features`` is an ``(n_rows, m)`` float matrix whose column sums
         over each candidate's extension are returned in ``sums``;
         ``None`` returns the row counts only. The work runs in two
         passes:
 
-        1. Per parent: admissibility, dedup against ``seen`` and the
-           children's codes, as above. Parents are keyed by their mask
-           bytes, so parents with one extension share one number.
+        1. The whole level at once: one (parents x pool) admissibility
+           mask, whose nonzeros are the refinements in generation order;
+           each one's code from its parent's prefix and suffix sums of
+           digits; and one ``np.unique`` of the level's codes, whose
+           first occurrences are checked against ``seen``. Codes are
+           ``int64`` when ``(R + 1)**(l + 1) < 2**63`` for the longest
+           parent's length ``l``, and Python ints in an object array
+           otherwise. Parents are keyed by their mask bytes, so parents
+           with one extension share one number.
         2. One row of sums per distinct (extension, added condition)
            pair, extension-major. Each chunk of distinct extensions
            contributes the rows ``[mask, mask * features]'`` to one
@@ -339,71 +375,83 @@ class RefinementOperator:
         n_rows = self.dataset.n_rows
         if max_size is None:
             max_size = n_rows
-        is_le = table.pool_kind == _LE
-        is_ge = table.pool_kind == _GE
-        is_eq = table.pool_kind == _EQ
-        threshold = table.pool_threshold
-        # Pass 1: each parent's fresh children, and the number of its
-        # extension among the distinct ones, in order of first appearance.
+        expired = budget is not None and budget.expired
+        if expired:
+            beam = []
+        n_ranks = len(table.by_rank)
+        base = n_ranks + 1
+        # Pass 1. The number of each parent's extension among the
+        # distinct ones, in order of first appearance.
         extension_of: dict[bytes, int] = {}
-        parent_extension = np.zeros(len(beam), dtype=np.intp)
-        codes: list[tuple[int, ...]] = []
-        pool: list[np.ndarray] = []  # pool index of each added condition
-        n_children = np.zeros(len(beam), dtype=np.intp)
-        duplicates = 0
-        expired = False
-        for j, (code, mask) in enumerate(beam):
-            if budget is not None and budget.expired:
-                expired = True
-                break
-            parent_extension[j] = extension_of.setdefault(mask.tobytes(), len(extension_of))
-            # The parent's interval and equality per attribute, and the
-            # code slot of each bound: a tighter bound of the same kind
-            # takes that slot, anything else is inserted in rank order.
-            upper = np.full(table.n_attributes, np.inf)
-            lower = np.full(table.n_attributes, -np.inf)
-            has_equality = np.zeros(table.n_attributes, dtype=bool)
-            slot = np.full((table.n_attributes, 3), -1, dtype=np.intp)
-            for position, r in enumerate(code):
-                attribute, kind, bound = table.rank_info[r]
-                if kind == _EQ:
-                    has_equality[attribute] = True
-                    continue
-                if kind == _LE:
-                    upper[attribute] = bound
-                else:
-                    lower[attribute] = bound
-                slot[attribute, kind] = position
-            ub = upper[table.pool_attr]
-            lb = lower[table.pool_attr]
-            admissible = np.flatnonzero(
-                (is_le & (threshold < ub) & (threshold >= lb))
-                | (is_ge & (threshold > lb) & (threshold <= ub))
-                | (is_eq & ~has_equality[table.pool_attr])
-            )
-            ranks = table.pool_rank[admissible]
-            replaced = slot[table.pool_attr[admissible], table.pool_kind[admissible]]
-            inserted = np.searchsorted(np.asarray(code, dtype=np.intp), ranks)
-            cut_lo = np.where(replaced >= 0, replaced, inserted)
-            cut_hi = cut_lo + (replaced >= 0)
-            fresh: list[int] = []
-            for i, (r, lo, hi) in enumerate(
-                zip(ranks.tolist(), cut_lo.tolist(), cut_hi.tolist())
-            ):
-                child = code[:lo] + (r,) + code[hi:]
-                if child in seen:
-                    continue
-                seen.add(child)
-                fresh.append(i)
-                codes.append(child)
-            duplicates += len(ranks) - len(fresh)
-            pool.append(admissible[fresh])
-            n_children[j] = len(fresh)
-        added = np.concatenate(pool) if pool else np.zeros(0, dtype=np.intp)
-        parents = np.repeat(np.arange(len(beam)), n_children)
+        parent_extension = np.array(
+            [extension_of.setdefault(mask.tobytes(), len(extension_of)) for _, mask in beam],
+            dtype=np.intp,
+        )
+        # Each parent's ranks, padded with R (past every rank).
+        decoded = [self._ranks(code) for code, _ in beam]
+        n_conditions = np.array([len(ranks) for ranks in decoded], dtype=np.intp)
+        longest = int(n_conditions.max(initial=0))
+        parent_ranks = np.array(
+            [ranks + [n_ranks] * (longest - len(ranks)) for ranks in decoded], dtype=np.intp
+        ).reshape(len(beam), longest)
+        j, position = np.nonzero(parent_ranks < n_ranks)
+        r = parent_ranks[j, position]
+        # The parents' interval and equality per attribute, and the code
+        # position of each bound: a tighter bound of the same kind takes
+        # that position, anything else is inserted in rank order.
+        shape = (len(beam), table.n_attributes)
+        upper = np.full(shape, np.inf)
+        lower = np.full(shape, -np.inf)
+        has_equality = np.zeros(shape, dtype=bool)
+        slot = np.full((*shape, 3), -1, dtype=np.intp)
+        attribute, kind = table.rank_attr[r], table.rank_kind[r]
+        le, ge, eq = kind == _LE, kind == _GE, kind == _EQ
+        upper[j[le], attribute[le]] = table.rank_threshold[r[le]]
+        lower[j[ge], attribute[ge]] = table.rank_threshold[r[ge]]
+        has_equality[j[eq], attribute[eq]] = True
+        slot[j, attribute, kind] = position
+        # Admissibility; the nonzeros are parent-major, in pool order.
+        pool_attr, threshold = table.pool_attr, table.pool_threshold
+        ub, lb = upper[:, pool_attr], lower[:, pool_attr]
+        parents, added = np.nonzero(
+            ((table.pool_kind == _LE) & (threshold < ub) & (threshold >= lb))
+            | ((table.pool_kind == _GE) & (threshold > lb) & (threshold <= ub))
+            | ((table.pool_kind == _EQ) & ~has_equality[:, pool_attr])
+        )
+        ranks = table.pool_rank[added]
+        replaced = slot[parents, pool_attr[added], table.pool_kind[added]]
+        replaces = replaced >= 0
+        inserted = np.count_nonzero(parent_ranks[parents] < ranks[:, None], axis=1)
+        cut_lo = np.where(replaces, replaced, inserted)
+        cut_hi = cut_lo + replaces
+        # Each child's code: its parent's digits below the cut (low), its
+        # own digit, and its parent's digits from the cut up (high),
+        # shifted one place further when the child inserts.
+        dtype = np.int64 if base ** (longest + 1) < 2**63 else object
+        power = np.array([base**t for t in range(longest + 1)], dtype=dtype)
+        digits = np.zeros((len(beam), longest), dtype=dtype)
+        digits[j, position] = (r + 1) * power[position]
+        low = np.zeros((len(beam), longest + 1), dtype=dtype)
+        high = np.zeros_like(low)
+        low[:, 1:] = np.cumsum(digits, axis=1)
+        high[:, :-1] = np.cumsum(digits[:, ::-1], axis=1)[:, ::-1]
+        codes = (
+            low[parents, cut_lo]
+            + (ranks + 1) * power[cut_lo]
+            + high[parents, cut_hi] * np.where(replaces, 1, base)
+        )
+        lengths = n_conditions[parents] + ~replaces
+        # Dedup: the first child of the level with each code, unless seen has it.
+        unique, first = np.unique(codes, return_index=True)
+        fresh = ~np.fromiter(
+            map(seen.__contains__, unique.tolist()), dtype=bool, count=len(unique)
+        )
+        seen.update(unique[fresh].tolist())
+        keep = np.sort(first[fresh])
+        duplicates = len(codes) - len(keep)
+        parents, added, codes, lengths = parents[keep], added[keep], codes[keep], lengths[keep]
         # Pass 2: one row of sums per distinct (extension, added rank)
         # pair, extension-major, then the coverage filter on those rows.
-        n_ranks = len(table.by_rank)
         row_keys, sums_row = np.unique(
             parent_extension[parents] * n_ranks + table.pool_rank[added],
             return_inverse=True,
@@ -417,10 +465,10 @@ class RefinementOperator:
         # dropped like the children of a parent that was not expanded.
         in_range = np.zeros(len(row_keys), dtype=bool)
         in_range[: len(sums)] = (sums[:, 0] >= min_size) & (sums[:, 0] <= max_size)
-        keep = in_range[sums_row]
-        kept = np.flatnonzero(keep)
+        kept = np.flatnonzero(in_range[sums_row])
         return Expansion(
-            codes=list(compress(codes, keep.tolist())),
+            codes=codes[kept],
+            lengths=lengths[kept],
             attributes=table.pool_attr[added[kept]],
             parents=parents[kept],
             ranks=table.pool_rank[added[kept]],
@@ -484,7 +532,7 @@ class RefinementOperator:
 
     def child_masks(
         self,
-        beam: Sequence[tuple[tuple[int, ...], np.ndarray]],
+        beam: Sequence[tuple[int, np.ndarray]],
         parents: np.ndarray,
         ranks: np.ndarray,
     ) -> np.ndarray:

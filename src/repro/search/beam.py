@@ -430,10 +430,8 @@ class LocationBeamSearch:
         dl_array = np.array(dl)
 
         log = _ResultLog(config.top_k)
-        beam: list[tuple[tuple[int, ...], np.ndarray]] = [
-            ((), np.ones(n_rows, dtype=bool))
-        ]
-        seen: set[tuple[int, ...]] = set()
+        beam: list[tuple[int, np.ndarray]] = [(0, np.ones(n_rows, dtype=bool))]
+        seen: set[int] = set()
         n_evaluated = 0
         depth_reached = 0
         expired = False
@@ -465,7 +463,7 @@ class LocationBeamSearch:
                 if level.expired:
                     expired = True
                     break
-                if not codes:
+                if not len(codes):
                     break
                 BEAM_CANDIDATES.inc(len(codes))
 
@@ -487,8 +485,7 @@ class LocationBeamSearch:
                     tags={"depth": depth, "candidates": len(codes)},
                 )
 
-                n_conditions = np.fromiter(map(len, codes), dtype=np.intp, count=len(codes))
-                si = ics / dl_array[n_conditions - 1]
+                si = ics / dl_array[level.lengths - 1]
                 # Best first, generation order among ties.
                 ranking = np.argsort(-si, kind="stable")
                 # Only a level's best top_k can reach the log; an observer
@@ -500,12 +497,11 @@ class LocationBeamSearch:
                 masks = operator.child_masks(beam, level.parents[rows], level.ranks[rows])
                 mask_of = dict(zip(rows.tolist(), masks))
                 for i in np.sort(chosen).tolist():
-                    code = codes[i]
                     entry = ScoredSubgroup(
-                        description=operator.describe(code),
+                        description=operator.describe(codes[i]),
                         indices=np.flatnonzero(mask_of[i]),
                         observed_mean=observed[level.sums_row[i]],
-                        score=PatternScore(ic=float(ics[i]), dl=dl[len(code) - 1]),
+                        score=PatternScore(ic=float(ics[i]), dl=dl[level.lengths[i] - 1]),
                     )
                     log.add(entry.si, entry)
                     if self.observer is not None:

@@ -160,34 +160,35 @@ class BranchAndBoundLocationSearch:
 
         best: ScoredSubgroup | None = None
         log = _ResultLog(config.top_k)
-        seen: set[tuple[int, ...]] = set()
+        seen: set[int] = set()
         expanded = pruned = evaluated = 0
         expired = False
         depth_reached = 0
 
         # Depth-first with best-IC-first child ordering, so strong
-        # incumbents appear early and sharpen the pruning threshold.
+        # incumbents appear early and sharpen the pruning threshold. A
+        # node is (code, mask, depth, condition count).
         root_mask = np.ones(n, dtype=bool)
-        stack: list[tuple[tuple[int, ...], np.ndarray, int]] = [((), root_mask, 0)]
+        stack: list[tuple[int, np.ndarray, int, int]] = [(0, root_mask, 0, 0)]
 
         while stack:
             if budget.expired:
                 expired = True
                 break
-            code, mask, depth = stack.pop()
+            code, mask, depth, length = stack.pop()
             if depth >= config.max_depth:
                 continue
             # Prune on the optimistic bound before expanding.
             if best is not None:
                 bound_dl = description_length(
-                    max(len(code), 1), kind=LOCATION, params=self.dl_params
+                    max(length, 1), kind=LOCATION, params=self.dl_params
                 )
                 if self.optimistic_ic(mask) / bound_dl <= best.si:
                     pruned += 1
                     continue
             expanded += 1
 
-            children: list[tuple[float, tuple[int, ...], np.ndarray]] = []
+            children: list[tuple[float, int, np.ndarray, int]] = []
             parent = [(code, mask)]
             level = self.operator.expand(
                 parent,
@@ -196,13 +197,15 @@ class BranchAndBoundLocationSearch:
                 max_size=self._max_size,
             )
             masks = self.operator.child_masks(parent, level.parents, level.ranks)
-            for child, child_mask in zip(level.codes, masks):
+            for child, n_conditions, child_mask in zip(
+                level.codes.tolist(), level.lengths.tolist(), masks
+            ):
                 size = int(child_mask.sum())
                 mean = float(self.targets[child_mask].mean())
                 ic = self._ic_of(size, mean)
                 evaluated += 1
-                depth_reached = max(depth_reached, len(child))
-                dl = description_length(len(child), kind=LOCATION, params=self.dl_params)
+                depth_reached = max(depth_reached, n_conditions)
+                dl = description_length(n_conditions, kind=LOCATION, params=self.dl_params)
                 entry = ScoredSubgroup(
                     description=self.operator.describe(child),
                     indices=np.flatnonzero(child_mask),
@@ -212,12 +215,12 @@ class BranchAndBoundLocationSearch:
                 log.add(entry.si, entry)
                 if best is None or entry.si > best.si:
                     best = entry
-                children.append((ic, child, child_mask))
+                children.append((ic, child, child_mask, n_conditions))
 
             # Push the weakest child first so the strongest is explored next.
             children.sort(key=lambda c: c[0])
-            for ic, child, child_mask in children:
-                stack.append((child, child_mask, depth + 1))
+            for ic, child, child_mask, n_conditions in children:
+                stack.append((child, child_mask, depth + 1, n_conditions))
 
         self.stats = BranchBoundStats(
             nodes_expanded=expanded,

@@ -114,11 +114,12 @@ def _as_float(value: Any, field_name: str) -> float:
     """A number spelled as an int or a float, as a float.
 
     ``gamma=1`` and ``gamma=1.0`` are the same work and must fingerprint
-    equally however the spec was spelled; bools and non-numbers raise.
+    equally however the spec was spelled, and so are ``-0.0`` and ``0``:
+    adding ``0.0`` turns ``-0.0`` into ``0.0``. Bools and non-numbers raise.
     """
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ReproError(f"{field_name} must be a number, got {value!r}")
-    return float(value)
+    return float(value) + 0.0
 
 
 def _name_tuple(value: Any, field_name: str) -> tuple[str, ...]:
@@ -148,11 +149,14 @@ def _weight_tuple(value: Any, field_name: str) -> tuple[float, ...]:
 
 
 def _float_array(value: Any, field_name: str) -> np.ndarray:
-    """A nested list of ints and floats as a float array; anything else raises."""
+    """A nested list of ints and floats as a float array; anything else raises.
+
+    As in :func:`_as_float`, ``-0.0`` entries become ``0.0``.
+    """
     try:
         array = np.asarray(value)
         if array.dtype.kind in "iuf":
-            return array.astype(float)
+            return array.astype(float) + 0.0
     except ValueError:  # ragged nesting
         pass
     raise ReproError(f"{field_name} must be numbers, got {value!r}")

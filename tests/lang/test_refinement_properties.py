@@ -16,7 +16,10 @@ Seeded randomized datasets drive four families of properties:
   per-candidate sums equal the reference masks' row counts and feature
   sums, and :meth:`RefinementOperator.child_masks` rebuilds the
   reference masks bit for bit. Candidates that add one condition to
-  parents with one extension share exactly one row of sums.
+  parents with one extension share exactly one row of sums. A code is
+  one integer: :meth:`RefinementOperator.describe` inverts the
+  documented coding, ``lengths`` counts each code's conditions, and a
+  code past 63 bits is a Python int.
 - **Textual round-trip** — descriptions survive ``str`` →
   :meth:`Description.parse` (exactly for thresholds representable at
   the renderer's 6 significant digits; textually for arbitrary pool
@@ -133,15 +136,17 @@ class TestMaskMemoization:
         assert operator.mask_of(twin) is first
 
 
-def encode(operator: RefinementOperator, description: Description) -> tuple[int, ...]:
-    """A canonical description's code: its conditions' ranks, sorted.
+def encode(operator: RefinementOperator, description: Description) -> int:
+    """A canonical description's code, ``sum((r_i + 1) * (R + 1)**i)``.
 
-    Ranks are positions in ``sort_key()`` order over the pool, which is
-    the documented coding :meth:`RefinementOperator.describe` inverts.
+    ``r_0 < ... < r_{l-1}`` are its conditions' ranks, their positions in
+    ``sort_key()`` order over the pool's ``R`` conditions: the documented
+    coding :meth:`RefinementOperator.describe` inverts.
     """
     ranked = sorted(operator.conditions, key=lambda c: c.sort_key())
     rank = {condition: r for r, condition in enumerate(ranked)}
-    return tuple(sorted(rank[c] for c in description.canonical().conditions))
+    ranks = sorted(rank[c] for c in description.canonical().conditions)
+    return sum((r + 1) * (len(ranked) + 1) ** i for i, r in enumerate(ranks))
 
 
 def draw_parent(draw, operator: RefinementOperator) -> Description:
@@ -261,10 +266,10 @@ class TestExpandMatchesReference:
         operator = make_operator(0)
         seen: set = set()
         level = operator.expand(
-            [((), np.ones(N_ROWS, dtype=bool))], seen, budget=TimeBudget(0.0)
+            [(0, np.ones(N_ROWS, dtype=bool))], seen, budget=TimeBudget(0.0)
         )
         assert level.expired
-        assert level.codes == [] and level.sums.shape == (0, 1)
+        assert len(level.codes) == 0 and level.sums.shape == (0, 1)
         assert len(level.attributes) == len(level.parents) == len(level.ranks) == 0
         assert (level.duplicates, level.out_of_range) == (0, 0)
         assert seen == set()
@@ -276,10 +281,10 @@ class TestExpandMatchesReference:
         assert len({mask.tobytes() for _, mask in beam}) == len(beam)
         coded = [(encode(operator, p), mask) for p, mask in beam]
         # 300 feature columns put one extension in each product; the budget
-        # lets every parent through pass 1 and then one product run.
+        # lets pass 1 (one poll) and then one product run.
         features = np.random.default_rng(0).standard_normal((N_ROWS, 300))
         level = operator.expand(
-            coded, set(), features=features, budget=ExpiresAfter(len(beam) + 1)
+            coded, set(), features=features, budget=ExpiresAfter(2)
         )
         expected, _, out_of_range = reference_level(operator, beam[:1], set(), 1, N_ROWS)
         assert level.expired
@@ -306,7 +311,7 @@ class TestExpandMatchesReference:
             )
         scorer = LocationICScorer(model, dataset.targets)
         assert scorer._uniform_cov is not evolved
-        root = [((), np.ones(N_ROWS, dtype=bool))]
+        root = [(0, np.ones(N_ROWS, dtype=bool))]
         first = operator.expand(root, set())
         masks = operator.child_masks(root, first.parents[:4], first.ranks[:4])
         beam = list(zip(first.codes[:4], masks))
@@ -322,6 +327,59 @@ class TestExpandMatchesReference:
             np.abs(observed - ref_observed)
             <= 1e-12 * np.maximum(1.0, np.abs(ref_observed))
         )
+
+
+class TestIntegerCodes:
+    @given(seed=st.integers(0, 19), data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_describe_inverts_encode(self, seed, data):
+        operator = make_operator(seed)
+        parent = draw_parent(data.draw, operator)
+        assert operator.describe(encode(operator, parent)) == parent
+
+    @given(seed=st.integers(0, 19), data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_lengths_are_condition_counts(self, seed, data):
+        operator = make_operator(seed)
+        parents = [draw_parent(data.draw, operator) for _ in range(data.draw(st.integers(1, 4)))]
+        coded = [(encode(operator, p), operator.extension_mask(p)) for p in parents]
+        level = operator.expand(coded, set())
+        assert level.lengths.tolist() == [len(operator.describe(c)) for c in level.codes]
+
+    def test_codes_past_63_bits_are_python_ints(self):
+        # 6 numeric columns at 60 split points: R = 720 conditions, and
+        # 721**6 < 2**63 < 721**7, so a 7-condition code needs a Python int.
+        rng = np.random.default_rng(0)
+        columns = [
+            Column(f"v{i}", AttributeKind.NUMERIC, rng.uniform(0, 1, 200)) for i in range(6)
+        ]
+        dataset = Dataset("wide", columns, rng.standard_normal((200, 1)), ["t"])
+        operator = RefinementOperator(dataset, n_split_points=60)
+        assert len(operator) == 720
+        # The loosest ">=" bound on each column: its children that add a
+        # "<=" bound have 7 conditions.
+        loosest: dict = {}
+        for condition in operator.conditions:
+            if condition.op == ">=":
+                loosest.setdefault(condition.attribute, condition)
+        parent = Description(tuple(loosest.values())).canonical()
+        beam = [(parent, operator.extension_mask(parent))]
+        coded = [(encode(operator, parent), beam[0][1])]
+        level = operator.expand(coded, set())
+
+        assert level.codes.dtype == object
+        assert all(type(code) is int for code in level.codes)
+        assert max(level.lengths) == 7 and max(level.codes) >= 2**63
+        expected, duplicates, out_of_range = reference_level(
+            operator, beam, set(), 1, dataset.n_rows
+        )
+        assert [operator.describe(c) for c in level.codes] == [e[0] for e in expected]
+        assert [
+            encode(operator, operator.describe(c)) for c in level.codes
+        ] == level.codes.tolist()
+        masks = operator.child_masks(coded, level.parents, level.ranks)
+        np.testing.assert_array_equal(masks, np.array([e[2] for e in expected]))
+        assert (level.duplicates, level.out_of_range) == (duplicates, out_of_range)
 
 
 @functools.lru_cache(maxsize=32)

@@ -10,7 +10,7 @@ same spec, with the same fingerprint and hash.
 import itertools
 import json
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.persist import job_from_dict, job_to_dict
@@ -83,6 +83,15 @@ def respell(node, flip):
 
 
 @given(kwargs=specs, flips=st.lists(st.booleans(), min_size=1, max_size=16))
+@example(  # -0.0, respelled as the int 0, in a float field and in the prior
+    kwargs={
+        "dataset_seed": 0, "n_split_points": 1, "kind": "location", "n_iterations": 1,
+        "seed": 0, "beam_width": 1, "max_depth": 1, "top_k": 1, "min_coverage": 2,
+        "max_coverage_fraction": 1.0, "gamma": -0.0, "eta": 1.0, "priority": 0,
+        "prior": {"mean": [0.0, -0.0], "cov": [[1.0, 0.0], [0.0, 1.0]]},
+    },
+    flips=[True],
+)
 @settings(max_examples=40, deadline=None)
 def test_every_spelling_is_one_job(kwargs, flips):
     cycle = itertools.cycle(flips)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.datasets.crime import make_crime
 from repro.datasets.schema import AttributeKind, Column, Dataset
 from repro.errors import SearchError
 from repro.events import EventLog
@@ -256,6 +257,43 @@ class TestDroppedCounter:
     def test_depth_two_drops_duplicates(self, planted):
         _, duplicates, _ = self._run(planted, max_depth=2)
         assert duplicates > 0
+
+
+@pytest.fixture(scope="module")
+def crime():
+    dataset = make_crime(0)
+    return dataset, RefinementOperator(dataset)
+
+
+class TestDedupAtScale:
+    """Crime's levels hold ~38,800 refinements each, hundreds of them
+    duplicates; the counts of a whole search and its winner are pinned."""
+
+    @pytest.mark.parametrize(
+        ("config", "counts"),
+        [
+            (SearchConfig(), (114_596, 2_053, 479)),
+            # Its depth-7 level expands 6-condition parents, whose
+            # children's codes pass 63 bits.
+            (SearchConfig(beam_width=5, max_depth=7), (29_601, 136, 176)),
+        ],
+    )
+    def test_crime_counts_and_winner(self, crime, config, counts):
+        dataset, operator = crime
+        before = TestDroppedCounter._counts()
+        result = LocationBeamSearch(
+            operator,
+            LocationICScorer(BackgroundModel.from_targets(dataset.targets), dataset.targets),
+            config=config,
+        ).run()
+        candidates, duplicates, coverage = (
+            after - b for after, b in zip(TestDroppedCounter._counts(), before)
+        )
+        assert (result.n_evaluated, duplicates, coverage) == counts
+        assert candidates == result.n_evaluated
+        assert result.depth_reached == config.max_depth
+        assert str(result.best.description) == "pct_illeg >= 0.384248"
+        assert result.best.si == pytest.approx(352.9916773006406, rel=1e-12)
 
 
 @pytest.fixture()
