@@ -3,7 +3,8 @@
 The batched candidate scorer is the beam search's inner loop; one
 ``RefinementOperator.expand`` is its candidate generation for a whole
 level; the spread objective's value-and-gradient is the sphere
-optimizer's.
+optimizer's, and one ``find_spread_direction`` is the spread search's
+ten capped ascents on mammals.
 """
 
 import numpy as np
@@ -16,7 +17,7 @@ from repro.lang.refinement import RefinementOperator
 from repro.model.background import BackgroundModel
 from repro.search.beam import LocationBeamSearch, LocationICScorer
 from repro.search.config import SearchConfig
-from repro.search.spread import SpreadObjective
+from repro.search.spread import SpreadObjective, find_spread_direction
 
 
 @pytest.fixture(scope="module")
@@ -83,6 +84,25 @@ def bench_spread_value_and_grad(benchmark, water_objective):
     """One objective+gradient evaluation on the water data (d_y=16)."""
     objective, w = water_objective
     benchmark(lambda: objective.value_and_grad(w))
+
+
+@pytest.fixture(scope="module")
+def mammal_subgroup():
+    """The prior model and the subgroup ``tmp_mar <= -1.73595`` (444 rows),
+    the first location pattern mined on mammals at seed 0."""
+    dataset = make_mammals(0)
+    rows = np.flatnonzero(dataset.column("tmp_mar").values <= -1.73595)
+    return BackgroundModel.from_targets(dataset.targets), rows, dataset.targets
+
+
+def bench_spread_search(benchmark, mammal_subgroup):
+    """One spread search on mammals (d_y=124): 6 eigenvector and 4 random
+    starts, all ten of which ascend to the 300-iteration cap."""
+    model, rows, targets = mammal_subgroup
+    outcome = benchmark.pedantic(
+        lambda: find_spread_direction(model, rows, targets, seed=0), rounds=5
+    )
+    assert outcome.n_starts == 10
 
 
 def bench_spread_pair_search(benchmark, water_objective):

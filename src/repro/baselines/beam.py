@@ -15,7 +15,7 @@ import numpy as np
 from repro.baselines.quality import QualityMeasure
 from repro.lang.description import Description
 from repro.lang.refinement import RefinementOperator
-from repro.search.beam import _ResultLog
+from repro.search.beam import _ResultLog, _best_first
 from repro.search.config import SearchConfig
 from repro.utils.timer import TimeBudget
 
@@ -86,7 +86,7 @@ class QualityBeamSearch:
             n_evaluated += len(qualities)
             # Best first, generation order among ties; only a level's best
             # top_k can reach the log.
-            ranking = np.argsort(-qualities, kind="stable")
+            ranking = _best_first(qualities, max(config.top_k, config.beam_width))
             for i in np.sort(ranking[: config.top_k]).tolist():
                 subgroup = QualitySubgroup(
                     description=self.operator.describe(level.codes[i]),

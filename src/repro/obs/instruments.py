@@ -78,6 +78,14 @@ IC_KERNEL_CANDIDATES = METRICS.counter(
     "Distinct location candidate extensions scored, by IC kernel path",
     labels=("path",),
 )
+#: Spread-search gradient ascents (repro.search.spread), counted by the
+#: process that runs the search; end ∈ converged (gradient norm under
+#: tol) | stalled (no Armijo ascent) | capped (iteration cap).
+SPREAD_ASCENTS = METRICS.counter(
+    "sisd_spread_ascents_total",
+    "Spread-direction gradient ascents, by how they ended",
+    labels=("end",),
+)
 #: Numerical fallbacks on singular input (repro.utils.linalg,
 #: repro.model.gaussian); kind ∈ lstsq|eig_clip|pinv.
 LINALG_FALLBACKS = METRICS.counter(
@@ -246,6 +254,11 @@ BEAM_DROPPED_COVERAGE = BEAM_CANDIDATES_DROPPED.labels("coverage")
 IC_KERNEL_UNIFORM = IC_KERNEL_CANDIDATES.labels("uniform")
 IC_KERNEL_LOWRANK = IC_KERNEL_CANDIDATES.labels("lowrank")
 IC_KERNEL_EXACT = IC_KERNEL_CANDIDATES.labels("exact")
+
+#: Pre-bound spread ascent ends, by end.
+SPREAD_ASCENT_ENDS = {
+    end: SPREAD_ASCENTS.labels(end) for end in ("converged", "stalled", "capped")
+}
 
 #: Pre-bound linear-algebra fallback kinds.
 LINALG_FALLBACK_LSTSQ = LINALG_FALLBACKS.labels("lstsq")

@@ -326,6 +326,23 @@ class LocationICScorer:
         return float(ics[0]), observed[0]
 
 
+def _best_first(scores: np.ndarray, k: int) -> np.ndarray:
+    """Indices of the ``k`` best scores, best first, ties in index order.
+
+    Equals ``np.argsort(-scores, kind="stable")[:k]`` but sorts only the
+    rows at or above the cut. Every row tied with the ``k``-th best is
+    kept, in index order, so the stable sort breaks the ties at the cut as
+    the full sort would. NaN compares false, so a NaN row is kept too and
+    sorts last, as in the full sort.
+    """
+    negated = -scores
+    if k >= len(negated):
+        return np.argsort(negated, kind="stable")
+    cut = np.partition(negated, k - 1)[k - 1]
+    kept = np.flatnonzero(~(negated > cut))
+    return kept[np.argsort(negated[kept], kind="stable")[:k]]
+
+
 class _ResultLog:
     """Keeps the ``top_k`` entries by score, ties broken by insertion order."""
 
@@ -486,11 +503,13 @@ class LocationBeamSearch:
                 )
 
                 si = ics / dl_array[level.lengths - 1]
-                # Best first, generation order among ties.
-                ranking = np.argsort(-si, kind="stable")
-                # Only a level's best top_k can reach the log; an observer
-                # sees every candidate.
-                chosen = ranking if self.observer is not None else ranking[: config.top_k]
+                # Best first, generation order among ties; only a level's
+                # best top_k can reach the log, and an observer sees every
+                # candidate.
+                ranking = _best_first(si, max(config.top_k, config.beam_width))
+                chosen = ranking[: config.top_k]
+                if self.observer is not None:
+                    chosen = np.arange(len(si))
                 survivors = ranking[: config.beam_width]
                 # Masks for the logged candidates and the next beam only.
                 rows = np.union1d(chosen, survivors)

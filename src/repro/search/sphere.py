@@ -9,6 +9,8 @@ a sign canonicalization (the objective is even in ``w``, so ``w`` and
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from repro.errors import SearchError
@@ -31,13 +33,14 @@ def project_tangent(w: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Project ``v`` onto the tangent space of the sphere at ``w``."""
     w = np.asarray(w, dtype=float)
     v = np.asarray(v, dtype=float)
-    return v - float(w @ v) * w
+    return v - w.dot(v) * w
 
 
 def retract(w: np.ndarray, step: np.ndarray) -> np.ndarray:
     """Metric-projection retraction: move and renormalize."""
     u = np.asarray(w, dtype=float) + np.asarray(step, dtype=float)
-    norm = float(np.linalg.norm(u))
+    # What np.linalg.norm computes for a 1-D float array, minus its dispatch.
+    norm = math.sqrt(u.dot(u))
     if norm <= 1e-300:
         raise SearchError("retraction collapsed to the origin")
     return u / norm

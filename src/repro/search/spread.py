@@ -9,6 +9,12 @@ points, plus random restarts. The paper's 2-sparsity variant —
 "optimizing it for each pair of target attributes separately and then
 selecting the result with the highest SI" — is :func:`find_spread_direction`
 with ``sparsity=2``.
+
+The ascent evaluates each distinct trial point once (see
+:func:`_ascend`): an accepted point's evaluation also gives its
+gradient, and a line search whose move has rounded back to ``w``
+re-tests that one evaluation instead of retracting again. Both reuse the
+bytes a re-evaluation would give, so the mined directions do not change.
 """
 
 from __future__ import annotations
@@ -23,6 +29,7 @@ from scipy.special import digamma, gammaln
 from repro.engine.executor import Executor, SerialExecutor
 from repro.errors import SearchError
 from repro.model.background import BackgroundModel
+from repro.obs.instruments import SPREAD_ASCENT_ENDS
 from repro.search.sphere import canonical_sign, project_tangent, random_unit, retract
 from repro.stats.statistics import subgroup_cov, subgroup_mean
 from repro.utils.rng import as_rng
@@ -68,9 +75,9 @@ class SpreadObjective:
         s = np.einsum("bd,d->b", sigma_w, w)       # w' Sigma_b w per block
         a = s / self.size
         c = self.counts
-        a1 = float(np.sum(c * a))
-        a2 = float(np.sum(c * a**2))
-        a3 = float(np.sum(c * a**3))
+        a1 = float(np.add.reduce(c * a))
+        a2 = float(np.add.reduce(c * a**2))
+        a3 = float(np.add.reduce(c * a**3))
         alpha = a3 / a2
         beta = a1 - a2**2 / a3
         dof = a2**3 / a3**2
@@ -88,10 +95,14 @@ class SpreadObjective:
             + 0.5 * t
         )
 
+    def _evaluate(self, w: np.ndarray) -> tuple[tuple, float]:
+        """The pieces at ``w`` and their IC: one evaluation, for every caller."""
+        pieces = self._pieces(w)
+        return pieces, self._ic(*pieces[3:])
+
     def value(self, w: np.ndarray) -> float:
         """IC of the spread pattern along unit direction ``w``."""
-        _, _, _, alpha, beta, dof, v = self._pieces(np.asarray(w, dtype=float))
-        return self._ic(alpha, beta, dof, v)
+        return self._evaluate(np.asarray(w, dtype=float))[1]
 
     def variance(self, w: np.ndarray) -> float:
         """Empirical subgroup variance along ``w`` (the statistic value)."""
@@ -99,15 +110,20 @@ class SpreadObjective:
         return float(w @ self.empirical_cov @ w)
 
     def value_and_grad(self, w: np.ndarray) -> tuple[float, np.ndarray]:
-        """IC and its Euclidean gradient with respect to ``w``.
+        """IC and its Euclidean gradient with respect to ``w``."""
+        w = np.asarray(w, dtype=float)
+        pieces, ic = self._evaluate(w)
+        return ic, self._gradient(w, pieces)
+
+    def _gradient(self, w: np.ndarray, pieces: tuple) -> np.ndarray:
+        """Euclidean gradient of the IC at ``w``, from its evaluated pieces.
 
         Chain rule through the cumulant sums ``A_k = sum_b c_b a_b^k``
         with ``a_b = w'Sigma_b w / |I|`` and the empirical variance
         ``v = w' S w``; verified against finite differences in the test
         suite.
         """
-        w = np.asarray(w, dtype=float)
-        sigma_w, a, (a1, a2, a3), alpha, beta, dof, v = self._pieces(w)
+        sigma_w, a, (a1, a2, a3), alpha, beta, dof, v = pieces
         t_raw = (v - beta) / alpha
         clamped = t_raw <= _TINY
         t = max(t_raw, _TINY)
@@ -140,7 +156,7 @@ class SpreadObjective:
         )
         grad = (2.0 / self.size) * np.einsum("b,bd->d", coef, sigma_w)
         grad += d_ic_d_v * 2.0 * (self.empirical_cov @ w)
-        return self._ic(alpha, beta, dof, v), grad
+        return grad
 
     # ------------------------------------------------------------------ #
     # Informed starting points
@@ -167,13 +183,26 @@ class SpreadObjective:
 
 @dataclass(frozen=True)
 class SpreadSearchOutcome:
-    """Best direction found, its IC, and the empirical variance along it."""
+    """Best direction found, its IC, and the empirical variance along it.
+
+    ``n_capped`` counts the gradient ascents that stopped at the
+    iteration cap rather than at a stationary point or a failed line
+    search (always 0 for the one-dimensional and 2-sparse searches).
+    """
 
     direction: np.ndarray
     ic: float
     variance: float
     n_starts: int
     n_iterations: int
+    n_capped: int = 0
+
+
+#: Only a shorter move can round back to ``w``: a move of length 1e-12
+#: has a coordinate of at least 1e-12 / sqrt(d), more than half an ulp of
+#: any |w_i| <= 1 for d < 10^7. The exact test ``w + move == w`` decides;
+#: this bound only skips it where it must fail.
+_FROZEN_MOVE = 1e-12
 
 
 def _ascend(
@@ -182,38 +211,66 @@ def _ascend(
     *,
     max_iterations: int,
     tol: float,
-) -> tuple[np.ndarray, float, int]:
-    """Riemannian gradient ascent with backtracking from one start."""
+) -> tuple[np.ndarray, float, int, str]:
+    """Riemannian gradient ascent with backtracking from one start.
+
+    Returns the end point, its IC, the iterations run and how the ascent
+    ended: ``"converged"`` (the Riemannian gradient norm fell under
+    ``tol``), ``"stalled"`` (the line search found no Armijo ascent) or
+    ``"capped"`` (``max_iterations`` ran out).
+
+    Each distinct trial point is evaluated once:
+
+    - the accepted trial point's evaluation gives its gradient, so the
+      pieces are not computed twice on the same ``w``;
+    - once a trial move rounds back to ``w`` exactly (``w + move == w``),
+      every halved move does too, because round-to-nearest is monotone
+      and halving shrinks each coordinate of the move. The retraction of
+      ``w`` is the same candidate each time, so the remaining halvings
+      test its one IC against their own Armijo thresholds.
+
+    Every IC, threshold and comparison is the same floating-point
+    expression on the same bytes as in an ascent that evaluates each
+    trial point afresh, so the end point, its IC and the iteration count
+    are bit for bit that ascent's.
+    """
+    # np.linalg.norm, not a dot: it copies a strided start (an eigenvector
+    # column) first, and the copy's dot sums in another order.
     w = start / float(np.linalg.norm(start))
-    value, grad = objective.value_and_grad(w)
+    pieces, value = objective._evaluate(w)
     iterations = 0
     step = 1.0
+    end = "capped"
     for iterations in range(1, max_iterations + 1):
-        riemannian = project_tangent(w, grad)
-        norm = float(np.linalg.norm(riemannian))
+        riemannian = project_tangent(w, objective._gradient(w, pieces))
+        norm = math.sqrt(riemannian.dot(riemannian))
         if norm < tol:
+            end = "converged"
             break
         direction = riemannian / norm
         # Backtracking Armijo line search along the retraction curve.
         step = min(max(step * 2.0, 1e-8), 1e6 / max(norm, 1.0))
-        improved = False
+        frozen = False
         for _ in range(60):
-            candidate = retract(w, step * norm * direction)
-            candidate_value = objective.value(candidate)
-            if candidate_value > value + 1e-4 * step * norm * norm:
-                improved = True
+            if not frozen:
+                move = step * norm * direction
+                candidate = retract(w, move)
+                trial = objective._evaluate(candidate)
+                frozen = step * norm < _FROZEN_MOVE and bool((w + move == w).all())
+            if trial[1] > value + 1e-4 * step * norm * norm:
                 break
             step *= 0.5
-        if not improved:
+        else:
+            end = "stalled"
             break
         w = candidate
-        value, grad = objective.value_and_grad(w)
-    return w, value, iterations
+        pieces, value = trial
+    return w, value, iterations, end
 
 
 def _ascend_task(
     context: tuple[SpreadObjective, int, float], start: np.ndarray
-) -> tuple[np.ndarray, float, int]:
+) -> tuple[np.ndarray, float, int, str]:
     """Worker entry point: one gradient ascent from one starting point."""
     objective, max_iterations, tol = context
     return _ascend(objective, start, max_iterations=max_iterations, tol=tol)
@@ -271,7 +328,11 @@ def find_spread_direction(
     best_w: np.ndarray | None = None
     best_value = -math.inf
     total_iterations = 0
-    for w, value, iterations in ascents:
+    n_capped = 0
+    for w, value, iterations, end in ascents:
+        # Counted here, in the caller, whichever backend ran the ascent.
+        SPREAD_ASCENT_ENDS[end].inc()
+        n_capped += end == "capped"
         total_iterations += iterations
         if value > best_value:
             best_value = value
@@ -284,6 +345,7 @@ def find_spread_direction(
         variance=objective.variance(best_w),
         n_starts=len(starts),
         n_iterations=total_iterations,
+        n_capped=n_capped,
     )
 
 

@@ -7,7 +7,8 @@ Two acceptance properties:
   datasets, across the serial and process backends;
 - genuinely weighted runs are backend-independent: serial, process-pool
   and shared-memory executors mine bit-identical patterns, the weights
-  riding the ``__shm_arrays__`` transport with everything else.
+  riding with everything else in the session context, one protocol-5
+  pickle whose arrays live in shared memory.
 """
 
 import numpy as np

@@ -3,16 +3,18 @@
 ``sisd_ic_kernel_candidates_total{path}`` counts the rows each IC kernel
 scored: one per distinct (parent extension, added condition) pair, so
 as many as the location candidates when no two parents share an
-extension, as in the runs below, and fewer when some do. And
+extension, as in the runs below, and fewer when some do.
 ``sisd_linalg_fallbacks_total{kind}`` counts every numerical fallback
-taken on singular input, so both questions are answerable from
-``/metrics`` alone.
+taken on singular input, and ``sisd_spread_ascents_total{end}`` says
+how each spread-search ascent ended, so these questions are answerable
+from ``/metrics`` alone.
 """
 
 import numpy as np
 import pytest
 
-from repro.datasets import make_synthetic
+from repro.datasets import make_mammals, make_synthetic
+from repro.engine.executor import ProcessExecutor, SerialExecutor
 from repro.model.gaussian import mvn_logpdf
 from repro.obs.instruments import (
     BEAM_CANDIDATES,
@@ -23,10 +25,13 @@ from repro.obs.instruments import (
     LINALG_FALLBACK_LSTSQ,
     LINALG_FALLBACK_PINV,
     METRICS,
+    SPREAD_ASCENT_ENDS,
 )
+from repro.search import miner as miner_module
 from repro.search.beam import LocationICScorer
 from repro.search.config import SearchConfig
 from repro.search.miner import SubgroupDiscovery
+from repro.search.spread import find_spread_direction
 from repro.utils.linalg import log_det_psd, solve_psd
 
 SINGULAR = np.array([[1.0, 1.0], [1.0, 1.0]])
@@ -39,6 +44,10 @@ def _paths():
         "exact": IC_KERNEL_EXACT.value,
         "candidates": BEAM_CANDIDATES.value,
     }
+
+
+def _ends():
+    return {end: child.value for end, child in SPREAD_ASCENT_ENDS.items()}
 
 
 def _delta(before, after):
@@ -119,3 +128,60 @@ class TestLinalgFallbackCounter:
             LINALG_FALLBACK_EIG_CLIP.value,
             LINALG_FALLBACK_PINV.value,
         )
+
+
+class TestSpreadAscentCounter:
+    """How the spread search's ascents end, at seed 0 and paper settings.
+
+    On mammals (d = 124) the capped ascent stops at its 300-iteration cap
+    from 19 of the 20 starts of a 2-step job; on synthetic (d = 2) every
+    ascent of a 3-step job ends in a failed line search.
+    """
+
+    @pytest.fixture()
+    def outcomes(self, monkeypatch):
+        """Every SpreadSearchOutcome the miner receives."""
+        seen = []
+        find = miner_module.find_spread_direction
+
+        def recording(*args, **kwargs):
+            seen.append(find(*args, **kwargs))
+            return seen[-1]
+
+        monkeypatch.setattr(miner_module, "find_spread_direction", recording)
+        return seen
+
+    @pytest.mark.parametrize(
+        ("make", "steps", "ends"),
+        [
+            (make_mammals, 2, {"converged": 0, "stalled": 1, "capped": 19}),
+            (make_synthetic, 3, {"converged": 0, "stalled": 30, "capped": 0}),
+        ],
+        ids=["mammals", "synthetic"],
+    )
+    def test_ends_at_paper_settings(self, outcomes, make, steps, ends):
+        before = _ends()
+        SubgroupDiscovery(make(0), config=SearchConfig(), seed=0).run(steps, kind="spread")
+        assert _delta(before, _ends()) == ends
+        assert [outcome.n_starts for outcome in outcomes] == [10] * steps
+        assert sum(outcome.n_capped for outcome in outcomes) == ends["capped"]
+
+    def test_ascents_in_process_workers_count_in_the_caller(self, synthetic_model):
+        targets = make_synthetic(0).targets
+        deltas = []
+        for executor in (SerialExecutor(), ProcessExecutor(2)):
+            before = _ends()
+            try:
+                outcome = find_spread_direction(
+                    synthetic_model, np.arange(40), targets, seed=7, executor=executor
+                )
+            finally:
+                executor.close()
+            deltas.append((_delta(before, _ends()), outcome.n_capped))
+        assert deltas[0] == deltas[1]
+        assert sum(deltas[0][0].values()) == 10
+
+    def test_family_renders_with_every_end(self):
+        text = METRICS.render()
+        for end in ("converged", "stalled", "capped"):
+            assert f'sisd_spread_ascents_total{{end="{end}"}}' in text

@@ -1,0 +1,403 @@
+"""The spread ascent against a verbatim copy of the re-evaluating ascent.
+
+:func:`repro.search.spread._ascend` evaluates each distinct trial point
+once. The accepted trial point's evaluation gives its gradient, and a
+line search whose move has rounded back to ``w`` tests that one
+evaluation against its remaining Armijo thresholds. The reference below
+is the ascent as it was before that, copied verbatim together with the
+objective methods and sphere operations it called: it pays a ``value``
+call for every trial point and a ``value_and_grad`` call for every
+accepted one.
+
+On random objectives (1-4 blocks, d = 2-8, a statistic clamped at the
+support boundary or not, starts that reach the frozen tail, small caps)
+both ascents must return the same end-point bytes, the same IC bits and
+the same iteration count. The new ascent must evaluate exactly once per
+distinct trial point, and report how the reference ended.
+
+CI runs this file at one and at two BLAS threads: the reuse argument
+holds for a given input at any thread count.
+"""
+
+import math
+
+import numpy as np
+from hypothesis import assume, event, given, settings
+from hypothesis import strategies as st
+from scipy.special import digamma, gammaln
+
+from repro.errors import SearchError
+from repro.search.spread import _TINY, LN2, SpreadObjective, _ascend
+
+# --------------------------------------------------------------------- #
+# The reference: the re-evaluating ascent, verbatim
+# --------------------------------------------------------------------- #
+
+
+def project_tangent(w: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Project ``v`` onto the tangent space of the sphere at ``w``."""
+    w = np.asarray(w, dtype=float)
+    v = np.asarray(v, dtype=float)
+    return v - float(w @ v) * w
+
+
+def _verbatim_retract(w: np.ndarray, step: np.ndarray) -> np.ndarray:
+    """Metric-projection retraction: move and renormalize."""
+    u = np.asarray(w, dtype=float) + np.asarray(step, dtype=float)
+    norm = float(np.linalg.norm(u))
+    if norm <= 1e-300:
+        raise SearchError("retraction collapsed to the origin")
+    return u / norm
+
+
+class ReferenceObjective(SpreadObjective):
+    """The objective's evaluations as the reference ascent made them."""
+
+    def _pieces(self, w: np.ndarray):
+        sigma_w = self.block_covs @ w              # (B, d)
+        s = np.einsum("bd,d->b", sigma_w, w)       # w' Sigma_b w per block
+        a = s / self.size
+        c = self.counts
+        a1 = float(np.sum(c * a))
+        a2 = float(np.sum(c * a**2))
+        a3 = float(np.sum(c * a**3))
+        alpha = a3 / a2
+        beta = a1 - a2**2 / a3
+        dof = a2**3 / a3**2
+        v = float(w @ self.empirical_cov @ w)
+        return sigma_w, a, (a1, a2, a3), alpha, beta, dof, v
+
+    @staticmethod
+    def _ic(alpha: float, beta: float, dof: float, v: float) -> float:
+        t = max((v - beta) / alpha, _TINY)
+        return (
+            math.log(alpha)
+            + 0.5 * dof * LN2
+            + float(gammaln(0.5 * dof))
+            - (0.5 * dof - 1.0) * math.log(t)
+            + 0.5 * t
+        )
+
+    def value(self, w: np.ndarray) -> float:
+        """IC of the spread pattern along unit direction ``w``."""
+        _, _, _, alpha, beta, dof, v = self._pieces(np.asarray(w, dtype=float))
+        return self._ic(alpha, beta, dof, v)
+
+    def value_and_grad(self, w: np.ndarray) -> tuple[float, np.ndarray]:
+        """IC and its Euclidean gradient with respect to ``w``.
+
+        Chain rule through the cumulant sums ``A_k = sum_b c_b a_b^k``
+        with ``a_b = w'Sigma_b w / |I|`` and the empirical variance
+        ``v = w' S w``; verified against finite differences in the test
+        suite.
+        """
+        w = np.asarray(w, dtype=float)
+        sigma_w, a, (a1, a2, a3), alpha, beta, dof, v = self._pieces(w)
+        t_raw = (v - beta) / alpha
+        clamped = t_raw <= _TINY
+        t = max(t_raw, _TINY)
+
+        # Partials of IC with respect to (alpha, beta, dof, v).
+        d_ic_d_t = 0.5 - (0.5 * dof - 1.0) / t
+        d_ic_d_alpha = 1.0 / alpha + d_ic_d_t * (-t / alpha)
+        d_ic_d_beta = d_ic_d_t * (-1.0 / alpha)
+        d_ic_d_v = d_ic_d_t * (1.0 / alpha)
+        d_ic_d_dof = 0.5 * (LN2 + float(digamma(0.5 * dof)) - math.log(t))
+        if clamped:
+            # On the clamp the statistic no longer responds to (v, beta);
+            # keep only the smooth alpha/dof dependence to avoid a
+            # gradient explosion at the support boundary.
+            d_ic_d_v = 0.0
+            d_ic_d_beta = 0.0
+            d_ic_d_alpha = 1.0 / alpha
+        # Partials of (alpha, beta, dof) with respect to (A1, A2, A3).
+        d_alpha = np.array([0.0, -a3 / a2**2, 1.0 / a2])
+        d_beta = np.array([1.0, -2.0 * a2 / a3, (a2 / a3) ** 2])
+        d_dof = np.array([0.0, 3.0 * a2**2 / a3**2, -2.0 * a2**3 / a3**3])
+        d_ic_d_ak = (
+            d_ic_d_alpha * d_alpha + d_ic_d_beta * d_beta + d_ic_d_dof * d_dof
+        )
+        # dA_k/dw = sum_b c_b k a_b^(k-1) * (2 Sigma_b w / |I|).
+        coef = self.counts * (
+            d_ic_d_ak[0]
+            + d_ic_d_ak[1] * 2.0 * a
+            + d_ic_d_ak[2] * 3.0 * a**2
+        )
+        grad = (2.0 / self.size) * np.einsum("b,bd->d", coef, sigma_w)
+        grad += d_ic_d_v * 2.0 * (self.empirical_cov @ w)
+        return self._ic(alpha, beta, dof, v), grad
+
+
+def reference_ascend(
+    objective: SpreadObjective,
+    start: np.ndarray,
+    *,
+    max_iterations: int,
+    tol: float,
+) -> tuple[np.ndarray, float, int]:
+    """Riemannian gradient ascent with backtracking from one start."""
+    w = start / float(np.linalg.norm(start))
+    value, grad = objective.value_and_grad(w)
+    iterations = 0
+    step = 1.0
+    for iterations in range(1, max_iterations + 1):
+        riemannian = project_tangent(w, grad)
+        norm = float(np.linalg.norm(riemannian))
+        if norm < tol:
+            break
+        direction = riemannian / norm
+        # Backtracking Armijo line search along the retraction curve.
+        step = min(max(step * 2.0, 1e-8), 1e6 / max(norm, 1.0))
+        improved = False
+        for _ in range(60):
+            candidate = retract(w, step * norm * direction)
+            candidate_value = objective.value(candidate)
+            if candidate_value > value + 1e-4 * step * norm * norm:
+                improved = True
+                break
+            step *= 0.5
+        if not improved:
+            break
+        w = candidate
+        value, grad = objective.value_and_grad(w)
+    return w, value, iterations
+
+
+# --------------------------------------------------------------------- #
+# Recording what the reference did
+# --------------------------------------------------------------------- #
+
+#: The reference ascent's events, in order: ``"grad"`` for a
+#: ``value_and_grad`` call (the start, then each accepted trial point),
+#: and for each trial point whether its move rounded back to ``w``.
+TRACE: list = []
+
+
+def retract(w: np.ndarray, step: np.ndarray) -> np.ndarray:
+    """The reference's retraction, recording whether the move is lost."""
+    TRACE.append(bool((w + step == w).all()))
+    return _verbatim_retract(w, step)
+
+
+class RecordedReference(ReferenceObjective):
+    def value_and_grad(self, w):
+        TRACE.append("grad")
+        return super().value_and_grad(w)
+
+
+def line_searches(trace: list) -> list[list[bool]]:
+    """The trace's trial points, one list per line search."""
+    searches: list[list[bool]] = []
+    for item in trace:
+        if item == "grad":
+            searches.append([])
+        else:
+            searches[-1].append(item)
+    return [trials for trials in searches if trials]
+
+
+# --------------------------------------------------------------------- #
+# Random objectives
+# --------------------------------------------------------------------- #
+
+
+def _psd(rng, d: int, scale: float) -> np.ndarray:
+    factor = rng.standard_normal((d, d + 2))
+    return scale * (factor @ factor.T) / (d + 2)
+
+
+def build(cls, counts, block_covs, empirical_cov):
+    """An objective over the given blocks and empirical covariance."""
+    objective = cls.__new__(cls)
+    objective.dim = block_covs.shape[1]
+    objective.counts = counts
+    objective.size = float(counts.sum())
+    objective.block_covs = block_covs
+    objective.empirical_cov = empirical_cov
+    return objective
+
+
+@st.composite
+def problems(draw):
+    d = draw(st.integers(2, 8))
+    n_blocks = draw(st.integers(1, 4))
+    clamped = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    counts = rng.integers(1, 40, n_blocks).astype(float)
+    if draw(st.booleans()):
+        counts *= rng.uniform(0.5, 2.0, n_blocks)     # weighted rows
+    block_covs = np.stack(
+        [_psd(rng, d, 10.0 ** rng.uniform(-1, 1)) for _ in range(n_blocks)]
+    )
+    # A clamped statistic: the subgroup barely varies, so (v - beta) /
+    # alpha falls under the floor.
+    scale = 1e-20 if clamped else 10.0 ** rng.uniform(-2, 1)
+    empirical_cov = _psd(rng, d, scale)
+    start = rng.standard_normal(d)
+    if draw(st.booleans()):
+        # A strided start, as the eigenvector starts are.
+        start = np.repeat(start, 2)[::2]
+    return {
+        "blocks": (counts, block_covs, empirical_cov),
+        "start": start,
+        "clamped": clamped,
+        "max_iterations": draw(st.sampled_from([1, 3, 300, 300])),
+        "tol": draw(st.sampled_from([1e-9, 1e-9, 1e-3])),
+    }
+
+
+def _run_both(blocks, start, *, max_iterations, tol):
+    """Both ascents from one start: results, the trace, new evaluations."""
+    TRACE.clear()
+    reference = reference_ascend(
+        build(RecordedReference, *blocks), start, max_iterations=max_iterations, tol=tol
+    )
+    trace = list(TRACE)
+    objective = build(SpreadObjective, *blocks)
+    evaluate = objective._evaluate
+    evaluations = 0
+
+    def counted(w):
+        nonlocal evaluations
+        evaluations += 1
+        return evaluate(w)
+
+    objective._evaluate = counted
+    new = _ascend(objective, start, max_iterations=max_iterations, tol=tol)
+    return reference, new, trace, evaluations
+
+
+def _assert_same(reference, new, trace, n_evaluations, max_iterations):
+    w, value, iterations = reference
+    new_w, new_value, new_iterations, end = new
+    assert new_w.tobytes() == w.tobytes()
+    assert float(new_value).hex() == float(value).hex()
+    assert new_iterations == iterations
+
+    searches = line_searches(trace)
+    for trials in searches:
+        # Once a move rounds back to w, every halved move does too.
+        if True in trials:
+            assert all(trials[trials.index(True):])
+    # One evaluation for the start, then one per distinct trial point:
+    # the trial points before the move rounds back, and that one point.
+    distinct = sum(trials.count(False) + (True in trials) for trials in searches)
+    assert n_evaluations == 1 + distinct
+
+    # The trace starts with the start point's "grad"; each accepted trial
+    # point adds one.
+    accepted = trace.count("grad") - 1
+    if trace[-1] != "grad":
+        expected_end = "stalled"
+    elif accepted == max_iterations:
+        expected_end = "capped"
+    else:
+        expected_end = "converged"
+    assert end == expected_end
+    event(f"end: {end}")
+    return searches
+
+
+@settings(max_examples=80, deadline=None)
+@given(problems())
+def test_random_objectives_ascend_bit_for_bit(problem):
+    blocks = problem["blocks"]
+    kwargs = {"max_iterations": problem["max_iterations"], "tol": problem["tol"]}
+    if problem["clamped"]:
+        objective = build(ReferenceObjective, *blocks)
+        start = problem["start"] / np.linalg.norm(problem["start"])
+        _, _, _, alpha, beta, _, v = objective._pieces(start)
+        assert (v - beta) / alpha <= _TINY
+    reference, new, trace, n_evaluations = _run_both(blocks, problem["start"], **kwargs)
+    searches = _assert_same(reference, new, trace, n_evaluations, kwargs["max_iterations"])
+    if any(True in trials for trials in searches):
+        event("frozen tail")
+
+
+@settings(max_examples=40, deadline=None)
+@given(problems())
+def test_starts_at_a_stalled_end_take_the_frozen_path(problem):
+    """Restart from where an ascent stalled: the line search fails again,
+    its moves shrink until they round back to ``w``, and the new ascent
+    stops evaluating there."""
+    blocks = problem["blocks"]
+    first, _, _, _ = _run_both(blocks, problem["start"], max_iterations=300, tol=1e-9)
+    start = first[0]
+    reference, new, trace, n_evaluations = _run_both(
+        blocks, start, max_iterations=problem["max_iterations"], tol=1e-9
+    )
+    searches = line_searches(trace)
+    # A frozen tail: halvings left after the move first rounds back.
+    assume(any(trials.count(True) >= 2 for trials in searches))
+    _assert_same(reference, new, trace, n_evaluations, problem["max_iterations"])
+    # The frozen path was taken: fewer evaluations than trial points.
+    n_trials = sum(len(trials) for trials in searches)
+    assert n_evaluations < 1 + n_trials
+
+
+class Plateau:
+    """An IC that only the move rounding back to the start can raise.
+
+    The IC is 0 at the start ``w``, ``1e-25`` at ``w / |w|`` (the
+    retraction of a move that rounds back to ``w``; a different point when
+    ``|w|`` is not exactly 1) and -1 everywhere else, under a constant
+    gradient of norm 1e-3. Every real move fails its Armijo test. The
+    moves round back to ``w`` near step 1e-14, but the IC gain of 1e-25
+    passes the threshold ``1e-4 * step * norm**2`` only near step 1e-15,
+    a few halvings later.
+    """
+
+    def __init__(self, w: np.ndarray, grad: np.ndarray) -> None:
+        self.w = w.tobytes()
+        self.w_hat = _verbatim_retract(w, np.zeros_like(w)).tobytes()
+        self.grad = grad
+        #: How often the line search from ``w`` tested ``w / |w|``.
+        self.hat_tests = 0
+        self.moved = False
+
+    def _ic(self, x: np.ndarray) -> float:
+        if x.tobytes() == self.w:
+            return 0.0
+        return 1e-25 if x.tobytes() == self.w_hat else -1.0
+
+    def value(self, x):
+        self.hat_tests += not self.moved and x.tobytes() == self.w_hat
+        return self._ic(x)
+
+    def value_and_grad(self, x):
+        self.moved = x.tobytes() != self.w
+        return self._ic(x), self.grad
+
+    def _evaluate(self, x):
+        return None, self._ic(x)
+
+    def _gradient(self, x, pieces):
+        return self.grad
+
+
+def test_a_frozen_candidate_passes_a_later_threshold():
+    """The halvings after the move rounds back keep testing that one
+    candidate against their own, smaller thresholds, and accept it when
+    one passes, as a re-evaluating line search does."""
+    rng = np.random.default_rng(0)
+    for _ in range(100):
+        start = rng.standard_normal(5)
+        w = start / float(np.linalg.norm(start))
+        if _verbatim_retract(w, np.zeros(5)).tobytes() != w.tobytes():
+            break
+    else:
+        raise AssertionError("no start whose norm rounds away from 1")
+    tangent = project_tangent(w, rng.standard_normal(5))
+    grad = 1e-3 * tangent / np.linalg.norm(tangent)
+    reference_plateau = Plateau(w, grad)
+    w_end, value, iterations = reference_ascend(
+        reference_plateau, start, max_iterations=300, tol=1e-9
+    )
+    # Accepted at a later halving than the first that rounded back.
+    assert reference_plateau.hat_tests >= 2
+    assert (value, iterations) == (1e-25, 2)
+    new_w, new_value, new_iterations, end = _ascend(
+        Plateau(w, grad), start, max_iterations=300, tol=1e-9
+    )
+    assert new_w.tobytes() == w_end.tobytes() == reference_plateau.w_hat
+    assert (new_value, new_iterations, end) == (value, iterations, "stalled")

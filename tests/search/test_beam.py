@@ -1,7 +1,11 @@
 """Tests for the location beam search and its batched scorer."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.datasets.crime import make_crime
 from repro.datasets.schema import AttributeKind, Column, Dataset
@@ -21,7 +25,7 @@ from repro.obs.instruments import (
     IC_KERNEL_LOWRANK,
     IC_KERNEL_UNIFORM,
 )
-from repro.search.beam import LocationBeamSearch, LocationICScorer
+from repro.search.beam import LocationBeamSearch, LocationICScorer, _best_first
 from repro.search.config import SearchConfig
 from repro.stats.statistics import subgroup_mean
 
@@ -360,3 +364,24 @@ class TestSharedExtensions:
         )
         assert kernel_rows < candidates
         assert extensions < sum(parents)
+
+
+#: Few distinct scores, so that draws tie heavily, across the cut too;
+#: with both zeros and every non-finite value.
+_TIED_SCORES = [-math.inf, -1.5, -0.0, 0.0, 0.25, 2.0, math.inf, math.nan]
+
+
+class TestBestFirst:
+    """Merge's partial ranking against the full stable sort it replaces."""
+
+    @given(
+        scores=st.lists(
+            st.one_of(st.sampled_from(_TIED_SCORES), st.floats()), max_size=400
+        ),
+        k=st.integers(1, 420),
+    )
+    def test_equals_the_stable_argsort_prefix(self, scores, k):
+        scores = np.array(scores, dtype=float)
+        np.testing.assert_array_equal(
+            _best_first(scores, k), np.argsort(-scores, kind="stable")[:k]
+        )
