@@ -9,7 +9,11 @@ Measures what the network layer adds on top of the engine:
   answers from its result cache and the timing is almost entirely
   serialization + HTTP;
 - **SSE delivery**: how many stream events arrive while a job mines,
-  and the latency from submit to the first live event.
+  and the latency from submit to the first live event;
+- **candidate stream**: one paper-settings spread job streamed with
+  its per-candidate events on, beside a local ``Workspace.mine`` of the
+  same spec; the difference, divided by the events the client received,
+  is the wire's cost per event.
 
 Results go to ``BENCH_server.json`` at the repo root (the perf
 trajectory file, like the engine benchmark's). Runs standalone too::
@@ -26,6 +30,7 @@ from pathlib import Path
 from bench_schema import envelope
 from repro.api import Workspace
 from repro.client import RemoteWorkspace
+from repro.events import CallbackObserver
 from repro.report.tables import format_table
 from repro.server import MiningServer
 from repro.spec import MiningSpec
@@ -35,11 +40,49 @@ JSON_PATH = Path(__file__).resolve().parent.parent / "BENCH_server.json"
 #: Small jobs: the benchmark prices the wire, not the mining.
 N_JOBS = 4
 
+#: The candidate-stream job: the paper's search settings (beam 40, depth
+#: 4, top 150), three spread steps, several hundred candidate events.
+STREAM_SPEC = MiningSpec.build(
+    "synthetic",
+    kind="spread",
+    seed=7,
+    n_iterations=3,
+    beam_width=40,
+    max_depth=4,
+    top_k=150,
+)
+
 
 def _spec(seed: int) -> MiningSpec:
     return MiningSpec.build(
         "synthetic", seed=seed, n_iterations=2, beam_width=8, max_depth=2, top_k=12
     )
+
+
+def _stream_candidates(remote: RemoteWorkspace) -> tuple[float, float, int]:
+    """(local seconds, remote seconds, events received) for STREAM_SPEC."""
+    local_started = time.perf_counter()
+    with Workspace() as workspace:
+        local = workspace.mine(STREAM_SPEC)
+    local_seconds = time.perf_counter() - local_started
+
+    received = 0
+
+    def count(*_) -> None:
+        nonlocal received
+        received += 1
+
+    observer = CallbackObserver(
+        on_candidate=count, on_iteration=count, on_job=count, on_schedule=count
+    )
+    remote_started = time.perf_counter()
+    streamed = list(remote.stream(STREAM_SPEC, observer=observer))
+    remote_seconds = time.perf_counter() - remote_started
+    assert len(streamed) == len(local.iterations)
+    for a, b in zip(local.iterations, streamed):
+        assert str(a.location) == str(b.location)
+        assert a.spread.score.ic == b.spread.score.ic
+    return local_seconds, remote_seconds, received
 
 
 def measure(seed: int = 0) -> list:
@@ -92,11 +135,14 @@ def measure(seed: int = 0) -> list:
         remote.mine(specs[0])  # service result cache: pure wire cost
         cached_seconds = time.perf_counter() - cached_started
 
+        stream_local, stream_remote, stream_events = _stream_candidates(remote)
+
         health = remote.health()
     finally:
         handle.stop()
 
     per_job_overhead = (remote_seconds - local_seconds) / N_JOBS
+    per_event = (stream_remote - stream_local) / stream_events
     rows = [
         (f"local Workspace.mine x{N_JOBS}", local_seconds, ""),
         (f"remote mine x{N_JOBS} (HTTP)", remote_seconds,
@@ -104,6 +150,9 @@ def measure(seed: int = 0) -> list:
         ("remote mine, cached", cached_seconds, "wire + cache hit only"),
         ("first SSE event", (first_event_ms or 0) / 1000,
          f"{events_seen} events streamed"),
+        ("candidate stream x1 (HTTP)", stream_remote,
+         f"{stream_events} events, {per_event * 1e6:+.1f} us/event vs local "
+         f"{stream_local:.4f} s"),
     ]
     JSON_PATH.write_text(
         json.dumps(
@@ -119,6 +168,10 @@ def measure(seed: int = 0) -> list:
                     round(first_event_ms, 2) if first_event_ms is not None else None
                 ),
                 "events_streamed": events_seen,
+                "stream_local_seconds": round(stream_local, 4),
+                "stream_remote_seconds": round(stream_remote, 4),
+                "stream_events_received": stream_events,
+                "stream_wire_seconds_per_event": round(per_event, 7),
                 "events_published": health["events"]["published"],
                 "events_dropped": health["events"]["dropped"],
             }),
@@ -138,7 +191,7 @@ def bench_server(benchmark, save_result):
         title=f"Server: HTTP/SSE overhead ({os.cpu_count()} core(s) available)",
     )
     save_result("server", table)
-    assert len(rows) == 4
+    assert len(rows) == 5
     assert JSON_PATH.exists()
 
 

@@ -146,6 +146,7 @@ class _SSEStream:
         token: str | None = None,
     ):
         self._conn = HTTPConnection(host, port, timeout=timeout)
+        self._response = None
         headers = {"Accept": "text/event-stream"}
         if token is not None:
             headers["Authorization"] = f"Bearer {token}"
@@ -199,7 +200,13 @@ class _SSEStream:
             # "event:" duplicates the document's "type"; ignored here.
 
     def close(self) -> None:
+        # The stream is a ``Connection: close`` response, which owns the
+        # socket once getresponse() returns: closing the connection
+        # alone would leave the socket to the garbage collector, and
+        # the server would keep streaming to it until then.
         try:
+            if self._response is not None:
+                self._response.close()
             self._conn.close()
         except Exception:  # pragma: no cover - close is best-effort
             pass

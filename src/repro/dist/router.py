@@ -293,7 +293,7 @@ class MiningRouter(http.Daemon):
     # Routing
     # ------------------------------------------------------------------ #
     async def respond(
-        self, request: http.Request, writer
+        self, request: http.Request, reader, writer
     ) -> http.Response | None:
         """Answer locally, forward to the owning replica, or relay SSE."""
         if request.method == "GET" and request.path == "/events":

@@ -159,7 +159,9 @@ class WorkerDaemon(http.Daemon):
     # ------------------------------------------------------------------ #
     # Routing
     # ------------------------------------------------------------------ #
-    async def respond(self, request: http.Request, writer) -> http.Response:
+    async def respond(
+        self, request: http.Request, reader, writer
+    ) -> http.Response:
         """Answer health, metrics, a context upload, or a shard run."""
         parts = [part for part in request.path.split("/") if part]
         if parts == ["health"] and request.method == "GET":

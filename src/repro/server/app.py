@@ -53,6 +53,19 @@ __all__ = ["MiningServer", "ServerHandle"]
 #: Hard ceiling on one ``?wait=`` long-poll (clients loop to wait longer).
 MAX_RESULT_WAIT = 30.0
 
+#: Most SSE frames joined into one socket write. A candidate frame is
+#: about 270 bytes, so one write stays under about 18 KB.
+_BURST_FRAMES = 64
+
+
+async def _until_eof(reader) -> None:
+    """Read and discard a connection's input until its EOF (or reset)."""
+    try:
+        while await reader.read(65536):
+            pass
+    except (ConnectionError, OSError):
+        pass
+
 
 def _wait_quietly(
     service: MiningService,
@@ -179,8 +192,13 @@ class MiningServer(http.Daemon):
         :class:`~repro.report.live.LiveReporter` for server-side logs);
         attached to the service and detached on :meth:`stop`.
     candidate_events:
-        Also stream per-candidate events (hundreds per beam level);
-        pattern/scheduler events are unaffected.
+        Also stream per-candidate events: one per scored subgroup,
+        hundreds per beam level, most of what a stream carries.
+        Pattern/scheduler events are unaffected. Events travel in
+        bursts (one loop wake-up per burst of publishes, one socket
+        write per up to 64 queued frames), which keeps the cost per
+        candidate small; pass ``False`` (CLI ``--no-candidates``) when
+        no client renders them.
     history / queue_maxsize:
         Replay-buffer and per-subscriber queue bounds of the
         :class:`~repro.server.hub.EventHub`.
@@ -325,7 +343,7 @@ class MiningServer(http.Daemon):
     # Request handling
     # ------------------------------------------------------------------ #
     async def respond(
-        self, request: http.Request, writer
+        self, request: http.Request, reader, writer
     ) -> http.Response | None:
         """Authenticate, then answer: metrics, the event stream, or JSON."""
         tenant = self._authenticate(request)
@@ -340,7 +358,7 @@ class MiningServer(http.Daemon):
             )
         if request.method == "GET" and request.path == "/events":
             HTTP_REQUESTS.labels("/events").inc()
-            await self._handle_events(request, writer)
+            await self._handle_events(request, reader, writer)
             return None
         status, document = await self._dispatch(request, tenant)
         if "result" in document or "jobs" in document:
@@ -663,7 +681,9 @@ class MiningServer(http.Daemon):
     # ------------------------------------------------------------------ #
     # SSE
     # ------------------------------------------------------------------ #
-    async def _handle_events(self, request: http.Request, writer) -> None:
+    async def _handle_events(
+        self, request: http.Request, reader, writer
+    ) -> None:
         since: int | None = None
         raw = request.headers.get("last-event-id") or request.query.get("since")
         if raw is not None:
@@ -683,6 +703,10 @@ class MiningServer(http.Daemon):
             since=since, job_id=request.query.get("job_id")
         )
         writer.write(http.sse_preamble())
+        # The client sends nothing after its request, so EOF on the read
+        # side is the client closing: the stream ends then, instead of
+        # holding its subscription until a heartbeat write fails.
+        hangup = asyncio.ensure_future(_until_eof(reader))
         get_task: asyncio.Task | None = None
         try:
             await writer.drain()
@@ -690,8 +714,12 @@ class MiningServer(http.Daemon):
                 if get_task is None:
                     get_task = asyncio.ensure_future(subscription.get())
                 done, _ = await asyncio.wait(
-                    {get_task}, timeout=self.heartbeat_seconds
+                    {get_task, hangup},
+                    timeout=self.heartbeat_seconds,
+                    return_when=asyncio.FIRST_COMPLETED,
                 )
+                if hangup in done:
+                    break
                 if not done:
                     # Idle: heartbeat, and notice a dead client by the
                     # write failing. The un-awaited get_task survives the
@@ -699,28 +727,50 @@ class MiningServer(http.Daemon):
                     writer.write(http.sse_comment())
                     await writer.drain()
                     continue
-                entry = get_task.result()
-                get_task = None
-                if entry is None:  # hub closed: server shutting down
-                    writer.write(http.sse_comment("server shutdown"))
-                    await writer.drain()
-                    break
-                seq, event = entry
-                # Every frame carries the server's stream generation, so
-                # a client resuming with Last-Event-ID against a
-                # *restarted* server (fresh seq space) can detect the
-                # mismatch and re-anchor instead of silently misaligning.
-                writer.write(
-                    http.sse_event(
-                        seq,
-                        event.get("type", "message"),
-                        {**event, "gen": self.generation},
-                    )
+                closed = self._write_burst(
+                    writer, get_task.result(), subscription
                 )
+                get_task = None
                 await writer.drain()
+                if closed:
+                    break
         except (ConnectionError, OSError):
             pass  # client disconnected; Last-Event-ID lets it resume
         finally:
+            hangup.cancel()
             if get_task is not None:
                 get_task.cancel()
             subscription.close()
+
+    def _write_burst(self, writer, entry, subscription) -> bool:
+        """Write ``entry`` and the entries queued behind it in one write.
+
+        Takes at most :data:`_BURST_FRAMES` frames; appends the shutdown
+        comment and returns True once the hub has closed. The frames
+        live only in this call, so a stream idling between bursts holds
+        none of them.
+        """
+        frames = []
+        while entry is not None:
+            seq, event = entry
+            # Every frame carries the server's stream generation, so a
+            # client resuming with Last-Event-ID against a *restarted*
+            # server (fresh seq space) can detect the mismatch and
+            # re-anchor instead of silently misaligning.
+            frames.append(
+                http.sse_event(
+                    seq,
+                    event.get("type", "message"),
+                    {**event, "gen": self.generation},
+                )
+            )
+            if len(frames) == _BURST_FRAMES:
+                break
+            try:
+                entry = subscription.get_nowait()
+            except asyncio.QueueEmpty:
+                break
+        if entry is None:  # hub closed: server shutting down
+            frames.append(http.sse_comment("server shutdown"))
+        writer.write(b"".join(frames))
+        return entry is None

@@ -409,11 +409,15 @@ class Daemon:
             return 0.0
         return clock.monotonic() - self._started_at
 
-    async def respond(self, request: Request, writer) -> Response | None:
+    async def respond(
+        self, request: Request, reader, writer
+    ) -> Response | None:
         """Answer one request; the subclass's routes.
 
         Raise to answer with an error. Return ``None`` after writing a
-        stream to ``writer`` that ends by closing the connection (SSE).
+        stream to ``writer`` that ends by closing the connection (SSE);
+        ``reader`` is the connection's read side, whose EOF tells such a
+        stream that its client has gone.
         """
         raise NotImplementedError
 
@@ -541,7 +545,7 @@ class Daemon:
                 if request is None:
                     break
                 try:
-                    response = await self.respond(request, writer)
+                    response = await self.respond(request, reader, writer)
                 except Exception as exc:  # noqa: BLE001 - mapped to a status
                     response = error_response(exc)
                 if response is None:

@@ -4,9 +4,12 @@ Mining events fire on worker threads (the engine's observer contract);
 SSE subscribers live on the asyncio event loop. :class:`EventHub` is the
 bridge the ROADMAP promised: :meth:`EventHub.publish` may be called from
 any thread — it stamps the event with a monotonically increasing
-sequence number, appends it to a bounded replay history, and fans it out
-onto every subscriber's bounded ``asyncio.Queue`` via
-``loop.call_soon_threadsafe``.
+sequence number, appends it to a bounded replay history and to an
+outbox, and wakes the loop only when that outbox turns non-empty. One
+loop callback per burst then offers the whole outbox, in sequence
+order, to every subscriber's bounded ``asyncio.Queue``, so a miner
+firing hundreds of candidate events pays for one
+``loop.call_soon_threadsafe`` per burst, not one per event.
 
 Three properties make the stream production-shaped:
 
@@ -19,6 +22,10 @@ Three properties make the stream production-shaped:
 - **Reconnect-and-resume.** A subscriber joining with ``since=N``
   first replays every retained event with a higher sequence number,
   then continues live — the mechanics behind SSE ``Last-Event-ID``.
+  Live delivery starts after the sequence number that was latest when
+  the subscriber joined, so an event still in the outbox at that
+  moment arrives once: from the replay if ``since`` asked for it, and
+  never also live.
 """
 
 from __future__ import annotations
@@ -60,10 +67,15 @@ class Subscription:
         backlog: list,
         maxsize: int,
         job_id: str | None = None,
+        after: int = 0,
     ):
         self._hub = hub
         self._id = sub_id
         self._backlog = deque(backlog)
+        #: Live delivery skips every entry at or below this sequence
+        #: number, the hub's latest when this subscription joined: those
+        #: came from the backlog, or were not asked for.
+        self.after = after
         self.queue: asyncio.Queue = asyncio.Queue(maxsize=maxsize)
         #: When set, only events of this job enter the queue at all —
         #: foreign floods can neither fill it nor evict this job's
@@ -113,6 +125,9 @@ class EventHub:
         if queue_maxsize < 1:
             raise ValueError(f"queue_maxsize must be >= 1, got {queue_maxsize}")
         self._history: deque = deque(maxlen=history)
+        #: Entries published since the loop last flushed, in sequence
+        #: order; a flush callback is pending while it is non-empty.
+        self._outbox: list = []
         self._queue_maxsize = queue_maxsize
         self._lock = threading.Lock()
         self._seq = itertools.count(1)
@@ -140,14 +155,18 @@ class EventHub:
                 return
             self._closed = True
             loop = self._loop
-            subscribers = list(self._subscribers.values())
         if loop is not None:
             try:
-                loop.call_soon_threadsafe(self._fan_out_closed, subscribers)
+                loop.call_soon_threadsafe(self._flush_closed)
             except RuntimeError:
                 pass  # the loop already exited; nobody is left to wake
 
-    def _fan_out_closed(self, subscribers: list) -> None:
+    def _flush_closed(self) -> None:
+        # What was published before close() goes out ahead of the
+        # sentinel, whichever of the two callbacks the loop got first.
+        self._flush()
+        with self._lock:
+            subscribers = list(self._subscribers.values())
         for sub in subscribers:
             self._offer(sub, _CLOSED)
 
@@ -155,12 +174,12 @@ class EventHub:
     # Publishing (any thread)
     # ------------------------------------------------------------------ #
     def publish(self, event: dict) -> int:
-        """Stamp, retain, and fan out one event; returns its sequence.
+        """Stamp, retain, and queue one event; returns its sequence.
 
         Thread-safe and non-blocking: callable straight from an engine
         observer callback on a mining worker thread. Events published
-        before :meth:`bind` are retained for replay but not fanned out
-        (there is no loop to deliver them on yet).
+        before :meth:`bind`, or while nobody subscribes, are retained
+        for replay but not fanned out.
         """
         with self._lock:
             if self._closed:
@@ -169,21 +188,30 @@ class EventHub:
             self._latest = seq
             entry = (seq, event)
             self._history.append(entry)
-            # Schedule the fan-out while still holding the lock: two
-            # threads publishing back-to-back must enqueue their loop
-            # callbacks in sequence order, or a subscriber could see
-            # N+1 before N and (filtering on seq) drop N forever.
-            # call_soon_threadsafe is itself non-blocking, so this adds
-            # no meaningful time under the lock.
-            if self._loop is not None and self._subscribers:
-                self._loop.call_soon_threadsafe(
-                    self._fan_out, entry, list(self._subscribers.values())
-                )
+            if self._loop is None or not self._subscribers:
+                return seq
+            # The outbox is appended under the lock, so it holds entries
+            # in sequence order whichever threads publish. Only the
+            # publish that makes it non-empty wakes the loop: the one
+            # pending flush takes everything queued until it runs.
+            self._outbox.append(entry)
+            loop = self._loop if len(self._outbox) == 1 else None
+        if loop is not None:
+            try:
+                loop.call_soon_threadsafe(self._flush)
+            except RuntimeError:
+                pass  # the loop already exited; nobody is left to deliver to
         return seq
 
-    def _fan_out(self, entry: tuple, subscribers: list) -> None:
+    def _flush(self) -> None:
+        """Offer the outbox, in order, to every live subscription (loop)."""
+        with self._lock:
+            entries, self._outbox = self._outbox, []
+            subscribers = list(self._subscribers.values())
         for sub in subscribers:
-            self._offer(sub, entry)
+            for entry in entries:
+                if entry[0] > sub.after:
+                    self._offer(sub, entry)
 
     def _offer(self, sub: Subscription, entry: Any) -> None:
         """Enqueue to one subscriber, dropping its oldest event if full."""
@@ -252,6 +280,7 @@ class EventHub:
                 backlog,
                 self._queue_maxsize,
                 job_id=job_id,
+                after=self._latest,
             )
             if not self._closed:
                 self._subscribers[sub._id] = sub

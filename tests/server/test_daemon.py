@@ -70,7 +70,7 @@ class _Firehose(http.Daemon):
         super().__init__("127.0.0.1", 0)
         self.backed_up = threading.Event()
 
-    async def respond(self, request, writer):
+    async def respond(self, request, reader, writer):
         writer.write(b"HTTP/1.1 200 OK\r\nConnection: close\r\n\r\n")
         while True:
             writer.write(b"x" * 65536)

@@ -1,6 +1,7 @@
 """EventHub contract: sequencing, resume, bounded queues, thread safety."""
 
 import asyncio
+import contextlib
 import threading
 
 import pytest
@@ -18,6 +19,23 @@ def _drain(subscription):
         if entry is None:
             return got
         got.append(entry)
+
+
+@contextlib.contextmanager
+def _counting_wakeups(loop):
+    """Record every callback handed to ``loop.call_soon_threadsafe``."""
+    scheduled = []
+    real = loop.call_soon_threadsafe
+
+    def counting(callback, *args, **kwargs):
+        scheduled.append(callback)
+        return real(callback, *args, **kwargs)
+
+    loop.call_soon_threadsafe = counting
+    try:
+        yield scheduled
+    finally:
+        del loop.call_soon_threadsafe
 
 
 class TestSequencing:
@@ -111,11 +129,14 @@ class TestBoundedQueues:
     def test_slow_consumer_drops_oldest_first(self):
         async def main():
             hub = EventHub(queue_maxsize=3)
-            hub.bind(asyncio.get_running_loop())
+            loop = asyncio.get_running_loop()
+            hub.bind(loop)
             sub = hub.subscribe()
-            for i in range(10):
-                hub.publish({"n": i})
-            await asyncio.sleep(0.05)
+            with _counting_wakeups(loop) as scheduled:
+                for i in range(10):
+                    hub.publish({"n": i})
+                await asyncio.sleep(0.05)
+            assert len(scheduled) == 1  # one burst, over 3x the bound
             got = _drain(sub)
             assert [seq for seq, _ in got] == [8, 9, 10]
             assert sub.dropped == 7
@@ -232,5 +253,79 @@ class TestJobFilteredSubscriptions:
             seq, event = await sub.get()
             assert (seq, event["n"]) == (keep, 1)
             sub.close()
+
+        asyncio.run(main())
+
+
+class TestBursts:
+    def test_back_to_back_publishes_wake_the_loop_once(self):
+        async def main():
+            hub = EventHub()
+            loop = asyncio.get_running_loop()
+            hub.bind(loop)
+            sub = hub.subscribe()
+            with _counting_wakeups(loop) as scheduled:
+                # The loop thread blocks in join(), so nothing flushes
+                # while the worker publishes: all 50 form one burst.
+                thread = threading.Thread(
+                    target=lambda: [hub.publish({"n": i}) for i in range(50)]
+                )
+                thread.start()
+                thread.join(10)
+                assert not thread.is_alive()
+                await asyncio.sleep(0.05)
+            assert len(scheduled) == 1
+            got = _drain(sub)
+            assert [seq for seq, _ in got] == list(range(1, 51))
+            assert [event["n"] for _, event in got] == list(range(50))
+            sub.close()
+
+        asyncio.run(main())
+
+    def test_subscriber_joining_before_the_flush_gets_the_entry_once(self):
+        async def main():
+            hub = EventHub()
+            hub.bind(asyncio.get_running_loop())
+            early = hub.subscribe()
+            seq = hub.publish({"n": 0})  # in the outbox, not yet flushed
+            asking = hub.subscribe(since=seq - 1)
+            fresh = hub.subscribe()
+            await asyncio.sleep(0.05)  # the flush runs
+            # From the backlog only: never a second time live.
+            assert [s for s, _ in _drain(asking)] == [seq]
+            assert _drain(fresh) == []
+            assert [s for s, _ in _drain(early)] == [seq]
+            later = hub.publish({"n": 1})
+            await asyncio.sleep(0.05)
+            for sub in (early, asking, fresh):
+                assert [s for s, _ in _drain(sub)] == [later]
+                sub.close()
+
+        asyncio.run(main())
+
+    def test_close_between_publish_and_its_wakeup_still_delivers_first(self):
+        async def main():
+            hub = EventHub()
+            loop = asyncio.get_running_loop()
+            hub.bind(loop)
+            sub = hub.subscribe()
+            real = loop.call_soon_threadsafe
+
+            def close_first(callback, *args):
+                # close() lands after publish queued its entry but before
+                # publish woke the loop, so the loop gets close's
+                # callback first.
+                if callback == hub._flush:
+                    loop.call_soon_threadsafe = real
+                    hub.close()
+                return real(callback, *args)
+
+            loop.call_soon_threadsafe = close_first
+            try:
+                seq = hub.publish({"n": 0})
+            finally:
+                del loop.call_soon_threadsafe
+            assert await asyncio.wait_for(sub.get(), 5) == (seq, {"n": 0})
+            assert await asyncio.wait_for(sub.get(), 5) is None
 
         asyncio.run(main())

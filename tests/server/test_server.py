@@ -6,6 +6,7 @@ acceptance bar: ``RemoteWorkspace.mine()`` bit-identical to the local
 ``Workspace.mine()`` for the same spec.
 """
 
+import asyncio
 import threading
 import time
 from concurrent.futures import CancelledError
@@ -18,7 +19,7 @@ from repro.client import RemoteError, RemoteJobFailed, RemoteWorkspace, _SSEStre
 from repro.engine.service import JobStatus
 from repro.events import CallbackObserver, EventLog
 from repro.persist import job_to_dict
-from repro.server import MiningServer
+from repro.server import MiningServer, http
 from repro.spec import MiningSpec
 
 
@@ -479,3 +480,117 @@ class TestReviewHardening:
             assert only_second, "filtered feed delivered nothing"
             assert {event.job_id for event in only_second} == {second}
             assert only_second[-1].type == "job"
+
+
+class _RecordingWriter:
+    """Stands in for the stream writer, keeping each ``write`` apart."""
+
+    def __init__(self):
+        self.writes: list[bytes] = []
+
+    def write(self, data):
+        self.writes.append(bytes(data))
+
+    async def drain(self):
+        pass
+
+
+def _wait_for(condition, timeout):
+    """Poll ``condition`` for up to ``timeout`` seconds; its last value."""
+    deadline = time.monotonic() + timeout
+    while not condition() and time.monotonic() < deadline:
+        time.sleep(0.01)
+    return condition()
+
+
+async def _until(condition, timeout=5.0):
+    """Yield to the loop until ``condition`` holds; fail after ``timeout``."""
+    deadline = time.monotonic() + timeout
+    while not condition():
+        assert time.monotonic() < deadline, "condition never held"
+        await asyncio.sleep(0.01)
+
+
+class TestBurstWrites:
+    EVENTS = [
+        {"type": "candidate", "job_id": "job-0001", "candidate": {"si": i}}
+        for i in range(5)
+    ]
+
+    def _frames(self, server, seqs):
+        return b"".join(
+            http.sse_event(seq, event["type"], {**event, "gen": server.generation})
+            for seq, event in zip(seqs, self.EVENTS)
+        )
+
+    def test_one_write_is_the_concatenation_of_the_event_frames(self):
+        async def main():
+            server = MiningServer(port=0, backend="thread", max_workers=1)
+            await server.start()
+            try:
+                seqs = [server.hub.publish(event) for event in self.EVENTS]
+                reader, writer = asyncio.StreamReader(), _RecordingWriter()
+                request = http.Request("GET", "/events", query={"since": "0"})
+                task = asyncio.ensure_future(
+                    server._handle_events(request, reader, writer)
+                )
+                await _until(lambda: len(writer.writes) >= 2)
+                reader.feed_eof()  # the client hangs up: the stream ends
+                await asyncio.wait_for(task, 5)
+                assert server.hub.stats()["subscribers"] == 0
+            finally:
+                await server.stop()
+            assert writer.writes == [
+                http.sse_preamble(),
+                self._frames(server, seqs),
+            ]
+
+        asyncio.run(main())
+
+    def test_hub_closed_mid_burst_writes_the_frames_then_the_comment(self):
+        async def main():
+            server = MiningServer(port=0, backend="thread", max_workers=1)
+            await server.start()
+            try:
+                reader, writer = asyncio.StreamReader(), _RecordingWriter()
+                task = asyncio.ensure_future(
+                    server._handle_events(
+                        http.Request("GET", "/events"), reader, writer
+                    )
+                )
+                await _until(lambda: writer.writes)  # subscribed, parked
+                seqs = [server.hub.publish(event) for event in self.EVENTS]
+                server.hub.close()
+                await asyncio.wait_for(task, 5)
+            finally:
+                await server.stop()
+            assert writer.writes[1:] == [
+                self._frames(server, seqs) + http.sse_comment("server shutdown")
+            ]
+
+        asyncio.run(main())
+
+
+class TestStreamEndsWithItsClient:
+    def test_stream_ends_within_a_second_of_its_client_closing(self):
+        server = MiningServer(
+            port=0, backend="thread", max_workers=1, heartbeat_seconds=60
+        )
+        with server.run_in_thread() as handle:
+            remote = RemoteWorkspace(handle.url, timeout=30.0)
+            iterations = list(remote.stream(fast_spec(seed=95)))
+            assert [it.index for it in iterations] == [1, 2]
+            assert _wait_for(lambda: server.hub.stats()["subscribers"] == 0, 1.0)
+
+    def test_closing_a_feed_frees_its_socket_while_still_referenced(self):
+        server = MiningServer(
+            port=0, backend="thread", max_workers=1, heartbeat_seconds=60
+        )
+        with server.run_in_thread() as handle:
+            remote = RemoteWorkspace(handle.url, timeout=30.0)
+            stream = _SSEStream(remote.host, remote.port, since=None, timeout=10.0)
+            assert server.hub.stats()["subscribers"] == 1
+            # ``stream`` stays referenced, so no collector can close the
+            # socket for it: only close() can end the server's stream.
+            stream.close()
+            assert _wait_for(lambda: server.hub.stats()["subscribers"] == 0, 1.0)
