@@ -1,32 +1,24 @@
-"""Distributed mining on one machine: worker fleet + federated replicas.
+"""Distributed mining on one machine: a worker fleet.
 
-Everything ``repro.dist`` adds, end to end on localhost:
-
-1. two ``WorkerDaemon`` compute nodes (what ``sisd worker`` runs) and a
-   ``DistExecutor`` fanning beam-search shards across them, checked
-   bit-identical against a serial run — then one node is killed
-   mid-fleet and the check is repeated;
-2. two ``MiningServer`` replicas behind a ``MiningRouter`` (what
-   ``sisd route`` runs): fingerprint-stable placement, tagged job ids,
-   a merged job listing, and live SSE streaming through the router.
+What ``repro.dist`` adds, end to end on localhost: two ``WorkerDaemon``
+compute nodes (what ``sisd worker`` runs) and a ``DistExecutor`` fanning
+beam-search shards across them, checked bit-identical against a serial
+run — then one node is killed mid-fleet and the check is repeated.
 
 On real hardware the same code spreads across machines: start
-``sisd worker --port 9000 --register http://router:8766`` on each
-compute node, ``sisd serve`` replicas wherever the data lives, and
-``sisd route --replica …`` as the single address clients use.
+``sisd worker --port 9000`` on each compute node (``--host`` binds it
+beyond localhost; do that on a trusted network only, since shards
+travel as pickles) and give their URLs to the ``DistExecutor``.
 """
 
 import sys
 
-from repro import MiningSpec, RemoteWorkspace, Workspace
 from repro.datasets import make_synthetic
 from repro.dist.executor import DistExecutor
-from repro.dist.router import MiningRouter
 from repro.dist.worker import WorkerDaemon
 from repro.engine.executor import SerialExecutor
 from repro.search.config import SearchConfig
 from repro.search.miner import SubgroupDiscovery
-from repro.server import MiningServer
 
 
 def compute_tier() -> None:
@@ -73,58 +65,8 @@ def compute_tier() -> None:
             handle.stop()
 
 
-def service_tier() -> None:
-    print("\n-- service tier: replicas behind a consistent-hash router --")
-    replicas = [
-        MiningServer(port=0, backend="thread", max_workers=2).run_in_thread()
-        for _ in range(2)
-    ]
-    router = MiningRouter(
-        [handle.url for handle in replicas], check_interval=0.5
-    )
-    router_handle = router.run_in_thread()
-    print(f"router at {router_handle.url} fronting 2 replicas")
-
-    spec = MiningSpec.build(
-        "synthetic", n_iterations=3, beam_width=12, max_depth=2, top_k=40
-    )
-    try:
-        with RemoteWorkspace(router_handle.url, timeout=60.0) as remote:
-            print("router health:", remote.health()["status"])
-
-            print("streaming through the router:")
-            for iteration in remote.stream(spec):
-                print(f"  {iteration.index}. {iteration.location}")
-
-            # Same spec, same fingerprint, same replica — the warm path
-            # survives federation.
-            first = remote.submit(spec)
-            second = remote.submit(spec)
-            same = first.rpartition("@")[2] == second.rpartition("@")[2]
-            print(f"tagged ids: {first}, resubmit {second} "
-                  f"(same replica: {same})")
-            result = remote.result(first)
-
-            listing = remote.jobs()
-            print(f"merged listing across replicas: {sorted(listing)}")
-
-            local = Workspace().mine(spec)
-            identical = all(
-                str(a.location) == str(b.location)
-                and a.location.score.ic == b.location.score.ic
-                for a, b in zip(local.iterations, result.iterations)
-            )
-            print(f"routed result bit-identical to local mining: {identical}")
-    finally:
-        router_handle.stop()
-        for handle in replicas:
-            handle.stop()
-        print("router and replicas stopped")
-
-
 def main() -> int:
     compute_tier()
-    service_tier()
     return 0
 
 

@@ -122,7 +122,7 @@ from repro.spec import (
     ModelSpec,
     SearchSpec,
 )
-from repro.errors import DeadlineExpired, JobPreempted
+from repro.errors import DeadlineExpired
 from repro.events import (
     CallbackObserver,
     EventLog,
@@ -133,7 +133,7 @@ from repro.events import (
 from repro.api import Workspace, build_miner
 from repro.server import MiningServer
 from repro.client import RemoteWorkspace, ServerRestarted
-from repro.store import BeliefStore, JobStore, Tenant, TenantRegistry
+from repro.store import BeliefStore, JobStore
 
 __all__ = [
     "__version__",
@@ -147,7 +147,6 @@ __all__ = [
     "ConvergenceError",
     "EngineError",
     "DeadlineExpired",
-    "JobPreempted",
     # datasets
     "AttributeKind",
     "Column",
@@ -249,9 +248,7 @@ __all__ = [
     "MiningServer",
     "RemoteWorkspace",
     "ServerRestarted",
-    # durability + tenancy (the persistent service substrate)
+    # durability (the persistent service substrate)
     "JobStore",
     "BeliefStore",
-    "Tenant",
-    "TenantRegistry",
 ]

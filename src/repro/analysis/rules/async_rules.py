@@ -1,10 +1,10 @@
 """Asyncio-hygiene rules: the event loop never blocks, locks never park.
 
-The served tier (:mod:`repro.server`, :mod:`repro.dist.router`,
-:mod:`repro.dist.worker`) runs every connection on one asyncio loop; a
-single blocking call in a handler stalls every concurrent client, and an
-``await`` issued while a ``threading.Lock`` is held can deadlock the
-loop against the worker threads that need that lock. These rules are
+The served tier (:mod:`repro.server`, :mod:`repro.dist.worker`) runs
+every connection on one asyncio loop; a single blocking call in a
+handler stalls every concurrent client, and an ``await`` issued while a
+``threading.Lock`` is held can deadlock the loop against the worker
+threads that need that lock. These rules are
 lexical — they fire on code *written inside* ``async def``, which is
 exactly the surface where blocking primitives are never acceptable
 (hand them to ``loop.run_in_executor`` or a worker thread instead).

@@ -29,7 +29,6 @@ CRITICAL_PATHS = (
     "repro/engine/cache.py",
     "repro/engine/jobs.py",
     "repro/dist/executor.py",
-    "repro/dist/ring.py",
 )
 
 
@@ -266,7 +265,6 @@ INSTRUMENTED_PATHS = (
     "repro/engine/jobs.py",
     "repro/dist/executor.py",
     "repro/dist/worker.py",
-    "repro/dist/router.py",
     "repro/server/app.py",
     "repro/server/http.py",
     "repro/server/hub.py",

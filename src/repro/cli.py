@@ -17,12 +17,10 @@ Subcommands:
 - ``sisd worker`` — run one compute node of the distributed tier: a
   daemon executing search shards shipped by a coordinator's
   :class:`repro.dist.DistExecutor` (see :mod:`repro.dist`).
-- ``sisd route`` — federate several ``sisd serve`` replicas behind one
-  address, placing jobs by spec fingerprint over consistent hashing.
 - ``sisd top URL`` — live ASCII dashboard over the ``GET /metrics``
-  endpoint of any tier (server, worker daemon, or router).
-- ``sisd admin usage|compact URL`` — per-tenant submission counters
-  (read from ``/metrics``) and forced store compaction.
+  endpoint of a server or a worker daemon.
+- ``sisd admin compact URL`` — forced compaction of a durable server's
+  store journal.
 - ``sisd lint`` — statically check the repo's contract invariants
   (determinism, asyncio hygiene, pickle boundaries, resource safety;
   see :mod:`repro.analysis`). ``--json`` for CI, ``--explain RULE`` for
@@ -216,12 +214,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "restarts bit-identically, queued jobs are re-enqueued in "
         "order, and warm belief prefixes spill to disk",
     )
-    serve.add_argument(
-        "--auth", default=None, metavar="FILE",
-        help="tenant token file (JSON; see repro.store.TenantRegistry."
-        "from_file): turns on bearer-token auth, per-tenant rate "
-        "limits, and fair-share scheduling",
-    )
 
     worker = sub.add_parser(
         "worker", help="run a distributed-mining worker daemon"
@@ -237,37 +229,12 @@ def _build_parser() -> argparse.ArgumentParser:
         "--parallel", type=int, default=2,
         help="shards executed concurrently on this node (default 2)",
     )
-    worker.add_argument(
-        "--register", default=None, metavar="URL",
-        help="coordinator/router base URL to announce this worker to "
-        "(POST {URL}/workers/register, retried until it succeeds)",
-    )
-
-    route = sub.add_parser(
-        "route", help="federate sisd serve replicas behind one address"
-    )
-    route.add_argument(
-        "--host", default="127.0.0.1", help="bind address (default 127.0.0.1)"
-    )
-    route.add_argument(
-        "--port", type=int, default=8766,
-        help="bind port (default 8766; 0 picks a free port)",
-    )
-    route.add_argument(
-        "--replica", action="append", default=None, metavar="URL",
-        required=True, help="a MiningServer base URL (repeat per replica); "
-        "order matters: the i-th URL becomes ring node r{i}",
-    )
-    route.add_argument(
-        "--check-interval", type=float, default=2.0,
-        help="replica health-check cadence in seconds (default 2)",
-    )
 
     top = sub.add_parser(
         "top", help="live ASCII dashboard over a /metrics endpoint"
     )
     top.add_argument(
-        "url", help="base URL of a sisd server, worker, or router"
+        "url", help="base URL of a sisd server or worker"
     )
     top.add_argument(
         "--interval", type=float, default=2.0,
@@ -277,31 +244,15 @@ def _build_parser() -> argparse.ArgumentParser:
         "--once", action="store_true",
         help="render a single frame and exit (scripts, tests)",
     )
-    top.add_argument(
-        "--token", default=None,
-        help="bearer token for an auth-enabled endpoint",
-    )
 
     admin = sub.add_parser(
         "admin", help="operational commands against a running server"
     )
     admin_sub = admin.add_subparsers(dest="admin_command", required=True)
-    usage = admin_sub.add_parser(
-        "usage", help="per-tenant submit/reject/preempt counters"
-    )
-    usage.add_argument("url", help="base URL of a sisd server")
-    usage.add_argument(
-        "--token", default=None,
-        help="bearer token for an auth-enabled endpoint",
-    )
     compact = admin_sub.add_parser(
         "compact", help="fold the server's store journal into its snapshot"
     )
     compact.add_argument("url", help="base URL of a durable sisd server")
-    compact.add_argument(
-        "--token", default=None,
-        help="bearer token for an auth-enabled endpoint",
-    )
 
     lint = sub.add_parser(
         "lint",
@@ -451,15 +402,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         observer=None if args.quiet else LiveReporter(),
         candidate_events=not args.no_candidates,
         store=args.store,
-        auth=args.auth,
     )
 
     def announce(bound: MiningServer) -> None:
-        extras = ""
-        if args.store:
-            extras += f", store={args.store}"
-        if args.auth:
-            extras += ", auth=on"
+        extras = f", store={args.store}" if args.store else ""
         print(
             f"sisd server listening on {bound.url}  "
             f"(backend={args.backend}, workers={args.workers}{extras}; "
@@ -479,14 +425,12 @@ def _cmd_worker(args: argparse.Namespace) -> int:
         host=args.host,
         port=args.port,
         parallelism=args.parallel,
-        register_with=args.register,
     )
 
     def announce(bound: WorkerDaemon) -> None:
-        extras = f", registering with {args.register}" if args.register else ""
         print(
             f"sisd worker listening on {bound.url}  "
-            f"(parallel={args.parallel}{extras}; Ctrl-C stops)",
+            f"(parallel={args.parallel}; Ctrl-C stops)",
             flush=True,
         )
 
@@ -495,41 +439,17 @@ def _cmd_worker(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_route(args: argparse.Namespace) -> int:
-    from repro.dist.router import MiningRouter
-
-    router = MiningRouter(
-        args.replica,
-        host=args.host,
-        port=args.port,
-        check_interval=args.check_interval,
-    )
-
-    def announce(bound: MiningRouter) -> None:
-        print(
-            f"sisd router listening on {bound.url}  "
-            f"({len(args.replica)} replica(s); Ctrl-C stops)",
-            flush=True,
-        )
-
-    router.run(announce=announce)
-    print("sisd router stopped")
-    return 0
-
-
 def _cmd_top(args: argparse.Namespace) -> int:
     from repro.obs.console import render_dashboard, scrape
 
     if args.once:
-        print(render_dashboard(scrape(args.url, token=args.token), source=args.url))
+        print(render_dashboard(scrape(args.url), source=args.url))
         return 0
     import time as _time  # live-poll cadence only; nothing measured
 
     try:
         while True:
-            frame = render_dashboard(
-                scrape(args.url, token=args.token), source=args.url
-            )
+            frame = render_dashboard(scrape(args.url), source=args.url)
             # ANSI clear + home keeps the frame in place like top(1).
             print(f"\x1b[2J\x1b[H{frame}", flush=True)
             _time.sleep(max(args.interval, 0.1))
@@ -538,13 +458,9 @@ def _cmd_top(args: argparse.Namespace) -> int:
 
 
 def _cmd_admin(args: argparse.Namespace) -> int:
-    from repro.obs.console import post_json, scrape, usage_table
+    from repro.obs.console import post_json
 
-    if args.admin_command == "usage":
-        print(usage_table(scrape(args.url, token=args.token), source=args.url))
-        return 0
-    # compact
-    document = post_json(args.url, "/admin/compact", token=args.token)
+    document = post_json(args.url, "/admin/compact")
     store = document.get("store", {})
     print(
         f"compacted: journal lag {document.get('journal_lag_before', 0)} -> "
@@ -577,8 +493,6 @@ def main(argv: list[str] | None = None) -> int:
             return _cmd_serve(args)
         if args.command == "worker":
             return _cmd_worker(args)
-        if args.command == "route":
-            return _cmd_route(args)
         if args.command == "top":
             return _cmd_top(args)
         if args.command == "admin":

@@ -143,13 +143,10 @@ class _SSEStream:
         since: int | None,
         timeout: float,
         job_id: str | None = None,
-        token: str | None = None,
     ):
         self._conn = HTTPConnection(host, port, timeout=timeout)
         self._response = None
         headers = {"Accept": "text/event-stream"}
-        if token is not None:
-            headers["Authorization"] = f"Bearer {token}"
         if since is not None:
             headers["Last-Event-ID"] = str(since)
         path = "/events" if job_id is None else f"/events?job_id={job_id}"
@@ -224,11 +221,6 @@ class RemoteWorkspace:
         Socket timeout per request, seconds. Long waits (``result`` with
         no deadline, ``stream``) are composed out of bounded legs, so
         they are not limited by it.
-    token:
-        Bearer credential sent as ``Authorization: Bearer <token>`` on
-        every request (including the SSE feed). Required when the
-        server was started with a tenant registry (``auth=``); a
-        missing or unknown token surfaces as a 401 :class:`RemoteError`.
 
     Specs may be :class:`~repro.spec.MiningSpec` instances or their JSON
     dict form — the same flexibility :class:`repro.api.Workspace`
@@ -245,11 +237,9 @@ class RemoteWorkspace:
         url: str = "http://127.0.0.1:8765",
         *,
         timeout: float = 60.0,
-        token: str | None = None,
     ):
         self.host, self.port = split_url(url, default_port=8765)
         self.timeout = timeout
-        self.token = token
         #: job_id -> (etag, result document); bounded LRU.
         self._result_cache: OrderedDict[str, tuple[str, dict]] = OrderedDict()
         #: Wire-level savings counters (observable in tests and tooling).
@@ -279,8 +269,6 @@ class RemoteWorkspace:
                 "Accept": "application/json",
                 "Accept-Encoding": "gzip",
             }
-            if self.token is not None:
-                headers["Authorization"] = f"Bearer {self.token}"
             if extra_headers:
                 headers.update(extra_headers)
             if body is not None:
@@ -386,26 +374,13 @@ class RemoteWorkspace:
             if give_up_at is not None:
                 wait = min(wait, max(give_up_at - time.monotonic(), 0.0))
             cached = self._result_cache.get(job_id)
-            try:
-                status, document, response_headers = self._exchange(
-                    "GET",
-                    f"/jobs/{job_id}/result?wait={wait:g}",
-                    extra_headers=(
-                        {"If-None-Match": cached[0]} if cached is not None else None
-                    ),
-                )
-            except RemoteError as exc:
-                # 503 is a routed deployment saying "the replica holding
-                # this job is down, retry shortly" (the router's
-                # Retry-After). The job itself is durable on the replica,
-                # so within the caller's deadline, waiting it out is the
-                # transparent thing to do.
-                if exc.status != 503:
-                    raise
-                if give_up_at is not None and time.monotonic() >= give_up_at:
-                    raise
-                time.sleep(1.0)
-                continue
+            status, document, response_headers = self._exchange(
+                "GET",
+                f"/jobs/{job_id}/result?wait={wait:g}",
+                extra_headers=(
+                    {"If-None-Match": cached[0]} if cached is not None else None
+                ),
+            )
             if status == 304 and cached is not None:
                 # Revalidated: the server's result is byte-identical to
                 # the cached document (the ETag is content-hashed, so
@@ -484,7 +459,6 @@ class RemoteWorkspace:
                     since=last_seen,
                     timeout=self.timeout,
                     job_id=job_id,
-                    token=self.token,
                 )
             except (ConnectionError, socket.timeout, OSError, HTTPException) as exc:
                 if first_connection:
@@ -663,15 +637,7 @@ class RemoteWorkspace:
         paths of :meth:`stream` surface the same exceptions as the
         event-driven path.
         """
-        try:
-            status = self.status(job_id)
-        except RemoteError as exc:
-            if exc.status == 503:
-                # A routed deployment's replica is bouncing; report "still
-                # running" so the stream's healing loop just checks again
-                # on its next heartbeat instead of dying mid-restart.
-                return None
-            raise
+        status = self.status(job_id)
         if status in (JobStatus.PENDING, JobStatus.RUNNING):
             return None
         return self.result(job_id, timeout=30.0)

@@ -197,31 +197,13 @@ class _DistSession:
         self.close()
 
 
-def _dialable(url: Any) -> bool:
-    """Whether ``url`` is a worker URL :func:`split_url` can read."""
-    if not isinstance(url, str):
-        return False
-    try:
-        split_url(url)
-    except EngineError:
-        return False
-    return True
-
-
 class DistExecutor:
     """Fan mining shards out to :class:`~repro.dist.worker.WorkerDaemon` nodes.
 
     Parameters
     ----------
     workers:
-        Worker base URLs (``http://host:port``). May be empty only with
-        ``registry`` set.
-    registry:
-        Optional coordinator/router base URL whose ``GET /workers``
-        listing (see :class:`~repro.dist.router.MiningRouter`) is merged
-        into the static list once, at construction. A registry that
-        cannot be reached or answers garbage adds no workers, and a
-        listed URL that cannot be read is skipped.
+        Worker base URLs (``http://host:port``); at least one.
     timeout:
         Socket timeout per shard round trip, seconds.
     local_fallback:
@@ -240,9 +222,8 @@ class DistExecutor:
 
     def __init__(
         self,
-        workers: Iterable[str] = (),
+        workers: Iterable[str],
         *,
-        registry: str | None = None,
         timeout: float = 60.0,
         local_fallback: bool = True,
         backoff: float = 0.25,
@@ -250,15 +231,8 @@ class DistExecutor:
         shards_per_worker: int = 4,
     ) -> None:
         urls = list(dict.fromkeys(workers))
-        if registry is not None:
-            for url in self._discover(registry, timeout):
-                if url not in urls:
-                    urls.append(url)
         if not urls:
-            raise EngineError(
-                "DistExecutor needs at least one worker URL (or a registry "
-                "that lists some)"
-            )
+            raise EngineError("DistExecutor needs at least one worker URL")
         if shards_per_worker < 1:
             raise EngineError(
                 f"shards_per_worker must be >= 1, got {shards_per_worker}"
@@ -283,27 +257,6 @@ class DistExecutor:
             "failovers": 0,
             "contexts_shipped": 0,
         }
-
-    @staticmethod
-    def _discover(registry: str, timeout: float) -> list[str]:
-        """Worker URLs a router/coordinator currently knows about."""
-        import json
-
-        conn = HTTPConnection(*split_url(registry), timeout=timeout)
-        try:
-            conn.request("GET", "/workers")
-            response = conn.getresponse()
-            if response.status != 200:
-                return []
-            document = json.loads(response.read())
-        except (OSError, ValueError, HTTPException):
-            return []
-        finally:
-            conn.close()
-        workers = document.get("workers") if isinstance(document, dict) else None
-        if not isinstance(workers, list):
-            return []
-        return [url for url in workers if _dialable(url)]
 
     # ------------------------------------------------------------------ #
     # Executor protocol

@@ -25,8 +25,6 @@ __all__ = [
     "dump",
     "load",
     "shard_request",
-    "tag_job_id",
-    "untag_job_id",
 ]
 
 #: Version stamp carried by every shard envelope; bump on breaking changes.
@@ -81,25 +79,3 @@ def shard_request(
         request["trace"] = trace
     return request
 
-
-# --------------------------------------------------------------------- #
-# Federated job ids
-# --------------------------------------------------------------------- #
-#: Separator between a replica-local job id and its replica name. Job
-#: ids are ``job-NNNN`` per service, so ids from different replicas
-#: collide; the router tags each id with the replica that owns it and
-#: the tag itself routes every follow-up request — no routing table.
-JOB_TAG = "@"
-
-
-def tag_job_id(job_id: str, replica: str) -> str:
-    """Qualify a replica-local job id with its owning replica's name."""
-    return f"{job_id}{JOB_TAG}{replica}"
-
-
-def untag_job_id(tagged: str) -> tuple[str, str | None]:
-    """Split a routed job id into ``(local_id, replica_name | None)``."""
-    local, sep, replica = tagged.rpartition(JOB_TAG)
-    if not sep:
-        return tagged, None
-    return local, replica

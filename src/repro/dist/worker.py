@@ -18,22 +18,16 @@ HTTP surface (bodies are pickles, see :mod:`repro.dist.wire`):
 =========================  ===========================================
 
 Shards run on a thread pool off the asyncio loop, so health checks stay
-responsive while numpy crunches. On start the daemon can announce its
-URL to a coordinator (``POST {coordinator}/workers/register``, the
-endpoint :class:`~repro.dist.router.MiningRouter` serves), retrying in
-the background so boot order does not matter.
+responsive while numpy crunches.
 """
 
 from __future__ import annotations
 
 import asyncio
-import json
 import secrets
 import threading
-import time
 from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
-from http.client import HTTPConnection, HTTPException
 
 from repro.dist import wire as dwire
 from repro.errors import EngineError
@@ -70,11 +64,6 @@ class WorkerDaemon(http.Daemon):
     max_contexts:
         Cached contexts kept (LRU by digest). A context evicted here is
         simply re-shipped by the coordinator on its next miss.
-    register_with:
-        Optional coordinator/router base URL, ``http://`` optional. The
-        daemon announces ``{"url": ...}`` to
-        ``POST {register_with}/workers/register`` after binding,
-        retrying in the background until it succeeds.
     """
 
     role = "worker"
@@ -89,7 +78,6 @@ class WorkerDaemon(http.Daemon):
         port: int = 0,
         parallelism: int = 2,
         max_contexts: int = 8,
-        register_with: str | None = None,
     ) -> None:
         if parallelism < 1:
             raise EngineError(f"parallelism must be >= 1, got {parallelism}")
@@ -98,10 +86,6 @@ class WorkerDaemon(http.Daemon):
         super().__init__(host, port)
         self.parallelism = parallelism
         self.max_contexts = max_contexts
-        self.register_with = register_with
-        self._registry = (
-            None if register_with is None else http.split_url(register_with)
-        )
         #: Per-boot marker, so a coordinator can tell a restarted worker
         #: (fresh, empty context cache) from a live one.
         self.generation = secrets.token_hex(8)
@@ -112,16 +96,6 @@ class WorkerDaemon(http.Daemon):
         )
         self._stats = {"shards": 0, "items": 0, "context_misses": 0, "errors": 0}
 
-    async def start(self) -> None:
-        """Bind the listener and kick off self-registration, if any."""
-        await super().start()
-        if self._registry is not None:
-            threading.Thread(
-                target=self._register_loop,
-                name="repro-dist-register",
-                daemon=True,
-            ).start()
-
     async def stop(self) -> None:
         """Close the listener, end connections, drop the shard pool."""
         await super().stop()
@@ -129,32 +103,6 @@ class WorkerDaemon(http.Daemon):
 
     def _after_run(self) -> None:
         self._pool.shutdown(wait=False, cancel_futures=True)
-
-    # ------------------------------------------------------------------ #
-    # Registration
-    # ------------------------------------------------------------------ #
-    def _register_loop(self, attempts: int = 60, pause: float = 0.5) -> None:
-        """Announce this worker to the coordinator, best-effort."""
-        host, port = self._registry
-        body = json.dumps(
-            {"url": self.url, "generation": self.generation}
-        ).encode("utf-8")
-        for _ in range(attempts):
-            conn = HTTPConnection(host, port, timeout=5.0)
-            try:
-                conn.request(
-                    "POST",
-                    "/workers/register",
-                    body=body,
-                    headers={"Content-Type": "application/json"},
-                )
-                if conn.getresponse().status < 400:
-                    return
-            except (OSError, HTTPException):
-                pass  # coordinator not up yet, or it cut the reply; retry
-            finally:
-                conn.close()
-            time.sleep(pause)
 
     # ------------------------------------------------------------------ #
     # Routing

@@ -7,7 +7,7 @@ JSON (``repro.persist``) and fingerprints stably for caching. This
 module is the one place a spec becomes a dataset
 (:func:`load_spec_dataset`), an executor (:func:`job_executor`), a miner
 (:func:`build_miner`) and a sequence of iterations (:func:`iterate_job`),
-and every entry point — Workspace, service, server, router, CLI — runs
+and every entry point — Workspace, service, server, CLI — runs
 specs through it, so one spec mines the same patterns everywhere.
 :func:`run_job` is :func:`iterate_job` collected and timed;
 :func:`run_jobs` fans a batch of specs out over an
@@ -19,9 +19,6 @@ submission order, which makes parameter sweeps and per-target fan-outs
 from __future__ import annotations
 
 import contextlib
-import os
-import tempfile
-import uuid
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -30,7 +27,7 @@ import numpy as np
 from repro.datasets.schema import Dataset
 from repro.engine.cache import BeliefCache, load_dataset_cached
 from repro.engine.executor import Executor, SerialExecutor, resolve_executor
-from repro.errors import EngineError, JobPreempted, SearchError
+from repro.errors import EngineError, SearchError
 from repro.events import MiningObserver
 from repro.obs import clock
 from repro.obs.trace import TraceContext, activate
@@ -221,7 +218,6 @@ def iterate_job(
     executor: Executor | None = None,
     observer: MiningObserver | None = None,
     belief_cache: BeliefCache | None = None,
-    should_yield=None,
 ) -> Iterator[MiningIteration]:
     """Mine one job, yielding each iteration the moment it is mined.
 
@@ -233,10 +229,7 @@ def iterate_job(
     prefixes it shares with earlier runs (see
     :class:`~repro.engine.cache.BeliefCache`). The single-shot
     strategies are sequential, have no belief state, ignore both, and
-    yield one iteration. ``should_yield`` (a zero-argument callable) is
-    polled before every iteration but the first; a truthy answer raises
-    :class:`~repro.errors.JobPreempted` (completed iterations are in the
-    belief cache already, so preemption only costs the one in flight).
+    yield one iteration.
     """
     search = job.search
     if search.strategy != "beam":
@@ -249,15 +242,7 @@ def iterate_job(
         job, executor=executor, observer=observer, belief_cache=belief_cache
     )
     try:
-        for n in range(search.n_iterations):
-            # The first iteration always runs: a job that yields before
-            # doing any work could starve forever under a persistently
-            # contended pool.
-            if n > 0 and should_yield is not None and should_yield():
-                raise JobPreempted(
-                    f"job {job.label!r} preempted after "
-                    f"{n}/{search.n_iterations} iterations"
-                )
+        for _ in range(search.n_iterations):
             yield miner.step(kind=search.kind, sparsity=search.sparsity)
     finally:
         if executor is None:
@@ -272,7 +257,6 @@ def run_job(
     executor: Executor | None = None,
     observer: MiningObserver | None = None,
     belief_cache: BeliefCache | None = None,
-    should_yield=None,
 ) -> JobResult:
     """:func:`iterate_job` (same parameters), collected and timed."""
     started = clock.perf_counter()
@@ -282,7 +266,6 @@ def run_job(
             executor=executor,
             observer=observer,
             belief_cache=belief_cache,
-            should_yield=should_yield,
         )
     )
     return JobResult(job, iterations, clock.perf_counter() - started)
@@ -293,49 +276,11 @@ def _run_job_task(job: MiningSpec) -> JobResult:
     return run_job(job, executor=SerialExecutor())
 
 
-class FileYieldFlag:
-    """A preemption flag that crosses process boundaries.
-
-    The thread backend preempts with a ``threading.Event``; a process
-    pool cannot share one. This flag signals through the existence of a
-    marker file instead: :meth:`set` touches it, :meth:`is_set` is one
-    ``os.path.exists`` — cheap enough to poll at iteration boundaries —
-    and the object pickles by value (it is just a path), so it rides
-    into a worker process alongside the job. The *scheduler* owns the
-    file's lifetime: :meth:`dispose` unlinks it once the task ends,
-    whatever the outcome.
-    """
-
-    def __init__(self, path: str | None = None) -> None:
-        self.path = path or os.path.join(
-            tempfile.gettempdir(), f"repro-yield-{uuid.uuid4().hex}.flag"
-        )
-
-    def set(self) -> None:
-        """Request preemption (idempotent)."""
-        with open(self.path, "wb"):
-            pass
-
-    def is_set(self) -> bool:
-        """True once preemption was requested (a cheap stat call)."""
-        return os.path.exists(self.path)
-
-    def dispose(self) -> None:
-        """Remove the marker file (idempotent; missing is fine)."""
-        try:
-            os.unlink(self.path)
-        except FileNotFoundError:
-            pass
-        except OSError:  # pragma: no cover - temp-dir races are benign
-            pass
-
-
 def run_job_with_workers(
     job: MiningSpec,
     *,
     belief_cache: BeliefCache | None = None,
     observer: MiningObserver | None = None,
-    yield_event=None,
     belief_handle=None,
     trace=None,
     dist_workers=None,
@@ -351,9 +296,7 @@ def run_job_with_workers(
     process backend can instead ship a picklable ``belief_handle``
     (:meth:`repro.engine.cache.BeliefCache.handle`) that each worker
     process resolves into its own cache over the shared on-disk spill.
-    ``yield_event`` is the preemption flag, anything with a cheap
-    ``is_set()``: a ``threading.Event`` (thread backend) or a
-    :class:`FileYieldFlag` (process backend). ``trace`` is an optional
+    ``trace`` is an optional
     :class:`~repro.obs.trace.TraceContext` (or its wire-dict form),
     activated for the run so engine phase spans attach to the
     submitting job's trace; it never reaches the miner's inputs.
@@ -373,7 +316,6 @@ def run_job_with_workers(
                 executor=executor,
                 belief_cache=belief_cache,
                 observer=observer,
-                should_yield=yield_event.is_set if yield_event is not None else None,
             )
     finally:
         executor.close()

@@ -56,8 +56,8 @@ from repro.engine.cache import BeliefCache, LRUCache, resolve_belief_cache
 from repro.engine.executor import BACKENDS, resolve_pool
 
 __all__ = ["BACKENDS", "JobStatus", "MiningService"]
-from repro.engine.jobs import FileYieldFlag, JobResult, run_job_with_workers
-from repro.errors import DeadlineExpired, EngineError, JobPreempted
+from repro.engine.jobs import JobResult, run_job_with_workers
+from repro.errors import DeadlineExpired, EngineError
 from repro.events import MiningObserver, SchedulerEvent, broadcast, guarded
 from repro.obs import clock
 from repro.obs.instruments import (
@@ -65,7 +65,6 @@ from repro.obs.instruments import (
     BELIEF_SPILL_HITS,
     BELIEF_SPILL_MISSES,
     JOBS_FINISHED,
-    JOBS_PREEMPTED,
     JOBS_SUBMITTED,
     METRICS,
     QUEUE_AGED,
@@ -79,10 +78,6 @@ from repro.obs.instruments import (
 )
 from repro.obs.trace import TRACER
 from repro.spec import MiningSpec
-
-#: Tenant label for untenanted submissions (Prometheus labels cannot be
-#: empty without ambiguity; "-" is unambiguous and greppable).
-_NO_TENANT = "-"
 
 
 def _deliver(observer, job, result, error, *, replay: bool) -> None:
@@ -173,10 +168,6 @@ class _Record:
         "heap_key",
         "observer",
         "live",
-        "tenant",
-        "tenant_share",
-        "pass_value",
-        "yield_flag",
         "submitted_wall",
         "finished_wall",
         "trace",
@@ -191,8 +182,6 @@ class _Record:
         seq: int,
         dist_workers: "Sequence[str] | None" = None,
         observer: "MiningObserver | None" = None,
-        tenant: "str | None" = None,
-        tenant_share: float = 1.0,
     ):
         self.job_id = job_id
         self.job = job
@@ -216,15 +205,6 @@ class _Record:
         self.heap_key: tuple | None = None
         self.observer = observer
         self.live = False
-        #: Tenancy: the submitting tenant's name (None for untenanted
-        #: work) and its fair-share weight; pass_value is the stride-
-        #: scheduling pass at enqueue time (0.0 when untenanted, which
-        #: keeps the classic sort order bit-for-bit).
-        self.tenant = tenant
-        self.tenant_share = tenant_share
-        self.pass_value = 0.0
-        #: Cooperative-preemption flag handed to a thread-backend worker.
-        self.yield_flag = None
         #: Wall-clock stamps for the durable store and terminal TTL.
         self.submitted_wall = clock.wall_time()
         self.finished_wall: float | None = None
@@ -234,24 +214,15 @@ class _Record:
         self.trace_enqueued = clock.perf_counter()
 
     def sort_key(self) -> tuple:
-        """Dispatch order: priority ↓, tenant fair share, deadline ↑, arrival ↑.
+        """Dispatch order: priority ↓, deadline ↑, arrival ↑.
 
         ``priority`` here is the *effective* priority: the (possibly
         coalescing-boosted) base plus the aging guard's ``boost``.
-        ``pass_value`` is the stride-scheduling dimension — within one
-        priority level, tenants dispatch in proportion to their shares;
-        untenanted records carry 0.0, so a tenant-free queue orders
-        exactly as it did before the tenancy dimension existed.
         """
         deadline_rank = (
             (1, 0.0) if self.urgency_at is None else (0, self.urgency_at)
         )
-        return (
-            -(self.priority + self.boost),
-            self.pass_value,
-            deadline_rank,
-            self.seq,
-        )
+        return (-(self.priority + self.boost), deadline_rank, self.seq)
 
 
 class MiningService:
@@ -411,12 +382,6 @@ class MiningService:
         self._n_queued = 0
         self._ids = itertools.count(1)
         self._seq = itertools.count()
-        #: Stride scheduling: per-tenant pass values plus the virtual
-        #: time (pass of the last tenanted dispatch). A newly active
-        #: tenant's pass is floored at the virtual time, so an idle
-        #: tenant cannot bank credit and then monopolize the queue.
-        self._tenant_pass: dict[str, float] = {}
-        self._vtime = 0.0
         # Pull-style gauges (queue depth, cache ratios, journal lag)
         # refresh at scrape time; the collector is removed on shutdown so
         # a later service in the same process takes over the gauges.
@@ -456,8 +421,6 @@ class MiningService:
         *,
         dist_workers: Sequence[str] | None = None,
         observer: MiningObserver | None = None,
-        tenant: str | None = None,
-        tenant_share: float = 1.0,
     ) -> str:
         """Queue a job; returns its id. Cached specs resolve instantly.
 
@@ -485,20 +448,9 @@ class MiningService:
         Exceptions it raises are swallowed, never failing the job. This
         is the per-job substrate the :mod:`repro.server` SSE endpoint
         tags its streams with.
-
-        ``tenant``/``tenant_share`` attribute the submission to a named
-        tenant with a fair-share weight (see
-        :class:`repro.store.TenantRegistry`): within one priority level
-        the scheduler dispatches tenants' queued jobs in proportion to
-        their shares (stride scheduling) instead of strict arrival
-        order. Untenanted submissions are scheduled exactly as before.
         """
         if not isinstance(job, MiningSpec):
             raise EngineError(f"expected MiningSpec, got {type(job).__name__}")
-        if tenant is not None and not (tenant_share > 0):
-            raise EngineError(
-                f"tenant_share must be > 0, got {tenant_share!r}"
-            )
         job_id = f"job-{next(self._ids):04d}"
         fp = job.fingerprint()
         post: list = []
@@ -508,8 +460,8 @@ class MiningService:
         # parents under it. Purely observational; ids never reach the
         # job's inputs or fingerprint.
         root = TRACER.start("submit")
-        root.tag("job", job.label).tag("tenant", tenant or _NO_TENANT)
-        JOBS_SUBMITTED.labels(tenant or _NO_TENANT).inc()
+        root.tag("job", job.label)
+        JOBS_SUBMITTED.inc()
         with self._lock:
             record = _Record(
                 job_id,
@@ -518,8 +470,6 @@ class MiningService:
                 next(self._seq),
                 dist_workers,
                 observer=guarded(observer),
-                tenant=tenant,
-                tenant_share=tenant_share,
             )
             record.trace = root.context
             self._records[job_id] = record
@@ -690,43 +640,6 @@ class MiningService:
         self._run_post(post)
         return True
 
-    def preempt(self, job_id: str) -> bool:
-        """Ask a running job to yield its worker slot; True if requested.
-
-        Preemption is *cooperative*: the worker checks a flag between
-        mining iterations (see :func:`repro.engine.jobs.iterate_job`), so
-        the request lands at the next iteration boundary — completed
-        iterations are already in the belief cache and replay for free
-        when the job is re-dispatched. The preempted job goes back to
-        the queue (``"preempted"`` event) with its future unresolved;
-        waiters simply wait longer. The thread backend signals through
-        a ``threading.Event``; the process backend through a
-        :class:`~repro.engine.jobs.FileYieldFlag`, which crosses the
-        pool boundary as a marker-file path. (On the process backend,
-        give the service a spill-backed belief cache — ``store=`` — or
-        the re-run repeats the preempted iterations from scratch.)
-        Returns False for jobs that are not running.
-        """
-        post: list = []
-        requested = False
-        with self._lock:
-            record = self._record_of(job_id)
-            if record.state == "running" and record.yield_flag is not None:
-                record.yield_flag.set()
-                requested = True
-                self._emit_later(post, "preempt_requested", record)
-        self._run_post(post)
-        return requested
-
-    def tenant_load(self, tenant: str) -> int:
-        """Live (queued or running) submissions currently held by a tenant."""
-        with self._lock:
-            return sum(
-                1
-                for record in self._records.values()
-                if record.tenant == tenant and record.state in _LIVE_STATES
-            )
-
     def job(self, job_id: str) -> MiningSpec:
         """The spec submitted under ``job_id``."""
         with self._lock:
@@ -883,9 +796,8 @@ class MiningService:
         heapq.heappush(self._queue, (record.heap_key, record))
 
     def _enqueue_locked(self, record: _Record) -> None:
-        """Queue a record as its fingerprint's primary, at its tenant's pass."""
+        """Queue a record as its fingerprint's primary."""
         self._inflight[record.fp] = record
-        self._refresh_pass_locked(record)
         self._push_locked(record)
         self._n_queued += 1
 
@@ -934,17 +846,6 @@ class MiningService:
             if record.state != "queued" or record.heap_key != key:
                 continue  # cancelled/boosted: stale heap entry
             if (
-                record.tenant is not None
-                and record.pass_value
-                != self._tenant_pass.get(record.tenant, record.pass_value)
-            ):
-                # The tenant's pass advanced since this record was pushed
-                # (an earlier job of the same tenant dispatched): re-rank
-                # at the current pass so other tenants get their turn.
-                self._refresh_pass_locked(record)
-                self._push_locked(record)
-                continue
-            if (
                 record.deadline_at is not None
                 and clock.monotonic() >= record.deadline_at
             ):
@@ -966,15 +867,6 @@ class MiningService:
             TRACER.record(
                 "schedule", record.trace_enqueued, dispatched_at, record.trace
             )
-            if record.tenant is not None:
-                # Stride accounting: the dispatch advances the tenant's
-                # pass by the inverse of its share (big shares advance
-                # slowly, so they dispatch more often) and drags the
-                # virtual time forward for future arrivals.
-                self._vtime = max(self._vtime, record.pass_value)
-                self._tenant_pass[record.tenant] = (
-                    record.pass_value + 1.0 / record.tenant_share
-                )
             try:
                 if self.backend == "thread":
                     # In-process workers can call back into this process,
@@ -990,9 +882,6 @@ class MiningService:
                     ]
                     for waiter in live_waiters:
                         waiter.live = True
-                    # The yield flag enables cooperative preemption at
-                    # iteration boundaries.
-                    record.yield_flag = threading.Event()
                     job_kwargs = {
                         "belief_cache": self._belief_cache,
                         "observer": broadcast(
@@ -1004,10 +893,7 @@ class MiningService:
                     # the boundary), but a spill-backed belief cache can
                     # reach them: ship its picklable handle, which each
                     # worker resolves into a process-local cache over
-                    # the shared on-disk spill. Preemption crosses the
-                    # boundary the same way — a FileYieldFlag pickles by
-                    # value and signals through the filesystem.
-                    record.yield_flag = FileYieldFlag()
+                    # the shared on-disk spill.
                     job_kwargs = {
                         "belief_handle": (
                             self._belief_cache.handle()
@@ -1018,7 +904,6 @@ class MiningService:
                 pool_future = self._pool.submit(
                     run_job_with_workers,
                     record.job,
-                    yield_event=record.yield_flag,
                     trace=record.trace,
                     dist_workers=record.dist_workers,
                     **job_kwargs,
@@ -1037,13 +922,6 @@ class MiningService:
                 lambda future, record=record: self._on_task_done(record, future)
             )
 
-    @staticmethod
-    def _dispose_yield_flag(record: "_Record") -> None:
-        """Detach the record's preemption flag, unlinking a file-backed one."""
-        flag, record.yield_flag = record.yield_flag, None
-        if isinstance(flag, FileYieldFlag):
-            flag.dispose()
-
     def _on_task_done(self, record: _Record, pool_future: Future) -> None:
         """Completion callback of a dispatched pool task."""
         post: list = []
@@ -1051,25 +929,6 @@ class MiningService:
             self._running -= 1
             cancelled = pool_future.cancelled()
             error = None if cancelled else pool_future.exception()
-            if isinstance(error, JobPreempted) and record.state == "running":
-                # Cooperative preemption: the worker yielded its slot at
-                # an iteration boundary. Not terminal — the record (and
-                # its coalesced waiters, and its unresolved future) goes
-                # back in the queue. Completed iterations are already in
-                # the belief cache, so the re-run replays them for free.
-                record.state = "queued"
-                record.boost = 0
-                record.enqueued_at = clock.monotonic()
-                record.trace_enqueued = clock.perf_counter()
-                JOBS_PREEMPTED.labels(record.tenant or _NO_TENANT).inc()
-                self._dispose_yield_flag(record)
-                self._enqueue_locked(record)
-                self._emit_later(post, "preempted", record)
-                self._persist_later(post, record)
-                self._dispatch_locked(post)
-                self._run_post(post)
-                return
-            self._dispose_yield_flag(record)
             result = None
             if not cancelled and error is None:
                 result = pool_future.result()
@@ -1190,17 +1049,8 @@ class MiningService:
         self._emit_later(post, "promoted", new_primary, detail=f"after {record.job_id}")
 
     # ------------------------------------------------------------------ #
-    # Tenancy + durable store internals
+    # Durable store internals
     # ------------------------------------------------------------------ #
-    def _refresh_pass_locked(self, record: _Record) -> None:
-        """(Re)stamp a queued record with its tenant's current pass."""
-        if record.tenant is None:
-            record.pass_value = 0.0
-            return
-        record.pass_value = max(
-            self._tenant_pass.get(record.tenant, 0.0), self._vtime
-        )
-
     def _persist_later(self, post: list, record: _Record) -> None:
         """Queue a store write for after the lock drops (no-op storeless).
 
@@ -1245,8 +1095,6 @@ class MiningService:
             "fingerprint": record.fp,
             "state": state,
             "seq": record.seq,
-            "tenant": record.tenant,
-            "tenant_share": record.tenant_share,
             "submitted_at": record.submitted_wall,
             "updated_at": clock.wall_time(),
             "job": persist.job_to_dict(record.job),
@@ -1355,8 +1203,6 @@ class MiningService:
                     job,
                     str(doc.get("fingerprint") or job.fingerprint()),
                     next(self._seq),
-                    tenant=doc.get("tenant"),
-                    tenant_share=float(doc.get("tenant_share") or 1.0),
                 )
                 record.submitted_wall = float(
                     doc.get("submitted_at") or record.submitted_wall

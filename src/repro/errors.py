@@ -70,18 +70,6 @@ class DeadlineExpired(EngineError):
     """
 
 
-class JobPreempted(EngineError):
-    """Raised inside a worker when the scheduler preempts a running job.
-
-    Preemption is cooperative and lands only at iteration boundaries, so
-    every completed iteration is already in the belief cache — when the
-    job is re-dispatched it replays the finished prefix from cache and
-    resumes mining where it stopped. The service catches this internally
-    (the job goes back to ``QUEUED``); callers never see it from
-    :meth:`~repro.engine.service.MiningService.result`.
-    """
-
-
 class AnalysisError(ReproError):
     """Raised by the static-analysis engine (:mod:`repro.analysis`).
 

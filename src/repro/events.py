@@ -47,7 +47,10 @@ if TYPE_CHECKING:  # pragma: no cover - import-cycle-free type hints only
 #: (``promoted`` re-queues a coalesced duplicate whose primary was
 #: cancelled, so it may precede a later ``dispatched``; ``aged`` marks a
 #: starvation-guard priority boost of a long-queued job and may fire any
-#: number of times before its ``dispatched``).
+#: number of times before its ``dispatched``). A service opened over a
+#: durable store emits ``recovered`` for each unfinished record it
+#: re-enqueues, and record retention emits ``evicted`` when it drops a
+#: terminal record.
 SCHEDULER_EVENT_KINDS = (
     "queued",
     "dispatched",
@@ -57,6 +60,8 @@ SCHEDULER_EVENT_KINDS = (
     "aged",
     "cancelled",
     "expired",
+    "recovered",
+    "evicted",
 )
 
 

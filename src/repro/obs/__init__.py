@@ -6,7 +6,7 @@ the determinism contract:
 
 - :mod:`repro.obs.metrics` — counters/gauges/histograms in the
   string-keyed registry idiom, rendered as Prometheus text by the
-  ``GET /metrics`` endpoints on the server, worker, and router.
+  ``GET /metrics`` endpoints on the server and the worker.
 - :mod:`repro.obs.trace` — spans with explicit context propagation, so
   one trace id follows a job from HTTP submit through the scheduler,
   the executor's shards, and a remote worker daemon.

@@ -1,10 +1,9 @@
 """The scrape-side of the observability loop: ``sisd top`` and admin.
 
 Everything here consumes the *exposition format*, not in-process
-objects: the dashboard and the usage report work identically against a
-:class:`~repro.server.MiningServer`, a worker daemon, or a router,
-local or remote, because all three serve the same ``GET /metrics``
-Prometheus text. Transport is stdlib ``http.client`` (matching
+objects: the dashboard works identically against a
+:class:`~repro.server.MiningServer` or a worker daemon, local or
+remote, because both serve the same ``GET /metrics`` Prometheus text. Transport is stdlib ``http.client`` (matching
 :mod:`repro.client`), parsing is
 :func:`repro.obs.metrics.parse_prometheus`.
 """
@@ -13,7 +12,7 @@ from __future__ import annotations
 
 import json
 from http.client import HTTPConnection, HTTPException
-from typing import Any, Mapping
+from typing import Mapping
 
 from repro.errors import ObsError
 from repro.obs.metrics import parse_prometheus
@@ -25,8 +24,6 @@ __all__ = [
     "post_json",
     "render_dashboard",
     "scrape",
-    "tenant_usage",
-    "usage_table",
 ]
 
 #: Sample name -> short dashboard row label, in display order.
@@ -53,8 +50,6 @@ _DASHBOARD_HISTOGRAMS = (
 _DASHBOARD_COUNTERS = (
     ("sisd_jobs_submitted_total", "jobs submitted"),
     ("sisd_jobs_finished_total", "jobs finished"),
-    ("sisd_jobs_rejected_total", "jobs rejected"),
-    ("sisd_jobs_preempted_total", "jobs preempted"),
     ("sisd_miner_steps_total", "miner steps"),
     ("sisd_beam_candidates_total", "beam candidates"),
     ("sisd_dist_shards_total", "dist shards"),
@@ -63,13 +58,7 @@ _DASHBOARD_COUNTERS = (
 )
 
 
-def fetch_text(
-    url: str,
-    path: str,
-    *,
-    timeout: float = 10.0,
-    token: str | None = None,
-) -> str:
+def fetch_text(url: str, path: str, *, timeout: float = 10.0) -> str:
     """GET one path and return the raw (undecoded-as-JSON) body text.
 
     The client module's exchange helper insists on JSON documents; the
@@ -77,10 +66,7 @@ def fetch_text(
     """
     conn = HTTPConnection(*split_url(url), timeout=timeout)
     try:
-        headers = {"Accept": "*/*"}
-        if token is not None:
-            headers["Authorization"] = f"Bearer {token}"
-        conn.request("GET", path, headers=headers)
+        conn.request("GET", path, headers={"Accept": "*/*"})
         response = conn.getresponse()
         body = response.read().decode("utf-8", errors="replace")
         if response.status != 200:
@@ -94,20 +80,11 @@ def fetch_text(
         conn.close()
 
 
-def post_json(
-    url: str,
-    path: str,
-    *,
-    timeout: float = 30.0,
-    token: str | None = None,
-) -> dict:
+def post_json(url: str, path: str, *, timeout: float = 30.0) -> dict:
     """POST (no body) one admin path and return the decoded document."""
     conn = HTTPConnection(*split_url(url), timeout=timeout)
     try:
-        headers = {"Accept": "application/json"}
-        if token is not None:
-            headers["Authorization"] = f"Bearer {token}"
-        conn.request("POST", path, headers=headers)
+        conn.request("POST", path, headers={"Accept": "application/json"})
         response = conn.getresponse()
         body = response.read().decode("utf-8", errors="replace")
         try:
@@ -128,10 +105,10 @@ def post_json(
 
 
 def scrape(
-    url: str, *, timeout: float = 10.0, token: str | None = None
+    url: str, *, timeout: float = 10.0
 ) -> dict[str, list[tuple[dict[str, str], float]]]:
     """Fetch and parse one endpoint's ``/metrics`` exposition."""
-    return parse_prometheus(fetch_text(url, "/metrics", timeout=timeout, token=token))
+    return parse_prometheus(fetch_text(url, "/metrics", timeout=timeout))
 
 
 Samples = Mapping[str, list[tuple[Mapping[str, str], float]]]
@@ -196,43 +173,3 @@ def render_dashboard(samples: Samples, *, source: str = "") -> str:
         return "(no sisd metrics exposed yet)"
     return "\n\n".join(blocks)
 
-
-def tenant_usage(samples: Samples) -> list[tuple[str, float, float, float]]:
-    """Per-tenant ``(tenant, submitted, rejected, preempted)`` rows.
-
-    Tenants appearing in any of the three families get a row; the
-    sort is by submitted count descending, then name.
-    """
-    usage: dict[str, dict[str, float]] = {}
-    for family, column in (
-        ("sisd_jobs_submitted_total", "submitted"),
-        ("sisd_jobs_rejected_total", "rejected"),
-        ("sisd_jobs_preempted_total", "preempted"),
-    ):
-        for labels, value in _series(samples, family):
-            tenant = labels.get("tenant", "-")
-            row = usage.setdefault(
-                tenant, {"submitted": 0.0, "rejected": 0.0, "preempted": 0.0}
-            )
-            row[column] += value
-    rows = [
-        (tenant, row["submitted"], row["rejected"], row["preempted"])
-        for tenant, row in usage.items()
-    ]
-    rows.sort(key=lambda row: (-row[1], row[0]))
-    return rows
-
-
-def usage_table(samples: Samples, *, source: str = "") -> str:
-    """The rendered ``sisd admin usage`` report."""
-    rows: list[tuple[Any, ...]] = [
-        (tenant, f"{submitted:g}", f"{rejected:g}", f"{preempted:g}")
-        for tenant, submitted, rejected, preempted in tenant_usage(samples)
-    ]
-    if not rows:
-        rows = [("(no submissions yet)", "", "", "")]
-    return format_table(
-        ["tenant", "submitted", "rejected", "preempted"],
-        rows,
-        title=f"tenant usage — {source}" if source else "tenant usage",
-    )

@@ -98,17 +98,7 @@ LINALG_FALLBACKS = METRICS.counter(
 # Service tier (repro.engine.service)
 # --------------------------------------------------------------------- #
 JOBS_SUBMITTED = METRICS.counter(
-    "sisd_jobs_submitted_total", "Jobs accepted per tenant", labels=("tenant",)
-)
-JOBS_REJECTED = METRICS.counter(
-    "sisd_jobs_rejected_total",
-    "Jobs refused at submit per tenant (queue caps, auth)",
-    labels=("tenant",),
-)
-JOBS_PREEMPTED = METRICS.counter(
-    "sisd_jobs_preempted_total",
-    "Jobs preempted back to the queue per tenant",
-    labels=("tenant",),
+    "sisd_jobs_submitted_total", "Jobs accepted by the mining service"
 )
 JOBS_FINISHED = METRICS.counter(
     "sisd_jobs_finished_total",
@@ -228,16 +218,6 @@ WORKER_CONTEXT_MISSES = METRICS.counter(
 )
 WORKER_SHARD_SECONDS = METRICS.histogram(
     "sisd_worker_shard_seconds", "Shard execution time on the worker"
-)
-
-ROUTER_SUBMITTED = METRICS.counter(
-    "sisd_router_submitted_total", "Jobs placed on a replica by the router"
-)
-ROUTER_FORWARDED = METRICS.counter(
-    "sisd_router_forwarded_total", "Requests proxied to replicas"
-)
-ROUTER_REBALANCES = METRICS.counter(
-    "sisd_router_rebalances_total", "Hash-ring membership changes"
 )
 
 #: Pre-bound beam phase children (the hot-path handles).

@@ -46,7 +46,7 @@ __all__ = [
 ]
 
 #: Content type of the Prometheus text exposition format, served by
-#: every ``GET /metrics`` endpoint (server, worker daemon, router).
+#: every ``GET /metrics`` endpoint (server and worker daemon).
 PROMETHEUS_CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
 
 #: Default histogram boundaries (seconds): spans shard RTTs (~1ms)

@@ -10,7 +10,7 @@
 - :mod:`repro.server.wire` — the canonical JSON wire schemas, shared
   with :class:`repro.client.RemoteWorkspace`.
 - :class:`~repro.server.http.Daemon` — the one asyncio HTTP daemon
-  under the server, the router and the worker: lifecycle, keep-alive
+  under the server and the worker: lifecycle, keep-alive
   loop (idle connections close after ``http.IDLE_TIMEOUT``), and the
   one error envelope.
 

@@ -39,13 +39,12 @@ from repro.engine.service import JobStatus, MiningService
 from repro.errors import EngineError
 from repro.events import MiningObserver
 from repro.obs import clock
-from repro.obs.instruments import HTTP_REQUESTS, JOBS_REJECTED, METRICS
+from repro.obs.instruments import HTTP_REQUESTS, METRICS
 from repro.obs.metrics import PROMETHEUS_CONTENT_TYPE
 from repro.obs.trace import TRACER
 from repro.server import http, wire
 from repro.server.http import ServerHandle
 from repro.server.hub import EventHub
-from repro.store.tenancy import Tenant, TenantRegistry
 from repro.version import __version__
 
 __all__ = ["MiningServer", "ServerHandle"]
@@ -213,13 +212,6 @@ class MiningServer(http.Daemon):
         clients can tell a restart from a reconnect. Incompatible with
         an external ``service`` (pass the store to that service
         instead).
-    auth:
-        Bearer-token tenancy: a token-file path (see
-        :meth:`repro.store.TenantRegistry.from_file`) or a
-        :class:`~repro.store.TenantRegistry`. When set, every route but
-        ``GET /health`` requires ``Authorization: Bearer <token>``
-        (else 401); submissions are rate-limited per tenant (429 with
-        ``Retry-After``) and scheduled under the tenant's fair share.
     record_ttl_seconds / max_terminal_records:
         Terminal-record expiry of the owned durable service (see
         :class:`~repro.engine.service.MiningService`).
@@ -245,7 +237,6 @@ class MiningServer(http.Daemon):
         queue_maxsize: int = 512,
         heartbeat_seconds: float = 15.0,
         store=None,
-        auth=None,
         record_ttl_seconds: float | None = None,
         max_terminal_records: int | None = None,
     ) -> None:
@@ -270,10 +261,6 @@ class MiningServer(http.Daemon):
             service.add_observer(observer)
             self._observer = observer
         self.service = service
-        if auth is None or isinstance(auth, TenantRegistry):
-            self.tenants = auth
-        else:
-            self.tenants = TenantRegistry.from_file(auth)
         # The stream generation: every SSE frame and submit response is
         # stamped with it, and /health exposes it. A stored server draws
         # a fresh monotone integer per boot (so clients *know* frame
@@ -345,8 +332,7 @@ class MiningServer(http.Daemon):
     async def respond(
         self, request: http.Request, reader, writer
     ) -> http.Response | None:
-        """Authenticate, then answer: metrics, the event stream, or JSON."""
-        tenant = self._authenticate(request)
+        """Answer: metrics, the event stream, or a JSON document."""
         if request.method == "GET" and request.path == "/metrics":
             # Prometheus text, not JSON: answered here rather than
             # through _dispatch's document pipeline.
@@ -360,7 +346,7 @@ class MiningServer(http.Daemon):
             HTTP_REQUESTS.labels("/events").inc()
             await self._handle_events(request, reader, writer)
             return None
-        status, document = await self._dispatch(request, tenant)
+        status, document = await self._dispatch(request)
         if "result" in document or "jobs" in document:
             # Result/listing documents can run to megabytes of pattern
             # arrays; encode off the loop so one big response cannot
@@ -390,31 +376,6 @@ class MiningServer(http.Daemon):
                 extra += (("Content-Encoding", "gzip"),)
         return http.Response(status, body, headers=extra)
 
-    def _authenticate(self, request: http.Request) -> Tenant | None:
-        """Resolve the request's tenant; raises 401 when auth is on.
-
-        ``GET /health`` stays open — liveness probes don't carry
-        credentials — but every job-facing route (and the event stream)
-        requires a registered bearer token once ``auth=`` is set.
-        """
-        if self.tenants is None:
-            return None
-        if request.method == "GET" and request.path in ("/health", "/metrics"):
-            # Liveness probes and metrics scrapers carry no credentials.
-            return None
-        token = http.bearer_token(request.headers)
-        tenant = (
-            None if token is None else self.tenants.authenticate(token)
-        )
-        if tenant is None:
-            raise http.HttpError(
-                401,
-                "this server requires an Authorization: Bearer token "
-                "registered with its tenant registry",
-                headers=(("WWW-Authenticate", 'Bearer realm="sisd"'),),
-            )
-        return tenant
-
     # ------------------------------------------------------------------ #
     # Routing
     # ------------------------------------------------------------------ #
@@ -433,9 +394,7 @@ class MiningServer(http.Daemon):
             return "/" + "/".join(parts)
         return "other"
 
-    async def _dispatch(
-        self, request: http.Request, tenant: Tenant | None = None
-    ) -> tuple[int, dict]:
+    async def _dispatch(self, request: http.Request) -> tuple[int, dict]:
         parts = [part for part in request.path.split("/") if part]
         HTTP_REQUESTS.labels(self._route_label(parts)).inc()
         if parts == ["health"] and request.method == "GET":
@@ -444,7 +403,7 @@ class MiningServer(http.Daemon):
             return await self._compact()
         if parts == ["jobs"]:
             if request.method == "POST":
-                return await self._submit(request, tenant)
+                return await self._submit(request)
             if request.method == "GET":
                 return 200, self._list_jobs()
             raise http.HttpError(405, f"{request.method} not allowed on /jobs")
@@ -498,7 +457,6 @@ class MiningServer(http.Daemon):
             "status": "ok",
             "version": __version__,
             "generation": self.generation,
-            "auth": self.tenants is not None,
             "durable": self.service.store is not None,
             "uptime_seconds": self.uptime_seconds,
             "service": {
@@ -537,40 +495,8 @@ class MiningServer(http.Daemon):
             "store": dict(store.stats()),
         }
 
-    def _admit(self, tenant: Tenant | None) -> dict:
-        """Per-tenant admission: rate limit + pending-quota checks.
-
-        Returns extra ``submit`` kwargs carrying the tenant identity and
-        fair share into the scheduler; raises 429 (with ``Retry-After``)
-        when the tenant's token bucket is dry or its queue is full.
-        """
-        if tenant is None:
-            return {}
-        ok, retry_after = self.tenants.admit(tenant.name)
-        if not ok:
-            JOBS_REJECTED.labels(tenant.name).inc()
-            raise http.HttpError(
-                429,
-                f"tenant {tenant.name!r} is over its submission rate limit",
-                headers=(("Retry-After", f"{max(retry_after, 0.001):.3f}"),),
-            )
-        if tenant.max_pending is not None:
-            pending = self.service.tenant_load(tenant.name)
-            if pending >= tenant.max_pending:
-                JOBS_REJECTED.labels(tenant.name).inc()
-                raise http.HttpError(
-                    429,
-                    f"tenant {tenant.name!r} has {pending} jobs pending, "
-                    f"at its max_pending quota of {tenant.max_pending}",
-                    headers=(("Retry-After", "1"),),
-                )
-        return {"tenant": tenant.name, "tenant_share": tenant.share}
-
-    async def _submit(
-        self, request: http.Request, tenant: Tenant | None = None
-    ) -> tuple[int, dict]:
+    async def _submit(self, request: http.Request) -> tuple[int, dict]:
         job = wire.submission_spec(request.json())
-        opts = self._admit(tenant)
         observer = _JobStreamObserver(self.hub, candidates=self.candidate_events)
         loop = asyncio.get_running_loop()
         # Sampled before submission: every event of this job has a
@@ -580,7 +506,7 @@ class MiningServer(http.Daemon):
         since = self.hub.latest_seq
         # submit() can mine inline (serial backend) — keep it off the loop.
         job_id = await loop.run_in_executor(
-            None, lambda: self.service.submit(job, observer=observer, **opts)
+            None, lambda: self.service.submit(job, observer=observer)
         )
         observer.bind(job_id)
         self._submitted += 1

@@ -1,8 +1,7 @@
 """Minimal HTTP/1.1 over asyncio streams, and the one daemon built on it.
 
 Every sisd daemon is a :class:`Daemon`:
-:class:`~repro.server.app.MiningServer` (``sisd serve``),
-:class:`~repro.dist.router.MiningRouter` (``sisd route``) and
+:class:`~repro.server.app.MiningServer` (``sisd serve``) and
 :class:`~repro.dist.worker.WorkerDaemon` (``sisd worker``). The base
 class owns what they share: the lifecycle (``start``/``stop``/``run``/
 ``run_in_thread`` and :class:`ServerHandle`), the keep-alive request
@@ -55,31 +54,22 @@ _PHRASES = {
     204: "No Content",
     304: "Not Modified",
     400: "Bad Request",
-    401: "Unauthorized",
     404: "Not Found",
     405: "Method Not Allowed",
     408: "Request Timeout",
     409: "Conflict",
     413: "Payload Too Large",
-    429: "Too Many Requests",
     500: "Internal Server Error",
     501: "Not Implemented",
 }
 
 
 class HttpError(ReproError):
-    """A request the server rejects with an HTTP status code.
+    """A request the server rejects with an HTTP status code."""
 
-    ``headers`` are extra response headers the rejection must carry
-    (``Retry-After`` on a 429, ``WWW-Authenticate`` on a 401).
-    """
-
-    def __init__(
-        self, status: int, message: str, *, headers: tuple = ()
-    ) -> None:
+    def __init__(self, status: int, message: str) -> None:
         super().__init__(message)
         self.status = status
-        self.headers = tuple(headers)
 
 
 @dataclass
@@ -228,18 +218,18 @@ def error_response(error: BaseException) -> Response:
 
     The body is ``{"schema": 1, "error": {"type", "message"}}`` on every
     tier (``WIRE_SCHEMA`` and the compute tier's ``DIST_SCHEMA`` are both
-    1). An :class:`HttpError` brings its own status and headers, any
-    other :class:`~repro.errors.ReproError` is the client's fault (400),
-    and anything else is the daemon's (500).
+    1). An :class:`HttpError` brings its own status, any other
+    :class:`~repro.errors.ReproError` is the client's fault (400), and
+    anything else is the daemon's (500).
     """
     if isinstance(error, HttpError):
-        status, headers = error.status, error.headers
+        status = error.status
     elif isinstance(error, ReproError):
-        status, headers = 400, ()
+        status = 400
     else:
-        status, headers = 500, ()
+        status = 500
     document = {"schema": wire.WIRE_SCHEMA, "error": wire.error_to_wire(error)}
-    return Response(status, json_body(document), headers=headers)
+    return Response(status, json_body(document))
 
 
 # --------------------------------------------------------------------- #
@@ -297,16 +287,6 @@ def gzip_body(body: bytes) -> bytes:
     layers in front would see spurious changes.
     """
     return gzip.compress(body, compresslevel=6, mtime=0)
-
-
-def bearer_token(headers: dict) -> str | None:
-    """The ``Authorization: Bearer`` credential, or None."""
-    value = headers.get("authorization", "")
-    scheme, _, credential = value.partition(" ")
-    if scheme.lower() != "bearer":
-        return None
-    credential = credential.strip()
-    return credential or None
 
 
 def sse_preamble(*, retry_ms: int = 2000) -> bytes:

@@ -268,11 +268,16 @@ class EventHub:
                 )
                 if oldest - 1 > since:
                     SSE_RESUME_GAPS.inc()
+                # publish retains every entry it stamps, so the history's
+                # sequence numbers are contiguous and end at _latest: the
+                # entries after ``since`` are its newest _latest - since,
+                # read from the right end without scanning the rest.
+                count = min(max(self._latest - since, 0), len(self._history))
+                newest = list(itertools.islice(reversed(self._history), count))
                 backlog = [
                     entry
-                    for entry in self._history
-                    if entry[0] > since
-                    and (job_id is None or entry[1].get("job_id") == job_id)
+                    for entry in reversed(newest)
+                    if job_id is None or entry[1].get("job_id") == job_id
                 ]
             sub = Subscription(
                 self,

@@ -109,9 +109,8 @@ def scheduler_event_from_wire(data: dict[str, Any]) -> SchedulerEvent:
 def submission_spec(document: dict[str, Any]) -> MiningSpec:
     """The spec a ``POST /jobs`` body carries.
 
-    A replica runs this spec and a router places the body by its
-    fingerprint, so both read it here: ``spec`` first, then a flat
-    ``job`` document, then a bare spec document (one with ``dataset``).
+    Read in one order: ``spec`` first, then a flat ``job`` document,
+    then a bare spec document (one with ``dataset``).
     """
     if "spec" in document:
         return MiningSpec.from_dict(document["spec"])

@@ -3,7 +3,7 @@
 A :class:`MiningSpec` is the unit of work every layer carries — the
 :class:`repro.api.Workspace`, the job runner and
 :class:`~repro.engine.service.MiningService`, the server and its wire,
-the durable store, and the router. It replaces three competing config
+and the durable store. It replaces three competing config
 surfaces (:class:`~repro.search.config.SearchConfig` knobs,
 :class:`~repro.interest.dl.DLParams` weights, loose keyword arguments)
 with six declarative sections:
@@ -40,8 +40,7 @@ A spec has two JSON document forms, both on disk and on the wire:
   checks its keys and hands its values to :meth:`MiningSpec.build`, so
   the flat form reads values exactly as the sections do. Its
   name-free part is :meth:`MiningSpec.work_document`, whose digest is
-  the fingerprint every cache key, store record and router placement
-  uses.
+  the fingerprint every cache key and store record uses.
 
 >>> spec = MiningSpec.build("synthetic", kind="spread", n_iterations=3)
 >>> spec.fingerprint() == MiningSpec.from_dict(spec.to_dict()).fingerprint()
@@ -631,7 +630,7 @@ class MiningSpec:
         The body of the flat job form (:func:`repro.persist.job_to_dict`
         adds the name and scheduling envelope) and the input of
         :meth:`fingerprint`. Its keys and spelling are frozen: every
-        cache key, store record and router placement derives from them.
+        cache key and store record derives from them.
         ``weights`` appears only when set, so pre-weights fingerprints
         stay byte-identical.
         """
@@ -661,6 +660,6 @@ class MiningSpec:
         Equal work fingerprints equally regardless of its label, how it
         was spelled, or how many workers run it — the executor cannot
         change the patterns (the engine's determinism contract).
-        Memoized: the service, wire and router call it per request.
+        Memoized: the service and the wire call it per request.
         """
         return self._memo("_fingerprint", lambda: _fingerprint(self.work_document()))

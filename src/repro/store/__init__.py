@@ -1,6 +1,6 @@
-"""repro.store — the durable, multi-tenant persistence tier.
+"""repro.store — the durable persistence tier.
 
-Three concerns, one directory:
+Two concerns, one directory:
 
 - :class:`JobStore` (over :class:`DurableLog`): scheduler records and
   finished results survive restarts, bit-identically.
@@ -8,13 +8,10 @@ Three concerns, one directory:
   cache spills to content-addressed files (mmap-read numpy payloads),
   so the sequential method's accumulated background state survives too
   — and crosses process boundaries as a short picklable handle.
-- :class:`TenantRegistry` / :class:`Tenant`: bearer tokens, fair-share
-  weights for the scheduler, and token-bucket rate limits.
 """
 
 from repro.store.beliefs import BeliefStore, BeliefStoreHandle
 from repro.store.records import RECORD_SCHEMA, JobStore
-from repro.store.tenancy import Tenant, TenantRegistry, TokenBucket
 from repro.store.wal import DurableLog
 
 __all__ = [
@@ -23,7 +20,4 @@ __all__ = [
     "DurableLog",
     "JobStore",
     "RECORD_SCHEMA",
-    "Tenant",
-    "TenantRegistry",
-    "TokenBucket",
 ]

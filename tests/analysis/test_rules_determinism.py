@@ -97,7 +97,7 @@ class TestUnseededRandom:
 
     def test_unseeded_default_rng_fires(self, lint_snippet):
         report = lint_snippet(
-            "repro/dist/ring.py",
+            "repro/persist.py",
             """
             import numpy as np
 
@@ -109,7 +109,7 @@ class TestUnseededRandom:
 
     def test_seeded_default_rng_is_quiet(self, lint_snippet):
         report = lint_snippet(
-            "repro/dist/ring.py",
+            "repro/persist.py",
             """
             import numpy as np
 

@@ -16,6 +16,8 @@ from pathlib import Path
 import pytest
 
 from repro.analysis import RULES, LintEngine
+from repro.analysis.rules.determinism import CRITICAL_PATHS, INSTRUMENTED_PATHS
+from repro.analysis.rules.resources import RenameWithoutFsyncRule
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 SRC = REPO_ROOT / "src"
@@ -38,6 +40,27 @@ class TestSelfCheck:
             assert len(rule.explain().splitlines()) > 2, (
                 f"{rule_id}: --explain needs a real paragraph, not a stub"
             )
+
+    def test_every_lint_scope_names_a_real_path(self):
+        # A scope entry that matches no file fires on nothing, silently:
+        # deleting or moving a module must also update the scopes.
+        scopes = {
+            "CRITICAL_PATHS": CRITICAL_PATHS,
+            "INSTRUMENTED_PATHS": INSTRUMENTED_PATHS,
+            "RES002.applies_to": RenameWithoutFsyncRule.applies_to,
+        }
+        for rule_id in RULES:
+            scopes[f"{rule_id}.applies_to"] = RULES.get(rule_id).applies_to
+        missing = [
+            f"{name}: {entry}"
+            for name, entries in scopes.items()
+            for entry in entries
+            if not (SRC / entry).exists()
+            or (SRC / entry).is_dir() != entry.endswith("/")
+        ]
+        assert not missing, "lint scopes name no file under src/:\n" + "\n".join(
+            missing
+        )
 
     def test_cli_entry_point_exits_zero_on_src(self):
         result = subprocess.run(

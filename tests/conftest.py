@@ -62,12 +62,11 @@ class _TruncatingHandler(BaseHTTPRequestHandler):
         peer = self.server
         with peer.lock:
             peer.requests += 1
-            whole = peer.requests <= peer.whole
         self.send_response(200)
         self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(peer.body) if whole else 100))
+        self.send_header("Content-Length", "100")
         self.end_headers()
-        self.wfile.write(peer.body if whole else peer.body[:5])
+        self.wfile.write(peer.body[:5])
 
     do_GET = do_POST = do_PUT = _reply
 
@@ -78,17 +77,16 @@ class _TruncatingHandler(BaseHTTPRequestHandler):
 class TruncatingPeer(ThreadingHTTPServer):
     """A localhost HTTP peer that cuts its replies short.
 
-    It answers the first ``whole`` requests with ``body`` in full. Every
-    later reply declares ``Content-Length: 100``, sends at most five
-    bytes and closes, so the client reading it sees a truncated body.
+    Every reply declares ``Content-Length: 100``, sends at most the
+    first five bytes of ``body`` and closes, so the client reading it
+    sees a truncated body.
     """
 
     daemon_threads = True
 
-    def __init__(self, body: bytes, whole: int = 0) -> None:
+    def __init__(self, body: bytes) -> None:
         super().__init__(("127.0.0.1", 0), _TruncatingHandler)
         self.body = body
-        self.whole = whole
         self.requests = 0
         self.lock = threading.Lock()
         self.url = f"http://127.0.0.1:{self.server_address[1]}"
@@ -98,7 +96,10 @@ class _FixedReplyHandler(socketserver.StreamRequestHandler):
     def handle(self):
         while self.rfile.readline() not in (b"\r\n", b"\n", b""):
             pass  # skip the request head
-        self.wfile.write(self.server.reply)
+        peer = self.server
+        with peer.lock:
+            peer.requests += 1
+        self.wfile.write(peer.reply)
 
 
 class FixedReplyPeer(socketserver.ThreadingTCPServer):
@@ -106,7 +107,8 @@ class FixedReplyPeer(socketserver.ThreadingTCPServer):
 
     It reads the request head, writes ``reply`` verbatim and closes the
     connection, so a test can send what no HTTP server would: a garbage
-    status line, a header line past ``http.client``'s limit.
+    status line, a header line past ``http.client``'s limit. ``requests``
+    counts the requests it has answered.
     """
 
     daemon_threads = True
@@ -114,6 +116,8 @@ class FixedReplyPeer(socketserver.ThreadingTCPServer):
     def __init__(self, reply: bytes) -> None:
         super().__init__(("127.0.0.1", 0), _FixedReplyHandler)
         self.reply = reply
+        self.requests = 0
+        self.lock = threading.Lock()
         self.url = f"http://127.0.0.1:{self.server_address[1]}"
 
 

@@ -61,6 +61,7 @@ def subprocess_worker():
     if process.poll() is None:
         process.kill()
     process.wait(timeout=10.0)
+    process.stdout.close()
 
 
 def _kill_when_busy(url, process):

@@ -7,13 +7,16 @@ observable through ``repro.events``. Cancel-while-queued and deadline
 expiry are deterministic terminal states.
 """
 
+import ast
 import concurrent.futures
+import inspect
 
 import pytest
 
+from repro.engine import service as service_module
 from repro.engine.service import JobStatus, MiningService
 from repro.errors import DeadlineExpired, EngineError, ReproError
-from repro.events import EventLog
+from repro.events import SCHEDULER_EVENT_KINDS, EventLog
 from repro.spec import MiningSpec
 
 FAST = dict(beam_width=6, max_depth=2, top_k=10)
@@ -448,3 +451,39 @@ class TestAgingStarvationGuard:
             gate.set()
             service.wait_all()
         assert service.status(aged) == JobStatus.DONE
+
+
+class TestEventKinds:
+    """``SCHEDULER_EVENT_KINDS`` names exactly the kinds the service emits.
+
+    Every scheduling event leaves :class:`MiningService` through
+    ``_emit_later(post, kind, ...)``; the scan reads each call's kind
+    from the source, so a kind added without documenting it, or a
+    documented kind whose emitter was deleted, fails here.
+    """
+
+    @staticmethod
+    def _emitted_kinds() -> set[str]:
+        kinds = set()
+        tree = ast.parse(inspect.getsource(service_module))
+        for node in ast.walk(tree):
+            if not (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "_emit_later"
+            ):
+                continue
+            kind = node.args[1]
+            assert isinstance(kind, ast.Constant) and isinstance(
+                kind.value, str
+            ), f"line {node.lineno}: the kind is not a string literal"
+            kinds.add(kind.value)
+        return kinds
+
+    def test_every_emitted_kind_is_documented(self):
+        emitted = self._emitted_kinds()
+        assert emitted, "no _emit_later call found"
+        assert emitted <= set(SCHEDULER_EVENT_KINDS)
+
+    def test_every_documented_kind_is_emitted(self):
+        assert set(SCHEDULER_EVENT_KINDS) <= self._emitted_kinds()

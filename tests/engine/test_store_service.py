@@ -1,4 +1,4 @@
-"""MiningService + JobStore: restart recovery, tenancy, preemption.
+"""MiningService + JobStore: restart recovery, retention, dispatch order.
 
 The durable-service contract under test:
 
@@ -7,7 +7,8 @@ The durable-service contract under test:
 - queued/running jobs are re-enqueued in their original submit order;
 - warm belief prefixes replay from the on-disk spill (no candidate
   evaluation for replayed iterations);
-- tenant fair-share ordering and cooperative preemption.
+- terminal records expire by count and by age;
+- equal-priority submissions dispatch in arrival order.
 """
 
 import time
@@ -16,13 +17,12 @@ import pytest
 
 from repro.engine.service import JobStatus, MiningService
 from repro.errors import EngineError
-from repro.events import MiningObserver
+from repro.events import SCHEDULER_EVENT_KINDS, MiningObserver
 from repro.persist import job_result_to_dict
 from repro.spec import MiningSpec
 from repro.store import JobStore
 
 FAST = dict(beam_width=6, max_depth=2, top_k=10)
-SLOW = dict(beam_width=40, max_depth=4, top_k=150)
 
 
 def _job(seed=0, config=FAST, **kwargs):
@@ -118,6 +118,7 @@ class TestRestartRecovery:
             # One worker: dispatch order == recovery order == submit order.
             names = [e[2] for e in log.kinds("dispatched")]
             assert names == ["blocker", "queued-1", "queued-2", "queued-3"]
+            assert {e[0] for e in log.events} <= set(SCHEDULER_EVENT_KINDS)
         finally:
             recovered.shutdown()
             service.shutdown(wait=False)
@@ -177,6 +178,7 @@ class TestTerminalExpiry:
             assert ids[0] not in jobs and ids[1] not in jobs
             assert ids[2] in jobs
             assert len(log.kinds("evicted")) == 2
+            assert {e[0] for e in log.events} <= set(SCHEDULER_EVENT_KINDS)
         with JobStore(tmp_path) as store:
             stored = [d["job_id"] for d in store.records()]
             assert ids[2] in stored and trigger in stored
@@ -198,94 +200,7 @@ class TestTerminalExpiry:
             MiningService(store=tmp_path, max_terminal_records=0)
 
 
-class TestTenantFairShare:
-    def _run(self, shares, submissions, tmp_path):
-        """Submit per-tenant jobs behind a blocker; return dispatch order."""
-        import threading
-
-        running = threading.Event()
-        release = threading.Event()
-
-        class _Gate(MiningObserver):
-            """Parks the blocker until every contender is queued."""
-
-            def on_iteration(self, iteration):
-                running.set()
-                release.wait(60)
-
-        log = _ScheduleLog()
-        with MiningService(
-            max_workers=1, backend="thread", observer=log, store=tmp_path
-        ) as service:
-            service.submit(
-                _job(seed=9, n_iterations=2, name="blocker"), observer=_Gate()
-            )
-            assert running.wait(60)  # the blocker occupies the only worker
-            for seed, (name, tenant) in enumerate(submissions, start=10):
-                service.submit(
-                    _job(seed=seed, name=name),
-                    tenant=tenant,
-                    tenant_share=shares.get(tenant, 1.0),
-                )
-            release.set()
-            service.wait_all(timeout=180)
-        order = [e[2] for e in log.kinds("dispatched")]
-        assert order[0] == "blocker"
-        return order[1:]
-
-    def test_equal_shares_interleave(self, tmp_path):
-        order = self._run(
-            {},
-            [
-                ("A1", "alice"),
-                ("A2", "alice"),
-                ("A3", "alice"),
-                ("A4", "alice"),
-                ("B1", "bob"),
-                ("B2", "bob"),
-            ],
-            tmp_path,
-        )
-        assert order == ["A1", "B1", "A2", "B2", "A3", "A4"]
-
-    def test_weighted_share_gets_proportionally_more_slots(self, tmp_path):
-        order = self._run(
-            {"alice": 2.0},
-            [
-                ("A1", "alice"),
-                ("A2", "alice"),
-                ("A3", "alice"),
-                ("A4", "alice"),
-                ("B1", "bob"),
-                ("B2", "bob"),
-            ],
-            tmp_path,
-        )
-        assert order == ["A1", "B1", "A2", "A3", "B2", "A4"]
-
-    def test_tenant_load_counts_live_jobs(self, tmp_path):
-        import threading
-
-        running = threading.Event()
-
-        class _Stall(MiningObserver):
-            def on_iteration(self, iteration):
-                running.set()
-                time.sleep(0.4)
-
-        with MiningService(max_workers=1, backend="thread") as service:
-            service.submit(
-                _job(seed=9, n_iterations=3), tenant="alice", observer=_Stall()
-            )
-            assert running.wait(60)
-            service.submit(_job(seed=1), tenant="alice")
-            service.submit(_job(seed=2), tenant="bob")
-            assert service.tenant_load("alice") == 2
-            assert service.tenant_load("bob") == 1
-            assert service.tenant_load("nobody") == 0
-            service.wait_all(timeout=180)
-            assert service.tenant_load("alice") == 0
-
+class TestDispatchOrder:
     def test_untenanted_submissions_keep_exact_fifo_behavior(self, tmp_path):
         import threading
 
@@ -311,63 +226,3 @@ class TestTenantFairShare:
             service.wait_all(timeout=180)
         names = [e[2] for e in log.kinds("dispatched")]
         assert names == ["blocker", "plain-1", "plain-2", "plain-3"]
-
-
-class TestPreemption:
-    def test_preempted_job_requeues_and_completes(self, tmp_path):
-        import threading
-
-        started = threading.Event()
-
-        class _SlowIterations(MiningObserver):
-            def on_iteration(self, iteration):
-                started.set()
-                time.sleep(0.25)
-
-        log = _ScheduleLog()
-        with MiningService(
-            max_workers=1, backend="thread", observer=log, store=tmp_path
-        ) as service:
-            job_id = service.submit(
-                _job(seed=5, n_iterations=6), observer=_SlowIterations()
-            )
-            assert started.wait(60)
-            assert service.preempt(job_id)
-            result = service.result(job_id, 180)
-            assert len(result.iterations) == 6
-        kinds = [e[0] for e in log.events if e[1] == job_id]
-        assert "preempt_requested" in kinds
-        assert "preempted" in kinds
-        assert kinds.count("dispatched") == 2  # ran, yielded, ran again
-
-    def test_process_backend_preempts_via_flag_file(self, tmp_path):
-        """Cooperative preemption crosses the process boundary.
-
-        The thread backend hands the worker a ``threading.Event``; the
-        process backend cannot, so the service plants a
-        :class:`~repro.engine.jobs.FileYieldFlag` instead. Same
-        contract: yield at the next iteration boundary, requeue, finish.
-        """
-        log = _ScheduleLog()
-        with MiningService(
-            max_workers=1, backend="process", observer=log, store=tmp_path
-        ) as service:
-            job_id = service.submit(_job(seed=5, n_iterations=8))
-            deadline = time.monotonic() + 60
-            while service.status(job_id) != JobStatus.RUNNING:
-                assert time.monotonic() < deadline, "job never started"
-                time.sleep(0.02)
-            assert service.preempt(job_id)
-            result = service.result(job_id, 180)
-            assert len(result.iterations) == 8
-        kinds = [e[0] for e in log.events if e[1] == job_id]
-        assert "preempt_requested" in kinds
-        assert "preempted" in kinds
-        assert kinds.count("dispatched") == 2  # ran, yielded, ran again
-
-    def test_preempt_unknown_or_finished_job(self):
-        with MiningService(backend="serial") as service:
-            job_id = service.submit(_job())
-            assert not service.preempt(job_id)  # already terminal
-            with pytest.raises(EngineError):
-                service.preempt("no-such-job")

@@ -5,13 +5,7 @@ calls, fed parsed expositions instead of sockets.
 """
 
 from repro.errors import EngineError, ObsError
-from repro.obs.console import (
-    fetch_text,
-    post_json,
-    render_dashboard,
-    tenant_usage,
-    usage_table,
-)
+from repro.obs.console import fetch_text, post_json, render_dashboard
 from repro.obs.metrics import MetricsRegistry, parse_prometheus
 from repro.server.http import split_url
 
@@ -21,12 +15,10 @@ import pytest
 def _samples():
     """A small synthetic scrape covering all three dashboard blocks."""
     return {
-        "sisd_jobs_submitted_total": [
-            ({"tenant": "acme"}, 7.0),
-            ({"tenant": "-"}, 3.0),
+        "sisd_jobs_finished_total": [
+            ({"state": "done"}, 7.0),
+            ({"state": "failed"}, 3.0),
         ],
-        "sisd_jobs_rejected_total": [({"tenant": "acme"}, 2.0)],
-        "sisd_jobs_preempted_total": [({"tenant": "zeta"}, 1.0)],
         "sisd_queue_depth": [({}, 4.0)],
         "sisd_beam_phase_seconds_sum": [({"phase": "score"}, 1.0)],
         "sisd_beam_phase_seconds_count": [({"phase": "score"}, 4.0)],
@@ -36,8 +28,8 @@ def _samples():
 class TestDashboard:
     def test_counters_sum_across_label_sets(self):
         text = render_dashboard(_samples())
-        assert "jobs submitted" in text
-        assert "10" in text  # 7 + 3 across tenants
+        assert "jobs finished" in text
+        assert "10" in text  # 7 + 3 across states
 
     def test_gauge_and_latency_blocks(self):
         text = render_dashboard(_samples())
@@ -56,9 +48,7 @@ class TestDashboard:
 
     def test_renders_a_real_exposition(self):
         registry = MetricsRegistry()
-        registry.counter(
-            "sisd_jobs_submitted_total", "jobs", labels=("tenant",)
-        ).labels("t1").inc(2)
+        registry.counter("sisd_jobs_submitted_total", "jobs").inc(2)
         registry.gauge("sisd_queue_depth", "depth").set(1)
         text = render_dashboard(parse_prometheus(registry.render()))
         assert "jobs submitted" in text
@@ -70,29 +60,6 @@ class TestDashboard:
             "sisd_beam_phase_seconds_count": [({"phase": "score"}, 0.0)],
         }
         assert render_dashboard(samples) == "(no sisd metrics exposed yet)"
-
-
-class TestTenantUsage:
-    def test_rows_aggregate_and_sort_by_submissions(self):
-        rows = tenant_usage(_samples())
-        assert rows == [
-            ("acme", 7.0, 2.0, 0.0),
-            ("-", 3.0, 0.0, 0.0),
-            ("zeta", 0.0, 0.0, 1.0),
-        ]
-
-    def test_empty_scrape_has_no_rows(self):
-        assert tenant_usage({}) == []
-
-
-class TestUsageTable:
-    def test_renders_rows(self):
-        text = usage_table(_samples(), source="localhost")
-        assert "tenant usage — localhost" in text
-        assert "acme" in text
-
-    def test_placeholder_without_submissions(self):
-        assert "(no submissions yet)" in usage_table({})
 
 
 class TestUrls:

@@ -11,20 +11,14 @@ import pytest
 from repro.cli import main
 from repro.client import RemoteWorkspace
 from repro.dist.executor import DistExecutor, WorkerClient
-from repro.dist.router import MiningRouter
-from repro.dist.worker import WorkerDaemon
 from repro.errors import EngineError
 from repro.obs.console import fetch_text
 
-#: The six client-side readers of a daemon URL.
+#: The four client-side readers of a daemon URL.
 ENTRY_POINTS = {
     "RemoteWorkspace": RemoteWorkspace,
     "WorkerClient": WorkerClient,
-    "DistExecutor(registry=)": lambda url: DistExecutor(
-        ["http://127.0.0.1:9"], registry=url
-    ),
-    "WorkerDaemon(register_with=)": lambda url: WorkerDaemon(register_with=url),
-    "MiningRouter(replicas)": lambda url: MiningRouter([url]),
+    "DistExecutor([url])": lambda url: DistExecutor([url]),
     "console.fetch_text": lambda url: fetch_text(url, "/metrics"),
 }
 
@@ -52,9 +46,8 @@ def test_default_ports_and_base_urls():
 @pytest.mark.parametrize(
     "argv",
     [
-        ["route", "--port", "0", "--replica", "127.0.0.1:abc"],
         ["top", "--once", "127.0.0.1:abc"],
-        ["admin", "usage", "127.0.0.1:abc"],
+        ["admin", "compact", "127.0.0.1:abc"],
     ],
 )
 def test_cli_prints_an_error_line_for_a_bad_port(argv, capsys):

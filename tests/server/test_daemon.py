@@ -1,11 +1,9 @@
-"""The one HTTP daemon under all three tiers: idle bound, Connection, shutdown.
+"""The one HTTP daemon under both tiers: idle bound, Connection, shutdown.
 
-:class:`~repro.server.MiningServer`, :class:`~repro.dist.MiningRouter` and
-:class:`~repro.dist.WorkerDaemon` share :class:`repro.server.http.Daemon`,
-so each test here runs against all three: in-thread on an ephemeral
-port, or as the real ``python -m repro serve|route|worker`` process.
-The router fronts one dead replica address; nothing here needs a live
-one.
+:class:`~repro.server.MiningServer` and :class:`~repro.dist.WorkerDaemon`
+share :class:`repro.server.http.Daemon`, so each test here runs against
+both: in-thread on an ephemeral port, or as the real
+``python -m repro serve|worker`` process.
 """
 
 import json
@@ -19,26 +17,19 @@ import time
 
 import pytest
 
-from repro.dist import MiningRouter, WorkerDaemon
+from repro.dist import WorkerDaemon
 from repro.server import MiningServer, http
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.dirname(__file__)))
 
-#: A replica address nothing listens on (the discard port).
-DEAD_REPLICA = "127.0.0.1:9"
-
 DAEMONS = {
     "server": lambda: MiningServer(port=0, backend="thread", max_workers=1),
-    "router": lambda: MiningRouter(
-        [DEAD_REPLICA], check_interval=60.0, probe_timeout=1.0
-    ),
     "worker": lambda: WorkerDaemon(parallelism=1),
 }
 
 #: ``sisd`` arguments starting each daemon on a free port.
 CLI_ARGS = {
     "server": ["serve", "--port", "0", "--quiet", "--no-candidates"],
-    "router": ["route", "--port", "0", "--replica", DEAD_REPLICA],
     "worker": ["worker", "--port", "0", "--parallel", "1"],
 }
 

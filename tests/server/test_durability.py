@@ -1,10 +1,9 @@
-"""Durability + tenancy over the wire: restart, auth, quotas, caching.
+"""Durability over the wire: restart, caching, stream generations.
 
 End-to-end through real sockets: a :class:`MiningServer` on a durable
 store is killed and relaunched on the same store, and the restarted
 server must serve the pre-restart results **bit-identically** without
-recomputing; bearer auth answers 401, rate limits answer 429 with
-``Retry-After``; result GETs negotiate gzip and revalidate with ETags;
+recomputing; result GETs negotiate gzip and revalidate with ETags;
 and every SSE frame carries the server's stream generation so clients
 detect restarts instead of misaligning their sequence numbers.
 """
@@ -17,7 +16,7 @@ from http.client import HTTPConnection
 
 import pytest
 
-from repro.client import RemoteError, RemoteWorkspace, ServerRestarted
+from repro.client import RemoteWorkspace, ServerRestarted
 from repro.persist import job_result_to_dict
 from repro.server import MiningServer
 from repro.spec import MiningSpec
@@ -29,12 +28,6 @@ def _job(seed=0, **kwargs):
     kwargs.setdefault("n_iterations", 2)
     kwargs.setdefault("kind", "spread")
     return MiningSpec.build("synthetic", seed=seed, **FAST, **kwargs)
-
-
-def _token_file(tmp_path, tenants):
-    path = tmp_path / "tokens.json"
-    path.write_text(json.dumps({"schema": 1, "tenants": tenants}))
-    return path
 
 
 @pytest.fixture()
@@ -101,108 +94,6 @@ class TestRestartRoundTrip:
             assert a.index == b.index
             assert a.location.score.ic == b.location.score.ic
             assert a.location.description == b.location.description
-
-
-class TestAuth:
-    @pytest.fixture()
-    def server(self, tmp_path):
-        tokens = _token_file(
-            tmp_path,
-            [{"name": "alice", "token": "tok-alice", "share": 2.0}],
-        )
-        server = MiningServer(port=0, backend="thread", auth=tokens)
-        with server.run_in_thread():
-            yield server
-
-    def test_health_stays_open(self, server):
-        assert RemoteWorkspace(server.url).health()["auth"] is True
-
-    def test_missing_token_is_401(self, server):
-        with pytest.raises(RemoteError) as excinfo:
-            RemoteWorkspace(server.url).jobs()
-        assert excinfo.value.status == 401
-
-    def test_wrong_token_is_401_with_challenge(self, server):
-        conn = HTTPConnection(server.host, server.port, timeout=10)
-        try:
-            conn.request(
-                "GET", "/jobs", headers={"Authorization": "Bearer wrong"}
-            )
-            response = conn.getresponse()
-            assert response.status == 401
-            assert "Bearer" in response.headers["WWW-Authenticate"]
-            response.read()
-        finally:
-            conn.close()
-
-    def test_events_require_a_token_too(self, server):
-        with pytest.raises(RemoteError) as excinfo:
-            next(iter(RemoteWorkspace(server.url).events(reconnect=False)))
-        assert excinfo.value.status == 401
-
-    def test_valid_token_works_end_to_end(self, server):
-        ws = RemoteWorkspace(server.url, token="tok-alice", timeout=30.0)
-        result = ws.mine(_job(seed=11))
-        assert [it.index for it in result.iterations] == [1, 2]
-
-
-class TestRateLimits:
-    def test_429_with_retry_after(self, tmp_path):
-        tokens = _token_file(
-            tmp_path,
-            [
-                {
-                    "name": "bursty",
-                    "token": "tok-b",
-                    "rate_per_minute": 60,
-                    "burst": 2,
-                }
-            ],
-        )
-        server = MiningServer(port=0, backend="thread", auth=tokens)
-        with server.run_in_thread():
-            ws = RemoteWorkspace(server.url, token="tok-b", timeout=30.0)
-            ws.submit(_job(seed=0))
-            ws.submit(_job(seed=1))
-            # Burst exhausted: the next submit is refused with guidance.
-            conn = HTTPConnection(server.host, server.port, timeout=10)
-            try:
-                conn.request(
-                    "POST",
-                    "/jobs",
-                    body=json.dumps({"job": _job_doc(seed=2)}),
-                    headers={
-                        "Authorization": "Bearer tok-b",
-                        "Content-Type": "application/json",
-                    },
-                )
-                response = conn.getresponse()
-                assert response.status == 429
-                assert float(response.headers["Retry-After"]) > 0
-                response.read()
-            finally:
-                conn.close()
-
-    def test_max_pending_quota(self, tmp_path):
-        tokens = _token_file(
-            tmp_path,
-            [{"name": "capped", "token": "tok-c", "max_pending": 1}],
-        )
-        server = MiningServer(
-            port=0, backend="thread", max_workers=1, auth=tokens
-        )
-        with server.run_in_thread():
-            ws = RemoteWorkspace(server.url, token="tok-c", timeout=30.0)
-            # One live (queued or running) submission occupies the whole
-            # quota; a long fresh mine keeps it live across the next
-            # submit's round trip.
-            first = ws.submit(_job(seed=31, n_iterations=10))
-            with pytest.raises(RemoteError) as excinfo:
-                ws.submit(_job(seed=32))
-            assert excinfo.value.status == 429
-            ws.result(first, 180)
-            # Quota frees up once the first job settles.
-            ws.result(ws.submit(_job(seed=33)), 120)
 
 
 def _job_doc(seed):
@@ -321,18 +212,14 @@ class TestGenerations:
 
 
 class TestCliWiring:
-    def test_serve_accepts_store_and_auth_flags(self):
+    def test_serve_accepts_the_store_flag(self):
         from repro.cli import _build_parser
 
-        args = _build_parser().parse_args(
-            ["serve", "--store", "/tmp/s", "--auth", "/tmp/t.json"]
-        )
+        args = _build_parser().parse_args(["serve", "--store", "/tmp/s"])
         assert args.store == "/tmp/s"
-        assert args.auth == "/tmp/t.json"
 
     def test_serve_defaults_stay_storeless(self):
         from repro.cli import _build_parser
 
         args = _build_parser().parse_args(["serve"])
         assert args.store is None
-        assert args.auth is None

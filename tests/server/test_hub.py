@@ -94,6 +94,37 @@ class TestResume:
 
         asyncio.run(main())
 
+    def test_since_inside_a_wrapped_history_replays_only_newer(self):
+        async def main():
+            hub = EventHub(history=3)
+            hub.bind(asyncio.get_running_loop())
+            for i in range(10):
+                hub.publish({"n": i})
+            sub = hub.subscribe(since=8)
+            got = _drain(sub)
+            assert [seq for seq, _ in got] == [9, 10]
+            assert [event["n"] for _, event in got] == [8, 9]
+            sub.close()
+
+        asyncio.run(main())
+
+    @pytest.mark.parametrize("since", [5, 6, 50])
+    def test_since_at_or_past_the_latest_replays_nothing(self, since):
+        async def main():
+            hub = EventHub(history=3)
+            hub.bind(asyncio.get_running_loop())
+            for i in range(5):
+                hub.publish({"n": i})
+            sub = hub.subscribe(since=since)
+            assert _drain(sub) == []
+            # Live delivery still starts right after the latest.
+            hub.publish({"n": 5})
+            seq, _ = await asyncio.wait_for(sub.get(), 5)
+            assert seq == 6
+            sub.close()
+
+        asyncio.run(main())
+
     def test_no_gap_between_snapshot_and_live(self):
         # Subscribing while a publisher thread hammers the hub must not
         # lose or duplicate any sequence number at the backlog/live seam.

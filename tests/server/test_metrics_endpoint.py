@@ -138,6 +138,22 @@ class TestMetricsEndpoint:
         assert any(route.startswith("/jobs/{id}") for route in routes)
         assert not any("job-" in route for route in routes)
 
+    def test_submissions_are_unlabelled_and_retired_families_gone(
+        self, remote, server_handle
+    ):
+        remote.mine(fast_spec(seed=15))
+        samples = scrape(server_handle.url)
+        assert [labels for labels, _ in samples["sisd_jobs_submitted_total"]] == [
+            {}
+        ]
+        retired = sorted(
+            name
+            for name in samples
+            if name.startswith("sisd_router_")
+            or name in ("sisd_jobs_rejected_total", "sisd_jobs_preempted_total")
+        )
+        assert retired == []
+
     def test_health_advertises_the_observability_surface(self, server_handle):
         document = json.loads(fetch_text(server_handle.url, "/health"))
         observability = document["observability"]
@@ -159,6 +175,8 @@ class TestConsoleClis:
         assert "sisd top" in out
         assert "jobs submitted" in out
 
-    def test_sisd_admin_usage_renders_tenants(self, server_handle, capsys):
-        assert cli.main(["admin", "usage", server_handle.url]) == 0
-        assert "tenant usage" in capsys.readouterr().out
+    def test_sisd_admin_compact_reports_a_storeless_server(
+        self, server_handle, capsys
+    ):
+        assert cli.main(["admin", "compact", server_handle.url]) == 1
+        assert "no durable store to compact" in capsys.readouterr().err

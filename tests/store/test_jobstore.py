@@ -12,8 +12,6 @@ def _doc(job_id="j-1", state="done", seq=0, **extra):
         "job_id": job_id,
         "state": state,
         "seq": seq,
-        "tenant": None,
-        "tenant_share": 1.0,
         "submitted_at": 0.0,
         "updated_at": 0.0,
         "job": {"dataset": "synthetic"},

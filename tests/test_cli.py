@@ -357,3 +357,48 @@ class TestServe:
             assert result.iterations
         printed = log.getvalue()
         assert "queued" in printed  # the server-side log saw the schedule
+
+
+class TestRetiredCommandLines:
+    """Command lines of the retired multi-tenant control plane fail loudly.
+
+    Each is refused with argparse's usage error (exit 2) rather than run
+    with a flag dropped: ``serve --auth FILE`` must not start a server
+    that is open to everyone. Parsing only, so nothing binds or dials.
+    """
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["route", "--replica", "127.0.0.1:8765"], "invalid choice: 'route'"),
+            (["serve", "--auth", "tokens.json"], "unrecognized arguments: --auth"),
+            (
+                ["worker", "--register", "127.0.0.1:8765"],
+                "unrecognized arguments: --register",
+            ),
+            (["admin", "usage", "127.0.0.1:8765"], "invalid choice: 'usage'"),
+            (
+                ["top", "127.0.0.1:8765", "--once", "--token", "secret"],
+                "unrecognized arguments: --token",
+            ),
+            (
+                ["admin", "compact", "127.0.0.1:8765", "--token", "secret"],
+                "unrecognized arguments: --token",
+            ),
+        ],
+        ids=[
+            "route",
+            "serve-auth",
+            "worker-register",
+            "admin-usage",
+            "top-token",
+            "admin-compact-token",
+        ],
+    )
+    def test_is_refused_with_a_usage_error(self, argv, message, capsys):
+        from repro.cli import _build_parser
+
+        with pytest.raises(SystemExit) as excinfo:
+            _build_parser().parse_args(argv)
+        assert excinfo.value.code == 2
+        assert message in capsys.readouterr().err

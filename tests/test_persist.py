@@ -521,6 +521,48 @@ class TestLegacyJobDocuments:
         fresh = run_job(job_from_dict(LEGACY_STORE_RECORD["job"]))
         assert job_result_to_dict(fresh)["iterations"] == stored
 
+    def test_queued_record_with_tenant_keys_reenqueues_and_runs(self, tmp_path):
+        """Records written by earlier versions carry tenancy keys.
+
+        Recovery ignores ``tenant`` and ``tenant_share``: the queued
+        record re-enqueues, runs, and mines the stored result's bits.
+        """
+        from repro.engine.service import JobStatus, MiningService
+        from repro.events import MiningObserver
+        from repro.persist import job_result_to_dict
+        from repro.store import JobStore
+
+        class Kinds(MiningObserver):
+            def __init__(self):
+                self.kinds = []
+
+            def on_schedule(self, event):
+                self.kinds.append(event.kind)
+
+        queued = dict(
+            LEGACY_STORE_RECORD,
+            state="queued",
+            result=None,
+            tenant="alice",
+            tenant_share=2.0,
+        )
+        with JobStore(tmp_path) as store:
+            store.put(queued)
+        log = Kinds()
+        with MiningService(
+            max_workers=1, backend="thread", store=tmp_path, observer=log
+        ) as service:
+            job_id = queued["job_id"]
+            result = service.result(job_id, 120)
+            assert service.status(job_id) == JobStatus.DONE
+        assert log.kinds == ["recovered", "dispatched"]
+        stored = LEGACY_STORE_RECORD["result"]["iterations"]
+        assert job_result_to_dict(result)["iterations"] == stored
+        with JobStore(tmp_path) as store:
+            (record,) = store.records()
+        assert record["state"] == "done"
+        assert "tenant" not in record and "tenant_share" not in record
+
     def test_sectioned_spec_with_transport_toggle_loads(self):
         spec = MiningSpec.from_dict(LEGACY_SECTIONED_SPEC)
         assert spec.executor.workers == 2
