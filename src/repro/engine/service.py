@@ -836,12 +836,13 @@ class MiningService:
                     detail=f"+{boost} priority after {waited:.3f}s queued",
                 )
 
-    def _dispatch_locked(self, post: list) -> None:
-        """Fill free worker slots in deterministic scheduling order."""
-        if self._pool is None:
-            return
-        self._age_queue_locked(post)
-        while self._running < self.max_workers and self._queue:
+    def _pop_ready_locked(self, post: list) -> _Record | None:
+        """Start the next queued primary in scheduling order, or ``None``.
+
+        Skips stale heap entries and expires overdue records on the way;
+        the record returned is ``running``.
+        """
+        while self._queue:
             key, record = heapq.heappop(self._queue)
             if record.state != "queued" or record.heap_key != key:
                 continue  # cancelled/boosted: stale heap entry
@@ -859,7 +860,6 @@ class MiningService:
                 self._expire_if_due_locked(proxy, post)
             record.state = "running"
             self._n_queued -= 1
-            self._running += 1
             dispatched_at = clock.perf_counter()
             QUEUE_WAIT.observe(
                 max(0.0, dispatched_at - record.trace_enqueued)
@@ -867,6 +867,39 @@ class MiningService:
             TRACER.record(
                 "schedule", record.trace_enqueued, dispatched_at, record.trace
             )
+            return record
+        return None
+
+    def _run_queue_inline(self) -> None:
+        """Run the queued records one at a time (the ``"serial"`` backend).
+
+        Only store recovery leaves records queued on this backend, since
+        ``submit`` runs its job at once; the constructor calls this after
+        it releases the lock. The records run in scheduling order, which
+        is stored order among equal priorities.
+        """
+        while True:
+            post: list = []
+            with self._lock:
+                record = self._pop_ready_locked(post)
+                if record is not None:
+                    self._emit_later(post, "dispatched", record)
+                    self._persist_later(post, record)
+            self._run_post(post)
+            if record is None:
+                return
+            self._run_serial(record)
+
+    def _dispatch_locked(self, post: list) -> None:
+        """Fill free worker slots in deterministic scheduling order."""
+        if self._pool is None:
+            return
+        self._age_queue_locked(post)
+        while self._running < self.max_workers:
+            record = self._pop_ready_locked(post)
+            if record is None:
+                break
+            self._running += 1
             try:
                 if self.backend == "thread":
                     # In-process workers can call back into this process,
@@ -1175,10 +1208,13 @@ class MiningService:
         original submission order (the store sorts by stored ``seq``,
         and fresh seqs are assigned in that order), re-coalescing
         duplicates along the way; each re-enqueue is a ``"recovered"``
-        scheduler event. Recovered failures re-raise with the stored
-        type name and message (as :class:`DeadlineExpired` when that is
-        what they were, generic :class:`EngineError` otherwise — the
-        original class cannot be reconstructed from a name alone).
+        scheduler event. The serial backend has no pool to dispatch them
+        to, so it runs them inline before the constructor returns, as
+        ``submit`` runs a serial job. Recovered failures re-raise with
+        the stored type name and message (as :class:`DeadlineExpired`
+        when that is what they were, generic :class:`EngineError`
+        otherwise — the original class cannot be reconstructed from a
+        name alone).
         """
         from repro import persist  # lazy: persist imports engine.jobs
 
@@ -1254,6 +1290,8 @@ class MiningService:
             self._ids = itertools.count(max_id + 1)
             self._dispatch_locked(post)
         self._run_post(post)
+        if self._pool is None:
+            self._run_queue_inline()
 
     # ------------------------------------------------------------------ #
     # Event plumbing

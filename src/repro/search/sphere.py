@@ -9,8 +9,6 @@ a sign canonicalization (the objective is even in ``w``, so ``w`` and
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from repro.errors import SearchError
@@ -29,19 +27,36 @@ def random_unit(rng, dim: int) -> np.ndarray:
             return v / norm
 
 
+def row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a . b`` along the last axis, kept as a length-1 axis.
+
+    For ``(K, d)`` stacks this is ``(K, 1)``, and each row holds the bytes
+    of that row's 1-D ``a_k.dot(b_k)``: a broadcast matmul of a row by a
+    column takes the dot's kernel. ``einsum("kd,kd->k")`` sums in another
+    order and would not.
+    """
+    return (a[..., None, :] @ b[..., :, None])[..., 0]
+
+
 def project_tangent(w: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Project ``v`` onto the tangent space of the sphere at ``w``."""
+    """Project ``v`` onto the tangent space of the sphere at ``w``.
+
+    Row by row for ``(K, d)`` stacks of points and vectors.
+    """
     w = np.asarray(w, dtype=float)
     v = np.asarray(v, dtype=float)
-    return v - w.dot(v) * w
+    return v - row_dots(w, v) * w
 
 
 def retract(w: np.ndarray, step: np.ndarray) -> np.ndarray:
-    """Metric-projection retraction: move and renormalize."""
+    """Metric-projection retraction: move and renormalize.
+
+    Row by row for ``(K, d)`` stacks of points and steps.
+    """
     u = np.asarray(w, dtype=float) + np.asarray(step, dtype=float)
-    # What np.linalg.norm computes for a 1-D float array, minus its dispatch.
-    norm = math.sqrt(u.dot(u))
-    if norm <= 1e-300:
+    # What np.linalg.norm computes for each row, minus its dispatch.
+    norm = np.sqrt(row_dots(u, u))
+    if (norm <= 1e-300).any():
         raise SearchError("retraction collapsed to the origin")
     return u / norm
 

@@ -10,11 +10,19 @@ points, plus random restarts. The paper's 2-sparsity variant —
 selecting the result with the highest SI" — is :func:`find_spread_direction`
 with ``sparsity=2``.
 
-The ascent evaluates each distinct trial point once (see
-:func:`_ascend`): an accepted point's evaluation also gives its
-gradient, and a line search whose move has rounded back to ``w``
-re-tests that one evaluation instead of retracting again. Both reuse the
-bytes a re-evaluation would give, so the mined directions do not change.
+The ascents from all starts run in lockstep (see
+:func:`_ascend_lockstep`). Each round evaluates the trial points of
+every start still line-searching in one batched call, and the gradients
+of the starts that just accepted a point in another, so numpy's per-call
+overhead is paid once per round rather than once per trial point. Each
+distinct trial point is evaluated once: an accepted point's evaluation
+also gives its gradient, and a line search whose move has rounded back
+to ``w`` re-tests that one evaluation instead of retracting again.
+
+The mined directions rest on numpy's broadcast matmul and einsum giving
+each row of a batch the bytes a one-row call gives it, so every start
+ascends exactly as it would alone; a property test holds the lockstep
+ascents to a verbatim one-start ascent, bit for bit.
 """
 
 from __future__ import annotations
@@ -30,7 +38,13 @@ from repro.engine.executor import Executor, SerialExecutor
 from repro.errors import SearchError
 from repro.model.background import BackgroundModel
 from repro.obs.instruments import SPREAD_ASCENT_ENDS
-from repro.search.sphere import canonical_sign, project_tangent, random_unit, retract
+from repro.search.sphere import (
+    canonical_sign,
+    project_tangent,
+    random_unit,
+    retract,
+    row_dots,
+)
 from repro.stats.statistics import subgroup_cov, subgroup_mean
 from repro.utils.rng import as_rng
 
@@ -43,9 +57,14 @@ class SpreadObjective:
     """IC of the spread pattern of a fixed subgroup, as a function of w.
 
     Precomputes the per-block covariances (model side) and the empirical
-    subgroup covariance (data side); ``value`` and ``value_and_grad``
-    then cost O(B d^2) per call with B the number of blocks touching the
-    subgroup.
+    subgroup covariance (data side). The core methods are batch-first:
+    :meth:`_evaluate` and :meth:`_gradient` take a ``(K, d)`` stack of
+    directions and cost O(K B d^2) arithmetic, with B the number of blocks
+    touching the subgroup, in one set of numpy calls for the whole stack.
+    Every row gets the bytes a one-row call gives it: the products are
+    broadcast matmuls and einsums that reduce each row in a one-row
+    call's order, and each row's IC is the scalar :meth:`_ic`.
+    ``value``, ``value_and_grad`` and ``variance`` take one direction.
     """
 
     def __init__(self, model: BackgroundModel, indices, targets: np.ndarray) -> None:
@@ -70,19 +89,29 @@ class SpreadObjective:
     # ------------------------------------------------------------------ #
     # Core computation
     # ------------------------------------------------------------------ #
-    def _pieces(self, w: np.ndarray):
-        sigma_w = self.block_covs @ w              # (B, d)
-        s = np.einsum("bd,d->b", sigma_w, w)       # w' Sigma_b w per block
+    def _pieces(self, W: np.ndarray) -> list[tuple]:
+        """Per row of ``W``: ``(Sigma_b w, a, (A1, A2, A3), alpha, beta, dof, v)``.
+
+        Only forms that give each row the bytes of a one-row call batch
+        here. ``block_covs @ W.T`` (one gemm) and ``einsum("kd,kd->k")``
+        row dots sum in another order, so they are not used.
+        """
+        sigma_w = (self.block_covs @ W[:, None, :, None])[..., 0]   # (K, B, d)
+        s = np.einsum("kbd,kd->kb", sigma_w, W)    # w' Sigma_b w per block
         a = s / self.size
         c = self.counts
-        a1 = float(np.add.reduce(c * a))
-        a2 = float(np.add.reduce(c * a**2))
-        a3 = float(np.add.reduce(c * a**3))
-        alpha = a3 / a2
-        beta = a1 - a2**2 / a3
-        dof = a2**3 / a3**2
-        v = float(w @ self.empirical_cov @ w)
-        return sigma_w, a, (a1, a2, a3), alpha, beta, dof, v
+        a1s = np.add.reduce(c * a, axis=-1).tolist()
+        a2s = np.add.reduce(c * a**2, axis=-1).tolist()
+        a3s = np.add.reduce(c * a**3, axis=-1).tolist()
+        vs = ((W[:, None, :] @ self.empirical_cov) @ W[:, :, None]).ravel().tolist()
+        rows = []
+        for k, (a1, a2, a3, v) in enumerate(zip(a1s, a2s, a3s, vs)):
+            # Python floats, as a one-row call computes them.
+            alpha = a3 / a2
+            beta = a1 - a2**2 / a3
+            dof = a2**3 / a3**2
+            rows.append((sigma_w[k], a[k], (a1, a2, a3), alpha, beta, dof, v))
+        return rows
 
     @staticmethod
     def _ic(alpha: float, beta: float, dof: float, v: float) -> float:
@@ -95,14 +124,13 @@ class SpreadObjective:
             + 0.5 * t
         )
 
-    def _evaluate(self, w: np.ndarray) -> tuple[tuple, float]:
-        """The pieces at ``w`` and their IC: one evaluation, for every caller."""
-        pieces = self._pieces(w)
-        return pieces, self._ic(*pieces[3:])
+    def _evaluate(self, W: np.ndarray) -> list[tuple[tuple, float]]:
+        """The pieces at each row of ``W`` and their ICs: one evaluation."""
+        return [(pieces, self._ic(*pieces[3:])) for pieces in self._pieces(W)]
 
     def value(self, w: np.ndarray) -> float:
         """IC of the spread pattern along unit direction ``w``."""
-        return self._evaluate(np.asarray(w, dtype=float))[1]
+        return self._evaluate(np.ascontiguousarray(w, dtype=float)[None])[0][1]
 
     def variance(self, w: np.ndarray) -> float:
         """Empirical subgroup variance along ``w`` (the statistic value)."""
@@ -111,51 +139,58 @@ class SpreadObjective:
 
     def value_and_grad(self, w: np.ndarray) -> tuple[float, np.ndarray]:
         """IC and its Euclidean gradient with respect to ``w``."""
-        w = np.asarray(w, dtype=float)
-        pieces, ic = self._evaluate(w)
-        return ic, self._gradient(w, pieces)
+        W = np.ascontiguousarray(w, dtype=float)[None]
+        [(pieces, ic)] = self._evaluate(W)
+        return ic, self._gradient(W, [pieces])[0]
 
-    def _gradient(self, w: np.ndarray, pieces: tuple) -> np.ndarray:
-        """Euclidean gradient of the IC at ``w``, from its evaluated pieces.
+    def _gradient(self, W: np.ndarray, rows: list[tuple]) -> np.ndarray:
+        """Euclidean gradients at the rows of ``W``, from their evaluated pieces.
 
         Chain rule through the cumulant sums ``A_k = sum_b c_b a_b^k``
         with ``a_b = w'Sigma_b w / |I|`` and the empirical variance
         ``v = w' S w``; verified against finite differences in the test
-        suite.
+        suite. ``rows[k]`` holds the :meth:`_pieces` of ``W[k]``.
         """
-        sigma_w, a, (a1, a2, a3), alpha, beta, dof, v = pieces
-        t_raw = (v - beta) / alpha
-        clamped = t_raw <= _TINY
-        t = max(t_raw, _TINY)
+        partials = []
+        d_ic_d_vs = []
+        for _sigma_w, _a, (a1, a2, a3), alpha, beta, dof, v in rows:
+            t_raw = (v - beta) / alpha
+            clamped = t_raw <= _TINY
+            t = max(t_raw, _TINY)
 
-        # Partials of IC with respect to (alpha, beta, dof, v).
-        d_ic_d_t = 0.5 - (0.5 * dof - 1.0) / t
-        d_ic_d_alpha = 1.0 / alpha + d_ic_d_t * (-t / alpha)
-        d_ic_d_beta = d_ic_d_t * (-1.0 / alpha)
-        d_ic_d_v = d_ic_d_t * (1.0 / alpha)
-        d_ic_d_dof = 0.5 * (LN2 + float(digamma(0.5 * dof)) - math.log(t))
-        if clamped:
-            # On the clamp the statistic no longer responds to (v, beta);
-            # keep only the smooth alpha/dof dependence to avoid a
-            # gradient explosion at the support boundary.
-            d_ic_d_v = 0.0
-            d_ic_d_beta = 0.0
-            d_ic_d_alpha = 1.0 / alpha
-        # Partials of (alpha, beta, dof) with respect to (A1, A2, A3).
-        d_alpha = np.array([0.0, -a3 / a2**2, 1.0 / a2])
-        d_beta = np.array([1.0, -2.0 * a2 / a3, (a2 / a3) ** 2])
-        d_dof = np.array([0.0, 3.0 * a2**2 / a3**2, -2.0 * a2**3 / a3**3])
-        d_ic_d_ak = (
-            d_ic_d_alpha * d_alpha + d_ic_d_beta * d_beta + d_ic_d_dof * d_dof
-        )
+            # Partials of IC with respect to (alpha, beta, dof, v).
+            d_ic_d_t = 0.5 - (0.5 * dof - 1.0) / t
+            d_ic_d_alpha = 1.0 / alpha + d_ic_d_t * (-t / alpha)
+            d_ic_d_beta = d_ic_d_t * (-1.0 / alpha)
+            d_ic_d_v = d_ic_d_t * (1.0 / alpha)
+            d_ic_d_dof = 0.5 * (LN2 + float(digamma(0.5 * dof)) - math.log(t))
+            if clamped:
+                # On the clamp the statistic no longer responds to (v, beta);
+                # keep only the smooth alpha/dof dependence to avoid a
+                # gradient explosion at the support boundary.
+                d_ic_d_v = 0.0
+                d_ic_d_beta = 0.0
+                d_ic_d_alpha = 1.0 / alpha
+            # Partials of (alpha, beta, dof) with respect to (A1, A2, A3).
+            d_alpha = (0.0, -a3 / a2**2, 1.0 / a2)
+            d_beta = (1.0, -2.0 * a2 / a3, (a2 / a3) ** 2)
+            d_dof = (0.0, 3.0 * a2**2 / a3**2, -2.0 * a2**3 / a3**3)
+            partials.append([
+                d_ic_d_alpha * x + d_ic_d_beta * y + d_ic_d_dof * z
+                for x, y, z in zip(d_alpha, d_beta, d_dof)
+            ])
+            d_ic_d_vs.append(d_ic_d_v * 2.0)
+        d_ic_d_ak = np.array(partials)             # (K, 3)
+        sigma_w = np.stack([pieces[0] for pieces in rows])
+        a = np.stack([pieces[1] for pieces in rows])
         # dA_k/dw = sum_b c_b k a_b^(k-1) * (2 Sigma_b w / |I|).
         coef = self.counts * (
-            d_ic_d_ak[0]
-            + d_ic_d_ak[1] * 2.0 * a
-            + d_ic_d_ak[2] * 3.0 * a**2
+            d_ic_d_ak[:, :1]
+            + d_ic_d_ak[:, 1:2] * 2.0 * a
+            + d_ic_d_ak[:, 2:] * 3.0 * a**2
         )
-        grad = (2.0 / self.size) * np.einsum("b,bd->d", coef, sigma_w)
-        grad += d_ic_d_v * 2.0 * (self.empirical_cov @ w)
+        grad = (2.0 / self.size) * np.einsum("kb,kbd->kd", coef, sigma_w)
+        grad += np.array(d_ic_d_vs)[:, None] * (self.empirical_cov @ W[:, :, None])[..., 0]
         return grad
 
     # ------------------------------------------------------------------ #
@@ -205,21 +240,27 @@ class SpreadSearchOutcome:
 _FROZEN_MOVE = 1e-12
 
 
-def _ascend(
+def _ascend_lockstep(
     objective: SpreadObjective,
-    start: np.ndarray,
+    starts: list[np.ndarray],
     *,
     max_iterations: int,
     tol: float,
-) -> tuple[np.ndarray, float, int, str]:
-    """Riemannian gradient ascent with backtracking from one start.
+) -> list[tuple[np.ndarray, float, int, str]]:
+    """Riemannian gradient ascents with backtracking, from every start at once.
 
-    Returns the end point, its IC, the iterations run and how the ascent
-    ended: ``"converged"`` (the Riemannian gradient norm fell under
-    ``tol``), ``"stalled"`` (the line search found no Armijo ascent) or
-    ``"capped"`` (``max_iterations`` ran out).
+    Returns, per start, the end point, its IC, the iterations run and how
+    the ascent ended: ``"converged"`` (the Riemannian gradient norm fell
+    under ``tol``), ``"stalled"`` (the line search found no Armijo ascent)
+    or ``"capped"`` (``max_iterations`` ran out).
 
-    Each distinct trial point is evaluated once:
+    The ascents run in lockstep rounds. A round takes the gradients of
+    every ascent that has just accepted a point in one batched
+    :meth:`SpreadObjective._gradient`, retracts the next trial move of
+    every ascent still line-searching in one batched :func:`retract`, and
+    evaluates those trial points in one batched
+    :meth:`SpreadObjective._evaluate`. Each distinct trial point is
+    evaluated once:
 
     - the accepted trial point's evaluation gives its gradient, so the
       pieces are not computed twice on the same ``w``;
@@ -229,51 +270,103 @@ def _ascend(
       ``w`` is the same candidate each time, so the remaining halvings
       test its one IC against their own Armijo thresholds.
 
-    Every IC, threshold and comparison is the same floating-point
-    expression on the same bytes as in an ascent that evaluates each
-    trial point afresh, so the end point, its IC and the iteration count
-    are bit for bit that ascent's.
+    Each ascent takes the decisions it would take alone: every IC,
+    threshold and comparison is the same floating-point expression on the
+    same bytes as in an ascent from that one start that evaluates each
+    trial point afresh, because a batched row has a one-row call's bytes.
+    So the results do not depend on which starts share a round.
     """
     # np.linalg.norm, not a dot: it copies a strided start (an eigenvector
     # column) first, and the copy's dot sums in another order.
-    w = start / float(np.linalg.norm(start))
-    pieces, value = objective._evaluate(w)
-    iterations = 0
-    step = 1.0
-    end = "capped"
-    for iterations in range(1, max_iterations + 1):
-        riemannian = project_tangent(w, objective._gradient(w, pieces))
-        norm = math.sqrt(riemannian.dot(riemannian))
-        if norm < tol:
-            end = "converged"
+    points = np.stack([start / float(np.linalg.norm(start)) for start in starts])
+    pieces, value = (list(column) for column in zip(*objective._evaluate(points)))
+    # Per-ascent rows live in lists of row views, not in (n, d) arrays:
+    # gathering them with np.stack and splitting batches back into rows
+    # avoids fancy indexing, which releases the GIL even on tiny arrays and
+    # so hands it to any other busy thread for a whole switch interval.
+    w = list(points)
+    n = len(w)
+    iterations = [0] * n
+    step = [1.0] * n
+    norm = [0.0] * n
+    halvings = [0] * n
+    end: list[str | None] = [None] * n
+    direction: list[np.ndarray | None] = [None] * n
+    accepted = list(range(n))     # ascents whose new point needs a gradient
+    halved: list[int] = []        # line searches whose halved step needs a trial
+    while True:
+        iterating = []
+        for k in accepted:
+            if iterations[k] == max_iterations:
+                end[k] = "capped"
+            else:
+                iterations[k] += 1
+                iterating.append(k)
+        searching = []
+        if iterating:
+            at = np.stack([w[k] for k in iterating])
+            riemannian = project_tangent(
+                at, objective._gradient(at, [pieces[k] for k in iterating])
+            )
+            norms = np.sqrt(row_dots(riemannian, riemannian))
+            for row, (k, row_norm) in enumerate(zip(iterating, norms.ravel().tolist())):
+                if row_norm < tol:
+                    end[k] = "converged"
+                    continue
+                norm[k] = row_norm
+                direction[k] = riemannian[row] / row_norm
+                # Backtracking Armijo line search along the retraction curve.
+                step[k] = min(max(step[k] * 2.0, 1e-8), 1e6 / max(row_norm, 1.0))
+                halvings[k] = 0
+                searching.append(k)
+        searching += halved
+        if not searching:
             break
-        direction = riemannian / norm
-        # Backtracking Armijo line search along the retraction curve.
-        step = min(max(step * 2.0, 1e-8), 1e6 / max(norm, 1.0))
-        frozen = False
-        for _ in range(60):
-            if not frozen:
-                move = step * norm * direction
-                candidate = retract(w, move)
-                trial = objective._evaluate(candidate)
-                frozen = step * norm < _FROZEN_MOVE and bool((w + move == w).all())
-            if trial[1] > value + 1e-4 * step * norm * norm:
-                break
-            step *= 0.5
-        else:
-            end = "stalled"
-            break
-        w = candidate
-        pieces, value = trial
-    return w, value, iterations, end
+        moves = np.array([step[k] * norm[k] for k in searching])[:, None] * np.stack(
+            [direction[k] for k in searching]
+        )
+        candidates = retract(np.stack([w[k] for k in searching]), moves)
+        trials = objective._evaluate(candidates)
+        accepted = []
+        halved = []
+        for k, row_move, row_candidate, trial in zip(searching, moves, candidates, trials):
+            frozen = step[k] * norm[k] < _FROZEN_MOVE and bool((w[k] + row_move == w[k]).all())
+            while not (trial[1] > value[k] + 1e-4 * step[k] * norm[k] * norm[k]):
+                step[k] *= 0.5
+                halvings[k] += 1
+                if halvings[k] == 60:
+                    end[k] = "stalled"
+                    break
+                if not frozen:
+                    halved.append(k)
+                    break
+            else:
+                w[k] = row_candidate
+                pieces[k], value[k] = trial
+                accepted.append(k)
+    return [(w[k], value[k], iterations[k], end[k]) for k in range(n)]
 
 
 def _ascend_task(
-    context: tuple[SpreadObjective, int, float], start: np.ndarray
-) -> tuple[np.ndarray, float, int, str]:
-    """Worker entry point: one gradient ascent from one starting point."""
+    context: tuple[SpreadObjective, int, float], starts: list[np.ndarray]
+) -> list[tuple[np.ndarray, float, int, str]]:
+    """Worker entry point: the lockstep ascents from one chunk of starts."""
     objective, max_iterations, tol = context
-    return _ascend(objective, start, max_iterations=max_iterations, tol=tol)
+    return _ascend_lockstep(objective, starts, max_iterations=max_iterations, tol=tol)
+
+
+def _chunks(items: list, n_chunks: int) -> list[list]:
+    """``items`` in ``min(n_chunks, len(items))`` contiguous chunks, the
+    first ones a row longer when the split is uneven (10 in 3: 4, 3, 3)."""
+    n_chunks = max(1, min(n_chunks, len(items)))
+    base, extra = divmod(len(items), n_chunks)
+    chunks = []
+    start = 0
+    for index in range(n_chunks):
+        stop = start + base + (index < extra)
+        chunks.append(items[start:stop])
+        start = stop
+    return chunks
 
 
 def find_spread_direction(
@@ -294,15 +387,18 @@ def find_spread_direction(
     ----------
     sparsity:
         ``None`` optimizes over the full sphere. ``2`` restricts ``w``
-    to coordinate pairs, optimizing the in-plane angle per pair and
+        to coordinate pairs, optimizing the in-plane angle per pair and
         keeping the best (the paper's §III-C interpretability device).
     n_random_starts:
         Random restarts added to the eigenvector starts.
     executor:
-        Backend running the independent ascents. Starting points are
-        drawn up-front in the caller, and the winner is the first
-        highest-IC start in start order, so any parallelism returns the
-        serial result.
+        Backend running the ascents. Starting points are drawn up-front
+        in the caller and shipped as ``executor.parallelism`` contiguous
+        chunks (one when serial), each ascended in lockstep, so the
+        search costs one batched evaluation per round of a chunk, not
+        one per trial point. An ascent's result does not depend on its
+        chunk, and the winner is the first highest-IC start in start
+        order, so any parallelism returns the serial result.
     """
     objective = SpreadObjective(model, indices, targets)
     dim = objective.dim
@@ -323,7 +419,8 @@ def find_spread_direction(
     if executor is None:
         executor = SerialExecutor()
     with executor.session((objective, max_iterations, tol)) as session:
-        ascents = session.map(_ascend_task, starts)
+        chunks = session.map(_ascend_task, _chunks(starts, executor.parallelism))
+    ascents = [ascent for chunk in chunks for ascent in chunk]
 
     best_w: np.ndarray | None = None
     best_value = -math.inf
@@ -367,9 +464,16 @@ def _best_pair_direction(objective: SpreadObjective) -> SpreadSearchOutcome:
         return w
 
     grid = np.linspace(0.0, math.pi, 64, endpoint=False)
+    # math.cos/math.sin, as embed uses: numpy's may round differently.
+    cosines = [math.cos(theta) for theta in grid]
+    sines = [math.sin(theta) for theta in grid]
     for i in range(dim):
         for j in range(i + 1, dim):
-            values = [objective.value(embed(i, j, theta)) for theta in grid]
+            # The grid's 64 embedded directions as one batched evaluation.
+            points = np.zeros((len(grid), dim))
+            points[:, i] = cosines
+            points[:, j] = sines
+            values = [ic for _, ic in objective._evaluate(points)]
             evaluations += len(grid)
             k = int(np.argmax(values))
             lo, hi = grid[k] - math.pi / 64, grid[k] + math.pi / 64

@@ -18,8 +18,10 @@ from repro.datasets import make_synthetic
 from repro.dist.executor import DistExecutor, WorkerUnavailable
 from repro.engine.executor import SerialExecutor, resolve_executor
 from repro.errors import EngineError
+from repro.model.background import BackgroundModel
 from repro.search.config import SearchConfig
 from repro.search.miner import SubgroupDiscovery
+from repro.search.spread import find_spread_direction
 
 #: Small but non-trivial search: multiple levels, dozens of candidates.
 CONFIG = SearchConfig(beam_width=8, max_depth=2, top_k=25)
@@ -123,6 +125,33 @@ class TestBitIdenticalMining:
             remote = miner.search_locations()
             assert executor.stats["shards_remote"] > 0
         assert_search_results_identical(serial, remote)
+
+    @pytest.mark.parametrize("name", ["synthetic", "mammals"])
+    def test_spread_search(self, worker_pair, mammals_dataset, name):
+        # Each worker ascends one contiguous chunk of the ten starts in
+        # lockstep; on mammals' first location subgroup the ascents hit
+        # their 300-iteration cap.
+        if name == "synthetic":
+            dataset, rows, seed = make_synthetic(0), np.arange(40), 7
+        else:
+            dataset, seed = mammals_dataset, 0
+            rows = np.flatnonzero(dataset.column("tmp_mar").values <= -1.73595)
+        model = BackgroundModel.from_targets(dataset.targets)
+        serial = find_spread_direction(model, rows, dataset.targets, seed=seed)
+        with DistExecutor(worker_pair, local_fallback=False) as executor:
+            remote = find_spread_direction(
+                model, rows, dataset.targets, seed=seed, executor=executor
+            )
+            assert executor.stats["shards_remote"] == 2
+        assert remote.direction.tobytes() == serial.direction.tobytes()
+        assert remote.ic == serial.ic
+        assert (remote.n_starts, remote.n_iterations, remote.n_capped) == (
+            serial.n_starts,
+            serial.n_iterations,
+            serial.n_capped,
+        )
+        if name == "mammals":
+            assert serial.n_capped == 10
 
     def test_worker_count_does_not_matter(self, worker_pair):
         dataset = make_synthetic(0)

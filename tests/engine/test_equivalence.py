@@ -12,6 +12,7 @@ import pytest
 
 from repro.datasets import make_synthetic
 from repro.engine.executor import ProcessExecutor, SerialExecutor
+from repro.model.background import BackgroundModel
 from repro.search.config import SearchConfig
 from repro.search.miner import SubgroupDiscovery
 from repro.search.spread import find_spread_direction
@@ -84,6 +85,32 @@ class TestSpreadSearchEquivalence:
         assert serial.variance == parallel.variance
         assert serial.n_starts == parallel.n_starts
         assert serial.n_iterations == parallel.n_iterations
+
+
+    @pytest.mark.parametrize("name", ["synthetic", "mammals"])
+    def test_uneven_chunks_bit_identical(self, synthetic_dataset, mammals_dataset, name):
+        """Three workers ascend the ten starts in chunks of 4, 3 and 3; on
+        mammals' first location subgroup every ascent hits its cap."""
+        if name == "synthetic":
+            dataset, rows, seed = synthetic_dataset, np.arange(40), 7
+        else:
+            dataset, seed = mammals_dataset, 0
+            rows = np.flatnonzero(dataset.column("tmp_mar").values <= -1.73595)
+        model = BackgroundModel.from_targets(dataset.targets)
+        serial = find_spread_direction(model, rows, dataset.targets, seed=seed)
+        with ProcessExecutor(3) as executor:
+            parallel = find_spread_direction(
+                model, rows, dataset.targets, seed=seed, executor=executor
+            )
+        assert parallel.direction.tobytes() == serial.direction.tobytes()
+        assert parallel.ic == serial.ic
+        assert (parallel.n_starts, parallel.n_iterations, parallel.n_capped) == (
+            serial.n_starts,
+            serial.n_iterations,
+            serial.n_capped,
+        )
+        if name == "mammals":
+            assert serial.n_capped == 10
 
 
 class TestFullLoopEquivalence:
@@ -195,8 +222,6 @@ def _serial_reference(name):
             seed=0,
             executor=SerialExecutor(),
         ).search_locations()
-        from repro.model.background import BackgroundModel
-
         model = BackgroundModel.from_targets(dataset.targets)
         spread = find_spread_direction(
             model,

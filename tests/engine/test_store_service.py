@@ -81,6 +81,32 @@ class TestRestartRecovery:
             with pytest.raises(EngineError):
                 service.result(job_id)
 
+    def test_serial_backend_runs_a_recovered_running_record(self, tmp_path):
+        """A crash mid-run leaves a record ``running``. The serial backend
+        has no pool to dispatch it to: it runs the record inline before
+        the constructor returns, to the bits of a fresh mine."""
+        from repro.engine.jobs import run_job
+
+        spec = _job(seed=3, n_iterations=2, kind="spread")
+        with MiningService(backend="serial", store=tmp_path) as service:
+            job_id = service.submit(spec)
+            service.result(job_id, 120)
+        with JobStore(tmp_path) as store:
+            (record,) = store.records()
+            store.put(dict(record, state="running", result=None))
+
+        log = _ScheduleLog()
+        with MiningService(backend="serial", store=tmp_path, observer=log) as service:
+            assert service.status(job_id) == JobStatus.DONE
+            result = service.result(job_id, 3)
+        fresh = job_result_to_dict(run_job(spec))
+        assert job_result_to_dict(result)["iterations"] == fresh["iterations"]
+        assert [event[0] for event in log.events] == ["recovered", "dispatched"]
+        assert {event[0] for event in log.events} <= set(SCHEDULER_EVENT_KINDS)
+        with JobStore(tmp_path) as store:
+            (record,) = store.records()
+        assert record["state"] == "done"
+
     def test_interrupted_jobs_reenqueue_in_submit_order(self, tmp_path):
         import threading
 

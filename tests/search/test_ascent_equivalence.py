@@ -1,22 +1,27 @@
-"""The spread ascent against a verbatim copy of the re-evaluating ascent.
+"""The lockstep spread ascent against a verbatim one-start ascent.
 
-:func:`repro.search.spread._ascend` evaluates each distinct trial point
-once. The accepted trial point's evaluation gives its gradient, and a
-line search whose move has rounded back to ``w`` tests that one
-evaluation against its remaining Armijo thresholds. The reference below
-is the ascent as it was before that, copied verbatim together with the
-objective methods and sphere operations it called: it pays a ``value``
+:func:`repro.search.spread._ascend_lockstep` runs the ascents from all
+starts together: one batched evaluation of every start's trial point per
+round, and one batched gradient for the starts that just accepted a
+point. It evaluates each distinct trial point once. The accepted trial
+point's evaluation gives its gradient, and a line search whose move has
+rounded back to ``w`` tests that one evaluation against its remaining
+Armijo thresholds. The reference below is the ascent from one start as
+it was before all of that, copied verbatim together with the objective
+methods and sphere operations it called: it pays a one-point ``value``
 call for every trial point and a ``value_and_grad`` call for every
 accepted one.
 
-On random objectives (1-4 blocks, d = 2-8, a statistic clamped at the
-support boundary or not, starts that reach the frozen tail, small caps)
-both ascents must return the same end-point bytes, the same IC bits and
-the same iteration count. The new ascent must evaluate exactly once per
-distinct trial point, and report how the reference ended.
+On random objectives (1-9 blocks, d = 2-8 or 124, a statistic clamped
+at the support boundary or not, 1-12 starts, starts that reach the
+frozen tail, caps of 0, 1, 3 and 300) every start must end at the
+reference's end-point bytes, with its IC bits, iteration count and end,
+whichever starts share its rounds. The lockstep ascent must evaluate
+exactly one row per distinct trial point. The 2-sparse search's batched
+angle grid is held to the reference's one-point ``value`` the same way.
 
-CI runs this file at one and at two BLAS threads: the reuse argument
-holds for a given input at any thread count.
+CI runs this file at one and at two BLAS threads: the batched products
+give one-row bytes, and the reuse argument holds, at any thread count.
 """
 
 import math
@@ -24,10 +29,21 @@ import math
 import numpy as np
 from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
+from scipy import optimize
 from scipy.special import digamma, gammaln
 
+from repro.datasets import make_mammals, make_water
 from repro.errors import SearchError
-from repro.search.spread import _TINY, LN2, SpreadObjective, _ascend
+from repro.model.background import BackgroundModel
+from repro.search.sphere import canonical_sign
+from repro.search.spread import (
+    _TINY,
+    LN2,
+    SpreadObjective,
+    _ascend_lockstep,
+    _best_pair_direction,
+    _chunks,
+)
 
 # --------------------------------------------------------------------- #
 # The reference: the re-evaluating ascent, verbatim
@@ -218,9 +234,9 @@ def build(cls, counts, block_covs, empirical_cov):
 
 
 @st.composite
-def problems(draw):
-    d = draw(st.integers(2, 8))
-    n_blocks = draw(st.integers(1, 4))
+def problems(draw, dims=(2, 3, 4, 5, 6, 7, 8, 124)):
+    d = draw(st.sampled_from(dims))
+    n_blocks = draw(st.integers(1, 9))
     clamped = draw(st.booleans())
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     counts = rng.integers(1, 40, n_blocks).astype(float)
@@ -233,56 +249,71 @@ def problems(draw):
     # alpha falls under the floor.
     scale = 1e-20 if clamped else 10.0 ** rng.uniform(-2, 1)
     empirical_cov = _psd(rng, d, scale)
-    start = rng.standard_normal(d)
-    if draw(st.booleans()):
-        # A strided start, as the eigenvector starts are.
-        start = np.repeat(start, 2)[::2]
+    starts = []
+    for strided in draw(st.lists(st.booleans(), min_size=1, max_size=12)):
+        start = rng.standard_normal(d)
+        if strided:
+            # A strided start, as the eigenvector starts are.
+            start = np.repeat(start, 2)[::2]
+        starts.append(start)
     return {
         "blocks": (counts, block_covs, empirical_cov),
-        "start": start,
+        "starts": starts,
         "clamped": clamped,
-        "max_iterations": draw(st.sampled_from([1, 3, 300, 300])),
+        "max_iterations": draw(st.sampled_from([0, 1, 3, 300, 300])),
         "tol": draw(st.sampled_from([1e-9, 1e-9, 1e-3])),
     }
 
 
-def _run_both(blocks, start, *, max_iterations, tol):
-    """Both ascents from one start: results, the trace, new evaluations."""
+def _run_reference(blocks, start, *, max_iterations, tol):
+    """The reference ascent from one start, and its trace."""
     TRACE.clear()
-    reference = reference_ascend(
+    result = reference_ascend(
         build(RecordedReference, *blocks), start, max_iterations=max_iterations, tol=tol
     )
-    trace = list(TRACE)
-    objective = build(SpreadObjective, *blocks)
-    evaluate = objective._evaluate
-    evaluations = 0
-
-    def counted(w):
-        nonlocal evaluations
-        evaluations += 1
-        return evaluate(w)
-
-    objective._evaluate = counted
-    new = _ascend(objective, start, max_iterations=max_iterations, tol=tol)
-    return reference, new, trace, evaluations
+    return result, list(TRACE)
 
 
-def _assert_same(reference, new, trace, n_evaluations, max_iterations):
+class Counted(SpreadObjective):
+    """The objective, counting its batched calls and their rows."""
+
+    def _evaluate(self, W):
+        self.evaluations.append(len(W))
+        return super()._evaluate(W)
+
+    def _gradient(self, W, rows):
+        self.gradients.append(len(W))
+        return super()._gradient(W, rows)
+
+
+def _run_lockstep(blocks, starts, *, max_iterations, tol):
+    """The lockstep ascents from all starts, and the counted objective."""
+    objective = build(Counted, *blocks)
+    objective.evaluations = []
+    objective.gradients = []
+    outcomes = _ascend_lockstep(objective, starts, max_iterations=max_iterations, tol=tol)
+    return outcomes, objective
+
+
+def _distinct_trials(trace: list) -> int:
+    """Trial points a one-evaluation ascent evaluates: those before its
+    move rounds back to ``w``, and that one point."""
+    return sum(
+        trials.count(False) + (True in trials) for trials in line_searches(trace)
+    )
+
+
+def _assert_same(reference, outcome, trace, max_iterations):
     w, value, iterations = reference
-    new_w, new_value, new_iterations, end = new
+    new_w, new_value, new_iterations, end = outcome
     assert new_w.tobytes() == w.tobytes()
     assert float(new_value).hex() == float(value).hex()
     assert new_iterations == iterations
 
-    searches = line_searches(trace)
-    for trials in searches:
+    for trials in line_searches(trace):
         # Once a move rounds back to w, every halved move does too.
         if True in trials:
             assert all(trials[trials.index(True):])
-    # One evaluation for the start, then one per distinct trial point:
-    # the trial points before the move rounds back, and that one point.
-    distinct = sum(trials.count(False) + (True in trials) for trials in searches)
-    assert n_evaluations == 1 + distinct
 
     # The trace starts with the start point's "grad"; each accepted trial
     # point adds one.
@@ -295,44 +326,98 @@ def _assert_same(reference, new, trace, n_evaluations, max_iterations):
         expected_end = "converged"
     assert end == expected_end
     event(f"end: {end}")
-    return searches
 
 
-@settings(max_examples=80, deadline=None)
-@given(problems())
-def test_random_objectives_ascend_bit_for_bit(problem):
+def _check_against_reference(problem, starts):
+    """Every lockstep outcome is its start's reference outcome, at one
+    evaluated row per distinct trial point; returns the traces."""
     blocks = problem["blocks"]
     kwargs = {"max_iterations": problem["max_iterations"], "tol": problem["tol"]}
-    if problem["clamped"]:
-        objective = build(ReferenceObjective, *blocks)
-        start = problem["start"] / np.linalg.norm(problem["start"])
-        _, _, _, alpha, beta, _, v = objective._pieces(start)
-        assert (v - beta) / alpha <= _TINY
-    reference, new, trace, n_evaluations = _run_both(blocks, problem["start"], **kwargs)
-    searches = _assert_same(reference, new, trace, n_evaluations, kwargs["max_iterations"])
-    if any(True in trials for trials in searches):
-        event("frozen tail")
+    outcomes, objective = _run_lockstep(blocks, starts, **kwargs)
+    traces = []
+    for start, outcome in zip(starts, outcomes):
+        reference, trace = _run_reference(blocks, start, **kwargs)
+        _assert_same(reference, outcome, trace, kwargs["max_iterations"])
+        traces.append(trace)
+    distinct = [_distinct_trials(trace) for trace in traces]
+    # One row for each start, then one per distinct trial point.
+    assert sum(objective.evaluations) == len(starts) + sum(distinct)
+    # One batched evaluation per round: the starts, then one round per
+    # trial point of the longest line-searching ascent.
+    assert len(objective.evaluations) == 1 + max(distinct)
+    # One gradient row per iteration begun.
+    assert sum(objective.gradients) == sum(outcome[2] for outcome in outcomes)
+    return outcomes, traces
 
 
 @settings(max_examples=40, deadline=None)
-@given(problems())
-def test_starts_at_a_stalled_end_take_the_frozen_path(problem):
-    """Restart from where an ascent stalled: the line search fails again,
-    its moves shrink until they round back to ``w``, and the new ascent
-    stops evaluating there."""
+@given(problems(), st.data())
+def test_lockstep_ascents_match_the_reference_bit_for_bit(problem, data):
+    starts = problem["starts"]
+    if problem["clamped"]:
+        objective = build(ReferenceObjective, *problem["blocks"])
+        for start in starts:
+            _, _, _, alpha, beta, _, v = objective._pieces(start / np.linalg.norm(start))
+            assert (v - beta) / alpha <= _TINY
+    outcomes, traces = _check_against_reference(problem, starts)
+    if any(True in trials for trace in traces for trials in line_searches(trace)):
+        event("frozen tail")
+    event(f"starts: {'1' if len(starts) == 1 else '2+'}; d: {len(starts[0])}")
+
+    # Any contiguous chunking of the starts, as the executors ship them,
+    # gives the same outcomes.
+    cuts = data.draw(st.lists(st.booleans(), min_size=len(starts) - 1, max_size=len(starts) - 1))
+    chunks, chunk = [], [starts[0]]
+    for cut, start in zip(cuts, starts[1:]):
+        if cut:
+            chunks.append(chunk)
+            chunk = []
+        chunk.append(start)
+    chunks.append(chunk)
+    kwargs = {"max_iterations": problem["max_iterations"], "tol": problem["tol"]}
+    chunked = [
+        outcome
+        for chunk in chunks
+        for outcome in _run_lockstep(problem["blocks"], chunk, **kwargs)[0]
+    ]
+    for (w, value, iterations, end), (w2, value2, iterations2, end2) in zip(outcomes, chunked):
+        assert w2.tobytes() == w.tobytes()
+        assert (float(value2).hex(), iterations2, end2) == (float(value).hex(), iterations, end)
+
+
+@settings(max_examples=25, deadline=None)
+@given(problems(dims=range(2, 9)))
+def test_starts_at_stalled_ends_take_the_frozen_path(problem):
+    """Restart from where the ascents stalled: each line search fails
+    again, its moves shrink until they round back to ``w``, and the
+    lockstep ascent stops evaluating there."""
     blocks = problem["blocks"]
-    first, _, _, _ = _run_both(blocks, problem["start"], max_iterations=300, tol=1e-9)
-    start = first[0]
-    reference, new, trace, n_evaluations = _run_both(
-        blocks, start, max_iterations=problem["max_iterations"], tol=1e-9
-    )
-    searches = line_searches(trace)
+    outcomes = _run_lockstep(blocks, problem["starts"], max_iterations=300, tol=1e-9)[0]
+    ends = [w for w, _, _, end in outcomes if end == "stalled"]
+    assume(ends)
+    restart = dict(problem, tol=1e-9)
+    traces = [
+        _run_reference(blocks, start, max_iterations=problem["max_iterations"], tol=1e-9)[1]
+        for start in ends
+    ]
     # A frozen tail: halvings left after the move first rounds back.
-    assume(any(trials.count(True) >= 2 for trials in searches))
-    _assert_same(reference, new, trace, n_evaluations, problem["max_iterations"])
+    assume(any(
+        trials.count(True) >= 2 for trace in traces for trials in line_searches(trace)
+    ))
+    _check_against_reference(restart, ends)
     # The frozen path was taken: fewer evaluations than trial points.
-    n_trials = sum(len(trials) for trials in searches)
-    assert n_evaluations < 1 + n_trials
+    n_trials = sum(len(trials) for trace in traces for trials in line_searches(trace))
+    assert sum(_distinct_trials(trace) for trace in traces) < n_trials
+
+
+def test_starts_ship_in_contiguous_chunks():
+    starts = list(range(10))
+    assert [len(chunk) for chunk in _chunks(starts, 3)] == [4, 3, 3]
+    assert [len(chunk) for chunk in _chunks(starts, 2)] == [5, 5]
+    assert _chunks(starts, 1) == [starts]
+    assert _chunks(starts[:2], 4) == [[0], [1]]
+    for n in range(1, 13):
+        assert [start for chunk in _chunks(starts, n) for start in chunk] == starts
 
 
 class Plateau:
@@ -368,11 +453,11 @@ class Plateau:
         self.moved = x.tobytes() != self.w
         return self._ic(x), self.grad
 
-    def _evaluate(self, x):
-        return None, self._ic(x)
+    def _evaluate(self, W):
+        return [(None, self._ic(x)) for x in W]
 
-    def _gradient(self, x, pieces):
-        return self.grad
+    def _gradient(self, W, rows):
+        return np.tile(self.grad, (len(W), 1))
 
 
 def test_a_frozen_candidate_passes_a_later_threshold():
@@ -396,8 +481,82 @@ def test_a_frozen_candidate_passes_a_later_threshold():
     # Accepted at a later halving than the first that rounded back.
     assert reference_plateau.hat_tests >= 2
     assert (value, iterations) == (1e-25, 2)
-    new_w, new_value, new_iterations, end = _ascend(
-        Plateau(w, grad), start, max_iterations=300, tol=1e-9
+    [(new_w, new_value, new_iterations, end)] = _ascend_lockstep(
+        Plateau(w, grad), [start], max_iterations=300, tol=1e-9
     )
     assert new_w.tobytes() == w_end.tobytes() == reference_plateau.w_hat
     assert (new_value, new_iterations, end) == (value, iterations, "stalled")
+
+
+# --------------------------------------------------------------------- #
+# The 2-sparse search's batched angle grid
+# --------------------------------------------------------------------- #
+
+
+def reference_best_pair_direction(objective):
+    """The 2-sparse search as it was, one ``value`` call per grid angle."""
+    dim = objective.dim
+    best = None
+    evaluations = 0
+
+    def embed(i, j, theta):
+        w = np.zeros(dim)
+        w[i] = math.cos(theta)
+        w[j] = math.sin(theta)
+        return w
+
+    grid = np.linspace(0.0, math.pi, 64, endpoint=False)
+    for i in range(dim):
+        for j in range(i + 1, dim):
+            values = [objective.value(embed(i, j, theta)) for theta in grid]
+            evaluations += len(grid)
+            k = int(np.argmax(values))
+            lo, hi = grid[k] - math.pi / 64, grid[k] + math.pi / 64
+            result = optimize.minimize_scalar(
+                lambda theta: -objective.value(embed(i, j, theta)),
+                bounds=(lo, hi),
+                method="bounded",
+                options={"xatol": 1e-10},
+            )
+            value = -float(result.fun)
+            if best is None or value > best[0]:
+                best = (value, embed(i, j, float(result.x)))
+    return canonical_sign(best[1]), best[0], evaluations
+
+
+def test_pair_search_matches_the_one_point_loop():
+    """All 120 pairs of water's 16 targets: the same direction bytes, IC
+    bits and variance as the one-point grid."""
+    dataset = make_water(0)
+    model = BackgroundModel.from_targets(dataset.targets)
+    rows = np.arange(100)
+    direction, ic, evaluations = reference_best_pair_direction(
+        ReferenceObjective(model, rows, dataset.targets)
+    )
+    objective = SpreadObjective(model, rows, dataset.targets)
+    outcome = _best_pair_direction(objective)
+    assert outcome.direction.tobytes() == direction.tobytes()
+    assert outcome.ic.hex() == ic.hex()
+    assert outcome.variance == objective.variance(direction)
+    assert outcome.n_starts == evaluations == 120 * 64
+
+
+def test_pair_grid_rows_match_one_point_values_on_mammals():
+    """60 random pairs of mammals' 124 targets: each of a pair's 64 batched
+    grid rows has the reference's one-point IC bits."""
+    dataset = make_mammals(0)
+    model = BackgroundModel.from_targets(dataset.targets)
+    rows = np.flatnonzero(dataset.column("tmp_mar").values <= -1.73595)
+    objective = SpreadObjective(model, rows, dataset.targets)
+    reference = ReferenceObjective(model, rows, dataset.targets)
+    grid = np.linspace(0.0, math.pi, 64, endpoint=False)
+    rng = np.random.default_rng(0)
+    for _ in range(60):
+        i, j = sorted(rng.choice(objective.dim, 2, replace=False).tolist())
+        points = np.zeros((64, objective.dim))
+        points[:, i] = [math.cos(theta) for theta in grid]
+        points[:, j] = [math.sin(theta) for theta in grid]
+        batched = [ic for _, ic in objective._evaluate(points)]
+        assert [ic.hex() for ic in batched] == [
+            reference.value(point).hex() for point in points
+        ]

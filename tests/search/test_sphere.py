@@ -1,5 +1,7 @@
 """Tests for unit-sphere manifold primitives."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -50,6 +52,27 @@ class TestRetract:
         w = np.array([1.0, 0.0])
         with pytest.raises(SearchError, match="collapsed"):
             retract(w, -w)
+
+
+class TestStacks:
+    @pytest.mark.parametrize("d", [2, 5, 16, 124, 200])
+    def test_rows_have_the_bytes_of_one_row_dots(self, rng, d):
+        """A (K, d) stack's rows project and retract to the bytes of the
+        1-D formulas with ``.dot``, which the spread ascent relies on."""
+        points = rng.standard_normal((9, d))
+        points /= np.linalg.norm(points, axis=1)[:, None]
+        vectors = rng.standard_normal((9, d))
+        tangents = project_tangent(points, vectors)
+        moved = retract(points, 0.3 * vectors)
+        for w, v, tangent, point in zip(points, vectors, tangents, moved):
+            assert tangent.tobytes() == (v - w.dot(v) * w).tobytes()
+            u = w + 0.3 * v
+            assert point.tobytes() == (u / math.sqrt(u.dot(u))).tobytes()
+
+    def test_collapse_of_any_row_rejected(self):
+        points = np.array([[1.0, 0.0], [0.0, 1.0]])
+        with pytest.raises(SearchError, match="collapsed"):
+            retract(points, np.array([[0.1, 0.0], [0.0, -1.0]]))
 
 
 class TestCanonicalSign:
