@@ -4,9 +4,9 @@ The demo runs the full durability loop in one process:
 
 1. start a :class:`MiningServer` on a durable store directory and mine
    two jobs to completion plus one that is still queued;
-2. kill the server without any graceful shutdown — exactly what a
-   SIGKILL or power loss leaves behind: a journal tail plus the last
-   sqlite snapshot;
+2. kill the server without any graceful shutdown — what a SIGKILL or
+   power loss leaves behind: one record file per job, each as its last
+   finished write left it;
 3. restart a *new* server on the same store and show that the finished
    results come back bit-identically in ~0 seconds (served from the
    store, nothing recomputed), the interrupted job is re-enqueued and
@@ -58,8 +58,8 @@ def main() -> int:
     print(f"mined {len(before)} jobs; {interrupted} is still in flight")
 
     # --- the crash ---------------------------------------------------
-    # No drain, no flush beyond what already hit the journal: the store
-    # is left exactly as a power loss would leave it.
+    # No drain, no flush beyond the record writes already made: the
+    # store is left as a power loss would leave it.
     handle.stop()
     print("boot 1 killed (no graceful shutdown of in-flight work)")
 

@@ -3,9 +3,10 @@
 Shared-memory segments outlive the process on leak (``/dev/shm`` fills
 until reboot), sqlite connections hold file locks, and a write-then-
 rename that skips the ``fsync`` can publish a zero-length file after a
-crash — the exact torn-state class :mod:`repro.store.wal` exists to
-prevent. These rules check the lexical shape of acquisition: a context
-manager, or a ``try``/``finally`` that releases the handle.
+crash — the exact torn-state class
+:func:`repro.store.atomic.write_atomic` exists to prevent. These rules
+check the lexical shape of acquisition: a context manager, or a
+``try``/``finally`` that releases the handle.
 """
 
 from __future__ import annotations
@@ -157,8 +158,10 @@ class RenameWithoutFsyncRule(LintRule):
     the rename can leave the final path holding a zero-length or
     partial file: the metadata journal committed the rename while the
     data pages were still in the page cache. Every durable write in
-    :mod:`repro.store` follows write → flush → ``os.fsync`` →
-    ``os.replace``; this rule keeps it that way.
+    :mod:`repro.store` goes through
+    :func:`repro.store.atomic.write_atomic` (write → flush →
+    ``os.fsync`` → ``os.replace`` → fsync of the directory); this rule
+    keeps any other rename there honest.
     """
 
     rule_id = "RES002"

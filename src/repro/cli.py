@@ -19,8 +19,6 @@ Subcommands:
   :class:`repro.dist.DistExecutor` (see :mod:`repro.dist`).
 - ``sisd top URL`` — live ASCII dashboard over the ``GET /metrics``
   endpoint of a server or a worker daemon.
-- ``sisd admin compact URL`` — forced compaction of a durable server's
-  store journal.
 - ``sisd lint`` — statically check the repo's contract invariants
   (determinism, asyncio hygiene, pickle boundaries, resource safety;
   see :mod:`repro.analysis`). ``--json`` for CI, ``--explain RULE`` for
@@ -245,15 +243,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="render a single frame and exit (scripts, tests)",
     )
 
-    admin = sub.add_parser(
-        "admin", help="operational commands against a running server"
-    )
-    admin_sub = admin.add_subparsers(dest="admin_command", required=True)
-    compact = admin_sub.add_parser(
-        "compact", help="fold the server's store journal into its snapshot"
-    )
-    compact.add_argument("url", help="base URL of a durable sisd server")
-
     lint = sub.add_parser(
         "lint",
         help="statically check determinism/asyncio/pickle/resource contracts",
@@ -457,18 +446,6 @@ def _cmd_top(args: argparse.Namespace) -> int:
         return 0
 
 
-def _cmd_admin(args: argparse.Namespace) -> int:
-    from repro.obs.console import post_json
-
-    document = post_json(args.url, "/admin/compact")
-    store = document.get("store", {})
-    print(
-        f"compacted: journal lag {document.get('journal_lag_before', 0)} -> "
-        f"{store.get('journal_lag', 0)} ({store.get('records', 0)} records)"
-    )
-    return 0
-
-
 def _cmd_experiment(args: argparse.Namespace) -> int:
     result = EXPERIMENTS[args.name](args.seed)
     print(result.format())
@@ -495,8 +472,6 @@ def main(argv: list[str] | None = None) -> int:
             return _cmd_worker(args)
         if args.command == "top":
             return _cmd_top(args)
-        if args.command == "admin":
-            return _cmd_admin(args)
         if args.command == "lint":
             from repro.analysis.cli import run_lint
 

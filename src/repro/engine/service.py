@@ -73,7 +73,6 @@ from repro.obs.instruments import (
     RESULT_CACHE_HIT_RATIO,
     RESULT_CACHE_HITS,
     RESULT_CACHE_MISSES,
-    STORE_JOURNAL_LAG,
     STORE_RECORDS,
 )
 from repro.obs.trace import TRACER
@@ -172,6 +171,9 @@ class _Record:
         "finished_wall",
         "trace",
         "trace_enqueued",
+        "persisted",
+        "unwritten",
+        "write_lock",
     )
 
     def __init__(
@@ -212,6 +214,12 @@ class _Record:
         #: and the perf-counter stamp the "schedule" span starts from.
         self.trace = None
         self.trace_enqueued = clock.perf_counter()
+        #: Durable-store bookkeeping: the last state snapshotted, the
+        #: newest store write not yet run, and the lock of the one
+        #: thread at a time writing this record.
+        self.persisted: str | None = None
+        self.unwritten = None
+        self.write_lock = threading.Lock()
 
     def sort_key(self) -> tuple:
         """Dispatch order: priority ↓, deadline ↑, arrival ↑.
@@ -382,7 +390,7 @@ class MiningService:
         self._n_queued = 0
         self._ids = itertools.count(1)
         self._seq = itertools.count()
-        # Pull-style gauges (queue depth, cache ratios, journal lag)
+        # Pull-style gauges (queue depth, cache ratios, store records)
         # refresh at scrape time; the collector is removed on shutdown so
         # a later service in the same process takes over the gauges.
         METRICS.register_collector(self._collect_metrics)
@@ -397,9 +405,7 @@ class MiningService:
         RESULT_CACHE_MISSES.set(stats.misses)
         RESULT_CACHE_HIT_RATIO.set(stats.hit_rate)
         if self._store is not None:
-            store_stats = self._store.stats()
-            STORE_RECORDS.set(store_stats["records"])
-            STORE_JOURNAL_LAG.set(store_stats["journal_lag"])
+            STORE_RECORDS.set(len(self._store))
         spill = (
             self._belief_cache.spill if self._belief_cache is not None else None
         )
@@ -517,8 +523,7 @@ class MiningService:
                 else:
                     self._enqueue_locked(record)
                     self._dispatch_locked(post)
-            if cached is None:  # the settle step persisted a cache hit
-                self._persist_later(post, record)
+            self._persist_later(post, record)
             self._prune_terminal_locked(post)
         self._run_post(post)
         if serial_record is not None:
@@ -730,13 +735,14 @@ class MiningService:
         dispatched and everything runs to completion before the pool
         stops — the behaviour of a plain pool shutdown. ``wait=False``
         cancels everything still queued and stops without waiting for
-        running jobs. A durable store is compacted and closed either way
-        (a crash that skips this is what the WAL is for).
+        running jobs. Either way the store writes still queued land, and
+        then a durable store is closed; a crash that skips this loses no
+        write that had returned, as each one replaces its record's file
+        whole.
         """
         METRICS.remove_collector(self._collect_metrics)
         if self._pool is None:
-            if self._store is not None:
-                self._store.close()
+            self._close_store()
             return
         if wait:
             while True:
@@ -772,8 +778,7 @@ class MiningService:
                 self._queue.clear()
             self._run_post(post)
         self._pool.shutdown(wait=wait)
-        if self._store is not None:
-            self._store.close()
+        self._close_store()
 
     def __enter__(self) -> "MiningService":
         return self
@@ -1085,32 +1090,73 @@ class MiningService:
     # Durable store internals
     # ------------------------------------------------------------------ #
     def _persist_later(self, post: list, record: _Record) -> None:
-        """Queue a store write for after the lock drops (no-op storeless).
+        """Snapshot a record for the store, to write once the lock drops.
 
-        Runs off-lock because encoding a done record's result document
-        walks every mined pattern — too much work to hold the scheduler
-        for. Writes land in submission order within one transition batch
-        (``post`` preserves append order), and the store upserts, so a
-        racing later transition can only make the doc *fresher*.
+        The snapshot, the record's state and outcome, is taken here
+        under the lock and becomes the record's newest unwritten write,
+        replacing any older one not yet run; a snapshot of the state
+        already taken is skipped. The write runs off-lock (a no-op
+        storeless) because encoding a done record's result document
+        walks every mined pattern, too much work to hold the scheduler
+        for.
         """
-        if self._store is None:
+        if self._store is None or record.persisted == record.state:
             return
-        post.append(lambda: self._persist_now(record))
+        record.persisted = state = record.state
+        outcome = None
+        if state == "done":
+            outcome = record.future.result(timeout=0)
+        elif state in ("failed", "expired"):
+            outcome = record.future.exception(timeout=0)
+        record.unwritten = partial(self._persist_now, record, state, outcome)
+        post.append(partial(self._write_record, record))
 
-    def _persist_now(self, record: _Record) -> None:
+    def _write_record(self, record: _Record, wait: bool = False) -> None:
+        """Run a record's newest unwritten write, one thread at a time.
+
+        A thread that finds another one writing the record leaves the
+        write to it: the writer takes the newest write until none is
+        left. So a record's writes land in the order its transitions
+        happened, and a superseded snapshot is never written. Only
+        ``wait=True`` (at shutdown) waits for the writer: a thread can
+        run its post actions while it holds the scheduler lock (a pool
+        future done before its callback is attached), and the writer
+        takes that lock.
+        """
+        while record.write_lock.acquire(blocking=wait):
+            try:
+                with self._lock:
+                    write, record.unwritten = record.unwritten, None
+                if write is not None:
+                    write()
+            finally:
+                record.write_lock.release()
+            with self._lock:
+                if record.unwritten is None:
+                    return
+
+    def _close_store(self) -> None:
+        """Let the record writes other threads still hold land, then close."""
         if self._store is None:
             return
+        with self._lock:
+            records = list(self._records.values())
+        for record in records:
+            self._write_record(record, wait=True)
+        self._store.close()
+
+    def _persist_now(self, record: _Record, state: str, outcome) -> None:
         try:
-            self._store.put(self._record_doc(record))
+            self._store.put(self._record_doc(record, state, outcome))
         except Exception:
             # Persistence must never break scheduling (a concurrent
             # shutdown may have closed the store; the disk may be full).
-            # The WAL guarantees the *next* open is self-consistent
-            # regardless of where writes stopped.
+            # Each write replaces its record's file whole, so the next
+            # open reads every record as its last finished write left it.
             pass
 
-    def _record_doc(self, record: _Record) -> dict:
-        """The record's durable document, in the existing wire vocabulary.
+    def _record_doc(self, record: _Record, state: str, outcome) -> dict:
+        """A record snapshot's durable document, in the wire vocabulary.
 
         Jobs serialize via :func:`repro.persist.job_to_dict`, results via
         :func:`repro.persist.job_result_to_dict` (the exact-round-trip
@@ -1121,7 +1167,6 @@ class MiningService:
         """
         from repro import persist  # lazy: persist imports engine.jobs
 
-        state = record.state
         doc = {
             "schema": 1,
             "job_id": record.job_id,
@@ -1135,22 +1180,9 @@ class MiningService:
             "error": None,
         }
         if state == "done":
-            try:
-                doc["result"] = persist.job_result_to_dict(
-                    record.future.result(timeout=0)
-                )
-            except Exception:  # pragma: no cover - racing transition
-                doc["state"] = "queued"
-        elif state in ("failed", "expired"):
-            try:
-                exc = record.future.exception(timeout=0)
-            except Exception:  # pragma: no cover - racing transition
-                exc = None
-            if exc is not None:
-                doc["error"] = {
-                    "type": type(exc).__name__,
-                    "message": str(exc),
-                }
+            doc["result"] = persist.job_result_to_dict(outcome)
+        elif outcome is not None:
+            doc["error"] = {"type": type(outcome).__name__, "message": str(outcome)}
         return doc
 
     def _prune_terminal_locked(self, post: list) -> None:
@@ -1188,9 +1220,8 @@ class MiningService:
             self._emit_later(post, "evicted", record)
             del self._records[record.job_id]
             if self._store is not None:
-                post.append(
-                    lambda job_id=record.job_id: self._store_delete(job_id)
-                )
+                record.unwritten = partial(self._store_delete, record.job_id)
+                post.append(partial(self._write_record, record))
 
     def _store_delete(self, job_id: str) -> None:
         try:

@@ -1,4 +1,4 @@
-"""The scrape-side of the observability loop: ``sisd top`` and admin.
+"""The scrape-side of the observability loop: ``sisd top``.
 
 Everything here consumes the *exposition format*, not in-process
 objects: the dashboard works identically against a
@@ -10,7 +10,6 @@ remote, because both serve the same ``GET /metrics`` Prometheus text. Transport 
 
 from __future__ import annotations
 
-import json
 from http.client import HTTPConnection, HTTPException
 from typing import Mapping
 
@@ -21,7 +20,6 @@ from repro.server.http import split_url
 
 __all__ = [
     "fetch_text",
-    "post_json",
     "render_dashboard",
     "scrape",
 ]
@@ -34,7 +32,6 @@ _DASHBOARD_GAUGES = (
     ("sisd_result_cache_hit_ratio", "result-cache hit ratio"),
     ("sisd_belief_cache_hit_ratio", "belief-cache hit ratio"),
     ("sisd_store_records", "store records"),
-    ("sisd_store_journal_lag", "store journal lag"),
 )
 
 #: Histogram families worth a latency row: (family, row label).
@@ -74,30 +71,6 @@ def fetch_text(url: str, path: str, *, timeout: float = 10.0) -> str:
                 f"GET {url}{path} answered {response.status}: {body[:200]}"
             )
         return body
-    except (OSError, HTTPException) as exc:
-        raise ObsError(f"cannot reach {url}{path}: {exc}") from exc
-    finally:
-        conn.close()
-
-
-def post_json(url: str, path: str, *, timeout: float = 30.0) -> dict:
-    """POST (no body) one admin path and return the decoded document."""
-    conn = HTTPConnection(*split_url(url), timeout=timeout)
-    try:
-        conn.request("POST", path, headers={"Accept": "application/json"})
-        response = conn.getresponse()
-        body = response.read().decode("utf-8", errors="replace")
-        try:
-            document = json.loads(body) if body else {}
-        except ValueError as exc:
-            raise ObsError(
-                f"POST {url}{path} answered undecodable JSON: {body[:200]}"
-            ) from exc
-        if response.status >= 400:
-            error = document.get("error", {})
-            message = error.get("message", body[:200])
-            raise ObsError(f"POST {url}{path} answered {response.status}: {message}")
-        return document
     except (OSError, HTTPException) as exc:
         raise ObsError(f"cannot reach {url}{path}: {exc}") from exc
     finally:

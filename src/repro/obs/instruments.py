@@ -15,7 +15,7 @@ declaring metrics ad hoc, which buys three things:
 
 Everything registers against :data:`METRICS`, the process-wide default
 registry that ``GET /metrics`` renders. Pull-style values (cache hit
-counts, queue depth, journal lag) are bridged in by *collectors* that
+counts, queue depth, store records) are bridged in by *collectors* that
 the owning objects register on creation and remove on close — see
 :meth:`repro.obs.metrics.MetricsRegistry.register_collector`.
 """
@@ -143,10 +143,6 @@ BELIEF_CACHE_HIT_RATIO = METRICS.gauge(
 # --------------------------------------------------------------------- #
 STORE_RECORDS = METRICS.gauge(
     "sisd_store_records", "Scheduler records held durably"
-)
-STORE_JOURNAL_LAG = METRICS.gauge(
-    "sisd_store_journal_lag",
-    "Journal ops not yet folded into the sqlite snapshot",
 )
 BELIEF_SPILL_HITS = METRICS.gauge(
     "sisd_belief_spill_hits", "Belief-spill disk hits"

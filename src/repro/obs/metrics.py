@@ -325,7 +325,7 @@ class MetricsRegistry:
     bucket mismatch is a hard :class:`~repro.errors.ObsError`.
 
     *Collectors* bridge pull-style state (cache hit counts, queue
-    depth, journal lag) into gauges: a registered callable runs at the
+    depth, store records) into gauges: a registered callable runs at the
     top of every :meth:`render`/:meth:`collect`, reading live objects
     and ``set()``-ing gauges, so scrapes see current values without the
     hot path paying for continuous updates.

@@ -390,7 +390,7 @@ class MiningServer(http.Daemon):
             if len(parts) == 3 and parts[2] in ("result", "cancel"):
                 return f"/jobs/{{id}}/{parts[2]}"
             return "/jobs/{id}"
-        if parts[0] in ("health", "admin"):
+        if parts[0] == "health":
             return "/" + "/".join(parts)
         return "other"
 
@@ -399,8 +399,6 @@ class MiningServer(http.Daemon):
         HTTP_REQUESTS.labels(self._route_label(parts)).inc()
         if parts == ["health"] and request.method == "GET":
             return 200, self._health()
-        if parts == ["admin", "compact"] and request.method == "POST":
-            return await self._compact()
         if parts == ["jobs"]:
             if request.method == "POST":
                 return await self._submit(request)
@@ -425,7 +423,7 @@ class MiningServer(http.Daemon):
             404,
             f"no route for {request.method} {request.path}; the API surface "
             f"is /health, /metrics, /jobs, /jobs/{{id}}, /jobs/{{id}}/result, "
-            f"/jobs/{{id}}/cancel, /admin/compact, /events",
+            f"/jobs/{{id}}/cancel, /events",
         )
 
     # ------------------------------------------------------------------ #
@@ -439,7 +437,7 @@ class MiningServer(http.Daemon):
         cache = self.service.cache_stats
         store_section = None
         if self.service.store is not None:
-            store_section = dict(self.service.store.stats())
+            store_section = {"records": len(self.service.store)}
             belief_cache = self.service.belief_cache
             spill = None if belief_cache is None else belief_cache.spill
             if spill is not None:
@@ -476,23 +474,6 @@ class MiningServer(http.Daemon):
                 "metrics": "/metrics",
                 "spans_retained": len(TRACER.finished()),
             },
-        }
-
-    async def _compact(self) -> tuple[int, dict]:
-        """``POST /admin/compact``: fold the store journal down now."""
-        store = self.service.store
-        if store is None:
-            raise http.HttpError(
-                409, "this server has no durable store to compact"
-            )
-        loop = asyncio.get_running_loop()
-        before = dict(store.stats())
-        await loop.run_in_executor(None, store.compact)
-        return 200, {
-            "schema": wire.WIRE_SCHEMA,
-            "compacted": True,
-            "journal_lag_before": before.get("journal_lag", 0),
-            "store": dict(store.stats()),
         }
 
     async def _submit(self, request: http.Request) -> tuple[int, dict]:

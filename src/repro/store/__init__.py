@@ -1,9 +1,11 @@
 """repro.store — the durable persistence tier.
 
-Two concerns, one directory:
+Two concerns, one directory, one write discipline
+(:func:`repro.store.atomic.write_atomic`: every file is replaced whole
+or not at all):
 
-- :class:`JobStore` (over :class:`DurableLog`): scheduler records and
-  finished results survive restarts, bit-identically.
+- :class:`JobStore`: scheduler records and finished results survive
+  restarts, bit-identically, one JSON file per job.
 - :class:`BeliefStore` / :class:`BeliefStoreHandle`: the belief-prefix
   cache spills to content-addressed files (mmap-read numpy payloads),
   so the sequential method's accumulated background state survives too
@@ -12,12 +14,10 @@ Two concerns, one directory:
 
 from repro.store.beliefs import BeliefStore, BeliefStoreHandle
 from repro.store.records import RECORD_SCHEMA, JobStore
-from repro.store.wal import DurableLog
 
 __all__ = [
     "BeliefStore",
     "BeliefStoreHandle",
-    "DurableLog",
     "JobStore",
     "RECORD_SCHEMA",
 ]

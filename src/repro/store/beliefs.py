@@ -23,8 +23,9 @@ so :meth:`get` reads the header and **memory-maps** each array payload
 Warm prefixes over large datasets load at page-cache speed, and N
 worker processes replaying the same prefix share one physical copy.
 
-Writes are atomic (temp file + ``os.replace``) and idempotent: two
-processes racing to store the same key both win, bit-identically.
+Writes are atomic (:func:`repro.store.atomic.write_atomic`) and
+idempotent: two processes racing to store the same key both win,
+bit-identically.
 
 :class:`BeliefStoreHandle` is the picklable face of a store directory:
 the service ships it to process-backend workers, and each worker
@@ -37,8 +38,6 @@ the in-memory cache cannot.
 from __future__ import annotations
 
 import json
-import os
-import tempfile
 import threading
 from dataclasses import dataclass
 from pathlib import Path
@@ -53,6 +52,7 @@ from repro.persist import (
     encode_constraint,
     encode_iteration,
 )
+from repro.store.atomic import write_atomic
 
 __all__ = ["BeliefStore", "BeliefStoreHandle"]
 
@@ -164,24 +164,16 @@ class BeliefStore:
         # Array offsets are relative to the end of the padded header, so
         # the header can state them before knowing its own length.
         path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=str(self.root), suffix=".tmp")
-        try:
-            with os.fdopen(fd, "wb") as fh:
-                fh.write(_MAGIC)
-                fh.write(len(header).to_bytes(8, "little"))
-                fh.write(header)
-                fh.write(b"\x00" * lead_pad)
-                for blob in blobs:
-                    fh.write(blob)
-                fh.flush()
-                os.fsync(fh.fileno())
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
+        write_atomic(
+            path,
+            [
+                _MAGIC,
+                len(header).to_bytes(8, "little"),
+                header,
+                b"\x00" * lead_pad,
+                *blobs,
+            ],
+        )
         with self._lock:
             self.stats.stores += 1
 

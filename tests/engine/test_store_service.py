@@ -187,6 +187,102 @@ class TestRestartRecovery:
         assert extended["iterations"][:2] == first["iterations"]
 
 
+def _race_store_writes(tmp_path, hold_first):
+    """Mine one job while one of its ``running`` store writes is held back.
+
+    The held write waits until the job's terminal event is delivered,
+    and the job's mining thread waits until a write is held (or the
+    submission has returned), so the job ends while that write is in
+    flight. ``hold_first`` holds the first ``running`` write; otherwise
+    only a repeated one is held. Returns the job id and the states in
+    the order their writes landed.
+    """
+    import threading
+
+    held = threading.Event()
+    delivered = threading.Event()
+    landed = []
+
+    class HeldStore(JobStore):
+        def put(self, doc):
+            if doc["state"] == "running" and (hold_first or "running" in landed):
+                held.set()
+                delivered.wait(10)
+            super().put(doc)
+            landed.append(doc["state"])
+
+    class Pause(MiningObserver):
+        def on_iteration(self, iteration):
+            held.wait(10)
+
+        def on_job(self, result):
+            delivered.set()
+
+    with MiningService(
+        max_workers=1, backend="thread", store=HeldStore(tmp_path)
+    ) as service:
+        job_id = service.submit(
+            _job(seed=5, n_iterations=2, kind="spread"), observer=Pause()
+        )
+        held.set()  # the submission returned: none of its writes is held
+        service.result(job_id, 120)
+    return job_id, landed
+
+
+class TestStoredStateOrder:
+    @pytest.mark.parametrize(
+        "hold_first", [False, True], ids=["repeated-write", "first-write"]
+    )
+    def test_a_held_back_write_cannot_overwrite_a_later_state(
+        self, tmp_path, hold_first
+    ):
+        """A record's writes land in transition order, each state once.
+
+        Written in any other order, a ``running`` write that lands after
+        ``done`` leaves the finished job ``running`` on disk, and the next
+        service mines it again.
+        """
+        job_id, landed = _race_store_writes(tmp_path, hold_first)
+        assert landed == ["running", "done"]
+        log = _ScheduleLog()
+        with MiningService(
+            max_workers=1, backend="thread", store=tmp_path, observer=log
+        ) as service:
+            assert service.status(job_id) == JobStatus.DONE
+        assert log.events == []
+
+    def test_concurrent_submissions_store_every_final_state(self, tmp_path):
+        import os
+        import sys
+        from concurrent.futures import ThreadPoolExecutor
+
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with MiningService(
+                max_workers=(os.cpu_count() or 1) + 2,
+                backend="thread",
+                store=tmp_path,
+            ) as service:
+                # Every spec twice: the second coalesces or hits the cache.
+                with ThreadPoolExecutor(4) as submitters:
+                    ids = list(
+                        submitters.map(
+                            lambda s: service.submit(
+                                _job(seed=s % 12, n_iterations=1)
+                            ),
+                            range(24),
+                        )
+                    )
+                statuses = service.wait_all(timeout=120)
+        finally:
+            sys.setswitchinterval(previous)
+        assert set(statuses.values()) == {JobStatus.DONE}
+        with JobStore(tmp_path) as store:
+            stored = {doc["job_id"]: doc["state"] for doc in store.records()}
+        assert stored == {job_id: "done" for job_id in ids}
+
+
 class TestTerminalExpiry:
     def test_cap_evicts_oldest_terminal_records(self, tmp_path):
         log = _ScheduleLog()

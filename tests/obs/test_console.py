@@ -1,11 +1,11 @@
-"""The scrape-side renderers behind ``sisd top`` and ``sisd admin``.
+"""The scrape-side renderers behind ``sisd top``.
 
 All pure samples-in/text-out: the same functions the live CLI loop
 calls, fed parsed expositions instead of sockets.
 """
 
 from repro.errors import EngineError, ObsError
-from repro.obs.console import fetch_text, post_json, render_dashboard
+from repro.obs.console import fetch_text, render_dashboard
 from repro.obs.metrics import MetricsRegistry, parse_prometheus
 from repro.server.http import split_url
 
@@ -82,8 +82,3 @@ class TestTruncatedReplies:
         peer = truncating_peer(b"sisd_queue_depth 1\n")
         with pytest.raises(ObsError, match="cannot reach"):
             fetch_text(peer.url, "/metrics")
-
-    def test_post_json(self, truncating_peer):
-        peer = truncating_peer(b"{}")
-        with pytest.raises(ObsError, match="cannot reach"):
-            post_json(peer.url, "/admin/compact")

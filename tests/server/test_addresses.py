@@ -47,7 +47,6 @@ def test_default_ports_and_base_urls():
     "argv",
     [
         ["top", "--once", "127.0.0.1:abc"],
-        ["admin", "compact", "127.0.0.1:abc"],
     ],
 )
 def test_cli_prints_an_error_line_for_a_bad_port(argv, capsys):

@@ -3,8 +3,8 @@
 Satellite acceptance for the observability PR: EventHub slow-consumer
 drops and SSE resume gaps are visible through the scraped metrics, the
 ``GET /metrics`` endpoint serves valid Prometheus text whose counters
-only go up, and ``sisd top`` / ``sisd admin`` work against a live
-server.
+only go up, ``sisd top`` works against a live server, and the retired
+store-compaction surface stays gone.
 """
 
 import asyncio
@@ -15,8 +15,7 @@ from urllib.parse import urlsplit
 import pytest
 
 from repro import cli
-from repro.errors import ObsError
-from repro.obs.console import fetch_text, post_json, scrape
+from repro.obs.console import fetch_text, scrape
 from repro.obs.instruments import METRICS, SSE_RESUME_GAPS
 from repro.obs.metrics import PROMETHEUS_CONTENT_TYPE, parse_prometheus
 from repro.server.hub import EventHub
@@ -150,7 +149,12 @@ class TestMetricsEndpoint:
             name
             for name in samples
             if name.startswith("sisd_router_")
-            or name in ("sisd_jobs_rejected_total", "sisd_jobs_preempted_total")
+            or name
+            in (
+                "sisd_jobs_rejected_total",
+                "sisd_jobs_preempted_total",
+                "sisd_store_journal_lag",
+            )
         )
         assert retired == []
 
@@ -161,10 +165,22 @@ class TestMetricsEndpoint:
         assert observability["spans_retained"] >= 0
 
 
-class TestAdminEndpoints:
-    def test_compact_without_a_store_is_a_conflict(self, server_handle):
-        with pytest.raises(ObsError, match="409"):
-            post_json(server_handle.url, "/admin/compact")
+class TestRetiredRoutes:
+    def test_admin_compact_is_gone_from_a_durable_server(self, tmp_path):
+        from repro.server import MiningServer
+
+        server = MiningServer(port=0, backend="thread", store=tmp_path)
+        with server.run_in_thread():
+            conn = HTTPConnection(server.host, server.port, timeout=10)
+            try:
+                conn.request("POST", "/admin/compact")
+                response = conn.getresponse()
+                body = json.loads(response.read())
+            finally:
+                conn.close()
+        assert response.status == 404
+        surface = body["error"]["message"].split("the API surface is")[1]
+        assert "/admin" not in surface
 
 
 class TestConsoleClis:
@@ -174,9 +190,3 @@ class TestConsoleClis:
         out = capsys.readouterr().out
         assert "sisd top" in out
         assert "jobs submitted" in out
-
-    def test_sisd_admin_compact_reports_a_storeless_server(
-        self, server_handle, capsys
-    ):
-        assert cli.main(["admin", "compact", server_handle.url]) == 1
-        assert "no durable store to compact" in capsys.readouterr().err

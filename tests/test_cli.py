@@ -360,7 +360,8 @@ class TestServe:
 
 
 class TestRetiredCommandLines:
-    """Command lines of the retired multi-tenant control plane fail loudly.
+    """Command lines of the retired multi-tenant control plane and of the
+    retired store compaction (``admin``) fail loudly.
 
     Each is refused with argparse's usage error (exit 2) rather than run
     with a flag dropped: ``serve --auth FILE`` must not start a server
@@ -376,15 +377,12 @@ class TestRetiredCommandLines:
                 ["worker", "--register", "127.0.0.1:8765"],
                 "unrecognized arguments: --register",
             ),
-            (["admin", "usage", "127.0.0.1:8765"], "invalid choice: 'usage'"),
+            (["admin", "usage", "127.0.0.1:8765"], "invalid choice: 'admin'"),
             (
                 ["top", "127.0.0.1:8765", "--once", "--token", "secret"],
                 "unrecognized arguments: --token",
             ),
-            (
-                ["admin", "compact", "127.0.0.1:8765", "--token", "secret"],
-                "unrecognized arguments: --token",
-            ),
+            (["admin", "compact", "127.0.0.1:8765"], "invalid choice: 'admin'"),
         ],
         ids=[
             "route",
@@ -392,7 +390,7 @@ class TestRetiredCommandLines:
             "worker-register",
             "admin-usage",
             "top-token",
-            "admin-compact-token",
+            "admin-compact",
         ],
     )
     def test_is_refused_with_a_usage_error(self, argv, message, capsys):

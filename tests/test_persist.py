@@ -521,6 +521,38 @@ class TestLegacyJobDocuments:
         fresh = run_job(job_from_dict(LEGACY_STORE_RECORD["job"]))
         assert job_result_to_dict(fresh)["iterations"] == stored
 
+    def test_journal_store_written_earlier_recovers_bit_identically(
+        self, tmp_path
+    ):
+        """Earlier versions kept records in ``records.db`` plus a journal,
+        ``wal.jsonl``. A record only in the journal (a crash before the
+        journal was folded into the table) is imported on open and served
+        as stored, without mining."""
+        import json
+        import sqlite3
+
+        from repro.engine.service import JobStatus, MiningService
+        from repro.persist import job_result_to_dict
+
+        conn = sqlite3.connect(str(tmp_path / "records.db"))
+        try:
+            conn.execute(
+                "CREATE TABLE records (key TEXT PRIMARY KEY, doc TEXT NOT NULL)"
+            )
+            conn.commit()
+        finally:
+            conn.close()
+        job_id = LEGACY_STORE_RECORD["job_id"]
+        put = {"op": "put", "key": job_id, "doc": LEGACY_STORE_RECORD}
+        (tmp_path / "wal.jsonl").write_text(json.dumps(put) + "\n")
+        with MiningService(backend="serial", store=tmp_path) as service:
+            assert service.status(job_id) == JobStatus.DONE
+            recovered = job_result_to_dict(service.result(job_id, 5))
+        stored = LEGACY_STORE_RECORD["result"]["iterations"]
+        assert recovered["iterations"] == stored
+        assert not (tmp_path / "records.db").exists()
+        assert not (tmp_path / "wal.jsonl").exists()
+
     def test_queued_record_with_tenant_keys_reenqueues_and_runs(self, tmp_path):
         """Records written by earlier versions carry tenancy keys.
 
