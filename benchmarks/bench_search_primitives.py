@@ -4,7 +4,7 @@ The batched candidate scorer is the beam search's inner loop; one
 ``RefinementOperator.expand`` is its candidate generation for a whole
 level; the spread objective's value-and-gradient is the sphere
 optimizer's, and one ``find_spread_direction`` is the spread search's
-ten capped ascents on mammals.
+ten ascents: capped on mammals (d_y=124), stalled on synthetic (d_y=2).
 """
 
 import numpy as np
@@ -12,6 +12,7 @@ import pytest
 
 from repro.datasets.crime import make_crime
 from repro.datasets.mammals import make_mammals
+from repro.datasets.synthetic import make_synthetic
 from repro.datasets.water import make_water
 from repro.lang.refinement import RefinementOperator
 from repro.model.background import BackgroundModel
@@ -103,6 +104,27 @@ def bench_spread_search(benchmark, mammal_subgroup):
         lambda: find_spread_direction(model, rows, targets, seed=0), rounds=5
     )
     assert outcome.n_starts == 10
+
+
+@pytest.fixture(scope="module")
+def synthetic_subgroup():
+    """The prior model and the subgroup ``attr4 = '1'`` (40 rows), the
+    first location pattern mined on synthetic at seed 0, which every
+    served synthetic session's first spread step searches."""
+    dataset = make_synthetic(0)
+    rows = np.flatnonzero(dataset.column("attr4").values == 1.0)
+    return BackgroundModel.from_targets(dataset.targets), rows, dataset.targets
+
+
+def bench_spread_search_small(benchmark, synthetic_subgroup):
+    """One spread search on synthetic (d_y=2): 6 eigenvector and 4 random
+    starts, all ten of which stall in a failed line search. Most of its
+    time is per-call overhead, not arithmetic."""
+    model, rows, targets = synthetic_subgroup
+    outcome = benchmark.pedantic(
+        lambda: find_spread_direction(model, rows, targets, seed=0), rounds=20
+    )
+    assert outcome.n_starts == 10 and outcome.n_capped == 0
 
 
 def bench_spread_pair_search(benchmark, water_objective):

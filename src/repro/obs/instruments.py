@@ -86,6 +86,25 @@ SPREAD_ASCENTS = METRICS.counter(
     "Spread-direction gradient ascents, by how they ended",
     labels=("end",),
 )
+#: What the spread ascents evaluated, counted like the ascents: rows of
+#: the objective (kind=value: starts and trial points, one per ladder
+#: rung) and of its gradient (kind=gradient: one per iteration begun),
+#: and the batched value evaluations (rounds) that held those rows.
+SPREAD_ROWS = METRICS.counter(
+    "sisd_spread_rows_total",
+    "Spread-ascent rows evaluated, by kind",
+    labels=("kind",),
+)
+SPREAD_ROUNDS = METRICS.counter(
+    "sisd_spread_rounds_total",
+    "Batched spread-objective evaluations of the lockstep ascents",
+)
+#: Spread searches whose winning direction's IC reads the chi2mix floor:
+#: its standardized statistic (v - beta)/alpha is at or under 1e-12.
+SPREAD_CLAMPED = METRICS.counter(
+    "sisd_spread_clamped_total",
+    "Spread searches whose winner's standardized statistic is on the floor",
+)
 #: Numerical fallbacks on singular input (repro.utils.linalg,
 #: repro.model.gaussian); kind ∈ lstsq|eig_clip|pinv.
 LINALG_FALLBACKS = METRICS.counter(
@@ -235,6 +254,9 @@ IC_KERNEL_EXACT = IC_KERNEL_CANDIDATES.labels("exact")
 SPREAD_ASCENT_ENDS = {
     end: SPREAD_ASCENTS.labels(end) for end in ("converged", "stalled", "capped")
 }
+
+#: Pre-bound spread ascent row kinds.
+SPREAD_ROW_KINDS = {kind: SPREAD_ROWS.labels(kind) for kind in ("value", "gradient")}
 
 #: Pre-bound linear-algebra fallback kinds.
 LINALG_FALLBACK_LSTSQ = LINALG_FALLBACKS.labels("lstsq")

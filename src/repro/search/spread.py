@@ -11,13 +11,14 @@ selecting the result with the highest SI" — is :func:`find_spread_direction`
 with ``sparsity=2``.
 
 The ascents from all starts run in lockstep (see
-:func:`_ascend_lockstep`). Each round evaluates the trial points of
-every start still line-searching in one batched call, and the gradients
-of the starts that just accepted a point in another, so numpy's per-call
-overhead is paid once per round rather than once per trial point. Each
-distinct trial point is evaluated once: an accepted point's evaluation
-also gives its gradient, and a line search whose move has rounded back
-to ``w`` re-tests that one evaluation instead of retracting again.
+:func:`_ascend_lockstep`). Each round evaluates, in one batched call,
+the next ladder of trial points of every start still line-searching:
+its next few halvings of the step, not one trial point. The gradients
+of the starts that just accepted a point take another batched call, so
+numpy's per-call overhead is paid once per round rather than once per
+trial point. An accepted point's evaluation also gives its gradient,
+and a line search whose move has rounded back to ``w`` re-tests that one
+evaluation instead of retracting again.
 
 The mined directions rest on numpy's broadcast matmul and einsum giving
 each row of a batch the bytes a one-row call gives it, so every start
@@ -37,7 +38,12 @@ from scipy.special import digamma, gammaln
 from repro.engine.executor import Executor, SerialExecutor
 from repro.errors import SearchError
 from repro.model.background import BackgroundModel
-from repro.obs.instruments import SPREAD_ASCENT_ENDS
+from repro.obs.instruments import (
+    SPREAD_ASCENT_ENDS,
+    SPREAD_CLAMPED,
+    SPREAD_ROUNDS,
+    SPREAD_ROW_KINDS,
+)
 from repro.search.sphere import (
     canonical_sign,
     project_tangent,
@@ -45,11 +51,10 @@ from repro.search.sphere import (
     retract,
     row_dots,
 )
+from repro.stats.chi2mix import _TINY
 from repro.stats.statistics import subgroup_cov, subgroup_mean
 from repro.utils.rng import as_rng
 
-#: Floor for the standardized statistic (x - beta)/alpha, as in chi2mix.
-_TINY = 1e-12
 LN2 = math.log(2.0)
 
 
@@ -63,7 +68,7 @@ class SpreadObjective:
     touching the subgroup, in one set of numpy calls for the whole stack.
     Every row gets the bytes a one-row call gives it: the products are
     broadcast matmuls and einsums that reduce each row in a one-row
-    call's order, and each row's IC is the scalar :meth:`_ic`.
+    call's order, and each row's IC is computed on Python floats.
     ``value``, ``value_and_grad`` and ``variance`` take one direction.
     """
 
@@ -105,28 +110,37 @@ class SpreadObjective:
         a3s = np.add.reduce(c * a**3, axis=-1).tolist()
         vs = ((W[:, None, :] @ self.empirical_cov) @ W[:, :, None]).ravel().tolist()
         rows = []
-        for k, (a1, a2, a3, v) in enumerate(zip(a1s, a2s, a3s, vs)):
+        for sigma_w_k, a_k, a1, a2, a3, v in zip(sigma_w, a, a1s, a2s, a3s, vs):
             # Python floats, as a one-row call computes them.
             alpha = a3 / a2
             beta = a1 - a2**2 / a3
             dof = a2**3 / a3**2
-            rows.append((sigma_w[k], a[k], (a1, a2, a3), alpha, beta, dof, v))
+            rows.append((sigma_w_k, a_k, (a1, a2, a3), alpha, beta, dof, v))
         return rows
 
-    @staticmethod
-    def _ic(alpha: float, beta: float, dof: float, v: float) -> float:
-        t = max((v - beta) / alpha, _TINY)
-        return (
-            math.log(alpha)
-            + 0.5 * dof * LN2
-            + float(gammaln(0.5 * dof))
-            - (0.5 * dof - 1.0) * math.log(t)
-            + 0.5 * t
-        )
-
     def _evaluate(self, W: np.ndarray) -> list[tuple[tuple, float]]:
-        """The pieces at each row of ``W`` and their ICs: one evaluation."""
-        return [(pieces, self._ic(*pieces[3:])) for pieces in self._pieces(W)]
+        """The pieces at each row of ``W`` and their ICs: one evaluation.
+
+        A row's IC is the negative log of the Zhang density of its
+        statistic, at ``t = (v - beta) / alpha`` floored at ``_TINY``.
+        """
+        rows = self._pieces(W)
+        # One gammaln call for the batch: the ufunc gives each element the
+        # bits a one-element call gives it.
+        log_gammas = gammaln([0.5 * pieces[5] for pieces in rows]).tolist()
+        evaluated = []
+        for pieces, log_gamma in zip(rows, log_gammas):
+            _, _, _, alpha, beta, dof, v = pieces
+            t = max((v - beta) / alpha, _TINY)
+            ic = (
+                math.log(alpha)
+                + 0.5 * dof * LN2
+                + log_gamma
+                - (0.5 * dof - 1.0) * math.log(t)
+                + 0.5 * t
+            )
+            evaluated.append((pieces, ic))
+        return evaluated
 
     def value(self, w: np.ndarray) -> float:
         """IC of the spread pattern along unit direction ``w``."""
@@ -136,6 +150,15 @@ class SpreadObjective:
         """Empirical subgroup variance along ``w`` (the statistic value)."""
         w = np.asarray(w, dtype=float)
         return float(w @ self.empirical_cov @ w)
+
+    def standardized(self, w: np.ndarray) -> float:
+        """The standardized statistic ``(v - beta) / alpha`` along ``w``.
+
+        At or under ``_TINY`` the IC reads the floor, not the statistic.
+        """
+        W = np.ascontiguousarray(w, dtype=float)[None]
+        [(_, _, _, alpha, beta, _, v)] = self._pieces(W)
+        return (v - beta) / alpha
 
     def value_and_grad(self, w: np.ndarray) -> tuple[float, np.ndarray]:
         """IC and its Euclidean gradient with respect to ``w``."""
@@ -153,7 +176,9 @@ class SpreadObjective:
         """
         partials = []
         d_ic_d_vs = []
-        for _sigma_w, _a, (a1, a2, a3), alpha, beta, dof, v in rows:
+        # One digamma call for the batch, as _evaluate calls gammaln.
+        psis = digamma([0.5 * pieces[5] for pieces in rows]).tolist()
+        for (_sigma_w, _a, (a1, a2, a3), alpha, beta, dof, v), psi in zip(rows, psis):
             t_raw = (v - beta) / alpha
             clamped = t_raw <= _TINY
             t = max(t_raw, _TINY)
@@ -163,7 +188,7 @@ class SpreadObjective:
             d_ic_d_alpha = 1.0 / alpha + d_ic_d_t * (-t / alpha)
             d_ic_d_beta = d_ic_d_t * (-1.0 / alpha)
             d_ic_d_v = d_ic_d_t * (1.0 / alpha)
-            d_ic_d_dof = 0.5 * (LN2 + float(digamma(0.5 * dof)) - math.log(t))
+            d_ic_d_dof = 0.5 * (LN2 + psi - math.log(t))
             if clamped:
                 # On the clamp the statistic no longer responds to (v, beta);
                 # keep only the smooth alpha/dof dependence to avoid a
@@ -181,8 +206,8 @@ class SpreadObjective:
             ])
             d_ic_d_vs.append(d_ic_d_v * 2.0)
         d_ic_d_ak = np.array(partials)             # (K, 3)
-        sigma_w = np.stack([pieces[0] for pieces in rows])
-        a = np.stack([pieces[1] for pieces in rows])
+        sigma_w = np.array([pieces[0] for pieces in rows])
+        a = np.array([pieces[1] for pieces in rows])
         # dA_k/dw = sum_b c_b k a_b^(k-1) * (2 Sigma_b w / |I|).
         coef = self.counts * (
             d_ic_d_ak[:, :1]
@@ -223,6 +248,9 @@ class SpreadSearchOutcome:
     ``n_capped`` counts the gradient ascents that stopped at the
     iteration cap rather than at a stationary point or a failed line
     search (always 0 for the one-dimensional and 2-sparse searches).
+    ``clamped`` says the IC of ``direction`` reads the floor: its
+    standardized statistic ``(v - beta) / alpha`` is at or under
+    ``_TINY``, so the IC measures rounding noise, not the subgroup.
     """
 
     direction: np.ndarray
@@ -231,6 +259,7 @@ class SpreadSearchOutcome:
     n_starts: int
     n_iterations: int
     n_capped: int = 0
+    clamped: bool = False
 
 
 #: Only a shorter move can round back to ``w``: a move of length 1e-12
@@ -239,6 +268,11 @@ class SpreadSearchOutcome:
 #: this bound only skips it where it must fail.
 _FROZEN_MOVE = 1e-12
 
+#: Rungs of a line search's first ladder: its step and the step halved,
+#: which is where most line searches accept (the step doubles after
+#: each accepted one). A ladder that fails on every rung doubles the next.
+_FIRST_RUNGS = 2
+
 
 def _ascend_lockstep(
     objective: SpreadObjective,
@@ -246,29 +280,33 @@ def _ascend_lockstep(
     *,
     max_iterations: int,
     tol: float,
+    counts: dict[str, int] | None = None,
 ) -> list[tuple[np.ndarray, float, int, str]]:
     """Riemannian gradient ascents with backtracking, from every start at once.
 
     Returns, per start, the end point, its IC, the iterations run and how
     the ascent ended: ``"converged"`` (the Riemannian gradient norm fell
     under ``tol``), ``"stalled"`` (the line search found no Armijo ascent)
-    or ``"capped"`` (``max_iterations`` ran out).
+    or ``"capped"`` (``max_iterations`` ran out). ``counts``, if given,
+    gains the rows evaluated (``"value"``), the gradient rows
+    (``"gradient"``) and the batched evaluations (``"rounds"``).
 
     The ascents run in lockstep rounds. A round takes the gradients of
     every ascent that has just accepted a point in one batched
-    :meth:`SpreadObjective._gradient`, retracts the next trial move of
-    every ascent still line-searching in one batched :func:`retract`, and
-    evaluates those trial points in one batched
-    :meth:`SpreadObjective._evaluate`. Each distinct trial point is
-    evaluated once:
-
-    - the accepted trial point's evaluation gives its gradient, so the
-      pieces are not computed twice on the same ``w``;
-    - once a trial move rounds back to ``w`` exactly (``w + move == w``),
-      every halved move does too, because round-to-nearest is monotone
-      and halving shrinks each coordinate of the move. The retraction of
-      ``w`` is the same candidate each time, so the remaining halvings
-      test its one IC against their own Armijo thresholds.
+    :meth:`SpreadObjective._gradient`, and then evaluates one ladder of
+    trial points for every ascent still line-searching, all ladders in
+    one batched :meth:`SpreadObjective._evaluate`. A ladder is the line
+    search's next steps, each half the one before: ``_FIRST_RUNGS`` after
+    a gradient, then twice as many as the last ladder had. It stops at
+    the 60th halving, and at its first rung whose move rounds back to
+    ``w`` exactly (``w + move == w``): every halved move does too,
+    because round-to-nearest is monotone and halving shrinks each
+    coordinate of the move, so the remaining halvings test that rung's
+    one IC against their own Armijo thresholds. The ascent then walks its
+    ladder in order under the Armijo rule and accepts the first rung that
+    passes; the rungs after it are evaluated and dropped. An accepted
+    point's evaluation gives its gradient, so the pieces are not
+    computed twice on the same ``w``.
 
     Each ascent takes the decisions it would take alone: every IC,
     threshold and comparison is the same floating-point expression on the
@@ -278,12 +316,14 @@ def _ascend_lockstep(
     """
     # np.linalg.norm, not a dot: it copies a strided start (an eigenvector
     # column) first, and the copy's dot sums in another order.
-    points = np.stack([start / float(np.linalg.norm(start)) for start in starts])
+    points = np.array([start / float(np.linalg.norm(start)) for start in starts])
     pieces, value = (list(column) for column in zip(*objective._evaluate(points)))
-    # Per-ascent rows live in lists of row views, not in (n, d) arrays:
-    # gathering them with np.stack and splitting batches back into rows
-    # avoids fancy indexing, which releases the GIL even on tiny arrays and
-    # so hands it to any other busy thread for a whole switch interval.
+    # Per-ascent rows live in lists of row views, not in (n, d) arrays.
+    # Gathering them with np.array and splitting batches back into rows
+    # avoids fancy indexing and ``take``, which release the GIL even on
+    # tiny arrays and so hand it to any other busy thread for a whole
+    # switch interval; np.array, like np.stack, copies the rows without
+    # releasing it.
     w = list(points)
     n = len(w)
     iterations = [0] * n
@@ -293,7 +333,8 @@ def _ascend_lockstep(
     end: list[str | None] = [None] * n
     direction: list[np.ndarray | None] = [None] * n
     accepted = list(range(n))     # ascents whose new point needs a gradient
-    halved: list[int] = []        # line searches whose halved step needs a trial
+    failed: list[int] = []        # line searches whose every rung failed
+    value_rows, gradient_rows, rounds = n, 0, 1
     while True:
         iterating = []
         for k in accepted:
@@ -304,10 +345,11 @@ def _ascend_lockstep(
                 iterating.append(k)
         searching = []
         if iterating:
-            at = np.stack([w[k] for k in iterating])
+            at = np.array([w[k] for k in iterating])
             riemannian = project_tangent(
                 at, objective._gradient(at, [pieces[k] for k in iterating])
             )
+            gradient_rows += len(iterating)
             norms = np.sqrt(row_dots(riemannian, riemannian))
             for row, (k, row_norm) in enumerate(zip(iterating, norms.ravel().tolist())):
                 if row_norm < tol:
@@ -319,40 +361,82 @@ def _ascend_lockstep(
                 step[k] = min(max(step[k] * 2.0, 1e-8), 1e6 / max(row_norm, 1.0))
                 halvings[k] = 0
                 searching.append(k)
-        searching += halved
+        searching += failed
         if not searching:
             break
-        moves = np.array([step[k] * norm[k] for k in searching])[:, None] * np.stack(
-            [direction[k] for k in searching]
-        )
-        candidates = retract(np.stack([w[k] for k in searching]), moves)
+        ladders = []    # (ascent, rungs laid, whether the last one rounds back)
+        scales: list[float] = []
+        bases: list[np.ndarray] = []
+        directions: list[np.ndarray] = []
+        for k in searching:
+            # The move of each rung, as the walk below halves the step. A
+            # ladder is _FIRST_RUNGS longer than the halvings so far, so
+            # each one after a ladder that failed is twice as long.
+            ladder = []
+            trial_step = step[k]
+            for _ in range(min(halvings[k] + _FIRST_RUNGS, 60 - halvings[k])):
+                ladder.append(trial_step * norm[k])
+                trial_step *= 0.5
+            frozen = False
+            if ladder[-1] < _FROZEN_MOVE:
+                ladder_moves = np.array(ladder)[:, None] * direction[k]
+                lost = (w[k] + ladder_moves == w[k]).all(axis=1).tolist()
+                if True in lost:
+                    del ladder[lost.index(True) + 1:]
+                    frozen = True
+            ladders.append((k, len(ladder), frozen))
+            scales += ladder
+            bases += [w[k]] * len(ladder)
+            directions += [direction[k]] * len(ladder)
+        moves = np.array(scales)[:, None] * np.array(directions)
+        candidates = retract(np.array(bases), moves)
         trials = objective._evaluate(candidates)
+        rounds += 1
+        value_rows += len(trials)
         accepted = []
-        halved = []
-        for k, row_move, row_candidate, trial in zip(searching, moves, candidates, trials):
-            frozen = step[k] * norm[k] < _FROZEN_MOVE and bool((w[k] + row_move == w[k]).all())
-            while not (trial[1] > value[k] + 1e-4 * step[k] * norm[k] * norm[k]):
-                step[k] *= 0.5
-                halvings[k] += 1
-                if halvings[k] == 60:
-                    end[k] = "stalled"
+        failed = []
+        row = 0
+        for k, laid, frozen in ladders:
+            last = row + laid - 1
+            for rung in range(row, last + 1):
+                trial = trials[rung]
+                while not (trial[1] > value[k] + 1e-4 * step[k] * norm[k] * norm[k]):
+                    step[k] *= 0.5
+                    halvings[k] += 1
+                    if halvings[k] == 60:
+                        end[k] = "stalled"
+                        break
+                    # Halvings past a move that rounds back re-test its IC.
+                    if not (frozen and rung == last):
+                        break
+                else:
+                    w[k] = candidates[rung]
+                    pieces[k], value[k] = trial
+                    accepted.append(k)
                     break
-                if not frozen:
-                    halved.append(k)
+                if end[k] is not None:
                     break
             else:
-                w[k] = row_candidate
-                pieces[k], value[k] = trial
-                accepted.append(k)
+                failed.append(k)
+            row = last + 1
+    if counts is not None:
+        counts["value"] += value_rows
+        counts["gradient"] += gradient_rows
+        counts["rounds"] += rounds
     return [(w[k], value[k], iterations[k], end[k]) for k in range(n)]
 
 
 def _ascend_task(
     context: tuple[SpreadObjective, int, float], starts: list[np.ndarray]
-) -> list[tuple[np.ndarray, float, int, str]]:
-    """Worker entry point: the lockstep ascents from one chunk of starts."""
+) -> tuple[list[tuple[np.ndarray, float, int, str]], dict[str, int]]:
+    """Worker entry point: the lockstep ascents from one chunk of starts,
+    and what they evaluated."""
     objective, max_iterations, tol = context
-    return _ascend_lockstep(objective, starts, max_iterations=max_iterations, tol=tol)
+    counts = dict.fromkeys(("value", "gradient", "rounds"), 0)
+    ascents = _ascend_lockstep(
+        objective, starts, max_iterations=max_iterations, tol=tol, counts=counts
+    )
+    return ascents, counts
 
 
 def _chunks(items: list, n_chunks: int) -> list[list]:
@@ -405,7 +489,7 @@ def find_spread_direction(
 
     if dim == 1:
         w = np.ones(1)
-        return SpreadSearchOutcome(w, objective.value(w), objective.variance(w), 1, 0)
+        return _outcome(objective, w, objective.value(w), 1, 0)
 
     if sparsity is not None:
         if sparsity != 2:
@@ -420,29 +504,55 @@ def find_spread_direction(
         executor = SerialExecutor()
     with executor.session((objective, max_iterations, tol)) as session:
         chunks = session.map(_ascend_task, _chunks(starts, executor.parallelism))
-    ascents = [ascent for chunk in chunks for ascent in chunk]
 
     best_w: np.ndarray | None = None
     best_value = -math.inf
     total_iterations = 0
     n_capped = 0
-    for w, value, iterations, end in ascents:
-        # Counted here, in the caller, whichever backend ran the ascent.
-        SPREAD_ASCENT_ENDS[end].inc()
-        n_capped += end == "capped"
-        total_iterations += iterations
-        if value > best_value:
-            best_value = value
-            best_w = w
+    for ascents, counts in chunks:
+        # Counted here, in the caller, whichever backend ran the ascents.
+        SPREAD_ROW_KINDS["value"].inc(counts["value"])
+        SPREAD_ROW_KINDS["gradient"].inc(counts["gradient"])
+        SPREAD_ROUNDS.inc(counts["rounds"])
+        for w, value, iterations, end in ascents:
+            SPREAD_ASCENT_ENDS[end].inc()
+            n_capped += end == "capped"
+            total_iterations += iterations
+            if value > best_value:
+                best_value = value
+                best_w = w
     assert best_w is not None
-    best_w = canonical_sign(best_w)
+    return _outcome(
+        objective,
+        canonical_sign(best_w),
+        float(best_value),
+        len(starts),
+        total_iterations,
+        n_capped,
+    )
+
+
+def _outcome(
+    objective: SpreadObjective,
+    w: np.ndarray,
+    ic: float,
+    n_starts: int,
+    n_iterations: int,
+    n_capped: int = 0,
+) -> SpreadSearchOutcome:
+    """The search's outcome at its winner ``w``; a clamped winner is
+    counted here, in the caller."""
+    clamped = objective.standardized(w) <= _TINY
+    if clamped:
+        SPREAD_CLAMPED.inc()
     return SpreadSearchOutcome(
-        direction=best_w,
-        ic=float(best_value),
-        variance=objective.variance(best_w),
-        n_starts=len(starts),
-        n_iterations=total_iterations,
+        direction=w,
+        ic=ic,
+        variance=objective.variance(w),
+        n_starts=n_starts,
+        n_iterations=n_iterations,
         n_capped=n_capped,
+        clamped=clamped,
     )
 
 
@@ -488,11 +598,4 @@ def _best_pair_direction(objective: SpreadObjective) -> SpreadSearchOutcome:
             if best is None or value > best[0]:
                 best = (value, embed(i, j, theta))
     assert best is not None
-    w = canonical_sign(best[1])
-    return SpreadSearchOutcome(
-        direction=w,
-        ic=best[0],
-        variance=objective.variance(w),
-        n_starts=evaluations,
-        n_iterations=0,
-    )
+    return _outcome(objective, canonical_sign(best[1]), best[0], evaluations, 0)

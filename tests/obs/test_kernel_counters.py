@@ -5,15 +5,18 @@ scored: one per distinct (parent extension, added condition) pair, so
 as many as the location candidates when no two parents share an
 extension, as in the runs below, and fewer when some do.
 ``sisd_linalg_fallbacks_total{kind}`` counts every numerical fallback
-taken on singular input, and ``sisd_spread_ascents_total{end}`` says
-how each spread-search ascent ended, so these questions are answerable
-from ``/metrics`` alone.
+taken on singular input, ``sisd_spread_ascents_total{end}`` says how
+each spread-search ascent ended, ``sisd_spread_rows_total{kind}`` and
+``sisd_spread_rounds_total`` what the ascents evaluated, and
+``sisd_spread_clamped_total`` how many searches mined a direction whose
+IC reads the floor, so these questions are answerable from ``/metrics``
+alone.
 """
 
 import numpy as np
 import pytest
 
-from repro.datasets import make_mammals, make_synthetic
+from repro.datasets import make_mammals, make_socio, make_synthetic, make_water
 from repro.engine.executor import ProcessExecutor, SerialExecutor
 from repro.model.gaussian import mvn_logpdf
 from repro.obs.instruments import (
@@ -26,13 +29,18 @@ from repro.obs.instruments import (
     LINALG_FALLBACK_PINV,
     METRICS,
     SPREAD_ASCENT_ENDS,
+    SPREAD_CLAMPED,
+    SPREAD_ROUNDS,
+    SPREAD_ROW_KINDS,
 )
 from repro.search import miner as miner_module
+from repro.search import spread as spread_module
 from repro.search.beam import LocationICScorer
 from repro.search.config import SearchConfig
 from repro.search.miner import SubgroupDiscovery
-from repro.search.spread import find_spread_direction
+from repro.search.spread import SpreadObjective, find_spread_direction
 from repro.utils.linalg import log_det_psd, solve_psd
+from search.test_ascent_equivalence import MOVES, _ladder_counts, _run_reference
 
 SINGULAR = np.array([[1.0, 1.0], [1.0, 1.0]])
 
@@ -50,8 +58,30 @@ def _ends():
     return {end: child.value for end, child in SPREAD_ASCENT_ENDS.items()}
 
 
+def _mechanism():
+    return {
+        "value": SPREAD_ROW_KINDS["value"].value,
+        "gradient": SPREAD_ROW_KINDS["gradient"].value,
+        "rounds": SPREAD_ROUNDS.value,
+    }
+
+
 def _delta(before, after):
     return {key: after[key] - before[key] for key in before}
+
+
+@pytest.fixture()
+def outcomes(monkeypatch):
+    """Every SpreadSearchOutcome the miner receives."""
+    seen = []
+    find = miner_module.find_spread_direction
+
+    def recording(*args, **kwargs):
+        seen.append(find(*args, **kwargs))
+        return seen[-1]
+
+    monkeypatch.setattr(miner_module, "find_spread_direction", recording)
+    return seen
 
 
 class TestKernelPathCounter:
@@ -138,19 +168,6 @@ class TestSpreadAscentCounter:
     ascent of a 3-step job ends in a failed line search.
     """
 
-    @pytest.fixture()
-    def outcomes(self, monkeypatch):
-        """Every SpreadSearchOutcome the miner receives."""
-        seen = []
-        find = miner_module.find_spread_direction
-
-        def recording(*args, **kwargs):
-            seen.append(find(*args, **kwargs))
-            return seen[-1]
-
-        monkeypatch.setattr(miner_module, "find_spread_direction", recording)
-        return seen
-
     @pytest.mark.parametrize(
         ("make", "steps", "ends"),
         [
@@ -185,3 +202,93 @@ class TestSpreadAscentCounter:
         text = METRICS.render()
         for end in ("converged", "stalled", "capped"):
             assert f'sisd_spread_ascents_total{{end="{end}"}}' in text
+
+
+class TestSpreadMechanismCounters:
+    """What the lockstep ascents evaluated, against the reference ascent.
+
+    The ascent equivalence test derives, from the trace of a verbatim
+    one-start ascent, the value rows and rounds that the lockstep
+    ascent's ladders take; the gradient rows are the iterations begun. A
+    search adds exactly those counts over its chunks of starts, whichever
+    backend ran the chunks.
+    """
+
+    @pytest.mark.parametrize(
+        "make_executor", [SerialExecutor, lambda: ProcessExecutor(2)], ids=["serial", "process"]
+    )
+    def test_a_synthetic_search_counts_what_the_reference_derives(
+        self, monkeypatch, synthetic_model, make_executor
+    ):
+        targets = make_synthetic(0).targets
+        chunks = []
+        split = spread_module._chunks
+
+        def recording(items, n_chunks):
+            chunks.extend(split(items, n_chunks))
+            return chunks
+
+        monkeypatch.setattr(spread_module, "_chunks", recording)
+        executor = make_executor()
+        before = _mechanism()
+        try:
+            find_spread_direction(synthetic_model, np.arange(40), targets, seed=7, executor=executor)
+        finally:
+            executor.close()
+        delta = _delta(before, _mechanism())
+
+        objective = SpreadObjective(synthetic_model, np.arange(40), targets)
+        blocks = (objective.counts, objective.block_covs, objective.empirical_cov)
+        expected = {"value": 0, "gradient": 0, "rounds": 0}
+        assert len(chunks) == executor.parallelism
+        for chunk in chunks:
+            rounds = [0]
+            for start in chunk:
+                (_, _, iterations), trace = _run_reference(
+                    blocks, start, max_iterations=300, tol=1e-9
+                )
+                rows, start_rounds = _ladder_counts(trace, list(MOVES))
+                expected["value"] += rows
+                expected["gradient"] += iterations
+                rounds.append(start_rounds)
+            # One row per start and one round for the starts, per chunk.
+            expected["value"] += len(chunk)
+            expected["rounds"] += 1 + max(rounds)
+        assert delta == expected
+
+    def test_families_render(self):
+        text = METRICS.render()
+        for kind in ("value", "gradient"):
+            assert f'sisd_spread_rows_total{{kind="{kind}"}}' in text
+        assert "sisd_spread_rounds_total" in text
+        assert "sisd_spread_clamped_total" in text
+
+
+class TestSpreadClampCounter:
+    """Which spread searches mine a direction whose IC reads the floor.
+
+    At seed 0 and paper settings, mammals step 2 mines the spread of
+    ``rain_warmest_quarter <= 104.502`` (444 rows). Its direction sits on
+    two species columns, one present in every row and one in none, so
+    the subgroup's variance along it is rounding noise and the
+    standardized statistic (v - beta) / alpha is about 9.4e-13, under
+    ``_TINY``: the search is clamped, at one BLAS thread and at two. No
+    other step of mammals, synthetic, water or socio is.
+    """
+
+    @pytest.mark.parametrize(
+        ("make", "clamped"),
+        [
+            (make_mammals, [False, True]),
+            (make_synthetic, [False, False, False]),
+            (make_water, [False, False]),
+            (make_socio, [False, False]),
+        ],
+        ids=["mammals", "synthetic", "water", "socio"],
+    )
+    def test_clamped_searches_at_paper_settings(self, outcomes, make, clamped):
+        before = SPREAD_CLAMPED.value
+        SubgroupDiscovery(make(0), config=SearchConfig(), seed=0).run(len(clamped), kind="spread")
+        assert [outcome.clamped for outcome in outcomes] == clamped
+        assert SPREAD_CLAMPED.value - before == sum(clamped)
+

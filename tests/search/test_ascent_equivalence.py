@@ -1,7 +1,7 @@
 """The lockstep spread ascent against a verbatim one-start ascent.
 
 :func:`repro.search.spread._ascend_lockstep` runs the ascents from all
-starts together: one batched evaluation of every start's trial point per
+starts together: one batched evaluation of every start's trial points per
 round, and one batched gradient for the starts that just accepted a
 point. It evaluates each distinct trial point once. The accepted trial
 point's evaluation gives its gradient, and a line search whose move has
@@ -17,7 +17,8 @@ at the support boundary or not, 1-12 starts, starts that reach the
 frozen tail, caps of 0, 1, 3 and 300) every start must end at the
 reference's end-point bytes, with its IC bits, iteration count and end,
 whichever starts share its rounds. The lockstep ascent must evaluate
-exactly one row per distinct trial point. The 2-sparse search's batched
+exactly the rows and rounds its ladders give on the reference's trial
+points (see :func:`_ladder_counts`). The 2-sparse search's batched
 angle grid is held to the reference's one-point ``value`` the same way.
 
 CI runs this file at one and at two BLAS threads: the batched products
@@ -187,11 +188,14 @@ def reference_ascend(
 #: ``value_and_grad`` call (the start, then each accepted trial point),
 #: and for each trial point whether its move rounded back to ``w``.
 TRACE: list = []
+#: Each trial point's ``(w, move)``, in the order of the trace.
+MOVES: list = []
 
 
 def retract(w: np.ndarray, step: np.ndarray) -> np.ndarray:
     """The reference's retraction, recording whether the move is lost."""
     TRACE.append(bool((w + step == w).all()))
+    MOVES.append((w, step))
     return _verbatim_retract(w, step)
 
 
@@ -268,6 +272,7 @@ def problems(draw, dims=(2, 3, 4, 5, 6, 7, 8, 124)):
 def _run_reference(blocks, start, *, max_iterations, tol):
     """The reference ascent from one start, and its trace."""
     TRACE.clear()
+    MOVES.clear()
     result = reference_ascend(
         build(RecordedReference, *blocks), start, max_iterations=max_iterations, tol=tol
     )
@@ -303,6 +308,35 @@ def _distinct_trials(trace: list) -> int:
     )
 
 
+def _ladder_counts(trace: list, moves: list) -> tuple[int, int]:
+    """Rows and rounds the lockstep ascent evaluates for the trial points
+    of one reference trace, with ``moves`` its trial points' ``(w, move)``.
+
+    Each line search lays ladders of 2, 4, 8, ... consecutive trial
+    points, one round each, up to the ladder that holds its accepted or
+    last trial point. A ladder stops at the 60th trial point and at the
+    first whose move rounds back to ``w``. The accepting ladder's rungs
+    after the accepted point count too; whether their moves round back
+    is tested on the accepted move halved, which is exact.
+    """
+    rows = rounds = position = 0
+    for trials in line_searches(trace):
+        position += len(trials)
+        w, move = moves[position - 1]
+        last = trials.index(True) if True in trials else len(trials) - 1
+        first, laid = 0, 2
+        while first <= last:
+            stop = min(first + laid, 60, last + 1 if trials[last] else 60)
+            for rung in range(len(trials), stop):
+                if (w + move * 0.5 ** (rung - last) == w).all():
+                    stop = rung + 1
+                    break
+            rows += stop - first
+            rounds += 1
+            first, laid = stop, 2 * laid
+    return rows, rounds
+
+
 def _assert_same(reference, outcome, trace, max_iterations):
     w, value, iterations = reference
     new_w, new_value, new_iterations, end = outcome
@@ -329,22 +363,23 @@ def _assert_same(reference, outcome, trace, max_iterations):
 
 
 def _check_against_reference(problem, starts):
-    """Every lockstep outcome is its start's reference outcome, at one
-    evaluated row per distinct trial point; returns the traces."""
+    """Every lockstep outcome is its start's reference outcome, at the
+    rows and rounds of its ladders; returns the traces."""
     blocks = problem["blocks"]
     kwargs = {"max_iterations": problem["max_iterations"], "tol": problem["tol"]}
     outcomes, objective = _run_lockstep(blocks, starts, **kwargs)
     traces = []
+    ladders = []
     for start, outcome in zip(starts, outcomes):
         reference, trace = _run_reference(blocks, start, **kwargs)
         _assert_same(reference, outcome, trace, kwargs["max_iterations"])
         traces.append(trace)
-    distinct = [_distinct_trials(trace) for trace in traces]
-    # One row for each start, then one per distinct trial point.
-    assert sum(objective.evaluations) == len(starts) + sum(distinct)
+        ladders.append(_ladder_counts(trace, list(MOVES)))
+    # One row for each start, then one per ladder rung.
+    assert sum(objective.evaluations) == len(starts) + sum(rows for rows, _ in ladders)
     # One batched evaluation per round: the starts, then one round per
-    # trial point of the longest line-searching ascent.
-    assert len(objective.evaluations) == 1 + max(distinct)
+    # ladder of the ascent that lays the most.
+    assert len(objective.evaluations) == 1 + max(rounds for _, rounds in ladders)
     # One gradient row per iteration begun.
     assert sum(objective.gradients) == sum(outcome[2] for outcome in outcomes)
     return outcomes, traces
