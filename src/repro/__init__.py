@@ -95,7 +95,6 @@ from repro.search.branch_bound import (
     BranchAndBoundLocationSearch,
     find_optimal_location,
 )
-from repro.model.bernoulli import BernoulliBackgroundModel
 from repro.session import MiningSession
 from repro.engine import (
     ArrayStore,
@@ -112,7 +111,7 @@ from repro.engine import (
     run_job,
     run_jobs,
 )
-from repro.registry import DATASETS, MEASURES, MODELS, SEARCHES, Registry
+from repro.registry import DATASETS, MEASURES, Registry
 from repro.spec import (
     DatasetSpec,
     ExecutorSpec,
@@ -205,7 +204,6 @@ __all__ = [
     # extensions (paper's §V future work)
     "BranchAndBoundLocationSearch",
     "find_optimal_location",
-    "BernoulliBackgroundModel",
     "MiningSession",
     # engine (parallel mining + job service)
     "SerialExecutor",
@@ -221,11 +219,9 @@ __all__ = [
     "run_jobs",
     "JobStatus",
     "MiningService",
-    # registries (the declarative vocabulary)
+    # registries (pluggable datasets and measures)
     "Registry",
     "DATASETS",
-    "SEARCHES",
-    "MODELS",
     "MEASURES",
     # unified spec (the one config object)
     "MiningSpec",

@@ -21,9 +21,9 @@ RES002 write-then-rename must fsync before the rename
 
 Rules live in :data:`~repro.analysis.base.RULES`, a string-keyed
 :class:`repro.registry.Registry` — the same extension idiom as
-``MODELS``/``MEASURES``/``SEARCHES``. ``sisd lint --explain RULE``
-prints a rule's docstring; ``# sisd: ignore[RULE] reason`` silences one
-line; ``--baseline`` grandfathers a legacy tree. See the README's
+``DATASETS``/``MEASURES``. ``sisd lint --explain RULE`` prints a rule's
+docstring; ``# sisd: ignore[RULE] reason`` silences one line;
+``--baseline`` grandfathers a legacy tree. See the README's
 "Static analysis" section for the policy.
 """
 

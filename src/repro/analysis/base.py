@@ -2,8 +2,8 @@
 
 Rules are small ``ast`` visitors registered by id in :data:`RULES` —
 the same string-keyed :class:`repro.registry.Registry` idiom that backs
-``MODELS``/``MEASURES``/``SEARCHES``, so third-party rule packs extend
-the linter exactly the way new datasets extend the miner::
+``DATASETS``/``MEASURES``, so third-party rule packs extend the linter
+exactly the way new datasets extend the miner::
 
     from repro.analysis import LintRule, register_rule
 

@@ -50,7 +50,7 @@ from repro.persist import (
     save_spec,
 )
 from repro.report.live import LiveReporter
-from repro.spec import MiningSpec
+from repro.spec import JOB_KINDS, JOB_STRATEGIES, MiningSpec
 from repro.version import __version__
 
 #: Experiment name -> zero-config runner returning an object with .format().
@@ -97,7 +97,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "strategies)",
     )
     mine.add_argument(
-        "--kind", choices=("location", "spread"), default=None,
+        "--kind", choices=JOB_KINDS, default=None,
         help="pattern type per iteration (spread = the two-step process; "
         "default location)",
     )
@@ -107,9 +107,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "exactly one on multi-target datasets)",
     )
     mine.add_argument(
-        "--strategy", choices=("beam", "branch_bound", "quality_beam"),
-        default=None, help="search strategy (default beam; see "
-        "repro.registry.SEARCHES)",
+        "--strategy", choices=JOB_STRATEGIES, default=None,
+        help="search strategy (default beam)",
     )
     mine.add_argument(
         "--measure", default=None,

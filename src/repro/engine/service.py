@@ -1256,15 +1256,17 @@ class MiningService:
         max_id = 0
         with self._lock:
             for doc in docs:
-                try:
-                    job = persist.job_from_dict(doc["job"])
-                except Exception:
-                    continue  # foreign/corrupt record: skip, don't die
+                # Counted before decoding, so a skipped record's id is never
+                # reissued (which would overwrite its file).
                 job_id = str(doc.get("job_id"))
                 try:
                     max_id = max(max_id, int(job_id.rsplit("-", 1)[-1]))
                 except ValueError:
                     pass
+                try:
+                    job = persist.job_from_dict(doc["job"])
+                except Exception:
+                    continue  # foreign/corrupt record: skip, don't die
                 record = _Record(
                     job_id,
                     job,

@@ -14,6 +14,20 @@ import numpy as np
 from repro.datasets.schema import AttributeKind, Column
 from repro.errors import LanguageError
 
+#: The threshold strategies :func:`split_points` implements.
+SPLIT_STRATEGIES = ("levels", "percentile", "width")
+
+
+def check_split_settings(n_split_points: int, strategy: str) -> None:
+    """Raise :class:`LanguageError` unless :func:`split_points` takes these."""
+    if n_split_points < 1:
+        raise LanguageError(f"n_split_points must be >= 1, got {n_split_points}")
+    if strategy not in SPLIT_STRATEGIES:
+        raise LanguageError(
+            f"unknown split strategy {strategy!r}; "
+            f"available: {', '.join(SPLIT_STRATEGIES)}"
+        )
+
 
 def split_points(
     column: Column,
@@ -59,8 +73,7 @@ def split_points(
         raise LanguageError(
             f"split points undefined for {column.kind.value} attribute {column.name!r}"
         )
-    if n_split_points < 1:
-        raise LanguageError(f"n_split_points must be >= 1, got {n_split_points}")
+    check_split_settings(n_split_points, strategy)
 
     values = column.values
     if not np.all(np.isfinite(values)):
@@ -78,10 +91,8 @@ def split_points(
     elif strategy == "percentile":
         qs = 100.0 * np.arange(1, n_split_points + 1) / (n_split_points + 1)
         candidates = np.percentile(values, qs)
-    elif strategy == "width":
+    else:  # "width"
         candidates = np.linspace(lo, hi, n_split_points + 2)[1:-1]
-    else:
-        raise LanguageError(f"unknown split strategy {strategy!r}")
 
     unique = np.unique(candidates)
     # Keep thresholds that split the data: strictly above the minimum for

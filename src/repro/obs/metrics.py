@@ -8,7 +8,7 @@ The design constraints come straight from the engine it observes:
   joins, no string formatting. All rendering cost is paid at scrape
   time.
 - **Deterministic.** Instrument families live in a string-keyed
-  :class:`repro.registry.Registry` (the ``MODELS``/``MEASURES`` idiom:
+  :class:`repro.registry.Registry` (the ``DATASETS``/``MEASURES`` idiom:
   typed errors, duplicate rejection), registration order is recorded,
   and :meth:`MetricsRegistry.render` emits families sorted by name and
   children sorted by label values — two scrapes of the same state are

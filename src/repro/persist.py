@@ -378,7 +378,8 @@ def job_from_dict(data: dict) -> MiningSpec:
     :meth:`MiningSpec.build`, so a flat document accepts exactly the
     values the sectioned form does. Unknown keys and invalid values are
     :class:`ReproError`s — a typo'd spec must fail loudly, not silently
-    run a default job.
+    run a default job. A value the spec refuses keeps the class the spec
+    raised (an unknown strategy is a ``SearchError`` here too).
     """
     if "dataset" not in data:
         raise ReproError("job spec needs a 'dataset' key")
@@ -399,7 +400,9 @@ def job_from_dict(data: dict) -> MiningSpec:
         return MiningSpec.build(
             data["dataset"], name=data.get("name") or "", **flat, **config
         )
-    except (TypeError, ValueError, ReproError) as exc:
+    except ReproError as exc:
+        raise type(exc)(f"invalid job spec: {exc}") from exc
+    except (TypeError, ValueError) as exc:
         raise ReproError(f"invalid job spec: {exc}") from exc
 
 

@@ -1,20 +1,20 @@
-"""String-keyed registries: the declarative vocabulary of ``MiningSpec``.
+"""String-keyed registries: the pluggable names of ``MiningSpec``.
 
-A :class:`~repro.spec.MiningSpec` names everything it needs — the
-dataset, the search strategy, the background model, the interestingness
-measure — as plain strings, so a spec is fully JSON-round-trippable and
-new implementations slot in without touching call sites. This module
-holds the four registries those strings resolve against:
+A :class:`~repro.spec.MiningSpec` names everything it needs as plain
+strings, so a spec is fully JSON-round-trippable. The names an
+application may add to resolve here, each to the implementation the
+mining loop dispatches on:
 
 - :data:`DATASETS` — dataset factories (``seed, **kwargs -> Dataset``);
   the single store behind :func:`repro.datasets.load_dataset`.
-- :data:`SEARCHES` — search strategies: the subjective beam search, the
-  provably-optimal branch-and-bound, and the classical-quality beam.
-- :data:`MODELS` — background-model classes (Gaussian, Bernoulli).
 - :data:`MEASURES` — interestingness measures: ``"si"`` (the paper's
   subjective measure, scored by :func:`repro.interest.si.score_location`)
   plus the classical :class:`~repro.baselines.quality.QualityMeasure`
-  baselines.
+  baselines that ``strategy="quality_beam"`` scores with.
+
+The search strategy and the background model are fixed vocabularies of
+the engine itself, checked by the spec (:data:`repro.spec.JOB_STRATEGIES`
+and the ``"gaussian"`` model kind), not registries.
 
 Every registry raises a typed, self-describing error on an unknown key
 (naming the registry and listing what *is* available) and refuses
@@ -28,20 +28,16 @@ there::
 
     DATASETS.register("mydata", make_mydata)   # now valid in any spec
 
-:data:`DATASETS` and :data:`MEASURES` entries are picked up by the
-mining loop automatically (datasets load by name everywhere; measures
-drive ``strategy="quality_beam"``). :data:`SEARCHES` and :data:`MODELS`
-name the vocabulary a spec validates against, but executing a *new*
-strategy or model additionally requires a dispatch branch in
-:mod:`repro.engine.jobs` — registration alone makes it nameable, not
-runnable.
+and the new name loads and runs everywhere a spec is accepted. The
+:class:`Registry` class itself also backs the lint rules and the
+metric families.
 """
 
 from __future__ import annotations
 
 from typing import Any, Callable
 
-from repro.errors import DataError, ModelError, ReproError, SearchError
+from repro.errors import DataError, ReproError
 
 #: Sentinel marking Registry.register's value argument as not passed.
 _MISSING = object()
@@ -125,12 +121,6 @@ class Registry:
 #: Dataset factories; the store behind :func:`repro.datasets.load_dataset`.
 DATASETS = Registry("dataset", error=DataError)
 
-#: Search strategies a spec may name in ``search.strategy``.
-SEARCHES = Registry("search strategy", error=SearchError)
-
-#: Background-model classes a spec may name in ``model.kind``.
-MODELS = Registry("background model", error=ModelError)
-
 #: Interestingness measures a spec may name in ``interest.measure``.
 MEASURES = Registry("interestingness measure", error=ReproError)
 
@@ -145,7 +135,6 @@ def _register_builtins() -> None:
     :data:`DATASETS` instance defined above, which already exists by the
     time these imports re-enter this module.
     """
-    from repro.baselines.beam import QualityBeamSearch
     from repro.baselines.quality import (
         DispersionCorrectedQuality,
         MeanShiftQuality,
@@ -157,23 +146,12 @@ def _register_builtins() -> None:
     from repro.datasets.synthetic import make_synthetic
     from repro.datasets.water import make_water
     from repro.interest.si import score_location
-    from repro.model.background import BackgroundModel
-    from repro.model.bernoulli import BernoulliBackgroundModel
-    from repro.search.beam import LocationBeamSearch
-    from repro.search.branch_bound import BranchAndBoundLocationSearch
 
     DATASETS.register("synthetic", make_synthetic)
     DATASETS.register("crime", make_crime)
     DATASETS.register("mammals", make_mammals)
     DATASETS.register("socio", make_socio)
     DATASETS.register("water", make_water)
-
-    SEARCHES.register("beam", LocationBeamSearch)
-    SEARCHES.register("branch_bound", BranchAndBoundLocationSearch)
-    SEARCHES.register("quality_beam", QualityBeamSearch)
-
-    MODELS.register("gaussian", BackgroundModel)
-    MODELS.register("bernoulli", BernoulliBackgroundModel)
 
     MEASURES.register("si", score_location)
     MEASURES.register("mean_shift", MeanShiftQuality)

@@ -453,6 +453,12 @@ def _chunks(items: list, n_chunks: int) -> list[list]:
     return chunks
 
 
+def check_sparsity(sparsity: int | None) -> None:
+    """Raise :class:`SearchError` unless ``sparsity`` is None or 2."""
+    if sparsity is not None and sparsity != 2:
+        raise SearchError(f"only sparsity=2 is supported, got {sparsity}")
+
+
 def find_spread_direction(
     model: BackgroundModel,
     indices,
@@ -484,6 +490,7 @@ def find_spread_direction(
         chunk, and the winner is the first highest-IC start in start
         order, so any parallelism returns the serial result.
     """
+    check_sparsity(sparsity)
     objective = SpreadObjective(model, indices, targets)
     dim = objective.dim
 
@@ -492,8 +499,6 @@ def find_spread_direction(
         return _outcome(objective, w, objective.value(w), 1, 0)
 
     if sparsity is not None:
-        if sparsity != 2:
-            raise SearchError(f"only sparsity=2 is supported, got {sparsity}")
         return _best_pair_direction(objective)
 
     rng = as_rng(seed)

@@ -10,14 +10,15 @@ with six declarative sections:
 
 - :class:`DatasetSpec` — *what data*: a :data:`repro.registry.DATASETS`
   name, its seed/kwargs, an optional target selection.
-- :class:`LanguageSpec` — *which descriptions*: discretization and the
-  attribute subset the refinement operator searches over.
-- :class:`ModelSpec` — *whose beliefs*: a :data:`repro.registry.MODELS`
-  kind and an optional explicit prior.
+- :class:`LanguageSpec` — *which descriptions*: discretization (one of
+  :data:`repro.lang.discretize.SPLIT_STRATEGIES`) and the attribute
+  subset the refinement operator searches over.
+- :class:`ModelSpec` — *whose beliefs*: the ``"gaussian"`` background
+  model (the only kind) and an optional explicit prior.
 - :class:`InterestSpec` — *what is interesting*: a
   :data:`repro.registry.MEASURES` name plus the DL weights.
-- :class:`SearchSpec` — *how to look*: a :data:`repro.registry.SEARCHES`
-  strategy and the loop/beam parameters.
+- :class:`SearchSpec` — *how to look*: one of :data:`JOB_STRATEGIES`
+  and the loop/beam parameters.
 - :class:`ExecutorSpec` — *on what hardware, and when*: worker count,
   service backend and scheduling terms. Excluded from
   :meth:`MiningSpec.fingerprint`, because the engine's determinism
@@ -29,6 +30,10 @@ float field stores a float, and the prior is stored as float lists once
 it is validated as a :class:`~repro.model.priors.Prior`. Anything else
 raises :class:`ReproError` naming the field, so every spelling of one
 job has one fingerprint.
+
+Each name a spec holds is checked against the one list the engine runs
+from, so a spec names nothing the engine cannot run: an unknown name
+raises the error class of its layer, listing what is available.
 
 A spec has two JSON document forms, both on disk and on the wire:
 
@@ -57,11 +62,13 @@ from typing import Any, Callable, TypeVar
 import numpy as np
 
 from repro.engine.cache import fingerprint as _fingerprint
-from repro.errors import EngineError, ModelError, ReproError
+from repro.errors import EngineError, ModelError, ReproError, SearchError
 from repro.interest.dl import DLParams
+from repro.lang.discretize import check_split_settings
 from repro.model.priors import Prior
-from repro.registry import DATASETS, MEASURES, MODELS, SEARCHES
+from repro.registry import DATASETS, MEASURES
 from repro.search.config import SearchConfig
+from repro.search.spread import check_sparsity
 
 #: Schema version embedded in serialized specs; bump on breaking changes.
 SPEC_SCHEMA = 1
@@ -232,14 +239,20 @@ class LanguageSpec(_Section):
     split_strategy: str = "percentile"
     attributes: tuple[str, ...] | None = None
 
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        check_split_settings(self.n_split_points, self.split_strategy)
+
 
 @dataclass(frozen=True)
 class ModelSpec(_Section):
     """Whose beliefs: the background-model kind and an optional prior.
 
-    The prior is validated as the :class:`~repro.model.priors.Prior` it
-    builds; whether its dimension matches the targets is checked at run
-    time, once the dataset is loaded.
+    ``"gaussian"`` (the paper's MaxEnt model) is the only kind; the
+    field stays so that spec documents keep their shape. The prior is
+    validated as the :class:`~repro.model.priors.Prior` it builds;
+    whether its dimension matches the targets is checked at run time,
+    once the dataset is loaded.
     """
 
     kind: str = "gaussian"
@@ -247,6 +260,10 @@ class ModelSpec(_Section):
 
     def __post_init__(self) -> None:
         super().__post_init__()
+        if self.kind != "gaussian":
+            raise ModelError(
+                f"unknown background model {self.kind!r}; available: gaussian"
+            )
         if self.prior is None:
             return
         if not (isinstance(self.prior, dict) and set(self.prior) == {"mean", "cov"}):
@@ -284,6 +301,15 @@ class SearchSpec(_Section):
     min_coverage: int = 2
     max_coverage_fraction: float = 1.0
     time_budget_seconds: float | None = None
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        if self.strategy not in JOB_STRATEGIES:
+            raise SearchError(
+                f"unknown search strategy {self.strategy!r}; "
+                f"available: {', '.join(JOB_STRATEGIES)}"
+            )
+        check_sparsity(self.sparsity)
 
 
 @dataclass(frozen=True)
@@ -385,11 +411,11 @@ _FLAT_FIELDS: dict[str, tuple[str, str]] = {
 class MiningSpec:
     """One frozen, validated, JSON-round-trippable unit of mining work.
 
-    Construction validates everything eagerly: registry keys resolve
-    (with errors listing what *is* registered), the search numbers
-    satisfy :class:`~repro.search.config.SearchConfig`'s invariants, and
-    the kind/strategy/measure/loop cross-rules hold — so a spec that
-    exists is a spec that runs.
+    Construction validates everything eagerly: every name is one the
+    engine runs (with errors listing what *is* available), the search
+    numbers satisfy :class:`~repro.search.config.SearchConfig`'s
+    invariants, and the kind/strategy/measure/loop cross-rules hold —
+    so a spec that exists is a spec that runs.
 
     ``dataset`` may be given as a bare name string; it is promoted to a
     :class:`DatasetSpec`. ``name`` is a display label only: two specs
@@ -409,15 +435,7 @@ class MiningSpec:
         if isinstance(self.dataset, str):
             object.__setattr__(self, "dataset", DatasetSpec(self.dataset))
         DATASETS.get(self.dataset.name)
-        SEARCHES.get(self.search.strategy)
-        MODELS.get(self.model.kind)
         MEASURES.get(self.interest.measure)
-        if self.model.kind != "gaussian":
-            raise ReproError(
-                f"the mining loop currently executes the 'gaussian' background "
-                f"model only; {self.model.kind!r} is registered but not yet "
-                f"drivable from a spec"
-            )
         self.search_config()  # SearchConfig checks the numeric invariants
         self._validate_strategy()
 
@@ -431,10 +449,6 @@ class MiningSpec:
                 f"n_iterations must be >= 1, got {search.n_iterations}"
             )
         strategy, measure = search.strategy, self.interest.measure
-        if strategy not in JOB_STRATEGIES:
-            raise EngineError(
-                f"strategy must be one of {JOB_STRATEGIES}, got {strategy!r}"
-            )
         if strategy in ("beam", "branch_bound") and measure != "si":
             raise EngineError(
                 f"strategy {strategy!r} scores with the subjective 'si' "

@@ -107,6 +107,25 @@ class TestRestartRecovery:
             (record,) = store.records()
         assert record["state"] == "done"
 
+    def test_a_record_that_no_longer_decodes_keeps_its_id(self, tmp_path):
+        """A stored spec the spec rules now refuse (sparsity 3 was accepted
+        once) is skipped on restart; its id is not handed to a new job, so
+        its file is not overwritten."""
+        with MiningService(backend="serial", store=tmp_path) as service:
+            kept = service.submit(_job(seed=1))
+            refused = service.submit(_job(seed=2))
+        with JobStore(tmp_path) as store:
+            record = store.get(refused)
+            store.put(dict(record, job=dict(record["job"], sparsity=3)))
+
+        with MiningService(backend="serial", store=tmp_path) as service:
+            assert service.status(kept) == JobStatus.DONE
+            with pytest.raises(EngineError, match="unknown job id"):
+                service.status(refused)
+            assert service.submit(_job(seed=3)) not in (kept, refused)
+        with JobStore(tmp_path) as store:
+            assert store.get(refused)["job"]["sparsity"] == 3
+
     def test_interrupted_jobs_reenqueue_in_submit_order(self, tmp_path):
         import threading
 

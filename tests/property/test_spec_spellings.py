@@ -53,7 +53,7 @@ specs = st.fixed_dictionaries(
         "priority": st.integers(-3, 3),
     },
     optional={
-        "sparsity": st.integers(1, 5),
+        "sparsity": st.just(2),
         "time_budget_seconds": whole_or_fraction,
         "deadline": whole_or_fraction,
         "prior": priors(),

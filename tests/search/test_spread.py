@@ -121,6 +121,10 @@ class TestFindSpreadDirection:
         targets, model, idx = planted
         with pytest.raises(SearchError, match="sparsity"):
             find_spread_direction(model, idx, targets, sparsity=3)
+        # One target: refused too, not answered by the d = 1 shortcut.
+        one = targets[:, :1]
+        with pytest.raises(SearchError, match="sparsity"):
+            find_spread_direction(BackgroundModel.from_targets(one), idx, one, sparsity=3)
 
     def test_deterministic_given_seed(self, planted):
         targets, model, idx = planted

@@ -17,6 +17,7 @@ import pytest
 from repro.api import Workspace
 from repro.client import RemoteError, RemoteJobFailed, RemoteWorkspace, _SSEStream
 from repro.engine.service import JobStatus
+from repro.errors import DataError, ModelError, SearchError
 from repro.events import CallbackObserver, EventLog
 from repro.persist import job_to_dict
 from repro.server import MiningServer, http
@@ -28,6 +29,13 @@ def fast_spec(**overrides):
     kwargs = dict(n_iterations=2, beam_width=6, max_depth=2, top_k=10)
     kwargs.update(overrides)
     return MiningSpec.build("synthetic", **kwargs)
+
+
+def _fast_document(section, **values):
+    """``fast_spec()``'s sectioned document with one section's values set."""
+    document = fast_spec().to_dict()
+    document[section].update(values)
+    return document
 
 
 @pytest.fixture()
@@ -133,11 +141,34 @@ class TestErrors:
             remote.status("job-9999")
         assert excinfo.value.status == 404
 
-    def test_invalid_spec_is_400(self, remote):
+    @pytest.mark.parametrize(
+        "document, error, message",
+        [
+            ({"dataset": "nope"}, DataError, "unknown dataset 'nope'"),
+            (
+                _fast_document("search", sparsity=3),
+                SearchError,
+                "only sparsity=2 is supported, got 3",
+            ),
+            (
+                _fast_document("model", kind="x"),
+                ModelError,
+                "unknown background model 'x'; available: gaussian",
+            ),
+        ],
+        ids=["dataset", "sparsity", "model"],
+    )
+    def test_invalid_spec_is_400(self, remote, document, error, message):
+        before = set(remote.jobs())
         with pytest.raises(RemoteError) as excinfo:
-            remote._request("POST", "/jobs", {"spec": {"dataset": "nope"}})
+            remote._request("POST", "/jobs", {"spec": document})
         assert excinfo.value.status == 400
-        assert "nope" in str(excinfo.value)
+        assert excinfo.value.remote_type == error.__name__
+        assert message in str(excinfo.value)
+        # The client checks the spec before sending, raising the same class.
+        with pytest.raises(error, match=message):
+            remote.submit(document)
+        assert set(remote.jobs()) == before
 
     def test_fractional_integer_field_is_400_naming_it(self, remote):
         document = fast_spec().to_dict()

@@ -53,7 +53,7 @@ class TestExports:
     def test_registries_reachable_top_level(self):
         from repro.registry import Registry
 
-        for name in ("DATASETS", "SEARCHES", "MODELS", "MEASURES"):
+        for name in ("DATASETS", "MEASURES"):
             assert isinstance(getattr(repro, name), Registry)
 
     def test_version_is_semver_like(self):

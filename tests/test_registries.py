@@ -3,8 +3,8 @@
 import pytest
 
 import repro
-from repro.errors import DataError, ModelError, ReproError, SearchError
-from repro.registry import DATASETS, MEASURES, MODELS, SEARCHES, Registry
+from repro.errors import DataError, ReproError
+from repro.registry import DATASETS, MEASURES, Registry
 
 
 class TestRegistryMechanics:
@@ -67,18 +67,12 @@ class TestRegistryMechanics:
 class TestBuiltinsRegisteredAtImport:
     """``import repro`` must always see the full vocabulary.
 
-    These guard ``__init__`` drift: a new dataset/strategy/model/measure
-    that is not registered here is invisible to every MiningSpec.
+    These guard ``__init__`` drift: a new dataset or measure that is not
+    registered here is invisible to every MiningSpec.
     """
 
     def test_datasets(self):
         assert DATASETS.keys() == ["crime", "mammals", "socio", "synthetic", "water"]
-
-    def test_search_strategies(self):
-        assert SEARCHES.keys() == ["beam", "branch_bound", "quality_beam"]
-
-    def test_models(self):
-        assert MODELS.keys() == ["bernoulli", "gaussian"]
 
     def test_measures(self):
         assert MEASURES.keys() == [
@@ -87,24 +81,20 @@ class TestBuiltinsRegisteredAtImport:
 
     def test_top_level_reexports_are_the_same_objects(self):
         assert repro.DATASETS is DATASETS
-        assert repro.SEARCHES is SEARCHES
-        assert repro.MODELS is MODELS
         assert repro.MEASURES is MEASURES
 
     def test_registered_values_resolve(self):
-        from repro.model.background import BackgroundModel
-        from repro.search.beam import LocationBeamSearch
+        from repro.baselines.quality import MeanShiftQuality
+        from repro.datasets.synthetic import make_synthetic
 
-        assert MODELS.get("gaussian") is BackgroundModel
-        assert SEARCHES.get("beam") is LocationBeamSearch
+        assert DATASETS.get("synthetic") is make_synthetic
+        assert MEASURES.get("mean_shift") is MeanShiftQuality
 
     def test_typed_errors(self):
         with pytest.raises(DataError):
             DATASETS.get("nope")
-        with pytest.raises(SearchError):
-            SEARCHES.get("nope")
-        with pytest.raises(ModelError):
-            MODELS.get("nope")
+        with pytest.raises(ReproError, match="unknown interestingness measure"):
+            MEASURES.get("nope")
 
 
 class TestDatasetRegistryDelegation:

@@ -1,11 +1,19 @@
 """Tests for the unified, frozen, JSON-round-trippable MiningSpec."""
 
 import json
+import re
 from dataclasses import fields
 
 import pytest
 
-from repro.errors import DataError, EngineError, ReproError, SearchError
+from repro.errors import (
+    DataError,
+    EngineError,
+    LanguageError,
+    ModelError,
+    ReproError,
+    SearchError,
+)
 from repro.persist import job_from_dict, job_to_dict, load_spec, save_spec
 from repro.search.config import SearchConfig
 from repro.spec import (
@@ -69,17 +77,9 @@ class TestConstruction:
         with pytest.raises(DataError, match="unknown dataset 'nope'"):
             MiningSpec.build("nope")
 
-    def test_unknown_strategy_lists_available(self):
-        with pytest.raises(SearchError, match="unknown search strategy"):
-            MiningSpec.build("synthetic", strategy="dfs")
-
     def test_unknown_measure_rejected(self):
         with pytest.raises(ReproError, match="interestingness measure"):
             MiningSpec.build("synthetic", measure="magic")
-
-    def test_non_gaussian_model_rejected_for_now(self):
-        with pytest.raises(ReproError, match="gaussian"):
-            MiningSpec.build("mammals", model="bernoulli")
 
     def test_search_invariants_enforced(self):
         with pytest.raises(SearchError, match="beam_width"):
@@ -101,6 +101,60 @@ class TestConstruction:
             job_from_dict(
                 {"dataset": "crime", "strategy": "quality_beam", "measure": "mean_shfit"}
             )
+
+
+#: Spec values the engine cannot run: the flat keyword and its value,
+#: the error class and the full message, which lists the valid names.
+REFUSED = [
+    ("strategy", "dfs", SearchError,
+     "unknown search strategy 'dfs'; available: beam, branch_bound, quality_beam"),
+    ("model", "x", ModelError, "unknown background model 'x'; available: gaussian"),
+    ("model", "bernoulli", ModelError,
+     "unknown background model 'bernoulli'; available: gaussian"),
+    ("sparsity", 0, SearchError, "only sparsity=2 is supported, got 0"),
+    ("sparsity", 1, SearchError, "only sparsity=2 is supported, got 1"),
+    ("sparsity", 3, SearchError, "only sparsity=2 is supported, got 3"),
+    ("split_strategy", "bogus", LanguageError,
+     "unknown split strategy 'bogus'; available: levels, percentile, width"),
+    ("n_split_points", 0, LanguageError, "n_split_points must be >= 1, got 0"),
+]
+
+
+def _spell(spelling, key, value):
+    """A synthetic spec with one flat keyword set, in one of three spellings."""
+    if spelling == "build":
+        return MiningSpec.build("synthetic", **{key: value})
+    if spelling == "from_dict":
+        section, field_name = _FLAT_FIELDS[key]
+        return MiningSpec.from_dict({"dataset": "synthetic", section: {field_name: value}})
+    if key in {f.name for f in fields(SearchConfig)}:
+        return job_from_dict({"dataset": "synthetic", "config": {key: value}})
+    return job_from_dict({"dataset": "synthetic", key: value})
+
+
+class TestRefusedValues:
+    """A spec names only what the engine runs, however it is spelled."""
+
+    @pytest.mark.parametrize(
+        "spelling, key, value, error, message",
+        [
+            pytest.param(spelling, *refused, id=f"{spelling}-{refused[0]}={refused[1]}")
+            for refused in REFUSED
+            for spelling in ("build", "from_dict", "job_from_dict")
+            # The flat document has no model kind (see below).
+            if not (spelling == "job_from_dict" and refused[0] == "model")
+        ],
+    )
+    def test_refused_with_its_class_and_the_valid_names(
+        self, spelling, key, value, error, message
+    ):
+        with pytest.raises(error, match=re.escape(message)) as excinfo:
+            _spell(spelling, key, value)
+        assert type(excinfo.value) is error
+
+    def test_flat_document_names_no_model_kind(self):
+        with pytest.raises(ReproError, match=re.escape("unknown job spec keys: ['model']")):
+            job_from_dict({"dataset": "synthetic", "model": "gaussian"})
 
 
 class TestSerialization:
