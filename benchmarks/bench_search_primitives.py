@@ -3,8 +3,9 @@
 The batched candidate scorer is the beam search's inner loop; one
 ``RefinementOperator.expand`` is its candidate generation for a whole
 level; the spread objective's value-and-gradient is the sphere
-optimizer's, and one ``find_spread_direction`` is the spread search's
-ten ascents: capped on mammals (d_y=124), stalled on synthetic (d_y=2).
+optimizer's, and one ``find_spread_direction`` is a whole spread search:
+ten ascents, capped, on mammals (d_y=124), and the circle scan on
+synthetic (d_y=2).
 """
 
 import numpy as np
@@ -117,13 +118,15 @@ def synthetic_subgroup():
 
 
 def bench_spread_search_small(benchmark, synthetic_subgroup):
-    """One spread search on synthetic (d_y=2): 6 eigenvector and 4 random
-    starts, all ten of which stall in a failed line search. Most of its
-    time is per-call overhead, not arithmetic."""
+    """One spread search on synthetic (d_y=2), which takes the circle
+    route: 64 grid angles and the 6 eigenvector and 4 random starts in
+    one batched evaluation, then bounded Brent around each sampled local
+    maximum. Most of its time is per-call overhead, not arithmetic."""
     model, rows, targets = synthetic_subgroup
     outcome = benchmark.pedantic(
         lambda: find_spread_direction(model, rows, targets, seed=0), rounds=20
     )
+    assert outcome.route == "circle"
     assert outcome.n_starts == 10 and outcome.n_capped == 0
 
 

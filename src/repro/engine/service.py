@@ -74,6 +74,7 @@ from repro.obs.instruments import (
     RESULT_CACHE_HITS,
     RESULT_CACHE_MISSES,
     STORE_RECORDS,
+    STORE_RECORDS_SKIPPED,
 )
 from repro.obs.trace import TRACER
 from repro.spec import MiningSpec
@@ -124,6 +125,14 @@ _STATE_TO_STATUS = {
     "cancelled": JobStatus.CANCELLED,
     "expired": JobStatus.EXPIRED,
 }
+
+
+def _id_number(job_id: str) -> int:
+    """The number of a ``job-NNNN`` id (0 for any other id)."""
+    try:
+        return int(job_id.rsplit("-", 1)[-1])
+    except ValueError:
+        return 0
 
 
 def _finish(record: "_Record", state: str) -> None:
@@ -1246,27 +1255,27 @@ class MiningService:
         when that is what they were, generic :class:`EngineError`
         otherwise — the original class cannot be reconstructed from a
         name alone).
+
+        A record whose spec or result no longer decodes is skipped,
+        counted in ``sisd_store_records_skipped_total`` and set aside
+        under ``records/unreadable/``, where it stays. Its id, like
+        every stored one, is never issued again.
         """
         from repro import persist  # lazy: persist imports engine.jobs
 
         docs = self._store.records()
-        if not docs:
-            return
+        # Every record file's id, decodable or not, set aside or not, so
+        # no id is reissued (which would overwrite its file).
+        max_id = max(map(_id_number, self._store.job_ids()), default=0)
         post: list = []
-        max_id = 0
         with self._lock:
             for doc in docs:
-                # Counted before decoding, so a skipped record's id is never
-                # reissued (which would overwrite its file).
                 job_id = str(doc.get("job_id"))
-                try:
-                    max_id = max(max_id, int(job_id.rsplit("-", 1)[-1]))
-                except ValueError:
-                    pass
                 try:
                     job = persist.job_from_dict(doc["job"])
                 except Exception:
-                    continue  # foreign/corrupt record: skip, don't die
+                    self._set_aside(job_id)  # foreign/corrupt record: don't die
+                    continue
                 record = _Record(
                     job_id,
                     job,
@@ -1282,7 +1291,8 @@ class MiningService:
                     try:
                         result = persist.job_result_from_dict(doc["result"])
                     except Exception:
-                        continue  # corrupt result: drop the record
+                        self._set_aside(job_id)
+                        continue
                     record.state = "done"
                     record.finished_wall = finished
                     record.future.set_result(result)
@@ -1325,6 +1335,11 @@ class MiningService:
         self._run_post(post)
         if self._pool is None:
             self._run_queue_inline()
+
+    def _set_aside(self, job_id: str) -> None:
+        """Skip a stored record that no longer decodes, loudly."""
+        STORE_RECORDS_SKIPPED.inc()
+        self._store.set_aside(job_id)
 
     # ------------------------------------------------------------------ #
     # Event plumbing

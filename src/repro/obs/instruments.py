@@ -86,18 +86,29 @@ SPREAD_ASCENTS = METRICS.counter(
     "Spread-direction gradient ascents, by how they ended",
     labels=("end",),
 )
-#: What the spread ascents evaluated, counted like the ascents: rows of
-#: the objective (kind=value: starts and trial points, one per ladder
-#: rung) and of its gradient (kind=gradient: one per iteration begun),
-#: and the batched value evaluations (rounds) that held those rows.
+#: What the spread searches evaluated, counted like the ascents: rows of
+#: the objective (kind=value: every route's, namely the line's one
+#: direction, the circle's and the pairs' grid samples and Brent calls,
+#: the circle's starts, and the ascents' starts and trial points, one per
+#: ladder rung) and of its gradient (kind=gradient: one per ascent
+#: iteration begun), and the ascents' batched value evaluations (rounds)
+#: that held their rows.
 SPREAD_ROWS = METRICS.counter(
     "sisd_spread_rows_total",
-    "Spread-ascent rows evaluated, by kind",
+    "Spread-search rows evaluated, by kind",
     labels=("kind",),
 )
 SPREAD_ROUNDS = METRICS.counter(
     "sisd_spread_rounds_total",
     "Batched spread-objective evaluations of the lockstep ascents",
+)
+#: Spread searches by the route that ran (repro.search.spread), counted
+#: by the process that runs the search; route ∈ line (d = 1) | circle
+#: (d = 2) | pairs (sparsity 2) | ascent (d >= 3).
+SPREAD_SEARCHES = METRICS.counter(
+    "sisd_spread_searches_total",
+    "Spread-direction searches, by route",
+    labels=("route",),
 )
 #: Spread searches whose winning direction's IC reads the chi2mix floor:
 #: its standardized statistic (v - beta)/alpha is at or under 1e-12.
@@ -162,6 +173,12 @@ BELIEF_CACHE_HIT_RATIO = METRICS.gauge(
 # --------------------------------------------------------------------- #
 STORE_RECORDS = METRICS.gauge(
     "sisd_store_records", "Scheduler records held durably"
+)
+#: Stored records a restart could not decode (spec or result), each set
+#: aside under records/unreadable/ (repro.engine.service).
+STORE_RECORDS_SKIPPED = METRICS.counter(
+    "sisd_store_records_skipped_total",
+    "Stored records a restart could not decode and set aside",
 )
 BELIEF_SPILL_HITS = METRICS.gauge(
     "sisd_belief_spill_hits", "Belief-spill disk hits"
@@ -257,6 +274,11 @@ SPREAD_ASCENT_ENDS = {
 
 #: Pre-bound spread ascent row kinds.
 SPREAD_ROW_KINDS = {kind: SPREAD_ROWS.labels(kind) for kind in ("value", "gradient")}
+
+#: Pre-bound spread search routes.
+SPREAD_SEARCH_ROUTES = {
+    route: SPREAD_SEARCHES.labels(route) for route in ("line", "circle", "pairs", "ascent")
+}
 
 #: Pre-bound linear-algebra fallback kinds.
 LINALG_FALLBACK_LSTSQ = LINALG_FALLBACKS.labels("lstsq")

@@ -2,13 +2,22 @@
 
 For a fixed subgroup the DL is constant, so the problem is to maximize
 the IC of the spread statistic over directions ``w``. The objective is
-smooth but multimodal; we run Riemannian gradient ascent with an
-analytic gradient (chain rule through the Zhang coefficients, including
-the digamma term of the Gamma normalizer) from several informed starting
-points, plus random restarts. The paper's 2-sparsity variant —
-"optimizing it for each pair of target attributes separately and then
-selecting the result with the highest SI" — is :func:`find_spread_direction`
-with ``sparsity=2``.
+smooth but multimodal. :func:`find_spread_direction` takes one of four
+routes, by the number of targets d:
+
+- ``"line"`` (d = 1): the one direction, ``w = (1,)``.
+- ``"circle"`` (d = 2): the sphere is a circle, ``w = (cos t, sin t)``
+  with the IC pi-periodic in t. A grid of angles and the informed starts
+  are evaluated in one batched call, and bounded Brent refines each
+  sampled local maximum between its neighbouring samples.
+- ``"pairs"`` (``sparsity=2``, any d >= 2): the paper's 2-sparsity
+  variant, "optimizing it for each pair of target attributes separately
+  and then selecting the result with the highest SI": the same grid and
+  Brent, on every coordinate pair.
+- ``"ascent"`` (d >= 3): Riemannian gradient ascent with an analytic
+  gradient (chain rule through the Zhang coefficients, including the
+  digamma term of the Gamma normalizer) from several informed starting
+  points, plus random restarts. Only this route uses an executor.
 
 The ascents from all starts run in lockstep (see
 :func:`_ascend_lockstep`). Each round evaluates, in one batched call,
@@ -43,6 +52,7 @@ from repro.obs.instruments import (
     SPREAD_CLAMPED,
     SPREAD_ROUNDS,
     SPREAD_ROW_KINDS,
+    SPREAD_SEARCH_ROUTES,
 )
 from repro.search.sphere import (
     canonical_sign,
@@ -245,9 +255,11 @@ class SpreadObjective:
 class SpreadSearchOutcome:
     """Best direction found, its IC, and the empirical variance along it.
 
+    ``route`` names the search that ran: ``"line"``, ``"circle"``,
+    ``"pairs"`` or ``"ascent"`` (see the module docstring).
     ``n_capped`` counts the gradient ascents that stopped at the
     iteration cap rather than at a stationary point or a failed line
-    search (always 0 for the one-dimensional and 2-sparse searches).
+    search (always 0 off the ascent route).
     ``clamped`` says the IC of ``direction`` reads the floor: its
     standardized statistic ``(v - beta) / alpha`` is at or under
     ``_TINY``, so the IC measures rounding noise, not the subgroup.
@@ -258,6 +270,7 @@ class SpreadSearchOutcome:
     variance: float
     n_starts: int
     n_iterations: int
+    route: str
     n_capped: int = 0
     clamped: bool = False
 
@@ -473,6 +486,14 @@ def find_spread_direction(
 ) -> SpreadSearchOutcome:
     """Maximize the spread IC over unit directions (problem 21).
 
+    The route depends on the number of targets d (see the module
+    docstring): d = 1 has one direction (``"line"``); ``sparsity=2``
+    searches every coordinate pair (``"pairs"``); otherwise d = 2 scans
+    the circle of directions (``"circle"``) and d >= 3 runs the
+    multi-start gradient ascent (``"ascent"``). The circle and the
+    ascent draw the same starts from ``seed``. Only the ascent route
+    uses ``executor``; the others run inline in the caller.
+
     Parameters
     ----------
     sparsity:
@@ -481,13 +502,15 @@ def find_spread_direction(
         keeping the best (the paper's §III-C interpretability device).
     n_random_starts:
         Random restarts added to the eigenvector starts.
+    max_iterations, tol:
+        The ascent route's iteration cap and gradient-norm tolerance.
     executor:
-        Backend running the ascents. Starting points are drawn up-front
-        in the caller and shipped as ``executor.parallelism`` contiguous
-        chunks (one when serial), each ascended in lockstep, so the
-        search costs one batched evaluation per round of a chunk, not
-        one per trial point. An ascent's result does not depend on its
-        chunk, and the winner is the first highest-IC start in start
+        Backend running the ascents (d >= 3). Starting points are drawn
+        up-front in the caller and shipped as ``executor.parallelism``
+        contiguous chunks (one when serial), each ascended in lockstep,
+        so the search costs one batched evaluation per round of a chunk,
+        not one per trial point. An ascent's result does not depend on
+        its chunk, and the winner is the first highest-IC start in start
         order, so any parallelism returns the serial result.
     """
     check_sparsity(sparsity)
@@ -496,7 +519,8 @@ def find_spread_direction(
 
     if dim == 1:
         w = np.ones(1)
-        return _outcome(objective, w, objective.value(w), 1, 0)
+        SPREAD_ROW_KINDS["value"].inc()
+        return _outcome(objective, w, objective.value(w), 1, 0, "line")
 
     if sparsity is not None:
         return _best_pair_direction(objective)
@@ -504,6 +528,9 @@ def find_spread_direction(
     rng = as_rng(seed)
     starts = objective.suggested_starts()
     starts.extend(random_unit(rng, dim) for _ in range(n_random_starts))
+
+    if dim == 2:
+        return _circle_direction(objective, starts)
 
     if executor is None:
         executor = SerialExecutor()
@@ -533,6 +560,7 @@ def find_spread_direction(
         float(best_value),
         len(starts),
         total_iterations,
+        "ascent",
         n_capped,
     )
 
@@ -543,10 +571,12 @@ def _outcome(
     ic: float,
     n_starts: int,
     n_iterations: int,
+    route: str,
     n_capped: int = 0,
 ) -> SpreadSearchOutcome:
-    """The search's outcome at its winner ``w``; a clamped winner is
-    counted here, in the caller."""
+    """The search's outcome at its winner ``w``; its route and a clamped
+    winner are counted here, in the caller."""
+    SPREAD_SEARCH_ROUTES[route].inc()
     clamped = objective.standardized(w) <= _TINY
     if clamped:
         SPREAD_CLAMPED.inc()
@@ -556,8 +586,91 @@ def _outcome(
         variance=objective.variance(w),
         n_starts=n_starts,
         n_iterations=n_iterations,
+        route=route,
         n_capped=n_capped,
         clamped=clamped,
+    )
+
+
+#: The pair and circle searches' grid: 64 angles over one period of the
+#: IC in theta, and their cosines and sines as ``_in_plane`` computes
+#: them (with math: numpy's may round differently).
+_GRID = np.linspace(0.0, math.pi, 64, endpoint=False)
+_GRID_COS = [math.cos(theta) for theta in _GRID]
+_GRID_SIN = [math.sin(theta) for theta in _GRID]
+
+
+def _in_plane(dim: int, i: int, j: int, theta: float) -> np.ndarray:
+    """The unit direction ``cos(theta) e_i + sin(theta) e_j`` in R^dim."""
+    w = np.zeros(dim)
+    w[i] = math.cos(theta)
+    w[j] = math.sin(theta)
+    return w
+
+
+def _refine(
+    objective: SpreadObjective, i: int, j: int, lo: float, hi: float
+) -> tuple[float, np.ndarray, int]:
+    """Bounded Brent on the IC of ``_in_plane(dim, i, j, theta)`` over
+    ``lo <= theta <= hi``: the best IC it saw, its direction, and the
+    one-row evaluations it made."""
+    dim = objective.dim
+    result = optimize.minimize_scalar(
+        lambda theta: -objective.value(_in_plane(dim, i, j, theta)),
+        bounds=(lo, hi),
+        method="bounded",
+        options={"xatol": 1e-10},
+    )
+    return -float(result.fun), _in_plane(dim, i, j, float(result.x)), int(result.nfev)
+
+
+def _circle_direction(
+    objective: SpreadObjective, starts: list[np.ndarray]
+) -> SpreadSearchOutcome:
+    """Two targets: search the circle ``w = (cos theta, sin theta)``.
+
+    The IC is pi-periodic in theta. The 64 grid angles and the
+    normalized starts are evaluated in one batched call. Taken in angle
+    order, over one period, each sample whose IC is above the one before
+    it and not below the one after it is a sampled local maximum, and
+    bounded Brent refines it between those two neighbours. The winner is
+    the first highest IC seen: the samples in evaluation order, then the
+    refinements in angle order.
+    """
+    points = [np.array([c, s]) for c, s in zip(_GRID_COS, _GRID_SIN)]
+    angles = _GRID.tolist()
+    for start in starts:
+        # Normalized as the ascent normalizes it, so its IC here is the
+        # one its ascent would begin from.
+        w = start / float(np.linalg.norm(start))
+        angle = math.atan2(w[1], w[0]) % math.pi
+        points.append(w)
+        # A tiny negative angle, modulo pi, rounds up to pi itself.
+        angles.append(0.0 if angle == math.pi else angle)
+    values = [ic for _, ic in objective._evaluate(np.array(points))]
+    evaluations = len(points)
+    best = max(range(len(points)), key=values.__getitem__)
+    best_value, best_w = values[best], points[best]
+
+    # The samples in angle order, the first of each distinct angle.
+    order: list[int] = []
+    for k in sorted(range(len(points)), key=angles.__getitem__):
+        if not order or angles[k] != angles[order[-1]]:
+            order.append(k)
+    n = len(order)
+    for position, k in enumerate(order):
+        before, after = order[position - 1], order[(position + 1) % n]
+        if not values[before] < values[k] >= values[after]:
+            continue
+        lo = angles[before] - (math.pi if position == 0 else 0.0)
+        hi = angles[after] + (math.pi if position == n - 1 else 0.0)
+        value, w, calls = _refine(objective, 0, 1, lo, hi)
+        evaluations += calls
+        if value > best_value:
+            best_value, best_w = value, w
+    SPREAD_ROW_KINDS["value"].inc(evaluations)
+    return _outcome(
+        objective, canonical_sign(best_w), best_value, len(starts), 0, "circle"
     )
 
 
@@ -571,36 +684,22 @@ def _best_pair_direction(objective: SpreadObjective) -> SpreadSearchOutcome:
     dim = objective.dim
     best: tuple[float, np.ndarray] | None = None
     evaluations = 0
-
-    def embed(i: int, j: int, theta: float) -> np.ndarray:
-        w = np.zeros(dim)
-        w[i] = math.cos(theta)
-        w[j] = math.sin(theta)
-        return w
-
-    grid = np.linspace(0.0, math.pi, 64, endpoint=False)
-    # math.cos/math.sin, as embed uses: numpy's may round differently.
-    cosines = [math.cos(theta) for theta in grid]
-    sines = [math.sin(theta) for theta in grid]
+    brent_rows = 0
     for i in range(dim):
         for j in range(i + 1, dim):
             # The grid's 64 embedded directions as one batched evaluation.
-            points = np.zeros((len(grid), dim))
-            points[:, i] = cosines
-            points[:, j] = sines
+            points = np.zeros((len(_GRID), dim))
+            points[:, i] = _GRID_COS
+            points[:, j] = _GRID_SIN
             values = [ic for _, ic in objective._evaluate(points)]
-            evaluations += len(grid)
+            evaluations += len(_GRID)
             k = int(np.argmax(values))
-            lo, hi = grid[k] - math.pi / 64, grid[k] + math.pi / 64
-            result = optimize.minimize_scalar(
-                lambda theta: -objective.value(embed(i, j, theta)),
-                bounds=(lo, hi),
-                method="bounded",
-                options={"xatol": 1e-10},
+            value, w, calls = _refine(
+                objective, i, j, _GRID[k] - math.pi / 64, _GRID[k] + math.pi / 64
             )
-            theta = float(result.x)
-            value = -float(result.fun)
+            brent_rows += calls
             if best is None or value > best[0]:
-                best = (value, embed(i, j, theta))
+                best = (value, w)
     assert best is not None
-    return _outcome(objective, canonical_sign(best[1]), best[0], evaluations, 0)
+    SPREAD_ROW_KINDS["value"].inc(evaluations + brent_rows)
+    return _outcome(objective, canonical_sign(best[1]), best[0], evaluations, 0, "pairs")

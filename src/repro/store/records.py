@@ -3,6 +3,7 @@
 Layout of a store root::
 
     <root>/records/<job_id>.json   one record document per job
+    <root>/records/unreadable/     records a restart could not decode, kept
     <root>/meta.json               server metadata (stream-generation counter)
     <root>/beliefs/                content-addressed belief-prefix spill
 
@@ -118,6 +119,7 @@ class JobStore:
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
         self._dir = self.root / "records"
+        self._unreadable = self._dir / "unreadable"
         self._closed = False
         self._meta_lock = threading.Lock()
         self._import_legacy()
@@ -185,6 +187,31 @@ class JobStore:
         except FileNotFoundError:
             return
         fsync_dir(self._dir)
+
+    def set_aside(self, job_id: str) -> None:
+        """Move the record of ``job_id`` into ``records/unreadable/``.
+
+        For a record its reader can no longer decode. The file is kept
+        there, not deleted: :meth:`records` and ``len()`` no longer see
+        it, and :meth:`job_ids` still names it. A no-op if ``job_id`` has
+        no record file.
+        """
+        if self._closed:
+            raise EngineError("job store is closed")
+        source = self._dir / _file_name(job_id)
+        self._unreadable.mkdir(exist_ok=True)
+        try:
+            os.replace(source, self._unreadable / source.name)
+        except FileNotFoundError:
+            return
+        fsync_dir(self._unreadable)
+        fsync_dir(self._dir)
+
+    def job_ids(self) -> list[str]:
+        """The id of every record file, readable or not, set aside or not:
+        a record file is named after its job id."""
+        paths = [*self._dir.glob("*.json"), *self._unreadable.glob("*.json")]
+        return sorted(path.stem for path in paths)
 
     def records(self) -> list[dict[str, Any]]:
         """Every stored record, ordered by submission sequence number."""

@@ -126,13 +126,16 @@ class TestBitIdenticalMining:
             assert executor.stats["shards_remote"] > 0
         assert_search_results_identical(serial, remote)
 
-    @pytest.mark.parametrize("name", ["synthetic", "mammals"])
-    def test_spread_search(self, worker_pair, mammals_dataset, name):
+    @pytest.mark.parametrize("name", ["synthetic", "socio", "mammals"])
+    def test_spread_search(self, worker_pair, socio_dataset, mammals_dataset, name):
         # Each worker ascends one contiguous chunk of the ten starts in
         # lockstep; on mammals' first location subgroup the ascents hit
-        # their 300-iteration cap.
+        # their 300-iteration cap. Synthetic's two targets take the circle
+        # route, which runs in the caller and ships nothing.
         if name == "synthetic":
             dataset, rows, seed = make_synthetic(0), np.arange(40), 7
+        elif name == "socio":
+            dataset, rows, seed = socio_dataset, np.arange(40), 7
         else:
             dataset, seed = mammals_dataset, 0
             rows = np.flatnonzero(dataset.column("tmp_mar").values <= -1.73595)
@@ -142,13 +145,15 @@ class TestBitIdenticalMining:
             remote = find_spread_direction(
                 model, rows, dataset.targets, seed=seed, executor=executor
             )
-            assert executor.stats["shards_remote"] == 2
+            shipped = 0 if name == "synthetic" else 2
+            assert executor.stats["shards_remote"] == shipped
         assert remote.direction.tobytes() == serial.direction.tobytes()
         assert remote.ic == serial.ic
-        assert (remote.n_starts, remote.n_iterations, remote.n_capped) == (
+        assert (remote.n_starts, remote.n_iterations, remote.n_capped, remote.route) == (
             serial.n_starts,
             serial.n_iterations,
             serial.n_capped,
+            "circle" if name == "synthetic" else "ascent",
         )
         if name == "mammals":
             assert serial.n_capped == 10

@@ -10,7 +10,7 @@ parallelism.
 import numpy as np
 import pytest
 
-from repro.datasets import make_synthetic
+from repro.datasets import make_socio, make_synthetic
 from repro.engine.executor import ProcessExecutor, SerialExecutor
 from repro.model.background import BackgroundModel
 from repro.search.config import SearchConfig
@@ -64,22 +64,28 @@ class TestBeamSearchEquivalence:
 
 
 class TestSpreadSearchEquivalence:
-    def test_restart_fanout_bit_identical(self, synthetic_model, synthetic_dataset):
+    @pytest.mark.parametrize("name", ["synthetic", "socio"])
+    def test_restart_fanout_bit_identical(self, synthetic_dataset, socio_dataset, name):
+        """Synthetic (d = 2) takes the circle route, in the caller; socio
+        (d = 5) ascends its starts in two chunks, every ascent stalling."""
+        dataset = synthetic_dataset if name == "synthetic" else socio_dataset
+        model = BackgroundModel.from_targets(dataset.targets)
         indices = np.arange(40)
         serial = find_spread_direction(
-            synthetic_model,
+            model,
             indices,
-            synthetic_dataset.targets,
+            dataset.targets,
             seed=7,
             executor=SerialExecutor(),
         )
         parallel = find_spread_direction(
-            synthetic_model,
+            model,
             indices,
-            synthetic_dataset.targets,
+            dataset.targets,
             seed=7,
             executor=ProcessExecutor(2),
         )
+        assert serial.route == parallel.route == ("circle" if name == "synthetic" else "ascent")
         assert np.array_equal(serial.direction, parallel.direction)
         assert serial.ic == parallel.ic
         assert serial.variance == parallel.variance
@@ -87,12 +93,18 @@ class TestSpreadSearchEquivalence:
         assert serial.n_iterations == parallel.n_iterations
 
 
-    @pytest.mark.parametrize("name", ["synthetic", "mammals"])
-    def test_uneven_chunks_bit_identical(self, synthetic_dataset, mammals_dataset, name):
-        """Three workers ascend the ten starts in chunks of 4, 3 and 3; on
-        mammals' first location subgroup every ascent hits its cap."""
+    @pytest.mark.parametrize("name", ["synthetic", "socio", "mammals"])
+    def test_uneven_chunks_bit_identical(
+        self, synthetic_dataset, socio_dataset, mammals_dataset, name
+    ):
+        """Three workers ascend the ten starts in chunks of 4, 3 and 3: on
+        socio (d = 5) every ascent stalls, and on mammals' first location
+        subgroup every ascent hits its cap. Synthetic (d = 2) takes the
+        circle route, in the caller, whatever the executor."""
         if name == "synthetic":
             dataset, rows, seed = synthetic_dataset, np.arange(40), 7
+        elif name == "socio":
+            dataset, rows, seed = socio_dataset, np.arange(40), 7
         else:
             dataset, seed = mammals_dataset, 0
             rows = np.flatnonzero(dataset.column("tmp_mar").values <= -1.73595)
@@ -109,14 +121,19 @@ class TestSpreadSearchEquivalence:
             serial.n_iterations,
             serial.n_capped,
         )
+        assert serial.route == ("circle" if name == "synthetic" else "ascent")
+        if name == "socio":
+            assert serial.n_iterations > 0 and serial.n_capped == 0
         if name == "mammals":
             assert serial.n_capped == 10
 
 
 class TestFullLoopEquivalence:
-    def test_iterative_mining_identical(self):
-        """Two full location+spread iterations, serial vs process pool."""
-        dataset = make_synthetic(0)
+    @pytest.mark.parametrize("make", [make_synthetic, make_socio], ids=["synthetic", "socio"])
+    def test_iterative_mining_identical(self, make):
+        """Two full location+spread iterations, serial vs process pool:
+        synthetic's spread steps take the circle route, socio's ascend."""
+        dataset = make(0)
         serial = SubgroupDiscovery(
             dataset, config=CONFIG, seed=0, executor=SerialExecutor()
         )
@@ -147,31 +164,39 @@ class TestSharedMemoryEquivalence:
             ).search_locations()
         assert_search_results_identical(serial, shared)
 
-    def test_spread_bit_identical(self, synthetic_model, synthetic_dataset):
+    @pytest.mark.parametrize("name", ["synthetic", "socio"])
+    def test_spread_bit_identical(self, synthetic_dataset, socio_dataset, name):
+        """Synthetic (d = 2) takes the circle route, in the caller; socio
+        (d = 5) ascends its starts in two chunks on the warm pool."""
+        dataset = synthetic_dataset if name == "synthetic" else socio_dataset
+        model = BackgroundModel.from_targets(dataset.targets)
         indices = np.arange(40)
         serial = find_spread_direction(
-            synthetic_model,
+            model,
             indices,
-            synthetic_dataset.targets,
+            dataset.targets,
             seed=7,
             executor=SerialExecutor(),
         )
         with ProcessExecutor(2) as executor:
             shared = find_spread_direction(
-                synthetic_model,
+                model,
                 indices,
-                synthetic_dataset.targets,
+                dataset.targets,
                 seed=7,
                 executor=executor,
             )
-        assert np.array_equal(serial.direction, shared.direction)
+        assert serial.route == shared.route == ("circle" if name == "synthetic" else "ascent")
+        assert serial.direction.tobytes() == shared.direction.tobytes()
         assert serial.ic == shared.ic
         assert serial.variance == shared.variance
         assert serial.n_iterations == shared.n_iterations
 
-    def test_full_loop_reuses_warm_pool_bit_identically(self):
-        """Two location+spread iterations over one persistent pool."""
-        dataset = make_synthetic(0)
+    @pytest.mark.parametrize("make", [make_synthetic, make_socio], ids=["synthetic", "socio"])
+    def test_full_loop_reuses_warm_pool_bit_identically(self, make):
+        """Two location+spread iterations over one persistent pool:
+        synthetic's spread steps take the circle route, socio's ascend."""
+        dataset = make(0)
         serial = SubgroupDiscovery(
             dataset, config=CONFIG, seed=0, executor=SerialExecutor()
         )
@@ -194,19 +219,19 @@ PARALLEL_BACKENDS = {
     "spawn": dict(start_method="spawn"),
 }
 
-#: Small-but-real searches on both acceptance datasets.
+#: Small-but-real searches on both acceptance datasets, and on socio,
+#: whose spread search ascends (synthetic's d = 2 takes the circle route).
 _DATASET_CONFIGS = {
     "synthetic": SearchConfig(beam_width=6, max_depth=2, top_k=15),
+    "socio": SearchConfig(beam_width=4, max_depth=1, top_k=10),
     "mammals": SearchConfig(beam_width=4, max_depth=1, top_k=10),
 }
 
 
 def _load_equivalence_dataset(name):
-    if name == "synthetic":
-        return make_synthetic(0)
     from repro.datasets import load_dataset
 
-    return load_dataset("mammals", seed=0)
+    return load_dataset(name, seed=0)
 
 
 _SERIAL_REFERENCES: dict = {}
@@ -238,8 +263,9 @@ def _serial_reference(name):
 
 class TestCrossStartMethodDeterminism:
     """Serial and the warm shared-memory pool under fork and spawn all
-    mine bit-identical beam and spread results on the synthetic and
-    mammals datasets."""
+    mine bit-identical beam and spread results on the synthetic, socio
+    and mammals datasets; the spread search ascends on socio and
+    mammals."""
 
     @pytest.mark.parametrize("dataset_name", sorted(_DATASET_CONFIGS))
     @pytest.mark.parametrize("backend", sorted(PARALLEL_BACKENDS))

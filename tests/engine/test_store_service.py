@@ -11,6 +11,7 @@ The durable-service contract under test:
 - equal-priority submissions dispatch in arrival order.
 """
 
+import json
 import time
 
 import pytest
@@ -18,6 +19,7 @@ import pytest
 from repro.engine.service import JobStatus, MiningService
 from repro.errors import EngineError
 from repro.events import SCHEDULER_EVENT_KINDS, MiningObserver
+from repro.obs.instruments import METRICS, STORE_RECORDS, STORE_RECORDS_SKIPPED
 from repro.persist import job_result_to_dict
 from repro.spec import MiningSpec
 from repro.store import JobStore
@@ -27,6 +29,11 @@ FAST = dict(beam_width=6, max_depth=2, top_k=10)
 
 def _job(seed=0, config=FAST, **kwargs):
     return MiningSpec.build("synthetic", seed=seed, **config, **kwargs)
+
+
+def _set_aside(root):
+    """The ids of the record files under ``records/unreadable/``."""
+    return sorted(path.stem for path in (root / "records" / "unreadable").glob("*.json"))
 
 
 class _ScheduleLog(MiningObserver):
@@ -109,8 +116,8 @@ class TestRestartRecovery:
 
     def test_a_record_that_no_longer_decodes_keeps_its_id(self, tmp_path):
         """A stored spec the spec rules now refuse (sparsity 3 was accepted
-        once) is skipped on restart; its id is not handed to a new job, so
-        its file is not overwritten."""
+        once) is skipped on restart; its id is not handed to a new job, and
+        its file is kept under ``records/unreadable/``."""
         with MiningService(backend="serial", store=tmp_path) as service:
             kept = service.submit(_job(seed=1))
             refused = service.submit(_job(seed=2))
@@ -124,7 +131,57 @@ class TestRestartRecovery:
                 service.status(refused)
             assert service.submit(_job(seed=3)) not in (kept, refused)
         with JobStore(tmp_path) as store:
-            assert store.get(refused)["job"]["sparsity"] == 3
+            assert store.get(refused) is None
+        assert _set_aside(tmp_path) == [refused]
+        moved = json.loads((tmp_path / "records" / "unreadable" / f"{refused}.json").read_text())
+        assert moved["job"]["sparsity"] == 3
+
+    def test_an_unreadable_record_is_set_aside_once_and_its_id_stays_reserved(
+        self, tmp_path
+    ):
+        """Reopened twice: the first restart counts the record that no
+        longer decodes (a spec, or a done result) and moves it into
+        ``records/unreadable/``; the second neither reads nor counts it,
+        and still gives neither id to a new job."""
+        with MiningService(backend="serial", store=tmp_path) as service:
+            kept = service.submit(_job(seed=1))
+            bad_spec = service.submit(_job(seed=2))
+            bad_result = service.submit(_job(seed=3))
+        with JobStore(tmp_path) as store:
+            record = store.get(bad_spec)
+            store.put(dict(record, job=dict(record["job"], sparsity=3)))
+            record = store.get(bad_result)
+            store.put(dict(record, result={"not": "a result"}))
+
+        issued = []
+        for restart, skipped in ((1, 2), (2, 0)):
+            before = STORE_RECORDS_SKIPPED.value
+            with MiningService(backend="serial", store=tmp_path) as service:
+                assert STORE_RECORDS_SKIPPED.value - before == skipped, restart
+                assert service.status(kept) == JobStatus.DONE
+                for job_id in (bad_spec, bad_result):
+                    with pytest.raises(EngineError, match="unknown job id"):
+                        service.status(job_id)
+                METRICS.render()  # refreshes the store gauge
+                assert STORE_RECORDS.value == restart  # kept, and the jobs issued
+                issued.append(service.submit(_job(seed=3 + restart)))
+            with JobStore(tmp_path) as store:
+                assert len(store) == 1 + restart
+            assert _set_aside(tmp_path) == sorted([bad_spec, bad_result])
+        assert issued == ["job-0004", "job-0005"]
+
+    def test_a_record_file_that_is_not_json_keeps_its_id(self, tmp_path):
+        """A record file that no longer parses still reserves the id in its
+        name: a restart does not hand that id out and overwrite it."""
+        with MiningService(backend="serial", store=tmp_path) as service:
+            kept = service.submit(_job(seed=1))
+            broken = service.submit(_job(seed=2))
+        path = tmp_path / "records" / f"{broken}.json"
+        path.write_text("{not json")
+        with MiningService(backend="serial", store=tmp_path) as service:
+            assert service.status(kept) == JobStatus.DONE
+            assert service.submit(_job(seed=3)) == "job-0003"
+        assert path.read_text() == "{not json"
 
     def test_interrupted_jobs_reenqueue_in_submit_order(self, tmp_path):
         import threading

@@ -14,6 +14,16 @@ own:
   ``BeliefCache.step_key`` of each step of a 3-step spread session.
 - ``fixtures/belief_spill/``: the store those two jobs spilled to.
 
+Synthetic has two targets, and since its spread search scans the circle
+of directions instead of running the gradient ascent, the spread job's
+fresh-mine documents, its second belief key and the session's last two
+step keys were re-pinned (its spread ICs moved by at most 1.2e-14
+relative; step 1's key does not depend on the search). The ab1571b
+spread documents and keys stay, under ``legacy_spill``, as what the
+committed spill must decode to: a mine against it replays every step,
+since step 1's key is unchanged and the replayed step 1 leads to the
+legacy step 2.
+
 Documents are compared as strings and records field for field with
 exact floats: one byte that moves fails here.
 """
@@ -35,6 +45,8 @@ from repro.store import BeliefStore
 
 FIXTURES = Path(__file__).parent / "fixtures"
 DOCUMENTS = json.loads((FIXTURES / "mined_documents.json").read_text())
+#: What the committed spill decodes to: the ab1571b documents.
+LEGACY = dict(DOCUMENTS, **DOCUMENTS["legacy_spill"])
 
 
 def _spec(dataset: str, kind: str, n_iterations: int = 2) -> MiningSpec:
@@ -112,7 +124,7 @@ def mined(mining):
 def spilled(tmp_path_factory):
     """Each spec's iterations as decoded from the committed spill."""
     store = BeliefStore(_spill_copy(tmp_path_factory.mktemp("legacy")))
-    steps = [store.get(key) for key in DOCUMENTS["spill_keys"]]
+    steps = [store.get(key) for key in LEGACY["spill_keys"]]
     return {
         "location": tuple(step.iteration for step in steps[:2]),
         "spread": tuple(step.iteration for step in steps[2:]),
@@ -121,21 +133,25 @@ def spilled(tmp_path_factory):
 
 @pytest.fixture(params=["mined", "spilled"])
 def iterations(request):
-    return request.getfixturevalue(request.param)
+    """The iterations, and the documents pinned for them."""
+    pinned = DOCUMENTS if request.param == "mined" else LEGACY
+    return request.getfixturevalue(request.param), pinned
 
 
 class TestPinnedDocuments:
     @pytest.mark.parametrize("name", sorted(SPECS))
     def test_job_result_document(self, iterations, name):
-        assert _result_json(SPECS[name], iterations[name]) == DOCUMENTS[name]["job_result"]
+        iterations, pinned = iterations
+        assert _result_json(SPECS[name], iterations[name]) == pinned[name]["job_result"]
 
     @pytest.mark.parametrize("name", sorted(SPECS))
     def test_iteration_wire_documents(self, iterations, name):
+        iterations, pinned = iterations
         documents = [
             json.dumps(iteration_to_wire(iteration), allow_nan=False)
             for iteration in iterations[name]
         ]
-        assert documents == DOCUMENTS[name]["iterations"]
+        assert documents == pinned[name]["iterations"]
 
 
 class TestBeliefKeys:
@@ -151,11 +167,20 @@ class TestBeliefKeys:
 
 class TestLegacySpill:
     def test_entries_decode_to_a_fresh_mine(self, mining, tmp_path):
+        """The location job's entries are the fresh mine's, field for
+        field. The spread job's were mined by the gradient ascent: their
+        iterations decode to the legacy documents (above), and their
+        location constraints and RNG states are the fresh mine's, since
+        the location search and the drawn starts did not change."""
         _, cache = mining
         store = BeliefStore(_spill_copy(tmp_path))
-        assert store.keys() == sorted(DOCUMENTS["spill_keys"])
-        for key in DOCUMENTS["spill_keys"]:
+        assert store.keys() == sorted(LEGACY["spill_keys"])
+        for key in LEGACY["spill_keys"][:2]:
             _assert_same(store.get(key), cache.get(key))
+        for legacy, fresh in zip(LEGACY["spill_keys"][2:], DOCUMENTS["spill_keys"][2:]):
+            entry, mined = store.get(legacy), cache.get(fresh)
+            _assert_same(entry.constraints[0], mined.constraints[0])
+            _assert_same(entry.rng_state, mined.rng_state)
         assert store.stats.errors == 0
 
     def test_mining_against_it_replays_every_step(self, tmp_path):
@@ -163,7 +188,7 @@ class TestLegacySpill:
         cache = BeliefCache(spill=store)
         for name, spec in SPECS.items():
             replayed = run_job(spec, belief_cache=cache)
-            assert _result_json(spec, replayed.iterations) == DOCUMENTS[name]["job_result"]
+            assert _result_json(spec, replayed.iterations) == LEGACY[name]["job_result"]
         assert (store.stats.hits, store.stats.misses, store.stats.stores) == (4, 0, 0)
 
 

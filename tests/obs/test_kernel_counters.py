@@ -5,9 +5,10 @@ scored: one per distinct (parent extension, added condition) pair, so
 as many as the location candidates when no two parents share an
 extension, as in the runs below, and fewer when some do.
 ``sisd_linalg_fallbacks_total{kind}`` counts every numerical fallback
-taken on singular input, ``sisd_spread_ascents_total{end}`` says how
+taken on singular input, ``sisd_spread_searches_total{route}`` which
+route each spread search took, ``sisd_spread_ascents_total{end}`` how
 each spread-search ascent ended, ``sisd_spread_rows_total{kind}`` and
-``sisd_spread_rounds_total`` what the ascents evaluated, and
+``sisd_spread_rounds_total`` what the searches evaluated, and
 ``sisd_spread_clamped_total`` how many searches mined a direction whose
 IC reads the floor, so these questions are answerable from ``/metrics``
 alone.
@@ -18,6 +19,7 @@ import pytest
 
 from repro.datasets import make_mammals, make_socio, make_synthetic, make_water
 from repro.engine.executor import ProcessExecutor, SerialExecutor
+from repro.model.background import BackgroundModel
 from repro.model.gaussian import mvn_logpdf
 from repro.obs.instruments import (
     BEAM_CANDIDATES,
@@ -32,6 +34,7 @@ from repro.obs.instruments import (
     SPREAD_CLAMPED,
     SPREAD_ROUNDS,
     SPREAD_ROW_KINDS,
+    SPREAD_SEARCH_ROUTES,
 )
 from repro.search import miner as miner_module
 from repro.search import spread as spread_module
@@ -66,8 +69,20 @@ def _mechanism():
     }
 
 
+def _routes():
+    return {route: child.value for route, child in SPREAD_SEARCH_ROUTES.items()}
+
+
 def _delta(before, after):
     return {key: after[key] - before[key] for key in before}
+
+
+@pytest.fixture(scope="module")
+def socio_search():
+    """A d = 5 spread search that takes the ascent route: socio's model,
+    its first 40 rows, seed 7."""
+    dataset = make_socio(0)
+    return BackgroundModel.from_targets(dataset.targets), np.arange(40), dataset.targets
 
 
 @pytest.fixture()
@@ -164,36 +179,95 @@ class TestSpreadAscentCounter:
     """How the spread search's ascents end, at seed 0 and paper settings.
 
     On mammals (d = 124) the capped ascent stops at its 300-iteration cap
-    from 19 of the 20 starts of a 2-step job; on synthetic (d = 2) every
-    ascent of a 3-step job ends in a failed line search.
+    from 19 of the 20 starts of a 2-step job; on socio (d = 5) every
+    ascent of a 2-step job ends in a failed line search. Synthetic (d = 2)
+    takes the circle route and runs no ascent.
     """
 
     @pytest.mark.parametrize(
         ("make", "steps", "ends"),
         [
             (make_mammals, 2, {"converged": 0, "stalled": 1, "capped": 19}),
-            (make_synthetic, 3, {"converged": 0, "stalled": 30, "capped": 0}),
+            (make_socio, 2, {"converged": 0, "stalled": 20, "capped": 0}),
         ],
-        ids=["mammals", "synthetic"],
+        ids=["mammals", "socio"],
     )
     def test_ends_at_paper_settings(self, outcomes, make, steps, ends):
         before = _ends()
         SubgroupDiscovery(make(0), config=SearchConfig(), seed=0).run(steps, kind="spread")
         assert _delta(before, _ends()) == ends
         assert [outcome.n_starts for outcome in outcomes] == [10] * steps
+        assert [outcome.route for outcome in outcomes] == ["ascent"] * steps
         assert sum(outcome.n_capped for outcome in outcomes) == ends["capped"]
 
-    def test_ascents_in_process_workers_count_in_the_caller(self, synthetic_model):
-        targets = make_synthetic(0).targets
+    def test_synthetic_takes_the_circle_route(self, outcomes, monkeypatch):
+        """Every row the circle route evaluates, batched or one at a time,
+        is counted as a value row; it counts no ascent, gradient row or
+        round."""
+        rows = [0]
+        evaluate = SpreadObjective._evaluate
+
+        def counting(self, W):
+            rows[0] += len(W)
+            return evaluate(self, W)
+
+        monkeypatch.setattr(SpreadObjective, "_evaluate", counting)
+        before = (_ends(), _mechanism(), _routes())
+        SubgroupDiscovery(make_synthetic(0), config=SearchConfig(), seed=0).run(3, kind="spread")
+        ends, mechanism, routes = (
+            _delta(*pair) for pair in zip(before, (_ends(), _mechanism(), _routes()))
+        )
+        assert [outcome.route for outcome in outcomes] == ["circle"] * 3
+        assert [(o.n_starts, o.n_iterations, o.n_capped) for o in outcomes] == [(10, 0, 0)] * 3
+        assert routes == {"line": 0, "circle": 3, "pairs": 0, "ascent": 0}
+        assert ends == {"converged": 0, "stalled": 0, "capped": 0}
+        # 64 grid angles and 10 starts per search, then the Brent calls.
+        assert rows[0] > 3 * 74
+        assert mechanism == {"value": rows[0], "gradient": 0, "rounds": 0}
+
+    @pytest.mark.parametrize(
+        "name, sparsity, route, grid_rows",
+        [("crime", None, "line", 1), ("socio", 2, "pairs", 64 * 10)],
+    )
+    def test_line_and_pair_searches_count_their_rows(
+        self, crime_dataset, socio_dataset, monkeypatch, name, sparsity, route, grid_rows
+    ):
+        """The one-dimensional search counts its one row, and the 2-sparse
+        search its grid rows (64 angles on each of socio's 10 pairs) and
+        Brent calls, as value rows; neither counts an ascent or a round."""
+        dataset = crime_dataset if name == "crime" else socio_dataset
+        rows = [0]
+        evaluate = SpreadObjective._evaluate
+
+        def counting(self, W):
+            rows[0] += len(W)
+            return evaluate(self, W)
+
+        monkeypatch.setattr(SpreadObjective, "_evaluate", counting)
+        model = BackgroundModel.from_targets(dataset.targets)
+        before = (_ends(), _mechanism(), _routes())
+        outcome = find_spread_direction(
+            model, np.arange(40), dataset.targets, seed=7, sparsity=sparsity
+        )
+        ends, mechanism, routes = (
+            _delta(*pair) for pair in zip(before, (_ends(), _mechanism(), _routes()))
+        )
+        assert outcome.route == route
+        assert routes == {key: int(key == route) for key in routes}
+        assert ends == {"converged": 0, "stalled": 0, "capped": 0}
+        assert rows[0] >= grid_rows
+        assert mechanism == {"value": rows[0], "gradient": 0, "rounds": 0}
+
+    def test_ascents_in_process_workers_count_in_the_caller(self, socio_search):
+        model, rows, targets = socio_search
         deltas = []
         for executor in (SerialExecutor(), ProcessExecutor(2)):
             before = _ends()
             try:
-                outcome = find_spread_direction(
-                    synthetic_model, np.arange(40), targets, seed=7, executor=executor
-                )
+                outcome = find_spread_direction(model, rows, targets, seed=7, executor=executor)
             finally:
                 executor.close()
+            assert outcome.route == "ascent"
             deltas.append((_delta(before, _ends()), outcome.n_capped))
         assert deltas[0] == deltas[1]
         assert sum(deltas[0][0].values()) == 10
@@ -217,10 +291,10 @@ class TestSpreadMechanismCounters:
     @pytest.mark.parametrize(
         "make_executor", [SerialExecutor, lambda: ProcessExecutor(2)], ids=["serial", "process"]
     )
-    def test_a_synthetic_search_counts_what_the_reference_derives(
-        self, monkeypatch, synthetic_model, make_executor
+    def test_an_ascent_search_counts_what_the_reference_derives(
+        self, monkeypatch, socio_search, make_executor
     ):
-        targets = make_synthetic(0).targets
+        model, rows, targets = socio_search
         chunks = []
         split = spread_module._chunks
 
@@ -232,12 +306,12 @@ class TestSpreadMechanismCounters:
         executor = make_executor()
         before = _mechanism()
         try:
-            find_spread_direction(synthetic_model, np.arange(40), targets, seed=7, executor=executor)
+            find_spread_direction(model, rows, targets, seed=7, executor=executor)
         finally:
             executor.close()
         delta = _delta(before, _mechanism())
 
-        objective = SpreadObjective(synthetic_model, np.arange(40), targets)
+        objective = SpreadObjective(model, rows, targets)
         blocks = (objective.counts, objective.block_covs, objective.empirical_cov)
         expected = {"value": 0, "gradient": 0, "rounds": 0}
         assert len(chunks) == executor.parallelism
@@ -260,6 +334,8 @@ class TestSpreadMechanismCounters:
         text = METRICS.render()
         for kind in ("value", "gradient"):
             assert f'sisd_spread_rows_total{{kind="{kind}"}}' in text
+        for route in ("line", "circle", "pairs", "ascent"):
+            assert f'sisd_spread_searches_total{{route="{route}"}}' in text
         assert "sisd_spread_rounds_total" in text
         assert "sisd_spread_clamped_total" in text
 
