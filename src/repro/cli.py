@@ -188,7 +188,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--workers", type=int, default=2,
-        help="concurrently running jobs (the service's worker slots)",
+        help="jobs running at once (the service's worker slots); on the "
+        "thread backend they take turns at mining, one step at a time",
     )
     serve.add_argument(
         "--backend", choices=("thread", "process", "serial"), default="thread",

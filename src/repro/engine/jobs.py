@@ -8,7 +8,9 @@ module is the one place a spec becomes a dataset
 (:func:`load_spec_dataset`), an executor (:func:`job_executor`), a miner
 (:func:`build_miner`) and a sequence of iterations (:func:`iterate_job`),
 and every entry point — Workspace, service, server, CLI — runs
-specs through it, so one spec mines the same patterns everywhere.
+specs through it, so one spec mines the same patterns everywhere. A
+service whose jobs mine in its own threads makes them take turns one
+step at a time through a :class:`MiningTurn`.
 :func:`run_job` is :func:`iterate_job` collected and timed;
 :func:`run_jobs` fans a batch of specs out over an
 :class:`~repro.engine.executor.Executor` and returns results in
@@ -19,6 +21,8 @@ submission order, which makes parameter sweeps and per-target fan-outs
 from __future__ import annotations
 
 import contextlib
+import threading
+from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -30,7 +34,8 @@ from repro.engine.executor import Executor, SerialExecutor, resolve_executor
 from repro.errors import EngineError, SearchError
 from repro.events import MiningObserver
 from repro.obs import clock
-from repro.obs.trace import TraceContext, activate
+from repro.obs.instruments import MINING_TURN_WAIT
+from repro.obs.trace import TRACER, TraceContext, activate, current
 from repro.search.miner import SubgroupDiscovery
 from repro.search.results import LocationPatternResult, MiningIteration
 from repro.spec import MiningSpec
@@ -67,6 +72,49 @@ class JobFailure:
     def format(self) -> str:
         """Human-readable one-line failure report."""
         return f"[{self.job.label}] FAILED: {self.error}"
+
+
+class MiningTurn:
+    """One service's turn at mining, taken in arrival order.
+
+    The jobs a service mines in its own threads share one GIL, so two of
+    them mining at once each run slower than one alone. With a turn they
+    mine one at a time instead: ``with turn:`` waits behind every earlier
+    waiter, and leaving the block hands the turn to the longest waiter.
+    :func:`iterate_job` holds it for one step at a time, so a job waits
+    at most one step of each job ahead of it. Each turn taken is observed
+    in ``sisd_mining_turn_wait_seconds``, and a wait as a ``turn.wait``
+    span on the current trace.
+    """
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._held = False
+        self._waiters: deque[threading.Event] = deque()
+
+    def __enter__(self) -> "MiningTurn":
+        with self._lock:
+            waiter = None
+            if self._held:
+                waiter = threading.Event()
+                self._waiters.append(waiter)
+            self._held = True
+        if waiter is None:
+            MINING_TURN_WAIT.observe(0.0)
+            return self
+        started = clock.perf_counter()
+        waiter.wait()  # set by a leaving holder, which hands the turn over
+        ended = clock.perf_counter()
+        MINING_TURN_WAIT.observe(ended - started)
+        TRACER.record("turn.wait", started, ended, current())
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        with self._lock:
+            if self._waiters:
+                self._waiters.popleft().set()
+            else:
+                self._held = False
 
 
 def load_spec_dataset(spec: MiningSpec) -> Dataset:
@@ -218,6 +266,7 @@ def iterate_job(
     executor: Executor | None = None,
     observer: MiningObserver | None = None,
     belief_cache: BeliefCache | None = None,
+    turn: MiningTurn | None = None,
 ) -> Iterator[MiningIteration]:
     """Mine one job, yielding each iteration the moment it is mined.
 
@@ -230,25 +279,47 @@ def iterate_job(
     :class:`~repro.engine.cache.BeliefCache`). The single-shot
     strategies are sequential, have no belief state, ignore both, and
     yield one iteration.
+
+    ``turn`` is the :class:`MiningTurn` of a service whose jobs mine in
+    its own threads. The job takes it before it builds its miner and
+    holds it through each step (observer callbacks included); between
+    steps it queues behind any job waiting for it, and it lets go after
+    the last step, on an error, or when the generator is closed. A beam
+    job whose executor is not serial mines in other processes and skips
+    the turn; a single-shot strategy holds it for its one iteration.
     """
     search = job.search
+    held = turn if turn is not None else contextlib.nullcontext()
     if search.strategy != "beam":
-        iteration = _single_shot_iteration(job, load_spec_dataset(job))
-        if observer is not None:
-            observer.on_iteration(iteration)
+        with held:
+            iteration = _single_shot_iteration(job, load_spec_dataset(job))
+            if observer is not None:
+                observer.on_iteration(iteration)
         yield iteration
         return
-    miner = build_miner(
-        job, executor=executor, observer=observer, belief_cache=belief_cache
-    )
+    owned = executor is None
+    if owned:
+        executor = job_executor(job)
+    if not isinstance(executor, SerialExecutor):
+        held = contextlib.nullcontext()
+    miner = None
     try:
         for _ in range(search.n_iterations):
-            yield miner.step(kind=search.kind, sparsity=search.sparsity)
+            with held:
+                if miner is None:
+                    miner = build_miner(
+                        job,
+                        executor=executor,
+                        observer=observer,
+                        belief_cache=belief_cache,
+                    )
+                iteration = miner.step(kind=search.kind, sparsity=search.sparsity)
+            yield iteration
     finally:
-        if executor is None:
+        if owned:
             # A parallel executor holds a warm worker pool; release it
             # now, not at garbage collection.
-            miner.executor.close()
+            executor.close()
 
 
 def run_job(
@@ -257,6 +328,7 @@ def run_job(
     executor: Executor | None = None,
     observer: MiningObserver | None = None,
     belief_cache: BeliefCache | None = None,
+    turn: MiningTurn | None = None,
 ) -> JobResult:
     """:func:`iterate_job` (same parameters), collected and timed."""
     started = clock.perf_counter()
@@ -266,6 +338,7 @@ def run_job(
             executor=executor,
             observer=observer,
             belief_cache=belief_cache,
+            turn=turn,
         )
     )
     return JobResult(job, iterations, clock.perf_counter() - started)
@@ -284,6 +357,7 @@ def run_job_with_workers(
     belief_handle=None,
     trace=None,
     dist_workers=None,
+    turn: MiningTurn | None = None,
 ) -> JobResult:
     """:func:`run_job` the way every service backend runs a job.
 
@@ -303,6 +377,8 @@ def run_job_with_workers(
     ``dist_workers`` (worker-daemon URLs) routes the run through a
     :class:`~repro.dist.DistExecutor` instead of the spec's local
     executor, so the job's trace extends across the remote shards.
+    ``turn`` is the thread backend's :class:`MiningTurn`, which a job
+    on a serial executor takes step by step (see :func:`iterate_job`).
     """
     if belief_cache is None and belief_handle is not None:
         belief_cache = belief_handle.resolve()
@@ -316,6 +392,7 @@ def run_job_with_workers(
                 executor=executor,
                 belief_cache=belief_cache,
                 observer=observer,
+                turn=turn,
             )
     finally:
         executor.close()

@@ -34,19 +34,25 @@ queue and schedules it deterministically:
   a :class:`~repro.events.SchedulerEvent` through the service's
   observers (``on_schedule``), and each submission may attach its own
   per-job observer that hears that job's events only (the substrate of
-  the :mod:`repro.server` streaming endpoints).
+  the :mod:`repro.server` streaming endpoints). Events and store writes
+  leave the service in the order they were decided.
+- **One mining turn.** On the thread backend the dispatched jobs share
+  one GIL, so they take turns at mining, one step at a time, through
+  the service's :class:`~repro.engine.jobs.MiningTurn`.
 """
 
 from __future__ import annotations
 
+import contextlib
 import heapq
 import itertools
 import threading
+from collections import deque
 from concurrent.futures import CancelledError, Future
 from concurrent.futures import TimeoutError as FuturesTimeoutError
 from enum import Enum
 from functools import partial
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from repro.engine.cache import BeliefCache, LRUCache, resolve_belief_cache
 
@@ -56,7 +62,7 @@ from repro.engine.cache import BeliefCache, LRUCache, resolve_belief_cache
 from repro.engine.executor import BACKENDS, resolve_pool
 
 __all__ = ["BACKENDS", "JobStatus", "MiningService"]
-from repro.engine.jobs import JobResult, run_job_with_workers
+from repro.engine.jobs import JobResult, MiningTurn, run_job_with_workers
 from repro.errors import DeadlineExpired, EngineError
 from repro.events import MiningObserver, SchedulerEvent, broadcast, guarded
 from repro.obs import clock
@@ -181,8 +187,6 @@ class _Record:
         "trace",
         "trace_enqueued",
         "persisted",
-        "unwritten",
-        "write_lock",
     )
 
     def __init__(
@@ -223,12 +227,8 @@ class _Record:
         #: and the perf-counter stamp the "schedule" span starts from.
         self.trace = None
         self.trace_enqueued = clock.perf_counter()
-        #: Durable-store bookkeeping: the last state snapshotted, the
-        #: newest store write not yet run, and the lock of the one
-        #: thread at a time writing this record.
+        #: Durable-store bookkeeping: the last state snapshotted.
         self.persisted: str | None = None
-        self.unwritten = None
-        self.write_lock = threading.Lock()
 
     def sort_key(self) -> tuple:
         """Dispatch order: priority ↓, deadline ↑, arrival ↑.
@@ -254,10 +254,16 @@ class MiningService:
     Parameters
     ----------
     max_workers:
-        Upper bound on concurrently running jobs (default 2). Jobs
-        beyond it queue and dispatch in deterministic scheduling order
-        (priority, then deadline, then arrival — the scheduling terms of
-        the spec's :class:`~repro.spec.ExecutorSpec`).
+        Upper bound on jobs running at once (default 2). Jobs beyond it
+        queue and dispatch in deterministic scheduling order (priority,
+        then deadline, then arrival — the scheduling terms of the spec's
+        :class:`~repro.spec.ExecutorSpec`). On the thread backend the
+        running jobs take turns at mining, one step at a time, through
+        the service's :class:`~repro.engine.jobs.MiningTurn`: one GIL
+        runs one miner fastest, and a short job waits at most one step
+        of each job ahead of it. A job whose spec asks for worker
+        processes (``executor.workers > 1``) or that runs on
+        ``dist_workers`` mines elsewhere and skips the turn.
     backend:
         ``"process"`` (default) isolates each job in a worker process —
         right for CPU-bound mining; ``"thread"`` keeps everything
@@ -388,10 +394,15 @@ class MiningService:
             )
         else:
             self._belief_cache = resolve_belief_cache(belief_cache)
-        # Reentrant: a pool future that completes before its done-callback
-        # is attached runs the callback synchronously in the dispatching
-        # thread, which already holds the lock.
+        # Reentrant: _record_of takes it again under a decision.
         self._lock = threading.RLock()
+        # Post actions (scheduler events, store writes, done-callback
+        # attachments) join this FIFO before the scheduler lock drops
+        # and run in order under the emit lock (see _deciding).
+        self._post: deque = deque()
+        self._emit_lock = threading.RLock()
+        # The thread backend's jobs take turns at mining, step by step.
+        self._turn = MiningTurn()
         self._records: dict[str, _Record] = {}
         self._queue: list[tuple[tuple, _Record]] = []
         self._inflight: dict[str, _Record] = {}
@@ -468,7 +479,6 @@ class MiningService:
             raise EngineError(f"expected MiningSpec, got {type(job).__name__}")
         job_id = f"job-{next(self._ids):04d}"
         fp = job.fingerprint()
-        post: list = []
         serial_record: _Record | None = None
         # Root span of this submission's trace: everything downstream —
         # the schedule wait, the engine's phase spans, dist shards —
@@ -477,7 +487,7 @@ class MiningService:
         root = TRACER.start("submit")
         root.tag("job", job.label)
         JOBS_SUBMITTED.inc()
-        with self._lock:
+        with self._deciding() as post:
             record = _Record(
                 job_id,
                 job,
@@ -534,7 +544,6 @@ class MiningService:
                     self._dispatch_locked(post)
             self._persist_later(post, record)
             self._prune_terminal_locked(post)
-        self._run_post(post)
         if serial_record is not None:
             self._run_serial(serial_record)
         root.tag("job_id", job_id)
@@ -558,10 +567,8 @@ class MiningService:
             )
         except Exception as exc:  # surface via result(), like a pool would
             error = exc
-        post: list = []
-        with self._lock:
+        with self._deciding() as post:
             self._settle_locked(record, post, result=result, error=error)
-        self._run_post(post)
 
     def status(self, job_id: str) -> JobStatus:
         """Current lifecycle state of one job.
@@ -570,8 +577,7 @@ class MiningService:
         ``EXPIRED`` on the spot (expiry is otherwise observed when a
         worker slot frees up and the scheduler considers the job).
         """
-        post: list = []
-        with self._lock:
+        with self._deciding() as post:
             record = self._record_of(job_id)
             self._expire_if_due_locked(record, post)
             if record.state == "queued" and record.proxy_of is not None:
@@ -583,7 +589,6 @@ class MiningService:
                 )
             else:
                 status = _STATE_TO_STATUS[record.state]
-        self._run_post(post)
         return status
 
     def result(self, job_id: str, timeout: float | None = None) -> JobResult:
@@ -635,8 +640,7 @@ class MiningService:
         coalesced waiters promotes the oldest waiter into the queue —
         the other clients' work is not discarded with it.
         """
-        post: list = []
-        with self._lock:
+        with self._deciding() as post:
             record = self._record_of(job_id)
             if record.state != "queued":
                 return False
@@ -651,7 +655,6 @@ class MiningService:
                 self._dispatch_locked(post)
             self._emit_later(post, "cancelled", record)
             self._persist_later(post, record)
-        self._run_post(post)
         return True
 
     def job(self, job_id: str) -> MiningSpec:
@@ -744,10 +747,10 @@ class MiningService:
         dispatched and everything runs to completion before the pool
         stops — the behaviour of a plain pool shutdown. ``wait=False``
         cancels everything still queued and stops without waiting for
-        running jobs. Either way the store writes still queued land, and
-        then a durable store is closed; a crash that skips this loses no
-        write that had returned, as each one replaces its record's file
-        whole.
+        running jobs. Either way the store writes already decided land,
+        and then a durable store is closed; a crash that skips this loses
+        no write that had returned, as each one replaces its record's
+        file whole.
         """
         METRICS.remove_collector(self._collect_metrics)
         if self._pool is None:
@@ -769,8 +772,7 @@ class MiningService:
                     except (CancelledError, Exception):
                         pass
         else:
-            post: list = []
-            with self._lock:
+            with self._deciding() as post:
                 for record in list(self._records.values()):
                     if record.state != "queued":
                         continue
@@ -785,7 +787,6 @@ class MiningService:
                     )
                     self._persist_later(post, record)
                 self._queue.clear()
-            self._run_post(post)
         self._pool.shutdown(wait=wait)
         self._close_store()
 
@@ -893,13 +894,11 @@ class MiningService:
         is stored order among equal priorities.
         """
         while True:
-            post: list = []
-            with self._lock:
+            with self._deciding() as post:
                 record = self._pop_ready_locked(post)
                 if record is not None:
                     self._emit_later(post, "dispatched", record)
                     self._persist_later(post, record)
-            self._run_post(post)
             if record is None:
                 return
             self._run_serial(record)
@@ -920,7 +919,9 @@ class MiningService:
                     # so the per-job observers of every waiter known at
                     # dispatch hear candidates/iterations live from the
                     # worker thread; completion then skips their replay
-                    # (waiter.live). They share the belief cache too.
+                    # (waiter.live). They share the belief cache too,
+                    # and take turns at mining (one GIL mines fastest
+                    # alone).
                     live_waiters = [
                         waiter
                         for waiter in [record] + record.proxies
@@ -934,6 +935,7 @@ class MiningService:
                         "observer": broadcast(
                             *(waiter.observer for waiter in live_waiters)
                         ),
+                        "turn": self._turn,
                     }
                 else:
                     # Worker *processes* share neither (no pickling across
@@ -965,14 +967,18 @@ class MiningService:
                 continue
             self._emit_later(post, "dispatched", record)
             self._persist_later(post, record)
-            pool_future.add_done_callback(
-                lambda future, record=record: self._on_task_done(record, future)
+            # Attached after the lock drops: a task already done runs its
+            # callback at once, and that settle must follow this dispatch.
+            post.append(
+                partial(
+                    pool_future.add_done_callback,
+                    partial(self._on_task_done, record),
+                )
             )
 
     def _on_task_done(self, record: _Record, pool_future: Future) -> None:
         """Completion callback of a dispatched pool task."""
-        post: list = []
-        with self._lock:
+        with self._deciding() as post:
             self._running -= 1
             cancelled = pool_future.cancelled()
             error = None if cancelled else pool_future.exception()
@@ -982,7 +988,6 @@ class MiningService:
             self._settle_locked(record, post, result=result, error=error)
             self._prune_terminal_locked(post)
             self._dispatch_locked(post)
-        self._run_post(post)
 
     def _settle_locked(
         self,
@@ -1102,10 +1107,10 @@ class MiningService:
         """Snapshot a record for the store, to write once the lock drops.
 
         The snapshot, the record's state and outcome, is taken here
-        under the lock and becomes the record's newest unwritten write,
-        replacing any older one not yet run; a snapshot of the state
-        already taken is skipped. The write runs off-lock (a no-op
-        storeless) because encoding a done record's result document
+        under the lock; a snapshot of the state already taken is
+        skipped. The write is a post action (none storeless), so a
+        record's writes land in the order its transitions happened. It
+        runs off-lock because encoding a done record's result document
         walks every mined pattern, too much work to hold the scheduler
         for.
         """
@@ -1117,41 +1122,13 @@ class MiningService:
             outcome = record.future.result(timeout=0)
         elif state in ("failed", "expired"):
             outcome = record.future.exception(timeout=0)
-        record.unwritten = partial(self._persist_now, record, state, outcome)
-        post.append(partial(self._write_record, record))
-
-    def _write_record(self, record: _Record, wait: bool = False) -> None:
-        """Run a record's newest unwritten write, one thread at a time.
-
-        A thread that finds another one writing the record leaves the
-        write to it: the writer takes the newest write until none is
-        left. So a record's writes land in the order its transitions
-        happened, and a superseded snapshot is never written. Only
-        ``wait=True`` (at shutdown) waits for the writer: a thread can
-        run its post actions while it holds the scheduler lock (a pool
-        future done before its callback is attached), and the writer
-        takes that lock.
-        """
-        while record.write_lock.acquire(blocking=wait):
-            try:
-                with self._lock:
-                    write, record.unwritten = record.unwritten, None
-                if write is not None:
-                    write()
-            finally:
-                record.write_lock.release()
-            with self._lock:
-                if record.unwritten is None:
-                    return
+        post.append(partial(self._persist_now, record, state, outcome))
 
     def _close_store(self) -> None:
-        """Let the record writes other threads still hold land, then close."""
+        """Let the store writes already decided land, then close."""
         if self._store is None:
             return
-        with self._lock:
-            records = list(self._records.values())
-        for record in records:
-            self._write_record(record, wait=True)
+        self._run_post()
         self._store.close()
 
     def _persist_now(self, record: _Record, state: str, outcome) -> None:
@@ -1229,8 +1206,7 @@ class MiningService:
             self._emit_later(post, "evicted", record)
             del self._records[record.job_id]
             if self._store is not None:
-                record.unwritten = partial(self._store_delete, record.job_id)
-                post.append(partial(self._write_record, record))
+                post.append(partial(self._store_delete, record.job_id))
 
     def _store_delete(self, job_id: str) -> None:
         try:
@@ -1256,19 +1232,24 @@ class MiningService:
         otherwise — the original class cannot be reconstructed from a
         name alone).
 
-        A record whose spec or result no longer decodes is skipped,
-        counted in ``sisd_store_records_skipped_total`` and set aside
-        under ``records/unreadable/``, where it stays. Its id, like
-        every stored one, is never issued again.
+        A record file that is not JSON, or whose spec or result no
+        longer decodes, is skipped, counted in
+        ``sisd_store_records_skipped_total`` and set aside under
+        ``records/unreadable/``, where it stays. Its id, like every
+        stored one, is never issued again.
         """
         from repro import persist  # lazy: persist imports engine.jobs
 
         docs = self._store.records()
         # Every record file's id, decodable or not, set aside or not, so
         # no id is reissued (which would overwrite its file).
-        max_id = max(map(_id_number, self._store.job_ids()), default=0)
-        post: list = []
-        with self._lock:
+        job_ids = self._store.job_ids()
+        max_id = max(map(_id_number, job_ids), default=0)
+        loaded = {str(doc.get("job_id")) for doc in docs}
+        for job_id in job_ids:
+            if job_id in self._store and job_id not in loaded:
+                self._set_aside(job_id)  # a record file that is not JSON
+        with self._deciding() as post:
             for doc in docs:
                 job_id = str(doc.get("job_id"))
                 try:
@@ -1332,7 +1313,6 @@ class MiningService:
                 self._records[job_id] = record
             self._ids = itertools.count(max_id + 1)
             self._dispatch_locked(post)
-        self._run_post(post)
         if self._pool is None:
             self._run_queue_inline()
 
@@ -1349,9 +1329,9 @@ class MiningService:
 
         ``pending`` is sampled now (while the decision is fresh); the
         emission itself runs via :meth:`_run_post` so observers never
-        execute under the scheduler lock on the normal path. Delivery
-        reaches the service-wide observers and the affected record's
-        per-job observer, if any.
+        execute under the scheduler lock. Delivery reaches the
+        service-wide observers and the affected record's per-job
+        observer, if any.
         """
         if self._live_observer is None and record.observer is None:
             return
@@ -1371,7 +1351,33 @@ class MiningService:
 
         post.append(deliver)
 
-    def _run_post(self, post: list) -> None:
-        for action in post:
-            action()
-        post.clear()
+    @contextlib.contextmanager
+    def _deciding(self) -> Iterator[list]:
+        """Hold the scheduler lock for one decision, then run its post actions.
+
+        The block appends to the yielded list what must happen once the
+        lock drops: scheduler events, store writes, done callbacks. The
+        list joins the service-wide FIFO while the lock is still held, so
+        the actions leave the service in the order they were decided,
+        and :meth:`_run_post` then drains the FIFO.
+        """
+        post: list = []
+        with self._lock:
+            yield post
+            self._post.extend(post)
+        if post:
+            self._run_post()
+
+    def _run_post(self) -> None:
+        """Run the FIFO's post actions in order, one draining thread at a time.
+
+        Never called under the scheduler lock, so observers and store
+        writes run outside it. A thread that finds another one draining
+        waits for it, so its own actions have run when this returns. The
+        emit lock is re-entrant: an action that decides again (an
+        observer that submits, a done callback run at attachment) drains
+        the rest of the FIFO itself.
+        """
+        with self._emit_lock:
+            while self._post:
+                self._post.popleft()()

@@ -37,6 +37,7 @@ _DASHBOARD_GAUGES = (
 #: Histogram families worth a latency row: (family, row label).
 _DASHBOARD_HISTOGRAMS = (
     ("sisd_queue_wait_seconds", "queue wait"),
+    ("sisd_mining_turn_wait_seconds", "mining turn wait"),
     ("sisd_beam_phase_seconds", "beam phase"),
     ("sisd_step_phase_seconds", "miner step phase"),
     ("sisd_dist_shard_rtt_seconds", "dist shard RTT"),

@@ -144,6 +144,13 @@ QUEUE_AGED = METRICS.counter(
 QUEUE_WAIT = METRICS.histogram(
     "sisd_queue_wait_seconds", "Submit-to-dispatch latency"
 )
+#: Time a thread-backend job waited for its service's mining turn
+#: (repro.engine.jobs.MiningTurn), once per turn taken: before its first
+#: step and before each later one (0 when the turn was free).
+MINING_TURN_WAIT = METRICS.histogram(
+    "sisd_mining_turn_wait_seconds",
+    "Time a dispatched job waited for the service's mining turn, per turn",
+)
 
 # Result / belief cache hit ratios (collector-refreshed gauges).
 RESULT_CACHE_HITS = METRICS.gauge(
@@ -174,8 +181,9 @@ BELIEF_CACHE_HIT_RATIO = METRICS.gauge(
 STORE_RECORDS = METRICS.gauge(
     "sisd_store_records", "Scheduler records held durably"
 )
-#: Stored records a restart could not decode (spec or result), each set
-#: aside under records/unreadable/ (repro.engine.service).
+#: Stored records a restart could not decode (not JSON, or a spec or
+#: result that no longer decodes), each set aside under
+#: records/unreadable/ (repro.engine.service).
 STORE_RECORDS_SKIPPED = METRICS.counter(
     "sisd_store_records_skipped_total",
     "Stored records a restart could not decode and set aside",

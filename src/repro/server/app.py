@@ -186,6 +186,9 @@ class MiningServer(http.Daemon):
         ``"thread"`` backend streams candidate/iteration events live
         from worker threads; ``"process"`` replays them at completion
         (the engine cannot ship callbacks across processes).
+        ``max_workers`` jobs run at once; on the thread backend they
+        take turns at mining, one step at a time (see
+        :class:`~repro.engine.service.MiningService`).
     observer:
         Optional service-wide observer (e.g. a
         :class:`~repro.report.live.LiveReporter` for server-side logs);

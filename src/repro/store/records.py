@@ -214,7 +214,8 @@ class JobStore:
         return sorted(path.stem for path in paths)
 
     def records(self) -> list[dict[str, Any]]:
-        """Every stored record, ordered by submission sequence number."""
+        """Every stored record that parses, ordered by submission sequence
+        number; :meth:`job_ids` still names a record file that does not."""
         docs = [
             doc for doc in map(_read, self._dir.glob("*.json")) if doc is not None
         ]

@@ -170,25 +170,43 @@ class TestRestartRecovery:
             assert _set_aside(tmp_path) == sorted([bad_spec, bad_result])
         assert issued == ["job-0004", "job-0005"]
 
-    def test_a_record_file_that_is_not_json_keeps_its_id(self, tmp_path):
-        """A record file that no longer parses still reserves the id in its
-        name: a restart does not hand that id out and overwrite it."""
+    def test_a_record_file_that_is_not_json_is_counted_and_set_aside(
+        self, tmp_path
+    ):
+        """A record file that does not parse is counted as skipped and
+        moved, byte for byte, into ``records/unreadable/``; its id stays
+        reserved, and a second restart neither reads nor counts it."""
         with MiningService(backend="serial", store=tmp_path) as service:
-            kept = service.submit(_job(seed=1))
-            broken = service.submit(_job(seed=2))
-        path = tmp_path / "records" / f"{broken}.json"
-        path.write_text("{not json")
-        with MiningService(backend="serial", store=tmp_path) as service:
-            assert service.status(kept) == JobStatus.DONE
-            assert service.submit(_job(seed=3)) == "job-0003"
-        assert path.read_text() == "{not json"
+            kept = [service.submit(_job(seed=seed)) for seed in (1, 2)]
+        path = tmp_path / "records" / "job-0003.json"
+        path.write_bytes(b"{not json")
 
-    def test_interrupted_jobs_reenqueue_in_submit_order(self, tmp_path):
+        before = STORE_RECORDS_SKIPPED.value
+        with MiningService(backend="serial", store=tmp_path) as service:
+            assert STORE_RECORDS_SKIPPED.value - before == 1
+            METRICS.render()  # refreshes the store gauge
+            assert STORE_RECORDS.value == 2
+            assert [service.status(i) for i in kept] == [JobStatus.DONE] * 2
+            assert service.submit(_job(seed=3)) == "job-0004"
+        assert not path.exists()
+        assert _set_aside(tmp_path) == ["job-0003"]
+        moved = tmp_path / "records" / "unreadable" / "job-0003.json"
+        assert moved.read_bytes() == b"{not json"
+
+        before = STORE_RECORDS_SKIPPED.value
+        with MiningService(backend="serial", store=tmp_path) as service:
+            assert STORE_RECORDS_SKIPPED.value == before
+            assert service.submit(_job(seed=4)) == "job-0005"
+        assert moved.read_bytes() == b"{not json"
+
+    @staticmethod
+    def _crash_with_a_running_blocker(tmp_path):
+        """A live service whose store is closed under it (its later
+        persistence attempts are swallowed), leaving the records at their
+        last durable states: the blocker running, three jobs queued behind
+        it. Returns the service, the blocker's id and the queued ids."""
         import threading
 
-        # Simulate a crash: close the *store* under a live service (its
-        # later persistence attempts are swallowed), leaving the records
-        # at their last durable states: running / queued.
         running = threading.Event()
 
         class _Stall(MiningObserver):
@@ -207,7 +225,10 @@ class TestRestartRecovery:
             service.submit(_job(seed=s, name=f"queued-{s}")) for s in (1, 2, 3)
         ]
         service.store.close()  # "crash": nothing after this persists
+        return service, blocker, queued
 
+    def test_interrupted_jobs_reenqueue_in_submit_order(self, tmp_path):
+        service, blocker, queued = self._crash_with_a_running_blocker(tmp_path)
         log = _ScheduleLog()
         recovered = MiningService(
             max_workers=1, backend="thread", store=tmp_path, observer=log
@@ -221,6 +242,51 @@ class TestRestartRecovery:
             names = [e[2] for e in log.kinds("dispatched")]
             assert names == ["blocker", "queued-1", "queued-2", "queued-3"]
             assert {e[0] for e in log.events} <= set(SCHEDULER_EVENT_KINDS)
+        finally:
+            recovered.shutdown()
+            service.shutdown(wait=False)
+
+    def test_recovered_dispatches_leave_in_decision_order(
+        self, tmp_path, monkeypatch
+    ):
+        """The blocker finishes while the restart still delivers its first
+        ``recovered`` event; its ``dispatched`` event still leaves the
+        service before ``queued-1``'s, which was decided after it."""
+        import threading
+
+        from repro.engine import service as service_module
+
+        service, blocker, queued = self._crash_with_a_running_blocker(tmp_path)
+        blocker_ran = threading.Event()
+        run = service_module.run_job_with_workers
+
+        def run_and_signal(job, **kwargs):
+            try:
+                return run(job, **kwargs)
+            finally:
+                if job.label == "blocker":
+                    blocker_ran.set()
+
+        monkeypatch.setattr(service_module, "run_job_with_workers", run_and_signal)
+
+        class _SlowFirstRecovered(_ScheduleLog):
+            def on_schedule(self, event):
+                if event.kind == "recovered" and not self.events:
+                    # The recovered blocker mines (or replays) now; give
+                    # the pool thread time to settle it and dispatch on.
+                    blocker_ran.wait(60)
+                    time.sleep(0.2)
+                super().on_schedule(event)
+
+        log = _SlowFirstRecovered()
+        recovered = MiningService(
+            max_workers=1, backend="thread", store=tmp_path, observer=log
+        )
+        try:
+            statuses = recovered.wait_all(timeout=180)
+            assert [statuses[i] for i in [blocker, *queued]] == [JobStatus.DONE] * 4
+            names = [e[2] for e in log.kinds("dispatched")]
+            assert names == ["blocker", "queued-1", "queued-2", "queued-3"]
         finally:
             recovered.shutdown()
             service.shutdown(wait=False)
@@ -266,33 +332,34 @@ class TestRestartRecovery:
 def _race_store_writes(tmp_path, hold_first):
     """Mine one job while one of its ``running`` store writes is held back.
 
-    The held write waits until the job's terminal event is delivered,
+    The held write waits until the job has mined its last iteration,
     and the job's mining thread waits until a write is held (or the
     submission has returned), so the job ends while that write is in
-    flight. ``hold_first`` holds the first ``running`` write; otherwise
-    only a repeated one is held. Returns the job id and the states in
-    the order their writes landed.
+    flight. (Its terminal event cannot be delivered before the held
+    write lands: the service emits in the order it decided.)
+    ``hold_first`` holds the first ``running`` write; otherwise only a
+    repeated one is held. Returns the job id and the states in the
+    order their writes landed.
     """
     import threading
 
     held = threading.Event()
-    delivered = threading.Event()
+    mined = threading.Event()
     landed = []
 
     class HeldStore(JobStore):
         def put(self, doc):
             if doc["state"] == "running" and (hold_first or "running" in landed):
                 held.set()
-                delivered.wait(10)
+                mined.wait(10)
             super().put(doc)
             landed.append(doc["state"])
 
     class Pause(MiningObserver):
         def on_iteration(self, iteration):
             held.wait(10)
-
-        def on_job(self, result):
-            delivered.set()
+            if iteration.index == 2:
+                mined.set()
 
     with MiningService(
         max_workers=1, backend="thread", store=HeldStore(tmp_path)
