@@ -11,9 +11,13 @@ Measures what the network layer adds on top of the engine:
 - **SSE delivery**: how many stream events arrive while a job mines,
   and the latency from submit to the first live event;
 - **candidate stream**: one paper-settings spread job streamed with
-  its per-candidate events on, beside a local ``Workspace.mine`` of the
-  same spec; the difference, divided by the events the client received,
-  is the wire's cost per event.
+  its candidate summaries on, beside a local ``Workspace.mine`` of the
+  same spec; the difference, divided by the events the client's
+  observer received, is the wire's cost per event. That count is of
+  observer calls — one per candidate summary, iteration, scheduling
+  decision and job — not of wire events: the server sends a step's
+  summaries as a few ``candidates`` events of up to 1,024 each, and
+  ``events_published`` counts those.
 
 Results go to ``BENCH_server.json`` at the repo root (the perf
 trajectory file, like the engine benchmark's). Runs standalone too::
@@ -41,7 +45,7 @@ JSON_PATH = Path(__file__).resolve().parent.parent / "BENCH_server.json"
 N_JOBS = 4
 
 #: The candidate-stream job: the paper's search settings (beam 40, depth
-#: 4, top 150), three spread steps, several hundred candidate events.
+#: 4, top 150), three spread steps, several hundred candidate summaries.
 STREAM_SPEC = MiningSpec.build(
     "synthetic",
     kind="spread",
@@ -60,7 +64,7 @@ def _spec(seed: int) -> MiningSpec:
 
 
 def _stream_candidates(remote: RemoteWorkspace) -> tuple[float, float, int]:
-    """(local seconds, remote seconds, events received) for STREAM_SPEC."""
+    """(local seconds, remote seconds, observer calls) for STREAM_SPEC."""
     local_started = time.perf_counter()
     with Workspace() as workspace:
         local = workspace.mine(STREAM_SPEC)

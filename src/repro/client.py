@@ -526,7 +526,8 @@ class RemoteWorkspace:
         healed from the terminal result document, so the caller always
         sees every iteration exactly once, in order. An optional
         ``observer`` additionally receives every decoded event of this
-        job (candidates and scheduling decisions included); it runs
+        job (scheduling decisions included, and one ``on_candidate``
+        call per candidate summary of a ``candidates`` event); it runs
         :func:`~repro.events.guarded`, so its exceptions never end the
         stream.
 
@@ -659,10 +660,12 @@ def _deliver(observer: MiningObserver, event: wire.RemoteEvent) -> None:
     """Forward one decoded event onto a local (guarded) observer."""
     if event.type == "iteration":
         observer.on_iteration(event.data)
-    elif event.type == "candidate":
-        # The wire form is the render-ready summary dict (see
+    elif event.type == "candidates":
+        # One call per summary, in generation order. The wire form is the
+        # render-ready summary dict (see
         # repro.server.wire.candidate_to_wire), not a ScoredSubgroup.
-        observer.on_candidate(event.data)
+        for summary in event.data:
+            observer.on_candidate(summary)
     elif event.type == "job":
         observer.on_job(event.data)
     elif event.type == "schedule":

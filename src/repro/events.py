@@ -24,10 +24,20 @@ so they *replay* ``on_iteration`` events when a job's result arrives
 
 Observers must not mutate what they are handed — results are shared with
 the mining loop — and should be cheap: ``on_candidate`` fires for every
-scored subgroup (hundreds per beam level). An observer that raises never
-fails a job or ends a stream: the service and
-:meth:`repro.client.RemoteWorkspace.stream` wrap the observers they are
-given with :func:`guarded`.
+scored subgroup. At the paper's search settings (beam 40, depth 4) the
+first step scores 10 / 37 / 64 / 39 candidates on its four beam levels
+on synthetic, 536 / 17,566 / 17,963 / 17,806 on mammals and
+976 / 37,990 / 37,614 / 38,016 on crime. Attaching *any* observer costs
+more than its callbacks: without one, the beam builds a
+:class:`~repro.search.results.ScoredSubgroup` only for each level's
+best ``top_k`` and its next beam; with one, it builds one for every
+scored candidate, even if every hook is a no-op. A two-step crime
+location job took 0.34–0.39 s wall with no observer and 4.2–4.8 s with
+a bare :class:`MiningObserver` (two runs each, one process, 2-vCPU x86
+machine). Attach an observer only when something consumes its events.
+An observer that raises never fails a job or ends a stream: the service
+and :meth:`repro.client.RemoteWorkspace.stream` wrap the observers they
+are given with :func:`guarded`.
 """
 
 from __future__ import annotations

@@ -52,9 +52,16 @@ __all__ = ["MiningServer", "ServerHandle"]
 #: Hard ceiling on one ``?wait=`` long-poll (clients loop to wait longer).
 MAX_RESULT_WAIT = 30.0
 
-#: Most SSE frames joined into one socket write. A candidate frame is
-#: about 270 bytes, so one write stays under about 18 KB.
+#: Most SSE frames joined into one socket write. Most frames are a few
+#: hundred bytes; a full ``candidates`` frame is up to about 220 KB (a
+#: crime or mammals beam level at paper settings).
 _BURST_FRAMES = 64
+
+#: Most candidate summaries one ``candidates`` event carries. Above a
+#: synthetic step's roughly 150, so such a step publishes its candidates
+#: once, after its beam: a publish while the beam runs wakes the event
+#: loop, which then competes with the mining thread for the GIL.
+_CANDIDATE_BATCH = 1024
 
 
 async def _until_eof(reader) -> None:
@@ -116,9 +123,12 @@ class _JobStreamObserver(MiningObserver):
 
     The service assigns the job id *during* submit while events may
     already be firing from worker threads, so events are buffered until
-    :meth:`bind` supplies the id, then flushed in order. All callbacks
-    are thread-safe and non-blocking (hub publishing never waits on
-    subscribers), as the engine's observer contract requires.
+    :meth:`bind` supplies the id, then flushed in order. Candidate
+    summaries collect in a batch that is published as one ``candidates``
+    event when it fills (:data:`_CANDIDATE_BATCH`) or just before the
+    job's next other event, so the job's events keep their order. All
+    callbacks are thread-safe and non-blocking (hub publishing never
+    waits on subscribers), as the engine's observer contract requires.
     """
 
     def __init__(self, hub: EventHub, *, candidates: bool = True) -> None:
@@ -127,6 +137,8 @@ class _JobStreamObserver(MiningObserver):
         self._lock = threading.Lock()
         self._pending: list | None = []
         self._job_id: str | None = None
+        #: Candidate summaries not yet published, in generation order.
+        self._batch: list = []
 
     def bind(self, job_id: str) -> None:
         """Set the job id and flush everything buffered before it.
@@ -143,16 +155,32 @@ class _JobStreamObserver(MiningObserver):
             for build in pending or ():
                 self._hub.publish(build(job_id))
 
+    def _publish(self, build) -> None:
+        """Publish one event, or buffer it until :meth:`bind` (lock held)."""
+        if self._pending is not None:
+            self._pending.append(build)
+            return
+        self._hub.publish(build(self._job_id))
+
+    def _publish_batch(self) -> None:
+        """Publish the collected candidate summaries (lock held)."""
+        batch, self._batch = self._batch, []
+        self._publish(lambda job_id: wire.candidates_event(job_id, batch))
+
     def _emit(self, build) -> None:
         with self._lock:
-            if self._pending is not None:
-                self._pending.append(build)
-                return
-            self._hub.publish(build(self._job_id))
+            if self._batch:
+                self._publish_batch()
+            self._publish(build)
 
     def on_candidate(self, candidate) -> None:
-        if self._candidates:
-            self._emit(lambda job_id: wire.candidate_event(job_id, candidate))
+        if not self._candidates:
+            return
+        summary = wire.candidate_to_wire(candidate)
+        with self._lock:
+            self._batch.append(summary)
+            if len(self._batch) == _CANDIDATE_BATCH:
+                self._publish_batch()
 
     def on_iteration(self, iteration) -> None:
         self._emit(lambda job_id: wire.iteration_event(job_id, iteration))
@@ -194,16 +222,22 @@ class MiningServer(http.Daemon):
         :class:`~repro.report.live.LiveReporter` for server-side logs);
         attached to the service and detached on :meth:`stop`.
     candidate_events:
-        Also stream per-candidate events: one per scored subgroup,
-        hundreds per beam level, most of what a stream carries.
-        Pattern/scheduler events are unaffected. Events travel in
-        bursts (one loop wake-up per burst of publishes, one socket
-        write per up to 64 queued frames), which keeps the cost per
-        candidate small; pass ``False`` (CLI ``--no-candidates``) when
-        no client renders them.
+        Also stream a summary of every scored subgroup, most of what a
+        stream carries: at paper settings a beam level scores tens of
+        candidates on synthetic and about 18,000 on mammals and 38,000
+        on crime. Summaries travel as ``candidates`` events of up to
+        1,024 each, published when a batch fills or just before the
+        job's next other event, so a synthetic step costs one event
+        after its beam. Pattern/scheduler events are unaffected. Pass
+        ``False`` (CLI ``--no-candidates``) when no client renders
+        them; the job's observer is still attached, so the beam still
+        builds every scored candidate.
     history / queue_maxsize:
         Replay-buffer and per-subscriber queue bounds of the
-        :class:`~repro.server.hub.EventHub`.
+        :class:`~repro.server.hub.EventHub`. ``history`` counts
+        candidates (a ``candidates`` event weighs its number of
+        summaries, any other event 1); ``queue_maxsize`` counts
+        events.
     heartbeat_seconds:
         Idle interval after which SSE connections get a comment frame
         (keeps proxies from reaping quiet streams).

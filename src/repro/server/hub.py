@@ -7,14 +7,21 @@ any thread — it stamps the event with a monotonically increasing
 sequence number, appends it to a bounded replay history and to an
 outbox, and wakes the loop only when that outbox turns non-empty. One
 loop callback per burst then offers the whole outbox, in sequence
-order, to every subscriber's bounded ``asyncio.Queue``, so a miner
-firing hundreds of candidate events pays for one
-``loop.call_soon_threadsafe`` per burst, not one per event.
+order, to every subscriber's bounded ``asyncio.Queue``, so publishers
+firing in quick succession pay for one ``loop.call_soon_threadsafe``
+per burst, not one per event. Candidates arrive already batched: the
+server publishes a step's summaries as ``candidates`` events of up to
+1,024 each, one for a synthetic step and about 112 for a crime step.
 
 Three properties make the stream production-shaped:
 
 - **Bounded everything.** History and per-subscriber queues have hard
-  caps, so a slow consumer cannot grow server memory.
+  caps, so a slow consumer cannot grow server memory. The history
+  bound weighs each event by what it carries: a ``candidates`` event
+  counts as its number of candidates, any other event as 1, so the
+  replay buffer holds about ``history`` candidates however they are
+  batched. Subscriber queues count entries, so a full queue may hold
+  up to ``queue_maxsize`` batches.
 - **Slow consumers lose oldest first.** When a subscriber's queue is
   full, the oldest queued event is dropped (and counted) rather than
   blocking the miner or killing the stream; sequence numbers make the
@@ -49,6 +56,13 @@ __all__ = ["EventHub", "Subscription"]
 
 #: Sentinel a closing hub enqueues so blocked subscribers wake up.
 _CLOSED = object()
+
+
+def _weight(event: dict) -> int:
+    """History cost of one event: a batch counts its candidates."""
+    if event.get("type") == "candidates":
+        return len(event["candidates"])
+    return 1
 
 
 class Subscription:
@@ -124,7 +138,12 @@ class EventHub:
             raise ValueError(f"history must be >= 1, got {history}")
         if queue_maxsize < 1:
             raise ValueError(f"queue_maxsize must be >= 1, got {queue_maxsize}")
-        self._history: deque = deque(maxlen=history)
+        #: Retained ``(seq, event)`` entries, oldest first; their summed
+        #: :func:`_weight` stays within ``history`` except that the
+        #: newest entry is always kept.
+        self._history: deque = deque()
+        self._history_bound = history
+        self._history_weight = 0
         #: Entries published since the loop last flushed, in sequence
         #: order; a flush callback is pending while it is non-empty.
         self._outbox: list = []
@@ -187,7 +206,7 @@ class EventHub:
             seq = next(self._seq)
             self._latest = seq
             entry = (seq, event)
-            self._history.append(entry)
+            self._retain(entry)
             if self._loop is None or not self._subscribers:
                 return seq
             # The outbox is appended under the lock, so it holds entries
@@ -202,6 +221,19 @@ class EventHub:
             except RuntimeError:
                 pass  # the loop already exited; nobody is left to deliver to
         return seq
+
+    def _retain(self, entry: tuple) -> None:
+        """Append to the history, evicting oldest first (lock held).
+
+        Eviction only ever pops from the left, so the retained sequence
+        numbers stay contiguous and end at ``_latest``.
+        """
+        self._history.append(entry)
+        self._history_weight += _weight(entry[1])
+        while (
+            self._history_weight > self._history_bound and len(self._history) > 1
+        ):
+            self._history_weight -= _weight(self._history.popleft()[1])
 
     def _flush(self) -> None:
         """Offer the outbox, in order, to every live subscription (loop)."""

@@ -45,7 +45,7 @@ from repro.spec import MiningSpec
 WIRE_SCHEMA = 1
 
 #: Event envelope types a server stream may carry.
-EVENT_TYPES = ("iteration", "candidate", "schedule", "job", "job_failed")
+EVENT_TYPES = ("iteration", "candidates", "schedule", "job", "job_failed")
 
 
 def _check_schema(data: dict[str, Any], what: str) -> None:
@@ -70,10 +70,11 @@ job_result_from_wire = job_result_from_dict
 def candidate_to_wire(candidate: ScoredSubgroup) -> dict[str, Any]:
     """Summarize one scored beam candidate for the stream.
 
-    Candidates fire for *every* admissible subgroup (hundreds per beam
-    level), so the wire form is a render-ready summary — description
-    text and scores, no row indices. Full-fidelity records travel in
-    iteration and result documents only.
+    Candidates fire for *every* admissible subgroup (at paper settings,
+    tens per beam level on synthetic and about 38,000 on crime), so the
+    wire form is a render-ready summary — description text and scores,
+    no row indices. Full-fidelity records travel in iteration and result
+    documents only.
     """
     return {
         "description": str(candidate.description),
@@ -158,13 +159,20 @@ def iteration_event(job_id: str, iteration: MiningIteration) -> dict[str, Any]:
     }
 
 
-def candidate_event(job_id: str, candidate: ScoredSubgroup) -> dict[str, Any]:
-    """Envelope for one scored beam candidate of one job (summary)."""
+def candidates_event(
+    job_id: str, summaries: list[dict[str, Any]]
+) -> dict[str, Any]:
+    """Envelope for consecutive candidate summaries of one job.
+
+    ``summaries`` are :func:`candidate_to_wire` dicts in generation
+    order; one envelope carries a batch of them, so a mined step costs
+    the stream a few frames rather than one per candidate.
+    """
     return {
         "schema": WIRE_SCHEMA,
-        "type": "candidate",
+        "type": "candidates",
         "job_id": job_id,
-        "candidate": candidate_to_wire(candidate),
+        "candidates": summaries,
     }
 
 
@@ -208,10 +216,10 @@ class RemoteEvent:
     ``data`` holds the payload as a library object —
     :class:`~repro.search.results.MiningIteration` for ``iteration``,
     :class:`~repro.engine.jobs.JobResult` for ``job``,
-    :class:`~repro.events.SchedulerEvent` for ``schedule``, the summary
-    dict for ``candidate``, and the ``{"job", "error"}`` pair for
-    ``job_failed``. ``seq`` is the server-assigned sequence number (0
-    when decoded outside a stream). ``raw`` keeps the envelope.
+    :class:`~repro.events.SchedulerEvent` for ``schedule``, the list of
+    summary dicts for ``candidates``, and the ``{"job", "error"}`` pair
+    for ``job_failed``. ``seq`` is the server-assigned sequence number
+    (0 when decoded outside a stream). ``raw`` keeps the envelope.
     """
 
     type: str
@@ -230,8 +238,8 @@ def event_from_wire(data: dict[str, Any], seq: int = 0) -> RemoteEvent:
     job_id = data.get("job_id")
     if kind == "iteration":
         payload: Any = iteration_from_wire(data["iteration"])
-    elif kind == "candidate":
-        payload = dict(data["candidate"])
+    elif kind == "candidates":
+        payload = [dict(summary) for summary in data["candidates"]]
     elif kind == "schedule":
         payload = scheduler_event_from_wire(data)
     elif kind == "job":

@@ -183,6 +183,81 @@ class TestBoundedQueues:
             EventHub(queue_maxsize=0)
 
 
+def _batch(n, first=0):
+    """A ``candidates`` event carrying ``n`` stand-in summaries."""
+    return {
+        "type": "candidates",
+        "job_id": "job-0001",
+        "candidates": [{"si": float(i)} for i in range(first, first + n)],
+    }
+
+
+def _retained_candidates(entries):
+    return sum(
+        len(event["candidates"]) if event.get("type") == "candidates" else 1
+        for _, event in entries
+    )
+
+
+class TestWeightedHistory:
+    def test_history_counts_candidates_across_batches(self):
+        async def main():
+            hub = EventHub(history=10)
+            hub.bind(asyncio.get_running_loop())
+            for i in range(5):
+                hub.publish(_batch(4, first=4 * i))
+                hub.publish({"type": "iteration", "n": i})
+            retained = _drain(hub.subscribe(since=0))
+            assert _retained_candidates(retained) <= 10
+            # Oldest first: what is left is the newest tail, contiguous.
+            assert [seq for seq, _ in retained] == [7, 8, 9, 10]
+            assert hub.stats()["retained"] == 4
+            hub.close()
+
+        asyncio.run(main())
+
+    def test_newest_entry_is_kept_when_one_batch_exceeds_the_bound(self):
+        async def main():
+            hub = EventHub(history=10)
+            hub.bind(asyncio.get_running_loop())
+            hub.publish({"type": "iteration", "n": 0})
+            hub.publish(_batch(25))
+            retained = _drain(hub.subscribe(since=0))
+            assert [seq for seq, _ in retained] == [2]
+            assert len(retained[0][1]["candidates"]) == 25
+            # The next event evicts the oversized batch again.
+            hub.publish({"type": "iteration", "n": 1})
+            assert [seq for seq, _ in _drain(hub.subscribe(since=0))] == [3]
+            hub.close()
+
+        asyncio.run(main())
+
+    @pytest.mark.parametrize("since", [0, 7, 8, 10, 11])
+    def test_since_replays_exactly_the_retained_newer_entries(self, since):
+        async def main():
+            hub = EventHub(history=10)
+            hub.bind(asyncio.get_running_loop())
+            for i in range(4):  # seqs 1-8: batches of 3, then iterations
+                hub.publish(_batch(3))
+                hub.publish({"type": "iteration", "n": i})
+            hub.publish(_batch(6))  # seq 9
+            hub.publish({"type": "iteration", "n": 4})
+            hub.publish({"type": "job", "n": 5})
+            # Weights from the newest: 1 + 1 + 6 + 1 = 9; seq 7's batch
+            # of 3 would make 12, so seqs 8-11 are what is retained.
+            sub = hub.subscribe(since=since)
+            replayed = [seq for seq, _ in _drain(sub)]
+            assert replayed == [seq for seq in (8, 9, 10, 11) if seq > since]
+            # Live delivery continues right after the latest.
+            hub.publish({"type": "iteration", "n": 6})
+            seq, _ = await asyncio.wait_for(sub.get(), 5)
+            assert seq == 12
+            sub.close()
+            hub.close()
+
+        asyncio.run(main())
+
+
 class TestThreadSafety:
     def test_concurrent_publishers_never_tear_the_sequence(self):
         async def main():

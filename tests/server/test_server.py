@@ -20,7 +20,7 @@ from repro.engine.service import JobStatus
 from repro.errors import DataError, ModelError, SearchError
 from repro.events import CallbackObserver, EventLog
 from repro.persist import job_to_dict
-from repro.server import MiningServer, http
+from repro.server import MiningServer, http, wire
 from repro.spec import MiningSpec
 
 
@@ -254,12 +254,125 @@ class TestStreaming:
         assert heard[-1] == "on_job" and heard.count("on_job") == 1
 
     def test_candidate_events_flow_on_the_thread_backend(self, remote):
-        spec = fast_spec(seed=33)
-        log = EventLog()
-        list(remote.stream(spec, observer=log))
-        assert log.candidates, "live candidate summaries should stream"
-        first = log.candidates[0]
-        assert {"description", "si", "size"} <= set(first)
+        # Every candidate a local run scores reaches the remote observer
+        # exactly once, in order, as the same summary after a JSON hop.
+        spec = fast_spec(seed=33, kind="spread")
+        remote_log, local_log = EventLog(), EventLog()
+        list(remote.stream(spec, observer=remote_log))
+        list(Workspace().stream(spec, observer=local_log))
+        assert local_log.candidates, "the local run fired no candidates"
+        assert remote_log.candidates == [
+            wire.candidate_to_wire(candidate) for candidate in local_log.candidates
+        ]
+
+
+def _job_events(remote, job_id):
+    """Every event of one finished job, from the retained history."""
+    events = []
+    feed = remote.events(since=0, reconnect=False, job_id=job_id)
+    try:
+        for event in feed:  # stop at the terminal: the feed stays live
+            events.append(event)
+            if event.type in ("job", "job_failed"):
+                return events
+    finally:
+        feed.close()
+    raise AssertionError(f"no terminal event for {job_id}")
+
+
+class TestCandidateBatches:
+    def test_a_steps_candidates_precede_its_iteration(self, remote):
+        spec = fast_spec(seed=36, n_iterations=3)
+        job_id = remote.submit(spec)
+        remote.result(job_id, timeout=60)
+        events = _job_events(remote, job_id)
+        mined = [event.type for event in events if event.type != "schedule"]
+        assert mined == ["candidates", "iteration"] * 3 + ["job"]
+        assert all(
+            0 < len(event.data) <= 1024
+            for event in events
+            if event.type == "candidates"
+        )
+
+    def test_a_failing_step_publishes_its_candidates_before_job_failed(
+        self, monkeypatch
+    ):
+        from repro.search.miner import SubgroupDiscovery
+
+        def fail(self, *args, **kwargs):
+            raise SearchError("spread search failed")
+
+        # The location beam of step 1 scores its candidates, then the
+        # step raises before any iteration event.
+        monkeypatch.setattr(SubgroupDiscovery, "find_spread_for", fail)
+        spec = fast_spec(seed=37, kind="spread")
+        local = EventLog()
+        with pytest.raises(SearchError):
+            list(Workspace().stream(spec, observer=local))
+        assert local.candidates
+        server = MiningServer(port=0, backend="thread", max_workers=1)
+        with server.run_in_thread() as handle:
+            remote = RemoteWorkspace(handle.url, timeout=30.0)
+            heard = EventLog()
+            with pytest.raises(RemoteJobFailed):
+                list(remote.stream(spec, observer=heard))
+            job_id = remote.jobs().popitem()[0]
+            events = _job_events(remote, job_id)
+        mined = [event.type for event in events if event.type != "schedule"]
+        assert mined == ["candidates", "job_failed"]
+        assert heard.candidates == [
+            wire.candidate_to_wire(candidate) for candidate in local.candidates
+        ]
+        assert len(heard.failures) == 1
+
+    def test_a_full_batch_publishes_at_once_and_none_exceeds_the_cap(self):
+        from repro.interest.si import PatternScore
+        from repro.lang.conditions import NumericCondition
+        from repro.lang.description import Description
+        from repro.search.results import ScoredSubgroup
+        from repro.server.app import _JobStreamObserver
+        from repro.server.hub import EventHub
+
+        candidates = [
+            ScoredSubgroup(
+                description=Description((NumericCondition("x1", "<=", i / 7),)),
+                indices=np.arange(1 + i % 5),
+                observed_mean=np.zeros(1),
+                score=PatternScore(ic=float(i), dl=1.0),
+            )
+            for i in range(2500)
+        ]
+        hub = EventHub(history=10_000)
+        try:
+            observer = _JobStreamObserver(hub)
+            observer.bind("job-0001")
+            for count, candidate in enumerate(candidates, start=1):
+                observer.on_candidate(candidate)
+                # Only a full batch publishes while candidates keep coming.
+                assert hub.latest_seq == count // 1024
+            observer.on_job_failed(fast_spec(), RuntimeError("boom"))
+
+            async def retained():
+                subscription = hub.subscribe(since=0)
+                entries = []
+                while True:
+                    try:
+                        entries.append(subscription.get_nowait())
+                    except asyncio.QueueEmpty:
+                        return entries
+
+            events = [event for _, event in asyncio.run(retained())]
+        finally:
+            hub.close()
+        assert [event["type"] for event in events] == [
+            "candidates", "candidates", "candidates", "job_failed"
+        ]
+        assert [len(event["candidates"]) for event in events[:3]] == [
+            1024, 1024, 452
+        ]
+        assert [
+            summary for event in events[:3] for summary in event["candidates"]
+        ] == [wire.candidate_to_wire(candidate) for candidate in candidates]
 
 
 class TestSSEResume:
@@ -402,26 +515,45 @@ class TestReviewHardening:
             next(remote.events())
 
     def test_stream_heals_a_lost_terminal_event_via_heartbeat(self):
-        # A tiny subscriber queue plus a flood of candidate events makes
-        # the drop-oldest policy discard this job's terminal event; the
-        # heartbeat fallback must still complete the stream with every
-        # iteration, instead of hanging forever.
+        # The feed withholds the job's terminal event, as a drop would;
+        # the heartbeat fallback must still complete the stream from the
+        # result document, instead of hanging forever.
         server = MiningServer(
-            port=0,
-            backend="thread",
-            max_workers=1,
-            queue_maxsize=2,
-            heartbeat_seconds=0.2,
+            port=0, backend="thread", max_workers=1, heartbeat_seconds=0.2
         )
         with server.run_in_thread() as handle:
             remote = RemoteWorkspace(handle.url, timeout=15.0)
+            feed = remote.events
+
+            def without_terminal(**kwargs):
+                events = feed(**kwargs)
+                try:
+                    for event in events:
+                        if event.type != "job":
+                            yield event
+                finally:
+                    events.close()
+
+            remote.events = without_terminal
             spec = fast_spec(seed=71, n_iterations=2)
-            iterations = list(remote.stream(spec))
-            assert [it.index for it in iterations] == [1, 2]
-            local = Workspace().mine(spec)
-            for a, b in zip(local.iterations, iterations):
-                assert str(a.location) == str(b.location)
-                assert a.location.score.ic == b.location.score.ic
+            log = EventLog()
+            outcome = {}
+
+            def consume():
+                outcome["iterations"] = list(remote.stream(spec, observer=log))
+
+            consumer = threading.Thread(target=consume, daemon=True)
+            consumer.start()
+            consumer.join(30)
+            assert not consumer.is_alive(), "the stream never healed"
+        iterations = outcome["iterations"]
+        assert [it.index for it in iterations] == [1, 2]
+        assert [it.index for it in log.iterations] == [1, 2]
+        assert len(log.jobs) == 1
+        local = Workspace().mine(spec)
+        for a, b in zip(local.iterations, iterations):
+            assert str(a.location) == str(b.location)
+            assert a.location.score.ic == b.location.score.ic
 
     def test_oversized_request_line_gets_400_not_a_crashed_task(
         self, server_handle, remote
@@ -544,7 +676,7 @@ async def _until(condition, timeout=5.0):
 
 class TestBurstWrites:
     EVENTS = [
-        {"type": "candidate", "job_id": "job-0001", "candidate": {"si": i}}
+        {"type": "candidates", "job_id": "job-0001", "candidates": [{"si": i}]}
         for i in range(5)
     ]
 

@@ -36,6 +36,15 @@ def _description() -> Description:
     return Description((NumericCondition("x1", "<=", 1.0 / 3.0),))
 
 
+def _candidate(ic: float, dl: float) -> ScoredSubgroup:
+    return ScoredSubgroup(
+        description=_description(),
+        indices=np.array([1, 2, 3], dtype=np.int64),
+        observed_mean=np.array([0.5]),
+        score=PatternScore(ic=ic, dl=dl),
+    )
+
+
 def _iteration(index: int = 1, with_spread: bool = True) -> MiningIteration:
     description = _description()
     location = LocationPatternResult(
@@ -138,12 +147,7 @@ class TestPayloadRoundTrips:
         assert rebuilt.job == original.job
 
     def test_candidate_summary_is_render_ready(self):
-        candidate = ScoredSubgroup(
-            description=_description(),
-            indices=np.array([1, 2, 3], dtype=np.int64),
-            observed_mean=np.array([0.5]),
-            score=PatternScore(ic=4.0, dl=2.0),
-        )
+        candidate = _candidate(ic=4.0, dl=2.0)
         document = _roundtrip(wire.candidate_to_wire(candidate))
         assert document == {
             "description": str(candidate.description),
@@ -193,6 +197,18 @@ class TestEventEnvelopes:
                 "type": "RuntimeError",
                 "message": "boom",
             }
+
+    def test_candidates_event_round_trips_to_the_same_summaries(self):
+        summaries = [
+            wire.candidate_to_wire(_candidate(ic=ic, dl=1.0 / 3.0))
+            for ic in (10.0 / 3.0, 0.1, 2.0**-40)
+        ]
+        event = wire.event_from_wire(
+            _roundtrip(wire.candidates_event("job-0005", summaries)), seq=3
+        )
+        assert event.type == "candidates"
+        assert event.job_id == "job-0005"
+        assert event.data == summaries  # floats compared exactly
 
     def test_unknown_event_type_is_loud(self):
         with pytest.raises(ReproError):

@@ -48,6 +48,25 @@ class TestMine:
         out = capsys.readouterr().out
         assert "spread:" not in out
 
+    def test_mine_builds_only_the_logged_candidates(self, capsys, monkeypatch):
+        # An attached observer makes the beam build a ScoredSubgroup for
+        # every scored candidate (7,643 per water step); the CLI prints
+        # iterations only, so each level builds at most its top_k (150).
+        from repro.search import beam
+        from repro.search.results import ScoredSubgroup
+
+        built = []
+
+        class Counted(ScoredSubgroup):
+            def __init__(self, *args, **kwargs):
+                built.append(1)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(beam, "ScoredSubgroup", Counted)
+        assert main(["mine", "water", "--iterations", "1"]) == 0
+        assert "--- iteration 1 ---" in capsys.readouterr().out
+        assert 0 < len(built) <= 4 * 150
+
     def test_unknown_dataset_rejected_by_argparse(self):
         with pytest.raises(SystemExit):
             main(["mine", "nope"])
