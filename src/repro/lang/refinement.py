@@ -90,9 +90,6 @@ class Expansion(NamedTuple):
     codes: np.ndarray
     #: Condition count of each candidate, ``(k,)``: its code's length.
     lengths: np.ndarray
-    #: Attribute id of each candidate's added condition, ``(k,)``: the
-    #: attribute's position in the order the pool first mentions it.
-    attributes: np.ndarray
     #: Beam index of each candidate's parent, ``(k,)``.
     parents: np.ndarray
     #: Rank of each candidate's added condition, ``(k,)``.
@@ -469,7 +466,6 @@ class RefinementOperator:
         return Expansion(
             codes=codes[kept],
             lengths=lengths[kept],
-            attributes=table.pool_attr[added[kept]],
             parents=parents[kept],
             ranks=table.pool_rank[added[kept]],
             sums=sums[in_range[: len(sums)]],

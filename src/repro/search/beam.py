@@ -28,11 +28,12 @@ distinct row is scored once and every candidate reads its IC through
   for candidates the low-rank guard rejects (see
   :class:`LocationICScorer`).
 
-Each level's scoring is sharded by the attribute of the added condition
-and dispatched through an :class:`~repro.engine.executor.Executor`; a
-shard carries its distinct rows of the sums. The shard boundaries
-depend only on the candidate set — never on the worker count — and
-shard results are scattered back into row order, so a
+Each level's distinct rows of sums are scored in contiguous blocks, one
+``score_sums`` call per block, dispatched through an
+:class:`~repro.engine.executor.Executor`. A block holds at most
+:data:`BLOCK_VALUES` sums values, so a block's rows depend only on the
+level's row count and width — never on the worker count — and the
+blocks' results are concatenated in row order, so a
 ``ProcessExecutor`` run returns bit-identical results to a serial one.
 
 SI is then one vector division. The next beam is taken straight from
@@ -93,6 +94,12 @@ _LOG_LOWRANK_MIN_DET = math.log(LOWRANK_MIN_DET)
 #: Largest relative Frobenius error tolerated when rebuilding a block
 #: covariance as ``Sigma_0 + Q M_b Q'``; past it the scorer stays exact.
 _LOWRANK_RECONSTRUCTION_RTOL = 1e-10
+#: Most sums values one ``score_sums`` call scores: a level's rows go to
+#: the kernels in contiguous blocks of ``max(1, BLOCK_VALUES // width)``
+#: rows (1 MiB of sums), which caps each call's temporaries. A level of
+#: synthetic fits one block; mammals' ``(rows, d)`` uniform-path arrays
+#: (d = 124) are what the cap keeps small.
+BLOCK_VALUES = 2**17
 
 
 class _LowRankSplit(NamedTuple):
@@ -366,11 +373,18 @@ class _ResultLog:
         return [entry for _, _, entry in self._entries]
 
 
-def _score_shard(
-    scorer: LocationICScorer, sums: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Worker entry point: score one attribute shard's rows of the sums."""
-    return scorer.score_sums(sums)
+def _score_blocks(session, sums: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """ICs and observed means of a level's ``(u, 1 + m)`` sums, in row order.
+
+    The rows go to ``score_sums`` in contiguous blocks of
+    ``max(1, BLOCK_VALUES // width)`` rows, the last one ragged. The
+    blocks are a function of the sums' shape alone, never of the
+    executor, which is what makes serial and parallel runs identical.
+    """
+    rows = max(1, BLOCK_VALUES // sums.shape[1])
+    blocks = [sums[i : i + rows] for i in range(0, len(sums), rows)]
+    ics, observed = zip(*session.map(LocationICScorer.score_sums, blocks))
+    return np.concatenate(ics), np.concatenate(observed)
 
 
 class LocationBeamSearch:
@@ -388,14 +402,14 @@ class LocationBeamSearch:
         DL weights; SI of a candidate with ``c`` conditions is
         ``IC / (gamma c + eta)``.
     executor:
-        Backend evaluating the per-attribute scoring shards; serial by
+        Backend scoring each level's blocks of sums rows; serial by
         default, and guaranteed to return the serial result at any
         parallelism (see module docstring).
     observer:
         Optional :class:`~repro.events.MiningObserver`; its
         ``on_candidate`` hook fires for every admissible candidate the
         search scores, in generation order, in the coordinating process
-        (shard scoring may be parallel, event delivery never is).
+        (block scoring may be parallel, event delivery never is).
 
     Generation order is parents in beam order, and each parent's
     refinements in pool order. Descriptions travel through the search as
@@ -485,11 +499,8 @@ class LocationBeamSearch:
                 BEAM_CANDIDATES.inc(len(codes))
 
                 depth_reached = depth
-                # Score each distinct row of sums once; a row's candidates
-                # all add a condition on one attribute.
-                row_attributes = np.empty(len(level.sums), dtype=np.intp)
-                row_attributes[level.sums_row] = level.attributes
-                row_ics, observed = self._score_sharded(session, level.sums, row_attributes)
+                # Score each distinct row of sums once.
+                row_ics, observed = _score_blocks(session, level.sums)
                 ics = row_ics[level.sums_row]
                 n_evaluated += len(codes)
                 t_merge = clock.perf_counter()
@@ -532,7 +543,7 @@ class LocationBeamSearch:
                 beam = [(codes[i], mask_of[i].copy()) for i in survivors.tolist()]
                 # The beam holds copies: free the level's masks and sums
                 # before the next expansion builds its own.
-                del level, codes, masks, mask_of, observed, row_attributes, row_ics
+                del level, codes, masks, mask_of, observed, row_ics
                 t_done = clock.perf_counter()
                 BEAM_PHASE_PRUNE.observe(t_done - t_prune)
                 TRACER.record("prune", t_prune, t_done, trace_ctx)
@@ -546,30 +557,3 @@ class LocationBeamSearch:
             expired=expired,
         )
 
-    def _score_sharded(
-        self, session, sums: np.ndarray, attributes: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Score one level's ``(u, 1 + m)`` sums shard-by-attribute, in order.
-
-        ``attributes`` holds the attribute of each row's added condition.
-        A shard holds the rows whose added condition is on one attribute,
-        in row order; shards follow the attributes' first appearance.
-        Shard composition is thus a pure function of the candidate set,
-        and results are scattered back into row order — both independent
-        of the executor, which is what makes serial and parallel runs
-        identical.
-        """
-        _, first, inverse = np.unique(
-            attributes, return_index=True, return_inverse=True
-        )
-        shard_of = np.argsort(np.argsort(first))[inverse]
-        by_shard = np.argsort(shard_of, kind="stable")
-        shard_indices = np.split(by_shard, np.cumsum(np.bincount(shard_of))[:-1])
-        # A generator: an inline session copies one shard at a time.
-        results = session.map(_score_shard, (sums[indices] for indices in shard_indices))
-        ics = np.empty(len(sums))
-        observed = np.empty((len(sums), self.scorer.model.dim))
-        for indices, (shard_ics, shard_observed) in zip(shard_indices, results):
-            ics[indices] = shard_ics
-            observed[indices] = shard_observed
-        return ics, observed

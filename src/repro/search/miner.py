@@ -81,7 +81,7 @@ class SubgroupDiscovery:
     seed:
         Seed for the spread search's random restarts.
     executor:
-        Backend for the beam search's scoring shards and the spread
+        Backend for the beam search's scoring blocks and the spread
         search's restart fan-out (serial by default; a
         :class:`~repro.engine.executor.ProcessExecutor` returns
         identical results, in parallel).

@@ -29,13 +29,15 @@ def fresh_belief_cache():
 
 
 def _dev_shm_segments() -> set[str]:
-    """Library-created segment files visible in /dev/shm (Linux only)."""
+    """This process's segment files visible in /dev/shm (Linux only).
+
+    Segment names carry their creator's pid, and only the coordinating
+    process creates segments, so another test process's segments are
+    never counted as this one's leaks.
+    """
+    prefix = f"{shm.segment_prefix()}_{os.getpid():x}_"
     try:
-        return {
-            name
-            for name in os.listdir("/dev/shm")
-            if name.startswith(shm.segment_prefix())
-        }
+        return {name for name in os.listdir("/dev/shm") if name.startswith(prefix)}
     except OSError:  # pragma: no cover - non-Linux fallback
         return set()
 

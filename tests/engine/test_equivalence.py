@@ -2,9 +2,10 @@
 
 Property: for any dataset seed, a ``ProcessExecutor`` run returns
 *bit-identical* results to a ``SerialExecutor`` run — same subgroups in
-the same order with byte-equal scores. Sharding is by attribute (never
-by worker count) and merges are stable, so this holds at any
-parallelism.
+the same order with byte-equal scores. A beam level is scored in
+contiguous blocks of rows whose size is set by the sums' width (never by
+the worker count), and block results are joined in row order, so this
+holds at any parallelism.
 """
 
 import numpy as np
@@ -13,6 +14,8 @@ import pytest
 from repro.datasets import make_socio, make_synthetic
 from repro.engine.executor import ProcessExecutor, SerialExecutor
 from repro.model.background import BackgroundModel
+from repro.obs.instruments import IC_KERNEL_LOWRANK, IC_KERNEL_UNIFORM
+from repro.search import beam
 from repro.search.config import SearchConfig
 from repro.search.miner import SubgroupDiscovery
 from repro.search.spread import find_spread_direction
@@ -61,6 +64,62 @@ class TestBeamSearchEquivalence:
         ]
         assert_search_results_identical(results[0], results[1])
         assert_search_results_identical(results[0], results[2])
+
+
+class TestBlockedScoringEquivalence:
+    """A level scored in several blocks, the last one ragged, gives the
+    bits of a serial run on the process pool too."""
+
+    @pytest.fixture()
+    def blocks(self, monkeypatch):
+        """The block count and last block's rows of every level scored."""
+        seen = []
+        score_blocks = beam._score_blocks
+
+        def recording(session, sums):
+            rows = max(1, beam.BLOCK_VALUES // sums.shape[1])
+            seen.append((-(-len(sums) // rows), len(sums) % rows))
+            return score_blocks(session, sums)
+
+        monkeypatch.setattr(beam, "_score_blocks", recording)
+        return seen
+
+    @pytest.mark.parametrize("path", ["uniform", "lowrank"])
+    def test_small_blocks_bit_identical(self, monkeypatch, blocks, path):
+        """Synthetic's levels (10 and about 37 rows of 5 or 6 values) in
+        blocks of 30 values; the low-rank search runs after a spread step."""
+        # Blocks are cut in the coordinator, so the pool sees the patch.
+        monkeypatch.setattr(beam, "BLOCK_VALUES", 30)
+        dataset = make_synthetic(0)
+        serial = SubgroupDiscovery(dataset, config=CONFIG, seed=0, executor=SerialExecutor())
+        with ProcessExecutor(2) as executor:
+            parallel = SubgroupDiscovery(dataset, config=CONFIG, seed=0, executor=executor)
+            if path == "lowrank":
+                serial.step(kind="spread")
+                parallel.step(kind="spread")
+            del blocks[:]
+            counter = IC_KERNEL_UNIFORM if path == "uniform" else IC_KERNEL_LOWRANK
+            before = counter.value
+            reference = serial.search_locations()
+            assert counter.value > before
+            result = parallel.search_locations()
+        assert_search_results_identical(reference, result)
+        # Every level splits, and one ends in a ragged block.
+        assert min(count for count, _ in blocks) >= 2
+        assert any(ragged for _, ragged in blocks)
+
+    def test_a_level_past_the_real_block_bound(self, blocks, mammals_dataset):
+        """Mammals' depth-2 level (3,442 rows of 127 values) spans several
+        blocks at the module's bound."""
+        serial = SubgroupDiscovery(
+            mammals_dataset, config=CONFIG, seed=0, executor=SerialExecutor()
+        ).search_locations()
+        with ProcessExecutor(2) as executor:
+            parallel = SubgroupDiscovery(
+                mammals_dataset, config=CONFIG, seed=0, executor=executor
+            ).search_locations()
+        assert_search_results_identical(serial, parallel)
+        assert max(count for count, _ in blocks) > 1
 
 
 class TestSpreadSearchEquivalence:

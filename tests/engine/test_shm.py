@@ -1,6 +1,8 @@
 """Tests for the zero-copy shared-memory transport (repro.engine.shm)."""
 
+import os
 import pickle
+import uuid
 from types import SimpleNamespace
 
 import numpy as np
@@ -16,6 +18,8 @@ from repro.errors import EngineError
 from repro.model.background import BackgroundModel
 from repro.search.beam import LocationICScorer
 from repro.search.spread import SpreadObjective
+
+from engine.conftest import _dev_shm_segments
 
 
 def _ship(store: ArrayStore, context):
@@ -243,3 +247,26 @@ class TestPruneAttachments:
         shm.prune_attachments()
         assert handle.name not in shm._ATTACHED
         store.close()
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/shm"), reason="needs /dev/shm")
+class TestLeakCheck:
+    def test_lists_only_this_process_segments(self):
+        """The engine tests' leak check counts another process's segments
+        as none of its own, even one whose pid's hex starts with ours."""
+        prefix = shm.segment_prefix()
+        pid = os.getpid()
+        ours = f"{prefix}_{pid:x}_{uuid.uuid4().hex[:12]}"
+        theirs = [
+            f"{prefix}_{other:x}_{uuid.uuid4().hex[:12]}" for other in (pid + 1, pid * 16)
+        ]
+        paths = [os.path.join("/dev/shm", name) for name in [ours, *theirs]]
+        try:
+            for path in paths:
+                open(path, "wb").close()
+            listed = _dev_shm_segments()
+        finally:
+            for path in paths:
+                os.remove(path)
+        assert ours in listed
+        assert not listed & set(theirs)

@@ -181,7 +181,6 @@ class ExpiresAfter:
 
 def reference_level(operator, beam, seen, min_size, max_size):
     """The reference: refine -> dedup -> AND -> coverage, on descriptions."""
-    names = list(dict.fromkeys(c.attribute for c in operator.conditions))
     out, duplicates, out_of_range = [], 0, 0
     for parent, parent_mask in beam:
         for refined, condition in operator.refinements(parent):
@@ -194,7 +193,7 @@ def reference_level(operator, beam, seen, min_size, max_size):
             if size < min_size or size > max_size:
                 out_of_range += 1
                 continue
-            out.append((refined, names.index(condition.attribute), mask))
+            out.append((refined, mask))
     return out, duplicates, out_of_range
 
 
@@ -234,8 +233,7 @@ class TestExpandMatchesReference:
         )
 
         assert [operator.describe(c) for c in level.codes] == [e[0] for e in expected]
-        assert level.attributes.tolist() == [e[1] for e in expected]
-        ref_masks = np.array([e[2] for e in expected], dtype=bool).reshape(-1, N_ROWS)
+        ref_masks = np.array([e[1] for e in expected], dtype=bool).reshape(-1, N_ROWS)
         masks = operator.child_masks(coded, level.parents, level.ranks)
         np.testing.assert_array_equal(masks, ref_masks)
         sums = level.sums[level.sums_row]
@@ -270,7 +268,7 @@ class TestExpandMatchesReference:
         )
         assert level.expired
         assert len(level.codes) == 0 and level.sums.shape == (0, 1)
-        assert len(level.attributes) == len(level.parents) == len(level.ranks) == 0
+        assert len(level.lengths) == len(level.parents) == len(level.ranks) == 0
         assert (level.duplicates, level.out_of_range) == (0, 0)
         assert seen == set()
 
@@ -378,7 +376,7 @@ class TestIntegerCodes:
             encode(operator, operator.describe(c)) for c in level.codes
         ] == level.codes.tolist()
         masks = operator.child_masks(coded, level.parents, level.ranks)
-        np.testing.assert_array_equal(masks, np.array([e[2] for e in expected]))
+        np.testing.assert_array_equal(masks, np.array([e[1] for e in expected]))
         assert (level.duplicates, level.out_of_range) == (duplicates, out_of_range)
 
 
@@ -445,7 +443,7 @@ class TestExpandSharesExtensions:
             level = operator.expand(coded, set(), features=features, min_size=min_size)
 
         assert [operator.describe(c) for c in level.codes] == [e[0] for e in expected]
-        ref_masks = np.array([e[2] for e in expected], dtype=bool).reshape(-1, N_ROWS)
+        ref_masks = np.array([e[1] for e in expected], dtype=bool).reshape(-1, N_ROWS)
         sums = level.sums[level.sums_row]
         assert sums.shape == (len(expected), 1 + m)
         np.testing.assert_array_equal(sums[:, 0], ref_masks.sum(axis=1))

@@ -3,7 +3,7 @@
 ``sisd_ic_kernel_candidates_total{path}`` counts the rows each IC kernel
 scored: one per distinct (parent extension, added condition) pair, so
 as many as the location candidates when no two parents share an
-extension, as in the runs below, and fewer when some do.
+extension, and fewer when some do.
 ``sisd_linalg_fallbacks_total{kind}`` counts every numerical fallback
 taken on singular input, ``sisd_spread_searches_total{route}`` which
 route each spread search took, ``sisd_spread_ascents_total{end}`` how
@@ -134,6 +134,29 @@ class TestKernelPathCounter:
         assert step2["lowrank"] > 0
         assert step2["exact"] == routed_rows["routed"]
         assert step2["lowrank"] + step2["exact"] == step2["candidates"]
+
+    def test_each_level_is_scored_in_one_call(self, monkeypatch):
+        """A three-step synthetic spread job at paper settings scores each
+        of its 12 levels (10 to 60 rows) in one call, and its kernels score
+        412 rows for its 460 candidates: 126 uniform and 286 low-rank."""
+        calls = []
+        score_sums = LocationICScorer.score_sums
+
+        def counting(self, sums):
+            calls.append(len(sums))
+            return score_sums(self, sums)
+
+        monkeypatch.setattr(LocationICScorer, "score_sums", counting)
+        start = _paths()
+        SubgroupDiscovery(make_synthetic(0), config=SearchConfig(), seed=0).run(3, kind="spread")
+        assert len(calls) == 3 * SearchConfig().max_depth
+        assert sum(calls) == 412
+        assert _delta(start, _paths()) == {
+            "uniform": 126,
+            "lowrank": 286,
+            "exact": 0,
+            "candidates": 460,
+        }
 
     def test_family_renders_with_every_path(self):
         text = METRICS.render()
