@@ -13,11 +13,13 @@ Measures what the network layer adds on top of the engine:
 - **candidate stream**: one paper-settings spread job streamed with
   its candidate summaries on, beside a local ``Workspace.mine`` of the
   same spec; the difference, divided by the events the client's
-  observer received, is the wire's cost per event. That count is of
-  observer calls — one per candidate summary, iteration, scheduling
-  decision and job — not of wire events: the server sends a step's
-  summaries as a few ``candidates`` events of up to 1,024 each, and
-  ``events_published`` counts those.
+  observer received, is the wire's cost per event. That count
+  (``stream_events_received``) is of observer calls, one per
+  ``candidates`` event, iteration, scheduling decision and job: the
+  server sends a step's summaries as a few ``candidates`` events of up
+  to 1,024 each, and the client hands each one to ``on_candidates`` as
+  one batch. ``events_published`` counts every event the hub published
+  over the whole run.
 
 Results go to ``BENCH_server.json`` at the repo root (the perf
 trajectory file, like the engine benchmark's). Runs standalone too::
@@ -77,7 +79,7 @@ def _stream_candidates(remote: RemoteWorkspace) -> tuple[float, float, int]:
         received += 1
 
     observer = CallbackObserver(
-        on_candidate=count, on_iteration=count, on_job=count, on_schedule=count
+        on_candidates=count, on_iteration=count, on_job=count, on_schedule=count
     )
     remote_started = time.perf_counter()
     streamed = list(remote.stream(STREAM_SPEC, observer=observer))

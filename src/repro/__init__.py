@@ -124,6 +124,7 @@ from repro.spec import (
 from repro.errors import DeadlineExpired
 from repro.events import (
     CallbackObserver,
+    CandidateBatch,
     EventLog,
     MiningObserver,
     SchedulerEvent,
@@ -234,6 +235,7 @@ __all__ = [
     # events (streaming substrate)
     "MiningObserver",
     "CallbackObserver",
+    "CandidateBatch",
     "EventLog",
     "SchedulerEvent",
     "broadcast",

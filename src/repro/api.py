@@ -185,7 +185,7 @@ class Workspace:
         For the iterative beam strategy this is true streaming — the
         pattern is in your hands while the next search is still to run;
         the single-shot strategies yield their one iteration. Observers
-        see ``on_candidate``/``on_iteration`` events only (``on_job`` is
+        see ``on_candidates``/``on_iteration`` events only (``on_job`` is
         :meth:`mine`'s whole-result event, identical for every
         strategy). This generator is the synchronous substrate of the
         ROADMAP's async/streaming front-end. The spec is validated

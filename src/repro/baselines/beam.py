@@ -15,7 +15,7 @@ import numpy as np
 from repro.baselines.quality import QualityMeasure
 from repro.lang.description import Description
 from repro.lang.refinement import RefinementOperator
-from repro.search.beam import _ResultLog, _best_first
+from repro.search.beam import _best_first, _TopRows
 from repro.search.config import SearchConfig
 from repro.utils.timer import TimeBudget
 
@@ -67,7 +67,7 @@ class QualityBeamSearch:
         budget = TimeBudget(config.time_budget_seconds)
         max_size = config.max_size(n_rows)
 
-        log = _ResultLog(config.top_k)
+        log = _TopRows(config.top_k)
         beam: list[tuple[int, np.ndarray]] = [(0, np.ones(n_rows, dtype=bool))]
         seen: set[int] = set()
         n_evaluated = 0
@@ -87,25 +87,29 @@ class QualityBeamSearch:
             # Best first, generation order among ties; only a level's best
             # top_k can reach the log.
             ranking = _best_first(qualities, max(config.top_k, config.beam_width))
-            for i in np.sort(ranking[: config.top_k]).tolist():
-                subgroup = QualitySubgroup(
-                    description=self.operator.describe(level.codes[i]),
-                    indices=np.flatnonzero(masks[i]),
-                    quality=float(qualities[i]),
-                )
-                log.add(subgroup.quality, subgroup)
+            chosen = ranking[: config.top_k]
+            log.merge(qualities[chosen], codes=level.codes[chosen], masks=masks[chosen])
             if level.expired:
                 expired = True
                 break
             if not len(level.codes):
                 break
-            top = ranking[: config.beam_width]
-            beam = list(zip(level.codes[top].tolist(), masks[top]))
+            survivors = ranking[: config.beam_width]
+            beam = list(zip(level.codes[survivors].tolist(), masks[survivors]))
 
-        ranked = log.ranked()
+        ranked = tuple(
+            QualitySubgroup(
+                description=self.operator.describe(code),
+                indices=np.flatnonzero(mask),
+                quality=float(quality),
+            )
+            for quality, code, mask in zip(
+                log.scores, log.columns["codes"], log.columns["masks"]
+            )
+        )
         return QualitySearchResult(
             best=ranked[0] if ranked else None,
-            log=tuple(ranked),
+            log=ranked,
             n_evaluated=n_evaluated,
             expired=expired,
         )

@@ -201,7 +201,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--no-candidates", action="store_true",
         help="omit candidate summaries from the stream (they are the "
         "chattiest part: at paper settings tens per beam level on "
-        "synthetic, about 38,000 on crime)",
+        "synthetic, about 38,000 on crime); the server then makes no "
+        "summary or description text per candidate",
     )
     serve.add_argument(
         "--quiet", action="store_true",
@@ -345,9 +346,8 @@ def _cmd_mine(args: argparse.Namespace) -> int:
             raise ReproError(f"cannot write {args.save_spec}: {exc}") from exc
         print(f"spec written to {args.save_spec}")
         return 0
-    # The reporter prints each iteration as it is yielded rather than
-    # being attached as an observer: any attached observer makes the
-    # beam build every scored candidate, and this one would drop them.
+    # The reporter prints each iteration as it is yielded; it takes no
+    # candidate batches, so it need not be attached as an observer.
     reporter = LiveReporter()
     for iteration in Workspace().stream(spec):
         reporter.on_iteration(iteration)

@@ -526,8 +526,10 @@ class RemoteWorkspace:
         healed from the terminal result document, so the caller always
         sees every iteration exactly once, in order. An optional
         ``observer`` additionally receives every decoded event of this
-        job (scheduling decisions included, and one ``on_candidate``
-        call per candidate summary of a ``candidates`` event); it runs
+        job (scheduling decisions included, and one ``on_candidates``
+        call per ``candidates`` event, with the
+        :class:`~repro.events.CandidateBatch` its summaries stand for,
+        column for column the local batches' rows); it runs
         :func:`~repro.events.guarded`, so its exceptions never end the
         stream.
 
@@ -661,11 +663,7 @@ def _deliver(observer: MiningObserver, event: wire.RemoteEvent) -> None:
     if event.type == "iteration":
         observer.on_iteration(event.data)
     elif event.type == "candidates":
-        # One call per summary, in generation order. The wire form is the
-        # render-ready summary dict (see
-        # repro.server.wire.candidate_to_wire), not a ScoredSubgroup.
-        for summary in event.data:
-            observer.on_candidate(summary)
+        observer.on_candidates(wire.candidates_from_wire(event.data))
     elif event.type == "job":
         observer.on_job(event.data)
     elif event.type == "schedule":

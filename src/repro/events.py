@@ -3,8 +3,8 @@
 The paper frames mining as a dialogue; this module is the wire the
 dialogue travels over. A :class:`MiningObserver` receives
 
-- ``on_candidate`` — every admissible subgroup the beam search scores,
-  in generation order (fired by
+- ``on_candidates`` — each beam level's scored candidates, as one
+  :class:`CandidateBatch` of columns in generation order (fired by
   :class:`~repro.search.beam.LocationBeamSearch`);
 - ``on_iteration`` — each completed mining iteration, the moment it is
   assimilated (fired by :class:`~repro.search.miner.SubgroupDiscovery`
@@ -22,32 +22,34 @@ the service's process/thread pools cannot ship callbacks across workers,
 so they *replay* ``on_iteration`` events when a job's result arrives
 (documented on :class:`~repro.engine.service.MiningService`).
 
-Observers must not mutate what they are handed — results are shared with
-the mining loop — and should be cheap: ``on_candidate`` fires for every
-scored subgroup. At the paper's search settings (beam 40, depth 4) the
-first step scores 10 / 37 / 64 / 39 candidates on its four beam levels
-on synthetic, 536 / 17,566 / 17,963 / 17,806 on mammals and
-976 / 37,990 / 37,614 / 38,016 on crime. Attaching *any* observer costs
-more than its callbacks: without one, the beam builds a
-:class:`~repro.search.results.ScoredSubgroup` only for each level's
-best ``top_k`` and its next beam; with one, it builds one for every
-scored candidate, even if every hook is a no-op. A two-step crime
-location job took 0.34–0.39 s wall with no observer and 4.2–4.8 s with
-a bare :class:`MiningObserver` (two runs each, one process, 2-vCPU x86
-machine). Attach an observer only when something consumes its events.
-An observer that raises never fails a job or ends a stream: the service
-and :meth:`repro.client.RemoteWorkspace.stream` wrap the observers they
-are given with :func:`guarded`.
+Observers must not mutate what they are handed — results and batches
+are shared with the mining loop — and should be cheap. At the paper's
+search settings (beam 40, depth 4) the first step scores
+10 / 37 / 64 / 39 candidates on its four beam levels on synthetic,
+536 / 17,566 / 17,963 / 17,806 on mammals and 976 / 37,990 / 37,614 /
+38,016 on crime, and each level reaches the observer as one batch. A
+batch is the level's score columns plus its description codes, whose
+text is rendered only when :meth:`CandidateBatch.descriptions` is first
+called, so an attached observer costs the search a few array gathers
+per level. A two-step crime location job took 0.145–0.188 s wall with
+a bare :class:`MiningObserver` and 0.143–0.174 s with none (four runs
+each, one process, 2-vCPU x86 machine). An observer that raises never
+fails a job or ends a stream: the service and
+:meth:`repro.client.RemoteWorkspace.stream` wrap the observers they are
+given with :func:`guarded`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable
+from dataclasses import dataclass, field
+from functools import cached_property
+from typing import TYPE_CHECKING, Callable, Sequence
+
+import numpy as np
 
 if TYPE_CHECKING:  # pragma: no cover - import-cycle-free type hints only
     from repro.engine.jobs import JobResult
-    from repro.search.results import MiningIteration, ScoredSubgroup
+    from repro.search.results import MiningIteration
     from repro.spec import MiningSpec
 
 
@@ -106,11 +108,44 @@ class SchedulerEvent:
         return f"{self.job_id} {self.kind}{suffix}"
 
 
+@dataclass(frozen=True, eq=False)
+class CandidateBatch:
+    """One beam level's scored candidates, as columns in generation order.
+
+    Row ``i`` of every column is the level's ``i``-th admissible
+    candidate: its row count (``sizes``, ``int64``), and its information
+    content, description length and SI (``ic``, ``dl``, ``si``,
+    ``float64``, with ``si == ic / dl``). :meth:`descriptions` gives each
+    candidate's text, as ``str(description)`` renders it.
+
+    ``render`` returns those texts; it runs once, on the first call to
+    :meth:`descriptions`. A search's batch renders them from the level's
+    description codes, so a batch nobody reads the text of costs no
+    Python per candidate. A remote batch is built from a ``candidates``
+    event's summaries (:func:`repro.server.wire.candidates_from_wire`),
+    with the same columns, bit for bit.
+    """
+
+    sizes: np.ndarray
+    ic: np.ndarray
+    dl: np.ndarray
+    si: np.ndarray
+    render: Callable[[], Sequence[str]] = field(repr=False)
+
+    def descriptions(self) -> list[str]:
+        """Each candidate's description text, rendered on the first call."""
+        return self._texts
+
+    @cached_property
+    def _texts(self) -> list[str]:
+        return list(self.render())
+
+
 class MiningObserver:
     """Base observer: every hook is a no-op; override what you need."""
 
-    def on_candidate(self, candidate: "ScoredSubgroup") -> None:
-        """One scored beam candidate (fires for *every* admissible one)."""
+    def on_candidates(self, batch: CandidateBatch) -> None:
+        """One beam level's scored candidates (fires once per scored level)."""
 
     def on_iteration(self, iteration: "MiningIteration") -> None:
         """One completed (and assimilated) mining iteration."""
@@ -145,22 +180,22 @@ class CallbackObserver(MiningObserver):
     def __init__(
         self,
         *,
-        on_candidate: Callable | None = None,
+        on_candidates: Callable | None = None,
         on_iteration: Callable | None = None,
         on_job: Callable | None = None,
         on_job_failed: Callable | None = None,
         on_schedule: Callable | None = None,
     ) -> None:
-        self._on_candidate = on_candidate
+        self._on_candidates = on_candidates
         self._on_iteration = on_iteration
         self._on_job = on_job
         self._on_job_failed = on_job_failed
         self._on_schedule = on_schedule
 
-    def on_candidate(self, candidate: "ScoredSubgroup") -> None:
-        """Forward to the ``on_candidate`` callable, if given."""
-        if self._on_candidate is not None:
-            self._on_candidate(candidate)
+    def on_candidates(self, batch: CandidateBatch) -> None:
+        """Forward to the ``on_candidates`` callable, if given."""
+        if self._on_candidates is not None:
+            self._on_candidates(batch)
 
     def on_iteration(self, iteration: "MiningIteration") -> None:
         """Forward to the ``on_iteration`` callable, if given."""
@@ -184,18 +219,22 @@ class CallbackObserver(MiningObserver):
 
 
 class EventLog(MiningObserver):
-    """An observer that records everything it sees (handy in tests)."""
+    """An observer that records everything it sees (handy in tests).
+
+    :attr:`candidates` holds the :class:`CandidateBatch` of each scored
+    beam level, in order.
+    """
 
     def __init__(self) -> None:
-        self.candidates: list = []
+        self.candidates: list[CandidateBatch] = []
         self.iterations: list = []
         self.jobs: list = []
         self.failures: list = []
         self.schedule: list = []
 
-    def on_candidate(self, candidate: "ScoredSubgroup") -> None:
-        """Append the candidate to :attr:`candidates`."""
-        self.candidates.append(candidate)
+    def on_candidates(self, batch: CandidateBatch) -> None:
+        """Append the batch to :attr:`candidates`."""
+        self.candidates.append(batch)
 
     def on_iteration(self, iteration: "MiningIteration") -> None:
         """Append the iteration to :attr:`iterations`."""
@@ -228,9 +267,9 @@ class _Broadcast(MiningObserver):
     def __init__(self, observers: tuple[MiningObserver, ...]) -> None:
         self._observers = observers
 
-    def on_candidate(self, candidate: "ScoredSubgroup") -> None:
+    def on_candidates(self, batch: CandidateBatch) -> None:
         for observer in self._observers:
-            observer.on_candidate(candidate)
+            observer.on_candidates(batch)
 
     def on_iteration(self, iteration: "MiningIteration") -> None:
         for observer in self._observers:
@@ -261,8 +300,8 @@ class _Guarded(MiningObserver):
         except Exception:
             pass
 
-    def on_candidate(self, candidate: "ScoredSubgroup") -> None:
-        self._call("on_candidate", candidate)
+    def on_candidates(self, batch: CandidateBatch) -> None:
+        self._call("on_candidates", batch)
 
     def on_iteration(self, iteration: "MiningIteration") -> None:
         self._call("on_iteration", iteration)

@@ -34,7 +34,9 @@ time, in two forms:
   level's codes are built and before each product.
   :meth:`RefinementOperator.child_masks` builds the masks of the few
   candidates a caller keeps, by one gather-AND over the boolean table,
-  and :meth:`RefinementOperator.describe` decodes a code.
+  :meth:`RefinementOperator.describe` decodes a code, and
+  :meth:`RefinementOperator.render` renders codes' text without
+  decoding them to descriptions.
 
 The condition tables are built on first use, not at construction, so
 building an operator stays as cheap as building its pool.
@@ -159,6 +161,8 @@ class RefinementOperator:
         self._pool: list[Condition] = self._build_pool(names, n_split_points, strategy)
         self._table: _Tables | None = None
         self._float_masks: np.ndarray | None = None
+        #: Each rank's text, and its text after " AND ", for :meth:`render`.
+        self._texts: tuple[np.ndarray, np.ndarray] | None = None
 
     def _build_pool(
         self, names: Sequence[str], n_split_points: int, strategy: str
@@ -275,6 +279,37 @@ class RefinementOperator:
         """
         by_rank = self._tables().by_rank
         return Description(tuple(by_rank[r] for r in self._ranks(code)))
+
+    def render(self, codes: np.ndarray) -> list[str]:
+        """``str(describe(code))`` of each code, without building descriptions.
+
+        Each condition's text is rendered once per operator. ``int64``
+        codes are decoded digit by digit across the whole array, and each
+        text is joined from its conditions' texts by elementwise string
+        concatenation; Python int codes are decoded one at a time.
+        """
+        if self._texts is None:
+            texts = [str(condition) for condition in self._tables().by_rank]
+            # Index -1 (past a code's last digit) renders as nothing.
+            self._texts = (
+                np.array(texts + [""], dtype=object),
+                np.array([" AND " + text for text in texts] + [""], dtype=object),
+            )
+        first, joined = self._texts
+        codes = np.asarray(codes)
+        if codes.dtype == object:
+            return [
+                "".join([first[ranks[0]], *joined[ranks[1:]]]) if ranks else "<all>"
+                for ranks in map(self._ranks, codes.tolist())
+            ]
+        base = len(first)
+        rest, digit = np.divmod(codes, base)
+        text = first[digit - 1]
+        while rest.any():
+            rest, digit = np.divmod(rest, base)
+            text = text + joined[digit - 1]
+        text[codes == 0] = "<all>"
+        return text.tolist()
 
     def _ranks(self, code: int) -> list[int]:
         """The ranks of a code's conditions, ascending."""

@@ -1,7 +1,8 @@
 """Render mining events as they happen (the CLI's streaming printer).
 
 :class:`LiveReporter` is a :class:`~repro.events.MiningObserver` that
-writes each finished iteration — and optionally every scored candidate —
+writes each finished iteration — and optionally every scored candidate,
+from each beam level's batch —
 to a text stream the moment the event fires. Attached to
 :meth:`repro.api.Workspace.stream` it turns the terminal into a live
 view of the mining dialogue; anything file-like works, so it also
@@ -25,9 +26,11 @@ class LiveReporter(MiningObserver):
         Where to write; defaults to ``sys.stdout`` (resolved at event
         time, so pytest's capture and late redirections both work).
     candidates:
-        Also print a one-line entry per scored beam candidate — very
-        chatty (up to about 38,000 lines per beam level on crime at
-        paper settings); off by default.
+        Also print a one-line entry per scored beam candidate, the same
+        line as ``str(ScoredSubgroup)`` — very chatty (up to about
+        38,000 lines per beam level on crime at paper settings); off by
+        default. Each level's batch renders its description text only
+        when this is on.
     """
 
     def __init__(self, stream: IO | None = None, *, candidates: bool = False) -> None:
@@ -37,10 +40,15 @@ class LiveReporter(MiningObserver):
     def _out(self) -> IO:
         return self._stream if self._stream is not None else sys.stdout
 
-    def on_candidate(self, candidate) -> None:
+    def on_candidates(self, batch) -> None:
         """One line per scored candidate, when ``candidates`` is on."""
-        if self.candidates:
-            print(f"  ? {candidate}", file=self._out())
+        if not self.candidates:
+            return
+        out = self._out()
+        for text, size, si in zip(
+            batch.descriptions(), batch.sizes.tolist(), batch.si.tolist()
+        ):
+            print(f"  ? {text}  (n={size}, SI={si:.2f})", file=out)
 
     def on_iteration(self, iteration) -> None:
         """The CLI's per-iteration block, printed as the step finishes."""

@@ -36,19 +36,21 @@ level's row count and width — never on the worker count — and the
 blocks' results are concatenated in row order, so a
 ``ProcessExecutor`` run returns bit-identical results to a serial one.
 
-SI is then one vector division. The next beam is taken straight from
-the level's codes, and only a level's best ``top_k`` candidates are
-materialised as :class:`~repro.search.results.ScoredSubgroup` records:
-no other candidate can reach the log. Masks are built, by
-:meth:`~repro.lang.refinement.RefinementOperator.child_masks`, for
-those candidates and the next beam only. With an observer attached,
-every candidate is materialised, in generation order, so that the
-observer sees them all; the log and the beam are the same either way.
+SI is then one vector division. An observer gets the level as one
+:class:`~repro.events.CandidateBatch` of columns. The next beam is taken
+straight from the level's codes, and a level's best ``top_k`` candidates
+are merged, as columns, into the search's running top-``k`` log: no
+other candidate can reach it. Masks are built, by
+:meth:`~repro.lang.refinement.RefinementOperator.child_masks`, for those
+candidates and the next beam only. The search builds one
+:class:`~repro.search.results.ScoredSubgroup`, the winner; the log's
+other entries are built from its columns when the log is first read.
 """
 
 from __future__ import annotations
 
 import math
+from functools import partial
 from typing import NamedTuple
 
 import numpy as np
@@ -56,7 +58,7 @@ from scipy import linalg as sla
 
 from repro.engine.executor import Executor, SerialExecutor
 from repro.errors import SearchError
-from repro.events import MiningObserver
+from repro.events import CandidateBatch, MiningObserver
 from repro.interest.dl import LOCATION, DLParams, description_length
 from repro.interest.si import PatternScore
 from repro.lang.refinement import RefinementOperator
@@ -79,7 +81,7 @@ from repro.obs.instruments import (
 )
 from repro.obs.trace import TRACER, current
 from repro.search.config import SearchConfig
-from repro.search.results import ScoredSubgroup, SearchResult
+from repro.search.results import ScoredSubgroup, SearchResult, SubgroupLog
 from repro.utils.linalg import log_det_psd, solve_psd
 from repro.utils.timer import TimeBudget
 
@@ -350,27 +352,72 @@ def _best_first(scores: np.ndarray, k: int) -> np.ndarray:
     return kept[np.argsort(negated[kept], kind="stable")[:k]]
 
 
-class _ResultLog:
-    """Keeps the ``top_k`` entries by score, ties broken by insertion order."""
+class _TopRows:
+    """The ``k`` best rows merged so far, best first, ties in arrival order.
 
-    def __init__(self, top_k: int) -> None:
-        self.top_k = top_k
-        self._entries: list[tuple[float, int, object]] = []
-        self._counter = 0
+    Rows arrive as columns: :meth:`merge` takes a score per row plus any
+    number of named columns, each indexed by row on its first axis. Each
+    merge keeps the best ``k`` of the running rows followed by the new
+    ones (:func:`_best_first`), so the order is score descending, then
+    arrival. Once ``k`` rows are kept, a new row enters only if it beats
+    the ``k``-th, so only those rows' columns are gathered.
+    """
 
-    def add(self, score: float, entry) -> None:
-        self._entries.append((score, self._counter, entry))
-        self._counter += 1
-        if len(self._entries) > 4 * self.top_k:
-            self._shrink()
+    def __init__(self, k: int) -> None:
+        self.k = k
+        self.scores = np.empty(0)
+        self.columns: dict[str, np.ndarray] = {}
 
-    def _shrink(self) -> None:
-        self._entries.sort(key=lambda t: (-t[0], t[1]))
-        del self._entries[self.top_k:]
+    def __len__(self) -> int:
+        return len(self.scores)
 
-    def ranked(self) -> list:
-        self._shrink()
-        return [entry for _, _, entry in self._entries]
+    def merge(self, scores: np.ndarray, **columns: np.ndarray) -> None:
+        """Merge a batch of rows, given in arrival order."""
+        if len(self) == self.k and not np.isnan(self.scores[-1]):
+            # A tie with the k-th row arrived later, so it loses too.
+            entering = np.flatnonzero(scores > self.scores[-1])
+            if not len(entering):
+                return
+            scores = scores[entering]
+            columns = {name: column[entering] for name, column in columns.items()}
+        if len(self):
+            scores = np.concatenate([self.scores, scores])
+            columns = {
+                name: np.concatenate([self.columns[name], column])
+                for name, column in columns.items()
+            }
+        keep = _best_first(scores, self.k)
+        self.scores = scores[keep]
+        self.columns = {name: column[keep] for name, column in columns.items()}
+
+
+def _search_result(
+    operator: RefinementOperator,
+    top: _TopRows,
+    **stats,
+) -> SearchResult:
+    """A location search's result from its log's columns.
+
+    ``top`` is scored by SI and holds ``ic``, ``dl``, ``observed`` (each
+    row's observed mean), ``codes`` and ``masks`` columns. Only the
+    winner is built now; the other entries are built when the log is
+    first read.
+    """
+    columns = top.columns
+
+    def entry(j: int) -> ScoredSubgroup:
+        return ScoredSubgroup(
+            description=operator.describe(columns["codes"][j]),
+            indices=np.flatnonzero(columns["masks"][j]),
+            observed_mean=columns["observed"][j],
+            score=PatternScore(ic=float(columns["ic"][j]), dl=float(columns["dl"][j])),
+        )
+
+    if not len(top):
+        return SearchResult(best=None, log=(), **stats)
+    best = entry(0)
+    log = SubgroupLog(len(top), lambda: (best, *map(entry, range(1, len(top)))))
+    return SearchResult(best=best, log=log, **stats)
 
 
 def _score_blocks(session, sums: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -407,22 +454,26 @@ class LocationBeamSearch:
         parallelism (see module docstring).
     observer:
         Optional :class:`~repro.events.MiningObserver`; its
-        ``on_candidate`` hook fires for every admissible candidate the
-        search scores, in generation order, in the coordinating process
-        (block scoring may be parallel, event delivery never is).
+        ``on_candidates`` hook fires once per scored level with the
+        level's admissible candidates as one
+        :class:`~repro.events.CandidateBatch`, in generation order, in
+        the coordinating process (block scoring may be parallel, event
+        delivery never is). It changes nothing the search builds.
 
     Generation order is parents in beam order, and each parent's
     refinements in pool order. Descriptions travel through the search as
     canonical integer codes, and candidates are scored from their sums
     over :attr:`LocationICScorer.features`: one row of sums, scored once,
     per distinct (parent extension, added condition) pair, which each
-    candidate reads through the level's ``sums_row``. A mask and a
-    :class:`~repro.search.results.ScoredSubgroup` are built only for a
-    level's ``top_k`` best candidates (best SI first, generation order
-    among ties), and for every candidate when an observer is attached;
-    the next beam's masks are built alongside. Either way the result is
-    the same. Counters: ``sisd_beam_candidates_total`` for the scored
-    candidates, ``sisd_beam_candidates_dropped_total{reason}`` for the
+    candidate reads through the level's ``sums_row``. Masks are built
+    only for a level's ``top_k`` best candidates (best SI first,
+    generation order among ties) and its next beam. The log keeps its
+    rows as columns (SI, IC, DL, observed mean, code and mask), ordered
+    by SI, then level, then generation order. The result's ``best`` is
+    the one :class:`~repro.search.results.ScoredSubgroup` the search
+    builds; the log builds the others when it is first read. Counters:
+    ``sisd_beam_candidates_total`` for the scored candidates,
+    ``sisd_beam_candidates_dropped_total{reason}`` for the
     refinements dropped as duplicates or by the coverage bounds, and
     ``sisd_beam_parent_extensions_total`` for the distinct parent
     extensions expanded.
@@ -460,7 +511,7 @@ class LocationBeamSearch:
         ]
         dl_array = np.array(dl)
 
-        log = _ResultLog(config.top_k)
+        top = _TopRows(config.top_k)
         beam: list[tuple[int, np.ndarray]] = [(0, np.ones(n_rows, dtype=bool))]
         seen: set[int] = set()
         n_evaluated = 0
@@ -513,45 +564,51 @@ class LocationBeamSearch:
                     tags={"depth": depth, "candidates": len(codes)},
                 )
 
-                si = ics / dl_array[level.lengths - 1]
+                dls = dl_array[level.lengths - 1]
+                si = ics / dls
+                if self.observer is not None:
+                    self.observer.on_candidates(
+                        CandidateBatch(
+                            sizes=level.sums[level.sums_row, 0].astype(np.int64),
+                            ic=ics,
+                            dl=dls,
+                            si=si,
+                            render=partial(operator.render, codes),
+                        )
+                    )
                 # Best first, generation order among ties; only a level's
-                # best top_k can reach the log, and an observer sees every
-                # candidate.
+                # best top_k can reach the log.
                 ranking = _best_first(si, max(config.top_k, config.beam_width))
                 chosen = ranking[: config.top_k]
-                if self.observer is not None:
-                    chosen = np.arange(len(si))
                 survivors = ranking[: config.beam_width]
                 # Masks for the logged candidates and the next beam only.
                 rows = np.union1d(chosen, survivors)
                 masks = operator.child_masks(beam, level.parents[rows], level.ranks[rows])
-                mask_of = dict(zip(rows.tolist(), masks))
-                for i in np.sort(chosen).tolist():
-                    entry = ScoredSubgroup(
-                        description=operator.describe(codes[i]),
-                        indices=np.flatnonzero(mask_of[i]),
-                        observed_mean=observed[level.sums_row[i]],
-                        score=PatternScore(ic=float(ics[i]), dl=dl[level.lengths[i] - 1]),
-                    )
-                    log.add(entry.si, entry)
-                    if self.observer is not None:
-                        self.observer.on_candidate(entry)
+                top.merge(
+                    si[chosen],
+                    ic=ics[chosen],
+                    dl=dls[chosen],
+                    observed=observed[level.sums_row[chosen]],
+                    codes=codes[chosen],
+                    masks=masks[np.searchsorted(rows, chosen)],
+                )
                 t_prune = clock.perf_counter()
                 BEAM_PHASE_MERGE.observe(t_prune - t_merge)
                 TRACER.record("merge", t_merge, t_prune, trace_ctx)
 
-                beam = [(codes[i], mask_of[i].copy()) for i in survivors.tolist()]
-                # The beam holds copies: free the level's masks and sums
-                # before the next expansion builds its own.
-                del level, codes, masks, mask_of, observed, row_ics
+                beam = list(
+                    zip(codes[survivors].tolist(), masks[np.searchsorted(rows, survivors)])
+                )
+                # The beam and the log hold copies: free the level's masks
+                # and sums before the next expansion builds its own.
+                del level, codes, masks, observed, row_ics
                 t_done = clock.perf_counter()
                 BEAM_PHASE_PRUNE.observe(t_done - t_prune)
                 TRACER.record("prune", t_prune, t_done, trace_ctx)
 
-        ranked = log.ranked()
-        return SearchResult(
-            best=ranked[0] if ranked else None,
-            log=tuple(ranked),
+        return _search_result(
+            operator,
+            top,
             n_evaluated=n_evaluated,
             depth_reached=depth_reached,
             expired=expired,

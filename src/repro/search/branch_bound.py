@@ -40,13 +40,12 @@ import numpy as np
 
 from repro.errors import SearchError
 from repro.interest.dl import LOCATION, DLParams, description_length
-from repro.interest.si import PatternScore
 from repro.lang.refinement import RefinementOperator
 from repro.model.background import BackgroundModel
 from repro.model.gaussian import LOG_2PI
-from repro.search.beam import _ResultLog
+from repro.search.beam import _search_result, _TopRows
 from repro.search.config import SearchConfig
-from repro.search.results import ScoredSubgroup, SearchResult
+from repro.search.results import SearchResult
 from repro.utils.timer import TimeBudget
 
 
@@ -158,8 +157,12 @@ class BranchAndBoundLocationSearch:
         n = self.targets.shape[0]
         budget = TimeBudget(config.time_budget_seconds)
 
-        best: ScoredSubgroup | None = None
-        log = _ResultLog(config.top_k)
+        top = _TopRows(config.top_k)
+        # DL by condition count, as the beam search tables it.
+        dl = [
+            description_length(c, kind=LOCATION, params=self.dl_params)
+            for c in range(1, config.max_depth + 1)
+        ]
         seen: set[int] = set()
         expanded = pruned = evaluated = 0
         expired = False
@@ -178,17 +181,14 @@ class BranchAndBoundLocationSearch:
             code, mask, depth, length = stack.pop()
             if depth >= config.max_depth:
                 continue
-            # Prune on the optimistic bound before expanding.
-            if best is not None:
-                bound_dl = description_length(
-                    max(length, 1), kind=LOCATION, params=self.dl_params
-                )
-                if self.optimistic_ic(mask) / bound_dl <= best.si:
+            # Prune on the optimistic bound before expanding; the log's
+            # first row is the incumbent (the first child with the best SI).
+            if len(top):
+                if self.optimistic_ic(mask) / dl[max(length, 1) - 1] <= top.scores[0]:
                     pruned += 1
                     continue
             expanded += 1
 
-            children: list[tuple[float, int, np.ndarray, int]] = []
             parent = [(code, mask)]
             level = self.operator.expand(
                 parent,
@@ -197,39 +197,40 @@ class BranchAndBoundLocationSearch:
                 max_size=self._max_size,
             )
             masks = self.operator.child_masks(parent, level.parents, level.ranks)
-            for child, n_conditions, child_mask in zip(
-                level.codes.tolist(), level.lengths.tolist(), masks
-            ):
-                size = int(child_mask.sum())
-                mean = float(self.targets[child_mask].mean())
-                ic = self._ic_of(size, mean)
-                evaluated += 1
-                depth_reached = max(depth_reached, n_conditions)
-                dl = description_length(n_conditions, kind=LOCATION, params=self.dl_params)
-                entry = ScoredSubgroup(
-                    description=self.operator.describe(child),
-                    indices=np.flatnonzero(child_mask),
-                    observed_mean=np.array([mean]),
-                    score=PatternScore(ic=ic, dl=dl),
-                )
-                log.add(entry.si, entry)
-                if best is None or entry.si > best.si:
-                    best = entry
-                children.append((ic, child, child_mask, n_conditions))
+            lengths = level.lengths.tolist()
+            means = [float(self.targets[child_mask].mean()) for child_mask in masks]
+            ics = [
+                self._ic_of(size, mean)
+                for size, mean in zip(masks.sum(axis=1).tolist(), means)
+            ]
+            evaluated += len(ics)
+            depth_reached = max(depth_reached, *lengths, 0)
+            ic_column = np.array(ics, dtype=float)
+            dl_column = np.array([dl[c - 1] for c in lengths], dtype=float)
+            # Each child's row enters the log as columns; entries are
+            # built only for the final log.
+            top.merge(
+                ic_column / dl_column,
+                ic=ic_column,
+                dl=dl_column,
+                observed=np.array(means, dtype=float)[:, None],
+                codes=level.codes,
+                masks=masks,
+            )
 
             # Push the weakest child first so the strongest is explored next.
-            children.sort(key=lambda c: c[0])
-            for ic, child, child_mask, n_conditions in children:
-                stack.append((child, child_mask, depth + 1, n_conditions))
+            codes = level.codes.tolist()
+            for i in sorted(range(len(ics)), key=ics.__getitem__):
+                stack.append((codes[i], masks[i], depth + 1, lengths[i]))
 
         self.stats = BranchBoundStats(
             nodes_expanded=expanded,
             nodes_pruned=pruned,
             nodes_evaluated=evaluated,
         )
-        return SearchResult(
-            best=best,
-            log=tuple(log.ranked()),
+        return _search_result(
+            self.operator,
+            top,
             n_evaluated=evaluated,
             depth_reached=depth_reached,
             expired=expired,

@@ -87,7 +87,7 @@ class SubgroupDiscovery:
         identical results, in parallel).
     observer:
         Optional :class:`~repro.events.MiningObserver` receiving
-        ``on_candidate`` for every beam candidate scored and
+        ``on_candidates`` for every beam level scored and
         ``on_iteration`` for every completed :meth:`step`.
     belief_cache:
         Optional :class:`~repro.engine.cache.BeliefCache`. When given,
@@ -99,7 +99,7 @@ class SubgroupDiscovery:
         normally and stores the outcome. Sessions sharing a prefix of
         assimilated patterns through one cache pay for the first new
         iteration onward only. Replayed steps fire ``on_iteration`` but
-        not ``on_candidate`` (no beam search ran).
+        not ``on_candidates`` (no beam search ran).
     """
 
     def __init__(

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -32,12 +34,55 @@ class ScoredSubgroup:
         return f"{self.description}  (n={self.size}, SI={self.si:.2f})"
 
 
+class SubgroupLog(Sequence):
+    """A search's ranked log, whose entries are built when first read.
+
+    It stands for the tuple of :class:`ScoredSubgroup` entries ``build()``
+    returns, and behaves as that tuple does: ``len`` (which builds
+    nothing), iteration, indexing, slicing (a slice is a tuple), and
+    ``==`` against a tuple or another log. The entries are built once;
+    every later read returns the same objects. A log pickles as its
+    tuple.
+    """
+
+    def __init__(self, size: int, build: Callable[[], Iterable[ScoredSubgroup]]) -> None:
+        self._size = size
+        self._build: Callable[[], Iterable[ScoredSubgroup]] | None = build
+        self._entries: tuple[ScoredSubgroup, ...] | None = None
+
+    def _built(self) -> tuple[ScoredSubgroup, ...]:
+        if self._entries is None:
+            self._entries = tuple(self._build())
+            self._build = None
+        return self._entries
+
+    def __len__(self) -> int:
+        return self._size
+
+    def __getitem__(self, index):
+        return self._built()[index]
+
+    def __iter__(self) -> Iterator[ScoredSubgroup]:
+        return iter(self._built())
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, (tuple, SubgroupLog)):
+            return self._built() == tuple(other)
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return repr(self._built())
+
+    def __reduce__(self):
+        return tuple, (self._built(),)
+
+
 @dataclass(frozen=True)
 class SearchResult:
     """Outcome of one beam search: the winner plus the top-k log."""
 
     best: ScoredSubgroup | None
-    log: tuple[ScoredSubgroup, ...]
+    log: Sequence[ScoredSubgroup]
     n_evaluated: int
     depth_reached: int
     expired: bool  # True if the time budget cut the search short

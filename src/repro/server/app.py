@@ -126,9 +126,11 @@ class _JobStreamObserver(MiningObserver):
     :meth:`bind` supplies the id, then flushed in order. Candidate
     summaries collect in a batch that is published as one ``candidates``
     event when it fills (:data:`_CANDIDATE_BATCH`) or just before the
-    job's next other event, so the job's events keep their order. All
-    callbacks are thread-safe and non-blocking (hub publishing never
-    waits on subscribers), as the engine's observer contract requires.
+    job's next other event, so the job's events keep their order. The
+    summaries are made from each beam level's batch columns; with
+    ``candidates`` off a batch is ignored on arrival. All callbacks are
+    thread-safe and non-blocking (hub publishing never waits on
+    subscribers), as the engine's observer contract requires.
     """
 
     def __init__(self, hub: EventHub, *, candidates: bool = True) -> None:
@@ -173,14 +175,18 @@ class _JobStreamObserver(MiningObserver):
                 self._publish_batch()
             self._publish(build)
 
-    def on_candidate(self, candidate) -> None:
+    def on_candidates(self, batch) -> None:
         if not self._candidates:
             return
-        summary = wire.candidate_to_wire(candidate)
+        summaries = wire.candidates_to_wire(batch)
         with self._lock:
-            self._batch.append(summary)
-            if len(self._batch) == _CANDIDATE_BATCH:
-                self._publish_batch()
+            start = 0
+            while start < len(summaries):
+                stop = start + _CANDIDATE_BATCH - len(self._batch)
+                self._batch.extend(summaries[start:stop])
+                start = stop
+                if len(self._batch) == _CANDIDATE_BATCH:
+                    self._publish_batch()
 
     def on_iteration(self, iteration) -> None:
         self._emit(lambda job_id: wire.iteration_event(job_id, iteration))
@@ -230,8 +236,8 @@ class MiningServer(http.Daemon):
         job's next other event, so a synthetic step costs one event
         after its beam. Pattern/scheduler events are unaffected. Pass
         ``False`` (CLI ``--no-candidates``) when no client renders
-        them; the job's observer is still attached, so the beam still
-        builds every scored candidate.
+        them: each level's batch is then dropped unread, so no summary
+        or description text is made.
     history / queue_maxsize:
         Replay-buffer and per-subscriber queue bounds of the
         :class:`~repro.server.hub.EventHub`. ``history`` counts

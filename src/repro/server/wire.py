@@ -27,9 +27,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any
 
+import numpy as np
+
 from repro.engine.jobs import JobResult
 from repro.errors import ReproError
-from repro.events import SchedulerEvent
+from repro.events import CandidateBatch, SchedulerEvent
 from repro.persist import (
     iteration_from_dict,
     iteration_to_dict,
@@ -38,7 +40,7 @@ from repro.persist import (
     job_result_to_dict,
     job_to_dict,
 )
-from repro.search.results import MiningIteration, ScoredSubgroup
+from repro.search.results import MiningIteration
 from repro.spec import MiningSpec
 
 #: Schema version embedded in every wire document; bump on breaking changes.
@@ -67,22 +69,40 @@ job_result_to_wire = job_result_to_dict
 job_result_from_wire = job_result_from_dict
 
 
-def candidate_to_wire(candidate: ScoredSubgroup) -> dict[str, Any]:
-    """Summarize one scored beam candidate for the stream.
+def candidates_to_wire(batch: CandidateBatch) -> list[dict[str, Any]]:
+    """Summarize a batch of scored beam candidates for the stream.
 
-    Candidates fire for *every* admissible subgroup (at paper settings,
-    tens per beam level on synthetic and about 38,000 on crime), so the
-    wire form is a render-ready summary — description text and scores,
-    no row indices. Full-fidelity records travel in iteration and result
-    documents only.
+    A beam level scores tens of candidates on synthetic and about 38,000
+    on crime at paper settings, so each one's wire form is a render-ready
+    summary: description text and scores, no row indices. Full-fidelity
+    records travel in iteration and result documents only.
     """
-    return {
-        "description": str(candidate.description),
-        "size": candidate.size,
-        "si": candidate.si,
-        "ic": candidate.score.ic,
-        "dl": candidate.score.dl,
-    }
+    return [
+        {"description": text, "size": size, "si": si, "ic": ic, "dl": dl}
+        for text, size, si, ic, dl in zip(
+            batch.descriptions(),
+            batch.sizes.tolist(),
+            batch.si.tolist(),
+            batch.ic.tolist(),
+            batch.dl.tolist(),
+        )
+    ]
+
+
+def candidates_from_wire(summaries: list[dict[str, Any]]) -> CandidateBatch:
+    """The batch a list of :func:`candidates_to_wire` summaries stands for.
+
+    JSON keeps every float's shortest round-trip form, so each column
+    equals the sender's bit for bit.
+    """
+    texts = [summary["description"] for summary in summaries]
+    return CandidateBatch(
+        sizes=np.array([summary["size"] for summary in summaries], dtype=np.int64),
+        ic=np.array([summary["ic"] for summary in summaries], dtype=float),
+        dl=np.array([summary["dl"] for summary in summaries], dtype=float),
+        si=np.array([summary["si"] for summary in summaries], dtype=float),
+        render=lambda: texts,
+    )
 
 
 def scheduler_event_to_wire(event: SchedulerEvent) -> dict[str, Any]:
@@ -164,9 +184,9 @@ def candidates_event(
 ) -> dict[str, Any]:
     """Envelope for consecutive candidate summaries of one job.
 
-    ``summaries`` are :func:`candidate_to_wire` dicts in generation
-    order; one envelope carries a batch of them, so a mined step costs
-    the stream a few frames rather than one per candidate.
+    ``summaries`` are :func:`candidates_to_wire` dicts in generation
+    order; one envelope carries up to 1,024 of them, so a mined step
+    costs the stream a few frames rather than one per candidate.
     """
     return {
         "schema": WIRE_SCHEMA,
@@ -217,7 +237,9 @@ class RemoteEvent:
     :class:`~repro.search.results.MiningIteration` for ``iteration``,
     :class:`~repro.engine.jobs.JobResult` for ``job``,
     :class:`~repro.events.SchedulerEvent` for ``schedule``, the list of
-    summary dicts for ``candidates``, and the ``{"job", "error"}`` pair
+    summary dicts for ``candidates`` (:func:`candidates_from_wire` makes
+    them a :class:`~repro.events.CandidateBatch`), and the
+    ``{"job", "error"}`` pair
     for ``job_failed``. ``seq`` is the server-assigned sequence number
     (0 when decoded outside a stream). ``raw`` keeps the envelope.
     """

@@ -189,14 +189,14 @@ class TestChainSafety:
 
 
 class _ExpireOnFirstCandidate(MiningObserver):
-    """Moves the frozen clock past the budget when the first candidate is scored."""
+    """Moves the frozen clock past the budget when the first level is scored."""
 
     def __init__(self, advance, seconds: float) -> None:
         self._advance = advance
         self._seconds = seconds
         self.fired = False
 
-    def on_candidate(self, candidate) -> None:
+    def on_candidates(self, batch) -> None:
         if not self.fired:
             self.fired = True
             self._advance(self._seconds)

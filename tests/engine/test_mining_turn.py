@@ -109,7 +109,7 @@ class TestStepFairness:
             def __init__(self, name):
                 self.name = name
 
-            def on_candidate(self, candidate):
+            def on_candidates(self, batch):
                 if self.name == "long" and not started.is_set():
                     started.set()
                     proceed.wait(30)

@@ -305,7 +305,7 @@ class TestRestartRecovery:
             def __init__(self):
                 self.trace = []
 
-            def on_candidate(self, candidate):
+            def on_candidates(self, batch):
                 self.trace.append("candidate")
 
             def on_iteration(self, iteration):

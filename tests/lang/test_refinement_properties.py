@@ -18,8 +18,9 @@ Seeded randomized datasets drive four families of properties:
   reference masks bit for bit. Candidates that add one condition to
   parents with one extension share exactly one row of sums. A code is
   one integer: :meth:`RefinementOperator.describe` inverts the
-  documented coding, ``lengths`` counts each code's conditions, and a
-  code past 63 bits is a Python int.
+  documented coding, :meth:`RefinementOperator.render` gives its text,
+  ``lengths`` counts each code's conditions, and a code past 63 bits is
+  a Python int.
 - **Textual round-trip** — descriptions survive ``str`` →
   :meth:`Description.parse` (exactly for thresholds representable at
   the renderer's 6 significant digits; textually for arbitrary pool
@@ -378,6 +379,16 @@ class TestIntegerCodes:
         masks = operator.child_masks(coded, level.parents, level.ranks)
         np.testing.assert_array_equal(masks, np.array([e[1] for e in expected]))
         assert (level.duplicates, level.out_of_range) == (duplicates, out_of_range)
+        assert operator.render(level.codes) == [str(operator.describe(c)) for c in level.codes]
+
+    @given(seed=st.integers(0, 19), data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_render_is_the_decoded_text(self, seed, data):
+        operator = make_operator(seed)
+        parents = [draw_parent(data.draw, operator) for _ in range(data.draw(st.integers(1, 4)))]
+        coded = [(encode(operator, p), operator.extension_mask(p)) for p in parents]
+        codes = np.concatenate([[0], operator.expand(coded, set()).codes, [c for c, _ in coded]])
+        assert operator.render(codes) == [str(operator.describe(c)) for c in codes]
 
 
 @functools.lru_cache(maxsize=32)

@@ -1,21 +1,24 @@
 """Tests for the location beam search and its batched scorer."""
 
+import io
 import math
+import pickle
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.datasets.crime import make_crime
 from repro.datasets.schema import AttributeKind, Column, Dataset
 from repro.errors import SearchError
-from repro.events import EventLog
+from repro.events import EventLog, MiningObserver
 from repro.interest.ic import location_ic
 from repro.lang.description import Description
 from repro.lang.refinement import RefinementOperator
 from repro.model.background import BackgroundModel
 from repro.model.patterns import SpreadConstraint
+from repro.obs import clock
 from repro.obs.instruments import (
     BEAM_CANDIDATES,
     BEAM_DROPPED_COVERAGE,
@@ -25,6 +28,7 @@ from repro.obs.instruments import (
     IC_KERNEL_LOWRANK,
     IC_KERNEL_UNIFORM,
 )
+from repro.report.live import LiveReporter
 from repro.search.beam import LocationBeamSearch, LocationICScorer, _best_first
 from repro.search.config import SearchConfig
 from repro.stats.statistics import subgroup_mean
@@ -158,7 +162,7 @@ class TestLocationBeamSearch:
         assert result.n_evaluated == 12
 
 
-def _reference_generation(operator, recorded, config, n_rows):
+def _reference_generation(operator, sis, config, n_rows):
     """Descriptions in generation order, rebuilt with ``refinements()``.
 
     Replays the level-wise loop — parents in beam order, refinements in
@@ -182,11 +186,27 @@ def _reference_generation(operator, recorded, config, n_rows):
                     level.append((refined, mask))
         if not level:
             break
-        sis = [entry.si for entry in recorded[len(order) : len(order) + len(level)]]
+        level_sis = sis[len(order) : len(order) + len(level)]
         order.extend(description for description, _ in level)
-        ranking = sorted(range(len(level)), key=lambda i: -sis[i])
+        ranking = sorted(range(len(level)), key=lambda i: -level_sis[i])
         beam = [level[i] for i in ranking[: config.beam_width]]
     return order
+
+
+def _decode(operator, batches):
+    """The descriptions of every batch's candidates, through the operator's pool."""
+    by_text = {str(condition): condition for condition in operator.conditions}
+    assert len(by_text) == len(set(operator.conditions)), "condition texts collide"
+    return [
+        Description(tuple(by_text[part] for part in text.split(" AND ")))
+        for batch in batches
+        for text in batch.descriptions()
+    ]
+
+
+def _column(batches, name):
+    """One column of every batch, concatenated in arrival order."""
+    return np.concatenate([getattr(batch, name) for batch in batches])
 
 
 class TestObservedSearch:
@@ -222,11 +242,13 @@ class TestObservedSearch:
             np.testing.assert_array_equal(ours.indices, theirs.indices)
             np.testing.assert_array_equal(ours.observed_mean, theirs.observed_mean)
 
-        assert len(recorder.candidates) == observed.n_evaluated
+        assert len(recorder.candidates) == observed.depth_reached
+        assert len(_column(recorder.candidates, "si")) == observed.n_evaluated
+        operator = RefinementOperator(dataset)
         expected = _reference_generation(
-            RefinementOperator(dataset), recorder.candidates, config, dataset.n_rows
+            operator, _column(recorder.candidates, "si"), config, dataset.n_rows
         )
-        assert [c.description for c in recorder.candidates] == expected
+        assert _decode(operator, recorder.candidates) == expected
 
 
 class TestDroppedCounter:
@@ -351,14 +373,25 @@ class TestSharedExtensions:
             after - b for after, b in zip(self._counts(), before)
         )
 
-        assert len(recorder.candidates) == result.n_evaluated == candidates
-        masks = np.zeros((len(recorder.candidates), dataset.n_rows), dtype=bool)
-        for mask, entry in zip(masks, recorder.candidates):
-            mask[entry.indices] = True
-        ref_ics, ref_observed = scorer.score_masks(masks)
-        ics = np.array([entry.score.ic for entry in recorder.candidates])
-        observed = np.array([entry.observed_mean for entry in recorder.candidates])
+        ics = _column(recorder.candidates, "ic")
+        assert len(ics) == result.n_evaluated == candidates
+        masks = np.array(
+            [
+                operator.extension_mask(description)
+                for description in _decode(operator, recorder.candidates)
+            ]
+        )
+        ref_ics, _ = scorer.score_masks(masks)
         assert np.all(np.abs(ics - ref_ics) <= 1e-12 * np.maximum(1.0, np.abs(ref_ics)))
+        np.testing.assert_array_equal(
+            _column(recorder.candidates, "sizes"), masks.sum(axis=1)
+        )
+        # A batch carries no means; the logged entries do.
+        log_masks = np.zeros((len(result.log), dataset.n_rows), dtype=bool)
+        for mask, entry in zip(log_masks, result.log):
+            mask[entry.indices] = True
+        _, ref_observed = scorer.score_masks(log_masks)
+        observed = np.array([entry.observed_mean for entry in result.log])
         assert np.all(
             np.abs(observed - ref_observed) <= 1e-12 * np.maximum(1.0, np.abs(ref_observed))
         )
@@ -385,3 +418,158 @@ class TestBestFirst:
         np.testing.assert_array_equal(
             _best_first(scores, k), np.argsort(-scores, kind="stable")[:k]
         )
+
+
+def _log_from_batches(batches, top_k):
+    """Rows of a stable descending top-``top_k`` over every batch's SI."""
+    if not batches:
+        return np.empty(0), []
+    si = _column(batches, "si")
+    order = np.argsort(-si, kind="stable")[:top_k]
+    texts = [text for batch in batches for text in batch.descriptions()]
+    return si[order], [texts[i] for i in order]
+
+
+def _assert_log_is_batch_top_k(result, batches, top_k):
+    si, texts = _log_from_batches(batches, top_k)
+    assert len(result.log) == len(si)
+    assert np.array([entry.si for entry in result.log]).tobytes() == si.tobytes()
+    assert [str(entry.description) for entry in result.log] == texts
+    if len(si):
+        assert result.best is result.log[0]
+
+
+@st.composite
+def _tied_search(draw):
+    """A small dataset whose copied columns make candidates tie, and a config."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = 48
+    flag = rng.integers(0, 2, n).astype(float)
+    x = rng.choice([0.0, 1.0, 2.0, 3.0, 4.0], n)
+    columns = [
+        Column("flag", AttributeKind.BINARY, flag),
+        Column("flag_copy", AttributeKind.BINARY, flag.copy()),
+        Column("x", AttributeKind.ORDINAL, x),
+        Column("x_copy", AttributeKind.ORDINAL, x.copy()),
+        Column("noise", AttributeKind.NUMERIC, rng.standard_normal(n)),
+    ]
+    targets = rng.standard_normal((n, draw(st.integers(1, 2))))
+    targets[flag == 1.0] += draw(st.floats(0.0, 2.0))
+    dataset = Dataset("tied", columns, targets, [f"y{i}" for i in range(targets.shape[1])])
+    config = SearchConfig(
+        beam_width=draw(st.integers(1, 6)),
+        max_depth=draw(st.integers(1, 3)),
+        top_k=draw(st.integers(1, 80)),
+        min_coverage=draw(st.integers(2, 6)),
+    )
+    return dataset, config
+
+
+class TestColumnarLog:
+    """The log is a stable top-k over the batches' SIs, whatever the draw."""
+
+    @given(case=_tied_search())
+    @settings(max_examples=40, deadline=None)
+    def test_log_is_the_stable_top_k_of_the_batches(self, case):
+        dataset, config = case
+        recorder = EventLog()
+        result = LocationBeamSearch(
+            RefinementOperator(dataset),
+            LocationICScorer(BackgroundModel.from_targets(dataset.targets), dataset.targets),
+            config=config,
+            observer=recorder,
+        ).run()
+        assert len(recorder.candidates) == result.depth_reached
+        _assert_log_is_batch_top_k(result, recorder.candidates, config.top_k)
+
+    def test_ties_keep_level_then_generation_order(self, twins):
+        dataset, model = twins
+        recorder = EventLog()
+        result = LocationBeamSearch(
+            RefinementOperator(dataset),
+            LocationICScorer(model, dataset.targets),
+            config=SearchConfig(beam_width=8, max_depth=3, top_k=40),
+            observer=recorder,
+        ).run()
+        sis = [entry.si for entry in result.log]
+        assert len(set(sis)) < len(sis), "the twins should tie"
+        _assert_log_is_batch_top_k(result, recorder.candidates, 40)
+
+    def test_top_k_past_the_candidate_count_logs_every_candidate(self, planted):
+        dataset, model = planted
+        recorder = EventLog()
+        result = LocationBeamSearch(
+            RefinementOperator(dataset),
+            LocationICScorer(model, dataset.targets),
+            config=SearchConfig(max_depth=1, top_k=500),
+            observer=recorder,
+        ).run()
+        assert len(result.log) == result.n_evaluated == 12
+        _assert_log_is_batch_top_k(result, recorder.candidates, 500)
+
+    def test_an_expired_budget_keeps_the_levels_merged_so_far(self, planted):
+        dataset, model = planted
+
+        class Expire(MiningObserver):
+            def __init__(self, advance):
+                self.advance = advance
+                self.batches = []
+
+            def on_candidates(self, batch):
+                self.batches.append(batch)
+                self.advance(10.0)
+
+        with clock.fixed() as advance:
+            observer = Expire(advance)
+            result = LocationBeamSearch(
+                RefinementOperator(dataset),
+                LocationICScorer(model, dataset.targets),
+                config=SearchConfig(top_k=5, time_budget_seconds=5.0),
+                observer=observer,
+            ).run()
+        assert result.expired and result.depth_reached == 1
+        assert len(observer.batches) == 1
+        _assert_log_is_batch_top_k(result, observer.batches, 5)
+
+    def test_an_empty_search_has_no_best_and_an_empty_log(self, planted):
+        dataset, model = planted
+        result = LocationBeamSearch(
+            RefinementOperator(dataset),
+            LocationICScorer(model, dataset.targets),
+            config=SearchConfig(time_budget_seconds=0.0),
+            observer=EventLog(),
+        ).run()
+        assert result.best is None
+        assert len(result.log) == 0 and result.log == () and list(result.log) == []
+
+    def test_reading_the_log_builds_it_once_and_leaves_best_alone(self, planted):
+        dataset, model = planted
+        result = LocationBeamSearch(
+            RefinementOperator(dataset),
+            LocationICScorer(model, dataset.targets),
+            config=SearchConfig(top_k=20),
+        ).run()
+        best = result.best
+        snapshot = (best.description, best.indices.copy(), best.observed_mean.copy(), best.score)
+        first, second = list(result.log), list(result.log)
+        assert len(first) == len(result.log) == 20
+        assert all(a is b for a, b in zip(first, second))
+        assert result.log == tuple(first) and result.log[:3] == tuple(first[:3])
+        assert result.best is best is result.log[0]
+        assert (best.description, best.score) == (snapshot[0], snapshot[3])
+        np.testing.assert_array_equal(best.indices, snapshot[1])
+        np.testing.assert_array_equal(best.observed_mean, snapshot[2])
+        assert pickle.loads(pickle.dumps(result.log))[5].si == first[5].si
+
+    def test_live_reporter_lines_are_the_entries_text(self, planted):
+        dataset, model = planted
+        stream = io.StringIO()
+        result = LocationBeamSearch(
+            RefinementOperator(dataset),
+            LocationICScorer(model, dataset.targets),
+            config=SearchConfig(max_depth=2, top_k=1000),
+            observer=LiveReporter(stream, candidates=True),
+        ).run()
+        lines = stream.getvalue().splitlines()
+        assert len(lines) == len(result.log) == result.n_evaluated
+        assert sorted(lines) == sorted(f"  ? {entry}" for entry in result.log)

@@ -150,6 +150,30 @@ class TestOptimality:
         assert str(result.best.description) == "flag = '1'"
 
 
+class TestLog:
+    def test_each_entry_is_its_own_subgroup(self, small_dataset):
+        """The log's entries, built from its columns, match their masks."""
+        from repro.interest.dl import description_length
+
+        result = make_search(small_dataset, max_depth=2, top_k=20).run()
+        operator = RefinementOperator(small_dataset)
+        model = BackgroundModel.from_targets(small_dataset.targets)
+        mu = float(model.block_mean(0)[0])
+        s2 = float(model.block_cov(0)[0, 0])
+        assert len(result.log) == 20 and result.best is result.log[0]
+        sis = [entry.si for entry in result.log]
+        assert sis == sorted(sis, reverse=True)
+        for entry in result.log:
+            mask = operator.extension_mask(entry.description)
+            np.testing.assert_array_equal(entry.indices, np.flatnonzero(mask))
+            mean = float(small_dataset.targets[mask].mean())
+            assert entry.observed_mean.tolist() == [mean]
+            size = len(entry.indices)
+            ic = 0.5 * (np.log(2 * np.pi * s2 / size) + size * (mean - mu) ** 2 / s2)
+            assert entry.score.ic == pytest.approx(ic, rel=1e-12)
+            assert entry.score.dl == description_length(len(entry.description))
+
+
 class TestPruning:
     def test_pruning_happens(self, small_dataset):
         search = make_search(small_dataset, max_depth=3)

@@ -7,6 +7,7 @@ acceptance bar: ``RemoteWorkspace.mine()`` bit-identical to the local
 """
 
 import asyncio
+import contextlib
 import threading
 import time
 from concurrent.futures import CancelledError
@@ -16,9 +17,10 @@ import pytest
 
 from repro.api import Workspace
 from repro.client import RemoteError, RemoteJobFailed, RemoteWorkspace, _SSEStream
-from repro.engine.service import JobStatus
+from repro.engine.jobs import JobResult
+from repro.engine.service import JobStatus, MiningService
 from repro.errors import DataError, ModelError, SearchError
-from repro.events import CallbackObserver, EventLog
+from repro.events import CallbackObserver, EventLog, MiningObserver
 from repro.persist import job_to_dict
 from repro.server import MiningServer, http, wire
 from repro.spec import MiningSpec
@@ -245,25 +247,38 @@ class TestStreaming:
 
             return call
 
-        hooks = ("on_candidate", "on_iteration", "on_job", "on_schedule")
+        hooks = ("on_candidates", "on_iteration", "on_job", "on_schedule")
         angry = CallbackObserver(**{hook: record_then_raise(hook) for hook in hooks})
         iterations = list(remote.stream(spec, observer=angry))
         assert [it.index for it in iterations] == [1, 2]
-        assert {"on_candidate", "on_schedule"} <= set(heard)
+        assert {"on_candidates", "on_schedule"} <= set(heard)
         assert heard.count("on_iteration") == 2
         assert heard[-1] == "on_job" and heard.count("on_job") == 1
 
     def test_candidate_events_flow_on_the_thread_backend(self, remote):
         # Every candidate a local run scores reaches the remote observer
-        # exactly once, in order, as the same summary after a JSON hop.
+        # exactly once, in order, with the same columns after a JSON hop.
         spec = fast_spec(seed=33, kind="spread")
         remote_log, local_log = EventLog(), EventLog()
         list(remote.stream(spec, observer=remote_log))
         list(Workspace().stream(spec, observer=local_log))
         assert local_log.candidates, "the local run fired no candidates"
-        assert remote_log.candidates == [
-            wire.candidate_to_wire(candidate) for candidate in local_log.candidates
-        ]
+        assert _columns(remote_log.candidates) == _columns(local_log.candidates)
+        # One call per candidates event: a step's level batches arrive
+        # as one event here, so the remote hears fewer, larger batches.
+        assert len(remote_log.candidates) == spec.search.n_iterations
+
+
+def _columns(batches):
+    """Every batch's descriptions and column bytes, concatenated in order."""
+    return {
+        "descriptions": [text for batch in batches for text in batch.descriptions()],
+        **{
+            name: [np.concatenate([getattr(b, name) for b in batches]).tobytes()]
+            for name in ("sizes", "ic", "dl", "si")
+        },
+        "dtypes": sorted({(b.sizes.dtype.str, b.si.dtype.str) for b in batches}),
+    }
 
 
 def _job_events(remote, job_id):
@@ -320,34 +335,33 @@ class TestCandidateBatches:
             events = _job_events(remote, job_id)
         mined = [event.type for event in events if event.type != "schedule"]
         assert mined == ["candidates", "job_failed"]
-        assert heard.candidates == [
-            wire.candidate_to_wire(candidate) for candidate in local.candidates
-        ]
+        assert _columns(heard.candidates) == _columns(local.candidates)
         assert len(heard.failures) == 1
 
     def test_a_full_batch_publishes_at_once_and_none_exceeds_the_cap(self):
-        from repro.interest.si import PatternScore
-        from repro.lang.conditions import NumericCondition
-        from repro.lang.description import Description
-        from repro.search.results import ScoredSubgroup
+        from repro.events import CandidateBatch
         from repro.server.app import _JobStreamObserver
         from repro.server.hub import EventHub
 
-        candidates = [
-            ScoredSubgroup(
-                description=Description((NumericCondition("x1", "<=", i / 7),)),
-                indices=np.arange(1 + i % 5),
-                observed_mean=np.zeros(1),
-                score=PatternScore(ic=float(i), dl=1.0),
+        def level(start, stop):
+            rows = np.arange(start, stop)
+            return CandidateBatch(
+                sizes=1 + rows % 5,
+                ic=rows.astype(float),
+                dl=np.ones(len(rows)),
+                si=rows.astype(float),
+                render=lambda: [f"x1 <= {i / 7:.6g}" for i in rows],
             )
-            for i in range(2500)
-        ]
+
+        # Levels that end before, across and exactly on a batch boundary.
+        bounds = [0, 700, 1400, 2048, 2500]
+        levels = [level(a, b) for a, b in zip(bounds, bounds[1:])]
         hub = EventHub(history=10_000)
         try:
             observer = _JobStreamObserver(hub)
             observer.bind("job-0001")
-            for count, candidate in enumerate(candidates, start=1):
-                observer.on_candidate(candidate)
+            for batch, count in zip(levels, bounds[1:]):
+                observer.on_candidates(batch)
                 # Only a full batch publishes while candidates keep coming.
                 assert hub.latest_seq == count // 1024
             observer.on_job_failed(fast_spec(), RuntimeError("boom"))
@@ -372,7 +386,49 @@ class TestCandidateBatches:
         ]
         assert [
             summary for event in events[:3] for summary in event["candidates"]
-        ] == [wire.candidate_to_wire(candidate) for candidate in candidates]
+        ] == [summary for batch in levels for summary in wire.candidates_to_wire(batch)]
+
+
+class TestCandidateEventsSwitch:
+    @pytest.mark.parametrize("candidate_events", [True, False])
+    def test_a_served_step_builds_one_subgroup_and_mines_the_same(
+        self, monkeypatch, candidate_events
+    ):
+        from repro.search.results import ScoredSubgroup
+
+        built = []
+        init = ScoredSubgroup.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(1)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(ScoredSubgroup, "__init__", counted)
+        # Paper search settings, so that top_k covers every level.
+        spec = fast_spec(seed=61, kind="spread", beam_width=40, max_depth=4, top_k=150)
+        service = MiningService(max_workers=1, backend="thread", belief_cache=None)
+        server = MiningServer(
+            port=0, service=service, candidate_events=candidate_events
+        )
+        heard = EventLog()
+        try:
+            with server.run_in_thread() as handle:
+                remote = RemoteWorkspace(handle.url, timeout=30.0)
+                streamed = list(remote.stream(spec, observer=heard))
+                job_id = remote.jobs().popitem()[0]
+                events = _job_events(remote, job_id)
+        finally:
+            service.shutdown()
+        # The winner of each mined step, and nothing per candidate.
+        assert len(built) == spec.search.n_iterations
+        published = {event.type for event in events}
+        assert ("candidates" in published) == candidate_events
+        assert bool(heard.candidates) == candidate_events
+        local_log = EventLog()
+        local = Workspace().mine(spec, observer=local_log)
+        _assert_results_identical(local, JobResult(spec, tuple(streamed), 0.0))
+        if candidate_events:
+            assert _columns(heard.candidates) == _columns(local_log.candidates)
 
 
 class TestSSEResume:
@@ -410,32 +466,53 @@ class TestSSEResume:
         assert seqs == list(range(seqs[0], seqs[-1] + 1))
 
 
+class _Hold(MiningObserver):
+    """Holds its job's mining thread at the first beam level until released."""
+
+    def __init__(self) -> None:
+        self.release = threading.Event()
+
+    def on_candidates(self, batch) -> None:
+        self.release.wait(30)
+
+
+@contextlib.contextmanager
+def _one_held_slot():
+    """A one-slot server whose slot a blocker job holds until released.
+
+    Jobs submitted after the blocker stay queued until ``release`` is set,
+    however fast mining is. Yields ``(url, blocker job id, release)``.
+    """
+    service = MiningService(max_workers=1, backend="thread", belief_cache=None)
+    hold = _Hold()
+    try:
+        with MiningServer(port=0, service=service).run_in_thread() as handle:
+            try:
+                blocker = service.submit(fast_spec(seed=51), observer=hold)
+                yield handle.url, blocker, hold.release
+            finally:
+                hold.release.set()
+    finally:
+        service.shutdown()
+
+
 class TestCancel:
     def test_cancel_while_queued_is_deterministic(self):
-        server = MiningServer(port=0, backend="thread", max_workers=1)
-        with server.run_in_thread() as handle:
-            remote = RemoteWorkspace(handle.url, timeout=30.0)
-            blocker_spec = fast_spec(
-                seed=51, beam_width=40, max_depth=4, top_k=150, n_iterations=6
-            )
-            blocker = remote.submit(blocker_spec)
+        with _one_held_slot() as (url, blocker, release):
+            remote = RemoteWorkspace(url, timeout=30.0)
             victim = remote.submit(fast_spec(seed=52))
             assert remote.cancel(victim) is True
             assert remote.status(victim) == JobStatus.CANCELLED
             with pytest.raises(CancelledError):
                 remote.result(victim, timeout=10)
             # Cancelling the terminal blocker later reports False.
+            release.set()
             remote.result(blocker, timeout=120)
             assert remote.cancel(blocker) is False
 
     def test_cancelled_job_surfaces_on_the_stream(self):
-        server = MiningServer(port=0, backend="thread", max_workers=1)
-        with server.run_in_thread() as handle:
-            remote = RemoteWorkspace(handle.url, timeout=30.0)
-            blocker_spec = fast_spec(
-                seed=53, beam_width=40, max_depth=4, top_k=150, n_iterations=6
-            )
-            remote.submit(blocker_spec)
+        with _one_held_slot() as (url, blocker, release):
+            remote = RemoteWorkspace(url, timeout=30.0)
             victim_spec = fast_spec(seed=54)
 
             caught = {}

@@ -13,14 +13,13 @@ import pytest
 
 from repro.engine.jobs import JobResult
 from repro.errors import ReproError
-from repro.events import SchedulerEvent
+from repro.events import CandidateBatch, SchedulerEvent
 from repro.interest.si import PatternScore
 from repro.lang.conditions import NumericCondition
 from repro.lang.description import Description
 from repro.search.results import (
     LocationPatternResult,
     MiningIteration,
-    ScoredSubgroup,
     SpreadPatternResult,
 )
 from repro.server import wire
@@ -36,12 +35,14 @@ def _description() -> Description:
     return Description((NumericCondition("x1", "<=", 1.0 / 3.0),))
 
 
-def _candidate(ic: float, dl: float) -> ScoredSubgroup:
-    return ScoredSubgroup(
-        description=_description(),
-        indices=np.array([1, 2, 3], dtype=np.int64),
-        observed_mean=np.array([0.5]),
-        score=PatternScore(ic=ic, dl=dl),
+def _batch(ics: list[float], dl: float) -> CandidateBatch:
+    ic = np.array(ics)
+    return CandidateBatch(
+        sizes=np.arange(3, 3 + len(ics), dtype=np.int64),
+        ic=ic,
+        dl=np.full(len(ics), dl),
+        si=ic / dl,
+        render=lambda: [str(_description())] * len(ics),
     )
 
 
@@ -147,15 +148,28 @@ class TestPayloadRoundTrips:
         assert rebuilt.job == original.job
 
     def test_candidate_summary_is_render_ready(self):
-        candidate = _candidate(ic=4.0, dl=2.0)
-        document = _roundtrip(wire.candidate_to_wire(candidate))
-        assert document == {
-            "description": str(candidate.description),
-            "size": 3,
-            "si": 2.0,
-            "ic": 4.0,
-            "dl": 2.0,
-        }
+        documents = _roundtrip(wire.candidates_to_wire(_batch([4.0], dl=2.0)))
+        assert documents == [
+            {
+                "description": str(_description()),
+                "size": 3,
+                "si": 2.0,
+                "ic": 4.0,
+                "dl": 2.0,
+            }
+        ]
+        assert list(documents[0]) == ["description", "size", "si", "ic", "dl"]
+
+    def test_candidate_batch_round_trips_column_for_column(self):
+        batch = _batch([10.0 / 3.0, 0.1, 2.0**-40, -7.25], dl=1.0 / 3.0)
+        rebuilt = wire.candidates_from_wire(
+            _roundtrip(wire.candidates_to_wire(batch))
+        )
+        assert rebuilt.descriptions() == batch.descriptions()
+        for name in ("sizes", "ic", "dl", "si"):
+            ours, theirs = getattr(rebuilt, name), getattr(batch, name)
+            assert ours.dtype == theirs.dtype
+            assert ours.tobytes() == theirs.tobytes()  # exact, bit for bit
 
 
 class TestEventEnvelopes:
@@ -199,10 +213,9 @@ class TestEventEnvelopes:
             }
 
     def test_candidates_event_round_trips_to_the_same_summaries(self):
-        summaries = [
-            wire.candidate_to_wire(_candidate(ic=ic, dl=1.0 / 3.0))
-            for ic in (10.0 / 3.0, 0.1, 2.0**-40)
-        ]
+        summaries = wire.candidates_to_wire(
+            _batch([10.0 / 3.0, 0.1, 2.0**-40], dl=1.0 / 3.0)
+        )
         event = wire.event_from_wire(
             _roundtrip(wire.candidates_event("job-0005", summaries)), seq=3
         )

@@ -49,9 +49,8 @@ class TestMine:
         assert "spread:" not in out
 
     def test_mine_builds_only_the_logged_candidates(self, capsys, monkeypatch):
-        # An attached observer makes the beam build a ScoredSubgroup for
-        # every scored candidate (7,643 per water step); the CLI prints
-        # iterations only, so each level builds at most its top_k (150).
+        # A water step scores 7,643 candidates; the beam builds a
+        # ScoredSubgroup for its winner only, and the CLI reads no log.
         from repro.search import beam
         from repro.search.results import ScoredSubgroup
 
@@ -65,7 +64,7 @@ class TestMine:
         monkeypatch.setattr(beam, "ScoredSubgroup", Counted)
         assert main(["mine", "water", "--iterations", "1"]) == 0
         assert "--- iteration 1 ---" in capsys.readouterr().out
-        assert 0 < len(built) <= 4 * 150
+        assert len(built) == 1
 
     def test_unknown_dataset_rejected_by_argparse(self):
         with pytest.raises(SystemExit):
