@@ -12,14 +12,15 @@ Measures what the network layer adds on top of the engine:
   and the latency from submit to the first live event;
 - **candidate stream**: one paper-settings spread job streamed with
   its candidate summaries on, beside a local ``Workspace.mine`` of the
-  same spec; the difference, divided by the events the client's
-  observer received, is the wire's cost per event. That count
-  (``stream_events_received``) is of observer calls, one per
-  ``candidates`` event, iteration, scheduling decision and job: the
+  same spec; the difference, divided by the candidates the client's
+  observer received (``stream_candidates_received``, the rows of its
+  ``on_candidates`` batches), is the wire's cost per candidate. The
   server sends a step's summaries as a few ``candidates`` events of up
-  to 1,024 each, and the client hands each one to ``on_candidates`` as
-  one batch. ``events_published`` counts every event the hub published
-  over the whole run.
+  to 1,024 each. ``events_published`` counts every event the hub
+  published over the whole run;
+- **server boot**: ``python -m repro serve --quiet --port 0`` from spawn
+  to a 200 from ``GET /health``, the median of five boots
+  (``server_boot_seconds``). A boot is mostly ``import repro``.
 
 Results go to ``BENCH_server.json`` at the repo root (the perf
 trajectory file, like the engine benchmark's). Runs standalone too::
@@ -29,11 +30,16 @@ trajectory file, like the engine benchmark's). Runs standalone too::
 
 import json
 import os
+import signal
+import statistics
+import subprocess
+import sys
 import threading
 import time
+import urllib.request
 from pathlib import Path
 
-from bench_schema import envelope
+from bench_schema import REPO_ROOT, envelope
 from repro.api import Workspace
 from repro.client import RemoteWorkspace
 from repro.events import CallbackObserver
@@ -45,6 +51,9 @@ JSON_PATH = Path(__file__).resolve().parent.parent / "BENCH_server.json"
 
 #: Small jobs: the benchmark prices the wire, not the mining.
 N_JOBS = 4
+
+#: Server boots whose median is ``server_boot_seconds``.
+BOOTS = 5
 
 #: The candidate-stream job: the paper's search settings (beam 40, depth
 #: 4, top 150), three spread steps, several hundred candidate summaries.
@@ -66,7 +75,7 @@ def _spec(seed: int) -> MiningSpec:
 
 
 def _stream_candidates(remote: RemoteWorkspace) -> tuple[float, float, int]:
-    """(local seconds, remote seconds, observer calls) for STREAM_SPEC."""
+    """(local seconds, remote seconds, candidates received) for STREAM_SPEC."""
     local_started = time.perf_counter()
     with Workspace() as workspace:
         local = workspace.mine(STREAM_SPEC)
@@ -74,13 +83,11 @@ def _stream_candidates(remote: RemoteWorkspace) -> tuple[float, float, int]:
 
     received = 0
 
-    def count(*_) -> None:
+    def count(batch) -> None:
         nonlocal received
-        received += 1
+        received += len(batch.si)
 
-    observer = CallbackObserver(
-        on_candidates=count, on_iteration=count, on_job=count, on_schedule=count
-    )
+    observer = CallbackObserver(on_candidates=count)
     remote_started = time.perf_counter()
     streamed = list(remote.stream(STREAM_SPEC, observer=observer))
     remote_seconds = time.perf_counter() - remote_started
@@ -89,6 +96,39 @@ def _stream_candidates(remote: RemoteWorkspace) -> tuple[float, float, int]:
         assert str(a.location) == str(b.location)
         assert a.spread.score.ic == b.spread.score.ic
     return local_seconds, remote_seconds, received
+
+
+def _boot_seconds() -> float:
+    """Spawn to a 200 from ``GET /health`` for one ``python -m repro serve``."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(REPO_ROOT / "src")]
+        + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    started = time.perf_counter()
+    process = subprocess.Popen(
+        [sys.executable, "-m", "repro", "serve", "--quiet", "--port", "0"],
+        stdout=subprocess.PIPE,
+        text=True,
+        env=env,
+    )
+    try:
+        for line in process.stdout:
+            if "listening on http://" in line:
+                break
+        url = "http://" + line.split("listening on http://")[1].split()[0]
+        while True:
+            try:
+                with urllib.request.urlopen(f"{url}/health", timeout=5) as reply:
+                    if reply.status == 200:
+                        return time.perf_counter() - started
+            except OSError:
+                pass
+            time.sleep(0.005)
+    finally:
+        process.send_signal(signal.SIGINT)
+        process.wait(timeout=30)
+        process.stdout.close()
 
 
 def measure(seed: int = 0) -> list:
@@ -141,14 +181,15 @@ def measure(seed: int = 0) -> list:
         remote.mine(specs[0])  # service result cache: pure wire cost
         cached_seconds = time.perf_counter() - cached_started
 
-        stream_local, stream_remote, stream_events = _stream_candidates(remote)
+        stream_local, stream_remote, stream_candidates = _stream_candidates(remote)
 
         health = remote.health()
     finally:
         handle.stop()
 
+    boot_seconds = statistics.median(_boot_seconds() for _ in range(BOOTS))
     per_job_overhead = (remote_seconds - local_seconds) / N_JOBS
-    per_event = (stream_remote - stream_local) / stream_events
+    per_candidate = (stream_remote - stream_local) / stream_candidates
     rows = [
         (f"local Workspace.mine x{N_JOBS}", local_seconds, ""),
         (f"remote mine x{N_JOBS} (HTTP)", remote_seconds,
@@ -157,8 +198,10 @@ def measure(seed: int = 0) -> list:
         ("first SSE event", (first_event_ms or 0) / 1000,
          f"{events_seen} events streamed"),
         ("candidate stream x1 (HTTP)", stream_remote,
-         f"{stream_events} events, {per_event * 1e6:+.1f} us/event vs local "
-         f"{stream_local:.4f} s"),
+         f"{stream_candidates} candidates, {per_candidate * 1e6:+.1f} "
+         f"us/candidate vs local {stream_local:.4f} s"),
+        (f"server boot (median of {BOOTS})", boot_seconds,
+         "spawn to GET /health 200"),
     ]
     JSON_PATH.write_text(
         json.dumps(
@@ -176,8 +219,9 @@ def measure(seed: int = 0) -> list:
                 "events_streamed": events_seen,
                 "stream_local_seconds": round(stream_local, 4),
                 "stream_remote_seconds": round(stream_remote, 4),
-                "stream_events_received": stream_events,
-                "stream_wire_seconds_per_event": round(per_event, 7),
+                "stream_candidates_received": stream_candidates,
+                "stream_wire_seconds_per_candidate": round(per_candidate, 9),
+                "server_boot_seconds": round(boot_seconds, 4),
                 "events_published": health["events"]["published"],
                 "events_dropped": health["events"]["dropped"],
             }),
@@ -197,7 +241,7 @@ def bench_server(benchmark, save_result):
         title=f"Server: HTTP/SSE overhead ({os.cpu_count()} core(s) available)",
     )
     save_result("server", table)
-    assert len(rows) == 5
+    assert len(rows) == 6
     assert JSON_PATH.exists()
 
 

@@ -34,9 +34,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Callable
 
-from repro import experiments
 from repro.api import Workspace
 from repro.datasets import available_datasets, load_dataset
 from repro.engine.jobs import JobResult, run_jobs
@@ -53,21 +51,14 @@ from repro.report.live import LiveReporter
 from repro.spec import JOB_KINDS, JOB_STRATEGIES, MiningSpec
 from repro.version import __version__
 
-#: Experiment name -> zero-config runner returning an object with .format().
-EXPERIMENTS: dict[str, Callable[[int], object]] = {
-    "fig1": experiments.run_fig1,
-    "fig2": experiments.run_fig2,
-    "fig3": experiments.run_fig3,
-    "fig4": experiments.run_fig4,
-    "fig5": experiments.run_fig5,
-    "fig6": experiments.run_fig6,
-    "fig7": experiments.run_fig7,
-    "fig8": experiments.run_fig8,
-    "fig9": experiments.run_fig9,
-    "fig10": experiments.run_fig10,
-    "table1": experiments.run_table1,
-    "table2": experiments.run_table2,
-}
+#: The reproducible experiments: ``sisd experiment NAME`` runs
+#: ``repro.experiments.run_NAME(seed)``, which returns an object with
+#: ``.format()``. The package is imported only then, so no other command
+#: pays for it.
+EXPERIMENTS: tuple[str, ...] = (
+    "fig1", "fig2", "fig3", "fig4", "fig5", "fig6", "fig7", "fig8", "fig9",
+    "fig10", "table1", "table2",
+)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -451,7 +442,9 @@ def _cmd_top(args: argparse.Namespace) -> int:
 
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
-    result = EXPERIMENTS[args.name](args.seed)
+    from repro import experiments
+
+    result = getattr(experiments, f"run_{args.name}")(args.seed)
     print(result.format())
     return 0
 

@@ -4,7 +4,17 @@ The paper evaluates on one synthetic dataset (fully specified in §III-A)
 and four real datasets that are not redistributable/reachable offline.
 Each real dataset is replaced by a seeded generator that preserves its
 shape (rows, attribute counts, attribute kinds) and plants the structure
-each experiment measures — see DESIGN.md §3 for the substitution table.
+each experiment measures (each module's docstring says what and how):
+
+=========  ======================================  ====  ===========  =======
+name       stands in for                           rows  description  targets
+=========  ======================================  ====  ===========  =======
+synthetic  none: the paper's own (§III-A)           620            5        2
+crime      UCI Communities and Crime (§I)          1994          122        1
+mammals    European mammals, WorldClim (§III-B)    2220           67      124
+socio      German socio-economics (§III-C)          412           13        5
+water      Slovenian river water quality (§III-D)  1060           14       16
+=========  ======================================  ====  ===========  =======
 """
 
 from repro.datasets.schema import AttributeKind, Column, Dataset

@@ -101,6 +101,17 @@ def _deliver(observer, job, result, error, *, replay: bool) -> None:
     observer.on_job(result)
 
 
+def _run_when_open(gate: threading.Event, *args, **kwargs) -> JobResult:
+    """Run a thread-backend job once ``gate`` opens.
+
+    The gate opens by a post action queued right after the job's
+    ``dispatched`` event, so every event the job publishes while it mines
+    follows its ``queued`` and ``dispatched`` events on each observer.
+    """
+    gate.wait()
+    return run_job_with_workers(*args, **kwargs)
+
+
 class JobStatus(str, Enum):
     """Lifecycle of a submitted job.
 
@@ -913,6 +924,7 @@ class MiningService:
             if record is None:
                 break
             self._running += 1
+            task, gate = run_job_with_workers, None
             try:
                 if self.backend == "thread":
                     # In-process workers can call back into this process,
@@ -921,7 +933,7 @@ class MiningService:
                     # worker thread; completion then skips their replay
                     # (waiter.live). They share the belief cache too,
                     # and take turns at mining (one GIL mines fastest
-                    # alone).
+                    # alone). Each starts once its dispatch has left.
                     live_waiters = [
                         waiter
                         for waiter in [record] + record.proxies
@@ -937,6 +949,8 @@ class MiningService:
                         ),
                         "turn": self._turn,
                     }
+                    gate = threading.Event()
+                    task = partial(_run_when_open, gate)
                 else:
                     # Worker *processes* share neither (no pickling across
                     # the boundary), but a spill-backed belief cache can
@@ -951,7 +965,7 @@ class MiningService:
                         )
                     }
                 pool_future = self._pool.submit(
-                    run_job_with_workers,
+                    task,
                     record.job,
                     trace=record.trace,
                     dist_workers=record.dist_workers,
@@ -966,6 +980,8 @@ class MiningService:
                 self._settle_locked(record, post, error=exc)
                 continue
             self._emit_later(post, "dispatched", record)
+            if gate is not None:
+                post.append(gate.set)
             self._persist_later(post, record)
             # Attached after the lock drops: a task already done runs its
             # callback at once, and that settle must follow this dispatch.

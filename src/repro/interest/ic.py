@@ -4,7 +4,9 @@ The IC of a pattern is the negative log probability (density) of its
 statistic under the background distribution — the number of nats the
 user gains by learning it. Location patterns have a Gaussian marginal
 (Eq. 13); spread patterns use the chi-squared mixture approximation
-(Eq. 19 with the ``log alpha`` correction, see DESIGN.md §2).
+(Eq. 19 plus ``log alpha``: the density of ``alpha * chi2(m) + beta``
+carries the Jacobian ``1/alpha``, which the printed Eq. 19 leaves out;
+see :meth:`repro.stats.Chi2Mixture.logpdf`).
 
 ICs here are in *nats* (natural log), like the paper's Matlab code; the
 unit only rescales SI values uniformly, so rankings are unaffected.

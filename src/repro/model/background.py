@@ -201,8 +201,10 @@ class BackgroundModel:
 
         Under the model, ``f_I(Y) ~ N(mu_I, Sigma_I)`` with
         ``mu_I = sum_{i in I} mu_i / |I|`` and — being a mean of
-        independent Gaussians — ``Sigma_I = sum_{i in I} Sigma_i / |I|^2``
-        (DESIGN.md §2, correction 2). With case weights, counts become
+        independent Gaussians — ``Sigma_I = sum_{i in I} Sigma_i / |I|^2``.
+        The divisor is ``|I|^2``: dividing by ``|I|`` would give the
+        average per-point covariance (:meth:`pooled_cov`), which does not
+        shrink as the subgroup grows. With case weights, counts become
         weighted counts and ``|I|`` the total subgroup weight: a row of
         weight ``w`` contributes like ``w`` independent copies, so the
         covariance stays *linear* in ``w`` (frequency semantics).

@@ -27,7 +27,10 @@ def location_multiplier(
     updated means are ``mu_b + Sigma_b lam``, which makes the expected
     subgroup mean exactly ``target_mean``. When all blocks share one
     covariance this reduces to the paper's printed form
-    ``mu_i + mean_b(target - mu_b)`` (see DESIGN.md §2, correction 1).
+    ``mu_i + mean_b(target - mu_b)``. That form shifts every row by one
+    vector; once blocks differ in covariance (after a spread update) the
+    minimum-KL update shifts each block along its own covariance,
+    ``Sigma_b lam``, so the general form is solved here.
     """
     counts = np.asarray(counts, dtype=float)
     if counts.sum() <= 0:

@@ -3,13 +3,15 @@
 Fig. 1 uses "Gaussian-kernel smoothed estimates" of densities; Figs. 8c
 and 9b plot marginal CDFs of data projections against the model's CDF.
 These helpers return ``(grid, values)`` pairs ready to print, assert on,
-or plot elsewhere.
+or plot elsewhere. The normal curves are the expressions
+``scipy.stats.norm`` evaluates, bit for bit; :mod:`scipy.stats` itself
+is imported only by :func:`kde_series`, for ``gaussian_kde``.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy import stats as sps
+from scipy.special import ndtr
 
 from repro.errors import ReproError
 
@@ -42,10 +44,13 @@ def kde_series(
         # Degenerate sample: represent as a narrow Gaussian bump.
         grid_arr = _grid_for(values, grid, n_points, pad)
         sd = max(1e-6, 0.01 * (grid_arr[-1] - grid_arr[0]))
-        density = sps.norm.pdf(grid_arr, loc=values[0], scale=sd)
+        z = (grid_arr - values[0]) / sd
+        density = np.exp(-z**2 / 2.0) / np.sqrt(2 * np.pi) / sd
         return grid_arr, weight * density
+    from scipy.stats import gaussian_kde  # the one scipy.stats user: Fig. 1
+
     grid_arr = _grid_for(values, grid, n_points, pad)
-    kde = sps.gaussian_kde(values)
+    kde = gaussian_kde(values)
     return grid_arr, weight * kde(grid_arr)
 
 
@@ -65,7 +70,7 @@ def normal_cdf_series(mean: float, sd: float, grid) -> tuple[np.ndarray, np.ndar
     if sd <= 0:
         raise ReproError(f"sd must be positive, got {sd}")
     grid_arr = np.asarray(grid, dtype=float)
-    return grid_arr, sps.norm.cdf(grid_arr, loc=mean, scale=sd)
+    return grid_arr, ndtr((grid_arr - mean) / sd)
 
 
 def mixture_normal_cdf_series(means, sds, weights, grid):
@@ -87,7 +92,7 @@ def mixture_normal_cdf_series(means, sds, weights, grid):
     grid_arr = np.asarray(grid, dtype=float)
     cdf = np.zeros_like(grid_arr)
     for mean, sd, weight in zip(means, sds, weights):
-        cdf += weight * sps.norm.cdf(grid_arr, loc=mean, scale=sd)
+        cdf += weight * ndtr((grid_arr - mean) / sd)
     return grid_arr, cdf
 
 

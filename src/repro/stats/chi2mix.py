@@ -17,6 +17,10 @@ cumulants with an affine image of a single chi-squared variable:
 cumulant-matching identities — ``E = alpha m + beta = A1``,
 ``Var = 2 alpha^2 m = 2 A2``, ``kappa_3 = 8 alpha^3 m = 8 A3`` — are
 verified by the property-based test suite.
+
+The chi-squared functions are the expressions ``scipy.stats.chi2``
+evaluates, written over :mod:`scipy.special`: they give its bytes, and
+importing the package does not load :mod:`scipy.stats`.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy import stats as sps
+from scipy.special import chdtr, gammaincinv, gammaln, xlogy
 
 from repro.errors import ModelError
 
@@ -98,14 +102,20 @@ class Chi2Mixture:
     def logpdf(self, x) -> np.ndarray | float:
         """Approximate log density at ``x``.
 
-        Computed as ``chi2(m).logpdf((x - beta)/alpha) - log(alpha)``
-        — the change-of-variables form whose negative is the paper's
-        Eq. 19 with the ``+ log(alpha)`` correction (DESIGN.md §2,
-        correction 3). Arguments at or below ``beta`` are clamped just
-        inside the support rather than returning ``-inf``.
+        Computed as ``chi2(m).logpdf((x - beta)/alpha) - log(alpha)``,
+        the change of variables of ``g = alpha * chi2(m) + beta``. The
+        paper's Eq. 19 leaves out that ``- log(alpha)``, the log of the
+        Jacobian ``1/alpha``, so its negative (the IC) gains
+        ``+ log(alpha)`` here. Arguments at or below ``beta`` are
+        clamped just inside the support rather than returning ``-inf``.
         """
         t = np.maximum(self._standardize(x), _TINY)
-        out = sps.chi2.logpdf(t, self.dof) - math.log(self.alpha)
+        m = self.dof
+        out = (
+            xlogy(m / 2.0 - 1, t) - t / 2.0 - gammaln(m / 2.0) - (np.log(2) * m) / 2.0
+        )
+        # scipy.stats answers a NaN argument with its own (positive) NaN.
+        out = np.where(np.isnan(t), np.nan, out) - math.log(self.alpha)
         return float(out) if np.isscalar(x) else out
 
     def pdf(self, x) -> np.ndarray | float:
@@ -115,12 +125,15 @@ class Chi2Mixture:
     def cdf(self, x) -> np.ndarray | float:
         """Approximate distribution function at ``x``."""
         t = np.maximum(self._standardize(x), 0.0)
-        out = sps.chi2.cdf(t, self.dof)
+        out = chdtr(self.dof, t)
         return float(out) if np.isscalar(x) else out
 
     def ppf(self, q) -> np.ndarray | float:
-        """Approximate quantile function."""
-        out = self.alpha * sps.chi2.ppf(q, self.dof) + self.beta
+        """Approximate quantile function (NaN for ``q`` outside ``[0, 1]``)."""
+        p = np.asarray(q, dtype=float)
+        inside = (p >= 0.0) & (p <= 1.0)
+        t = np.where(inside, 2 * gammaincinv(self.dof / 2, p), np.nan)
+        out = self.alpha * t + self.beta
         return float(out) if np.isscalar(q) else out
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:

@@ -1,6 +1,7 @@
 """Tests for the mining service (submit/status/result/cancel)."""
 
 import concurrent.futures
+import threading
 
 import pytest
 
@@ -80,6 +81,56 @@ class TestThreadBackend:
                 service.result("job-9999")
             with pytest.raises(EngineError):
                 service.job("job-9999")
+
+
+class TestEventOrder:
+    """A thread-backend job's own events follow its dispatch."""
+
+    def test_a_job_mines_only_after_its_dispatch_left_the_service(self):
+        from repro.events import MiningObserver
+
+        class Order(MiningObserver):
+            def __init__(self):
+                self.kinds = []
+                self.heard = threading.Event()
+
+            def on_schedule(self, event):
+                self.kinds.append(event.kind)
+
+            def on_candidates(self, batch):
+                self.kinds.append("candidates")
+                self.heard.set()
+
+            def on_iteration(self, iteration):
+                self.kinds.append("iteration")
+
+            def on_job(self, result):
+                self.kinds.append("job")
+
+        logs = {seed: Order() for seed in range(4)}
+
+        class HoldDrain(MiningObserver):
+            # The service-wide observer hears each scheduling event just
+            # before the job's own observer. Holding the post drain open in
+            # its "dispatched" call ends at once if the job mines
+            # meanwhile, else after a quarter second.
+            def on_schedule(self, event):
+                if event.kind == "dispatched":
+                    logs[event.job.search.seed].heard.wait(0.25)
+
+        with MiningService(
+            max_workers=2, backend="thread", observer=HoldDrain()
+        ) as service:
+            ids = [
+                service.submit(_job(seed=seed, n_iterations=2), observer=log)
+                for seed, log in logs.items()
+            ]
+            for job_id in ids:
+                service.result(job_id, timeout=60)
+        for log in logs.values():
+            assert log.kinds[:2] == ["queued", "dispatched"]
+            assert set(log.kinds[2:-1]) == {"candidates", "iteration"}
+            assert log.kinds[-1] == "job"
 
 
 class TestProcessBackend:

@@ -249,9 +249,10 @@ class TestRestartRecovery:
     def test_recovered_dispatches_leave_in_decision_order(
         self, tmp_path, monkeypatch
     ):
-        """The blocker finishes while the restart still delivers its first
-        ``recovered`` event; its ``dispatched`` event still leaves the
-        service before ``queued-1``'s, which was decided after it."""
+        """The restart holds its first ``recovered`` event open. The
+        recovered blocker, dispatched in that same decision, does not run
+        until its ``dispatched`` event has left the service, so that
+        event leaves before ``queued-1``'s, which was decided after it."""
         import threading
 
         from repro.engine import service as service_module
@@ -270,12 +271,13 @@ class TestRestartRecovery:
         monkeypatch.setattr(service_module, "run_job_with_workers", run_and_signal)
 
         class _SlowFirstRecovered(_ScheduleLog):
+            ran_while_held = None
+
             def on_schedule(self, event):
                 if event.kind == "recovered" and not self.events:
-                    # The recovered blocker mines (or replays) now; give
-                    # the pool thread time to settle it and dispatch on.
-                    blocker_ran.wait(60)
-                    time.sleep(0.2)
+                    # Were the blocker free to run now, it would replay
+                    # from the spill, settle and dispatch on in this time.
+                    self.ran_while_held = blocker_ran.wait(1.0)
                 super().on_schedule(event)
 
         log = _SlowFirstRecovered()
@@ -284,6 +286,7 @@ class TestRestartRecovery:
         )
         try:
             statuses = recovered.wait_all(timeout=180)
+            assert log.ran_while_held is False
             assert [statuses[i] for i in [blocker, *queued]] == [JobStatus.DONE] * 4
             names = [e[2] for e in log.kinds("dispatched")]
             assert names == ["blocker", "queued-1", "queued-2", "queued-3"]

@@ -1,7 +1,12 @@
 """Tests for figure data series."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import stats as sps
 
 from repro.errors import ReproError
 from repro.report.series import (
@@ -100,3 +105,53 @@ class TestHistogramSeries:
         centers, _ = histogram_series(values, bins=10)
         assert centers.min() > values.min()
         assert centers.max() < values.max()
+
+
+def _same_bytes(got, expected) -> None:
+    assert got.shape == expected.shape
+    assert got.tobytes() == expected.tobytes()
+
+
+_means = st.floats(-1e3, 1e3)
+_sds = st.floats(1e-6, 1e3)
+_grids = st.lists(
+    st.one_of(st.floats(-1e4, 1e4), st.sampled_from([math.inf, -math.inf])),
+    min_size=1,
+    max_size=12,
+)
+
+
+class TestScipyBytes:
+    """The normal curves give ``scipy.stats.norm``'s bytes without importing it."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(_means, _sds, _grids)
+    def test_normal_cdf_series(self, mean, sd, grid):
+        _, cdf = normal_cdf_series(mean, sd, grid)
+        _same_bytes(cdf, sps.norm.cdf(np.asarray(grid), loc=mean, scale=sd))
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.lists(st.tuples(_means, _sds, st.floats(0.01, 10.0)), min_size=1, max_size=4),
+        _grids,
+    )
+    def test_mixture_normal_cdf_series(self, components, grid):
+        means, sds, weights = (np.array(column) for column in zip(*components))
+        _, cdf = mixture_normal_cdf_series(means, sds, weights, grid)
+        expected = np.zeros(len(grid))
+        for mean, sd, weight in zip(means, sds, weights / weights.sum()):
+            expected += weight * sps.norm.cdf(np.asarray(grid), loc=mean, scale=sd)
+        _same_bytes(cdf, expected)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.floats(-1e3, 1e3),
+        st.lists(st.floats(-1e4, 1e4), min_size=2, max_size=12),
+        st.floats(0.01, 10.0),
+    )
+    def test_degenerate_kde_bump(self, value, grid, weight):
+        grid = np.asarray(grid)
+        # Two equal values have a standard deviation of exactly 0.
+        _, density = kde_series(np.full(2, value), grid=grid, weight=weight)
+        sd = max(1e-6, 0.01 * (grid[-1] - grid[0]))
+        _same_bytes(density, weight * sps.norm.pdf(grid, loc=value, scale=sd))

@@ -43,6 +43,17 @@ _RUN_CLI = (
 )
 
 
+def _stacks_of(process: subprocess.Popen) -> str:
+    """Abort a hung child started with ``PYTHONFAULTHANDLER=1``; its output.
+
+    The fault handler answers SIGABRT by writing the traceback of every
+    thread to stderr, which the caller merged into ``stdout``.
+    """
+    process.send_signal(signal.SIGABRT)
+    process.wait(timeout=10.0)
+    return process.stdout.read()
+
+
 @pytest.fixture(params=sorted(DAEMONS))
 def running(request):
     """One daemon of each kind, in-thread; yields (daemon, handle)."""
@@ -173,6 +184,8 @@ class TestShutdown:
             + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
         )
         env["PYTHONUNBUFFERED"] = "1"
+        # SIGABRT then prints every thread's stack (see _stacks_of).
+        env["PYTHONFAULTHANDLER"] = "1"
         process = subprocess.Popen(
             [sys.executable, "-c", _RUN_CLI, *CLI_ARGS[kind]],
             stdout=subprocess.PIPE,
@@ -191,7 +204,14 @@ class TestShutdown:
             host, _, port = url.rpartition(":")
             with _park(host, int(port)):
                 process.send_signal(signal.SIGINT)
-                assert process.wait(timeout=10.0) == 0
+                try:
+                    code = process.wait(timeout=10.0)
+                except subprocess.TimeoutExpired:
+                    pytest.fail(
+                        f"sisd {kind} still ran 10 s after one SIGINT; "
+                        f"where its threads were:\n{_stacks_of(process)}"
+                    )
+                assert code == 0
             assert "stopped" in process.stdout.read()
         finally:
             if process.poll() is None:

@@ -1,11 +1,15 @@
 """Tests for the Zhang (2005) chi-squared mixture approximation."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats as sps
 
 from repro.errors import ModelError
-from repro.stats.chi2mix import Chi2Mixture
+from repro.stats.chi2mix import _TINY, Chi2Mixture
 
 
 class TestCoefficients:
@@ -138,3 +142,102 @@ class TestFractionalWeightSampling:
         rng = np.random.default_rng(5)
         expected = rng.chisquare(1.0, size=(50, reps.shape[0])) @ reps
         np.testing.assert_array_equal(sampled, expected)
+
+
+def _scipy_oracle(mixture: Chi2Mixture, method: str, x):
+    """What ``Chi2Mixture`` returned when it called ``scipy.stats.chi2``."""
+    if method == "ppf":
+        out = mixture.alpha * sps.chi2.ppf(x, mixture.dof) + mixture.beta
+    else:
+        t = (np.asarray(x, dtype=float) - mixture.beta) / mixture.alpha
+        if method == "logpdf":
+            out = sps.chi2.logpdf(np.maximum(t, _TINY), mixture.dof)
+            out = out - math.log(mixture.alpha)
+        else:
+            out = sps.chi2.cdf(np.maximum(t, 0.0), mixture.dof)
+    return float(out) if np.isscalar(x) else out
+
+
+def _same_bytes(got, expected) -> None:
+    assert type(got) is type(expected)
+    assert np.shape(got) == np.shape(expected)
+    assert np.asarray(got).tobytes() == np.asarray(expected).tobytes()
+
+
+def _mixture(coefficients, weights) -> Chi2Mixture:
+    return Chi2Mixture(
+        np.asarray(coefficients), None if weights is None else np.asarray(weights)
+    )
+
+
+#: Mixtures of 1-6 coefficients, unweighted or with block weights.
+_mixtures = st.integers(1, 6).flatmap(
+    lambda n: st.builds(
+        _mixture,
+        st.lists(st.floats(1e-3, 1e3), min_size=n, max_size=n),
+        st.one_of(
+            st.none(), st.lists(st.floats(0.1, 50.0), min_size=n, max_size=n)
+        ),
+    )
+)
+#: Standardized arguments: inside the support, below it (under the
+#: ``_TINY`` floor), at the edge, and the non-finite ones.
+_standardized = st.one_of(
+    st.floats(-10.0, 1e4),
+    st.floats(-1e-11, 1e-11),
+    st.sampled_from([0.0, _TINY, -1.0, math.inf, -math.inf, math.nan, -math.nan]),
+)
+#: Probabilities: inside [0, 1], its ends, outside it and NaN.
+_probabilities = st.one_of(
+    st.floats(0.0, 1.0),
+    st.sampled_from([0.0, -0.0, 1.0, -0.5, 1.5, -1e-300, math.nan, -math.nan]),
+)
+
+
+def _argument(values, shape):
+    """One drawn value as a Python float, a 0-d array or a 1-D array."""
+    if shape == "scalar":
+        return values[0]
+    if shape == "0-d":
+        return np.asarray(values[0])
+    return np.asarray(values)
+
+
+class TestScipyBytes:
+    """``Chi2Mixture`` gives ``scipy.stats.chi2``'s bytes without importing it."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        _mixtures,
+        st.lists(_standardized, min_size=1, max_size=8),
+        st.sampled_from(["scalar", "0-d", "array"]),
+    )
+    def test_logpdf_and_cdf(self, mixture, standardized, shape):
+        x = [mixture.beta + mixture.alpha * t for t in standardized]
+        argument = _argument(x, shape)
+        with np.errstate(invalid="ignore"):
+            for method in ("logpdf", "cdf"):
+                _same_bytes(
+                    getattr(mixture, method)(argument),
+                    _scipy_oracle(mixture, method, argument),
+                )
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        _mixtures,
+        st.lists(_probabilities, min_size=1, max_size=8),
+        st.sampled_from(["scalar", "0-d", "array"]),
+    )
+    def test_ppf(self, mixture, q, shape):
+        argument = _argument(q, shape)
+        _same_bytes(mixture.ppf(argument), _scipy_oracle(mixture, "ppf", argument))
+
+    def test_a_list_argument(self):
+        mixture = Chi2Mixture(np.array([0.4, 1.3]), weights=np.array([3.0, 2.0]))
+        for method, values in (
+            ("logpdf", [0.5, 2.0]), ("cdf", [0.5, 2.0]), ("ppf", [0.1, 0.9])
+        ):
+            _same_bytes(
+                getattr(mixture, method)(values),
+                _scipy_oracle(mixture, method, values),
+            )
